@@ -3,7 +3,9 @@
    tier 3 (template JIT, steady-state: the timed run reuses the code
    cache a warm-up run populated, exactly as a respawned fleet worker
    does), asserting bit-identical counters across all three and gating
-   the tier-3 wall-clock win over the reference tier. *)
+   the tier-3 wall-clock win over the reference tier. An observed lane
+   then runs each workload profiled on the reference tier and on tier 3
+   and requires bit-identical profiles. *)
 
 module Pipeline = R2c_core.Pipeline
 module Dconfig = R2c_core.Dconfig
@@ -11,6 +13,7 @@ module Spec = R2c_workloads.Spec
 module Parallel = R2c_util.Parallel
 open R2c_machine
 module J = R2c_obs.Json
+module Profile = R2c_obs.Profile
 
 type row = {
   name : string;
@@ -18,6 +21,8 @@ type row = {
   cycles_bits : int64;  (* exact: Int64.bits_of_float of the cycle total *)
   icache_misses : int;
   identical : bool;  (* all three tiers bit-identical on this workload *)
+  profile_identical : bool;
+      (* profiled tier 3 == profiled reference: rows, edges, total *)
   compiled : int;  (* functions compiled by the warm + timed runs *)
   entry_enters : int;
   osr_enters : int;
@@ -31,7 +36,7 @@ type report = {
   config : string;
   fuel : int;
   rows : row list;
-  identical : bool;
+  identical : bool;  (* every row identical, profiled and unprofiled *)
   compiled_total : int;
   osr_total : int;
   tier3_share : float;  (* fraction of JIT-run instructions retired in tier 3 *)
@@ -43,6 +48,9 @@ type timing = {
   jit_ms : float;
   speedup_fast : float;  (* reference / fast *)
   speedup_jit : float;  (* reference / tier-3 *)
+  ref_obs_ms : float;  (* profiled reference tier *)
+  jit_obs_ms : float;  (* profiled tier 3 *)
+  speedup_obs : float;  (* profiled reference / profiled tier 3 *)
 }
 
 (* Everything the contract pins down: counters, architectural effects,
@@ -92,6 +100,18 @@ let run ?(seed = 3) ?(config = "full") ?(fuel = 50_000_000) ?jobs () =
   let settle () = Gc.full_major () in
   let profile = Cost.epyc_rome in
   let t_ref = ref 0.0 and t_fast = ref 0.0 and t_jit = ref 0.0 in
+  let t_ref_obs = ref 0.0 and t_jit_obs = ref 0.0 in
+  (* One profiled run: the profile's fingerprint and the CPU's. *)
+  let profiled img ~jit ~clock run =
+    settle ();
+    let cpu = Loader.load ~jit:(Option.is_some jit) ?jit_cache:jit ~profile img in
+    let pr = Profile.create ~profile img in
+    Profile.attach pr cpu;
+    let t0 = now () in
+    let r = run cpu ~fuel in
+    clock := !clock +. (now () -. t0);
+    (Profile.fingerprint pr, fingerprint cpu r)
+  in
   let rows =
     List.map
       (fun ((b : Spec.benchmark), img) ->
@@ -119,18 +139,34 @@ let run ?(seed = 3) ?(config = "full") ?(fuel = 50_000_000) ?jobs () =
         t_jit := !t_jit +. (now () -. t0);
         let fp_jit = fingerprint c_jit r_jit in
         let st = Jit.cache_stats cache in
+        let row =
+          {
+            name = b.Spec.name;
+            insns = fp_jit.fp_insns;
+            cycles_bits = fp_jit.fp_cycles;
+            icache_misses = fp_jit.fp_misses;
+            identical = fp_ref = fp_fast && fp_ref = fp_jit;
+            profile_identical = false;
+            compiled = st.Jit.compiled;
+            entry_enters = st.Jit.entry_enters;
+            osr_enters = st.Jit.osr_enters;
+            deopts = st.Jit.deopts;
+            tier3_insns = st.Jit.tier3_insns;
+            interp_insns = st.Jit.interp_insns;
+          }
+        in
+        (* The observed lane, after the stats snapshot: profiled runs
+           leave the unprofiled report fields untouched. *)
+        let p_ref, fpo_ref =
+          profiled img ~jit:None ~clock:t_ref_obs (fun c ~fuel -> Cpu.run_reference c ~fuel)
+        in
+        let p_jit, fpo_jit =
+          profiled img ~jit:(Some cache) ~clock:t_jit_obs (fun c ~fuel -> Cpu.run c ~fuel)
+        in
         {
-          name = b.Spec.name;
-          insns = fp_jit.fp_insns;
-          cycles_bits = fp_jit.fp_cycles;
-          icache_misses = fp_jit.fp_misses;
-          identical = fp_ref = fp_fast && fp_ref = fp_jit;
-          compiled = st.Jit.compiled;
-          entry_enters = st.Jit.entry_enters;
-          osr_enters = st.Jit.osr_enters;
-          deopts = st.Jit.deopts;
-          tier3_insns = st.Jit.tier3_insns;
-          interp_insns = st.Jit.interp_insns;
+          row with
+          profile_identical =
+            String.equal p_ref p_jit && fpo_ref = fp_ref && fpo_jit = fp_ref;
         })
       images
   in
@@ -142,7 +178,7 @@ let run ?(seed = 3) ?(config = "full") ?(fuel = 50_000_000) ?jobs () =
       config;
       fuel;
       rows;
-      identical = List.for_all (fun (r : row) -> r.identical) rows;
+      identical = List.for_all (fun (r : row) -> r.identical && r.profile_identical) rows;
       compiled_total = sum (fun r -> r.compiled);
       osr_total = sum (fun r -> r.osr_enters);
       tier3_share =
@@ -152,7 +188,9 @@ let run ?(seed = 3) ?(config = "full") ?(fuel = 50_000_000) ?jobs () =
   in
   let ref_ms = !t_ref *. 1000.0
   and fast_ms = !t_fast *. 1000.0
-  and jit_ms = !t_jit *. 1000.0 in
+  and jit_ms = !t_jit *. 1000.0
+  and ref_obs_ms = !t_ref_obs *. 1000.0
+  and jit_obs_ms = !t_jit_obs *. 1000.0 in
   let timing =
     {
       ref_ms;
@@ -160,6 +198,9 @@ let run ?(seed = 3) ?(config = "full") ?(fuel = 50_000_000) ?jobs () =
       jit_ms;
       speedup_fast = (if fast_ms > 0.0 then ref_ms /. fast_ms else 0.0);
       speedup_jit = (if jit_ms > 0.0 then ref_ms /. jit_ms else 0.0);
+      ref_obs_ms;
+      jit_obs_ms;
+      speedup_obs = (if jit_obs_ms > 0.0 then ref_obs_ms /. jit_obs_ms else 0.0);
     }
   in
   (report, timing)
@@ -170,7 +211,9 @@ let run ?(seed = 3) ?(config = "full") ?(fuel = 50_000_000) ?jobs () =
 let gate ?(min_speedup = 5.0) ?timing r =
   let checks =
     [
-      ("all three tiers bit-identical on every workload", r.identical);
+      ( "all three tiers bit-identical, and profiled tier 3 bit-identical to the \
+         profiled reference tier, on every workload",
+        r.identical );
       ( "every workload compiled at least one hot function",
         List.for_all (fun row -> row.compiled > 0) r.rows );
       ("compiled code entered via OSR at least once", r.osr_total > 0);
@@ -201,6 +244,7 @@ let json ?jobs ?timing r =
         ("cycles_bits", J.Str (Printf.sprintf "%016Lx" row.cycles_bits));
         ("icache_misses", J.Int row.icache_misses);
         ("identical", J.Bool row.identical);
+        ("profile_identical", J.Bool row.profile_identical);
         ("compiled", J.Int row.compiled);
         ("entry_enters", J.Int row.entry_enters);
         ("osr_enters", J.Int row.osr_enters);
@@ -230,6 +274,9 @@ let json ?jobs ?timing r =
           ("jit_ms", J.Float t.jit_ms);
           ("speedup_fast", J.Float t.speedup_fast);
           ("speedup_jit", J.Float t.speedup_jit);
+          ("ref_obs_ms", J.Float t.ref_obs_ms);
+          ("jit_obs_ms", J.Float t.jit_obs_ms);
+          ("speedup_obs", J.Float t.speedup_obs);
         ]
     | None -> [])
 
@@ -238,17 +285,18 @@ let print (r, t) =
     (fun row ->
       Printf.printf
         "%-12s %9d insns  compiled %3d  entries %7d (osr %5d, deopts %3d)  tier3 \
-         %5.1f%%  identical=%b\n"
+         %5.1f%%  identical=%b profile=%b\n"
         row.name row.insns row.compiled
         (row.entry_enters + row.osr_enters)
         row.osr_enters row.deopts
         (let tot = row.tier3_insns + row.interp_insns in
          if tot = 0 then 0.0
          else 100.0 *. float_of_int row.tier3_insns /. float_of_int tot)
-        row.identical)
+        row.identical row.profile_identical)
     r.rows;
   Printf.printf
     "TOTAL ref %.1fms fast %.1fms (%.2fx) jit %.1fms (%.2fx)  tier3 share %.1f%%  \
-     identical=%b\n"
+     identical=%b\n\
+     PROFILED ref %.1fms jit %.1fms (%.2fx)\n"
     t.ref_ms t.fast_ms t.speedup_fast t.jit_ms t.speedup_jit
-    (100.0 *. r.tier3_share) r.identical
+    (100.0 *. r.tier3_share) r.identical t.ref_obs_ms t.jit_obs_ms t.speedup_obs

@@ -15,7 +15,12 @@
     The three-way bit-identicality contract is asserted per workload
     (cycles as IEEE-754 bits, instruction and icache counters, call
     depth, output, exit code, run result), and the gate additionally
-    demands a wall-clock floor for tier 3 over the reference tier. *)
+    demands a wall-clock floor for tier 3 over the reference tier.
+
+    An observed lane then runs each workload with an
+    {!R2c_obs.Profile} attached, once on the reference tier and once on
+    tier 3 (same warm cache), and requires bit-identical profiles: every
+    row (floats as IEEE-754 bits), every call edge and the total. *)
 
 type row = {
   name : string;
@@ -23,6 +28,9 @@ type row = {
   cycles_bits : int64;  (** [Int64.bits_of_float] of the cycle total *)
   icache_misses : int;
   identical : bool;  (** all three tiers bit-identical on this workload *)
+  profile_identical : bool;
+      (** profiled tier 3 and profiled reference runs produced the same
+          profile, and the same counters as the unprofiled runs *)
   compiled : int;  (** functions compiled (warm + timed runs) *)
   entry_enters : int;  (** tier-3 entries at function entry *)
   osr_enters : int;  (** tier-3 entries at loop backedges (OSR) *)
@@ -36,7 +44,7 @@ type report = {
   config : string;
   fuel : int;
   rows : row list;
-  identical : bool;
+  identical : bool;  (** every row [identical] and [profile_identical] *)
   compiled_total : int;
   osr_total : int;
   tier3_share : float;
@@ -50,6 +58,9 @@ type timing = {
   jit_ms : float;
   speedup_fast : float;  (** reference / fast *)
   speedup_jit : float;  (** reference / tier 3 *)
+  ref_obs_ms : float;  (** profiled reference tier *)
+  jit_obs_ms : float;  (** profiled tier 3 *)
+  speedup_obs : float;  (** profiled reference / profiled tier 3 *)
 }
 
 (** [run ?seed ?config ?fuel ?jobs ()] — compile the 12 workloads
@@ -60,7 +71,8 @@ val run :
   ?seed:int -> ?config:string -> ?fuel:int -> ?jobs:int -> unit -> report * timing
 
 (** [gate ?min_speedup ?timing r] — failure strings, empty when the run
-    passes. Deterministic checks (three-way identity everywhere, every
+    passes. Deterministic checks (three-way identity everywhere, profiled
+    and unprofiled, every
     workload compiled something, OSR actually exercised, tier-3
     instruction share >= 50%) always apply; the [min_speedup] floor
     (default 5x over the reference tier) applies when [timing] is

@@ -1,4 +1,5 @@
-type observer = rip:int -> cycles:float -> misses:int -> called:bool -> unit
+type site = cycles:float -> misses:int -> called:bool -> unit
+type observer = rip:int -> site
 
 type run_result = Halted | Fuel_exhausted | Faulted of Fault.t
 
@@ -27,6 +28,9 @@ type t = {
   shadow : int list ref;  (* shadow stack of return addresses (CFI) *)
   inject : Inject.t option;  (* chaos fault injector, if attached *)
   mutable observer : observer option;  (* per-step hook; None = no cost *)
+  mutable sites : site array;
+      (* [observer ~rip] per text offset, resolved on first fire; [||]
+         until the first observed step after an attach *)
   mutable btap : (t -> string -> unit) option;
       (* builtin-boundary tap; None = no cost *)
   mutable pdecode : Image.pslot array option;
@@ -64,6 +68,7 @@ let create ?(strict_align = false) ?inject ~profile ~mem ~heap image ~rip ~rsp =
       shadow = ref [];
       inject;
       observer = None;
+      sites = [||];
       btap = None;
       pdecode = None;
       tier3 = None;
@@ -418,30 +423,76 @@ let step_uninstrumented t =
       | Some (insn, size) -> execute t rip insn size
       | None -> Fault.raise_fault (Invalid_opcode { addr = rip }))
 
+(* Staged observation. An observer is applied in two stages: [obs ~rip]
+   resolves everything static about one text address into a site, once,
+   into the dense [sites] table; the site then fires after every step at
+   that address. The sentinel marks unresolved slots, so an attach only
+   pays for the addresses it actually sees. Out-of-text rips (wild jumps)
+   resolve afresh on every fire. *)
+let unresolved : site = fun ~cycles:_ ~misses:_ ~called:_ -> ()
+
+let resolve t rip off =
+  match t.observer with
+  | None -> unresolved
+  | Some obs ->
+      let s = obs ~rip in
+      let len = t.image.Image.text_len in
+      if off >= 0 && off < len then begin
+        if Array.length t.sites = 0 then t.sites <- Array.make len unresolved;
+        Array.unsafe_set t.sites off s
+      end;
+      s
+
+let site t rip =
+  let sites = t.sites in
+  let off = rip - t.image.Image.text_base in
+  if off >= 0 && off < Array.length sites then
+    let s = Array.unsafe_get sites off in
+    if s != unresolved then s else resolve t rip off
+  else resolve t rip off
+
+(* Fire [rip]'s site with the deltas since the snapshot. The site is bound
+   before the call: written as one application, [site t rip ~cycles ...]
+   compiles to a generic five-argument apply that allocates a partial
+   application at every step. *)
+let fire t rip ~cycles0 ~misses0 ~called =
+  let s = site t rip in
+  s ~cycles:(t.cycles -. cycles0) ~misses:(Icache.misses t.icache - misses0) ~called
+
 (* The observation wrapper: with no observer attached, [step] is the bare
-   interpreter — the cycle totals are bit-identical. With one, the hook
-   fires after every retired instruction (and, so post-mortems see the
-   detonating instruction, once more on the faulting one before the fault
-   propagates) with the pre-step rip and this step's cycle/miss deltas. *)
+   interpreter — the cycle totals are bit-identical. With one, the site
+   of the pre-step rip fires after every retired instruction (and, so
+   post-mortems see the detonating instruction, once more on the faulting
+   one before the fault propagates) with this step's cycle/miss deltas. *)
 let step t =
   match t.observer with
   | None -> step_uninstrumented t
-  | Some obs ->
+  | Some _ ->
       let rip0 = t.rip in
       let cycles0 = t.cycles in
       let misses0 = Icache.misses t.icache in
       let calls0 = t.calls in
-      let fire ~called =
-        obs ~rip:rip0 ~cycles:(t.cycles -. cycles0)
-          ~misses:(Icache.misses t.icache - misses0) ~called
-      in
       (match step_uninstrumented t with
-      | () -> fire ~called:(t.calls > calls0)
+      | () -> fire t rip0 ~cycles0 ~misses0 ~called:(t.calls > calls0)
       | exception e ->
-          fire ~called:false;
+          fire t rip0 ~cycles0 ~misses0 ~called:false;
           raise e)
 
-let set_observer t obs = t.observer <- obs
+let set_observer t obs =
+  t.observer <- obs;
+  t.sites <- [||]
+
+let tee (first : observer) (second : observer) : observer =
+ fun ~rip ->
+  let a = first ~rip and b = second ~rip in
+  fun ~cycles ~misses ~called ->
+    a ~cycles ~misses ~called;
+    b ~cycles ~misses ~called
+
+let attach_observer ?tee:(keep = false) t obs =
+  match (keep, t.observer) with
+  | true, Some prev -> set_observer t (Some (tee prev obs))
+  | _ -> set_observer t (Some obs)
 
 type builtin_tap = t -> string -> unit
 
@@ -494,16 +545,16 @@ let run_fast t ~fuel =
   in
   try go fuel with Fault.Fault f -> Faulted f
 
-(* Tier dispatch: an attached observer or injector always forces the
-   reference tier (they must see every step); otherwise tier-3 runs when
-   installed, the fast interpreter when not. All three produce identical
-   counters — the tiercmp/differential suites pin that contract down. *)
+(* Tier dispatch: an attached injector forces the reference tier (it
+   must see every step, and compiled code has no injection points);
+   otherwise tier 3 runs when installed — observed or not — and the fast
+   interpreter when not, unless an observer needs the reference dispatch
+   there. All three produce identical counters and observer fires — the
+   tiercmp/differential suites pin that contract down. *)
 let run t ~fuel =
-  match (t.observer, t.inject) with
-  | None, None -> (
-      match t.tier3 with
-      | Some jit -> jit t ~fuel
-      | None -> run_fast t ~fuel)
+  match (t.inject, t.tier3, t.observer) with
+  | None, Some jit, _ -> jit t ~fuel
+  | None, None, None -> run_fast t ~fuel
   | _ -> run_reference t ~fuel
 
 let set_tier3 t f = t.tier3 <- f
@@ -531,6 +582,8 @@ let push_input t s = Queue.push s t.input
    [step_builtin] the two interpreter tiers use, or the three-way
    bit-identicality contract would rest on duplicated semantics. *)
 module Internal = struct
+  let site = site
+  let fire = fire
   let execute = execute
   let step_builtin = step_builtin
   let predecoded = predecoded

@@ -11,15 +11,30 @@
     ({!Image.builtin_names}); they model the unprotected glibc of
     Section 7.4.1. *)
 
-(** Per-step observation hook, fired after each retired instruction with
-    the instruction's address ([rip], pre-step), the cycle and icache-miss
-    deltas it charged, and whether it transferred control via call. On a
-    faulting step the hook fires once (with [called:false]) before the
-    fault propagates, so post-mortem rings capture the detonating
-    instruction. When [None] — the default — stepping takes the bare
-    interpreter path and cycle totals are bit-identical to an unobserved
-    run. *)
-type observer = rip:int -> cycles:float -> misses:int -> called:bool -> unit
+(** A resolved observation site: fired after each retired instruction at
+    one text address with the cycle and icache-miss deltas the step
+    charged, and whether it transferred control via call. On a faulting
+    step it fires once (with [called:false]) before the fault propagates,
+    so post-mortem rings capture the detonating instruction. *)
+type site = cycles:float -> misses:int -> called:bool -> unit
+
+(** Per-step observation hook, applied in two stages: [obs ~rip] is
+    resolved once per text address (lazily, into a dense per-CPU table)
+    and the resulting {!site} fires on every step at that address. An
+    observer that does its static work — symbol lookup, classification —
+    before taking [~cycles] pays for it once per address, not per step;
+    one written as a plain four-argument function still works, resolving
+    to a partial application.
+
+    Observed runs take tier 3 when a JIT is attached (the reference tier
+    otherwise), and the deltas, fire order and fire count are identical
+    on both. When a site fires, the registers, [insns], [calls], [depth]
+    and — after a call — [rip] (the callee entry) are live; [cycles] is
+    not (tier 3 keeps the running total in its own slot until it exits),
+    so observers work from the deltas. When [None] — the default —
+    stepping takes the bare interpreter path and cycle totals are
+    bit-identical to an unobserved run. *)
+type observer = rip:int -> site
 
 type run_result = Halted | Fuel_exhausted | Faulted of Fault.t
 
@@ -59,6 +74,9 @@ type t = {
   mutable observer : observer option;
       (** per-step hook ({!set_observer}); [None] (the default) costs
           nothing *)
+  mutable sites : site array;
+      (** the observer's resolved sites per text offset, filled on first
+          fire; reset by {!set_observer} *)
   mutable btap : (t -> string -> unit) option;
       (** builtin-boundary tap ({!set_builtin_tap}); [None] (the default)
           costs nothing *)
@@ -86,11 +104,19 @@ val reg_set : t -> Insn.reg -> int -> unit
 val step : t -> unit
 
 (** [set_observer t obs] attaches (or, with [None], detaches) the per-step
-    hook. At most one observer slot exists; attaching replaces the previous
-    one. Callers that need several hooks compose them into one with
-    {!R2c_obs.Sink.tee} (or by hand) before attaching — {!Trace.attach} and
-    [R2c_obs.Profile.attach] do that for you under [~tee:true]. *)
+    hook and drops every resolved site. At most one observer slot exists;
+    attaching replaces the previous one. Callers that need several hooks
+    compose them with {!tee} or {!attach_observer}. *)
 val set_observer : t -> observer option -> unit
+
+(** [tee first second] — one observer that resolves both at each address
+    and fires [first]'s site, then [second]'s, on every step. *)
+val tee : observer -> observer -> observer
+
+(** [attach_observer ?tee t obs] — install [obs]. By default it replaces
+    any observer already attached; with [~tee:true] that observer keeps
+    firing first ([tee prev obs]). *)
+val attach_observer : ?tee:bool -> t -> observer -> unit
 
 (** Builtin-boundary tap: fired once per intercepted library call
     ([print_int], [read_input], [malloc], [sensitive], ... —
@@ -104,18 +130,18 @@ val set_observer : t -> observer option -> unit
 type builtin_tap = t -> string -> unit
 
 (** [set_builtin_tap t tap] attaches (or, with [None], detaches) the
-    builtin-boundary tap. [None] (the default) costs nothing; unlike the
-    per-step observer, an attached tap does not force {!run} off the
-    predecoded fast path. *)
+    builtin-boundary tap. [None] (the default) costs nothing; an attached
+    tap never moves {!run} off the tier it runs on. *)
 val set_builtin_tap : t -> builtin_tap option -> unit
 
-(** [run t ~fuel] steps until halt, fault, or [fuel] instructions. With no
-    observer and no injector attached it takes tier 3 (the template JIT,
-    when [Jit.attach] installed one) or else the predecoded fast path —
-    both contractually bit-identical to {!run_reference} in cycles, insns,
-    icache misses, faults, and output; an attached observer or injector
-    falls back to the reference dispatch (their attachment is a tier-3
-    deopt trigger). *)
+(** [run t ~fuel] steps until halt, fault, or [fuel] instructions. It takes
+    tier 3 (the template JIT, when [Jit.attach] installed one) — with or
+    without an observer — or else the predecoded fast path, or the
+    reference dispatch when an observer is attached without a JIT. All are
+    contractually bit-identical to {!run_reference} in cycles, insns,
+    icache misses, faults, output and observer fires. An attached injector
+    forces the reference dispatch (its attachment is a tier-3 deopt
+    trigger). *)
 val run : t -> fuel:int -> run_result
 
 (** [set_tier3 t f] installs (or, with [None], removes) the tier-3 runner
@@ -143,6 +169,16 @@ val output : t -> string
     the exact [execute]/[step_builtin] the interpreter tiers use, so the
     three-way bit-identicality contract rests on one set of semantics. *)
 module Internal : sig
+  (** [site t rip] — the attached observer's resolved site for [rip]
+      (resolving and memoizing it on first use). Only meaningful while an
+      observer is attached. *)
+  val site : t -> int -> site
+
+  (** [fire t rip ~cycles0 ~misses0 ~called] — fire [rip]'s site with the
+      deltas from the [cycles]/icache-miss snapshot to now, as {!step}
+      does after each instruction. *)
+  val fire : t -> int -> cycles0:float -> misses0:int -> called:bool -> unit
+
   (** [execute t rip insn size] — decode-free core step: icache charge,
       cycle/insn accounting, dispatch. Raises {!Fault.Fault}. *)
   val execute : t -> int -> Insn.t -> int -> unit

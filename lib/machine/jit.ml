@@ -11,8 +11,13 @@
    cycle/insn/icache counters — at fuel exhaustion, any fault, a builtin
    call, a transfer out of the compiled region, or a deopt on an
    instruction the template compiler does not handle (unresolved symbols).
-   Observer and injector attachment deopt one level higher: [Cpu.run]
-   routes those to the reference tier before tier 3 is ever consulted.
+   Injector attachment deopts one level higher: [Cpu.run] routes it to the
+   reference tier before tier 3 is ever consulted. An attached observer
+   does not: an observed run executes observed templates, which fire the
+   observer's site after every instruction with the step's deltas. They
+   are a second compilation of the same blocks, built per function the
+   first time an observed run enters it, so the unobserved templates stay
+   exactly as they are.
 
    The bit-identicality contract is absolute: every cycle is accumulated by
    the same float additions in the same order as [Cpu.execute], base costs
@@ -57,6 +62,7 @@ type ctx = {
   mem : Mem.t;
   ic : Icache.t;
   cyc : float array;  (* one slot: the live cycle counter while compiled *)
+  mutable om : int;  (* observed templates: icache misses of this step *)
 }
 
 (* A fused basic block: [b_n] instructions at [b_addrs], the first
@@ -76,6 +82,7 @@ type cfunc = {
   mutable f_digest : string;  (* of the decoded body; mutable for [poison] *)
   mutable f_gen : int;  (* cache generation this entry is valid for *)
   f_blocks : block array;
+  f_obs : block array Lazy.t;  (* the same blocks as observed templates *)
   f_leaders : (int * int) array;  (* (address, block index) per leader *)
 }
 
@@ -416,10 +423,81 @@ let wrap_op ~check ~can_fault ~addr (core : ctx -> unit) : ctx -> unit =
       raise e
   else core
 
-let compile_op p ~check ~addr ~size insn : ctx -> unit =
+(* Observed templates. [fire] hands the attached observer's site for
+   [addr] the step's deltas, computed as [Cpu.step] computes them: the
+   live [cyc] slot differenced around the step (so the float delta is
+   bit-identical), and the fetch's miss count. Faults fire once, with rip
+   materialized, before propagating. *)
+let fire c addr cycles misses called =
+  let s = Cpu.Internal.site c.t addr in
+  s ~cycles ~misses ~called
+
+(* [mk_core]'s accounting — the same float additions in the same order —
+   returning the step's icache misses instead of running an effect. *)
+let obs_fetch (p : Cost.profile) ~addr ~size ~(cb : float) : ctx -> int =
+  let cf = float_of_int size /. p.Cost.fetch_bytes_per_cycle in
+  let pen = p.Cost.icache_miss_penalty in
+  let ls =
+    let rec log2 acc n = if n <= 1 then acc else log2 (acc + 1) (n lsr 1) in
+    log2 0 p.Cost.icache_line_bytes
+  in
+  let first = addr lsr ls in
+  let one_line = first = (addr + size - 1) lsr ls in
+  fun c ->
+    let m =
+      if one_line then Icache.access_line c.ic first
+      else Icache.access c.ic ~addr ~len:size
+    in
+    Array.unsafe_set c.cyc 0
+      (Array.unsafe_get c.cyc 0 +. cb +. cf +. (float_of_int m *. pen));
+    let t = c.t in
+    t.Cpu.insns <- t.Cpu.insns + 1;
+    m
+
+(* An observed non-control instruction. Only an instruction that can
+   fault (or carries the exec-permission probe) pays for a handler. *)
+let obs_op ~check ~can_fault ~addr (fetch : ctx -> int) (eff : ctx -> unit) :
+    ctx -> unit =
+  if check || can_fault then fun c ->
+    let cyc0 = Array.unsafe_get c.cyc 0 in
+    let m = ref 0 in
+    match
+      if check then Mem.check_exec c.mem addr;
+      m := fetch c;
+      eff c
+    with
+    | () -> fire c addr (Array.unsafe_get c.cyc 0 -. cyc0) !m false
+    | exception e ->
+        (match e with Fault.Fault _ -> c.t.Cpu.rip <- addr | _ -> ());
+        fire c addr (Array.unsafe_get c.cyc 0 -. cyc0) !m false;
+        raise e
+  else fun c ->
+    let cyc0 = Array.unsafe_get c.cyc 0 in
+    let m = fetch c in
+    eff c;
+    fire c addr (Array.unsafe_get c.cyc 0 -. cyc0) m false
+
+(* A control terminator compiled with [obs_fetch] accounting. Deopt
+   terminators are never wrapped: they retire nothing, and the
+   interpreter fires when it retries the instruction. *)
+let obs_term ~addr (term : ctx -> int) : ctx -> int =
+ fun c ->
+  let t = c.t in
+  let cyc0 = Array.unsafe_get c.cyc 0 and calls0 = t.Cpu.calls in
+  c.om <- 0;
+  match term c with
+  | k ->
+      fire c addr (Array.unsafe_get c.cyc 0 -. cyc0) c.om (t.Cpu.calls > calls0);
+      k
+  | exception e ->
+      fire c addr (Array.unsafe_get c.cyc 0 -. cyc0) c.om false;
+      raise e
+
+let compile_op p ~obs ~check ~addr ~size insn : ctx -> unit =
   let eff, can_fault = compile_effect ~addr insn in
-  let core = mk_core p ~addr ~size ~cb:(Cost.base_cost p insn) eff in
-  wrap_op ~check ~can_fault ~addr core
+  let cb = Cost.base_cost p insn in
+  if obs then obs_op ~check ~can_fault ~addr (obs_fetch p ~addr ~size ~cb) eff
+  else wrap_op ~check ~can_fault ~addr (mk_core p ~addr ~size ~cb eff)
 
 (* do_call / shadow_check mirrors, with rip passed explicitly (the
    interpreter reads the already-correct [t.rip]; compiled code does not
@@ -470,10 +548,21 @@ let deopt_term : ctx -> int = fun _ -> -2
 (* Terminator for a control instruction ending a block. [bid] maps
    in-function leader addresses to block indices; targets outside it set
    rip and exit the runner. *)
-let compile_term p ~check ~addr ~size insn ~(bid : (int, int) Hashtbl.t) :
+let compile_term p ~obs ~check ~addr ~size insn ~(bid : (int, int) Hashtbl.t) :
     ctx -> int =
   let next = addr + size in
-  let acct = mk_core p ~addr ~size ~cb:(Cost.base_cost p insn) (fun _ -> ()) in
+  let cb = Cost.base_cost p insn in
+  let acct =
+    if obs then begin
+      let fetch = obs_fetch p ~addr ~size ~cb in
+      fun c -> c.om <- fetch c
+    end
+    else mk_core p ~addr ~size ~cb (fun _ -> ())
+  in
+  let wrap_term ~check ~can_fault ~addr core =
+    let term = wrap_term ~check ~can_fault ~addr core in
+    if obs then obs_term ~addr term else term
+  in
   let fall = match Hashtbl.find_opt bid next with Some k -> k | None -> -1 in
   match insn with
   | Insn.Jmp (Insn.TAbs tgt) -> (
@@ -562,7 +651,7 @@ let compile_term p ~check ~addr ~size insn ~(bid : (int, int) Hashtbl.t) :
   | _ ->
       (* a non-control instruction in terminator position (block split
          before a leader, or the last instruction of the body) *)
-      let op = compile_op p ~check ~addr ~size insn in
+      let op = compile_op p ~obs ~check ~addr ~size insn in
       if fall >= 0 then fun c ->
         op c;
         fall
@@ -657,7 +746,7 @@ let compile_func (p : Cost.profile) ~gen (fi : Image.func_info) insns : cfunc =
       let a, _, _ = arr.(s) in
       Hashtbl.replace bid a k)
     blocks_idx;
-  let compile_block (s, e) =
+  let compile_block ~obs (s, e) =
     let bn = e - s + 1 in
     let need_check k =
       k = 0
@@ -674,14 +763,14 @@ let compile_func (p : Cost.profile) ~gen (fi : Image.func_info) insns : cfunc =
     (try
        for k = 0 to bn - 2 do
          let a, insn, sz = arr.(s + k) in
-         ops := compile_op p ~check:(need_check k) ~addr:a ~size:sz insn :: !ops
+         ops := compile_op p ~obs ~check:(need_check k) ~addr:a ~size:sz insn :: !ops
        done
      with Unsupported -> cut := List.length !ops);
     let term, bn =
       if !cut >= 0 then (deopt_term, !cut + 1)
       else
         let la, linsn, lsz = arr.(e) in
-        ( (try compile_term p ~check:(need_check (bn - 1)) ~addr:la ~size:lsz
+        ( (try compile_term p ~obs ~check:(need_check (bn - 1)) ~addr:la ~size:lsz
                  linsn ~bid
            with Unsupported -> deopt_term),
           bn )
@@ -696,7 +785,6 @@ let compile_func (p : Cost.profile) ~gen (fi : Image.func_info) insns : cfunc =
       b_n = bn;
     }
   in
-  let f_blocks = Array.map compile_block blocks_idx in
   let f_leaders =
     Array.mapi
       (fun k (s, _) ->
@@ -708,7 +796,8 @@ let compile_func (p : Cost.profile) ~gen (fi : Image.func_info) insns : cfunc =
     f_entry = fi.Image.entry;
     f_digest = body_digest fi insns;
     f_gen = gen;
-    f_blocks;
+    f_blocks = Array.map (compile_block ~obs:false) blocks_idx;
+    f_obs = lazy (Array.map (compile_block ~obs:true) blocks_idx);
     f_leaders;
   }
 
@@ -843,7 +932,7 @@ let try_compile j fidx =
    instruction the caller must interpret). The cycle counter lives in
    [ctx.cyc] for the duration and is flushed back on every exit,
    exceptional ones included; rip is materialized at every exit point. *)
-let exec_cfunc (j : t) (f : cfunc) bi0 budget0 =
+let exec_cfunc (j : t) ~observed (f : cfunc) bi0 budget0 =
   let c = j.ctx in
   let t = j.cpu in
   let cache = j.cache in
@@ -891,7 +980,7 @@ let exec_cfunc (j : t) (f : cfunc) bi0 budget0 =
               let st = cache.stats in
               if bi' = 0 then st.entry_enters <- st.entry_enters + 1
               else st.osr_enters <- st.osr_enters + 1;
-              loop f'.f_blocks bi' budget
+              loop (if observed then Lazy.force f'.f_obs else f'.f_blocks) bi' budget
             end
           end
         end
@@ -903,7 +992,7 @@ let exec_cfunc (j : t) (f : cfunc) bi0 budget0 =
       end
     end
   in
-  (try loop f.f_blocks bi0 budget0
+  (try loop (if observed then Lazy.force f.f_obs else f.f_blocks) bi0 budget0
    with e ->
      t.Cpu.cycles <- c.cyc.(0);
      raise e);
@@ -911,17 +1000,35 @@ let exec_cfunc (j : t) (f : cfunc) bi0 budget0 =
   if !deopt then -(!consumed + 1) else !consumed
 
 (* One cold instruction through the shared interpreter core (the OSR exit
-   path and everything not yet hot). *)
-let interp_step j pd rip off =
+   path, everything not yet hot, and out-of-text rips, which fault exactly
+   as the interpreter tiers report them). *)
+let interp_core j pd rip off =
   let t = j.cpu in
   Mem.check_exec t.Cpu.mem rip;
-  (match Array.unsafe_get pd off with
-  | Image.P_insn (insn, size) -> Cpu.Internal.execute t rip insn size
-  | Image.P_builtin name -> Cpu.Internal.step_builtin t name
-  | Image.P_none -> Fault.raise_fault (Invalid_opcode { addr = rip }));
+  (if off >= 0 && off < Array.length pd then
+     match Array.unsafe_get pd off with
+     | Image.P_insn (insn, size) -> Cpu.Internal.execute t rip insn size
+     | Image.P_builtin name -> Cpu.Internal.step_builtin t name
+     | Image.P_none -> Fault.raise_fault (Invalid_opcode { addr = rip })
+   else Fault.raise_fault (Invalid_opcode { addr = rip }));
   j.cache.stats.interp_insns <- j.cache.stats.interp_insns + 1
 
-let rec go j pd budget =
+(* Under an observer, wrapped exactly as [Cpu.step] wraps its core. *)
+let interp_step j ~observed pd rip off =
+  if not observed then interp_core j pd rip off
+  else begin
+    let t = j.cpu in
+    let cycles0 = t.Cpu.cycles
+    and misses0 = Icache.misses t.Cpu.icache
+    and calls0 = t.Cpu.calls in
+    match interp_core j pd rip off with
+    | () -> Cpu.Internal.fire t rip ~cycles0 ~misses0 ~called:(t.Cpu.calls > calls0)
+    | exception e ->
+        Cpu.Internal.fire t rip ~cycles0 ~misses0 ~called:false;
+        raise e
+  end
+
+let rec go j ~observed pd budget =
   let t = j.cpu in
   if t.Cpu.halted then Cpu.Halted
   else if budget <= 0 then Cpu.Fuel_exhausted
@@ -938,10 +1045,10 @@ let rec go j pd budget =
         let st = cache.stats in
         if bi = 0 then st.entry_enters <- st.entry_enters + 1
         else st.osr_enters <- st.osr_enters + 1;
-        let r = exec_cfunc j f bi budget in
+        let r = exec_cfunc j ~observed f bi budget in
         if r >= 0 then begin
           st.tier3_insns <- st.tier3_insns + r;
-          go j pd (budget - r)
+          go j ~observed pd (budget - r)
         end
         else begin
           let consumed = -r - 1 in
@@ -950,8 +1057,8 @@ let rec go j pd budget =
           (* the deopt instruction itself runs in the interpreter; the
              budget always has room for it (a deopt exit retires at most
              budget - 1 instructions) *)
-          interp_step j pd t.Cpu.rip (t.Cpu.rip - cache.base);
-          go j pd (budget - consumed - 1)
+          interp_step j ~observed pd t.Cpu.rip (t.Cpu.rip - cache.base);
+          go j ~observed pd (budget - consumed - 1)
         end
       end
       else begin
@@ -965,9 +1072,9 @@ let rec go j pd budget =
           end
         end;
         let s2 = Array.unsafe_get cache.slot off in
-        if s2 >= 0 then go j pd budget (* just compiled: re-probe *)
+        if s2 >= 0 then go j ~observed pd budget (* just compiled: re-probe *)
         else begin
-          interp_step j pd rip off;
+          interp_step j ~observed pd rip off;
           (* a backward transfer within one function is a loop backedge *)
           let rip' = t.Cpu.rip in
           if rip' < rip && rip' >= cache.base && not t.Cpu.halted then begin
@@ -984,14 +1091,15 @@ let rec go j pd budget =
               if ctr >= cache.cfg.backedge_threshold then try_compile j fidx
             end
           end;
-          go j pd (budget - 1)
+          go j ~observed pd (budget - 1)
         end
       end
     end
     else begin
-      (* out-of-text rip: fault exactly as the interpreter tiers do *)
-      Mem.check_exec t.Cpu.mem rip;
-      Fault.raise_fault (Invalid_opcode { addr = rip })
+      (* out-of-text rip: the interpreter core faults on it exactly as
+         the interpreter tiers do *)
+      interp_step j ~observed pd rip off;
+      go j ~observed pd (budget - 1)
     end
   end
 
@@ -1006,7 +1114,8 @@ let run j ~fuel =
   end
   else if Array.length cache.slot = 0 then build_state cache j.cpu.Cpu.image;
   let pd = Cpu.Internal.predecoded j.cpu in
-  try go j pd fuel with Fault.Fault f -> Cpu.Faulted f
+  let observed = Option.is_some j.cpu.Cpu.observer in
+  try go j ~observed pd fuel with Fault.Fault f -> Cpu.Faulted f
 
 (* ------------------------------------------------------------------ *)
 (* Attachment.                                                         *)
@@ -1036,6 +1145,7 @@ let attach ?config ?cache (cpu : Cpu.t) =
       mem = cpu.Cpu.mem;
       ic = cpu.Cpu.icache;
       cyc = [| 0.0 |];
+      om = 0;
     }
   in
   let j = { cpu; cache; ctx } in

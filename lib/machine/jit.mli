@@ -10,14 +10,26 @@
     registers, RSP, call depth, cycle/insn/icache counters — at every
     deopt trigger: fault, fuel exhaustion, a builtin call, a transfer out
     of compiled code, or an instruction the template compiler declines
-    (observer/injector attachment deopts one level higher, in
-    {!Cpu.run}'s tier dispatch).
+    (injector attachment deopts one level higher, in {!Cpu.run}'s tier
+    dispatch).
+
+    An attached {!Cpu.observer} does not deopt: the run executes observed
+    templates — a second compilation of the same blocks, built per
+    function on first observed entry — which fire the observer's
+    {!Cpu.site} after every instruction with the deltas {!Cpu.step}
+    computes, and once on a faulting one. When a site fires, the
+    registers, [insns], [calls], [depth] and, after a call, [rip] (the
+    callee entry) are live in the {!Cpu.t}; [cycles] is not, because the
+    running total sits in the JIT's own slot until compiled code exits,
+    so observers work from the deltas.
 
     The contract is three-way bit-identicality: {!Cpu.run} with tier 3,
     {!Cpu.run} with the JIT disabled (fast interpreter), and
     {!Cpu.run_reference} produce identical cycles, insns, icache
-    counters, faults, output, exit codes and peak depth on every program.
-    [bench/tiercmp.ml] and the [jit] test suite enforce it.
+    counters, faults, output, exit codes and peak depth on every program;
+    observed, tier 3 and the reference tier also fire identical sites
+    with identical deltas. [bench/tiercmp.ml] and the [jit] test suite
+    enforce it.
 
     Code caches are per-{!Process} and CPU-independent (closures receive
     the machine context as an argument), so a cache stays warm across

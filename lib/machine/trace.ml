@@ -20,7 +20,8 @@ let push t r =
   t.next <- (t.next + 1) mod Array.length t.ring;
   t.total <- t.total + 1
 
-let record_at cpu ~rip =
+(* The static part of a record: everything but [rsp]. *)
+let resolve cpu ~rip =
   match Image.code_at cpu.Cpu.image rip with
   | Some (insn, _) ->
       let symbol =
@@ -28,32 +29,30 @@ let record_at cpu ~rip =
         | Some f -> Some f.Image.fname
         | None -> None
       in
-      Some { rip; insn; rsp = Cpu.reg_get cpu RSP; symbol }
+      Some (insn, symbol)
   | None -> (
       match Hashtbl.find_opt cpu.Cpu.image.Image.builtin_addrs rip with
-      | Some name ->
-          Some { rip; insn = Insn.Nop 1; rsp = Cpu.reg_get cpu RSP; symbol = Some ("<" ^ name ^ ">") }
+      | Some name -> Some (Insn.Nop 1, Some ("<" ^ name ^ ">"))
       | None -> None)
 
-let record_of cpu = record_at cpu ~rip:cpu.Cpu.rip
-
 let step t cpu =
-  (match record_of cpu with Some r -> push t r | None -> ());
+  let rip = cpu.Cpu.rip in
+  (match resolve cpu ~rip with
+  | Some (insn, symbol) -> push t { rip; insn; rsp = Cpu.reg_get cpu RSP; symbol }
+  | None -> ());
   Cpu.step cpu
 
-let attach ?(tee = false) t cpu =
-  let self ~rip ~cycles:_ ~misses:_ ~called:_ =
-    match record_at cpu ~rip with Some r -> push t r | None -> ()
-  in
-  let obs =
-    match (tee, cpu.Cpu.observer) with
-    | true, Some prev ->
-        fun ~rip ~cycles ~misses ~called ->
-          prev ~rip ~cycles ~misses ~called;
-          self ~rip ~cycles ~misses ~called
-    | _ -> self
-  in
-  Cpu.set_observer cpu (Some obs)
+let ignore_step ~cycles:_ ~misses:_ ~called:_ = ()
+
+(* Staged: the record's static part is resolved once per address; a fire
+   only reads the (post-step) rsp and pushes. *)
+let attach ?tee t cpu =
+  Cpu.attach_observer ?tee cpu (fun ~rip ->
+      match resolve cpu ~rip with
+      | Some (insn, symbol) ->
+          fun ~cycles:_ ~misses:_ ~called:_ ->
+            push t { rip; insn; rsp = Cpu.reg_get cpu RSP; symbol }
+      | None -> ignore_step)
 
 let run t cpu ~fuel =
   let rec go budget =

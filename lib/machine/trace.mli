@@ -23,12 +23,13 @@ val run : t -> Cpu.t -> fuel:int -> Cpu.run_result
 
 (** [attach ?tee t cpu] — record via the {!Cpu.observer} hook instead of
     wrapped stepping: every instruction retired through any runner
-    ({!Cpu.run}, {!Process.run}, the pool) lands in the ring, including
-    the faulting instruction of a crash. [rsp] in hook-recorded entries is
-    post-step. By default any previously attached observer is replaced
+    ({!Cpu.run} on any tier, {!Process.run}, the pool) lands in the ring,
+    including the faulting instruction of a crash. The instruction and
+    symbol are resolved once per address; [rsp] in hook-recorded entries
+    is post-step. By default any previously attached observer is replaced
     (the pool wants exactly one fresh ring per child); with [~tee:true]
     the previous observer keeps firing first on every step, so the ring
-    can coexist with a profiler or a workload recorder. *)
+    can coexist with a profiler ({!Cpu.attach_observer}). *)
 val attach : ?tee:bool -> t -> Cpu.t -> unit
 
 (** [records t] — oldest first. *)

@@ -11,66 +11,60 @@ type row = {
   icache_cycles : float;
 }
 
-type acc = {
-  a_name : string;
-  mutable a_cycles : float;
-  mutable a_insns : int;
-  mutable a_misses : int;
-  mutable a_calls : int;
-  mutable a_callsite : float;
-  mutable a_prologue : float;
-  mutable a_icache : float;
-}
-
+(* Accumulators are columns indexed by accumulator number: compiled
+   functions first (ascending by entry, as [entries]), then pseudo-functions
+   (builtins, unknown code) in registration order. Float columns are flat
+   float arrays, so accumulating allocates nothing. *)
 type t = {
   img : Image.t;
-  cost : Cost.profile;
+  cpen : float;  (* icache miss penalty *)
   (* Compiled functions, ascending by entry: (entry, end, prologue end). *)
   entries : (int * int * int) array;
-  accs : acc array;  (* one per compiled function, same order as [entries] *)
-  by_name : (string, acc) Hashtbl.t;  (* pseudo-functions: builtins, unknown *)
-  mutable order : acc list;  (* registration order of pseudo accs, newest first *)
+  mutable n : int;  (* accumulators in use *)
+  mutable names : string array;
+  mutable col_cycles : float array;
+  mutable col_insns : int array;
+  mutable col_misses : int array;
+  mutable col_calls : int array;
+  mutable col_callsite : float array;
+  mutable col_prologue : float array;
+  mutable col_icache : float array;
+  pseudo : (string, int) Hashtbl.t;  (* pseudo-function name -> accumulator *)
   edges : (string * string, int ref) Hashtbl.t;
 }
-
-let fresh_acc name =
-  {
-    a_name = name;
-    a_cycles = 0.0;
-    a_insns = 0;
-    a_misses = 0;
-    a_calls = 0;
-    a_callsite = 0.0;
-    a_prologue = 0.0;
-    a_icache = 0.0;
-  }
 
 let create ~profile (img : Image.t) =
   let funcs =
     List.sort (fun (a : Image.func_info) b -> compare a.entry b.entry) img.Image.funcs
+    |> Array.of_list
   in
   let entries =
-    Array.of_list
-      (List.map
-         (fun (f : Image.func_info) ->
-           let prologue_end =
-             match Hashtbl.find_opt img.Image.symbols (f.fname ^ ".Lprolog") with
-             | Some a when a > f.entry && a <= f.entry + f.code_len -> a
-             | Some _ | None -> f.entry
-           in
-           (f.entry, f.entry + f.code_len, prologue_end))
-         funcs)
+    Array.map
+      (fun (f : Image.func_info) ->
+        let prologue_end =
+          match Hashtbl.find_opt img.Image.symbols (f.fname ^ ".Lprolog") with
+          | Some a when a > f.entry && a <= f.entry + f.code_len -> a
+          | Some _ | None -> f.entry
+        in
+        (f.entry, f.entry + f.code_len, prologue_end))
+      funcs
   in
-  let accs =
-    Array.of_list (List.map (fun (f : Image.func_info) -> fresh_acc f.fname) funcs)
-  in
+  let n = Array.length funcs in
+  let cap = n + 8 in
   {
     img;
-    cost = profile;
+    cpen = profile.Cost.icache_miss_penalty;
     entries;
-    accs;
-    by_name = Hashtbl.create 16;
-    order = [];
+    n;
+    names = Array.init cap (fun i -> if i < n then funcs.(i).Image.fname else "");
+    col_cycles = Array.make cap 0.0;
+    col_insns = Array.make cap 0;
+    col_misses = Array.make cap 0;
+    col_calls = Array.make cap 0;
+    col_callsite = Array.make cap 0.0;
+    col_prologue = Array.make cap 0.0;
+    col_icache = Array.make cap 0.0;
+    pseudo = Hashtbl.create 16;
     edges = Hashtbl.create 64;
   }
 
@@ -88,23 +82,38 @@ let func_index t rip =
   in
   go 0 (n - 1)
 
-let pseudo t name =
-  match Hashtbl.find_opt t.by_name name with
-  | Some a -> a
-  | None ->
-      let a = fresh_acc name in
-      Hashtbl.replace t.by_name name a;
-      t.order <- a :: t.order;
-      a
+let grow t =
+  let cap = 2 * Array.length t.names in
+  let ext a z = Array.init cap (fun i -> if i < Array.length a then a.(i) else z) in
+  t.names <- ext t.names "";
+  t.col_cycles <- ext t.col_cycles 0.0;
+  t.col_insns <- ext t.col_insns 0;
+  t.col_misses <- ext t.col_misses 0;
+  t.col_calls <- ext t.col_calls 0;
+  t.col_callsite <- ext t.col_callsite 0.0;
+  t.col_prologue <- ext t.col_prologue 0.0;
+  t.col_icache <- ext t.col_icache 0.0
 
+let pseudo t name =
+  match Hashtbl.find_opt t.pseudo name with
+  | Some i -> i
+  | None ->
+      if t.n = Array.length t.names then grow t;
+      let i = t.n in
+      t.names.(i) <- name;
+      t.n <- i + 1;
+      Hashtbl.replace t.pseudo name i;
+      i
+
+(* Accumulator for the code at [rip], registering a pseudo-function on
+   first sight. *)
 let acc_at t rip =
   match func_index t rip with
-  | Some i -> (Some i, t.accs.(i))
+  | Some i -> i
   | None -> (
-      ( None,
-        match Hashtbl.find_opt t.img.Image.builtin_addrs rip with
-        | Some name -> pseudo t ("<" ^ name ^ ">")
-        | None -> pseudo t "<unknown>" ))
+      match Hashtbl.find_opt t.img.Image.builtin_addrs rip with
+      | Some name -> pseudo t ("<" ^ name ^ ">")
+      | None -> pseudo t "<unknown>")
 
 (* The BTRA call-site instrumentation shapes (Figures 3/4) plus the
    call-site NOPs of Section 4.3. Plain register pushes (stack arguments)
@@ -123,75 +132,62 @@ let record_edge t caller callee =
   | Some r -> incr r
   | None -> Hashtbl.replace t.edges key (ref 1)
 
-let name_at t rip =
-  match func_index t rip with
-  | Some i -> t.accs.(i).a_name
-  | None -> (
-      match Hashtbl.find_opt t.img.Image.builtin_addrs rip with
-      | Some name -> "<" ^ name ^ ">"
-      | None -> "<unknown>")
+type kind = Prologue | Callsite | Other
 
-let attach ?(tee = false) t cpu =
-  let prev = if tee then cpu.Cpu.observer else None in
-  let compose self =
-    match prev with
-    | None -> self
-    | Some p ->
-        fun ~rip ~cycles ~misses ~called ->
-          p ~rip ~cycles ~misses ~called;
-          self ~rip ~cycles ~misses ~called
+(* The staged observer. Resolution (once per address) finds the covering
+   function and classifies the instruction; the site then only adds the
+   step's deltas into the columns. *)
+let observer t (cpu : Cpu.t) : Cpu.observer =
+ fun ~rip ->
+  let i = acc_at t rip in
+  let kind =
+    let in_prologue =
+      i < Array.length t.entries
+      &&
+      let entry, _, prologue_end = t.entries.(i) in
+      rip >= entry && rip < prologue_end
+    in
+    if in_prologue then Prologue
+    else
+      match Image.code_at t.img rip with
+      | Some (insn, _) when is_callsite_insn insn -> Callsite
+      | Some _ | None -> Other
   in
-  Cpu.set_observer cpu
-    (Some
-       (compose
-       (fun ~rip ~cycles ~misses ~called ->
-         let idx, a = acc_at t rip in
-         let icache_c = float_of_int misses *. t.cost.Cost.icache_miss_penalty in
-         let body = cycles -. icache_c in
-         a.a_cycles <- a.a_cycles +. cycles;
-         a.a_insns <- a.a_insns + 1;
-         a.a_misses <- a.a_misses + misses;
-         a.a_icache <- a.a_icache +. icache_c;
-         (let in_prologue =
-            match idx with
-            | Some i ->
-                let entry, _, prologue_end = t.entries.(i) in
-                rip >= entry && rip < prologue_end
-            | None -> false
-          in
-          if in_prologue then a.a_prologue <- a.a_prologue +. body
-          else
-            match Image.code_at t.img rip with
-            | Some (insn, _) when is_callsite_insn insn ->
-                a.a_callsite <- a.a_callsite +. body
-            | Some _ | None -> ());
-         if called then begin
-           let callee_rip = cpu.Cpu.rip in
-           let _, callee = acc_at t callee_rip in
-           callee.a_calls <- callee.a_calls + 1;
-           record_edge t a.a_name (name_at t callee_rip)
-         end)))
+  fun ~cycles ~misses ~called ->
+    let icache_c = float_of_int misses *. t.cpen in
+    t.col_cycles.(i) <- t.col_cycles.(i) +. cycles;
+    t.col_insns.(i) <- t.col_insns.(i) + 1;
+    t.col_misses.(i) <- t.col_misses.(i) + misses;
+    t.col_icache.(i) <- t.col_icache.(i) +. icache_c;
+    (match kind with
+    | Prologue -> t.col_prologue.(i) <- t.col_prologue.(i) +. (cycles -. icache_c)
+    | Callsite -> t.col_callsite.(i) <- t.col_callsite.(i) +. (cycles -. icache_c)
+    | Other -> ());
+    if called then begin
+      let callee = acc_at t cpu.Cpu.rip in
+      t.col_calls.(callee) <- t.col_calls.(callee) + 1;
+      record_edge t t.names.(i) t.names.(callee)
+    end
+
+let attach ?tee t cpu = Cpu.attach_observer ?tee cpu (observer t cpu)
 
 let detach cpu = Cpu.set_observer cpu None
 
-let row_of (a : acc) =
+let row_of t i =
   {
-    name = a.a_name;
-    cycles = a.a_cycles;
-    insns = a.a_insns;
-    misses = a.a_misses;
-    calls = a.a_calls;
-    callsite_cycles = a.a_callsite;
-    prologue_cycles = a.a_prologue;
-    icache_cycles = a.a_icache;
+    name = t.names.(i);
+    cycles = t.col_cycles.(i);
+    insns = t.col_insns.(i);
+    misses = t.col_misses.(i);
+    calls = t.col_calls.(i);
+    callsite_cycles = t.col_callsite.(i);
+    prologue_cycles = t.col_prologue.(i);
+    icache_cycles = t.col_icache.(i);
   }
 
-let all_accs t = Array.to_list t.accs @ List.rev t.order
-
 let rows t =
-  all_accs t
-  |> List.filter (fun a -> a.a_insns > 0)
-  |> List.map row_of
+  List.init t.n (row_of t)
+  |> List.filter (fun r -> r.insns > 0)
   |> List.sort (fun a b -> compare b.cycles a.cycles)
 
 let total t =
@@ -222,6 +218,18 @@ let total t =
 let edges t =
   Hashtbl.fold (fun (caller, callee) n acc -> (caller, callee, !n) :: acc) t.edges []
   |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
+
+let fingerprint t =
+  let row r =
+    Printf.sprintf "%s:%Lx:%d:%d:%d:%Lx:%Lx:%Lx" r.name (Int64.bits_of_float r.cycles)
+      r.insns r.misses r.calls
+      (Int64.bits_of_float r.callsite_cycles)
+      (Int64.bits_of_float r.prologue_cycles)
+      (Int64.bits_of_float r.icache_cycles)
+  in
+  String.concat ";" (List.map row (total t :: rows t))
+  ^ "|"
+  ^ String.concat ";" (List.map (fun (a, b, n) -> Printf.sprintf "%s>%s:%d" a b n) (edges t))
 
 let report ?(top = 15) ?(title = "top functions") t =
   let buf = Buffer.create 1024 in

@@ -1,5 +1,4 @@
-(** Cycle / instruction / icache profiler, driven by the {!Cpu.observer}
-    per-step hook.
+(** Cycle / instruction / icache profiler, a staged {!Cpu.observer}.
 
     Attributes every retired instruction's cycle and icache-miss deltas to
     the covering function (via the image's defender-side symbol metadata),
@@ -14,6 +13,12 @@
       ([entry ..] the compiler's [<f>.Lprolog] label);
     - {b icache} — miss-penalty cycles, wherever charged;
     - the remainder is ordinary execution ({b other}).
+
+    Function, prologue and call-site classification happen once per text
+    address, when the observer resolves the address; each step only adds
+    its deltas into per-function columns. A profiled run therefore runs on
+    tier 3 when a JIT is attached, and its rows, edges and totals are
+    bit-identical to a profiled {!Cpu.run_reference}.
 
     The split is exactly additive: the four components of a row sum to the
     row's cycles, and row sums equal the CPU's own totals. Intercepted
@@ -42,8 +47,7 @@ val create : profile:Cost.profile -> Image.t -> t
     replaces any other observer on [cpu] (the historical semantics the
     worker pool's fresh-ring-per-child logic relies on); with [~tee:true]
     a previously attached observer keeps firing first on every step, so a
-    profiler can ride alongside a trace ring or a workload recorder
-    (see {!Sink.tee}). *)
+    profiler can ride alongside a trace ring (see {!Cpu.attach_observer}). *)
 val attach : ?tee:bool -> t -> Cpu.t -> unit
 
 (** [detach cpu] — remove whatever observer is installed. *)
@@ -60,6 +64,11 @@ val total : t -> row
 (** [edges t] — (caller, callee, count) call edges, descending by
     count. *)
 val edges : t -> (string * string * int) list
+
+(** [fingerprint t] — the total, every row and every edge in one string,
+    floats as IEEE-754 bits: two profiles are bit-identical exactly when
+    their fingerprints are equal. *)
+val fingerprint : t -> string
 
 (** [report ?top ?title t] — ASCII "top functions" table plus the hottest
     call edges. *)

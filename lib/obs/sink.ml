@@ -9,10 +9,3 @@ let create ?limit () =
 
 let add_profile t label p = t.profiles <- t.profiles @ [ (label, p) ]
 let profile t label = List.assoc_opt label t.profiles
-
-let tee (obs : R2c_machine.Cpu.observer list) : R2c_machine.Cpu.observer =
-  match obs with
-  | [] -> fun ~rip:_ ~cycles:_ ~misses:_ ~called:_ -> ()
-  | [ o ] -> o
-  | os -> fun ~rip ~cycles ~misses ~called ->
-      List.iter (fun o -> o ~rip ~cycles ~misses ~called) os

@@ -22,13 +22,3 @@ val create : ?limit:int -> unit -> t
 val add_profile : t -> string -> Profile.t -> unit
 
 val profile : t -> string -> Profile.t option
-
-(** [tee observers] — one {!R2c_machine.Cpu.observer} that fires every
-    observer in [observers], in order, with the same step record.
-
-    {!R2c_machine.Cpu.set_observer} holds a single hook, so attaching a
-    second observer used to silently clobber the first; [tee] is the
-    fan-out that lets a workload recorder, a {!Profile}, and a
-    [Trace.attach] post-mortem ring ride the same CPU. [tee []] is the
-    no-op observer; [tee [o]] is [o] itself (no wrapper cost). *)
-val tee : R2c_machine.Cpu.observer list -> R2c_machine.Cpu.observer

@@ -4,53 +4,36 @@ module Mem = R2c_machine.Mem
 module Icache = R2c_machine.Icache
 module Loader = R2c_machine.Loader
 module Fault = R2c_machine.Fault
-module Sink = R2c_obs.Sink
 
-type recorder = { mutable spans_rev : Trace.span list; mutable steps : int }
-
-let create () = { spans_rev = []; steps = 0 }
-
-let attach r cpu =
-  let tap (cpu : Cpu.t) builtin =
-    let rdi = Cpu.reg_get cpu Insn.RDI in
-    let rsi = Cpu.reg_get cpu Insn.RSI in
-    let rax = Cpu.reg_get cpu Insn.RAX in
-    (* The tap fires after the builtin's effect, so for a successful
-       read_input the delivered bytes are already in guest memory at rdi
-       and rax holds the count — read them back verbatim. *)
-    let data =
-      if builtin = "read_input" && rax > 0 then begin
-        let b = Bytes.create rax in
-        for i = 0 to rax - 1 do
-          Bytes.set b i (Char.chr (Mem.read_u8 cpu.Cpu.mem (rdi + i) land 0xff))
-        done;
-        Some (Bytes.to_string b)
-      end
-      else None
-    in
-    r.spans_rev <-
-      {
-        Trace.builtin;
-        rdi;
-        rsi;
-        rax;
-        data;
-        cycles = cpu.Cpu.cycles;
-        insns = cpu.Cpu.insns;
-      }
-      :: r.spans_rev
+(* The builtin tap: one span per intercepted call, newest first. *)
+let tap spans (cpu : Cpu.t) builtin =
+  let rdi = Cpu.reg_get cpu Insn.RDI in
+  let rsi = Cpu.reg_get cpu Insn.RSI in
+  let rax = Cpu.reg_get cpu Insn.RAX in
+  (* The tap fires after the builtin's effect, so for a successful
+     read_input the delivered bytes are already in guest memory at rdi
+     and rax holds the count — read them back verbatim. *)
+  let data =
+    if builtin = "read_input" && rax > 0 then begin
+      let b = Bytes.create rax in
+      for i = 0 to rax - 1 do
+        Bytes.set b i (Char.chr (Mem.read_u8 cpu.Cpu.mem (rdi + i) land 0xff))
+      done;
+      Some (Bytes.to_string b)
+    end
+    else None
   in
-  Cpu.set_builtin_tap cpu (Some tap);
-  let count ~rip:_ ~cycles:_ ~misses:_ ~called:_ = r.steps <- r.steps + 1 in
-  let obs =
-    match cpu.Cpu.observer with
-    | None -> count
-    | Some prev -> Sink.tee [ prev; count ]
-  in
-  Cpu.set_observer cpu (Some obs)
-
-let spans r = List.rev r.spans_rev
-let steps r = r.steps
+  spans :=
+    {
+      Trace.builtin;
+      rdi;
+      rsi;
+      rax;
+      data;
+      cycles = cpu.Cpu.cycles;
+      insns = cpu.Cpu.insns;
+    }
+    :: !spans
 
 let capture ?(fuel = 200_000_000) ?(prepare = fun (_ : Cpu.t) -> ()) ~meta
     ~program ~inputs () =
@@ -59,8 +42,8 @@ let capture ?(fuel = 200_000_000) ?(prepare = fun (_ : Cpu.t) -> ()) ~meta
   let cpu = Loader.load ~profile:(Trace.cost_profile meta) img in
   List.iter (Cpu.push_input cpu) inputs;
   prepare cpu;
-  let r = create () in
-  attach r cpu;
+  let spans = ref [] in
+  Cpu.set_builtin_tap cpu (Some (tap spans));
   match Cpu.run cpu ~fuel with
   | Cpu.Halted ->
       let output = Cpu.output cpu in
@@ -80,7 +63,7 @@ let capture ?(fuel = 200_000_000) ?(prepare = fun (_ : Cpu.t) -> ()) ~meta
           Trace.meta;
           program;
           dict = [||];
-          events = List.rev_map (fun s -> Trace.Span s) r.spans_rev;
+          events = List.rev_map (fun s -> Trace.Span s) !spans;
           expect;
         }
   | Cpu.Fuel_exhausted -> Error "record: fuel exhausted before halt"

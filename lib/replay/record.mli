@@ -1,37 +1,20 @@
 (** Workload recorder: captures every builtin-boundary crossing of a run
     into a {!Trace.t}.
 
-    The recorder attaches two hooks. The builtin tap
-    ({!R2c_machine.Cpu.set_builtin_tap}) fires once per intercepted
-    builtin call — after the call's effect, so argument registers,
-    result register and delivered [read_input] bytes are all observable —
-    and is the source of {!Trace.span}s. A per-step {!R2c_machine.Cpu.observer}
-    rides along tee'd over any observer already attached (a profiler, a
-    trace ring), counting retired instructions as a cross-check that the
-    recorded expectation matches what the hooks saw. *)
-
-type recorder
-
-val create : unit -> recorder
-
-(** [attach r cpu] — install the builtin tap and tee the step counter
-    over any existing observer (which keeps firing first). Note the
-    observer hook forces the reference interpreter tier; the builtin tap
-    alone would not. *)
-val attach : recorder -> R2c_machine.Cpu.t -> unit
-
-(** Recorded spans, oldest first. *)
-val spans : recorder -> Trace.span list
-
-(** Instructions seen by the tee'd per-step observer. *)
-val steps : recorder -> int
+    The recorder installs one hook, the builtin tap
+    ({!R2c_machine.Cpu.set_builtin_tap}), which fires once per intercepted
+    builtin call — after the call's effect, so argument registers, result
+    register and delivered [read_input] bytes are all observable — and is
+    the source of {!Trace.span}s. The tap leaves the tier choice alone, so
+    recording runs at tier-3 speed; any observer already attached (a
+    profiler, a trace ring) is left in place and keeps firing. *)
 
 (** [capture ?fuel ?prepare ~meta ~program ~inputs ()] — compile
     [program] under [meta]'s coordinates, queue [inputs] for
-    [read_input], run to completion with the recorder attached, and
+    [read_input], run to completion with the tap installed, and
     return the raw (unreduced) trace: one [Span] per builtin call and an
     {!Trace.expect} snapshot of the finished run's counters. [prepare]
-    runs after load and before the recorder attaches (attach a profiler
+    runs after load and before the tap is installed (attach a profiler
     there to exercise observer coexistence). Errors on fuel exhaustion or
     a fault — a run that did not halt cleanly is not a benchmark. *)
 val capture :

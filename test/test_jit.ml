@@ -1,9 +1,12 @@
 (* Differential tests for the tier-3 template JIT: the three-way
    bit-identicality contract (reference dispatch, fast interpreter,
    tier 3) on pinned generated programs, the fuzz corpus, faults inside
-   compiled code, and deopt storms (random fuel cuts, mid-run observer
-   attachment). Plus the staleness battery: a poisoned or rerandomized
-   cache entry must be invalidated or revalidated — never executed. *)
+   compiled code, and deopt storms (random fuel cuts, mid-run profiler
+   attachment). Every three-tier case also runs observed — a profiler, a
+   post-mortem ring and a fire counter tee'd onto one CPU — on the
+   reference tier and on tier 3, which must agree on all three. Plus the
+   staleness battery: a poisoned or rerandomized cache entry must be
+   invalidated or revalidated — never executed. *)
 
 open R2c_machine
 module D = R2c_core.Dconfig
@@ -14,6 +17,8 @@ module Genprog = R2c_workloads.Genprog
 module Opts = R2c_compiler.Opts
 module Link = R2c_compiler.Link
 module Asm = R2c_compiler.Asm
+module RTrace = R2c_replay.Trace
+module Profile = R2c_obs.Profile
 module Q = QCheck
 
 let fuel = 2_000_000
@@ -40,27 +45,64 @@ let fingerprint cpu result =
 (* JIT off at load; each leg decides its own tier. *)
 let load img = Loader.load ~strict_align:true ~jit:false ~profile:Cost.epyc_rome img
 
-let fp_reference img =
+let load_fed ~inputs img =
   let cpu = load img in
+  List.iter (Cpu.push_input cpu) inputs;
+  cpu
+
+let fp_reference ?(inputs = []) img =
+  let cpu = load_fed ~inputs img in
   fingerprint cpu (Cpu.run_reference cpu ~fuel)
 
-let fp_fast img =
-  let cpu = load img in
+let fp_fast ~inputs img =
+  let cpu = load_fed ~inputs img in
   fingerprint cpu (Cpu.run cpu ~fuel)
 
 (* Returns the fingerprint and the attachment's stats so callers can
    assert tier 3 actually ran. *)
-let fp_tier3 img =
-  let cpu = load img in
+let fp_tier3 ~inputs img =
+  let cpu = load_fed ~inputs img in
   let j = Jit.attach ~config:hot cpu in
   let fp = fingerprint cpu (Cpu.run cpu ~fuel) in
   (fp, Jit.stats j)
 
-let check_three_tiers name img =
-  let reference = fp_reference img in
-  Alcotest.(check string) (name ^ " [fast]") reference (fp_fast img);
-  let t3, st = fp_tier3 img in
+(* A profiler, a post-mortem ring and a fire counter, tee'd onto [cpu] in
+   that order; the thunk reads all three back. *)
+let observe cpu img =
+  let pr = Profile.create ~profile:Cost.epyc_rome img in
+  Profile.attach pr cpu;
+  let ring = Trace.create ~capacity:64 in
+  Trace.attach ~tee:true ring cpu;
+  let fires = ref 0 in
+  let count ~cycles:_ ~misses:_ ~called:_ = incr fires in
+  Cpu.attach_observer ~tee:true cpu (fun ~rip:_ -> count);
+  fun () -> (Profile.fingerprint pr, Trace.records ring, !fires)
+
+(* The observed half of the contract: an observed tier-3 run retires the
+   same run as the unobserved reference, and its observers see exactly
+   what they see on the observed reference tier. *)
+let check_observed ~inputs name img ~reference =
+  let run ~tier3 =
+    let cpu = load_fed ~inputs img in
+    if tier3 then ignore (Jit.attach ~config:hot cpu);
+    let read = observe cpu img in
+    let r = if tier3 then Cpu.run cpu ~fuel else Cpu.run_reference cpu ~fuel in
+    (fingerprint cpu r, read ())
+  in
+  let fp_r, (prof_r, ring_r, fires_r) = run ~tier3:false in
+  let fp_j, (prof_j, ring_j, fires_j) = run ~tier3:true in
+  Alcotest.(check string) (name ^ " [observed reference]") reference fp_r;
+  Alcotest.(check string) (name ^ " [observed tier3]") reference fp_j;
+  Alcotest.(check string) (name ^ " [profile]") prof_r prof_j;
+  Alcotest.(check bool) (name ^ " [ring tail]") true (ring_r = ring_j);
+  Alcotest.(check int) (name ^ " [fire count]") fires_r fires_j
+
+let check_three_tiers ?(inputs = []) name img =
+  let reference = fp_reference ~inputs img in
+  Alcotest.(check string) (name ^ " [fast]") reference (fp_fast ~inputs img);
+  let t3, st = fp_tier3 ~inputs img in
   Alcotest.(check string) (name ^ " [tier3]") reference t3;
+  check_observed ~inputs name img ~reference;
   st
 
 (* --- the 25 pinned-seed programs, three tiers ----------------------- *)
@@ -102,6 +144,22 @@ let test_corpus_replay () =
                (Pipeline.compile ~seed:11 D.baseline p)))
     (Corpus.files ~dir:"corpus")
 
+(* --- the replay corpus through all three tiers ----------------------- *)
+
+let test_replay_corpus () =
+  match List.find_opt Sys.file_exists [ "../bench/replays"; "bench/replays" ] with
+  | None -> ()  (* corpus not shipped to this checkout *)
+  | Some dir ->
+      List.iter
+        (fun path ->
+          match RTrace.load path with
+          | Error e -> Alcotest.failf "%s: %s" path e
+          | Ok t ->
+              ignore
+                (check_three_tiers ~inputs:(RTrace.feeds t) (Filename.basename path)
+                   (RTrace.build t.RTrace.meta t.RTrace.program)))
+        (RTrace.files ~dir)
+
 (* --- OSR: compiled code entered at a loop head, not just at entry --- *)
 
 let test_osr_entry () =
@@ -137,7 +195,26 @@ let test_fault_equality () =
        (raw_image
           Insn.
             [ Mov (Reg RAX, Imm (Abs 0x666000)); Mov (Mem (mem ~base:RAX ()), Imm (Abs 1)); Ret ]));
-  ignore (check_three_tiers "trap in hot code" (raw_image Insn.[ Trap ]))
+  ignore (check_three_tiers "trap in hot code" (raw_image Insn.[ Trap ]));
+  (* A hot loop, then an exit from compiled code: into a booby trap, or
+     by a jump out of the text. *)
+  let hot_loop_then exit_insns =
+    let head = Insn.size (Insn.Mov (Reg RCX, Imm (Abs 40))) in
+    raw_image
+      (Insn.
+         [
+           Mov (Reg RCX, Imm (Abs 40));
+           Binop (Sub, RCX, Imm (Abs 1));
+           Cmp (Reg RCX, Imm (Abs 0));
+           Jcc (Ne, TSym ("main", head));
+         ]
+      @ exit_insns)
+  in
+  let st = check_three_tiers "booby trap after a hot loop" (hot_loop_then Insn.[ Trap ]) in
+  Alcotest.(check bool) "the loop was compiled" true (st.Jit.compiled > 0);
+  ignore
+    (check_three_tiers "jump out of the text after a hot loop"
+       (hot_loop_then Insn.[ Mov (Reg RAX, Imm (Abs 0x10)); Jmp_ind (Reg RAX) ]))
 
 (* --- builtin taps fire identically under tier 3 --------------------- *)
 
@@ -161,14 +238,14 @@ let test_builtin_tap () =
   Alcotest.(check bool) "taps fired" true (!n_r > 0);
   Alcotest.(check bool) "tier 3 ran under the tap" true ((Jit.stats j).Jit.tier3_insns > 0)
 
-(* --- deopt storm: random fuel cuts + mid-run observer attach -------- *)
+(* --- deopt storm: random fuel cuts + mid-run profiler attach -------- *)
 
-(* A run segmented at arbitrary fuel boundaries, with an observer
-   attached on every other segment (forcing the reference tier for that
-   stretch, i.e. a dispatch-level deopt and later re-entry), must land on
-   exactly the state of one uninterrupted reference run. *)
-let run_segmented cpu cuts total =
-  let observer ~rip:_ ~cycles:_ ~misses:_ ~called:_ = () in
+(* A run segmented at arbitrary fuel boundaries, with a profiler attached
+   on every other segment (observed templates for that stretch, plain
+   ones between: a switch at every cut), must land on exactly the state
+   of one uninterrupted reference run — and the profiler must see what it
+   sees riding the same segments of a reference run. *)
+let run_segmented ~run cpu cuts total prof =
   let remaining = ref total in
   let result = ref Cpu.Fuel_exhausted in
   let stopped = ref false in
@@ -176,9 +253,9 @@ let run_segmented cpu cuts total =
     (fun k f ->
       if (not !stopped) && !remaining > 0 then begin
         let f = min f !remaining in
-        if k land 1 = 1 then Cpu.set_observer cpu (Some observer);
-        let r = Cpu.run cpu ~fuel:f in
-        Cpu.set_observer cpu None;
+        if k land 1 = 1 then Profile.attach prof cpu;
+        let r = run cpu ~fuel:f in
+        Profile.detach cpu;
         remaining := !remaining - f;
         match r with
         | Cpu.Fuel_exhausted -> ()
@@ -187,12 +264,12 @@ let run_segmented cpu cuts total =
             stopped := true
       end)
     cuts;
-  if (not !stopped) && !remaining > 0 then result := Cpu.run cpu ~fuel:!remaining;
+  if (not !stopped) && !remaining > 0 then result := run cpu ~fuel:!remaining;
   !result
 
 let prop_deopt_storm =
   Q.Test.make ~count:20
-    ~name:"jit: segmented tier-3 run with mid-run observer == one reference run"
+    ~name:"jit: segmented tier-3 run with mid-run profiler == one profiled reference run"
     Q.(pair (int_range 1 25) (small_list (int_range 1 20_000)))
     (fun (i, cuts) ->
       let seed = 7001 + (137 * i) in
@@ -202,10 +279,19 @@ let prop_deopt_storm =
         let cpu = load img in
         fingerprint cpu (Cpu.run_reference cpu ~fuel:total)
       in
-      let cpu = load img in
-      ignore (Jit.attach ~config:hot cpu);
-      let r = run_segmented cpu cuts total in
-      String.equal reference (fingerprint cpu r))
+      let profiled ~tier3 =
+        let cpu = load img in
+        if tier3 then ignore (Jit.attach ~config:hot cpu);
+        let prof = Profile.create ~profile:Cost.epyc_rome img in
+        let run = if tier3 then Cpu.run else Cpu.run_reference in
+        let r = run_segmented ~run cpu cuts total prof in
+        (fingerprint cpu r, Profile.fingerprint prof)
+      in
+      let fp_ref, prof_ref = profiled ~tier3:false in
+      let fp_jit, prof_jit = profiled ~tier3:true in
+      String.equal reference fp_ref
+      && String.equal reference fp_jit
+      && String.equal prof_ref prof_jit)
 
 (* --- staleness: poisoned entries are invalidated, never executed ---- *)
 
@@ -276,6 +362,7 @@ let suite =
         Alcotest.test_case "25 pinned-seed programs, three tiers" `Quick
           test_generated_programs;
         Alcotest.test_case "corpus replay, three tiers" `Quick test_corpus_replay;
+        Alcotest.test_case "replay corpus, three tiers" `Quick test_replay_corpus;
         Alcotest.test_case "OSR entry at loop heads" `Quick test_osr_entry;
         Alcotest.test_case "fault equality in hot code" `Quick test_fault_equality;
         Alcotest.test_case "builtin taps under tier 3" `Quick test_builtin_tap;

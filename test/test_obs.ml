@@ -327,30 +327,67 @@ let prop_chrome_roundtrip =
       && String.split_on_char '\n' (Events.to_jsonl t)
          |> List.for_all (fun l -> l = "" || Result.is_ok (Json.parse l)))
 
-(* --- observer fan-out: Sink.tee and the composing attaches --- *)
+(* --- observer fan-out: Cpu.tee and the composing attaches --- *)
 
 let test_tee_fanout_order () =
   let log = ref [] in
-  let mk tag ~rip ~cycles:_ ~misses:_ ~called:_ = log := (tag, rip) :: !log in
-  let o = Obs.Sink.tee [ mk "a"; mk "b" ] in
-  o ~rip:7 ~cycles:1.0 ~misses:0 ~called:false;
-  o ~rip:9 ~cycles:1.0 ~misses:1 ~called:true;
+  let mk tag ~rip =
+    log := ("resolve " ^ tag, rip) :: !log;
+    fun ~cycles:_ ~misses:_ ~called:_ -> log := (tag, rip) :: !log
+  in
+  let o = Cpu.tee (mk "a") (mk "b") in
+  (o ~rip:7) ~cycles:1.0 ~misses:0 ~called:false;
+  (o ~rip:9) ~cycles:1.0 ~misses:1 ~called:true;
   Alcotest.(check (list (pair string int)))
-    "every observer, listed order, every step"
-    [ ("a", 7); ("b", 7); ("a", 9); ("b", 9) ]
-    (List.rev !log);
-  (* Degenerate arities stay total. *)
-  (Obs.Sink.tee []) ~rip:0 ~cycles:0.0 ~misses:0 ~called:false;
-  (Obs.Sink.tee [ mk "solo" ]) ~rip:1 ~cycles:0.0 ~misses:0 ~called:false
+    "both resolve, then both fire, first observer first"
+    [
+      ("resolve a", 7); ("resolve b", 7); ("a", 7); ("b", 7);
+      ("resolve a", 9); ("resolve b", 9); ("a", 9); ("b", 9);
+    ]
+    (List.rev !log)
+
+(* A staged observer resolves each text address once per attach, on both
+   the reference dispatch and tier 3, and its sites fire once per retired
+   instruction. *)
+let test_staged_resolution () =
+  let img = R2c_compiler.Driver.compile (Samples.fib_prog 8) in
+  let go ~jit =
+    let cpu = Loader.load ~jit:false ~profile:Cost.epyc_rome img in
+    let j =
+      if jit then
+        Some (Jit.attach ~config:{ Jit.call_threshold = 1; backedge_threshold = 2 } cpu)
+      else None
+    in
+    let resolved = Hashtbl.create 64 and fires = ref 0 in
+    Cpu.set_observer cpu
+      (Some
+         (fun ~rip ->
+           Hashtbl.replace resolved rip
+             (1 + Option.value ~default:0 (Hashtbl.find_opt resolved rip));
+           fun ~cycles:_ ~misses:_ ~called:_ -> incr fires));
+    (match Cpu.run cpu ~fuel:1_000_000 with
+    | Cpu.Halted -> ()
+    | _ -> Alcotest.fail "run did not halt");
+    Alcotest.(check int) "one fire per retired insn" cpu.Cpu.insns !fires;
+    Option.iter
+      (fun j ->
+        Alcotest.(check bool) "tier 3 ran observed" true ((Jit.stats j).Jit.tier3_insns > 0))
+      j;
+    Hashtbl.iter
+      (fun rip n -> if n <> 1 then Alcotest.failf "rip %x resolved %d times" rip n)
+      resolved;
+    Hashtbl.length resolved
+  in
+  Alcotest.(check int) "same addresses resolved on both tiers" (go ~jit:false) (go ~jit:true)
 
 let test_tee_observers_coexist_per_step () =
   (* Regression for the clobbering bug: two observers fanned out through
-     Sink.tee both fire on every retired instruction. *)
+     Cpu.tee both fire on every retired instruction. *)
   let img = R2c_compiler.Driver.compile (Samples.fib_prog 8) in
   let cpu = Loader.load ~profile:Cost.epyc_rome img in
   let a = ref 0 and b = ref 0 in
   let count r ~rip:_ ~cycles:_ ~misses:_ ~called:_ = incr r in
-  Cpu.set_observer cpu (Some (Obs.Sink.tee [ count a; count b ]));
+  Cpu.set_observer cpu (Some (Cpu.tee (count a) (count b)));
   (match Cpu.run cpu ~fuel:1_000_000 with
   | Cpu.Halted -> ()
   | _ -> Alcotest.fail "run did not halt");
@@ -405,7 +442,9 @@ let suite =
         Alcotest.test_case "json error offsets" `Quick test_json_error_offsets;
         Alcotest.test_case "json depth limit" `Quick test_json_depth_limit;
         QCheck_alcotest.to_alcotest prop_chrome_roundtrip;
-        Alcotest.test_case "sink tee fan-out order" `Quick test_tee_fanout_order;
+        Alcotest.test_case "tee fan-out order" `Quick test_tee_fanout_order;
+        Alcotest.test_case "staged observer resolves once per address" `Quick
+          test_staged_resolution;
         Alcotest.test_case "tee observers coexist per step" `Quick
           test_tee_observers_coexist_per_step;
         Alcotest.test_case "profiler + trace ring tee" `Quick test_profiler_and_ring_tee;

@@ -88,9 +88,9 @@ let test_capture_deterministic () =
   let b = RTrace.to_string (capture ()) in
   Alcotest.(check string) "same capture byte-for-byte" a b
 
-let test_recorder_tees_with_existing_observer () =
+let test_recorder_keeps_existing_observer () =
   (* An observer attached before the recorder keeps firing: the recorder
-     tees itself over it instead of clobbering the slot. *)
+     only installs the builtin tap and leaves the observer slot alone. *)
   let external_steps = ref 0 in
   let t =
     match
@@ -266,8 +266,8 @@ let suite =
         Alcotest.test_case "capture spans at the builtin boundary" `Quick
           test_capture_spans;
         Alcotest.test_case "capture is deterministic" `Quick test_capture_deterministic;
-        Alcotest.test_case "recorder tees with existing observer" `Quick
-          test_recorder_tees_with_existing_observer;
+        Alcotest.test_case "recorder keeps an existing observer" `Quick
+          test_recorder_keeps_existing_observer;
         Alcotest.test_case "fnv-1a known values" `Quick test_fnv_known_values;
         Alcotest.test_case "r2cr round-trip" `Quick test_roundtrip;
         Alcotest.test_case "r2cr round-trip after reduction" `Quick
