@@ -1,113 +1,15 @@
-(* The benchmark harness: regenerates every table and figure of the paper's
-   evaluation (printed side by side with the paper's numbers) and registers
-   one Bechamel micro-benchmark per artifact measuring the cost of its
-   regeneration kernel.
+(* Bechamel timings of the kernels behind each paper artifact: one
+   micro-benchmark per table/figure, measuring the cost of its
+   regeneration kernel at a small size. The experiments themselves run
+   from `experiments.exe` (the experiment registry); the repo benchmark is
+   perfbench.
 
-   Usage:
-     bench/main.exe                 -- everything
-     bench/main.exe table1 figure6  -- selected experiments
-     bench/main.exe bechamel        -- only the Bechamel timings *)
+   Usage: bench/main.exe *)
 
 module Dconfig = R2c_core.Dconfig
 module Pipeline = R2c_core.Pipeline
 module Spec = R2c_workloads.Spec
-module Measure = R2c_harness.Measure
 open R2c_machine
-
-(* --- the traffic-derived workload class: recorded .r2cr benchmarks.
-   Each file is a reduced capture of a real serving/compute run; replaying
-   one recompiles the embedded program under its recorded diversification
-   coordinates and checks the profile reproduces within 1%. --- *)
-
-let replay_corpus_dir () =
-  if Sys.file_exists "bench/replays" then "bench/replays"
-  else if Sys.file_exists "replays" then "replays"
-  else "bench/replays"
-
-let replay_corpus () =
-  let module RT = R2c_replay.Trace in
-  RT.files ~dir:(replay_corpus_dir ())
-
-let run_replay_corpus () =
-  let module RT = R2c_replay.Trace in
-  let module RP = R2c_replay.Replayer in
-  match replay_corpus () with
-  | [] ->
-      Printf.printf
-        "replay: no .r2cr corpus under %s (generate with `experiments replay \
-         --corpus-out %s`)\n"
-        (replay_corpus_dir ()) (replay_corpus_dir ())
-  | files ->
-      List.iter
-        (fun path ->
-          let name = Filename.basename path in
-          match RT.load path with
-          | Error e -> Printf.printf "  %-20s LOAD ERROR: %s\n" name e
-          | Ok t -> (
-              match RP.check t with
-              | Error e -> Printf.printf "  %-20s REPLAY ERROR: %s\n" name e
-              | Ok v ->
-                  Printf.printf
-                    "  %-20s %10.0f cycles, %8d insns, %5d icache misses, %4d \
-                     request(s) — %s\n"
-                    name v.RP.result.RP.r_cycles v.RP.result.RP.r_insns
-                    v.RP.result.RP.r_misses
-                    (List.length (RT.feeds t))
-                    (if v.RP.failures = [] then "fidelity pass"
-                     else "FIDELITY FAIL: " ^ String.concat "; " v.RP.failures)))
-        files
-
-let experiments : (string * string * (unit -> unit)) list =
-  [
-    ( "table1",
-      "Table 1: component overheads (Push/AVX/BTDP/Prolog/Layout/OIA)",
-      fun () -> R2c_harness.Table1.(print (run ())) );
-    ( "table2",
-      "Table 2: median call frequencies",
-      fun () -> R2c_harness.Table2.(print (run ())) );
-    ( "table3",
-      "Table 3: defense comparison matrix",
-      fun () -> R2c_harness.Table3.(print (run ())) );
-    ( "figure6",
-      "Figure 6: full R2C overhead on four machines",
-      fun () -> R2c_harness.Figure6.(print (run ())) );
-    ( "web",
-      "Section 6.2.4: webserver throughput",
-      fun () -> R2c_harness.Webbench.(print (run ())) );
-    ( "memory",
-      "Section 6.2.5: memory overhead",
-      fun () -> R2c_harness.Membench.(print (run ())) );
-    ( "security",
-      "Section 7.2: probabilistic security, AOCR and Blind ROP batteries",
-      fun () -> R2c_harness.Secbench.(print (run ())) );
-    ( "scale",
-      "Section 6.3: compiling large programs",
-      fun () -> R2c_harness.Scale.(print (run ())) );
-    ( "ablation",
-      "Design-choice ablations (BTRA count, setups, BTDP density, pools)",
-      fun () -> R2c_harness.Ablation.print_all () );
-    ( "extensions",
-      "Section 7.1/7.3 extensions: race window, RA zeroing vs checks, MVEE",
-      fun () -> Extension_demos.run () );
-    ( "fleet",
-      "Sharded fleet under chaos with epoch-based live rerandomization (small campaign)",
-      fun () ->
-        R2c_harness.Fleetbench.(
-          print (run ~seed:11 ~requests:20_000 ~epoch_cycles:4_000_000 ())) );
-    ( "replay",
-      "Traffic-derived workload class: recorded .r2cr traces replayed under \
-       profile-fidelity gates",
-      run_replay_corpus );
-    ( "rerand",
-      "Incremental rerandomization: per-function cache warm/rotate/edit with \
-       byte-identity spot checks (small image)",
-      fun () ->
-        R2c_harness.Rerandbench.(
-          print (run ~funcs:2_000 ~rotations:4 ~checked:1 ())) );
-  ]
-
-(* --- Bechamel: one Test.make per artifact, timing the regeneration
-   kernel at a small size. --- *)
 
 let bechamel_tests () =
   let module M = R2c_harness.Measure in
@@ -185,129 +87,4 @@ let run_bechamel () =
         tbl)
     results
 
-(* --- `--json FILE`: machine-readable per-workload numbers (steady
-   cycles, overhead, insns, icache, call depth) for baseline vs full R2C,
-   emitted with the observability layer's JSON printer. --- *)
-
-let emit_json ?(timings = []) path =
-  let module Json = R2c_obs.Json in
-  let full = Dconfig.full () in
-  let seed = 3 in
-  let per_workload =
-    List.map
-      (fun (b : Spec.benchmark) ->
-        let base = Measure.run (R2c_compiler.Driver.compile b.Spec.program) in
-        let r2c = Measure.run (Pipeline.compile ~seed full b.Spec.program) in
-        let side (s : Measure.stats) =
-          Json.Obj
-            [
-              ("steady_cycles", Json.Float s.Measure.steady_cycles);
-              ("total_cycles", Json.Float s.Measure.total_cycles);
-              ("insns", Json.Int s.Measure.insns);
-              ("calls", Json.Int s.Measure.calls);
-              ("icache_accesses", Json.Int s.Measure.icache_accesses);
-              ("icache_misses", Json.Int s.Measure.icache_misses);
-              ("peak_depth", Json.Int s.Measure.peak_depth);
-              ("maxrss_bytes", Json.Int s.Measure.maxrss_bytes);
-            ]
-        in
-        let overhead = r2c.Measure.steady_cycles /. base.Measure.steady_cycles in
-        ( b.Spec.name,
-          overhead,
-          Json.Obj
-            [
-              ("baseline", side base);
-              ("full", side r2c);
-              ("overhead", Json.Float overhead);
-            ] ))
-      (Spec.all ())
-  in
-  let overheads = List.map (fun (_, o, _) -> o) per_workload in
-  (* The replay corpus rides along as a workload class of its own: each
-     .r2cr re-measures under its recorded diversification coordinates. *)
-  let replays =
-    List.filter_map
-      (fun path ->
-        let module RP = R2c_replay.Replayer in
-        match R2c_replay.Trace.load path with
-        | Error _ -> None
-        | Ok t -> (
-            match RP.check t with
-            | Error _ -> None
-            | Ok v ->
-                Some
-                  ( Filename.remove_extension (Filename.basename path),
-                    Json.Obj
-                      [
-                        ("cycles", Json.Float v.RP.result.RP.r_cycles);
-                        ("insns", Json.Int v.RP.result.RP.r_insns);
-                        ("icache_misses", Json.Int v.RP.result.RP.r_misses);
-                        ( "fidelity",
-                          Json.Str (if v.RP.failures = [] then "pass" else "fail")
-                        );
-                      ] )))
-      (replay_corpus ())
-  in
-  let doc =
-    Json.Obj
-      [
-        ("config", Json.Str "full");
-        ("seed", Json.Int seed);
-        ("jobs", Json.Int (R2c_util.Parallel.default_jobs ()));
-        ( "workloads",
-          Json.Obj (List.map (fun (n, _, j) -> (n, j)) per_workload) );
-        ("replays", Json.Obj replays);
-        ( "summary",
-          Json.Obj
-            [
-              ("geomean_overhead", Json.Float (R2c_util.Stats.geomean overheads));
-              ("max_overhead", Json.Float (R2c_util.Stats.maximum overheads));
-            ] );
-        (* Wall-clock per experiment regenerated in this invocation: the
-           perf-trajectory signal BENCH_*.json tracks across PRs. *)
-        ( "experiment_wall_ms",
-          Json.Obj (List.map (fun (n, ms) -> (n, Json.Float ms)) timings) );
-      ]
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s (%d workloads)\n%!" path (List.length per_workload)
-
-let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let t0 = Unix.gettimeofday () in
-  let rec split_json acc = function
-    | "--json" :: path :: rest -> (Some path, List.rev_append acc rest)
-    | x :: rest -> split_json (x :: acc) rest
-    | [] -> (None, List.rev acc)
-  in
-  let json_path, args = split_json [] args in
-  let selected =
-    match args with
-    | [] when json_path <> None -> []  (* --json alone: just the workload emission *)
-    | [] -> List.map (fun (n, _, _) -> n) experiments @ [ "bechamel" ]
-    | _ -> args
-  in
-  let timings = ref [] in
-  List.iter
-    (fun name ->
-      if name = "bechamel" then run_bechamel ()
-      else
-        match List.find_opt (fun (n, _, _) -> n = name) experiments with
-        | Some (_, desc, f) ->
-            Printf.printf "\n######## %s ########\n%!" desc;
-            let t = Unix.gettimeofday () in
-            f ();
-            let seconds = Unix.gettimeofday () -. t in
-            timings := (name, seconds *. 1000.0) :: !timings;
-            Printf.printf "[%s completed in %.1fs]\n%!" name seconds
-        | None ->
-            Printf.eprintf "unknown experiment %s (available: %s, bechamel)\n" name
-              (String.concat ", " (List.map (fun (n, _, _) -> n) experiments)))
-    selected;
-  (match json_path with
-  | Some path -> emit_json ~timings:(List.rev !timings) path
-  | None -> ());
-  Printf.printf "\nTotal: %.1fs\n" (Unix.gettimeofday () -. t0)
+let () = run_bechamel ()

@@ -17,19 +17,6 @@ let workloads () =
       ("vulnsrv", R2c_workloads.Vulnapp.program ());
     ]
 
-let config_of_name = function
-  | "baseline" -> Dconfig.baseline
-  | "full" -> Dconfig.full ()
-  | "full-push" -> Dconfig.full ~setup:Dconfig.Push ()
-  | "full-checked" -> Dconfig.full_checked
-  | "push" -> Dconfig.btra_push_only
-  | "avx" -> Dconfig.btra_avx_only
-  | "btdp" -> Dconfig.btdp_only
-  | "prolog" -> Dconfig.prolog_only
-  | "layout" -> Dconfig.layout_only
-  | "oia" -> Dconfig.oia_only
-  | other -> failwith ("unknown config " ^ other)
-
 let machine_of_name name =
   match
     List.find_opt (fun p -> String.lowercase_ascii p.Cost.name = String.lowercase_ascii name)
@@ -126,7 +113,7 @@ let run_workload name config machine seed dump emit_ir trace profiled lint tval
     print_string (Text.to_string program);
     exit 0
   end;
-  let cfg = config_of_name config in
+  let cfg = List.assoc config Dconfig.named in
   let profile = machine_of_name machine in
   if tval then begin
     (* Static translation validation: the pipeline with lowering metadata,
@@ -228,11 +215,10 @@ let () =
   in
   let config =
     Arg.(
-      value & opt string "full"
+      value
+      & opt (enum (List.map (fun (n, _) -> (n, n)) Dconfig.named)) "full"
       & info [ "c"; "config" ] ~docv:"CONFIG"
-          ~doc:
-            "Protection: baseline, full, full-checked, full-push, push, avx, btdp, \
-             prolog, layout, oia.")
+          ~doc:("Protection: " ^ doc_alts (List.map fst Dconfig.named) ^ "."))
   in
   let machine =
     Arg.(

@@ -231,53 +231,6 @@ module Reaching = struct
     let r = Iset_solver.solve ~direction:Forward ~entry:!entry ~transfer f in
     { sites; site_var; reach_in = r.block_in; reach_out = r.block_out;
       iterations = r.iterations }
-
-  let before t (f : Ir.func) bi =
-    let b = List.nth f.blocks bi in
-    let n = List.length b.body in
-    (* This block's textual def ids, by instruction index. *)
-    let def_id = Hashtbl.create 16 in
-    Array.iteri
-      (fun id s ->
-        match s with Def (b', k) when b' = bi -> Hashtbl.replace def_id k id | _ -> ())
-      t.sites;
-    let table = Array.make (n + 1) Iset.empty in
-    let cur = ref t.reach_in.(bi) in
-    List.iteri
-      (fun k instr ->
-        table.(k) <- !cur;
-        List.iter
-          (fun v ->
-            let id = Hashtbl.find def_id k in
-            cur := Iset.add id (Iset.filter (fun s -> t.site_var.(s) <> v) !cur))
-          (instr_defs instr))
-      b.body;
-    table.(n) <- !cur;
-    table
-
-  let uninit_reads (f : Ir.func) =
-    let t = compute f in
-    let blocks = Array.of_list f.blocks in
-    let found = ref [] in
-    let is_uninit_of v id = match t.sites.(id) with Uninit v' -> v' = v | _ -> false in
-    Array.iteri
-      (fun bi (b : Ir.block) ->
-        let cur = ref t.reach_in.(bi) in
-        let check_uses uses k =
-          List.iter
-            (fun v -> if Iset.exists (is_uninit_of v) !cur then found := (v, bi, k) :: !found)
-            uses
-        in
-        List.iteri
-          (fun k instr ->
-            check_uses (instr_uses instr) k;
-            List.iter
-              (fun v -> cur := Iset.filter (fun id -> not (is_uninit_of v id)) !cur)
-              (instr_defs instr))
-          b.body;
-        check_uses (term_uses b.term) (List.length b.body))
-      blocks;
-    List.rev !found
 end
 
 module Constprop = struct

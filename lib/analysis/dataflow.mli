@@ -1,6 +1,6 @@
 (** Generic worklist dataflow over [Ir] functions.
 
-    The solver is parameterized on a join-semilattice and runs a
+    One internal solver, parameterized on a join-semilattice, runs a
     deterministic round-robin worklist (blocks in layout order for
     forward problems, reverse layout order for backward ones), so fact
     tables — and everything derived from them, lint findings included —
@@ -8,54 +8,21 @@
 
     Three instances ship with the framework: liveness (backward),
     reaching definitions (forward, with virtual "uninitialized" def
-    sites feeding the use-before-init checks), and conditional constant
-    propagation (forward, with edge executability so code behind a
-    statically-false branch is neither folded nor flagged). These are
+    sites), and conditional constant propagation (forward, with edge
+    executability so code behind a statically-false branch is neither
+    folded nor flagged). These are
     exactly the facts the translation validator ({!Tval}) and the
     ROADMAP tier-3 OSR work need at block boundaries. *)
 
-type direction = Forward | Backward
-
-module type LATTICE = sig
-  type t
-
-  val bottom : t
-  val equal : t -> t -> bool
-  val join : t -> t -> t
-end
-
 (** Block-graph helpers, shared by the instances and exposed for tests
     and for {!Tval}. Blocks are indexed by their position in
-    [f.blocks]; [block_index] maps labels back to positions. *)
+    [f.blocks]. *)
 
-val block_index : Ir.func -> (Ir.label, int) Hashtbl.t
 val succs : Ir.func -> int list array
 val preds : Ir.func -> int list array
 val instr_uses : Ir.instr -> Ir.var list
 val instr_defs : Ir.instr -> Ir.var list
 val term_uses : Ir.term -> Ir.var list
-
-module Make (L : LATTICE) : sig
-  type result = {
-    block_in : L.t array;  (** fact at block entry, by block index *)
-    block_out : L.t array;  (** fact at block exit *)
-    iterations : int;  (** round-robin sweeps until the fixpoint *)
-  }
-
-  (** [solve ~direction ?entry ?edge ~transfer f] — [entry] seeds the
-      boundary (the entry block for [Forward], every [Ret] block for
-      [Backward]; defaults to [L.bottom]). [transfer i fact] pushes a
-      fact through block [i]. [edge ~src ~dst fact] filters the fact
-      flowing along one CFG edge (identity by default); constant
-      propagation uses it to kill statically-untaken branches. *)
-  val solve :
-    direction:direction ->
-    ?entry:L.t ->
-    ?edge:(src:int -> dst:int -> L.t -> L.t) ->
-    transfer:(int -> L.t -> L.t) ->
-    Ir.func ->
-    result
-end
 
 module Iset : Set.S with type elt = int
 
@@ -93,16 +60,6 @@ module Reaching : sig
   }
 
   val compute : Ir.func -> t
-
-  (** [before t f bi] — def ids reaching each instruction of block
-      [bi]; final element covers the terminator. *)
-  val before : t -> Ir.func -> int -> Iset.t array
-
-  (** Reads that some path reaches with no prior definition:
-      [(var, block index, instruction index)], where the instruction
-      index equals [List.length body] for a terminator read.
-      Deterministic order; empty on initialization-clean functions. *)
-  val uninit_reads : Ir.func -> (Ir.var * int * int) list
 end
 
 module Constprop : sig

@@ -2,11 +2,6 @@ open R2c_machine
 
 type kind = K_ret | K_jmp_ind | K_call_ind
 
-let kind_to_string = function
-  | K_ret -> "ret"
-  | K_jmp_ind -> "jmp*"
-  | K_call_ind -> "call*"
-
 type gadget = {
   g_off : int;
   g_len : int;

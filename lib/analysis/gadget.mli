@@ -11,8 +11,6 @@
 
 type kind = K_ret | K_jmp_ind | K_call_ind
 
-val kind_to_string : kind -> string
-
 type gadget = {
   g_off : int;  (** text-relative byte offset (ASLR-independent) *)
   g_len : int;  (** bytes *)

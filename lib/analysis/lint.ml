@@ -282,7 +282,7 @@ let ir_rule_ubd (f : Ir.func) =
         ir_detail =
           Printf.sprintf "var %d may be read before any definition reaches it" v;
       })
-    (Dataflow.Reaching.uninit_reads f)
+    (Validate.uninit_reads f)
 
 (* --- Rule: dead-store (liveness) ---------------------------------------- *)
 

@@ -50,19 +50,11 @@ type ir_mutation =
   | Slot_escape  (** a load offset walks one word past its slot *)
   | Lowering_mismatch  (** the compiled code computes [Add] where the IR says [Sub] *)
 
-val ir_all : ir_mutation list
 val ir_mutation_to_string : ir_mutation -> string
-
-(** [ir_expected_rule m] — the one rule that must flag [m] ("tval" for
-    {!Lowering_mismatch}). *)
-val ir_expected_rule : ir_mutation -> string
 
 (** The clean program the mutations twist; exposed so the test suite can
     assert it is finding-free under the whole rule pack and validator. *)
 val carrier : unit -> Ir.program
-
-(** [twist m p] — apply mutation [m] to (a copy of) [p]'s main. *)
-val twist : ir_mutation -> Ir.program -> Ir.program
 
 type ir_outcome = {
   ir_mutation : ir_mutation;

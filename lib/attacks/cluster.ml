@@ -9,13 +9,6 @@ type cluster = {
   members : int list;
 }
 
-let label_to_string = function
-  | Code -> "code"
-  | Static_data -> "static data"
-  | Heap_like -> "heap"
-  | Stack_like -> "stack"
-  | Unknown -> "unknown"
-
 (* Public coarse knowledge of the user-space map — not victim ground
    truth: canonical Linux x86-64 places non-PIE text low, PIE/data/heap in
    the 0x5555xx-0x7fxx mmap range, stacks just below 0x7ffffffff000. *)

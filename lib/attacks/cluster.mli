@@ -21,8 +21,6 @@ type cluster = {
   members : int list;  (** ascending *)
 }
 
-val label_to_string : label -> string
-
 (** [analyze ?gap values] — labelled clusters, largest first. Non-pointer
     values (small integers) are discarded. Default gap 16 MiB. *)
 val analyze : ?gap:int -> int list -> cluster list

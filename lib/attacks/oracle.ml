@@ -45,20 +45,10 @@ let to_break t =
 
 let rsp t = Cpu.reg_get t.proc.Process.cpu RSP
 
-
 let leak_at t ~addr ~words =
   let mem = t.proc.Process.cpu.Cpu.mem in
   Array.init words (fun i ->
       match Mem.peek_u64 mem (addr + (8 * i)) with Some v -> v | None -> 0)
-
-let leak_window t ~lo_off ~words =
-  let base = rsp t + lo_off in
-  let mem = t.proc.Process.cpu.Cpu.mem in
-  let values =
-    Array.init words (fun i ->
-        match Mem.peek_u64 mem (base + (8 * i)) with Some v -> v | None -> 0)
-  in
-  (base, values)
 
 let leak_stack t ~words =
   let base = rsp t in
@@ -76,7 +66,6 @@ let record_fault t (f : Fault.t) =
   if Fault.is_detection f then
     t.proc.Process.detections <- f :: t.proc.Process.detections;
   t.dead <- true
-
 
 (* Malicious Thread Blocking can freeze the victim at an arbitrary
    instruction; [to_symbol] positions the block at a named point and

@@ -47,10 +47,6 @@ val rsp : t -> int
     their addresses: [(rsp, values)]. *)
 val leak_stack : t -> words:int -> int * int array
 
-(** [leak_window t ~lo_off ~words] — like {!leak_stack} but starting at
-    [rsp + lo_off] (negative offsets reach below the stack pointer). *)
-val leak_window : t -> lo_off:int -> words:int -> int * int array
-
 (** [leak_at t ~addr ~words] — snapshot at an absolute address (race-window
     diffing across instructions that move rsp). *)
 val leak_at : t -> addr:int -> words:int -> int array

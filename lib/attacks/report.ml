@@ -16,24 +16,3 @@ let to_string r =
     (if r.detected then ", DETECTED" else "")
     r.crashes r.attempts
     (match r.notes with [] -> "" | ns -> "\n  " ^ String.concat "\n  " ns)
-
-type summary = {
-  name : string;
-  trials : int;
-  successes : int;
-  detections : int;
-  total_crashes : int;
-}
-
-let summarize name reports =
-  {
-    name;
-    trials = List.length reports;
-    successes = List.length (List.filter (fun r -> r.success) reports);
-    detections = List.length (List.filter (fun r -> r.detected) reports);
-    total_crashes = List.fold_left (fun acc r -> acc + r.crashes) 0 reports;
-  }
-
-let summary_to_string s =
-  Printf.sprintf "%s: %d/%d succeeded, %d detected, %d crashes" s.name s.successes
-    s.trials s.detections s.total_crashes

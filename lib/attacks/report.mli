@@ -23,15 +23,3 @@ val make :
   t
 
 val to_string : t -> string
-
-(** Aggregate over trials. *)
-type summary = {
-  name : string;
-  trials : int;
-  successes : int;
-  detections : int;
-  total_crashes : int;
-}
-
-val summarize : string -> t list -> summary
-val summary_to_string : summary -> string

@@ -8,10 +8,6 @@ exception Invalid_program of Validate.error list
 (** [compile ?opts program] — raises {!Invalid_program} on IR errors. *)
 val compile : ?opts:Opts.t -> Ir.program -> R2c_machine.Image.t
 
-(** [emit_all ~opts program] — the emitted functions (IR functions plus
-    [opts.raw_funcs]), pre-layout; exposed for inspection and tests. *)
-val emit_all : opts:Opts.t -> Ir.program -> Asm.emitted list
-
 (** [compile_with_meta ?opts program] — {!compile}, also returning each IR
     function's lowering metadata ({!Emit.tvmeta}, keyed by name) for the
     translation validator. Raw functions carry no metadata. *)

@@ -42,13 +42,6 @@ val size : t -> int
     empty). *)
 val totals : t -> stats
 
-(** Content digest of one IR function. *)
-val func_digest : Ir.func -> string
-
-(** Digest of the diversification slice [opts] assigns to [f] under
-    [salt]. *)
-val slice_digest : opts:Opts.t -> salt:string -> Ir.func -> string
-
 (** [build ?jobs ?key_token t ~opts ~salt p] — the linked image and this
     build's cache traffic. Raises {!Driver.Invalid_program} like the
     cold driver.

@@ -50,9 +50,6 @@ type t = {
 
 let identity_perm n = Array.init n (fun i -> i)
 
-let with_mdesc md t =
-  { t with mdesc = md; reg_pool = (fun ~fname:_ -> md.Mdesc.callee_saved) }
-
 let default =
   {
     mdesc = Mdesc.x86_64;

@@ -110,8 +110,3 @@ val default : t
 
 (** Fisher–Yates-free identity permutation helper. *)
 val identity_perm : int -> int array
-
-(** [with_mdesc md t] — [t] retargeted at [md]: the machine description
-    replaced and the register pool re-seated on [md]'s callee-saved file
-    (in its declared order; diversifying pipelines re-shuffle on top). *)
-val with_mdesc : Mdesc.t -> t -> t

@@ -147,6 +147,27 @@ let layout_only =
 
 let oia_only = { baseline with oia = true }
 
+let named =
+  [
+    ("baseline", baseline);
+    ("full", full ());
+    ("full-checked", full_checked);
+    ("btra-push", btra_push_only);
+    ("btra-sse", btra_sse_only);
+    ("btra-avx", btra_avx_only);
+    ("btra-avx512", btra_avx512_only);
+    ("btdp", btdp_only);
+    ("prolog", prolog_only);
+    ("layout", layout_only);
+    ("oia", oia_only);
+    ("full-push", full ~setup:Push ());
+  ]
+
+let of_name name =
+  match List.assoc_opt name named with
+  | Some t -> Ok t
+  | None -> Error ("unknown config " ^ name)
+
 let describe t =
   let flags = ref [] in
   let add name cond = if cond then flags := name :: !flags in

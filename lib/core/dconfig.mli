@@ -80,4 +80,13 @@ val layout_only : t
 (** Offset-invariant addressing alone (Section 6.2.1's 0.79% figure). *)
 val oia_only : t
 
+(** Every named configuration, in the order of the fuzz/validation matrix
+    ([baseline], [full], [full-checked], [btra-push], [btra-sse],
+    [btra-avx], [btra-avx512], [btdp], [prolog], [layout], [oia]) followed
+    by [full-push] (full R2C with the push BTRA setup). *)
+val named : (string * t) list
+
+(** [of_name name] — lookup in {!named}. *)
+val of_name : string -> (t, string) result
+
 val describe : t -> string

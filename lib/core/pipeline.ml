@@ -232,13 +232,6 @@ let compile_cold ?extra_raw ?mdesc (c : coords) p =
   in
   R2c_compiler.Driver.compile ~opts p
 
-let compile_cold_with_meta ?extra_raw ?mdesc (c : coords) p =
-  let p, opts =
-    instrument ?extra_raw ?mdesc ?link_seed:c.link_seed ~seed:c.body_seed c.cfg p
-  in
-  let img, meta = R2c_compiler.Driver.compile_with_meta ~opts p in
-  (img, meta, p)
-
 type memo = {
   m_src : Ir.program;  (** the caller's program, by physical identity *)
   m_cfg : Dconfig.t;

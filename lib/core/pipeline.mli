@@ -81,15 +81,6 @@ val compile_cold :
   Ir.program ->
   R2c_machine.Image.t
 
-(** [compile_cold] plus lowering metadata and the instrumented program,
-    for the translation validator. *)
-val compile_cold_with_meta :
-  ?extra_raw:R2c_compiler.Opts.raw_func list ->
-  ?mdesc:R2c_compiler.Mdesc.t ->
-  coords ->
-  Ir.program ->
-  R2c_machine.Image.t * (string * R2c_compiler.Emit.tvmeta) list * Ir.program
-
 (** A rerandomization handle: the per-function codegen cache plus a memo
     of the last instrumented program, so steady-state rotations skip
     instrumentation and key recomputation entirely. *)

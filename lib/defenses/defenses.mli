@@ -41,7 +41,6 @@ val unprotected : t
 val aslr : t
 val codearmor : t
 val tasr : t
-val stackarmor : t
 val readactor : t
 val krx : t
 val r2c : t

@@ -40,20 +40,7 @@ let apply_plant plant p =
 
 (* Baseline first: a config-independent miscompile then fails on the
    cheapest compile, which is the point the shrinker re-runs. *)
-let matrix =
-  [
-    ("baseline", D.baseline);
-    ("full", D.full ());
-    ("full-checked", D.full_checked);
-    ("btra-push", D.btra_push_only);
-    ("btra-sse", D.btra_sse_only);
-    ("btra-avx", D.btra_avx_only);
-    ("btra-avx512", D.btra_avx512_only);
-    ("btdp", D.btdp_only);
-    ("prolog", D.prolog_only);
-    ("layout", D.layout_only);
-    ("oia", D.oia_only);
-  ]
+let matrix = List.filter (fun (name, _) -> name <> "full-push") D.named
 
 let find_cfg name = List.assoc name matrix
 

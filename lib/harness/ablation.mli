@@ -23,14 +23,7 @@ type row = { label : string; overhead : float option; metric : string }
 (** Benchmarks used by the sweeps (a fast suite subset). *)
 val subset : string list
 
-val btra_count : ?values:int list -> ?seed:int -> unit -> row list
 val setups : ?seed:int -> unit -> row list
-val btdp_density : ?values:int list -> ?seed:int -> unit -> row list
 val guard_pages : ?values:int list -> ?seed:int -> unit -> row list
-val pool_size : ?values:int list -> ?seed:int -> unit -> row list
-
-(** Pearson r between Table 2 call counts and Figure 6 overheads, plus the
-    two series. *)
-val call_overhead_correlation : ?seed:int -> unit -> float * (string * int * float) list
 
 val print_all : unit -> unit

@@ -130,12 +130,35 @@ let run ?(seeds = default_seeds) () =
 let min_gadgets variants =
   List.fold_left (fun acc v -> min acc v.n_gadgets) max_int variants
 
-let ok t =
-  List.for_all (fun (_, errs) -> errs = []) t.ir_checked
-  && List.for_all (fun v -> v.findings = []) (t.checked :: t.r2c @ t.baseline)
-  && List.for_all (fun (o : Selfcheck.outcome) -> o.ok) t.selfcheck
-  && List.for_all (fun (o : Selfcheck.ir_outcome) -> o.ir_ok) t.ir_selfcheck
-  && t.r2c_survivors < min_gadgets t.r2c
+let gate t =
+  Gate.failed
+    (List.map
+       (fun (name, errs) -> ("ir-validation", name ^ ": " ^ String.concat "; " errs, errs = []))
+       t.ir_checked
+    @ List.map
+        (fun v ->
+          ( "lint",
+            Printf.sprintf "%s seed %d: %d finding(s)" v.label v.seed (List.length v.findings),
+            v.findings = [] ))
+        (t.checked :: t.r2c @ t.baseline)
+    @ List.map
+        (fun (o : Selfcheck.outcome) ->
+          ( "selfcheck",
+            Selfcheck.mutation_to_string o.mutation ^ " not flagged by exactly its rule",
+            o.ok ))
+        t.selfcheck
+    @ List.map
+        (fun (o : Selfcheck.ir_outcome) ->
+          ( "ir-selfcheck",
+            Selfcheck.ir_mutation_to_string o.ir_mutation ^ " not flagged by exactly its rule",
+            o.ir_ok ))
+        t.ir_selfcheck
+    @ [
+        ( "gadget-survivors",
+          Printf.sprintf "%d cross-variant survivors, not below the smallest variant's %d"
+            t.r2c_survivors (min_gadgets t.r2c),
+          t.r2c_survivors < min_gadgets t.r2c );
+      ])
 
 let print t =
   let ir_bad = List.filter (fun (_, errs) -> errs <> []) t.ir_checked in
@@ -207,5 +230,4 @@ let print t =
            string_of_int o.ir_n_findings;
            (if o.ir_ok then "ok" else "MISWIRED");
          ])
-       t.ir_selfcheck);
-  Printf.printf "Audit: %s\n" (if ok t then "CLEAN" else "FINDINGS")
+       t.ir_selfcheck)

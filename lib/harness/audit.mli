@@ -47,5 +47,7 @@ val ir_programs : unit -> (string * Ir.program) list
 (** [run ?seeds ()] — defaults to 5 seeds, i.e. 5 diversified variants. *)
 val run : ?seeds:int list -> unit -> t
 
-val ok : t -> bool
+(** [gate t] — violated criteria as [(check, detail)] pairs (empty = a
+    clean audit). *)
+val gate : t -> (string * string) list
 val print : t -> unit

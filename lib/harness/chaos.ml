@@ -263,6 +263,22 @@ let d2r_str s =
   | Some d -> Printf.sprintf "%dk" (d / 1000)
   | None -> "-"
 
+let gate ~equivalent results =
+  Gate.failed
+    (( "zero-rate-injector",
+       "the rate-0 injector run differs from the bare run",
+       equivalent )
+    :: List.filter_map
+         (fun r ->
+           match r.policy with
+           | Policy.Rerandomize | Policy.Reactive _ ->
+               Some
+                 ( "policy-holds",
+                   Policy.to_string r.policy ^ " was compromised",
+                   not r.compromised )
+           | Policy.Same_image | Policy.Backoff _ -> None)
+         results)
+
 let print results =
   Table.print ~title:"Availability under Blind ROP, by restart policy"
     ~headers:

@@ -27,13 +27,6 @@ val default_attack : attack_cfg
 
 type attack_report = { probes : int; note : string; compromised : bool }
 
-(** [blind_rop_pool ~pool ~legit ~cfg ()] — run the campaign against an
-    arbitrary pool; [legit] is called once before every probe (traffic
-    interleaving). *)
-val blind_rop_pool :
-  pool:R2c_runtime.Pool.t -> legit:(unit -> unit) -> cfg:attack_cfg -> unit ->
-  attack_report
-
 type run_result = {
   policy : R2c_runtime.Policy.t;
   stats : R2c_runtime.Pool.stats;
@@ -57,6 +50,12 @@ val policies : R2c_runtime.Policy.t list
 
 val run : ?seed:int -> ?legit_total:int -> ?attack:attack_cfg -> unit -> run_result list
 val print : run_result list -> unit
+
+(** [gate ~equivalent results] — violated criteria as [(check, detail)]
+    pairs (empty = pass): [equivalent] (see {!baseline_equivalence})
+    holds, and no re-randomizing policy (rerandomize, reactive) was
+    compromised by the campaign the same-image policy loses to. *)
+val gate : equivalent:bool -> run_result list -> (string * string) list
 
 type sweep_row = {
   label : string;

@@ -1,4 +1,4 @@
-(* The Section 5.1 / 7.3 extension experiments, batched for the bench run:
+(* The Section 5.1 / 7.3 extension experiments (`experiments extensions`):
 
    - the race-window attack against the rejected naive decoy scheme and
      against R2C's race-free setup;

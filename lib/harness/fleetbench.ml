@@ -99,19 +99,24 @@ let run ?(seed = 11) ?(requests = 100_000) ?(shards = 4)
 let gate ?(min_requests = 100_000) ?(min_shards = 4) ?(min_rotations = 3)
     ?(min_availability = 0.999) ?max_p99 r =
   let fails = ref [] in
-  let check cond msg = if not cond then fails := msg :: !fails in
+  let check cond what msg = if not cond then fails := (what, msg) :: !fails in
   check
     (r.fleet.Fleet.submitted >= min_requests)
+    "requests"
     (Printf.sprintf "requests %d < %d" r.fleet.Fleet.submitted min_requests);
-  check (r.shards >= min_shards) (Printf.sprintf "shards %d < %d" r.shards min_shards);
+  check (r.shards >= min_shards) "shards"
+    (Printf.sprintf "shards %d < %d" r.shards min_shards);
   check
     (r.fleet.Fleet.rotations >= min_rotations)
+    "rotations"
     (Printf.sprintf "rotations %d < %d" r.fleet.Fleet.rotations min_rotations);
   check
     (r.fleet.Fleet.rotation_drops = 0)
+    "rotation_drops"
     (Printf.sprintf "rotation_drops %d <> 0" r.fleet.Fleet.rotation_drops);
   check
     (r.availability >= min_availability)
+    "availability"
     (Printf.sprintf "availability %.5f < %.3f" r.availability min_availability);
   (* Latency SLO (ROADMAP item 3): opt-in ceiling on the tail, checked
      fleet-wide and per shard so one degraded shard cannot hide behind a
@@ -119,52 +124,47 @@ let gate ?(min_requests = 100_000) ?(min_shards = 4) ?(min_rotations = 3)
   (match max_p99 with
   | None -> ()
   | Some ceiling ->
-      check (r.p99 <= ceiling) (Printf.sprintf "p99 %d > %d cycles" r.p99 ceiling);
+      check (r.p99 <= ceiling) "p99" (Printf.sprintf "p99 %d > %d cycles" r.p99 ceiling);
       List.iteri
         (fun i p ->
-          check (p <= ceiling)
+          check (p <= ceiling) "p99"
             (Printf.sprintf "shard %d p99 %d > %d cycles" i p ceiling))
         r.shard_p99);
   List.rev !fails
 
-(* One-line JSON. Deterministic fields first; the volatile run metadata
-   ([jobs], [wall_ms]) last so CI's serial-vs-parallel diff can strip it
-   with a tail cut. *)
-let json ?jobs ?wall_ms r =
+let json r =
   let f = r.fleet and p = r.pool in
   J.Obj
-    ([
-       ("seed", J.Int r.seed);
-       ("requests", J.Int f.Fleet.submitted);
-       ("shards", J.Int r.shards);
-       ("epoch_cycles", J.Int r.epoch_cycles);
-       ("incremental", J.Bool r.incremental);
-       ("served", J.Int f.Fleet.served);
-       ("dropped", J.Int f.Fleet.dropped);
-       ("shed", J.Int f.Fleet.shed);
-       ("rejected", J.Int f.Fleet.rejected);
-       ("hedges", J.Int f.Fleet.hedges);
-       ("availability", J.Float r.availability);
-       ("p50_cycles", J.Int r.p50);
-       ("p99_cycles", J.Int r.p99);
-       ("shard_p50_cycles", J.Arr (List.map (fun p -> J.Int p) r.shard_p50));
-       ("shard_p99_cycles", J.Arr (List.map (fun p -> J.Int p) r.shard_p99));
-       ("clock_cycles", J.Int r.clock);
-       ("epochs", J.Int r.epochs);
-       ("rotations", J.Int f.Fleet.rotations);
-       ("rotation_drops", J.Int f.Fleet.rotation_drops);
-       ("drops_during_rotation", J.Int f.Fleet.drops_during_rotation);
-       ("canary_failures", J.Int f.Fleet.canary_failures);
-       ("quarantines", J.Int f.Fleet.quarantines);
-       ("max_queue_depth", J.Int f.Fleet.max_queue_depth);
-       ("pool_crashes", J.Int p.Pool.crashes);
-       ("pool_detections", J.Int p.Pool.detections);
-       ("pool_restarts", J.Int p.Pool.restarts);
-       ("pool_rerandomizations", J.Int p.Pool.rerandomizations);
-       ("gate_failures", J.Arr (List.map (fun m -> J.Str m) (gate r)));
-     ]
-    @ (match jobs with Some j -> [ ("jobs", J.Int j) ] | None -> [])
-    @ match wall_ms with Some w -> [ ("wall_ms", J.Float w) ] | None -> [])
+    [
+      ("seed", J.Int r.seed);
+      ("requests", J.Int f.Fleet.submitted);
+      ("shards", J.Int r.shards);
+      ("epoch_cycles", J.Int r.epoch_cycles);
+      ("incremental", J.Bool r.incremental);
+      ("served", J.Int f.Fleet.served);
+      ("dropped", J.Int f.Fleet.dropped);
+      ("shed", J.Int f.Fleet.shed);
+      ("rejected", J.Int f.Fleet.rejected);
+      ("hedges", J.Int f.Fleet.hedges);
+      ("availability", J.Float r.availability);
+      ("p50_cycles", J.Int r.p50);
+      ("p99_cycles", J.Int r.p99);
+      ("shard_p50_cycles", J.Arr (List.map (fun p -> J.Int p) r.shard_p50));
+      ("shard_p99_cycles", J.Arr (List.map (fun p -> J.Int p) r.shard_p99));
+      ("clock_cycles", J.Int r.clock);
+      ("epochs", J.Int r.epochs);
+      ("rotations", J.Int f.Fleet.rotations);
+      ("rotation_drops", J.Int f.Fleet.rotation_drops);
+      ("drops_during_rotation", J.Int f.Fleet.drops_during_rotation);
+      ("canary_failures", J.Int f.Fleet.canary_failures);
+      ("quarantines", J.Int f.Fleet.quarantines);
+      ("max_queue_depth", J.Int f.Fleet.max_queue_depth);
+      ("pool_crashes", J.Int p.Pool.crashes);
+      ("pool_detections", J.Int p.Pool.detections);
+      ("pool_restarts", J.Int p.Pool.restarts);
+      ("pool_rerandomizations", J.Int p.Pool.rerandomizations);
+      ("gate_failures", J.Arr (List.map (fun (_, m) -> J.Str m) (gate r)));
+    ]
 
 let print r =
   let f = r.fleet in
@@ -190,9 +190,4 @@ let print r =
   Printf.printf "  shard pools: crashes %d  detections %d  restarts %d  rerandomizations %d\n"
     r.pool.Pool.crashes r.pool.Pool.detections r.pool.Pool.restarts
     r.pool.Pool.rerandomizations;
-  (match gate r with
-  | [] -> Printf.printf "  SLO gate: PASS\n"
-  | fails ->
-      Printf.printf "  SLO gate: FAIL\n";
-      List.iter (fun m -> Printf.printf "    - %s\n" m) fails);
   flush stdout

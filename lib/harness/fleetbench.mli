@@ -12,15 +12,7 @@
     The {!report} is bit-identical at any Domain-pool width ([?jobs] /
     [R2C_JOBS]): parallelism only accelerates background epoch compiles,
     never reorders a randomized decision. Wall-clock and job-count are
-    therefore kept out of the report and only appended (last) to the JSON
-    by the caller. *)
-
-(** Chaos rates applied inside every shard worker (the injection sweep's
-    "light" mix). *)
-val light_rates : R2c_machine.Inject.rates
-
-(** Diversity configuration the shard images are compiled under. *)
-val fleet_dconfig : R2c_core.Dconfig.t
+    therefore kept out of the report. *)
 
 type report = {
   seed : int;
@@ -53,9 +45,9 @@ val run :
   unit ->
   report
 
-(** [gate r] — the E-FLEET SLO checks; returns the list of violated
-    criteria (empty = pass): campaign length, shard count, completed
-    rotations, zero rotation-caused drops, availability floor. With
+(** [gate r] — the E-FLEET SLO checks; returns the violated criteria as
+    [(check, detail)] pairs (empty = pass): campaign length, shard count,
+    completed rotations, zero rotation-caused drops, availability floor. With
     [?max_p99] (cycles) the latency SLO also binds: the fleet-wide p99
     and every per-shard p99 must stay at or under the ceiling. *)
 val gate :
@@ -65,11 +57,9 @@ val gate :
   ?min_availability:float ->
   ?max_p99:int ->
   report ->
-  string list
+  (string * string) list
 
-(** [json ?jobs ?wall_ms r] — the one-line campaign summary. Deterministic
-    fields first; [jobs] and [wall_ms] (when given) are appended last so a
-    serial-vs-parallel diff can strip them. *)
-val json : ?jobs:int -> ?wall_ms:float -> report -> R2c_obs.Json.t
+(** [json r] — the campaign summary: deterministic fields only. *)
+val json : report -> R2c_obs.Json.t
 
 val print : report -> unit

@@ -82,12 +82,7 @@ let now () = Unix.gettimeofday ()
 
 let run ?(seed = 3) ?(config = "full") ?(fuel = 50_000_000) ?jobs () =
   let cfg =
-    match config with
-    | "baseline" -> Dconfig.baseline
-    | "full" -> Dconfig.full ()
-    | "full-checked" -> Dconfig.full_checked
-    | "layout" -> Dconfig.layout_only
-    | name -> invalid_arg ("jitbench: unknown config " ^ name)
+    match Dconfig.of_name config with Ok c -> c | Error e -> invalid_arg ("jitbench: " ^ e)
   in
   let benches = Spec.all () in
   (* Image compilation fans out over the Domain pool; the measured runs
@@ -211,13 +206,16 @@ let run ?(seed = 3) ?(config = "full") ?(fuel = 50_000_000) ?jobs () =
 let gate ?(min_speedup = 5.0) ?timing r =
   let checks =
     [
-      ( "all three tiers bit-identical, and profiled tier 3 bit-identical to the \
+      ( "identity",
+        "all three tiers bit-identical, and profiled tier 3 bit-identical to the \
          profiled reference tier, on every workload",
         r.identical );
-      ( "every workload compiled at least one hot function",
+      ( "compiled",
+        "every workload compiled at least one hot function",
         List.for_all (fun row -> row.compiled > 0) r.rows );
-      ("compiled code entered via OSR at least once", r.osr_total > 0);
-      ( Printf.sprintf "tier 3 retired >= 50%% of JIT-run instructions (got %.1f%%)"
+      ("osr", "compiled code entered via OSR at least once", r.osr_total > 0);
+      ( "coverage",
+        Printf.sprintf "tier 3 retired >= 50%% of JIT-run instructions (got %.1f%%)"
           (100.0 *. r.tier3_share),
         r.tier3_share >= 0.5 );
     ]
@@ -226,16 +224,15 @@ let gate ?(min_speedup = 5.0) ?timing r =
     | None -> []
     | Some t ->
         [
-          ( Printf.sprintf "tier 3 >= %.0fx over the reference tier (got %.2fx)"
+          ( "speedup",
+            Printf.sprintf "tier 3 >= %.0fx over the reference tier (got %.2fx)"
               min_speedup t.speedup_jit,
             t.speedup_jit >= min_speedup );
         ]
   in
-  List.filter_map (fun (what, ok) -> if ok then None else Some what) checks
+  Gate.failed checks
 
-(* Deterministic fields first; [jobs] opens the volatile tail (the CI
-   serial-vs-parallel diff strips from "jobs" on), timings stay last. *)
-let json ?jobs ?timing r =
+let json r =
   let row_json row =
     J.Obj
       [
@@ -254,31 +251,29 @@ let json ?jobs ?timing r =
       ]
   in
   J.Obj
-    ([
-       ("seed", J.Int r.seed);
-       ("config", J.Str r.config);
-       ("fuel", J.Int r.fuel);
-       ("identical", J.Bool r.identical);
-       ("compiled_total", J.Int r.compiled_total);
-       ("osr_total", J.Int r.osr_total);
-       ("tier3_share", J.Float r.tier3_share);
-       ("workloads", J.Arr (List.map row_json r.rows));
-     ]
-    @ (match jobs with Some j -> [ ("jobs", J.Int j) ] | None -> [])
-    @
-    match timing with
-    | Some t ->
-        [
-          ("ref_ms", J.Float t.ref_ms);
-          ("fast_ms", J.Float t.fast_ms);
-          ("jit_ms", J.Float t.jit_ms);
-          ("speedup_fast", J.Float t.speedup_fast);
-          ("speedup_jit", J.Float t.speedup_jit);
-          ("ref_obs_ms", J.Float t.ref_obs_ms);
-          ("jit_obs_ms", J.Float t.jit_obs_ms);
-          ("speedup_obs", J.Float t.speedup_obs);
-        ]
-    | None -> [])
+    [
+      ("seed", J.Int r.seed);
+      ("config", J.Str r.config);
+      ("fuel", J.Int r.fuel);
+      ("identical", J.Bool r.identical);
+      ("compiled_total", J.Int r.compiled_total);
+      ("osr_total", J.Int r.osr_total);
+      ("tier3_share", J.Float r.tier3_share);
+      ("workloads", J.Arr (List.map row_json r.rows));
+    ]
+
+let timing_json t =
+  J.Obj
+    [
+      ("ref_ms", J.Float t.ref_ms);
+      ("fast_ms", J.Float t.fast_ms);
+      ("jit_ms", J.Float t.jit_ms);
+      ("speedup_fast", J.Float t.speedup_fast);
+      ("speedup_jit", J.Float t.speedup_jit);
+      ("ref_obs_ms", J.Float t.ref_obs_ms);
+      ("jit_obs_ms", J.Float t.jit_obs_ms);
+      ("speedup_obs", J.Float t.speedup_obs);
+    ]
 
 let print (r, t) =
   List.iter

@@ -70,17 +70,19 @@ type timing = {
 val run :
   ?seed:int -> ?config:string -> ?fuel:int -> ?jobs:int -> unit -> report * timing
 
-(** [gate ?min_speedup ?timing r] — failure strings, empty when the run
-    passes. Deterministic checks (three-way identity everywhere, profiled
+(** [gate ?min_speedup ?timing r] — failures as [(check, detail)]
+    pairs, empty when the run passes. Deterministic checks (three-way identity everywhere, profiled
     and unprofiled, every
     workload compiled something, OSR actually exercised, tier-3
     instruction share >= 50%) always apply; the [min_speedup] floor
     (default 5x over the reference tier) applies when [timing] is
     given. *)
-val gate : ?min_speedup:float -> ?timing:timing -> report -> string list
+val gate : ?min_speedup:float -> ?timing:timing -> report -> (string * string) list
 
-(** [json ?jobs ?timing r] — deterministic fields first; [jobs] opens
-    the volatile tail, timing fields come last. *)
-val json : ?jobs:int -> ?timing:timing -> report -> R2c_obs.Json.t
+(** [json r] — the deterministic summary. *)
+val json : report -> R2c_obs.Json.t
+
+(** The wall-clock timings, kept apart from {!json}. *)
+val timing_json : timing -> R2c_obs.Json.t
 
 val print : report * timing -> unit

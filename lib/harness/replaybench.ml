@@ -101,7 +101,7 @@ let gate ?(min_reduction = 0.30) r =
   List.concat_map
     (fun cr ->
       let fidelity =
-        List.map (fun f -> cr.cr_name ^ ": replay fidelity: " ^ f) cr.cr_failures
+        List.map (fun f -> ("fidelity", cr.cr_name ^ ": replay fidelity: " ^ f)) cr.cr_failures
       in
       let reduction =
         (* The ratio gate only binds where there is traffic to reduce:
@@ -110,9 +110,10 @@ let gate ?(min_reduction = 0.30) r =
            && Reduce.ratio cr.cr_reduce < min_reduction
         then
           [
-            Printf.sprintf "%s: reduction %.1f%% below %.0f%% floor" cr.cr_name
-              (100. *. Reduce.ratio cr.cr_reduce)
-              (100. *. min_reduction);
+            ( "reduction",
+              Printf.sprintf "%s: reduction %.1f%% below %.0f%% floor" cr.cr_name
+                (100. *. Reduce.ratio cr.cr_reduce)
+                (100. *. min_reduction) );
           ]
         else []
       in
@@ -139,19 +140,13 @@ let case_json cr =
       ("fidelity", J.Str (if cr.cr_failures = [] then "pass" else "fail"));
     ]
 
-let json ?jobs ?wall_ms r =
-  let fields =
+let json r =
+  J.Obj
     [
       ("experiment", J.Str "replay");
       ("cases", J.Arr (List.map case_json r.case_reports));
       ("gate", J.Str (if gate r = [] then "pass" else "fail"));
     ]
-  in
-  let volatile =
-    (match jobs with Some j -> [ ("jobs", J.Int j) ] | None -> [])
-    @ match wall_ms with Some w -> [ ("wall_ms", J.Float w) ] | None -> []
-  in
-  J.Obj (fields @ volatile)
 
 let print r =
   print_endline "E-REPLAY: record / reduce / replay with profile-fidelity gates";

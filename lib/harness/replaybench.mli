@@ -11,8 +11,7 @@
     Cases fan out over {!R2c_util.Parallel}; each case is internally
     sequential and fully deterministic (simulated time only), so the
     {!report} is bit-identical at any Domain-pool width. Wall-clock and
-    job count are appended last to the JSON by the caller, never stored
-    in the report. *)
+    job count are never stored in the report. *)
 
 type case = {
   c_name : string;
@@ -42,16 +41,17 @@ type report = { case_reports : case_report list }
 val run :
   ?tolerance:float -> ?max_checks:int -> ?jobs:int -> unit -> (report, string) result
 
-(** [gate ?min_reduction r] — violated criteria (empty = pass): every
+(** [gate ?min_reduction r] — violated criteria as [(check, detail)]
+    pairs (empty = pass): every
     replay within tolerance, and every input-driven case reduced by at
     least [min_reduction] (default 0.30) of its event/dictionary bytes. *)
-val gate : ?min_reduction:float -> report -> string list
+val gate : ?min_reduction:float -> report -> (string * string) list
 
 (** [save_corpus ~dir r] — write each reduced trace to
     [dir/<name>.r2cr]; returns the paths written. *)
 val save_corpus : dir:string -> report -> string list
 
-(** Deterministic fields first; [jobs]/[wall_ms] appended last. *)
-val json : ?jobs:int -> ?wall_ms:float -> report -> R2c_obs.Json.t
+(** The deterministic summary. *)
+val json : report -> R2c_obs.Json.t
 
 val print : report -> unit

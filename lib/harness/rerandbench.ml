@@ -24,13 +24,6 @@ type report = {
 
 type timing = { cold_ms : float; incr_ms : float; speedup : float }
 
-let config_of_name = function
-  | "baseline" -> Dconfig.baseline
-  | "full" -> Dconfig.full ()
-  | "full-checked" -> Dconfig.full_checked
-  | "layout" -> Dconfig.layout_only
-  | name -> invalid_arg ("rerandbench: unknown config " ^ name)
-
 (* The single-function IR edit of the edit-step: one more local variable.
    It grows the function's frame, so the recompiled body genuinely
    differs, and it perturbs no other function's diversification slice —
@@ -49,7 +42,9 @@ let now () = Unix.gettimeofday ()
 
 let run ?(funcs = 10_000) ?(config = "full") ?(body_seed = 3) ?(base_link_seed = 100)
     ?(rotations = 4) ?(checked = 2) ?jobs () =
-  let cfg = config_of_name config in
+  let cfg =
+    match Dconfig.of_name config with Ok c -> c | Error e -> invalid_arg ("rerandbench: " ^ e)
+  in
   let p = Genprog.generate ~seed:body_seed ~funcs in
   let coords ls = { Pipeline.cfg; body_seed; link_seed = Some ls } in
   (* Each timed region starts from a collected heap: the untimed
@@ -125,11 +120,12 @@ let run ?(funcs = 10_000) ?(config = "full") ?(body_seed = 3) ?(base_link_seed =
 let gate ?(min_speedup = 10.0) ?timing r =
   let checks =
     [
-      ("byte-identical to cold compile at every checked rotation", r.identical);
-      ("edit rebuild byte-identical to cold compile", r.edit_identical);
-      ("warm build compiles every function once", r.warm_misses >= r.funcs);
-      ("rotations hit the cache for every function", r.rotation_misses = 0);
-      ( "edit rebuild recompiles exactly one function",
+      ("identity", "byte-identical to cold compile at every checked rotation", r.identical);
+      ("identity", "edit rebuild byte-identical to cold compile", r.edit_identical);
+      ("cache", "warm build compiles every function once", r.warm_misses >= r.funcs);
+      ("cache", "rotations hit the cache for every function", r.rotation_misses = 0);
+      ( "cache",
+        "edit rebuild recompiles exactly one function",
         r.edit_misses = 1 && List.length r.edit_missed = 1 );
     ]
     @
@@ -137,44 +133,40 @@ let gate ?(min_speedup = 10.0) ?timing r =
     | None -> []
     | Some t ->
         [
-          ( Printf.sprintf "incremental rebuild >= %.0fx faster than cold (got %.1fx)"
+          ( "speedup",
+            Printf.sprintf "incremental rebuild >= %.0fx faster than cold (got %.1fx)"
               min_speedup t.speedup,
             t.speedup >= min_speedup );
         ]
   in
-  List.filter_map (fun (what, ok) -> if ok then None else Some what) checks
+  Gate.failed checks
 
-(* Deterministic fields first; [jobs] opens the volatile tail and the
-   timing fields stay behind it, so CI's serial-vs-parallel diff can
-   strip everything from "jobs" on. *)
-let json ?jobs ?timing r =
+let json r =
   J.Obj
-    ([
-       ("funcs", J.Int r.funcs);
-       ("config", J.Str r.config);
-       ("body_seed", J.Int r.body_seed);
-       ("base_link_seed", J.Int r.base_link_seed);
-       ("rotations", J.Int r.rotations);
-       ("checked", J.Int r.checked);
-       ("identical", J.Bool r.identical);
-       ("warm_misses", J.Int r.warm_misses);
-       ("rotation_hits", J.Int r.rotation_hits);
-       ("rotation_misses", J.Int r.rotation_misses);
-       ("edit_misses", J.Int r.edit_misses);
-       ("edit_missed", J.Arr (List.map (fun s -> J.Str s) r.edit_missed));
-       ("edit_identical", J.Bool r.edit_identical);
-       ("cache_entries", J.Int r.cache_entries);
-     ]
-    @ (match jobs with Some j -> [ ("jobs", J.Int j) ] | None -> [])
-    @
-    match timing with
-    | Some t ->
-        [
-          ("cold_ms", J.Float t.cold_ms);
-          ("incr_ms", J.Float t.incr_ms);
-          ("speedup", J.Float t.speedup);
-        ]
-    | None -> [])
+    [
+      ("funcs", J.Int r.funcs);
+      ("config", J.Str r.config);
+      ("body_seed", J.Int r.body_seed);
+      ("base_link_seed", J.Int r.base_link_seed);
+      ("rotations", J.Int r.rotations);
+      ("checked", J.Int r.checked);
+      ("identical", J.Bool r.identical);
+      ("warm_misses", J.Int r.warm_misses);
+      ("rotation_hits", J.Int r.rotation_hits);
+      ("rotation_misses", J.Int r.rotation_misses);
+      ("edit_misses", J.Int r.edit_misses);
+      ("edit_missed", J.Arr (List.map (fun s -> J.Str s) r.edit_missed));
+      ("edit_identical", J.Bool r.edit_identical);
+      ("cache_entries", J.Int r.cache_entries);
+    ]
+
+let timing_json t =
+  J.Obj
+    [
+      ("cold_ms", J.Float t.cold_ms);
+      ("incr_ms", J.Float t.incr_ms);
+      ("speedup", J.Float t.speedup);
+    ]
 
 let print (r, t) =
   Printf.printf

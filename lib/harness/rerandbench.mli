@@ -9,8 +9,7 @@
     function and still matches a cold compile of the edited program.
 
     The {!report} is deterministic at any Domain-pool width; wall-clock
-    lives in {!timing} and is appended to the JSON after ["jobs"], so
-    CI's serial-vs-parallel diff can strip the volatile tail. *)
+    lives in {!timing}. *)
 
 type report = {
   funcs : int;
@@ -42,15 +41,18 @@ val run :
   unit ->
   report * timing
 
-(** Violated criteria (empty = pass). The timing criterion (incremental
+(** Violated criteria as [(check, detail)] pairs (empty = pass). The
+    timing criterion (incremental
     rebuild at least [min_speedup] times faster than cold, default 10)
     binds only when [timing] is given — the deterministic half of the
     gate also serves the test battery, which must not gate on wall
     clock. *)
-val gate : ?min_speedup:float -> ?timing:timing -> report -> string list
+val gate : ?min_speedup:float -> ?timing:timing -> report -> (string * string) list
 
-(** Deterministic fields first; [jobs] opens the volatile tail, timing
-    after it. *)
-val json : ?jobs:int -> ?timing:timing -> report -> R2c_obs.Json.t
+(** The deterministic summary. *)
+val json : report -> R2c_obs.Json.t
+
+(** The wall-clock timings, kept apart from {!json}. *)
+val timing_json : timing -> R2c_obs.Json.t
 
 val print : report * timing -> unit

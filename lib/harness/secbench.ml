@@ -107,6 +107,18 @@ let run ?(trials = 8) ?jobs () =
     brop_detections = count (fun r -> r.Report.detected) brop_reports;
   }
 
+let gate t =
+  Gate.failed
+    [
+      ( "aocr",
+        Printf.sprintf "AOCR breached full R2C in %d/%d trials" t.aocr_successes t.aocr_trials,
+        t.aocr_successes = 0 );
+      ( "blind-rop",
+        Printf.sprintf "Blind ROP breached full R2C in %d/%d trials" t.brop_successes
+          t.brop_trials,
+        t.brop_successes = 0 );
+    ]
+
 let print t =
   Printf.printf "\n== Security evaluation (Section 7.2) ==\n";
   Printf.printf "return-address camouflage: %.1f text-range candidates per frame\n"

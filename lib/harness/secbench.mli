@@ -29,3 +29,7 @@ type t = {
     pool ([jobs] caps it; results are independent of [jobs]). *)
 val run : ?trials:int -> ?jobs:int -> unit -> t
 val print : t -> unit
+
+(** [gate t] — violated criteria as [(check, detail)] pairs (empty =
+    pass): neither battery ever breaches full R2C. *)
+val gate : t -> (string * string) list

@@ -128,6 +128,19 @@ let glyph c =
   else if c.successes >= (c.trials + 1) / 2 then "o"  (* broken *)
   else "+" (* partial *)
 
+let gate rows =
+  let fell name =
+    List.find_opt (fun r -> r.defense = name) rows
+    |> Option.map (fun r -> List.exists (fun c -> c.successes > 0) r.cells)
+  in
+  Gate.failed
+    [
+      ("r2c-holds", "an attack breached the R2C row (or it is missing)", fell "R2C" = Some false);
+      ( "baseline-falls",
+        "no attack beat the unprotected baseline (or it is missing)",
+        fell "unprotected" = Some true );
+    ]
+
 let print rows =
   let headers =
     [ "defense"; "overhead"; "paper"; "icache"; "depth"; "C++" ]

@@ -32,6 +32,11 @@ val run : ?trials:int -> ?with_overhead:bool -> unit -> row list
 
 val print : row list -> unit
 
+(** [gate rows] — the reproduction check as [(check, detail)] pairs
+    (empty = pass): every attack fails against the R2C row, and at least
+    one succeeds against the unprotected baseline. *)
+val gate : row list -> (string * string) list
+
 (** [glyph cell] — "●" stopped every trial, "○" succeeded in most trials,
     "◐" in between. *)
 val glyph : cell -> string

@@ -134,63 +134,60 @@ let totals r =
 
 let gate ?(min_workloads = 17) ?(min_points = 11) r =
   let fails = ref [] in
-  let check ok msg = if not ok then fails := msg :: !fails in
+  let check ok what msg = if not ok then fails := (what, msg) :: !fails in
   let _, _, findings, ir = totals r in
   check
     (List.length r.workloads >= min_workloads)
+    "coverage"
     (Printf.sprintf "workloads %d < %d" (List.length r.workloads) min_workloads);
   List.iter
     (fun w ->
       check
         (List.length w.points >= min_points)
+        "coverage"
         (Printf.sprintf "%s: points %d < %d" w.wname (List.length w.points) min_points))
     r.workloads;
-  check (findings = 0) (Printf.sprintf "validator findings %d <> 0" findings);
-  check (ir = 0) (Printf.sprintf "IR lint findings %d <> 0" ir);
+  check (findings = 0) "tval" (Printf.sprintf "validator findings %d <> 0" findings);
+  check (ir = 0) "ir-lint" (Printf.sprintf "IR lint findings %d <> 0" ir);
   List.iter
     (fun pl ->
-      check (pl.caught > 0)
+      check (pl.caught > 0) "plant"
         (Printf.sprintf "plant %s uncaught under %s" pl.plname pl.plpoint))
     r.plants;
   List.iter
     (fun rp ->
-      check (rp.rerrors = [])
+      check (rp.rerrors = []) "corpus"
         (Printf.sprintf "corpus %s: %d error(s)" rp.rpath (List.length rp.rerrors)))
     r.corpus;
   List.rev !fails
 
-(* One-line JSON. Deterministic fields first; the volatile run metadata
-   ([jobs], [wall_ms]) last so CI's serial-vs-parallel diff can strip it
-   with a tail cut. *)
-let json ?jobs ?wall_ms r =
+let json r =
   let funcs, blocks, findings, ir = totals r in
   J.Obj
-    ([
-       ("seed", J.Int r.seed);
-       ("workloads", J.Int (List.length r.workloads));
-       ("points", J.Int (match r.workloads with w :: _ -> List.length w.points | [] -> 0));
-       ("validated_funcs", J.Int funcs);
-       ("validated_blocks", J.Int blocks);
-       ("findings", J.Int findings);
-       ("ir_findings", J.Int ir);
-       ( "plants",
-         J.Arr
-           (List.map
-              (fun pl ->
-                J.Obj
-                  [
-                    ("plant", J.Str pl.plname);
-                    ("point", J.Str pl.plpoint);
-                    ("caught", J.Int pl.caught);
-                  ])
-              r.plants) );
-       ("corpus_replayed", J.Int (List.length r.corpus));
-       ( "corpus_failures",
-         J.Int (List.length (List.filter (fun rp -> rp.rerrors <> []) r.corpus)) );
-       ("gate_failures", J.Arr (List.map (fun m -> J.Str m) (gate r)));
-     ]
-    @ (match jobs with Some j -> [ ("jobs", J.Int j) ] | None -> [])
-    @ match wall_ms with Some w -> [ ("wall_ms", J.Float w) ] | None -> [])
+    [
+      ("seed", J.Int r.seed);
+      ("workloads", J.Int (List.length r.workloads));
+      ("points", J.Int (match r.workloads with w :: _ -> List.length w.points | [] -> 0));
+      ("validated_funcs", J.Int funcs);
+      ("validated_blocks", J.Int blocks);
+      ("findings", J.Int findings);
+      ("ir_findings", J.Int ir);
+      ( "plants",
+        J.Arr
+          (List.map
+             (fun pl ->
+               J.Obj
+                 [
+                   ("plant", J.Str pl.plname);
+                   ("point", J.Str pl.plpoint);
+                   ("caught", J.Int pl.caught);
+                 ])
+             r.plants) );
+      ("corpus_replayed", J.Int (List.length r.corpus));
+      ( "corpus_failures",
+        J.Int (List.length (List.filter (fun rp -> rp.rerrors <> []) r.corpus)) );
+      ("gate_failures", J.Arr (List.map (fun (_, m) -> J.Str m) (gate r)));
+    ]
 
 let print r =
   let module Table = R2c_util.Table in
@@ -235,7 +232,6 @@ let print r =
     (fun rp -> List.iter (fun m -> Printf.printf "  %s: %s\n" rp.rpath m) rp.rerrors)
     r.corpus;
   Printf.printf "Totals: %d functions, %d blocks validated; %d finding(s), %d IR finding(s)\n"
-    funcs blocks findings ir;
-  Printf.printf "E-TVAL: %s\n" (if gate r = [] then "CLEAN" else "FINDINGS")
+    funcs blocks findings ir
 
 let gate r = gate r

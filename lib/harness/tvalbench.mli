@@ -11,8 +11,7 @@
     The report is bit-identical at any Domain-pool width ([?jobs] /
     [$R2C_JOBS]): units fan out over {!R2c_util.Parallel.map}, which
     preserves task order, and every finding is deterministic. Wall-clock
-    and job count are therefore kept out of the report and only appended
-    (last) to the JSON by the caller. *)
+    and job count are therefore kept out of the report. *)
 
 type point = {
   pname : string;  (** matrix point *)
@@ -50,14 +49,14 @@ type report = {
     oracle's); [corpus_dir] defaults to [test/corpus]. *)
 val run : ?seed:int -> ?jobs:int -> ?corpus_dir:string -> unit -> report
 
-(** [gate r] — violated criteria (empty = pass): zero validator and IR
+(** [gate r] — violated criteria as [(check, detail)] pairs (empty =
+    pass): zero validator and IR
     findings on every workload x point, every plant caught at every
     point it was compiled under, zero corpus replay failures, and
     non-trivial coverage (>= 17 workloads, >= 11 points). *)
-val gate : report -> string list
+val gate : report -> (string * string) list
 
-(** [json ?jobs ?wall_ms r] — the one-line summary; deterministic fields
-    first, volatile run metadata last. *)
-val json : ?jobs:int -> ?wall_ms:float -> report -> R2c_obs.Json.t
+(** [json r] — the summary: deterministic fields only. *)
+val json : report -> R2c_obs.Json.t
 
 val print : report -> unit

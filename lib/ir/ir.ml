@@ -58,8 +58,6 @@ type program = { funcs : func list; globals : global list; main : string }
 
 let find_func p name = List.find_opt (fun f -> f.name = name) p.funcs
 
-let find_global p name = List.find_opt (fun g -> g.gname = name) p.globals
-
 let init_footprint items =
   List.fold_left
     (fun acc item ->

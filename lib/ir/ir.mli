@@ -71,7 +71,6 @@ type global = {
 type program = { funcs : func list; globals : global list; main : string }
 
 val find_func : program -> string -> func option
-val find_global : program -> string -> global option
 
 (** [init_footprint items] — bytes covered by the initialiser list. *)
 val init_footprint : init_item list -> int

@@ -2,6 +2,101 @@ type error = { where : string; what : string }
 
 let error_to_string e = Printf.sprintf "%s: %s" e.where e.what
 
+(* Use before initialization: a forward may-analysis over the block
+   successor map. A non-parameter var read while its "never yet defined"
+   fact still holds on some path makes the block's entry state
+   ill-defined — the interpreter happens to zero-fill, but the diversified
+   lowering is entitled to leave whatever the register allocator parked
+   there. *)
+module ISet = Set.Make (Int)
+
+let operand_uses = function Ir.Var v -> [ v ] | _ -> []
+
+let instr_uses = function
+  | Ir.Mov (_, op) | Ir.Load (_, op, _) | Ir.Load8 (_, op, _) -> operand_uses op
+  | Ir.Binop (_, _, a, b) | Ir.Cmp (_, _, a, b) | Ir.Store (a, _, b) | Ir.Store8 (a, _, b)
+    ->
+      operand_uses a @ operand_uses b
+  | Ir.Slot_addr _ -> []
+  | Ir.Call (_, callee, args) ->
+      (match callee with Ir.Indirect op -> operand_uses op | _ -> [])
+      @ List.concat_map operand_uses args
+
+let instr_def = function
+  | Ir.Mov (v, _) | Ir.Binop (v, _, _, _) | Ir.Cmp (v, _, _, _)
+  | Ir.Load (v, _, _) | Ir.Load8 (v, _, _) | Ir.Slot_addr (v, _) ->
+      Some v
+  | Ir.Store _ | Ir.Store8 _ -> None
+  | Ir.Call (dst, _, _) -> dst
+
+let term_uses = function
+  | Ir.Ret (Some op) | Ir.Cond_br (op, _, _) -> operand_uses op
+  | Ir.Ret None | Ir.Br _ -> []
+
+(* Block successors by position in [f.blocks], unknown targets dropped;
+   [None] for an empty function or duplicated labels (the map would be
+   ambiguous). *)
+let successors (f : Ir.func) =
+  let blocks = Array.of_list f.blocks in
+  let index = Hashtbl.create 16 in
+  Array.iteri (fun i (b : Ir.block) -> Hashtbl.replace index b.lbl i) blocks;
+  if Array.length blocks = 0 || Hashtbl.length index <> Array.length blocks then None
+  else
+    Some
+      (Array.map
+         (fun (b : Ir.block) ->
+           List.filter_map (Hashtbl.find_opt index)
+             (match b.term with
+             | Ir.Ret _ -> []
+             | Ir.Br l -> [ l ]
+             | Ir.Cond_br (_, l1, l2) -> [ l1; l2 ]))
+         blocks)
+
+let uninit_reads (f : Ir.func) =
+  match successors f with
+  | None -> []
+  | Some succs ->
+      let blocks = Array.of_list f.blocks in
+      let n = Array.length blocks in
+      let flow ?report maybe (b : Ir.block) =
+        let maybe = ref maybe in
+        let read k v =
+          match report with Some f when ISet.mem v !maybe -> f k v | _ -> ()
+        in
+        List.iteri
+          (fun k instr ->
+            List.iter (read k) (instr_uses instr);
+            match instr_def instr with Some v -> maybe := ISet.remove v !maybe | None -> ())
+          b.body;
+        List.iter (read (List.length b.body)) (term_uses b.term);
+        !maybe
+      in
+      let at_entry = Array.make n ISet.empty in
+      at_entry.(0) <-
+        ISet.of_list (List.init (max 0 (f.nvars - f.nparams)) (fun i -> f.nparams + i));
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        Array.iteri
+          (fun i b ->
+            let out = flow at_entry.(i) b in
+            List.iter
+              (fun j ->
+                let next = ISet.union at_entry.(j) out in
+                if not (ISet.equal next at_entry.(j)) then begin
+                  at_entry.(j) <- next;
+                  changed := true
+                end)
+              succs.(i))
+          blocks
+      done;
+      let found = ref [] in
+      Array.iteri
+        (fun i b ->
+          ignore (flow ~report:(fun k v -> found := (v, i, k) :: !found) at_entry.(i) b))
+        blocks;
+      List.rev !found
+
 let check (p : Ir.program) =
   let errors = ref [] in
   let err where what = errors := { where; what } :: !errors in
@@ -110,122 +205,32 @@ let check (p : Ir.program) =
     (* Reachability from the entry block: dead blocks are always a
        generator bug, and they inflate the diversified layout for no
        coverage. (Skipped when labels are duplicated — the successor map
-       would be ambiguous.) *)
-    match f.blocks with
-    | entry :: _ when List.length f.blocks = Hashtbl.length labels ->
-        let succs = Hashtbl.create 16 in
-        List.iter
-          (fun (b : Ir.block) ->
-            let s =
-              match b.term with
-              | Ir.Ret _ -> []
-              | Ir.Br l -> [ l ]
-              | Ir.Cond_br (_, l1, l2) -> [ l1; l2 ]
-            in
-            Hashtbl.replace succs b.lbl s)
-          f.blocks;
-        let seen = Hashtbl.create 16 in
-        let rec visit l =
-          if Hashtbl.mem labels l && not (Hashtbl.mem seen l) then begin
-            Hashtbl.replace seen l ();
-            List.iter visit (try Hashtbl.find succs l with Not_found -> [])
+       would be ambiguous.) Then use before initialization. *)
+    match successors f with
+    | Some succs ->
+        let seen = Array.make (Array.length succs) false in
+        let rec visit i =
+          if not seen.(i) then begin
+            seen.(i) <- true;
+            List.iter visit succs.(i)
           end
         in
-        visit entry.Ir.lbl;
-        List.iter
-          (fun (b : Ir.block) ->
-            if not (Hashtbl.mem seen b.lbl) then
-              where (Printf.sprintf "unreachable block %d" b.lbl))
-          f.blocks;
-        (* Use before initialization: a forward may-analysis over the
-           same successor map. A non-parameter var read while its
-           "never yet defined" fact still holds on some path makes the
-           block's entry state ill-defined — the interpreter happens to
-           zero-fill, but the diversified lowering is entitled to leave
-           whatever the register allocator parked there. *)
-        let module ISet = Set.Make (Int) in
-        let uses_of_operand = function Ir.Var v -> [ v ] | _ -> [] in
-        let uses_of_instr = function
-          | Ir.Mov (_, op) | Ir.Load (_, op, _) | Ir.Load8 (_, op, _) -> uses_of_operand op
-          | Ir.Binop (_, _, a, b) | Ir.Cmp (_, _, a, b) | Ir.Store (a, _, b)
-          | Ir.Store8 (a, _, b) ->
-              uses_of_operand a @ uses_of_operand b
-          | Ir.Slot_addr _ -> []
-          | Ir.Call (_, callee, args) ->
-              (match callee with Ir.Indirect op -> uses_of_operand op | _ -> [])
-              @ List.concat_map uses_of_operand args
-        in
-        let def_of_instr = function
-          | Ir.Mov (v, _) | Ir.Binop (v, _, _, _) | Ir.Cmp (v, _, _, _)
-          | Ir.Load (v, _, _) | Ir.Load8 (v, _, _) | Ir.Slot_addr (v, _) ->
-              Some v
-          | Ir.Store _ | Ir.Store8 _ -> None
-          | Ir.Call (dst, _, _) -> dst
-        in
-        let uses_of_term = function
-          | Ir.Ret (Some op) | Ir.Cond_br (op, _, _) -> uses_of_operand op
-          | Ir.Ret None | Ir.Br _ -> []
-        in
-        let flow ?report maybe (b : Ir.block) =
-          let maybe = ref maybe in
-          let read k v =
-            match report with
-            | Some f when ISet.mem v !maybe -> f k v
-            | _ -> ()
-          in
-          List.iteri
-            (fun k instr ->
-              List.iter (read (Some k)) (uses_of_instr instr);
-              match def_of_instr instr with
-              | Some v -> maybe := ISet.remove v !maybe
-              | None -> ())
-            b.body;
-          List.iter (read None) (uses_of_term b.term);
-          !maybe
-        in
-        let entry_maybe =
-          ISet.of_list
-            (List.init (max 0 (f.nvars - f.nparams)) (fun i -> f.nparams + i))
-        in
-        let at_entry = Hashtbl.create 16 in
-        List.iteri
-          (fun bi (b : Ir.block) ->
-            Hashtbl.replace at_entry b.lbl (if bi = 0 then entry_maybe else ISet.empty))
-          f.blocks;
-        let changed = ref true in
-        while !changed do
-          changed := false;
-          List.iter
-            (fun (b : Ir.block) ->
-              let out = flow (Hashtbl.find at_entry b.lbl) b in
-              List.iter
-                (fun l ->
-                  match Hashtbl.find_opt at_entry l with
-                  | Some cur ->
-                      let next = ISet.union cur out in
-                      if not (ISet.equal next cur) then begin
-                        Hashtbl.replace at_entry l next;
-                        changed := true
-                      end
-                  | None -> ())
-                (Hashtbl.find succs b.lbl))
-            f.blocks
-        done;
+        visit 0;
+        let blocks = Array.of_list f.blocks in
+        Array.iteri
+          (fun i (b : Ir.block) ->
+            if not seen.(i) then where (Printf.sprintf "unreachable block %d" b.lbl))
+          blocks;
         let reported = Hashtbl.create 8 in
         List.iter
-          (fun (b : Ir.block) ->
-            ignore
-              (flow
-                 ~report:(fun _k v ->
-                   if not (Hashtbl.mem reported (b.lbl, v)) then begin
-                     Hashtbl.replace reported (b.lbl, v) ();
-                     where
-                       (Printf.sprintf "var %d read before any definition (block %d)" v
-                          b.lbl)
-                   end)
-                 (Hashtbl.find at_entry b.lbl) b))
-          f.blocks
-    | _ -> ()
+          (fun (v, bi, _) ->
+            let lbl = blocks.(bi).Ir.lbl in
+            if not (Hashtbl.mem reported (lbl, v)) then begin
+              Hashtbl.replace reported (lbl, v) ();
+              where (Printf.sprintf "var %d read before any definition (block %d)" v lbl)
+            end)
+          (uninit_reads f)
+    | None -> ()
   in
   List.iter check_func p.funcs;
   (match Ir.find_func p p.main with

@@ -32,7 +32,6 @@ val data_limit : t
 val heap_base : t
 val heap_limit : t
 val stack_top : t
-val stack_limit : t
 
 type region = Text | Data | Heap | Stack | Unmapped_region
 

@@ -550,7 +550,7 @@ let run_fast t ~fuel =
    otherwise tier 3 runs when installed — observed or not — and the fast
    interpreter when not, unless an observer needs the reference dispatch
    there. All three produce identical counters and observer fires — the
-   tiercmp/differential suites pin that contract down. *)
+   jit experiment and the differential suites pin that contract down. *)
 let run t ~fuel =
   match (t.inject, t.tier3, t.observer) with
   | None, Some jit, _ -> jit t ~fuel

@@ -98,7 +98,6 @@ val create :
   profile:Cost.profile -> mem:Mem.t -> heap:Heap.t -> Image.t -> rip:int -> rsp:int -> t
 
 val reg_get : t -> Insn.reg -> int
-val reg_set : t -> Insn.reg -> int -> unit
 
 (** [step t] executes one instruction. Raises {!Fault.Fault}. *)
 val step : t -> unit

@@ -4,9 +4,6 @@
     diversified binary can be studied the way the paper's figures present
     theirs. *)
 
-(** [function_listing img f] — one function's disassembly. *)
-val function_listing : Image.t -> Image.func_info -> string
-
 (** [image img] — the whole text section: section summary, then every
     function in address order. *)
 val image : Image.t -> string

@@ -33,7 +33,6 @@ type t =
 
 exception Fault of t
 
-val access_to_string : access -> string
 val to_string : t -> string
 
 (** [is_detection f] — whether the fault is one a monitoring story counts

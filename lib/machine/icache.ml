@@ -51,8 +51,6 @@ let access t ~addr ~len =
     !misses
   end
 
-let line_shift t = t.line_shift
-
 (* Single-line access with the line index precomputed by the caller (the
    tier-3 compiler bakes it in per instruction). Must stay bit-identical
    to the single-line branch of [access]. *)

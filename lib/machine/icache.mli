@@ -15,10 +15,6 @@ val create : lines:int -> line_bytes:int -> t
     returns how many missed. *)
 val access : t -> addr:int -> len:int -> int
 
-(** [line_shift t] — log2 of the line size; [addr lsr line_shift] is the
-    line index an address falls in. *)
-val line_shift : t -> int
-
 (** [access_line t line] — {!access} specialised to a fetch known to sit
     inside the single line [line] (index, not address). The tier-3
     compiler precomputes the index per instruction; the counter updates

@@ -36,8 +36,6 @@ let builtin_names =
 
 let code_at img addr = Hashtbl.find_opt (Lazy.force img.code) addr
 
-let is_builtin img addr = Hashtbl.mem img.builtin_addrs addr
-
 let symbol img name =
   match Hashtbl.find_opt img.symbols name with
   | Some a -> a

@@ -75,9 +75,6 @@ val builtin_names : string list
 (** [code_at img addr] — decoded instruction and byte length at [addr]. *)
 val code_at : t -> int -> (Insn.t * int) option
 
-(** [is_builtin img addr] *)
-val is_builtin : t -> int -> bool
-
 (** [symbol img name] — address of a symbol; raises [Not_found]. *)
 val symbol : t -> string -> int
 

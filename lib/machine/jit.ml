@@ -50,7 +50,6 @@ let enabled_ref =
     | _ -> true)
 
 let enabled () = !enabled_ref
-let set_enabled b = enabled_ref := b
 
 (* The machine context threaded through every compiled closure. All fields
    are aliases into the owning [Cpu.t] except [cyc], the unboxed cycle
@@ -1153,8 +1152,6 @@ let attach ?config ?cache (cpu : Cpu.t) =
   j
 
 let detach cpu = Cpu.set_tier3 cpu None
-
-let cache_of j = j.cache
 
 (* Test hook: corrupt the cached entry for [entry] as a crashed
    rerandomization might leave it — stale generation, wrong digest. The

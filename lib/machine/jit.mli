@@ -28,7 +28,7 @@
     {!Cpu.run_reference} produce identical cycles, insns, icache
     counters, faults, output, exit codes and peak depth on every program;
     observed, tier 3 and the reference tier also fire identical sites
-    with identical deltas. [bench/tiercmp.ml] and the [jit] test suite
+    with identical deltas. [experiments jit] and the [jit] test suite
     enforce it.
 
     Code caches are per-{!Process} and CPU-independent (closures receive
@@ -70,8 +70,6 @@ type stats = {
     [0]/[false]/[off]/[no], on otherwise). *)
 val enabled : unit -> bool
 
-val set_enabled : bool -> unit
-
 (** [create_cache ?config ~profile img] — an empty cache for images laid
     out like [img] under cost profile [profile]. *)
 val create_cache : ?config:config -> profile:Cost.profile -> Image.t -> cache
@@ -93,7 +91,6 @@ val run : t -> fuel:int -> Cpu.run_result
 
 val stats : t -> stats
 val cache_stats : cache -> stats
-val cache_of : t -> cache
 
 (** [poison j ~entry] corrupts the cached entry for the function at
     [entry] (stale generation, wrong digest) the way an interrupted

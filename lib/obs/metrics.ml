@@ -79,7 +79,6 @@ let observe h v =
   h.h_sum <- h.h_sum +. float_of_int v
 
 let counter_value c = c.c_value
-let gauge_value g = g.g_value
 let hist_count h = h.h_count
 let hist_sum h = h.h_sum
 

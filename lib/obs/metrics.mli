@@ -45,8 +45,6 @@ val observe : histogram -> int -> unit
 
 val counter_value : counter -> int
 
-val gauge_value : gauge -> float
-
 val hist_count : histogram -> int
 
 val hist_sum : histogram -> float

@@ -28,8 +28,6 @@ type verdict = {
   failures : string list;  (** empty means the gate passed *)
 }
 
-val default_tolerance : float
-
 (** [execute ?image t] — recompile, feed, run; the measured profile.
     Errors on fuel exhaustion or fault. With [?image] the recompile is
     skipped and the given image runs instead — the caller asserts it was

@@ -212,6 +212,15 @@ let structurally_valid t =
   in
   List.for_all ok t.events
 
+let machine_of_name name =
+  match
+    List.find_opt
+      (fun p -> String.lowercase_ascii p.Cost.name = String.lowercase_ascii name)
+      Cost.all_machines
+  with
+  | Some p -> Ok p
+  | None -> Error ("unknown machine " ^ name)
+
 let parse_line what line =
   match J.parse line with
   | Ok v -> v
@@ -237,6 +246,11 @@ let of_string s =
             fuel = get_int "fuel" (field "header" hj "fuel");
           }
         in
+        (* The rebuild coordinates must name a known config and machine,
+           or replay would fail later, outside this result. *)
+        (match (Dconfig.of_name meta.config, machine_of_name meta.machine) with
+        | Error e, _ | _, Error e -> fail "header: %s" e
+        | Ok _, Ok _ -> ());
         let expect = expect_of_json (field "header" hj "expect") in
         let dict =
           match field "header" hj "dict" with
@@ -292,29 +306,12 @@ let files ~dir =
 
 (* --- rebuild under the recorded coordinates ------------------------ *)
 
-let config_of_name = function
-  | "baseline" -> Dconfig.baseline
-  | "full" -> Dconfig.full ()
-  | "full-push" -> Dconfig.full ~setup:Dconfig.Push ()
-  | "full-checked" -> Dconfig.full_checked
-  | "push" -> Dconfig.btra_push_only
-  | "avx" -> Dconfig.btra_avx_only
-  | "btdp" -> Dconfig.btdp_only
-  | "prolog" -> Dconfig.prolog_only
-  | "layout" -> Dconfig.layout_only
-  | "oia" -> Dconfig.oia_only
-  | other -> failwith ("r2cr: unknown config " ^ other)
-
-let cost_profile meta =
-  match
-    List.find_opt
-      (fun p ->
-        String.lowercase_ascii p.Cost.name = String.lowercase_ascii meta.machine)
-      Cost.all_machines
-  with
-  | Some p -> p
-  | None -> failwith ("r2cr: unknown machine " ^ meta.machine)
+let ok_or_fail = function Ok x -> x | Error e -> failwith ("r2cr: " ^ e)
+let cost_profile meta = ok_or_fail (machine_of_name meta.machine)
 
 let build meta program =
   if meta.config = "baseline" then R2c_compiler.Driver.compile program
-  else R2c_core.Pipeline.compile ~seed:meta.seed (config_of_name meta.config) program
+  else
+    R2c_core.Pipeline.compile ~seed:meta.seed
+      (ok_or_fail (Dconfig.of_name meta.config))
+      program

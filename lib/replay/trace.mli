@@ -111,12 +111,10 @@ val load : string -> (t, string) result
 (** [files ~dir] — paths of the [*.r2cr] files under [dir], sorted. *)
 val files : dir:string -> string list
 
-(** [config_of_name name] — the diversification config for an
-    [r2cc]-style preset name. Raises [Failure] on unknown names. *)
-val config_of_name : string -> R2c_core.Dconfig.t
-
 (** [cost_profile meta] — the cost model named by [meta.machine]
-    (case-insensitive). Raises [Failure] on unknown names. *)
+    (case-insensitive). Parsed traces always name a known machine and
+    config ({!of_string} rejects the rest); a hand-built [meta] with an
+    unknown name raises [Failure] here or in {!build}. *)
 val cost_profile : meta -> R2c_machine.Cost.profile
 
 (** [build meta program] — recompile under the recorded coordinates:

@@ -644,8 +644,6 @@ let stats t = t.stats
 let clock t = t.clock
 let epoch t = t.epoch
 let rotating t = t.rotating <> None
-let shard_count t = Array.length t.shards
-let queue_depth t i = depth t.shards.(i) ~now:t.clock
 let quarantined t i = t.shards.(i).quarantined_until > t.clock
 
 let availability s =

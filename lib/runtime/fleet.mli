@@ -126,12 +126,6 @@ val epoch : t -> int
 (** [rotating t] — a rotation is mid-drain. *)
 val rotating : t -> bool
 
-val shard_count : t -> int
-
-(** [queue_depth t i] — outstanding requests on shard [i] at the current
-    clock. *)
-val queue_depth : t -> int -> int
-
 (** [quarantined t i] — shard [i] is currently excluded from dispatch. *)
 val quarantined : t -> int -> bool
 

@@ -82,10 +82,6 @@ module Backoff_state = struct
     s.last_delay <- d;
     d
 
-  let reset s =
-    s.streak <- 0;
-    s.last_delay <- 0
-
   let record_crash s ~now =
     s.crash_times <- now :: List.filter (fun c -> now - c < s.cfg.window) s.crash_times;
     if List.length s.crash_times >= s.cfg.max_crashes then begin

@@ -39,7 +39,6 @@ type t =
   | Backoff of backoff
   | Reactive of escalation
 
-val escalation_to_string : escalation -> string
 val to_string : t -> string
 
 (** Per-worker backoff bookkeeping: delay escalation and the circuit
@@ -53,10 +52,6 @@ module Backoff_state : sig
       monotonically non-decreasing and never exceed [cap], jitter
       included. *)
   val next_delay : s -> int
-
-  (** [reset s] — a healthy stretch ends the escalation (delays restart
-      from [base]). *)
-  val reset : s -> unit
 
   (** [record_crash s ~now] — feed the circuit breaker; [true] when this
       crash trips it (the worker enters quarantine until

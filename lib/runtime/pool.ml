@@ -106,8 +106,6 @@ type instruments = {
   i_request_cycles : Obs.Metrics.histogram;
 }
 
-type postmortem = { pm_clock : int; pm_wid : int; pm_fault : string; pm_tail : string }
-
 type t = {
   cfg : config;
   ns : string;  (* metric-name prefix: lets shards share one registry *)
@@ -124,12 +122,10 @@ type t = {
   mutable sensitive : (int * int) list;
   mutable obs : Obs.Sink.t option;
   mutable instruments : instruments option;
-  mutable postmortems : postmortem list;  (* newest first, capped *)
 }
 
 (* Post-mortems kept per run: only the last K crashes stay resident, so a
    chaos campaign with thousands of crashes stays bounded. *)
-let max_postmortems = 8
 
 let ring_capacity = 32
 
@@ -201,14 +197,6 @@ let capture_postmortem t w f =
   match (t.obs, w.ring) with
   | Some sink, Some ring ->
       let tail = Trace.pp_tail ring ~n:16 in
-      t.postmortems <-
-        {
-          pm_clock = t.clock;
-          pm_wid = w.wid;
-          pm_fault = Fault.to_string f;
-          pm_tail = tail;
-        }
-        :: List.filteri (fun i _ -> i < max_postmortems - 1) t.postmortems;
       Obs.Events.instant ~cat:"postmortem" ~tid:(w.wid + 1)
         ~args:
           [
@@ -271,7 +259,6 @@ let create ?(cfg = default_config) ?obs ?(ns = "") ~build ~break_sym () =
       sensitive = [];
       obs = None;
       instruments = None;
-      postmortems = [];
     }
   in
   (match obs with None -> () | Some sink -> set_obs t sink);
@@ -618,8 +605,6 @@ let submit ?retries t payload =
 let run ?obs t payloads =
   (match obs with None -> () | Some sink -> set_obs t sink);
   List.map (fun p -> submit t p) payloads
-
-let postmortems t = List.rev t.postmortems
 
 let stats t = t.stats
 let clock t = t.clock

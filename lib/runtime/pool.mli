@@ -64,16 +64,6 @@ type response =
 
 type t
 
-(** A crash post-mortem: the last instructions the dying child executed,
-    captured from its per-worker trace ring at the moment of the fault.
-    Only kept when the pool is observed; bounded to the last few crashes. *)
-type postmortem = {
-  pm_clock : int;  (** pool clock at the crash *)
-  pm_wid : int;
-  pm_fault : string;
-  pm_tail : string;  (** {!R2c_machine.Trace.pp_tail} of the child's ring *)
-}
-
 (** [create ?cfg ?obs ?ns ~build ~break_sym ()] — [build ~seed] compiles one
     worker image; [break_sym] names the per-request serving point every
     worker parks at between requests (the request-accept loop). All workers
@@ -143,9 +133,6 @@ val is_shutdown : t -> bool
     the fleet-wide arrival time so respawn downtimes elapse in fleet
     time, not per-shard request counts. *)
 val advance_clock : t -> int -> unit
-
-(** [postmortems t] — captured crash post-mortems, oldest first. *)
-val postmortems : t -> postmortem list
 
 val stats : t -> stats
 val clock : t -> int

@@ -10,11 +10,6 @@
     attack payloads, and the per-request instruction count is what sets
     the campaign's wall-clock. *)
 
-(** Requests the serving loop accepts before the child exits on its own
-    (set high; child rotation belongs to the supervisor's
-    [requests_per_child], not the program). *)
-val loop_bound : int
-
 val program : unit -> Ir.program
 
 (** Return-address symbol of the [read_input] call — the per-request

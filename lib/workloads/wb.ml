@@ -18,17 +18,6 @@ let for_ fb ~from ~below body =
   B.br fb header;
   B.switch_to fb fin
 
-let while_ fb cond body =
-  let header = B.new_block fb and bodyl = B.new_block fb and fin = B.new_block fb in
-  B.br fb header;
-  B.switch_to fb header;
-  let c = cond () in
-  B.cond_br fb c bodyl fin;
-  B.switch_to fb bodyl;
-  body ();
-  B.br fb header;
-  B.switch_to fb fin
-
 let if_ fb c then_ else_ =
   let yes = B.new_block fb and no = B.new_block fb and join = B.new_block fb in
   B.cond_br fb c yes no;

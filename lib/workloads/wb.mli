@@ -7,9 +7,6 @@
     complex bodies (including calls) are safe. *)
 val for_ : Builder.t -> from:Ir.operand -> below:Ir.operand -> (Ir.operand -> unit) -> unit
 
-(** [while_ fb cond body] — [cond] emits code computing the continue flag. *)
-val while_ : Builder.t -> (unit -> Ir.operand) -> (unit -> unit) -> unit
-
 (** [if_ fb c then_ else_] — two-armed conditional statement. *)
 val if_ : Builder.t -> Ir.operand -> (unit -> unit) -> (unit -> unit) -> unit
 

@@ -108,11 +108,31 @@ let reaching_uninit_diamond () =
   Alcotest.(check (list (triple int int int)))
     "one-arm def flagged at the join read"
     [ (1, 3, 0) ]
-    (Dataflow.Reaching.uninit_reads (diamond ~both:false));
+    (Validate.uninit_reads (diamond ~both:false));
   Alcotest.(check (list (triple int int int)))
     "both-arm def is clean"
     []
-    (Dataflow.Reaching.uninit_reads (diamond ~both:true))
+    (Validate.uninit_reads (diamond ~both:true));
+  (* Around a loop: a var first defined inside the body is flagged at the
+     header read the entry edge reaches; one defined before the loop is
+     clean on the back edge too. *)
+  let loop ~pre =
+    fn ~nparams:0 ~nvars:2
+      [
+        { lbl = 0; body = (if pre then [ Mov (1, Const 0) ] else []); term = Br 1 };
+        {
+          lbl = 1;
+          body = [ Binop (1, Add, Var 1, Const 1); Cmp (0, Lt, Var 1, Const 9) ];
+          term = Cond_br (Var 0, 1, 2);
+        };
+        { lbl = 2; body = []; term = Ret (Some (Var 1)) };
+      ]
+  in
+  Alcotest.(check (list (triple int int int)))
+    "loop-header read before the first def flagged" [ (1, 1, 0) ]
+    (Validate.uninit_reads (loop ~pre:false));
+  Alcotest.(check (list (triple int int int)))
+    "def before the loop is clean" [] (Validate.uninit_reads (loop ~pre:true))
 
 let ccp_hand_cases () =
   (* Constants fold through arithmetic; a constant-false branch's arm is
@@ -310,7 +330,7 @@ let tval_jobs_deterministic () =
   let r1 = R2c_harness.Tvalbench.run ~seed:3 ~jobs:1 () in
   let r8 = R2c_harness.Tvalbench.run ~seed:3 ~jobs:8 () in
   Alcotest.(check bool) "reports identical at jobs=1 vs jobs=8" true (r1 = r8);
-  Alcotest.(check (list string)) "gate clean" [] (R2c_harness.Tvalbench.gate r1);
+  Alcotest.(check (list (pair string string))) "gate clean" [] (R2c_harness.Tvalbench.gate r1);
   Alcotest.(check int) "17 workloads" 17 (List.length r1.R2c_harness.Tvalbench.workloads)
 
 (* Replay every committed fuzz reproducer through the validator: a

@@ -5,7 +5,6 @@
 open R2c_machine
 module Pool = R2c_runtime.Pool
 module Fleet = R2c_runtime.Fleet
-module Fleetbench = R2c_harness.Fleetbench
 module Fleetapp = R2c_workloads.Fleetapp
 module Obs = R2c_obs
 module Q = QCheck
@@ -257,19 +256,25 @@ let prop_quarantine_no_loss =
       && s.Fleet.served + s.Fleet.dropped = 400)
 
 let prop_jobs_deterministic =
-  (* The fleet report — availability, latency percentiles, rotation and
-     drop counters — is bit-identical whether background epoch compiles
-     run serially or across 8 domains. *)
+  (* The fleet experiment's deterministic half — availability, latency
+     percentiles, rotation and drop counters — is byte-identical whether
+     background epoch compiles run serially or across 8 domains. *)
   Q.Test.make ~count:3 ~name:"fleet: report identical at jobs=1 and jobs=8"
     Q.(int_range 1 1000)
     (fun seed ->
-      let report jobs =
-        Obs.Json.to_string
-          (Fleetbench.json
-             (Fleetbench.run ~seed ~requests:600 ~shards:2 ~epoch_cycles:150_000
-                ~jobs ()))
+      let module E = R2c_harness.Experiment in
+      let open Cmdliner in
+      let fleet = List.find (fun e -> E.name e = "fleet") E.all in
+      let argv =
+        [| "fleet"; "--seed"; string_of_int seed; "--requests"; "600"; "--shards"; "2";
+           "--epoch-cycles"; "150000" |]
       in
-      String.equal (report 1) (report 8))
+      let det jobs =
+        match Cmd.eval_value ~argv (Cmd.v (Cmd.info "fleet") (E.command fleet)) with
+        | Ok (`Ok go) -> Obs.Json.to_string (go ~jobs:(Some jobs)).E.det
+        | Ok (`Help | `Version) | Error _ -> Alcotest.fail "fleet flags rejected"
+      in
+      String.equal (det 1) (det 8))
 
 let props = List.map QCheck_alcotest.to_alcotest
     [ prop_admission_bound; prop_accounting; prop_quarantine_no_loss;

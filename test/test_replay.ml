@@ -148,6 +148,13 @@ let test_of_string_rejects () =
          Rome\",\"fuel\":1000,\"expect\":{\"cycles\":1.0,\"insns\":1,\"accesses\":1,\"misses\":0,\"exit\":0,\"output_len\":0,\"output_hash\":\"cbf29ce484222325\"},\"dict\":[]}\n\
          {\"program\":\"not ir\"}\n" );
     ]
+    @ (* Hostile rebuild coordinates in an otherwise valid trace. *)
+    List.map
+      (fun (what, meta) -> (what, RTrace.to_string { t with RTrace.meta }))
+      [
+        ("unknown config", { t.RTrace.meta with RTrace.config = "warp-drive" });
+        ("unknown machine", { t.RTrace.meta with RTrace.machine = "PDP-11" });
+      ]
   in
   List.iter
     (fun (what, s) ->

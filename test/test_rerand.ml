@@ -326,7 +326,7 @@ let test_replay_incremental () =
     | Ok t -> t
     | Error e -> Alcotest.fail ("capture failed: " ^ e)
   in
-  let cfg = RTrace.config_of_name t.RTrace.meta.RTrace.config in
+  let cfg = List.assoc t.RTrace.meta.RTrace.config R2c_core.Dconfig.named in
   let r = Pipeline.rerand_create () in
   (* Warm the cache at a rotated link seed, then rebuild at the trace's
      recorded coordinates: the replayed image is a pure relink. *)
@@ -364,7 +364,7 @@ let test_replay_corpus_incremental () =
           | Error e -> Alcotest.fail (Filename.basename path ^ ": " ^ e)
           | Ok t when t.RTrace.meta.RTrace.config = "baseline" -> ()
           | Ok t ->
-              let cfg = RTrace.config_of_name t.RTrace.meta.RTrace.config in
+              let cfg = List.assoc t.RTrace.meta.RTrace.config R2c_core.Dconfig.named in
               let r = Pipeline.rerand_create () in
               let image, _ =
                 Pipeline.compile_incremental r
