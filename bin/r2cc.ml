@@ -162,14 +162,14 @@ let run_workload name config machine seed dump emit_ir trace profiled lint tval
   else if trace then begin
     (* Traced run: keep the last instructions for a post-mortem view. *)
     let cpu = Loader.load ~profile img in
-    let tr = Trace.create ~capacity:40 in
-    let result = Trace.run tr cpu ~fuel:50_000_000 in
+    let tr = Ring.create ~capacity:40 in
+    let result = Ring.run tr cpu ~fuel:50_000_000 in
     Printf.printf "--- output ---\n%s--- end ---\n" (Cpu.output cpu);
     (match result with
     | Cpu.Halted -> Printf.printf "exit: %d\n" cpu.Cpu.exit_code
     | Cpu.Fuel_exhausted -> print_endline "timeout"
     | Cpu.Faulted f -> Printf.printf "FAULT: %s\n" (Fault.to_string f));
-    Printf.printf "last instructions:\n%s\n" (Trace.pp_tail tr ~n:24);
+    Printf.printf "last instructions:\n%s\n" (Ring.pp_tail tr ~n:24);
     0
   end
   else begin

@@ -44,13 +44,10 @@ let classify byte =
 let text_bytes (img : Image.t) =
   let b = Bytes.make img.text_len '\x00' in
   Array.iter
-    (fun (addr, insn, len) ->
-      let off = addr - img.text_base in
-      for k = 0 to len - 1 do
-        if off + k >= 0 && off + k < img.text_len then
-          Bytes.unsafe_set b (off + k) (Char.unsafe_chr (Image.encode_byte insn k))
-      done)
-    (Lazy.force img.code_list);
+    (fun (c : Image.chunk) ->
+      let text = c.c_body.b_text in
+      Bytes.blit_string text 0 b (c.c_entry - img.text_base) (String.length text))
+    img.chunks;
   Bytes.unsafe_to_string b
 
 let scan ?(max_insns = 5) img =

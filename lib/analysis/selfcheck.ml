@@ -24,8 +24,9 @@ let drop_postcheck (img : Image.t) =
       match Image.code_at img ra with
       | Some (Insn.Mov (Reg R11, Mem _), len) ->
           (* Overwrite the first post-check instruction with a same-size
-             NOP in a deep copy of the code tables: the emitted bytes no
-             longer match what checked_sites promises. *)
+             NOP in a deep copy of the code tables, the placed text and
+             the instruction index: the emitted bytes no longer match
+             what checked_sites promises. *)
           let code =
             let copy = Hashtbl.copy (Lazy.force img.code) in
             Hashtbl.replace copy ra (Insn.Nop len, len);
@@ -37,7 +38,31 @@ let drop_postcheck (img : Image.t) =
                  (fun (a, i, l) -> if a = ra then (a, Insn.Nop len, l) else (a, i, l))
                  (Lazy.force img.code_list))
           in
-          { img with code; code_list }
+          (* The covering function is re-encoded without [locals]: its own
+             labels then resolve through the symbol table like externals. *)
+          let patch (c : Image.chunk) =
+            let b = c.c_body in
+            let off = ra - c.c_entry in
+            if off < 0 || off >= String.length b.b_text then c
+            else begin
+              let k = ref 0 and pos = ref 0 in
+              while !pos < off do
+                pos := !pos + b.b_sizes.(!k);
+                incr k
+              done;
+              let insns = Array.copy b.b_insns in
+              insns.(!k) <- Insn.Nop len;
+              let b = Image.body ~locals:[] insns b.b_sizes in
+              { c with c_body = b; c_ext = Array.map (Image.symbol img) b.b_ext }
+            end
+          in
+          {
+            img with
+            code;
+            code_list;
+            chunks = Array.map patch img.chunks;
+            index = Atomic.make None;
+          }
       | _ -> invalid_arg "Selfcheck: no post-return check at the first checked site")
 
 let skip_mprotect (img : Image.t) = { img with text_perm = Perm.rw }
@@ -52,7 +77,7 @@ let plant_code_pointer (img : Image.t) =
   {
     img with
     data_len = addr + 8 - img.data_base;
-    data_words = lazy (Lazy.force img.data_words @ [ (addr, victim.entry) ]);
+    data_words = lazy (Array.append (Lazy.force img.data_words) [| addr; victim.entry |]);
   }
 
 let apply m img =

@@ -1,49 +1,20 @@
 open R2c_machine
 
 (* A relocation template: everything layout-independent about one emitted
-   function's placement. Instruction byte offsets are fixed at emission
-   time ([Asm.esizes]), so only the instructions listed in [t_reloc]
-   (those carrying symbolic operands) need any work when the function
-   lands at a new entry address — the rest are placed as-is. Computed
-   once per cache entry by the incremental rebuild path; the cold linker
-   derives the same information on the fly. *)
-type template = {
-  t_len : int;  (* total encoded length, [Asm.byte_size] precomputed *)
-  t_offs : int array;  (* byte offset of each instruction *)
-  t_reloc : int array;  (* indices of unresolved instructions, ascending *)
-  t_syms : string array;  (* distinct external symbols referenced, for
-                             the eager undefined-symbol check; the
-                             body's own labels are defined at placement
-                             and need no check *)
-}
+   function's placement ([Image.body]). Instruction byte offsets are fixed
+   at emission time ([Asm.esizes]) and the pseudo-encoding depends only on
+   opcode tags, so the body's bytes are computed once; only its
+   relocations (the instructions carrying symbolic operands) need any work
+   when the function lands at a new entry address — the rest is placed
+   as-is. Computed once per cache entry by the incremental rebuild path,
+   eagerly: templates are built inside the cache's parallel fan-out and
+   shared across domains afterwards. Its distinct external symbols double
+   as the eager undefined-symbol check list; the body's own labels are
+   defined at placement and need none. *)
+type template = Image.body
 
 let template (e : Asm.emitted) =
-  let n = Array.length e.insns in
-  let offs = Array.make n 0 in
-  let off = ref 0 in
-  let reloc = ref [] in
-  let syms = Hashtbl.create 8 in
-  for i = 0 to n - 1 do
-    offs.(i) <- !off;
-    off := !off + e.esizes.(i);
-    if not (Insn.is_resolved e.insns.(i)) then begin
-      reloc := i :: !reloc;
-      ignore
-        (Insn.map_syms
-           (fun s o ->
-             Hashtbl.replace syms s ();
-             o)
-           e.insns.(i))
-    end
-  done;
-  Hashtbl.remove syms e.ename;
-  List.iter (fun (s, _) -> Hashtbl.remove syms s) e.local_syms;
-  {
-    t_len = !off;
-    t_offs = offs;
-    t_reloc = Array.of_list (List.rev !reloc);
-    t_syms = Array.of_seq (Seq.map fst (Hashtbl.to_seq syms));
-  }
+  Image.body ~locals:((e.ename, 0) :: e.local_syms) e.insns e.esizes
 
 let link_gen ~(opts : Opts.t) ~main (pairs : (Asm.emitted * template) list)
     (globals : Ir.global list) =
@@ -74,9 +45,11 @@ let link_gen ~(opts : Opts.t) ~main (pairs : (Asm.emitted * template) list)
   in
   let start_base = text_base + (List.length Image.builtin_names * plt_entry_bytes) in
   define "_start" start_base;
-  let start_len =
-    List.fold_left (fun acc i -> acc + insn_size i) 0 start_insns
+  let start_body =
+    let insns = Array.of_list start_insns in
+    Image.body ~locals:[] insns (Array.map insn_size insns)
   in
+  let start_len = String.length start_body.Image.b_text in
   (* Function placement. *)
   let by_name = Hashtbl.create (max 256 (2 * npairs)) in
   List.iter
@@ -102,7 +75,7 @@ let link_gen ~(opts : Opts.t) ~main (pairs : (Asm.emitted * template) list)
         let entry = !cursor in
         define e.Asm.ename entry;
         List.iter (fun (s, off) -> define s (entry + off)) e.Asm.local_syms;
-        let len = t.t_len in
+        let len = String.length t.Image.b_text in
         cursor := !cursor + len + max 0 (opts.func_pad ~fname:name);
         (e, t, entry, len))
       order
@@ -130,25 +103,27 @@ let link_gen ~(opts : Opts.t) ~main (pairs : (Asm.emitted * template) list)
     | Some a -> a + off
     | None -> invalid_arg ("link: undefined symbol " ^ s)
   in
-  (* Undefined references are a link-time error even though the
-     per-instruction fill below is deferred: check every distinct symbol
-     each body references (plus _start's own) against the now-complete
-     table. *)
-  List.iter (fun insn -> ignore (Insn.map_syms resolve insn)) start_insns;
-  List.iter
-    (fun ((_ : Asm.emitted), (t : template), _, _) ->
-      Array.iter (fun s -> ignore (resolve s 0)) t.t_syms)
-    placed;
-  (* Text placement, in ascending address order: _start first, then the
-     functions at their assigned entries. Lengths come from the
-     emission-time encoder measurement ([Asm.esizes]): layout and
-     execution must agree even when resolution changes an immediate's
-     width. Only instructions on a template's relocation list touch the
-     symbol table; everything else is placed as-is. The whole-text fill
-     is deferred until the image is loaded, fingerprinted or audited —
-     layout and symbol resolution above are the only eager per-rotation
-     work, which is what makes the steady-state incremental relink
-     relocation-only. *)
+  (* The placed text: every distinct external symbol each body references
+     (plus _start's own) is resolved now, so undefined references are a
+     link-time error even though the per-instruction fill below is
+     deferred; the addresses are kept for the placement-built predecode. *)
+  let place entry (t : template) =
+    { Image.c_entry = entry; c_body = t; c_ext = Array.map (fun s -> resolve s 0) t.Image.b_ext }
+  in
+  let chunks =
+    Array.of_list (place start_base start_body :: List.map (fun (_, t, entry, _) -> place entry t) placed)
+  in
+  (* The per-instruction address table, in ascending address order:
+     _start first, then the functions at their assigned entries. Lengths
+     come from the emission-time encoder measurement ([Asm.esizes]):
+     layout and execution must agree even when resolution changes an
+     immediate's width. Only unresolved instructions touch the symbol
+     table. Built on demand, straight from the emitted instructions,
+     independently of the templates' slots — it is the reference the
+     placement-built [Image.predecode] is checked against, and loading
+     never needs it: the loader copies the templates' bytes. Layout and
+     symbol checks above are the only eager per-rotation work, which is
+     what makes the steady-state incremental relink relocation-only. *)
   let code_list =
     lazy
       (let total_insns =
@@ -172,26 +147,23 @@ let link_gen ~(opts : Opts.t) ~main (pairs : (Asm.emitted * template) list)
              addr + len)
            start_base start_insns
        in
-       let place_emitted (e : Asm.emitted) (t : template) entry =
-         let ri = ref 0 in
-         let nr = Array.length t.t_reloc in
+       let place_emitted (e : Asm.emitted) entry =
+         let off = ref 0 in
          Array.iteri
            (fun i insn ->
              let insn =
-               if !ri < nr && t.t_reloc.(!ri) = i then begin
-                 incr ri;
+               if Insn.is_resolved insn then insn
+               else begin
                  let resolved = Insn.map_syms resolve insn in
                  assert (Insn.is_resolved resolved);
                  resolved
                end
-               else insn
              in
-             place (entry + t.t_offs.(i)) insn e.esizes.(i))
+             place (entry + !off) insn e.esizes.(i);
+             off := !off + e.esizes.(i))
            e.insns
        in
-       List.iter
-         (fun ((e : Asm.emitted), t, entry, _len) -> place_emitted e t entry)
-         placed;
+       List.iter (fun ((e : Asm.emitted), _, entry, _len) -> place_emitted e entry) placed;
        assert (!slot = total_insns);
        arr)
   in
@@ -226,32 +198,39 @@ let link_gen ~(opts : Opts.t) ~main (pairs : (Asm.emitted * template) list)
      materialization is deferred like the text fill — BTRA decoy arrays
      make the initialiser volume proportional to program size — but
      undefined references stay an eager link error: check each symbolic
-     initialiser against the completed table now (membership only, no
-     list building). *)
+     initialiser against the completed table now (membership only), and
+     count the items so the deferred pass fills arrays sized up front. *)
   let is_func = Hashtbl.mem by_name in
   let alias s = if is_func s then opts.func_alias s else s in
   let check s = if not (Hashtbl.mem symbols s) then invalid_arg ("link: undefined symbol " ^ s) in
+  let nwords = ref 0 and nsyms = ref 0 and nstrs = ref 0 in
   List.iter
     (fun ((g : Ir.global), _) ->
       List.iter
         (function
-          | Ir.Sym_addr s -> check (alias s)
-          | Ir.Sym_addr_off (s, _) -> check s
-          | Ir.Word _ | Ir.Str _ -> ())
+          | Ir.Sym_addr s -> check (alias s); incr nwords; incr nsyms
+          | Ir.Sym_addr_off (s, _) -> check s; incr nwords; incr nsyms
+          | Ir.Word _ -> incr nwords
+          | Ir.Str _ -> incr nstrs)
         g.ginit)
     global_addr;
+  (* One flat pass: [words] holds (address, value) pairs, [syms] the
+     indices of the words a symbolic initialiser produced. *)
   let data_init =
     lazy
-      (let data_words = ref [] in
-       let data_bytes = ref [] in
-       (* Symbolic initialisers resolving into text are the sanctioned
-          code-pointer population the static auditor's hygiene rule checks
-          readable memory against. *)
-       let code_ptr_slots = Hashtbl.create 64 in
-       let add_word addr v =
-         data_words := (addr, v) :: !data_words;
-         if v >= text_base && v < text_base + text_len then
-           Hashtbl.replace code_ptr_slots addr ()
+      (let words = Array.make (2 * !nwords) 0 in
+       let syms = Array.make !nsyms 0 in
+       let strs = Array.make !nstrs (0, "") in
+       let w = ref 0 and sy = ref 0 and st = ref 0 in
+       let word addr v =
+         words.(2 * !w) <- addr;
+         words.((2 * !w) + 1) <- v;
+         incr w
+       in
+       let sym_word addr v =
+         syms.(!sy) <- !w;
+         incr sy;
+         word addr v
        in
        List.iter
          (fun ((g : Ir.global), addr) ->
@@ -260,22 +239,37 @@ let link_gen ~(opts : Opts.t) ~main (pairs : (Asm.emitted * template) list)
                (fun off item ->
                  match item with
                  | Ir.Word v ->
-                     data_words := (addr + off, v) :: !data_words;
+                     word (addr + off) v;
                      off + 8
                  | Ir.Sym_addr s ->
-                     add_word (addr + off) (resolve (alias s) 0);
+                     sym_word (addr + off) (resolve (alias s) 0);
                      off + 8
                  | Ir.Sym_addr_off (s, o) ->
-                     add_word (addr + off) (resolve s o);
+                     sym_word (addr + off) (resolve s o);
                      off + 8
                  | Ir.Str s ->
-                     data_bytes := (addr + off, s) :: !data_bytes;
+                     strs.(!st) <- (addr + off, s);
+                     incr st;
                      off + String.length s)
                0 g.ginit
            in
            ())
          global_addr;
-       (List.rev !data_words, List.rev !data_bytes, code_ptr_slots))
+       (words, syms, strs))
+  in
+  (* Symbolic initialisers resolving into text are the sanctioned
+     code-pointer population the static auditor's hygiene rule checks
+     readable memory against; only the auditor and fingerprints ask. *)
+  let code_ptr_slots =
+    lazy
+      (let words, syms, _ = Lazy.force data_init in
+       let h = Hashtbl.create (max 64 (Array.length syms)) in
+       Array.iter
+         (fun k ->
+           let v = words.((2 * k) + 1) in
+           if v >= text_base && v < text_base + text_len then Hashtbl.replace h words.(2 * k) ())
+         syms;
+       h)
   in
   let code =
     lazy
@@ -287,13 +281,15 @@ let link_gen ~(opts : Opts.t) ~main (pairs : (Asm.emitted * template) list)
   {
     Image.code;
     code_list;
+    chunks;
+    index = Atomic.make None;
     text_base;
     text_len;
     text_perm = opts.text_perm;
     data_base;
     data_len;
     data_words = lazy (let w, _, _ = Lazy.force data_init in w);
-    data_bytes = lazy (let _, b, _ = Lazy.force data_init in b);
+    data_bytes = lazy (let _, _, b = Lazy.force data_init in b);
     symbols;
     funcs;
     entry = start_base;
@@ -303,7 +299,7 @@ let link_gen ~(opts : Opts.t) ~main (pairs : (Asm.emitted * template) list)
     unwind_funcs;
     unwind_sites;
     checked_sites;
-    code_ptr_slots = (lazy (let _, _, s = Lazy.force data_init in s));
+    code_ptr_slots;
     shadow_stack = opts.shadow_stack;
   }
 

@@ -3,6 +3,11 @@ module Pipeline = R2c_core.Pipeline
 module Dconfig = R2c_core.Dconfig
 module Incremental = R2c_compiler.Incremental
 module Image = R2c_machine.Image
+module Process = R2c_machine.Process
+module Loader = R2c_machine.Loader
+module Mem = R2c_machine.Mem
+module Addr = R2c_machine.Addr
+module Cost = R2c_machine.Cost
 module J = R2c_obs.Json
 
 type report = {
@@ -13,6 +18,7 @@ type report = {
   rotations : int;
   checked : int;
   identical : bool;
+  loaded_identical : bool;
   warm_misses : int;
   rotation_hits : int;
   rotation_misses : int;
@@ -22,7 +28,7 @@ type report = {
   cache_entries : int;
 }
 
-type timing = { cold_ms : float; incr_ms : float; speedup : float }
+type timing = { cold_ms : float; incr_ms : float; start_ms : float; speedup : float }
 
 (* The single-function IR edit of the edit-step: one more local variable.
    It grows the function's frame, so the recompiled body genuinely
@@ -39,6 +45,16 @@ let edit_one (p : Ir.program) =
   ({ p with Ir.funcs }, victim.Ir.name)
 
 let now () = Unix.gettimeofday ()
+
+(* The text pages of [img] as a freshly loaded process maps them, read
+   back permission-free (full-R2C text is execute-only). *)
+let loaded_text (img : Image.t) =
+  let cpu = Loader.load ~jit:false ~profile:Cost.epyc_rome img in
+  let len = Addr.align_up (max img.text_len Addr.page_size) ~align:Addr.page_size in
+  String.init len (fun i ->
+      match Mem.peek_u8 cpu.R2c_machine.Cpu.mem (img.text_base + i) with
+      | Some b -> Char.chr b
+      | None -> invalid_arg "rerandbench: text page unmapped")
 
 let run ?(funcs = 10_000) ?(config = "full") ?(body_seed = 3) ?(base_link_seed = 100)
     ?(rotations = 4) ?(checked = 2) ?jobs () =
@@ -63,25 +79,33 @@ let run ?(funcs = 10_000) ?(config = "full") ?(body_seed = 3) ?(base_link_seed =
   let warm, warm_stats = Pipeline.compile_incremental ?jobs r (coords base_link_seed) p in
   let warm_fp = Image.fingerprint warm in
   (* Steady-state rotations: only the link seed moves. *)
-  let rot_hits = ref 0 and rot_misses = ref 0 and incr_total = ref 0.0 in
+  let rot_hits = ref 0 and rot_misses = ref 0 in
+  let incr_total = ref 0.0 and start_total = ref 0.0 in
   let identical = ref (String.equal warm_fp cold_fp) in
+  let loaded_identical = ref true in
   for i = 1 to rotations do
     let c = coords (base_link_seed + i) in
     settle ();
     let t0 = now () in
     let img, stats = Pipeline.compile_incremental ?jobs r c p in
-    incr_total := !incr_total +. ((now () -. t0) *. 1000.0);
+    let t1 = now () in
+    ignore (Sys.opaque_identity (Process.start img));
+    incr_total := !incr_total +. ((t1 -. t0) *. 1000.0);
+    start_total := !start_total +. ((now () -. t1) *. 1000.0);
     rot_hits := !rot_hits + stats.Incremental.hits;
     rot_misses := !rot_misses + stats.Incremental.misses;
     (* Differential spot checks: a cold compile at sampled rotation
-       coordinates must fingerprint-match the incremental rebuild. *)
+       coordinates must fingerprint-match the incremental rebuild, and
+       load to the same text pages. *)
     if i <= checked then begin
       let cold_i = Pipeline.compile_cold c p in
       if not (String.equal (Image.fingerprint cold_i) (Image.fingerprint img)) then
-        identical := false
+        identical := false;
+      if not (String.equal (loaded_text cold_i) (loaded_text img)) then loaded_identical := false
     end
   done;
   let incr_ms = !incr_total /. float_of_int (max 1 rotations) in
+  let start_ms = !start_total /. float_of_int (max 1 rotations) in
   (* Edit step: one function's IR changes; the rebuild recompiles it and
      nothing else, and still matches a cold compile of the edited
      program. *)
@@ -100,6 +124,7 @@ let run ?(funcs = 10_000) ?(config = "full") ?(body_seed = 3) ?(base_link_seed =
       rotations;
       checked;
       identical = !identical;
+      loaded_identical = !loaded_identical;
       warm_misses = warm_stats.Incremental.misses;
       rotation_hits = !rot_hits;
       rotation_misses = !rot_misses;
@@ -110,7 +135,7 @@ let run ?(funcs = 10_000) ?(config = "full") ?(body_seed = 3) ?(base_link_seed =
     }
   in
   let timing =
-    { cold_ms; incr_ms; speedup = (if incr_ms > 0.0 then cold_ms /. incr_ms else 0.0) }
+    { cold_ms; incr_ms; start_ms; speedup = (if incr_ms > 0.0 then cold_ms /. incr_ms else 0.0) }
   in
   (report, timing)
 
@@ -121,6 +146,9 @@ let gate ?(min_speedup = 10.0) ?timing r =
   let checks =
     [
       ("identity", "byte-identical to cold compile at every checked rotation", r.identical);
+      ( "identity",
+        "loaded text pages identical to a cold compile's at every checked rotation",
+        r.loaded_identical );
       ("identity", "edit rebuild byte-identical to cold compile", r.edit_identical);
       ("cache", "warm build compiles every function once", r.warm_misses >= r.funcs);
       ("cache", "rotations hit the cache for every function", r.rotation_misses = 0);
@@ -151,6 +179,7 @@ let json r =
       ("rotations", J.Int r.rotations);
       ("checked", J.Int r.checked);
       ("identical", J.Bool r.identical);
+      ("loaded_identical", J.Bool r.loaded_identical);
       ("warm_misses", J.Int r.warm_misses);
       ("rotation_hits", J.Int r.rotation_hits);
       ("rotation_misses", J.Int r.rotation_misses);
@@ -165,13 +194,14 @@ let timing_json t =
     [
       ("cold_ms", J.Float t.cold_ms);
       ("incr_ms", J.Float t.incr_ms);
+      ("start_ms", J.Float t.start_ms);
       ("speedup", J.Float t.speedup);
     ]
 
 let print (r, t) =
   Printf.printf
-    "rerand: %d funcs (%s), %d rotations: cold %.0f ms, incremental %.1f ms (%.1fx), \
-     %d/%d rotation hits, edit recompiled %d, identical=%b\n"
-    r.funcs r.config r.rotations t.cold_ms t.incr_ms t.speedup r.rotation_hits
+    "rerand: %d funcs (%s), %d rotations: cold %.0f ms, incremental %.1f ms (%.1fx) + start \
+     %.1f ms, %d/%d rotation hits, edit recompiled %d, identical=%b\n"
+    r.funcs r.config r.rotations t.cold_ms t.incr_ms t.speedup t.start_ms r.rotation_hits
     (r.rotation_hits + r.rotation_misses) r.edit_misses
-    (r.identical && r.edit_identical)
+    (r.identical && r.edit_identical && r.loaded_identical)

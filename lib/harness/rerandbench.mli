@@ -4,7 +4,9 @@
     per-function codegen cache, then rotates the link seed
     [rotations] times through {!R2c_core.Pipeline.compile_incremental},
     differentially fingerprinting sampled rotations against cold
-    compiles at the same coordinates. A final edit step changes one
+    compiles at the same coordinates and comparing the text pages each
+    loads to. Every rotated image is started as a process, timed apart
+    from the relink. A final edit step changes one
     function's IR and asserts the rebuild recompiles exactly that
     function and still matches a cold compile of the edited program.
 
@@ -19,6 +21,9 @@ type report = {
   rotations : int;
   checked : int;  (** rotations differentially checked against cold *)
   identical : bool;  (** warm build and every checked rotation match cold *)
+  loaded_identical : bool;
+      (** every checked rotation loads to the same text pages as a cold
+          compile at its coordinates *)
   warm_misses : int;  (** cache misses of the warm (first) build *)
   rotation_hits : int;
   rotation_misses : int;  (** must be 0: rotations recompile nothing *)
@@ -28,7 +33,9 @@ type report = {
   cache_entries : int;
 }
 
-type timing = { cold_ms : float; incr_ms : float; speedup : float }
+(** [incr_ms] is the mean relink per rotation; [start_ms] the mean
+    {!R2c_machine.Process.start} of the rotated image, timed apart. *)
+type timing = { cold_ms : float; incr_ms : float; start_ms : float; speedup : float }
 
 val run :
   ?funcs:int ->

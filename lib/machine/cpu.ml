@@ -33,8 +33,6 @@ type t = {
          until the first observed step after an attach *)
   mutable btap : (t -> string -> unit) option;
       (* builtin-boundary tap; None = no cost *)
-  mutable pdecode : Image.pslot array option;
-      (* predecoded text, built on first fast-path run *)
   mutable tier3 : (t -> fuel:int -> run_result) option;
       (* the JIT runner (Jit.attach); None = run falls back to the fast
          interpreter tier *)
@@ -70,7 +68,6 @@ let create ?(strict_align = false) ?inject ~profile ~mem ~heap image ~rip ~rsp =
       observer = None;
       sites = [||];
       btap = None;
-      pdecode = None;
       tier3 = None;
     }
   in
@@ -509,14 +506,6 @@ let run_reference t ~fuel =
   in
   try go fuel with Fault.Fault f -> Faulted f
 
-let predecoded t =
-  match t.pdecode with
-  | Some pd -> pd
-  | None ->
-      let pd = Image.predecode t.image in
-      t.pdecode <- Some pd;
-      pd
-
 (* Fast tier: the observer and injector dispatches are hoisted out of the
    loop entirely (this loop only runs when neither is attached), and the
    fetch is one TLB exec probe plus one array read into the predecoded
@@ -524,7 +513,7 @@ let predecoded t =
    reference fetch reports it: neither hash table can match outside the
    text segment. *)
 let run_fast t ~fuel =
-  let pd = predecoded t in
+  let pd = Image.predecoded t.image in
   let base = t.image.Image.text_base in
   let len = Array.length pd in
   let rec go budget =
@@ -586,5 +575,4 @@ module Internal = struct
   let fire = fire
   let execute = execute
   let step_builtin = step_builtin
-  let predecoded = predecoded
 end

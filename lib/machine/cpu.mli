@@ -80,10 +80,6 @@ type t = {
   mutable btap : (t -> string -> unit) option;
       (** builtin-boundary tap ({!set_builtin_tap}); [None] (the default)
           costs nothing *)
-  mutable pdecode : Image.pslot array option;
-      (** predecoded text ({!Image.predecode}), built lazily on the first
-          fast-path {!run}; step-only uses (tracers, attack oracles) never
-          pay for it *)
   mutable tier3 : (t -> fuel:int -> run_result) option;
       (** the tier-3 JIT runner, installed by [Jit.attach] ({!set_tier3});
           [None] (the default) makes {!run} fall back to the fast
@@ -185,9 +181,6 @@ module Internal : sig
   (** [step_builtin t name] — one intercepted library call, including the
       builtin tap and the implicit return. *)
   val step_builtin : t -> string -> unit
-
-  (** [predecoded t] — the cpu's lazily-built {!Image.predecode} table. *)
-  val predecoded : t -> Image.pslot array
 end
 
 (** [push_input t s] queues bytes for [read_input]. *)

@@ -5,16 +5,44 @@ type func_info = {
   is_booby_trap : bool;
 }
 
+type pslot =
+  | P_none
+  | P_insn of Insn.t * int
+  | P_builtin of string
+
+type reloc = {
+  r_index : int;
+  r_off : int;
+  r_refs : int array;
+}
+
+type body = {
+  b_text : string;
+  b_insns : Insn.t array;
+  b_sizes : int array;
+  b_relocs : reloc array;
+  b_ext : string array;
+  b_slots : pslot array option Atomic.t;
+}
+
+type chunk = {
+  c_entry : int;
+  c_body : body;
+  c_ext : int array;
+}
+
 type t = {
   code : (int, Insn.t * int) Hashtbl.t Lazy.t;
   code_list : (int * Insn.t * int) array Lazy.t;
+  chunks : chunk array;
+  index : pslot array option Atomic.t;
   text_base : int;
   text_len : int;
   text_perm : Perm.t;
   data_base : int;
   data_len : int;
-  data_words : (int * int) list Lazy.t;
-  data_bytes : (int * string) list Lazy.t;
+  data_words : int array Lazy.t;
+  data_bytes : (int * string) array Lazy.t;
   symbols : (string, int) Hashtbl.t;
   funcs : func_info list;
   entry : int;
@@ -86,6 +114,85 @@ let encode_byte insn k =
   if k = 0 then opcode_tag insn
   else (opcode_tag insn * 31 + k * 17) land 0xff
 
+(* A body's bytes depend only on the instructions and their emission-time
+   sizes, never on where the body lands: resolution keeps every opcode
+   tag, so the encoding is computed once per emitted body and placement
+   copies it. Each symbol reference of a relocation is recorded in
+   [Insn.map_syms] visiting order as either an offset from the body's
+   entry (its own name and local labels: [locals]) or an index into the
+   body's distinct external symbols, which the linker resolves once per
+   placement. *)
+let body ~locals insns sizes =
+  let len = Array.fold_left ( + ) 0 sizes in
+  let text = Bytes.create len in
+  let local =
+    lazy
+      (let h = Hashtbl.create (2 * List.length locals + 1) in
+       List.iter (fun (s, off) -> Hashtbl.replace h s off) locals;
+       h)
+  in
+  let ext = Hashtbl.create 8 in
+  let code s =
+    match Hashtbl.find_opt (Lazy.force local) s with
+    | Some off -> off
+    | None -> (
+        match Hashtbl.find_opt ext s with
+        | Some k -> -k - 1
+        | None ->
+            let k = Hashtbl.length ext in
+            Hashtbl.replace ext s k;
+            -k - 1)
+  in
+  let relocs = ref [] in
+  let off = ref 0 in
+  Array.iteri
+    (fun i insn ->
+      let size = sizes.(i) in
+      for k = 0 to size - 1 do
+        Bytes.unsafe_set text (!off + k) (Char.unsafe_chr (encode_byte insn k))
+      done;
+      if not (Insn.is_resolved insn) then begin
+        let refs = ref [] in
+        ignore
+          (Insn.map_syms
+             (fun s o ->
+               refs := code s :: !refs;
+               o)
+             insn);
+        (* A zero-length instruction owns no slot (see [predecode]), but
+           its symbols still count as references. *)
+        if size > 0 then
+          relocs := { r_index = i; r_off = !off; r_refs = Array.of_list (List.rev !refs) } :: !relocs
+      end;
+      off := !off + size)
+    insns;
+  let b_ext = Array.make (Hashtbl.length ext) "" in
+  Hashtbl.iter (fun s k -> b_ext.(k) <- s) ext;
+  {
+    b_text = Bytes.unsafe_to_string text;
+    b_insns = insns;
+    b_sizes = sizes;
+    b_relocs = Array.of_list (List.rev !relocs);
+    b_ext;
+    b_slots = Atomic.make None;
+  }
+
+(* A body's predecoded slots, [P_insn (insn, size)] per instruction as
+   emitted. Built on the first predecode of any image the body is placed
+   in, then shared by every later one, so the templates of a rotating
+   program allocate their slots once, not once per rotation. Deferred
+   rather than computed with the bytes because images that are never run
+   fast — cold references, audits — would only pay its memory; an atomic
+   cell rather than a [Lazy] because bodies are shared across domains,
+   where two domains racing to build it just produce equal arrays. *)
+let body_slots b =
+  match Atomic.get b.b_slots with
+  | Some slots -> slots
+  | None ->
+      let slots = Array.mapi (fun i insn -> P_insn (insn, b.b_sizes.(i))) b.b_insns in
+      Atomic.set b.b_slots (Some slots);
+      slots
+
 (* Canonical digest: every observable field serialized in a fixed order,
    hashtables dumped sorted (their internal layout depends on insertion
    history, which byte-identical images are allowed to differ in). Two
@@ -115,8 +222,12 @@ let fingerprint img =
       int len;
       str (Insn.to_string insn))
     code_list;
-  List.iter (fun (a, v) -> int a; int v) (Lazy.force img.data_words);
-  List.iter (fun (a, s) -> int a; str s) (Lazy.force img.data_bytes);
+  let words = Lazy.force img.data_words in
+  for k = 0 to (Array.length words / 2) - 1 do
+    int words.(2 * k);
+    int words.((2 * k) + 1)
+  done;
+  Array.iter (fun (a, s) -> int a; str s) (Lazy.force img.data_bytes);
   List.iter
     (fun (s, a) -> str s; int a)
     (sorted_of_tbl img.symbols (fun k v -> (k, v)));
@@ -138,20 +249,54 @@ let fingerprint img =
 
 (* Predecoded text: one dense array slot per text byte, so the fast-path
    interpreter's fetch is a single bounds-checked array read instead of a
-   [builtin_addrs] probe followed by a [code] probe. Slots between
-   instruction starts stay [P_none] — jumping into the middle of an
-   instruction is an invalid opcode, exactly as [code_at] reports it. *)
-type pslot =
-  | P_none
-  | P_insn of Insn.t * int
-  | P_builtin of string
-
+   [builtin_addrs] probe followed by a [code] probe. Built from the placed
+   bodies: their cached slots are stored at their offsets as-is, then only
+   the relocations are resolved — against the placement's already-resolved
+   external addresses and the body's own entry — so neither [code_list]
+   nor a symbol-table probe is needed. An instruction owns the slot at its
+   offset only when it has a nonzero length: a zero-length one is
+   overwritten by its successor, as in [code_list]'s address table. Slots
+   between instruction starts stay [P_none] — jumping into the middle of
+   an instruction is an invalid opcode, exactly as [code_at] reports
+   it. *)
 let predecode img =
   let table = Array.make (max 1 img.text_len) P_none in
   Array.iter
-    (fun (addr, insn, len) -> table.(addr - img.text_base) <- P_insn (insn, len))
-    (Lazy.force img.code_list);
+    (fun c ->
+      let b = c.c_body in
+      let slots = body_slots b in
+      let off = ref (c.c_entry - img.text_base) in
+      Array.iteri
+        (fun i slot ->
+          let size = b.b_sizes.(i) in
+          if size > 0 then table.(!off) <- slot;
+          off := !off + size)
+        slots;
+      let entry = c.c_entry in
+      Array.iter
+        (fun r ->
+          let j = ref 0 in
+          let resolve _ o =
+            let k = r.r_refs.(!j) in
+            incr j;
+            o + if k >= 0 then entry + k else c.c_ext.(-k - 1)
+          in
+          table.(entry - img.text_base + r.r_off) <-
+            P_insn (Insn.map_syms resolve b.b_insns.(r.r_index), b.b_sizes.(r.r_index)))
+        b.b_relocs)
+    img.chunks;
   Hashtbl.iter
     (fun addr name -> table.(addr - img.text_base) <- P_builtin name)
     img.builtin_addrs;
   table
+
+(* Built at most once per image and shared by every CPU that runs it. Two
+   domains racing on a fresh image both build the same table; either
+   result may win. *)
+let predecoded img =
+  match Atomic.get img.index with
+  | Some table -> table
+  | None ->
+      let table = predecode img in
+      Atomic.set img.index (Some table);
+      table

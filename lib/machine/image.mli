@@ -1,8 +1,9 @@
 (** A linked executable image.
 
     The linker produces one of these; the loader maps it; the CPU fetches
-    decoded instructions from [code]. Text bytes are also materialised into
-    memory with a deterministic pseudo-encoding so that read attacks against
+    decoded instructions from {!predecoded} (fast tiers) or [code]
+    (reference tier). Text bytes are also materialised into memory with a
+    deterministic pseudo-encoding so that read attacks against
     non-execute-only text observe real bytes, while [code_at] is the
     (defender/CPU-side) decoder.
 
@@ -18,32 +19,82 @@ type func_info = {
   is_booby_trap : bool;
 }
 
+(** A predecoded text slot: what sits at one byte offset into the text
+    segment. [P_none] marks bytes that are not an instruction start
+    (padding, instruction interiors) — executing one is an invalid
+    opcode. *)
+type pslot =
+  | P_none
+  | P_insn of Insn.t * int  (** decoded instruction and byte length *)
+  | P_builtin of string  (** intercepted library entry *)
+
+(** One relocation of a body: instruction [r_index], at byte offset
+    [r_off], and each of its symbol references in {!Insn.map_syms}
+    visiting order — [k >= 0] is the body-relative offset of one of the
+    body's own symbols, [k < 0] is external symbol [b_ext.(-k-1)]. *)
+type reloc = {
+  r_index : int;
+  r_off : int;
+  r_refs : int array;
+}
+
+(** One emitted body's layout-independent text: its pseudo-encoded bytes,
+    its instructions as emitted, and the relocations that placing it at
+    an entry address resolves. Everything else is copied as-is. *)
+type body = {
+  b_text : string;  (** pseudo-encoded bytes, [encode_byte] per instruction *)
+  b_insns : Insn.t array;  (** as emitted, unresolved *)
+  b_sizes : int array;  (** emission-time lengths *)
+  b_relocs : reloc array;  (** ascending *)
+  b_ext : string array;  (** distinct external symbols the relocations reference *)
+  b_slots : pslot array option Atomic.t;
+      (** [P_insn (insn, size)] per instruction, built by the first
+          {!predecode} that places the body and shared afterwards; a body
+          copied with other instructions needs a fresh cell *)
+}
+
+(** One placed body: its entry address and the addresses of its external
+    symbols ([c_ext.(k)] for [b_ext.(k)]), resolved by the linker. *)
+type chunk = {
+  c_entry : int;
+  c_body : body;
+  c_ext : int array;
+}
+
 type t = {
   code : (int, Insn.t * int) Hashtbl.t Lazy.t;
       (** address -> decoded instruction and its layout-assigned byte
           length (the length is fixed at layout time, before symbol
           resolution, and drives the CPU's rip advance). Derived from
-          [code_list] on first use: the fast-path interpreter fetches
-          through {!predecode}, and the incremental-rerandomization
-          rebuild path must not pay for a hash table it never probes. *)
+          [code_list] on first use: the reference dispatch and the
+          defender-side tools probe it; the fast tiers fetch through
+          {!predecoded} instead. *)
   code_list : (int * Insn.t * int) array Lazy.t;
       (** ascending address order. Materialized on first use: the linker
           records layout and relocation decisions eagerly (cheap, per
-          function) and fills the per-instruction table on demand (the
-          whole-text cost the steady-state relink never pays unless the
-          image is actually loaded, fingerprinted or audited). *)
+          function) and fills the per-instruction table on demand. The
+          load path never forces it; fingerprints, audits and the
+          reference tier do. *)
+  chunks : chunk array;
+      (** the placed text, ascending by address: [_start], then every
+          function. Bytes outside the chunks (the builtin PLT region,
+          function padding) are zero. *)
+  index : pslot array option Atomic.t;
+      (** memo cell of {!predecoded}. An image copied with a changed
+          [chunks] must get a fresh cell ([Atomic.make None]). *)
   text_base : int;
   text_len : int;
   text_perm : Perm.t;
   data_base : int;
   data_len : int;
-  data_words : (int * int) list Lazy.t;
-      (** initialised 64-bit words. Materialized on first use together
-          with [data_bytes] and [code_ptr_slots] — initialiser volume is
-          proportional to program size (BTRA decoy arrays), so the
-          steady-state incremental relink defers it; undefined symbolic
-          initialisers are still an eager link error. *)
-  data_bytes : (int * string) list Lazy.t;  (** initialised byte runs *)
+  data_words : int array Lazy.t;
+      (** initialised 64-bit words, flattened: address at [2k], value at
+          [2k+1]. Materialized on first use together with [data_bytes],
+          in one pass sized up front — initialiser volume is proportional
+          to program size (BTRA decoy arrays), so the relink defers it;
+          undefined symbolic initialisers are still an eager link
+          error. *)
+  data_bytes : (int * string) array Lazy.t;  (** initialised byte runs *)
   symbols : (string, int) Hashtbl.t;
   funcs : func_info list;
   entry : int;  (** _start *)
@@ -64,7 +115,8 @@ type t = {
   code_ptr_slots : (int, unit) Hashtbl.t Lazy.t;
       (** data addresses whose initialiser legitimately holds a text
           address (function-pointer tables, BTRA decoy arrays) — every
-          other readable word resolving into text is a leak *)
+          other readable word resolving into text is a leak. Derived on
+          demand for the auditor; loading never forces it. *)
   shadow_stack : bool;  (** run under backward-edge CFI (Section 8.2) *)
 }
 
@@ -86,9 +138,15 @@ val func_of_addr : t -> int -> func_info option
     attribute calls and loop backedges. *)
 val funcs_by_entry : t -> func_info array
 
-(** [encode_byte insn k] — [k]-th byte of the pseudo-encoding of [insn];
-    used by the loader to fill text pages. *)
+(** [encode_byte insn k] — [k]-th byte of the pseudo-encoding of [insn]. *)
 val encode_byte : Insn.t -> int -> int
+
+(** [body ~locals insns sizes] — the layout-independent text of one
+    emitted body: bytes and relocations. [sizes] are the
+    emission-time lengths; [locals] are the symbols the body itself
+    defines, as offsets from its entry (its own name at 0, its local
+    labels). *)
+val body : locals:(string * int) list -> Insn.t array -> int array -> body
 
 (** [fingerprint img] — canonical content digest: every observable field
     in a fixed order, hashtables dumped sorted. Equal fingerprints mean
@@ -96,17 +154,14 @@ val encode_byte : Insn.t -> int -> int
     incremental-rerandomization pipeline is gated on. *)
 val fingerprint : t -> string
 
-(** A predecoded text slot: what sits at one byte offset into the text
-    segment. [P_none] marks bytes that are not an instruction start
-    (padding, instruction interiors) — executing one is an invalid
-    opcode. *)
-type pslot =
-  | P_none
-  | P_insn of Insn.t * int  (** decoded instruction and byte length *)
-  | P_builtin of string  (** intercepted library entry *)
-
-(** [predecode img] — the dense fetch table for the fast-path interpreter,
-    indexed by [addr - text_base] over [\[0, text_len)]. One O(1) array
-    read replaces the per-step [builtin_addrs] + [code] hash probes; the
-    result agrees with [code_at]/[is_builtin] at every address. *)
+(** [predecode img] — a fresh dense fetch table for the fast tiers,
+    indexed by [addr - text_base] over [\[0, text_len)], built from
+    [chunks]: the bodies' cached slots are stored at their offsets and
+    only their relocations are resolved. One O(1) array read replaces the per-step
+    [builtin_addrs] + [code] hash probes; the result agrees with
+    [code_at]/[builtin_addrs] at every address. *)
 val predecode : t -> pslot array
+
+(** [predecoded img] — {!predecode}, built on first use and then shared by
+    every CPU, respawn and JIT that runs [img]. *)
+val predecoded : t -> pslot array

@@ -220,40 +220,40 @@ let is_resolved = function
   | Vload512 (_, m) | Vstore512 (m, _) -> mem_resolved m
   | Pop _ | Neg _ | Setcc _ | Ret | Nop _ | Trap | Vzeroupper | Halt -> true
 
-let map_syms f =
-  let imm = function Abs n -> Abs n | Sym (s, o) -> Abs (f s o) in
-  let memo m = { m with disp = imm m.disp } in
-  let op = function
-    | Imm i -> Imm (imm i)
-    | Reg r -> Reg r
-    | Mem m -> Mem (memo m)
-  in
-  let tgt = function TAbs a -> TAbs a | TSym (s, o) -> TAbs (f s o) in
-  function
-  | Mov (a, b) -> Mov (op a, op b)
-  | Mov8 (a, b) -> Mov8 (op a, op b)
-  | Lea (r, m) -> Lea (r, memo m)
-  | Push o -> Push (op o)
-  | Pop r -> Pop r
-  | Binop (b, r, o) -> Binop (b, r, op o)
-  | Div (r, o) -> Div (r, op o)
-  | Rem (r, o) -> Rem (r, op o)
-  | Neg r -> Neg r
-  | Cmp (a, b) -> Cmp (op a, op b)
-  | Setcc (c, r) -> Setcc (c, r)
-  | Jmp t -> Jmp (tgt t)
-  | Jmp_ind o -> Jmp_ind (op o)
-  | Jcc (c, t) -> Jcc (c, tgt t)
-  | Call t -> Call (tgt t)
-  | Call_ind o -> Call_ind (op o)
-  | Ret -> Ret
-  | Nop n -> Nop n
-  | Trap -> Trap
-  | Vload (i, m) -> Vload (i, memo m)
-  | Vstore (m, i) -> Vstore (memo m, i)
-  | Vload128 (i, m) -> Vload128 (i, memo m)
-  | Vstore128 (m, i) -> Vstore128 (memo m, i)
-  | Vload512 (i, m) -> Vload512 (i, memo m)
-  | Vstore512 (m, i) -> Vstore512 (memo m, i)
-  | Vzeroupper -> Vzeroupper
-  | Halt -> Halt
+(* Unchanged parts are shared, not rebuilt: relinking resolves tens of
+   thousands of instructions per image, and the helpers take [f]
+   explicitly so no closure is built per call. *)
+let map_imm f = function Abs _ as i -> i | Sym (s, o) -> Abs (f s o)
+
+let map_mem f m = match m.disp with Abs _ -> m | Sym (s, o) -> { m with disp = Abs (f s o) }
+
+let map_op f = function
+  | Imm (Sym _ as i) -> Imm (map_imm f i)
+  | Mem m as o ->
+      let m' = map_mem f m in
+      if m' == m then o else Mem m'
+  | (Imm (Abs _) | Reg _) as o -> o
+
+let map_tgt f = function TAbs _ as t -> t | TSym (s, o) -> TAbs (f s o)
+
+let map_syms f = function
+  | Mov (a, b) -> Mov (map_op f a, map_op f b)
+  | Mov8 (a, b) -> Mov8 (map_op f a, map_op f b)
+  | Lea (r, m) -> Lea (r, map_mem f m)
+  | Push o -> Push (map_op f o)
+  | Binop (b, r, o) -> Binop (b, r, map_op f o)
+  | Div (r, o) -> Div (r, map_op f o)
+  | Rem (r, o) -> Rem (r, map_op f o)
+  | Cmp (a, b) -> Cmp (map_op f a, map_op f b)
+  | Jmp t -> Jmp (map_tgt f t)
+  | Jmp_ind o -> Jmp_ind (map_op f o)
+  | Jcc (c, t) -> Jcc (c, map_tgt f t)
+  | Call t -> Call (map_tgt f t)
+  | Call_ind o -> Call_ind (map_op f o)
+  | Vload (i, m) -> Vload (i, map_mem f m)
+  | Vstore (m, i) -> Vstore (map_mem f m, i)
+  | Vload128 (i, m) -> Vload128 (i, map_mem f m)
+  | Vstore128 (m, i) -> Vstore128 (map_mem f m, i)
+  | Vload512 (i, m) -> Vload512 (i, map_mem f m)
+  | Vstore512 (m, i) -> Vstore512 (map_mem f m, i)
+  | (Pop _ | Neg _ | Setcc _ | Ret | Nop _ | Trap | Vzeroupper | Halt) as i -> i

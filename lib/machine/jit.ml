@@ -895,7 +895,7 @@ let func_covering cache addr =
 let try_compile j fidx =
   let cache = j.cache in
   let fi = cache.funcs.(fidx) in
-  let pd = Cpu.Internal.predecoded j.cpu in
+  let pd = Image.predecoded j.cpu.Cpu.image in
   let insns = scan_body pd ~base:cache.base fi in
   if insns = [] then cache.nocompile.(fidx) <- true
   else begin
@@ -1112,7 +1112,7 @@ let run j ~fuel =
     build_state cache j.cpu.Cpu.image
   end
   else if Array.length cache.slot = 0 then build_state cache j.cpu.Cpu.image;
-  let pd = Cpu.Internal.predecoded j.cpu in
+  let pd = Image.predecoded j.cpu.Cpu.image in
   let observed = Option.is_some j.cpu.Cpu.observer in
   try go j ~observed pd fuel with Fault.Fault f -> Cpu.Faulted f
 

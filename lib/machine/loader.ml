@@ -1,25 +1,21 @@
-let materialize_text mem (img : Image.t) =
-  Array.iter
-    (fun (addr, insn, len) ->
-      for k = 0 to len - 1 do
-        Mem.write_u8 mem (addr + k) (Image.encode_byte insn k)
-      done)
-    (Lazy.force img.Image.code_list)
-
 let load ?(strict_align = false) ?inject ?jit ?jit_cache ~profile (img : Image.t) =
   let mem = Mem.create () in
-  (* Text: filled while writable, then sealed. *)
+  (* Text: the placed bodies' cached bytes are copied in while the pages
+     are writable, then sealed. *)
   let text_len = Addr.align_up (max img.Image.text_len Addr.page_size) ~align:Addr.page_size in
   Mem.map mem img.Image.text_base text_len Perm.rw;
-  materialize_text mem img;
+  Array.iter
+    (fun (c : Image.chunk) -> Mem.blit_string mem c.c_entry c.c_body.b_text)
+    img.Image.chunks;
   Mem.protect mem img.Image.text_base text_len img.Image.text_perm;
   (* Data. *)
   let data_len = Addr.align_up (max img.Image.data_len Addr.page_size) ~align:Addr.page_size in
   Mem.map mem img.Image.data_base data_len Perm.rw;
-  List.iter (fun (addr, v) -> Mem.write_u64 mem addr v) (Lazy.force img.Image.data_words);
-  List.iter
-    (fun (addr, s) -> Mem.write_bytes mem addr (Bytes.of_string s))
-    (Lazy.force img.Image.data_bytes);
+  let words = Lazy.force img.Image.data_words in
+  for k = 0 to (Array.length words / 2) - 1 do
+    Mem.write_u64 mem words.(2 * k) words.((2 * k) + 1)
+  done;
+  Array.iter (fun (addr, s) -> Mem.blit_string mem addr s) (Lazy.force img.Image.data_bytes);
   (* Stack. *)
   let stack_len = Addr.align_up img.Image.stack_bytes ~align:Addr.page_size in
   Mem.map mem (Addr.stack_top - stack_len) stack_len Perm.rw;

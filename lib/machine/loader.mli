@@ -1,11 +1,13 @@
 (** Program loading: maps an image into fresh memory and hands back a ready
     CPU.
 
-    Text is materialised as pseudo-encoded bytes and then sealed with the
-    image's text permission ([rx] for the legacy baseline, [xo] when the
-    execute-only assumption of Section 3 is in force); data is mapped
-    read-write with its initialisers applied; the stack is mapped at the
-    canonical top of user space. *)
+    Text is filled by copying each placed body's cached pseudo-encoded
+    bytes ({!Image.t.chunks}) and then sealed with the image's text
+    permission ([rx] for the legacy baseline, [xo] when the execute-only
+    assumption of Section 3 is in force); data is mapped read-write with
+    its initialisers applied; the stack is mapped at the canonical top of
+    user space. Loading never forces {!Image.t.code_list}: its cost is
+    page mapping, byte copies and the data initialisers. *)
 
 (** [load ?strict_align ?inject ?jit ?jit_cache ~profile img]. [?jit]
     (default {!Jit.enabled}, i.e. on unless [R2C_JIT=0]) attaches the

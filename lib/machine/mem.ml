@@ -198,10 +198,24 @@ let read_bytes t addr len =
   done;
   b
 
-let write_bytes t addr b =
-  for i = 0 to Bytes.length b - 1 do
-    write_u8 t (addr + i) (Char.code (Bytes.unsafe_get b i))
+(* One permission probe and one blit per page touched. A page that is not
+   writable faults at its first byte, after every earlier page has been
+   written — the same fault, at the same address, with the same partial
+   effect as a [write_u8] loop over the string. *)
+let blit_string t addr s =
+  let len = String.length s in
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let e = checked_entry t a Write in
+    let off = Addr.page_offset a in
+    let n = min (len - !pos) (Addr.page_size - off) in
+    Bytes.blit_string s !pos e.e_data off n;
+    pos := !pos + n
   done
+
+(* The string view is only read, and only during the call. *)
+let write_bytes t addr b = blit_string t addr (Bytes.unsafe_to_string b)
 
 let peek_u8 t addr =
   match find_page t (Addr.page_of addr) with

@@ -55,6 +55,12 @@ val write_u64 : t -> int -> int -> unit
 val read_bytes : t -> int -> int -> bytes
 val write_bytes : t -> int -> bytes -> unit
 
+(** [blit_string t addr s] — checked write of [s] at [addr], one
+    permission probe and one copy per page touched. Faults exactly as a
+    {!write_u8} per byte would: at the first byte of the first page that
+    is unmapped or not writable, with every earlier byte written. *)
+val blit_string : t -> int -> string -> unit
+
 (** Permission-free accessors for the simulator/defender side. [peek_u64]
     returns [None] when unmapped. *)
 

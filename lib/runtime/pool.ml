@@ -89,7 +89,7 @@ type worker = {
   mutable at_break : bool;
   mutable served_this_child : int;
   mutable down_until : int;
-  mutable ring : Trace.t option;  (* post-mortem ring, when observed *)
+  mutable ring : Ring.t option;  (* post-mortem ring, when observed *)
 }
 
 (* Live metric instruments, registered once per observed pool. *)
@@ -137,9 +137,9 @@ let observe_worker t w =
   match t.obs with
   | None -> ()
   | Some _ ->
-      let ring = Trace.create ~capacity:ring_capacity in
+      let ring = Ring.create ~capacity:ring_capacity in
       w.ring <- Some ring;
-      Trace.attach ring w.proc.Process.cpu
+      Ring.attach ring w.proc.Process.cpu
 
 let register_instruments ~ns (sink : Obs.Sink.t) =
   let m = sink.Obs.Sink.metrics in
@@ -196,7 +196,7 @@ let set_obs t sink =
 let capture_postmortem t w f =
   match (t.obs, w.ring) with
   | Some sink, Some ring ->
-      let tail = Trace.pp_tail ring ~n:16 in
+      let tail = Ring.pp_tail ring ~n:16 in
       Obs.Events.instant ~cat:"postmortem" ~tid:(w.wid + 1)
         ~args:
           [

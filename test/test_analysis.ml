@@ -87,33 +87,33 @@ let traced_image () =
 
 let test_trace_records_execution () =
   let cpu = Loader.load ~profile:Cost.epyc_rome (traced_image ()) in
-  let tr = Trace.create ~capacity:64 in
-  (match Trace.run tr cpu ~fuel:1_000_000 with
+  let tr = Ring.create ~capacity:64 in
+  (match Ring.run tr cpu ~fuel:1_000_000 with
   | Cpu.Halted -> ()
   | r -> Alcotest.failf "unexpected %s" (match r with Cpu.Fuel_exhausted -> "fuel" | _ -> "fault"));
-  let rs = Trace.records tr in
+  let rs = Ring.records tr in
   Alcotest.(check int) "ring full" 64 (List.length rs);
   (* The final record is the halt. *)
   (match List.rev rs with
-  | last :: _ -> Alcotest.(check bool) "ends with hlt" true (last.Trace.insn = Insn.Halt)
+  | last :: _ -> Alcotest.(check bool) "ends with hlt" true (last.Ring.insn = Insn.Halt)
   | [] -> Alcotest.fail "no records");
   (* Symbols are attached for compiled code. *)
   Alcotest.(check bool) "symbols present" true
-    (List.exists (fun r -> r.Trace.symbol = Some "fib") rs)
+    (List.exists (fun r -> r.Ring.symbol = Some "fib") rs)
 
 let test_trace_capacity_bound () =
   let cpu = Loader.load ~profile:Cost.epyc_rome (traced_image ()) in
-  let tr = Trace.create ~capacity:8 in
-  ignore (Trace.run tr cpu ~fuel:1_000_000);
-  Alcotest.(check int) "bounded" 8 (List.length (Trace.records tr))
+  let tr = Ring.create ~capacity:8 in
+  ignore (Ring.run tr cpu ~fuel:1_000_000);
+  Alcotest.(check int) "bounded" 8 (List.length (Ring.records tr))
 
 let test_trace_order () =
   let cpu = Loader.load ~profile:Cost.epyc_rome (traced_image ()) in
-  let tr = Trace.create ~capacity:16 in
-  ignore (Trace.run tr cpu ~fuel:1_000_000);
+  let tr = Ring.create ~capacity:16 in
+  ignore (Ring.run tr cpu ~fuel:1_000_000);
   (* Records are in execution order: a ret is eventually followed by the
      halt in _start; pp_tail renders without raising. *)
-  Alcotest.(check bool) "tail non-empty" true (String.length (Trace.pp_tail tr ~n:8) > 0)
+  Alcotest.(check bool) "tail non-empty" true (String.length (Ring.pp_tail tr ~n:8) > 0)
 
 (* --- dump --- *)
 

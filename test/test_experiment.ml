@@ -229,17 +229,20 @@ let test_replay_gate () =
     ~breached:(H.Replaybench.gate (report [ "cycles 2 vs 1" ]))
 
 let test_rerand_gate () =
-  let report identical =
+  let report ~identical ~loaded_identical =
     {
       H.Rerandbench.funcs = 10; config = "full"; body_seed = 3; base_link_seed = 100;
-      rotations = 4; checked = 2; identical; warm_misses = 10; rotation_hits = 40;
-      rotation_misses = 0; edit_misses = 1; edit_missed = [ "f5" ]; edit_identical = true;
-      cache_entries = 10;
+      rotations = 4; checked = 2; identical; loaded_identical; warm_misses = 10;
+      rotation_hits = 40; rotation_misses = 0; edit_misses = 1; edit_missed = [ "f5" ];
+      edit_identical = true; cache_entries = 10;
     }
   in
   one_breach "rerand"
-    ~clean:(H.Rerandbench.gate (report true))
-    ~breached:(H.Rerandbench.gate (report false))
+    ~clean:(H.Rerandbench.gate (report ~identical:true ~loaded_identical:true))
+    ~breached:(H.Rerandbench.gate (report ~identical:false ~loaded_identical:true));
+  one_breach "rerand"
+    ~clean:(H.Rerandbench.gate (report ~identical:true ~loaded_identical:true))
+    ~breached:(H.Rerandbench.gate (report ~identical:true ~loaded_identical:false))
 
 let test_jit_gate () =
   let row =

@@ -71,12 +71,12 @@ let fp_tier3 ~inputs img =
 let observe cpu img =
   let pr = Profile.create ~profile:Cost.epyc_rome img in
   Profile.attach pr cpu;
-  let ring = Trace.create ~capacity:64 in
-  Trace.attach ~tee:true ring cpu;
+  let ring = Ring.create ~capacity:64 in
+  Ring.attach ~tee:true ring cpu;
   let fires = ref 0 in
   let count ~cycles:_ ~misses:_ ~called:_ = incr fires in
   Cpu.attach_observer ~tee:true cpu (fun ~rip:_ -> count);
-  fun () -> (Profile.fingerprint pr, Trace.records ring, !fires)
+  fun () -> (Profile.fingerprint pr, Ring.records ring, !fires)
 
 (* The observed half of the contract: an observed tier-3 run retires the
    same run as the unobserved reference, and its observers see exactly

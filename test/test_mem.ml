@@ -145,6 +145,36 @@ let test_addr_regions () =
     (Addr.region_to_string (Addr.region_of 0x7fff_ffff_e3d0));
   Alcotest.(check string) "unmapped" "unmapped" (Addr.region_to_string (Addr.region_of 0x10))
 
+(* A blit that runs into a non-writable page faults where a byte loop
+   would, having written the same prefix. *)
+let test_blit_string_faults_like_write_u8 () =
+  let setup () =
+    let m = Mem.create () in
+    Mem.map m 0x10000 8192 Perm.rw;
+    Mem.protect m 0x11000 4096 Perm.xo;
+    m
+  in
+  let s = String.init 64 (fun i -> Char.chr (i + 1)) in
+  let addr = 0x11000 - 16 in
+  let blit = setup () and loop = setup () in
+  let fault_of f = match f () with exception Fault.Fault x -> Fault.to_string x | () -> "none" in
+  let want =
+    fault_of (fun () -> String.iteri (fun i c -> Mem.write_u8 loop (addr + i) (Char.code c)) s)
+  in
+  Alcotest.(check string) "fault" want (fault_of (fun () -> Mem.blit_string blit addr s));
+  Alcotest.(check string) "same fault as write_u8" "SIGSEGV: write at 0x11000" want;
+  for a = 0x10000 to 0x11fff do
+    if Mem.peek_u8 blit a <> Mem.peek_u8 loop a then Alcotest.failf "byte 0x%x differs" a
+  done;
+  check_fault "unmapped" "SIGSEGV: write at 0x666000" (fun () -> Mem.blit_string blit 0x666000 s)
+
+let test_blit_string_across_pages () =
+  let m = Mem.create () in
+  Mem.map m 0x10000 (4 * 4096) Perm.rw;
+  let s = String.init 9000 (fun i -> Char.chr (i land 0xff)) in
+  Mem.blit_string m 0x10ff0 s;
+  Alcotest.(check string) "read back" s (Bytes.to_string (Mem.read_bytes m 0x10ff0 9000))
+
 let suite =
   [
     ( "mem",
@@ -158,6 +188,9 @@ let suite =
         Alcotest.test_case "cross-page word" `Quick test_cross_page_word;
         Alcotest.test_case "byte access" `Quick test_byte_access;
         Alcotest.test_case "bytes roundtrip" `Quick test_bytes_roundtrip;
+        Alcotest.test_case "blit_string faults like write_u8" `Quick
+          test_blit_string_faults_like_write_u8;
+        Alcotest.test_case "blit_string across pages" `Quick test_blit_string_across_pages;
         Alcotest.test_case "peek ignores perms" `Quick test_peek_ignores_perms;
         Alcotest.test_case "unmap" `Quick test_unmap;
         Alcotest.test_case "double map rejected" `Quick test_double_map_rejected;

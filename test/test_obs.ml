@@ -99,10 +99,10 @@ let test_registry_exposition () =
 
 let traced_records ~capacity img =
   let p = Process.start img in
-  let ring = Trace.create ~capacity in
-  Trace.attach ring p.Process.cpu;
+  let ring = Ring.create ~capacity in
+  Ring.attach ring p.Process.cpu;
   match Process.run p with
-  | Process.Exited 0 -> (Trace.records ring, Process.insns p)
+  | Process.Exited 0 -> (Ring.records ring, Process.insns p)
   | o -> Alcotest.fail ("run failed: " ^ Process.outcome_to_string o)
 
 let test_ring_wraparound_exact_capacity () =
@@ -396,7 +396,7 @@ let test_tee_observers_coexist_per_step () =
   Alcotest.(check int) "hook count = retired insns" cpu.Cpu.insns !a
 
 let test_profiler_and_ring_tee () =
-  (* Profile.attach then Trace.attach ~tee:true: the ring must not evict
+  (* Profile.attach then Ring.attach ~tee:true: the ring must not evict
      the profiler (the old set_observer clobbering), and both must see
      the whole run. *)
   let profile = Cost.epyc_rome in
@@ -404,8 +404,8 @@ let test_profiler_and_ring_tee () =
   let p = Process.start ~profile img in
   let pr = Profile.create ~profile img in
   Profile.attach pr p.Process.cpu;
-  let ring = Trace.create ~capacity:1_000_000 in
-  Trace.attach ~tee:true ring p.Process.cpu;
+  let ring = Ring.create ~capacity:1_000_000 in
+  Ring.attach ~tee:true ring p.Process.cpu;
   (match Process.run p with
   | Process.Exited 0 -> ()
   | o -> Alcotest.fail (Process.outcome_to_string o));
@@ -416,7 +416,7 @@ let test_profiler_and_ring_tee () =
   in
   Alcotest.(check bool) "profiler attributed cycles" true (prof_cycles > 0.0);
   Alcotest.(check int) "ring saw every insn" (Process.insns p)
-    (List.length (Trace.records ring))
+    (List.length (Ring.records ring))
 
 let suite =
   [

@@ -72,6 +72,47 @@ let test_corpus_replay () =
           check_both_tiers (path ^ " baseline") (Pipeline.compile ~seed:11 D.baseline p))
     (Corpus.files ~dir:"corpus")
 
+(* The placement-built predecode (cached body slots, relocations resolved
+   against the linker's external addresses) against a table built from
+   [code_list] alone, slot for slot. *)
+let predecode_of_code_list (img : Image.t) =
+  let table = Array.make (max 1 img.text_len) Image.P_none in
+  Array.iter
+    (fun (addr, insn, len) -> table.(addr - img.text_base) <- Image.P_insn (insn, len))
+    (Lazy.force img.code_list);
+  Hashtbl.iter
+    (fun addr name -> table.(addr - img.text_base) <- Image.P_builtin name)
+    img.builtin_addrs;
+  table
+
+(* Both the fresh build and the image's shared table: a copy with new text
+   that kept its parent's memo cell would serve the parent's table. *)
+let check_predecode name (img : Image.t) =
+  let want = predecode_of_code_list img in
+  List.iter
+    (fun (which, got) ->
+      Alcotest.(check int) (name ^ ": table length") (Array.length want) (Array.length got);
+      Array.iteri
+        (fun off slot ->
+          if slot <> got.(off) then
+            Alcotest.failf "%s: %s slot 0x%x differs from the code_list-built table" name which
+              (img.text_base + off))
+        want)
+    [ ("predecode", Image.predecode img); ("predecoded", Image.predecoded img) ]
+
+let test_predecode_matches_code_list () =
+  let p = R2c_workloads.Genprog.generate ~seed:13 ~funcs:30 in
+  let coords link = { Pipeline.cfg = D.full (); body_seed = 9; link_seed = Some link } in
+  check_predecode "cold" (Pipeline.compile_cold (coords 100) p);
+  let r = Pipeline.rerand_create () in
+  check_predecode "warm" (fst (Pipeline.compile_incremental r (coords 100) p));
+  (* The rotation reuses the warm build's cached body slots. *)
+  check_predecode "rotated" (fst (Pipeline.compile_incremental r (coords 101) p));
+  let checked = R2c_defenses.Defenses.build_vulnapp R2c_defenses.Defenses.r2c_checked ~seed:4 in
+  ignore (Image.predecoded checked);
+  check_predecode "self-check mutated"
+    (R2c_analysis.Selfcheck.apply R2c_analysis.Selfcheck.Drop_btra_postcheck checked)
+
 (* Fault equality: a faulting program must report the identical fault
    (class, address, counters at detonation) from both tiers. *)
 let raw_image insns =
@@ -107,6 +148,8 @@ let suite =
         Alcotest.test_case "25 pinned-seed programs, both tiers" `Quick test_generated_programs;
         Alcotest.test_case "corpus replay, both tiers" `Quick test_corpus_replay;
         Alcotest.test_case "fault equality" `Quick test_fault_equality;
+        Alcotest.test_case "placement predecode = code_list predecode" `Quick
+          test_predecode_matches_code_list;
         Alcotest.test_case "fuel-exhaustion equality" `Quick test_fuel_equality;
       ] );
   ]
