@@ -53,7 +53,7 @@ let () =
         seed cycles
         ((cycles /. base_cycles -. 1.0) *. 100.0)
         (Image.symbol img "main")
-        (List.length (List.filter (fun f -> f.Image.is_booby_trap) img.Image.funcs)))
+        (Array.fold_left (fun n f -> if f.Image.is_booby_trap then n + 1 else n) 0 img.Image.funcs))
     [ 1; 2; 3 ];
   print_endline "\nSame behaviour, different binary every time — that is the point.";
   (* 3. Show a slice of the diversified call-site code. *)

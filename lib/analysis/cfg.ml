@@ -111,7 +111,7 @@ let recover_func img (fi : Image.func_info) =
    function. *)
 let start_info (img : Image.t) =
   let next =
-    List.fold_left
+    Array.fold_left
       (fun acc (f : Image.func_info) ->
         if f.entry > img.entry && f.entry < acc then f.entry else acc)
       (img.text_base + img.text_len) img.funcs
@@ -120,7 +120,7 @@ let start_info (img : Image.t) =
     is_booby_trap = false }
 
 let recover (img : Image.t) =
-  let funcs = List.map (recover_func img) (start_info img :: img.funcs) in
+  let funcs = List.map (recover_func img) (start_info img :: Array.to_list img.funcs) in
   let name_of addr =
     match Hashtbl.find_opt img.builtin_addrs addr with
     | Some n -> Some n

@@ -138,7 +138,7 @@ let rule_traps ctx =
     ctx.cfg.Cfg.funcs;
   if
     ctx.expect.booby_traps
-    && not (List.exists (fun (f : Image.func_info) -> f.is_booby_trap) img.Image.funcs)
+    && not (Array.exists (fun (f : Image.func_info) -> f.is_booby_trap) img.Image.funcs)
   then
     fs :=
       {

@@ -69,7 +69,7 @@ let skip_mprotect (img : Image.t) = { img with text_perm = Perm.rw }
 
 let plant_code_pointer (img : Image.t) =
   let victim =
-    match List.find_opt (fun (f : Image.func_info) -> not f.is_booby_trap) img.funcs with
+    match Array.find_opt (fun (f : Image.func_info) -> not f.is_booby_trap) img.funcs with
     | Some f -> f
     | None -> invalid_arg "Selfcheck: image has no ordinary function to leak"
   in

@@ -594,7 +594,7 @@ let check_block ~img ~(meta : Emit.tvmeta) ~(f : Ir.func) ~events ~(env : sexpr 
 
 let validate_func ~img ~(meta : Emit.tvmeta) (f : Ir.func) =
   let fi =
-    List.find_opt (fun i -> i.Image.fname = f.Ir.name) img.Image.funcs
+    Array.find_opt (fun i -> i.Image.fname = f.Ir.name) img.Image.funcs
   in
   match fi with
   | None ->

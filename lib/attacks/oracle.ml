@@ -13,7 +13,7 @@ type t = {
 }
 
 let break_addr_of img break_sym =
-  match Hashtbl.find_opt img.Image.symbols break_sym with
+  match Image.find_symbol img break_sym with
   | Some a -> a
   | None -> invalid_arg ("Oracle.attach: no breakpoint symbol " ^ break_sym)
 
@@ -72,7 +72,7 @@ let record_fault t (f : Fault.t) =
    [step] advances by exactly one instruction (the race-window probe). *)
 let to_symbol t sym =
   if t.dead then invalid_arg "Oracle.to_symbol: process dead";
-  match Hashtbl.find_opt t.img.Image.symbols sym with
+  match Image.find_symbol t.img sym with
   | None -> invalid_arg ("Oracle.to_symbol: unknown symbol " ^ sym)
   | Some addr -> (
       (if t.proc.Process.cpu.Cpu.rip = addr then

@@ -35,7 +35,7 @@ let find_gadget code_at ~first ~len =
 
 let measure img =
   let sym name =
-    match Hashtbl.find_opt img.Image.symbols name with
+    match Image.find_symbol img name with
     | Some a -> a
     | None -> failwith ("Reference.measure: no symbol " ^ name)
   in
@@ -64,11 +64,10 @@ let measure img =
   let peek a = match Mem.peek_u64 mem a with Some v -> v | None -> 0 in
   (* main's call sites produce the frame's return address value. *)
   let main_ras =
-    Hashtbl.fold
-      (fun name addr acc ->
-        if String.length name > 9 && String.sub name 0 9 = "__ra_main" then addr :: acc
-        else acc)
-      img.Image.symbols []
+    let acc = ref [] in
+    Image.iter_symbols img (fun name addr ->
+        if String.length name > 9 && String.sub name 0 9 = "__ra_main" then acc := addr :: !acc);
+    !acc
   in
   let scan_words = 512 in
   let find_off pred =

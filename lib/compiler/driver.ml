@@ -17,7 +17,7 @@ let compile ?(opts = Opts.default) (p : Ir.program) =
   let img = Link.link ~opts ~main:p.main emitted p.globals in
   Log.debug (fun m ->
       m "linked %s: %d functions, %d bytes of text, %d bytes of data"
-        p.main (List.length img.R2c_machine.Image.funcs) img.R2c_machine.Image.text_len
+        p.main (Array.length img.R2c_machine.Image.funcs) img.R2c_machine.Image.text_len
         img.R2c_machine.Image.data_len);
   img
 

@@ -3,9 +3,10 @@
    The cache maps (IR function digest, diversification-slice digest,
    machine description) to the emitted body and its lowering metadata. A
    rebuild recompiles only functions whose key changed, fans the misses
-   over the Domain pool, and re-links — layout and symbol resolution are
-   the only whole-image work, so a steady-state rerandomization (layout
-   coordinates change, bodies do not) is relocation-only.
+   over the Domain pool, and re-links. The link plan (symbols interned,
+   references resolved to ids) is cached beside the key memo, so a
+   steady-state rerandomization (layout coordinates change, bodies do
+   not) is one placement: integer layout arithmetic, no string tables.
 
    The slice digest does not hash the [Opts.t] closures themselves (they
    are opaque); it hashes their *outputs* at every point this function's
@@ -33,10 +34,19 @@ type t = {
   (* Key memoization: valid only while the same instrumented program is
      rebuilt under the same caller-asserted key token — the steady-state
      rotation path, where only link-level options change between builds.
-     Builds without a token always recompute. *)
+     Builds without a token always recompute. The raw functions' templates
+     ride along: under one token they are the same raw functions. *)
   mutable memo_ctx : (string * Ir.program) option;
   memo_keys : (string, string) Hashtbl.t;
+  mutable memo_raw : (Asm.emitted * Link.template) list;
   mutable validated : Ir.program option;
+  (* The link plan of the memoized program over the table's current
+     entries, with its lowering metadata: a rotation whose plan is still
+     valid is one placement. [gen] counts the events that drop it — a
+     memo reset, [poison], [clear] and installed misses — so a plan built
+     outside the lock is only kept if none happened meanwhile. *)
+  mutable plan : (Link.plan * (string * Emit.tvmeta) list) option;
+  mutable gen : int;
 }
 
 let create () =
@@ -47,14 +57,27 @@ let create () =
     total_misses = 0;
     memo_ctx = None;
     memo_keys = Hashtbl.create 4096;
+    memo_raw = [];
     validated = None;
+    plan = None;
+    gen = 0;
   }
+
+(* Callers hold the lock. *)
+let invalidate t =
+  t.plan <- None;
+  t.gen <- t.gen + 1
+
+let reset_memo t =
+  Hashtbl.reset t.memo_keys;
+  t.memo_ctx <- None;
+  t.memo_raw <- [];
+  invalidate t
 
 let clear t =
   Mutex.protect t.lock (fun () ->
       Hashtbl.reset t.table;
-      Hashtbl.reset t.memo_keys;
-      t.memo_ctx <- None;
+      reset_memo t;
       t.validated <- None)
 
 let size t = Mutex.protect t.lock (fun () -> Hashtbl.length t.table)
@@ -136,40 +159,47 @@ let poison t ~opts ~salt f ~payload =
   let e, m = payload in
   Mutex.protect t.lock (fun () ->
       Hashtbl.replace t.table (key ~opts ~salt f) (e, m, Link.template e);
-      (* The planted entry must survive key memoization. *)
-      t.memo_ctx <- None;
-      Hashtbl.reset t.memo_keys)
+      (* The planted entry must survive key memoization and the plan. *)
+      reset_memo t)
 
-let keys_of t ~key_token ~opts ~salt (p : Ir.program) =
-  let fresh () =
-    let ks = List.map (fun f -> (f, key ~opts ~salt f)) p.funcs in
-    (match key_token with
-    | None ->
-        Hashtbl.reset t.memo_keys;
-        t.memo_ctx <- None
-    | Some tok ->
-        Hashtbl.reset t.memo_keys;
-        List.iter (fun ((f : Ir.func), k) -> Hashtbl.replace t.memo_keys f.name k) ks;
-        t.memo_ctx <- Some (tok, p));
-    ks
-  in
+let raw_pairs (opts : Opts.t) =
+  let size = opts.mdesc.Mdesc.insn_size in
+  List.map
+    (fun r ->
+      let e = Asm.of_raw ~size r in
+      (e, Link.template e))
+    opts.raw_funcs
+
+let memo_hit t ~key_token (p : Ir.program) =
   match (t.memo_ctx, key_token) with
-  | Some (tok, q), Some tok' when String.equal tok tok' && q == p ->
-      List.map (fun (f : Ir.func) -> (f, Hashtbl.find t.memo_keys f.name)) p.funcs
-  | _ -> fresh ()
+  | Some (tok, q), Some tok' -> String.equal tok tok' && q == p
+  | _ -> false
 
-let build_with_meta ?jobs ?key_token t ~(opts : Opts.t) ~salt (p : Ir.program) =
-  (match t.validated with
-  | Some q when q == p -> ()
-  | _ -> (
-      match Validate.check p with
-      | [] -> t.validated <- Some p
-      | errors -> raise (Driver.Invalid_program errors)));
+(* The cache keys of [p]'s functions and the templated raw functions. *)
+let keys_of t ~key_token ~opts ~salt (p : Ir.program) =
+  if memo_hit t ~key_token p then
+    (List.map (fun (f : Ir.func) -> (f, Hashtbl.find t.memo_keys f.name)) p.funcs, t.memo_raw)
+  else begin
+    let ks = List.map (fun f -> (f, key ~opts ~salt f)) p.funcs in
+    let raw = raw_pairs opts in
+    reset_memo t;
+    (match key_token with
+    | None -> ()
+    | Some tok ->
+        List.iter (fun ((f : Ir.func), k) -> Hashtbl.replace t.memo_keys f.name k) ks;
+        t.memo_ctx <- Some (tok, p);
+        t.memo_raw <- raw);
+    (ks, raw)
+  end
+
+(* The plan of a build without a valid cached one: classify against the
+   cache, emit the misses, plan the link. *)
+let plan_of ?jobs t ~key_token ~(opts : Opts.t) ~salt (p : Ir.program) =
   (* Phase 1 (under the lock): classify against the cache. *)
-  let keyed = Mutex.protect t.lock (fun () -> keys_of t ~key_token ~opts ~salt p) in
-  let looked =
+  let keyed, raw, looked, gen0 =
     Mutex.protect t.lock (fun () ->
-        List.map (fun (f, k) -> (f, k, Hashtbl.find_opt t.table k)) keyed)
+        let keyed, raw = keys_of t ~key_token ~opts ~salt p in
+        (keyed, raw, List.map (fun (f, k) -> (f, k, Hashtbl.find_opt t.table k)) keyed, t.gen))
   in
   let misses = List.filter_map (fun (f, k, e) -> if e = None then Some (f, k) else None) looked in
   (* Phase 2 (outside the lock): emit only the invalidated functions,
@@ -181,20 +211,27 @@ let build_with_meta ?jobs ?key_token t ~(opts : Opts.t) ~salt (p : Ir.program) =
         (f.name, k, (e, m, Link.template e)))
       misses
   in
-  (* Phase 3 (under the lock): install results, count traffic. *)
+  (* Phase 3 (under the lock): install results, count traffic. The plan
+     built below may be kept only if the table is unchanged since phase 1
+     apart from these installs. *)
   let fresh = Hashtbl.create (max 16 (List.length compiled)) in
   List.iter (fun (name, k, e) -> Hashtbl.replace fresh name (k, e)) compiled;
-  let stats =
+  let stats, gen =
     Mutex.protect t.lock (fun () ->
-        List.iter (fun (_, k, e) -> Hashtbl.replace t.table k e) compiled;
+        let clean = t.gen = gen0 in
+        if compiled <> [] then begin
+          List.iter (fun (_, k, e) -> Hashtbl.replace t.table k e) compiled;
+          invalidate t
+        end;
         let hits = List.length keyed - List.length misses in
         t.total_hits <- t.total_hits + hits;
         t.total_misses <- t.total_misses + List.length misses;
-        {
-          hits;
-          misses = List.length misses;
-          missed = List.map (fun ((f : Ir.func), _) -> f.name) misses;
-        })
+        ( {
+            hits;
+            misses = List.length misses;
+            missed = List.map (fun ((f : Ir.func), _) -> f.name) misses;
+          },
+          if clean then Some t.gen else None ))
   in
   let entries =
     List.map
@@ -207,18 +244,36 @@ let build_with_meta ?jobs ?key_token t ~(opts : Opts.t) ~salt (p : Ir.program) =
             | _ -> assert false))
       looked
   in
-  let size = opts.mdesc.Mdesc.insn_size in
-  let pairs =
-    List.map (fun (e, _, t) -> (e, t)) entries
-    @ List.map
-        (fun r ->
-          let e = Asm.of_raw ~size r in
-          (e, Link.template e))
-        opts.Opts.raw_funcs
-  in
-  let img = Link.link_templated ~opts ~main:p.main pairs p.globals in
+  let pairs = List.map (fun (e, _, t) -> (e, t)) entries @ raw in
+  let plan = Link.plan ~opts ~main:p.main pairs p.globals in
   let meta = List.map2 (fun (f : Ir.func) (_, m, _) -> (f.name, m)) p.funcs entries in
-  (img, meta, stats)
+  (match (key_token, gen) with
+  | Some _, Some g -> Mutex.protect t.lock (fun () -> if t.gen = g then t.plan <- Some (plan, meta))
+  | _ -> ());
+  (plan, meta, stats)
+
+let build_with_meta ?jobs ?key_token t ~(opts : Opts.t) ~salt (p : Ir.program) =
+  (match t.validated with
+  | Some q when q == p -> ()
+  | _ -> (
+      match Validate.check p with
+      | [] -> t.validated <- Some p
+      | errors -> raise (Driver.Invalid_program errors)));
+  (* A steady-state rotation: same memoized program, same entries — every
+     function hits and the cached plan is placed as-is. *)
+  let cached =
+    Mutex.protect t.lock (fun () ->
+        match t.plan with
+        | Some (plan, meta) when memo_hit t ~key_token p ->
+            let hits = List.length p.funcs in
+            t.total_hits <- t.total_hits + hits;
+            Some (plan, meta, { hits; misses = 0; missed = [] })
+        | _ -> None)
+  in
+  let plan, meta, stats =
+    match cached with Some c -> c | None -> plan_of ?jobs t ~key_token ~opts ~salt p
+  in
+  (Link.place plan ~opts, meta, stats)
 
 let build ?jobs ?key_token t ~opts ~salt p =
   let img, _, stats = build_with_meta ?jobs ?key_token t ~opts ~salt p in

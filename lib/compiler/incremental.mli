@@ -8,9 +8,12 @@
     program-wide streams like BTRA planning invalidate exactly the
     functions whose plans moved), and the {!Mdesc.t} fingerprint.
     [build] recompiles only cache misses, fanned over
-    [R2c_util.Parallel], and re-links; linking is relocation-only work,
-    so a rebuild whose bodies all hit costs layout + resolution and
-    nothing else.
+    [R2c_util.Parallel], and re-links. The cache also keeps the last
+    build's {!Link.plan} (symbols interned, references resolved to ids):
+    a rebuild of the same program under the same key token whose bodies
+    all hit is one {!Link.place} — layout by integer arithmetic and
+    nothing else. [poison], [clear], a key-memo reset and any installed
+    miss drop the plan.
 
     Contract (enforced by the rerand gate and the differential test
     battery): the image returned by [build] is byte-identical to a cold
@@ -47,9 +50,12 @@ val totals : t -> stats
     cold driver.
 
     [key_token], when given, asserts that every emission-relevant
-    decision in [opts] is a pure function of the token — so consecutive
+    decision in [opts], and every option the link plan reads (machine
+    description, [constructors], [func_alias], [raw_funcs],
+    [extra_globals]), is a pure function of the token — so consecutive
     builds of the physically-same program under the same token may reuse
-    the previous build's cache keys without re-probing the hooks. The
+    the previous build's cache keys, raw-function templates and link plan
+    without re-probing the hooks; only the layout hooks may change. The
     steady-state rotation path ({!R2c_core.Pipeline.compile_incremental})
     passes its coordinate salt here, because rotations only override
     link-level hooks; hand-assembled [opts] values must omit it. *)

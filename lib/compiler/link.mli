@@ -7,29 +7,40 @@
     resolves every symbolic immediate, and produces the {!Image.t} the
     loader maps.
 
+    Linking is split in two. A {!plan} holds everything that does not
+    depend on the layout, with every symbol interned once into a dense
+    id; {!place} lays one plan out under one set of layout hooks, by
+    integer arithmetic. The incremental rebuild path caches the plan, so
+    a rerandomization relink is one placement.
+
     ASLR is the [*_slide] fields of {!Opts.t}: a fresh link per process,
     exactly like a PIE load. *)
 
-(** [link ~opts ~main emitted globals] — [emitted] must contain [main] and
-    every constructor named in [opts]. *)
-val link :
-  opts:Opts.t -> main:string -> Asm.emitted list -> Ir.global list -> R2c_machine.Image.t
-
-(** A function body's layout-independent placement data: per-instruction
-    byte offsets and the (sparse) relocation list. Placing a templated
-    body at a new entry address only touches the instructions on the
-    relocation list — the steady-state rerandomization relink is
-    relocation-only patching. *)
+(** A function body's layout-independent placement data: its bytes,
+    per-instruction byte offsets, the (sparse) relocation list and its
+    unwind and checked call sites as offsets from the entry. *)
 type template
 
 val template : Asm.emitted -> template
 
-(** [link_templated] — {!link} with precomputed templates (the
-    incremental rebuild path caches one per function body). Byte-for-byte
-    the same image as {!link} on the same inputs. *)
-val link_templated :
-  opts:Opts.t ->
-  main:string ->
-  (Asm.emitted * template) list ->
-  Ir.global list ->
-  R2c_machine.Image.t
+(** The layout-independent half of a link. *)
+type plan
+
+(** [plan ~opts ~main pairs globals] — interns every symbol and resolves
+    every reference to an id. [pairs] must contain [main] and every
+    constructor named in [opts]. Of [opts] it reads only the machine
+    description, [constructors], [func_alias] and [extra_globals]. Raises
+    [Invalid_argument] on a duplicate or undefined symbol. *)
+val plan :
+  opts:Opts.t -> main:string -> (Asm.emitted * template) list -> Ir.global list -> plan
+
+(** [place plan ~opts] — the image under [opts]' layout hooks
+    ([func_order], [func_pad], [global_order], the slides) and image
+    settings ([text_perm], [stack_bytes], [shadow_stack]); images placed
+    from one plan share its symbol table. Raises [Invalid_argument] when
+    an order hook is not a permutation or a region overflows. *)
+val place : plan -> opts:Opts.t -> R2c_machine.Image.t
+
+(** [link ~opts ~main emitted globals] — [place] of a fresh [plan]. *)
+val link :
+  opts:Opts.t -> main:string -> Asm.emitted list -> Ir.global list -> R2c_machine.Image.t

@@ -53,14 +53,14 @@ let function_listing (img : Image.t) (f : Image.func_info) =
 
 let summary (img : Image.t) =
   let traps =
-    List.length (List.filter (fun f -> f.Image.is_booby_trap) img.Image.funcs)
+    Array.fold_left (fun n f -> if f.Image.is_booby_trap then n + 1 else n) 0 img.Image.funcs
   in
   Printf.sprintf
     "text: %d bytes at 0x%x (%s), %d functions (%d booby traps)\n\
      data: %d bytes at 0x%x; stack: %d KB; unwind rows: %d functions, %d sites%s\n"
     img.Image.text_len img.Image.text_base
     (Perm.to_string img.Image.text_perm)
-    (List.length img.Image.funcs)
+    (Array.length img.Image.funcs)
     traps img.Image.data_len img.Image.data_base
     (img.Image.stack_bytes / 1024)
     (Array.length img.Image.unwind_funcs)
@@ -71,12 +71,9 @@ let image (img : Image.t) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (summary img);
   Buffer.add_char buf '\n';
-  let by_addr =
-    List.sort (fun (a : Image.func_info) b -> compare a.entry b.entry) img.Image.funcs
-  in
-  List.iter
+  Array.iter
     (fun f ->
       Buffer.add_string buf (function_listing img f);
       Buffer.add_char buf '\n')
-    by_addr;
+    img.Image.funcs;
   Buffer.contents buf

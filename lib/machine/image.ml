@@ -43,8 +43,9 @@ type t = {
   data_len : int;
   data_words : int array Lazy.t;
   data_bytes : (int * string) array Lazy.t;
-  symbols : (string, int) Hashtbl.t;
-  funcs : func_info list;
+  sym_ids : (string, int) Hashtbl.t;
+  sym_addrs : int array;
+  funcs : func_info array;
   entry : int;
   builtin_addrs : (int, string) Hashtbl.t;
   stack_bytes : int;
@@ -64,20 +65,30 @@ let builtin_names =
 
 let code_at img addr = Hashtbl.find_opt (Lazy.force img.code) addr
 
+let find_symbol img name =
+  match Hashtbl.find_opt img.sym_ids name with
+  | Some id -> Some img.sym_addrs.(id)
+  | None -> None
+
 let symbol img name =
-  match Hashtbl.find_opt img.symbols name with
-  | Some a -> a
-  | None -> raise Not_found
+  match find_symbol img name with Some a -> a | None -> raise Not_found
 
+let iter_symbols img f = Hashtbl.iter (fun name id -> f name img.sym_addrs.(id)) img.sym_ids
+
+(* [funcs] is in placement order, which is ascending by entry, and bodies
+   do not overlap: only the last function entered at or below [addr] can
+   cover it. *)
 let func_of_addr img addr =
-  List.find_opt
-    (fun (f : func_info) -> addr >= f.entry && addr < f.entry + f.code_len)
-    img.funcs
-
-let funcs_by_entry img =
-  let a = Array.of_list img.funcs in
-  Array.sort (fun (a : func_info) (b : func_info) -> compare a.entry b.entry) a;
-  a
+  let fs = img.funcs in
+  let lo = ref 0 and hi = ref (Array.length fs) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if fs.(mid).entry <= addr then lo := mid + 1 else hi := mid
+  done;
+  if !lo = 0 then None
+  else
+    let f = fs.(!lo - 1) in
+    if addr < f.entry + f.code_len then Some f else None
 
 (* Pseudo-encoding: byte 0 is an opcode tag, later bytes mix the tag with
    the position. Deterministic, so a leaked text page is a stable artifact
@@ -228,16 +239,16 @@ let fingerprint img =
     int words.((2 * k) + 1)
   done;
   Array.iter (fun (a, s) -> int a; str s) (Lazy.force img.data_bytes);
-  List.iter
-    (fun (s, a) -> str s; int a)
-    (sorted_of_tbl img.symbols (fun k v -> (k, v)));
+  let syms = ref [] in
+  iter_symbols img (fun s a -> syms := (s, a) :: !syms);
+  List.iter (fun (s, a) -> str s; int a) (List.sort compare !syms);
   List.iter
     (fun f ->
       str f.fname;
       int f.entry;
       int f.code_len;
       int (if f.is_booby_trap then 1 else 0))
-    (List.sort compare img.funcs);
+    (List.sort compare (Array.to_list img.funcs));
   List.iter
     (fun (a, n) -> int a; str n)
     (sorted_of_tbl img.builtin_addrs (fun k v -> (k, v)));

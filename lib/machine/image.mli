@@ -95,8 +95,14 @@ type t = {
           undefined symbolic initialisers are still an eager link
           error. *)
   data_bytes : (int * string) array Lazy.t;  (** initialised byte runs *)
-  symbols : (string, int) Hashtbl.t;
-  funcs : func_info list;
+  sym_ids : (string, int) Hashtbl.t;
+      (** symbol name -> dense id, interned once by the link plan and
+          shared by every image placed from it *)
+  sym_addrs : int array;  (** this image's address of each symbol id *)
+  funcs : func_info array;
+      (** placement order, which is ascending by entry address: the
+          tier-3 hot-function counters and {!func_of_addr}
+          binary-search it *)
   entry : int;  (** _start *)
   builtin_addrs : (int, string) Hashtbl.t;  (** intercepted library entries *)
   stack_bytes : int;
@@ -130,13 +136,16 @@ val code_at : t -> int -> (Insn.t * int) option
 (** [symbol img name] — address of a symbol; raises [Not_found]. *)
 val symbol : t -> string -> int
 
-(** [func_of_addr img addr] — the function whose body covers [addr]. *)
-val func_of_addr : t -> int -> func_info option
+(** [find_symbol img name] — {!symbol}, or [None] when undefined. *)
+val find_symbol : t -> string -> int option
 
-(** [funcs_by_entry img] — the function table as an array sorted by entry
-    address; the tier-3 hot-function counters binary-search it to
-    attribute calls and loop backedges. *)
-val funcs_by_entry : t -> func_info array
+(** [iter_symbols img f] — [f name addr] for every defined symbol, in
+    no particular order. *)
+val iter_symbols : t -> (string -> int -> unit) -> unit
+
+(** [func_of_addr img addr] — the function whose body covers [addr]; a
+    binary search over [funcs]. *)
+val func_of_addr : t -> int -> func_info option
 
 (** [encode_byte insn k] — [k]-th byte of the pseudo-encoding of [insn]. *)
 val encode_byte : Insn.t -> int -> int

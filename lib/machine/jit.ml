@@ -805,7 +805,7 @@ let compile_func (p : Cost.profile) ~gen (fi : Image.func_info) insns : cfunc =
 (* ------------------------------------------------------------------ *)
 
 let build_state cache (img : Image.t) =
-  let funcs = Image.funcs_by_entry img in
+  let funcs = img.Image.funcs in
   let nf = Array.length funcs in
   cache.base <- img.Image.text_base;
   cache.funcs <- funcs;

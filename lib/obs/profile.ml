@@ -34,15 +34,12 @@ type t = {
 }
 
 let create ~profile (img : Image.t) =
-  let funcs =
-    List.sort (fun (a : Image.func_info) b -> compare a.entry b.entry) img.Image.funcs
-    |> Array.of_list
-  in
+  let funcs = img.Image.funcs in
   let entries =
     Array.map
       (fun (f : Image.func_info) ->
         let prologue_end =
-          match Hashtbl.find_opt img.Image.symbols (f.fname ^ ".Lprolog") with
+          match Image.find_symbol img (f.fname ^ ".Lprolog") with
           | Some a when a > f.entry && a <= f.entry + f.code_len -> a
           | Some _ | None -> f.entry
         in

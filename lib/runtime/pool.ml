@@ -208,7 +208,7 @@ let capture_postmortem t w f =
   | _ -> ()
 
 let break_addr_of img sym =
-  match Hashtbl.find_opt img.Image.symbols sym with
+  match Image.find_symbol img sym with
   | Some a -> a
   | None -> invalid_arg ("Pool: no breakpoint symbol " ^ sym)
 

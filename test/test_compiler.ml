@@ -60,12 +60,12 @@ let test_symbols_present () =
   let img = Driver.compile (Samples.fib_prog 5) in
   List.iter
     (fun s ->
-      Alcotest.(check bool) (s ^ " defined") true (Hashtbl.mem img.Image.symbols s))
+      Alcotest.(check bool) (s ^ " defined") true (Image.find_symbol img s <> None))
     [ "main"; "fib"; "_start"; "malloc"; "print_int" ]
 
 let test_functions_disjoint () =
   let img = Driver.compile Samples.indirect_prog in
-  let funcs = img.Image.funcs in
+  let funcs = Array.to_list img.Image.funcs in
   List.iter
     (fun (a : Image.func_info) ->
       List.iter
@@ -109,7 +109,7 @@ let test_func_order_respected () =
   in
   let img = Driver.compile ~opts Samples.indirect_prog in
   let entries =
-    List.map (fun (f : Image.func_info) -> (f.entry, f.fname)) img.Image.funcs
+    List.map (fun (f : Image.func_info) -> (f.entry, f.fname)) (Array.to_list img.Image.funcs)
   in
   let by_addr = List.sort compare entries in
   Alcotest.(check (list string)) "layout follows order" !order_seen (List.map snd by_addr)

@@ -60,7 +60,7 @@ let test_determinism () =
   Alcotest.(check int) "entry equal" img1.Image.entry img2.Image.entry;
   let sorted img =
     List.sort compare
-      (List.map (fun (f : Image.func_info) -> (f.fname, f.entry)) img.Image.funcs)
+      (List.map (fun (f : Image.func_info) -> (f.fname, f.entry)) (Array.to_list img.Image.funcs))
   in
   Alcotest.(check bool) "same layout" true (sorted img1 = sorted img2)
 
@@ -73,20 +73,20 @@ let test_seed_changes_layout () =
     List.exists
       (fun (f : Image.func_info) ->
         (not f.is_booby_trap) && entry img2 f.fname <> f.entry)
-      img1.Image.funcs
+      (Array.to_list img1.Image.funcs)
   in
   Alcotest.(check bool) "some function moved" true moved
 
 let test_booby_traps_present_and_scattered () =
   let cfg = Dconfig.full () in
   let img = Pipeline.compile ~seed:3 cfg (Samples.fib_prog 10) in
-  let bts = List.filter (fun (f : Image.func_info) -> f.is_booby_trap) img.Image.funcs in
+  let bts = List.filter (fun (f : Image.func_info) -> f.is_booby_trap) (Array.to_list img.Image.funcs) in
   Alcotest.(check bool) "enough booby traps" true (List.length bts >= 16);
   (* Shuffling interleaves them: not all booby traps contiguous. *)
   let by_addr =
     List.sort
       (fun (a : Image.func_info) b -> compare a.entry b.entry)
-      img.Image.funcs
+      (Array.to_list img.Image.funcs)
   in
   let flags = List.map (fun (f : Image.func_info) -> f.is_booby_trap) by_addr in
   let transitions =

@@ -18,7 +18,7 @@ let test_cph_hides_function_pointers () =
     List.filter_map
       (fun (f : Image.func_info) ->
         if f.Image.is_booby_trap then None else Some (f.Image.fname, f.Image.entry))
-      img.Image.funcs
+      (Array.to_list img.Image.funcs)
   in
   let handler_entries =
     List.filter_map

@@ -309,7 +309,7 @@ let test_poisoned_cache () =
     List.fold_left
       (fun acc (f : Image.func_info) ->
         if Jit.poison j1 ~entry:f.Image.entry then acc + 1 else acc)
-      0 img.Image.funcs
+      0 (Array.to_list img.Image.funcs)
   in
   Alcotest.(check bool) "something was cached to poison" true (poisoned > 0);
   let compiled_before = (Jit.cache_stats cache).Jit.compiled in
@@ -342,7 +342,7 @@ let test_rerand_cache_reuse () =
   (* poison one entry, then retarget the warm cache at a byte-identical
      image (same coords, fresh Image.t): the poisoned entry must be
      invalidated and recompiled, the healthy ones revalidated *)
-  let first_entry = (List.hd img1.Image.funcs).Image.entry in
+  let first_entry = img1.Image.funcs.(0).Image.entry in
   let could_poison = Jit.poison j1 ~entry:first_entry in
   let fp1b, _ = run_jit img1b in
   Alcotest.(check string) "same coords, warm cache" (fp_reference img1b) fp1b;

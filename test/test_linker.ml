@@ -93,6 +93,60 @@ let test_global_padding_separates () =
   let a1 = Image.symbol img "g1" and a2 = Image.symbol img "g2" in
   Alcotest.(check bool) "padding honoured" true (abs (a2 - a1) >= 128)
 
+(* --- the plan's checks, on the cold and the incremental path ---------- *)
+
+module Driver = R2c_compiler.Driver
+module Incremental = R2c_compiler.Incremental
+
+let ret_func name =
+  let fb = B.func name ~nparams:0 in
+  B.ret fb (Some (Ir.Const 0));
+  B.finish fb
+
+(* [p] under [opts] fails with exactly [msg] through a cold compile and
+   through a keyed incremental build — twice, so a failed plan is never
+   cached as a good one. *)
+let check_link_error what ~opts p msg =
+  let expect path f =
+    match f () with
+    | exception Invalid_argument m -> Alcotest.(check string) (what ^ " (" ^ path ^ ")") msg m
+    | _ -> Alcotest.failf "%s (%s): link succeeded" what path
+  in
+  expect "cold" (fun () -> Driver.compile ~opts p);
+  let t = Incremental.create () in
+  for _ = 1 to 2 do
+    expect "incremental" (fun () -> Incremental.build ~key_token:"k" t ~opts ~salt:"s" p)
+  done
+
+let test_global_collides_with_label () =
+  let p = B.program ~main:"main" [ ret_func "main" ] [] in
+  Alcotest.(check bool) "main.L0 is a label" true
+    (Image.find_symbol (Driver.compile p) "main.L0" <> None);
+  let p = B.program ~main:"main" [ ret_func "main" ] [ { Ir.gname = "main.L0"; gsize = 8; ginit = [] } ] in
+  check_link_error "global vs local label" ~opts:Opts.default p "link: duplicate symbol main.L0"
+
+let test_raw_collides_with_ir_function () =
+  let p = B.program ~main:"main" [ ret_func "main"; ret_func "helper" ] [] in
+  let opts =
+    {
+      Opts.default with
+      Opts.raw_funcs = [ { Opts.rname = "helper"; rinsns = [ Insn.Ret ]; rbooby_trap = true } ];
+    }
+  in
+  (* Two functions of one name keep their own message. *)
+  check_link_error "raw vs IR function" ~opts p "link: duplicate function helper"
+
+let test_initialiser_names_missing_symbol () =
+  let p = B.program ~main:"main" [ ret_func "main" ] [] in
+  (* Synthesized data skips IR validation: only the linker can catch it. *)
+  let opts =
+    {
+      Opts.default with
+      Opts.extra_globals = [ { Ir.gname = "tbl"; gsize = 8; ginit = [ Ir.Sym_addr "nowhere" ] } ];
+    }
+  in
+  check_link_error "initialiser" ~opts p "link: undefined symbol nowhere"
+
 let suite =
   [
     ( "linker",
@@ -106,5 +160,8 @@ let suite =
         Alcotest.test_case "entry is _start" `Quick test_entry_is_start;
         Alcotest.test_case "constructors first" `Quick test_constructors_run_before_main;
         Alcotest.test_case "global padding" `Quick test_global_padding_separates;
+        Alcotest.test_case "global vs local label" `Quick test_global_collides_with_label;
+        Alcotest.test_case "raw vs IR function" `Quick test_raw_collides_with_ir_function;
+        Alcotest.test_case "initialiser undefined" `Quick test_initialiser_names_missing_symbol;
       ] );
   ]

@@ -69,7 +69,7 @@ let test_straddling_function () =
   let straddles (f : Image.func_info) =
     Addr.page_of f.entry <> Addr.page_of (f.entry + f.code_len - 1)
   in
-  match List.find_opt straddles img.funcs with
+  match Array.find_opt straddles img.funcs with
   | None -> Alcotest.fail "no function straddles a page"
   | Some f ->
       let got = loaded_text img and want = reference_text img in

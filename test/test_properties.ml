@@ -50,7 +50,7 @@ let prop_random_programs_push_setup =
 
 let layout_signature img =
   List.sort compare
-    (List.map (fun (f : Image.func_info) -> (f.Image.fname, f.Image.entry)) img.Image.funcs)
+    (List.map (fun (f : Image.func_info) -> (f.Image.fname, f.Image.entry)) (Array.to_list img.Image.funcs))
 
 let prop_seed_determinism =
   Q.Test.make ~count:10 ~name:"equal seeds give identical layouts"

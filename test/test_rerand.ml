@@ -247,6 +247,93 @@ let test_stale_plant_caught () =
     (fp (Pipeline.compile_cold c1 p))
     (fp clean)
 
+(* --- the cached link plan: a relink is a cold link, table by table ---- *)
+
+let sorted_bindings h = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [])
+let sorted_keys h = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) h [])
+
+(* Every placed table of [img] against a cold link at the same
+   coordinates, one by one, so a mismatch names the table. *)
+let check_same_link what (cold : Image.t) (img : Image.t) =
+  let wrong = ref [] and ncold = ref 0 and nimg = ref 0 in
+  Image.iter_symbols cold (fun name a ->
+      incr ncold;
+      match Image.find_symbol img name with
+      | Some b when b = a -> ()
+      | _ -> wrong := name :: !wrong);
+  Image.iter_symbols img (fun _ _ -> incr nimg);
+  Alcotest.(check (list string)) (what ^ ": symbols at cold addresses") [] !wrong;
+  Alcotest.(check int) (what ^ ": symbol count") !ncold !nimg;
+  Alcotest.(check (list (pair int int))) (what ^ ": unwind sites")
+    (sorted_bindings cold.unwind_sites) (sorted_bindings img.unwind_sites);
+  Alcotest.(check (list int)) (what ^ ": checked sites")
+    (sorted_keys cold.checked_sites) (sorted_keys img.checked_sites);
+  Alcotest.(check (list int)) (what ^ ": code-pointer slots")
+    (sorted_keys (Lazy.force cold.code_ptr_slots))
+    (sorted_keys (Lazy.force img.code_ptr_slots));
+  Alcotest.(check (array int)) (what ^ ": data words")
+    (Lazy.force cold.data_words) (Lazy.force img.data_words)
+
+let full_checked_rotations () =
+  let p = Genprog.generate ~seed:5 ~funcs:12 in
+  let cfg = Dconfig.full_checked in
+  let r = Pipeline.rerand_create () in
+  let _ = Pipeline.compile_incremental r (coords cfg 3 (Some 10)) p in
+  (p, cfg, r)
+
+let test_relink_tables_equal_cold () =
+  let p, cfg, r = full_checked_rotations () in
+  let prev = ref None in
+  for ls = 11 to 13 do
+    let c = coords cfg 3 (Some ls) in
+    let img, st = Pipeline.compile_incremental r c p in
+    let what = Printf.sprintf "rotation %d" ls in
+    Alcotest.(check int) (what ^ " recompiles nothing") 0 st.Incremental.misses;
+    let cold = Pipeline.compile_cold c p in
+    Alcotest.(check bool) (what ^ ": checked sites exist") true
+      (Hashtbl.length cold.checked_sites > 0);
+    check_same_link what cold img;
+    (* Rotations place one cached plan: its symbol table is shared. *)
+    Option.iter
+      (fun (q : Image.t) ->
+        Alcotest.(check bool) (what ^ " places the cached plan") true (q.sym_ids == img.sym_ids))
+      !prev;
+    prev := Some img
+  done
+
+(* A poisoned entry drops the cached plan: the next relink places the
+   planted body, and later rotations keep it. *)
+let test_poison_reaches_relink () =
+  let p, cfg, r = full_checked_rotations () in
+  let before, _ = Pipeline.compile_incremental r (coords cfg 3 (Some 11)) p in
+  let ip, opts = Pipeline.instrument ~seed:3 cfg p in
+  let victim, twisted =
+    match
+      List.filter_map
+        (fun f -> match twist_func f with Some t -> Some (f, t) | None -> None)
+        ip.Ir.funcs
+    with
+    | (f, t) :: _ -> (f, t)
+    | [] -> Alcotest.fail "no twistable function in the generated program"
+  in
+  let payload = Emit.emit_func_meta ~opts twisted in
+  Incremental.poison (Pipeline.rerand_cache r)
+    ~opts ~salt:(Pipeline.salt_of_coords (coords cfg 3 (Some 11))) victim ~payload;
+  let planted (img : Image.t) =
+    let entry = Image.symbol img victim.Ir.name in
+    match Array.find_opt (fun (c : Image.chunk) -> c.c_entry = entry) img.chunks with
+    | Some c -> c.c_body.b_insns = (fst payload).R2c_compiler.Asm.insns
+    | None -> false
+  in
+  Alcotest.(check bool) "the plant differs from the cached body" false (planted before);
+  let after, st = Pipeline.compile_incremental r (coords cfg 3 (Some 12)) p in
+  Alcotest.(check int) "plant is a cache hit" 0 st.Incremental.misses;
+  Alcotest.(check bool) "plan rebuilt" false (before.sym_ids == after.sym_ids);
+  Alcotest.(check bool) "relink places the planted body" true (planted after);
+  let later, _ = Pipeline.compile_incremental r (coords cfg 3 (Some 13)) p in
+  Alcotest.(check bool) "later rotation reuses the new plan" true (after.sym_ids == later.sym_ids);
+  Alcotest.(check bool) "later rotation keeps the planted body" true (planted later)
+
 (* --- QCheck: random edit/seed/config walks vs cold compiles ---------- *)
 
 let prop_incremental_equals_cold =
@@ -402,6 +489,8 @@ let suite =
         Alcotest.test_case "config matrix identity" `Slow test_matrix_identity;
         Alcotest.test_case "invalidation" `Quick test_invalidation;
         Alcotest.test_case "stale plant caught" `Quick test_stale_plant_caught;
+        Alcotest.test_case "relink tables equal cold" `Quick test_relink_tables_equal_cold;
+        Alcotest.test_case "poison reaches the relink" `Quick test_poison_reaches_relink;
         QCheck_alcotest.to_alcotest prop_incremental_equals_cold;
         Alcotest.test_case "replay on incremental rebuild" `Quick
           test_replay_incremental;

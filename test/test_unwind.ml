@@ -67,7 +67,7 @@ let test_unwind_booby_trap_frame () =
   let img = Defenses.build_vulnapp Defenses.r2c ~seed:9 in
   let cpu = Loader.load ~profile:Cost.epyc_rome img in
   let traps =
-    List.filter (fun (f : Image.func_info) -> f.is_booby_trap) img.Image.funcs
+    List.filter (fun (f : Image.func_info) -> f.is_booby_trap) (Array.to_list img.Image.funcs)
   in
   Alcotest.(check bool) "image has booby traps" true (traps <> []);
   List.iter
