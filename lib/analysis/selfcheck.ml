@@ -62,6 +62,7 @@ let drop_postcheck (img : Image.t) =
             code_list;
             chunks = Array.map patch img.chunks;
             index = Atomic.make None;
+            jit = Atomic.make [];
           }
       | _ -> invalid_arg "Selfcheck: no post-return check at the first checked site")
 
@@ -77,7 +78,7 @@ let plant_code_pointer (img : Image.t) =
   {
     img with
     data_len = addr + 8 - img.data_base;
-    data_words = lazy (Array.append (Lazy.force img.data_words) [| addr; victim.entry |]);
+    data_words = lazy (Array.append (Image.force img.data_words) [| addr; victim.entry |]);
   }
 
 let apply m img =

@@ -408,7 +408,7 @@ let place (pl : plan) ~(opts : Opts.t) =
      readable memory against; only the auditor and fingerprints ask. *)
   let code_ptr_slots =
     lazy
-      (let words, syms, _ = Lazy.force data_init in
+      (let words, syms, _ = Image.force data_init in
        let h = Hashtbl.create (max 64 (Array.length syms)) in
        Array.iter
          (fun k ->
@@ -419,7 +419,7 @@ let place (pl : plan) ~(opts : Opts.t) =
   in
   let code =
     lazy
-      (let arr = Lazy.force code_list in
+      (let arr = Image.force code_list in
        let h = Hashtbl.create (max 4096 (2 * Array.length arr)) in
        Array.iter (fun (addr, insn, len) -> Hashtbl.replace h addr (insn, len)) arr;
        h)
@@ -429,13 +429,14 @@ let place (pl : plan) ~(opts : Opts.t) =
     code_list;
     chunks;
     index = Atomic.make None;
+    jit = Atomic.make [];
     text_base;
     text_len;
     text_perm = opts.text_perm;
     data_base;
     data_len;
-    data_words = lazy (let w, _, _ = Lazy.force data_init in w);
-    data_bytes = lazy (let _, _, b = Lazy.force data_init in b);
+    data_words = lazy (let w, _, _ = Image.force data_init in w);
+    data_bytes = lazy (let _, _, b = Image.force data_init in b);
     sym_ids = pl.ids;
     sym_addrs = addrs;
     funcs;

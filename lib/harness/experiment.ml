@@ -441,10 +441,10 @@ let rerand =
 
 let jit =
   v ~check:true "jit"
-    "Three-tier comparison on the SPEC-like suite: reference dispatch vs predecoded interpreter \
-     vs tier-3 template JIT (steady-state, warm shared code cache). Exits nonzero unless all \
-     three tiers are bit-identical on every workload and tier 3 clears the speedup floor over \
-     the reference tier (--min-speedup, default 5)."
+    "Three-lane comparison on the SPEC-like suite plus a wide Genprog program: reference \
+     dispatch vs tier 3 never compiling (JIT off) vs tier 3 compiling (steady-state, warm code \
+     cache). Exits nonzero unless all three lanes are bit-identical on every workload and tier 3 \
+     clears the speedup floor over the reference tier (--min-speedup, default 5)."
     Term.(
       const (fun c s f m -> (c, s, f, m))
       $ config_term ~doc:"Diversity configuration."

@@ -1,15 +1,17 @@
-(* E-JIT: the three-tier comparison. Every SPEC-like workload under full
-   R2C runs through the reference dispatch, the fast interpreter, and
-   tier 3 (template JIT, steady-state: the timed run reuses the code
-   cache a warm-up run populated, exactly as a respawned fleet worker
-   does), asserting bit-identical counters across all three and gating
-   the tier-3 wall-clock win over the reference tier. An observed lane
-   then runs each workload profiled on the reference tier and on tier 3
-   and requires bit-identical profiles. *)
+(* E-JIT: the three-lane comparison. Every SPEC-like workload, plus one
+   wide Genprog program, under full R2C runs through the reference
+   dispatch, tier 3 never compiling (the JIT switched off), and tier 3
+   compiling (steady-state: the timed run reuses the code cache a warm-up
+   run populated, exactly as another process of the image does),
+   asserting bit-identical counters across all three and gating the
+   tier-3 wall-clock win over the reference tier. An observed lane then
+   runs each workload profiled on the reference tier and on tier 3 and
+   requires bit-identical profiles. *)
 
 module Pipeline = R2c_core.Pipeline
 module Dconfig = R2c_core.Dconfig
 module Spec = R2c_workloads.Spec
+module Genprog = R2c_workloads.Genprog
 module Parallel = R2c_util.Parallel
 open R2c_machine
 module J = R2c_obs.Json
@@ -20,7 +22,7 @@ type row = {
   insns : int;
   cycles_bits : int64;  (* exact: Int64.bits_of_float of the cycle total *)
   icache_misses : int;
-  identical : bool;  (* all three tiers bit-identical on this workload *)
+  identical : bool;  (* all three lanes bit-identical on this workload *)
   profile_identical : bool;
       (* profiled tier 3 == profiled reference: rows, edges, total *)
   compiled : int;  (* functions compiled by the warm + timed runs *)
@@ -46,7 +48,7 @@ type timing = {
   ref_ms : float;
   fast_ms : float;
   jit_ms : float;
-  speedup_fast : float;  (* reference / fast *)
+  speedup_fast : float;  (* reference / never-compiling tier 3 *)
   speedup_jit : float;  (* reference / tier-3 *)
   ref_obs_ms : float;  (* profiled reference tier *)
   jit_obs_ms : float;  (* profiled tier 3 *)
@@ -80,17 +82,23 @@ let fingerprint (c : Cpu.t) (r : Cpu.run_result) =
 
 let now () = Unix.gettimeofday ()
 
+let genprog_funcs = 300
+
 let run ?(seed = 3) ?(config = "full") ?(fuel = 50_000_000) ?jobs () =
   let cfg =
     match Dconfig.of_name config with Ok c -> c | Error e -> invalid_arg ("jitbench: " ^ e)
   in
-  let benches = Spec.all () in
+  (* The Spec set is deep and loop-heavy; the Genprog row is wide and
+     call-heavy, each function short and warm — the shape of the paper's
+     browser-scale programs, where compiles and transitions dominate. *)
+  let benches =
+    List.map (fun (b : Spec.benchmark) -> (b.Spec.name, b.Spec.program)) (Spec.all ())
+    @ [ (Printf.sprintf "genprog%d" genprog_funcs, Genprog.generate ~seed ~funcs:genprog_funcs) ]
+  in
   (* Image compilation fans out over the Domain pool; the measured runs
      below stay serial so the timings mean something. *)
   let images =
-    Parallel.map ?jobs
-      (fun (b : Spec.benchmark) -> (b, Pipeline.compile ~seed cfg b.Spec.program))
-      benches
+    Parallel.map ?jobs (fun (name, prog) -> (name, Pipeline.compile ~seed cfg prog)) benches
   in
   let settle () = Gc.full_major () in
   let profile = Cost.epyc_rome in
@@ -109,12 +117,16 @@ let run ?(seed = 3) ?(config = "full") ?(fuel = 50_000_000) ?jobs () =
   in
   let rows =
     List.map
-      (fun ((b : Spec.benchmark), img) ->
+      (fun (name, img) ->
+        (* A private cache, so each row starts cold whatever ran the image
+           before; the warm-up and timed runs count into one record. *)
         let cache = Jit.create_cache ~profile img in
+        let st = Jit.fresh_stats () in
+        let load_jit () = Loader.load ~jit:true ~jit_cache:cache ~jit_stats:st ~profile img in
         (* Warm-up: populates the code cache (and the host's). The timed
-           tier-3 leg below is the steady state a fleet worker respawning
-           onto a shared cache sees. *)
-        ignore (Cpu.run (Loader.load ~jit:true ~jit_cache:cache ~profile img) ~fuel);
+           tier-3 leg below is the steady state another process of the
+           image sees. *)
+        ignore (Cpu.run (load_jit ()) ~fuel);
         settle ();
         let c_ref = Loader.load ~jit:false ~profile img in
         let t0 = now () in
@@ -128,15 +140,14 @@ let run ?(seed = 3) ?(config = "full") ?(fuel = 50_000_000) ?jobs () =
         t_fast := !t_fast +. (now () -. t0);
         let fp_fast = fingerprint c_fast r_fast in
         settle ();
-        let c_jit = Loader.load ~jit:true ~jit_cache:cache ~profile img in
+        let c_jit = load_jit () in
         let t0 = now () in
         let r_jit = Cpu.run c_jit ~fuel in
         t_jit := !t_jit +. (now () -. t0);
         let fp_jit = fingerprint c_jit r_jit in
-        let st = Jit.cache_stats cache in
         let row =
           {
-            name = b.Spec.name;
+            name;
             insns = fp_jit.fp_insns;
             cycles_bits = fp_jit.fp_cycles;
             icache_misses = fp_jit.fp_misses;
@@ -207,7 +218,7 @@ let gate ?(min_speedup = 5.0) ?timing r =
   let checks =
     [
       ( "identity",
-        "all three tiers bit-identical, and profiled tier 3 bit-identical to the \
+        "all three lanes bit-identical, and profiled tier 3 bit-identical to the \
          profiled reference tier, on every workload",
         r.identical );
       ( "compiled",

@@ -1,21 +1,22 @@
-(** E-JIT: three-tier comparison on the SPEC-like workload set.
+(** E-JIT: three-lane comparison on the SPEC-like workload set plus one
+    wide Genprog program (300 functions: short, warm, call-heavy).
 
     Each workload is compiled once under a diversity config, then run
-    through all three execution tiers:
+    through three lanes:
 
     - {b reference}: {!R2c_machine.Cpu.run_reference}, the plain decoded
       interpreter the validator trusts;
-    - {b fast}: {!R2c_machine.Cpu.run} with the JIT disabled — the
-      predecoded interpreter;
-    - {b tier 3}: {!R2c_machine.Cpu.run} with the template JIT attached,
+    - {b fast}: {!R2c_machine.Cpu.run} with the JIT switched off — tier 3
+      never compiling, i.e. its cold loop alone;
+    - {b tier 3}: {!R2c_machine.Cpu.run} with the template JIT compiling,
       timed in steady state: the timed run shares the code cache a
-      warm-up run populated, the regime a respawning fleet worker is in
-      (see {!R2c_machine.Process.restart}).
+      warm-up run populated, the regime every later process of an image
+      is in.
 
-    The three-way bit-identicality contract is asserted per workload
-    (cycles as IEEE-754 bits, instruction and icache counters, call
-    depth, output, exit code, run result), and the gate additionally
-    demands a wall-clock floor for tier 3 over the reference tier.
+    The bit-identicality contract is asserted per workload (cycles as
+    IEEE-754 bits, instruction and icache counters, call depth, output,
+    exit code, run result), and the gate additionally demands a
+    wall-clock floor for tier 3 over the reference tier.
 
     An observed lane then runs each workload with an
     {!R2c_obs.Profile} attached, once on the reference tier and once on
@@ -27,7 +28,7 @@ type row = {
   insns : int;
   cycles_bits : int64;  (** [Int64.bits_of_float] of the cycle total *)
   icache_misses : int;
-  identical : bool;  (** all three tiers bit-identical on this workload *)
+  identical : bool;  (** all three lanes bit-identical on this workload *)
   profile_identical : bool;
       (** profiled tier 3 and profiled reference runs produced the same
           profile, and the same counters as the unprofiled runs *)
@@ -56,14 +57,14 @@ type timing = {
   ref_ms : float;
   fast_ms : float;
   jit_ms : float;
-  speedup_fast : float;  (** reference / fast *)
+  speedup_fast : float;  (** reference / never-compiling tier 3 *)
   speedup_jit : float;  (** reference / tier 3 *)
   ref_obs_ms : float;  (** profiled reference tier *)
   jit_obs_ms : float;  (** profiled tier 3 *)
   speedup_obs : float;  (** profiled reference / profiled tier 3 *)
 }
 
-(** [run ?seed ?config ?fuel ?jobs ()] — compile the 12 workloads
+(** [run ?seed ?config ?fuel ?jobs ()] — compile the 13 workloads
     ([?jobs] fans the compilations over the domain pool; the measured
     runs are always serial) and produce the report plus wall-clock
     timings. Defaults: seed 3, config ["full"], fuel 50M. *)

@@ -34,8 +34,8 @@ type t = {
   mutable btap : (t -> string -> unit) option;
       (* builtin-boundary tap; None = no cost *)
   mutable tier3 : (t -> fuel:int -> run_result) option;
-      (* the JIT runner (Jit.attach); None = run falls back to the fast
-         interpreter tier *)
+      (* the JIT runner (Jit.attach); None = run takes the reference
+         tier *)
 }
 
 let create ?(strict_align = false) ?inject ~profile ~mem ~heap image ~rip ~rsp =
@@ -276,9 +276,9 @@ let step_builtin t name =
     t.rip <- ra
   end
 
-(* The per-instruction core shared by the reference and fast-path fetchers:
-   icache charge, cycle accounting, and the dispatch itself. Both dispatch
-   flavours funnel here, so they cannot disagree on execution semantics —
+(* The per-instruction core shared by the reference fetcher and tier 3's
+   cold loop: icache charge, cycle accounting, and the dispatch itself.
+   Both funnel here, so they cannot disagree on execution semantics —
    only the fetch (hash probes vs predecoded array) differs, and the
    differential tests pin that down. *)
 let execute t rip insn size =
@@ -404,8 +404,7 @@ let execute t rip insn size =
 
 (* Reference dispatch: permission probe, builtin hash probe, then the
    [code] hash probe. Kept verbatim as the slow tier of the two-version
-   contract (OSR-style): the fast path below must be bit-identical to
-   this. *)
+   contract (OSR-style): tier 3 must be bit-identical to this. *)
 let step_uninstrumented t =
   if t.halted then invalid_arg "Cpu.step: halted";
   (match t.inject with
@@ -506,44 +505,62 @@ let run_reference t ~fuel =
   in
   try go fuel with Fault.Fault f -> Faulted f
 
-(* Fast tier: the observer and injector dispatches are hoisted out of the
-   loop entirely (this loop only runs when neither is attached), and the
-   fetch is one TLB exec probe plus one array read into the predecoded
-   text. Out-of-text rip falls through to Invalid_opcode exactly as the
-   reference fetch reports it: neither hash table can match outside the
-   text segment. *)
-let run_fast t ~fuel =
-  let pd = Image.predecoded t.image in
-  let base = t.image.Image.text_base in
-  let len = Array.length pd in
-  let rec go budget =
-    if t.halted then Halted
-    else if budget <= 0 then Fuel_exhausted
+(* Predecoded straight-line stepping: the loop tier 3's cold path runs in
+   (lib/machine/jit.ml). The fetch is one TLB exec probe plus one array
+   read into the predecoded text; the observer and injector dispatches are
+   absent (tier 3 never runs under an injector, and wraps single steps
+   itself when observed). It returns just after a transfer of control the
+   JIT must see — onto an address set in the [marks] bitmap (one bit per
+   text byte), or backward by less than [longest] bytes — leaving the
+   transferring instruction's address in [from]; otherwise it runs until
+   halt or the end of the budget. Returns the budget left. Out-of-text
+   rip falls through to Invalid_opcode exactly as the reference fetch
+   reports it: neither hash table can match outside the text segment. It
+   lives here, beside [execute], so the per-step calls are direct. *)
+let rec straight t pd base marks longest from budget =
+  if budget <= 0 || t.halted then budget
+  else begin
+    let rip = t.rip in
+    Mem.check_exec t.mem rip;
+    let off = rip - base in
+    let next =
+      if off >= 0 && off < Array.length pd then
+        match Array.unsafe_get pd off with
+        | Image.P_insn (insn, size) ->
+            execute t rip insn size;
+            rip + size
+        | Image.P_builtin name ->
+            step_builtin t name;
+            -1
+        | Image.P_none -> Fault.raise_fault (Invalid_opcode { addr = rip })
+      else Fault.raise_fault (Invalid_opcode { addr = rip })
+    in
+    let a = t.rip in
+    if a = next then straight t pd base marks longest from (budget - 1)
     else begin
-      let rip = t.rip in
-      Mem.check_exec t.mem rip;
-      let off = rip - base in
-      (if off >= 0 && off < len then
-         match Array.unsafe_get pd off with
-         | Image.P_insn (insn, size) -> execute t rip insn size
-         | Image.P_builtin name -> step_builtin t name
-         | Image.P_none -> Fault.raise_fault (Invalid_opcode { addr = rip })
-       else Fault.raise_fault (Invalid_opcode { addr = rip }));
-      go (budget - 1)
+      let o = a - base in
+      if
+        (o >= 0
+        && o lsr 3 < Bytes.length marks
+        && Char.code (Bytes.unsafe_get marks (o lsr 3)) land (1 lsl (o land 7)) <> 0)
+        || (a < rip && rip - a < longest)
+      then begin
+        from := rip;
+        budget - 1
+      end
+      else straight t pd base marks longest from (budget - 1)
     end
-  in
-  try go fuel with Fault.Fault f -> Faulted f
+  end
 
 (* Tier dispatch: an attached injector forces the reference tier (it
    must see every step, and compiled code has no injection points);
-   otherwise tier 3 runs when installed — observed or not — and the fast
-   interpreter when not, unless an observer needs the reference dispatch
-   there. All three produce identical counters and observer fires — the
-   jit experiment and the differential suites pin that contract down. *)
+   otherwise the tier-3 runner runs when installed — observed or not,
+   compiling or not — and the reference tier when not. Both produce
+   identical counters and observer fires — the jit experiment and the
+   differential suites pin that contract down. *)
 let run t ~fuel =
-  match (t.inject, t.tier3, t.observer) with
-  | None, Some jit, _ -> jit t ~fuel
-  | None, None, None -> run_fast t ~fuel
+  match (t.inject, t.tier3) with
+  | None, Some jit -> jit t ~fuel
   | _ -> run_reference t ~fuel
 
 let set_tier3 t f = t.tier3 <- f
@@ -567,12 +584,12 @@ let output t = Buffer.contents t.out
 let push_input t s = Queue.push s t.input
 
 (* Shared internals for the tier-3 compiler (lib/machine/jit.ml): its
-   deopt/interpreter path must funnel through the very same [execute] /
-   [step_builtin] the two interpreter tiers use, or the three-way
-   bit-identicality contract would rest on duplicated semantics. *)
+   cold loop must funnel through the very same [execute] / [step_builtin]
+   the reference tier uses, or the bit-identicality contract would rest
+   on duplicated semantics. *)
 module Internal = struct
   let site = site
   let fire = fire
-  let execute = execute
-  let step_builtin = step_builtin
+  let straight t pd ~marks ~longest ~from budget =
+    straight t pd t.image.Image.text_base marks longest from budget
 end

@@ -26,9 +26,9 @@ type site = cycles:float -> misses:int -> called:bool -> unit
     one written as a plain four-argument function still works, resolving
     to a partial application.
 
-    Observed runs take tier 3 when a JIT is attached (the reference tier
-    otherwise), and the deltas, fire order and fire count are identical
-    on both. When a site fires, the registers, [insns], [calls], [depth]
+    Observed runs take tier 3 when a JIT runner is attached (the
+    reference tier otherwise), and the deltas, fire order and fire count
+    are identical on both. When a site fires, the registers, [insns], [calls], [depth]
     and — after a call — [rip] (the callee entry) are live; [cycles] is
     not (tier 3 keeps the running total in its own slot until it exits),
     so observers work from the deltas. When [None] — the default —
@@ -82,8 +82,7 @@ type t = {
           costs nothing *)
   mutable tier3 : (t -> fuel:int -> run_result) option;
       (** the tier-3 JIT runner, installed by [Jit.attach] ({!set_tier3});
-          [None] (the default) makes {!run} fall back to the fast
-          interpreter tier *)
+          [None] (the default) makes {!run} take the reference tier *)
 }
 
 (** [create ?strict_align ?inject ~profile ~mem ~heap image ~rip ~rsp] —
@@ -115,7 +114,7 @@ val attach_observer : ?tee:bool -> t -> observer -> unit
 
 (** Builtin-boundary tap: fired once per intercepted library call
     ([print_int], [read_input], [malloc], [sensitive], ... —
-    {!Image.builtin_names}), on both interpreter tiers, immediately after
+    {!Image.builtin_names}), on both tiers, immediately after
     the builtin's effect. At tap time the machine state still shows the
     call: arguments in RDI/RSI, the result in RAX, and any bytes a
     [read_input] delivered sitting in memory at RDI — everything a
@@ -130,18 +129,17 @@ type builtin_tap = t -> string -> unit
 val set_builtin_tap : t -> builtin_tap option -> unit
 
 (** [run t ~fuel] steps until halt, fault, or [fuel] instructions. It takes
-    tier 3 (the template JIT, when [Jit.attach] installed one) — with or
-    without an observer — or else the predecoded fast path, or the
-    reference dispatch when an observer is attached without a JIT. All are
-    contractually bit-identical to {!run_reference} in cycles, insns,
-    icache misses, faults, output and observer fires. An attached injector
-    forces the reference dispatch (its attachment is a tier-3 deopt
-    trigger). *)
+    the tier-3 runner [Jit.attach] installed — with or without an
+    observer, compiling or never compiling — or else the reference
+    dispatch. Tier 3 is contractually bit-identical to {!run_reference} in
+    cycles, insns, icache misses, faults, output and observer fires. An
+    attached injector forces the reference dispatch (its attachment is a
+    tier-3 deopt trigger). *)
 val run : t -> fuel:int -> run_result
 
 (** [set_tier3 t f] installs (or, with [None], removes) the tier-3 runner
-    {!run} dispatches to. Use [Jit.attach]/[Jit.detach] rather than
-    calling this directly. *)
+    {!run} dispatches to. Use [Jit.attach] rather than calling this
+    directly. *)
 val set_tier3 : t -> (t -> fuel:int -> run_result) option -> unit
 
 (** [run_reference t ~fuel] — the slow tier of the two-version contract:
@@ -160,9 +158,9 @@ val run_until : t -> fuel:int -> break:int list -> (unit, run_result) result
 val output : t -> string
 
 (** Shared interpreter internals for the tier-3 compiler
-    ([lib/machine/jit.ml]) only. The JIT's deopt/cold path funnels through
-    the exact [execute]/[step_builtin] the interpreter tiers use, so the
-    three-way bit-identicality contract rests on one set of semantics. *)
+    ([lib/machine/jit.ml]) only. The JIT's cold loop funnels through the
+    exact instruction semantics the reference tier uses, so the
+    bit-identicality contract rests on one set of them. *)
 module Internal : sig
   (** [site t rip] — the attached observer's resolved site for [rip]
       (resolving and memoizing it on first use). Only meaningful while an
@@ -174,13 +172,17 @@ module Internal : sig
       does after each instruction. *)
   val fire : t -> int -> cycles0:float -> misses0:int -> called:bool -> unit
 
-  (** [execute t rip insn size] — decode-free core step: icache charge,
-      cycle/insn accounting, dispatch. Raises {!Fault.Fault}. *)
-  val execute : t -> int -> Insn.t -> int -> unit
-
-  (** [step_builtin t name] — one intercepted library call, including the
-      builtin tap and the implicit return. *)
-  val step_builtin : t -> string -> unit
+  (** [straight t pd ~marks ~longest ~from budget] — steps [t] through
+      the predecoded text [pd] ({!Image.predecoded} of its image) with the
+      reference tier's semantics, minus the observer and injector, until
+      it halts, [budget] instructions have retired, or an instruction
+      transfers control (any rip other than its fall-through, builtins
+      included) onto an address whose bit is set in [marks] (bit [k] of
+      byte [k/8] for text offset [k]) or backward by less than [longest]
+      bytes; in that last case it leaves the instruction's address in
+      [from]. Returns the budget left. Raises {!Fault.Fault}. *)
+  val straight :
+    t -> Image.pslot array -> marks:Bytes.t -> longest:int -> from:int ref -> int -> int
 end
 
 (** [push_input t s] queues bytes for [read_input]. *)

@@ -31,11 +31,14 @@ type chunk = {
   c_ext : int array;
 }
 
+type jit_cache = ..
+
 type t = {
   code : (int, Insn.t * int) Hashtbl.t Lazy.t;
   code_list : (int * Insn.t * int) array Lazy.t;
   chunks : chunk array;
   index : pslot array option Atomic.t;
+  jit : jit_cache list Atomic.t;
   text_base : int;
   text_len : int;
   text_perm : Perm.t;
@@ -63,7 +66,19 @@ let builtin_names =
     "print_int"; "print_str"; "read_input"; "sensitive"; "exit"; "backtrace";
   ]
 
-let code_at img addr = Hashtbl.find_opt (Lazy.force img.code) addr
+(* An image is shared by every process of it, in any domain, and a bare
+   [Lazy.force] raises [Lazy.Undefined] in a domain that finds another one
+   part-way through forcing the same lazy: that domain waits for the
+   value instead. A forced lazy costs one [Lazy.force], so the reference
+   tier can fetch through [code] on every step. *)
+let rec force l =
+  match Lazy.force l with
+  | v -> v
+  | exception Lazy.Undefined ->
+      Domain.cpu_relax ();
+      force l
+
+let code_at img addr = Hashtbl.find_opt (force img.code) addr
 
 let find_symbol img name =
   match Hashtbl.find_opt img.sym_ids name with
@@ -210,7 +225,7 @@ let body_slots b =
    images are the same executable iff their fingerprints agree — the
    equality oracle of the incremental-rerandomization contract. *)
 let fingerprint img =
-  let code_list = Lazy.force img.code_list in
+  let code_list = force img.code_list in
   let b = Buffer.create (4096 + (64 * Array.length code_list)) in
   let int i = Buffer.add_string b (string_of_int i); Buffer.add_char b ';' in
   let str s = Buffer.add_string b s; Buffer.add_char b ';' in
@@ -233,12 +248,12 @@ let fingerprint img =
       int len;
       str (Insn.to_string insn))
     code_list;
-  let words = Lazy.force img.data_words in
+  let words = force img.data_words in
   for k = 0 to (Array.length words / 2) - 1 do
     int words.(2 * k);
     int words.((2 * k) + 1)
   done;
-  Array.iter (fun (a, s) -> int a; str s) (Lazy.force img.data_bytes);
+  Array.iter (fun (a, s) -> int a; str s) (force img.data_bytes);
   let syms = ref [] in
   iter_symbols img (fun s a -> syms := (s, a) :: !syms);
   List.iter (fun (s, a) -> str s; int a) (List.sort compare !syms);
@@ -255,11 +270,11 @@ let fingerprint img =
   Array.iter (fun (e, l, fs, pw) -> int e; int l; int fs; int pw) img.unwind_funcs;
   List.iter (fun (a, w) -> int a; int w) (sorted_of_tbl img.unwind_sites (fun k v -> (k, v)));
   List.iter int (sorted_of_tbl img.checked_sites (fun k () -> k));
-  List.iter int (sorted_of_tbl (Lazy.force img.code_ptr_slots) (fun k () -> k));
+  List.iter int (sorted_of_tbl (force img.code_ptr_slots) (fun k () -> k));
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* Predecoded text: one dense array slot per text byte, so the fast-path
-   interpreter's fetch is a single bounds-checked array read instead of a
+(* Predecoded text: one dense array slot per text byte, so tier 3's cold
+   loop fetches with a single bounds-checked array read instead of a
    [builtin_addrs] probe followed by a [code] probe. Built from the placed
    bodies: their cached slots are stored at their offsets as-is, then only
    the relocations are resolved — against the placement's already-resolved

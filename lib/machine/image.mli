@@ -1,7 +1,7 @@
 (** A linked executable image.
 
     The linker produces one of these; the loader maps it; the CPU fetches
-    decoded instructions from {!predecoded} (fast tiers) or [code]
+    decoded instructions from {!predecoded} (tier 3) or [code]
     (reference tier). Text bytes are also materialised into memory with a
     deterministic pseudo-encoding so that read attacks against
     non-execute-only text observe real bytes, while [code_at] is the
@@ -61,13 +61,17 @@ type chunk = {
   c_ext : int array;
 }
 
+(** Code caches the tier-3 JIT publishes on an image ({!t.jit}). Extended
+    by [Jit]; the machine layer below it only stores them. *)
+type jit_cache = ..
+
 type t = {
   code : (int, Insn.t * int) Hashtbl.t Lazy.t;
       (** address -> decoded instruction and its layout-assigned byte
           length (the length is fixed at layout time, before symbol
           resolution, and drives the CPU's rip advance). Derived from
           [code_list] on first use: the reference dispatch and the
-          defender-side tools probe it; the fast tiers fetch through
+          defender-side tools probe it; tier 3 fetches through
           {!predecoded} instead. *)
   code_list : (int * Insn.t * int) array Lazy.t;
       (** ascending address order. Materialized on first use: the linker
@@ -82,6 +86,12 @@ type t = {
   index : pslot array option Atomic.t;
       (** memo cell of {!predecoded}. An image copied with a changed
           [chunks] must get a fresh cell ([Atomic.make None]). *)
+  jit : jit_cache list Atomic.t;
+      (** the tier-3 code caches of this image, at most one per cost
+          profile, each published once by the first run that needs it and
+          shared by every process of the image afterwards. An image copied
+          with a changed [chunks] must get a fresh cell ([Atomic.make
+          \[\]]). *)
   text_base : int;
   text_len : int;
   text_perm : Perm.t;
@@ -130,6 +140,12 @@ type t = {
     terms — the glibc analogue). *)
 val builtin_names : string list
 
+(** [force field] — one of an image's lazy fields: safe while several
+    domains load or run the image at once, where a bare [Lazy.force]
+    raises [Lazy.Undefined] in a domain that finds another one forcing
+    it. Such a domain waits for the value instead. *)
+val force : 'a Lazy.t -> 'a
+
 (** [code_at img addr] — decoded instruction and byte length at [addr]. *)
 val code_at : t -> int -> (Insn.t * int) option
 
@@ -163,7 +179,7 @@ val body : locals:(string * int) list -> Insn.t array -> int array -> body
     incremental-rerandomization pipeline is gated on. *)
 val fingerprint : t -> string
 
-(** [predecode img] — a fresh dense fetch table for the fast tiers,
+(** [predecode img] — a fresh dense fetch table for tier 3,
     indexed by [addr - text_base] over [\[0, text_len)], built from
     [chunks]: the bodies' cached slots are stored at their offsets and
     only their relocations are resolved. One O(1) array read replaces the per-step

@@ -1,4 +1,4 @@
-(* Tier-3 template JIT (ROADMAP item 1).
+(* Tier-3 template JIT.
 
    Hot functions — detected by cheap per-function call and loop-backedge
    counters — are compiled from their predecoded [Image.pslot] form into
@@ -19,6 +19,19 @@
    first time an observed run enters it, so the unobserved templates stay
    exactly as they are.
 
+   Everything not compiled runs through one cold loop
+   ([Cpu.Internal.straight]): the predecoded fetch and the shared
+   interpreter core. It hands control back only after a transfer (a taken
+   branch, call, return or builtin) onto a function entry or installed
+   leader, or backward by less than the longest body; the slot table is
+   probed there, on entry to the runner and after compiled code exits.
+   Those are the places a function entry, a loop backedge or a compiled
+   leader is reached, so the call and backedge counters fire where a
+   per-step probe would fire them — save straight-line fall-through from
+   the end of one body into the next function's entry, which counts no
+   call. Straight-line code pays one compare. With both thresholds at [max_int] (JIT off) the runner has no
+   slot table at all: it is the cold loop alone.
+
    The bit-identicality contract is absolute: every cycle is accumulated by
    the same float additions in the same order as [Cpu.execute], base costs
    come from the same [Cost.base_cost], and the cold/deopt path funnels
@@ -28,21 +41,29 @@
    [Cpu.t] on every exit, including exceptional ones.
 
    Compiled code is CPU-independent: closures take the machine context as
-   an argument and capture only constants, so one code cache serves every
-   respawn of a process ([Process.restart] reuses it warm). Caches survive
-   re-imaging too: entries are keyed by function entry address and carry a
-   digest of the decoded body, so after an incremental rerandomization a
-   stale entry is either revalidated (digest unchanged — the function did
-   not move or change) or invalidated and recompiled, never executed. *)
+   an argument and capture only constants. So one code cache serves a
+   whole image: it is published on the image ([Image.t.jit], one per cost
+   profile) by the first run that needs it, and every process, respawn and
+   pool worker of the image — in any domain — runs the code the others
+   compiled. Hotness counters and statistics stay per attachment. Compiled
+   functions are keyed by the placed body ([Image.body], by physical
+   identity), its entry and its resolved externals ([c_ext]): a cache
+   adopted by a process of another image (an explicit cache across an
+   incremental rerandomization) re-installs a function whose key still
+   matches and recompiles one whose key does not — stale code never
+   runs. *)
 
 exception Unsupported
 
 type config = { call_threshold : int; backedge_threshold : int }
 
 let default_config = { call_threshold = 8; backedge_threshold = 24 }
+let never = { call_threshold = max_int; backedge_threshold = max_int }
+let never_compiles cfg = cfg.call_threshold = max_int && cfg.backedge_threshold = max_int
 
 (* Global default switch, consulted by Loader/Process at attach time.
-   R2C_JIT=0 turns tier 3 off fleet-wide without touching call sites. *)
+   R2C_JIT=0 turns compilation off fleet-wide without touching call
+   sites. *)
 let enabled_ref =
   ref
     (match Sys.getenv_opt "R2C_JIT" with
@@ -76,12 +97,19 @@ type block = {
   b_n : int;
 }
 
+(* One compiled function. [f_body] and [f_ext] are its key, with the
+   entry: the placed body it was compiled from and that placement's
+   external addresses ([f_ext] and the code are mutable for [poison]).
+   The observed templates are built on first observed entry; an atomic
+   cell rather than a [Lazy] because the function is shared across
+   domains, where two racing builds just produce equal arrays. *)
 type cfunc = {
   f_entry : int;
-  mutable f_digest : string;  (* of the decoded body; mutable for [poison] *)
-  mutable f_gen : int;  (* cache generation this entry is valid for *)
-  f_blocks : block array;
-  f_obs : block array Lazy.t;  (* the same blocks as observed templates *)
+  f_body : Image.body;
+  mutable f_ext : int array;
+  mutable f_blocks : block array;
+  f_obs : block array option Atomic.t;
+  f_build_obs : unit -> block array;
   f_leaders : (int * int) array;  (* (address, block index) per leader *)
 }
 
@@ -96,29 +124,7 @@ type stats = {
   mutable interp_insns : int;
 }
 
-type cache = {
-  mutable owner : Image.t;
-  mutable profile : Cost.profile;
-  mutable cgen : int;
-  mutable cfg : config;
-  tbl : (int, cfunc) Hashtbl.t;  (* function entry address -> code *)
-  (* Dense per-image state, rebuilt lazily whenever [owner] changes: *)
-  mutable base : int;
-  mutable slot : int array;
-      (* per text offset: -1 nothing, -(i+2) entry of uncompiled function
-         i, k >= 0 an index into [leaders] *)
-  mutable funcs : Image.func_info array;  (* sorted by entry *)
-  mutable fcalls : int array;
-  mutable fbacks : int array;
-  mutable nocompile : bool array;
-  mutable leaders : (cfunc * int) array;
-  mutable nleaders : int;
-  stats : stats;
-}
-
-type t = { cpu : Cpu.t; cache : cache; ctx : ctx }
-
-let stats_create () =
+let fresh_stats () =
   {
     compiled = 0;
     revalidated = 0;
@@ -129,27 +135,6 @@ let stats_create () =
     tier3_insns = 0;
     interp_insns = 0;
   }
-
-let create_cache ?(config = default_config) ~profile (img : Image.t) =
-  {
-    owner = img;
-    profile;
-    cgen = 0;
-    cfg = config;
-    tbl = Hashtbl.create 64;
-    base = img.Image.text_base;
-    slot = [||];
-    funcs = [||];
-    fcalls = [||];
-    fbacks = [||];
-    nocompile = [||];
-    leaders = [||];
-    nleaders = 0;
-    stats = stats_create ();
-  }
-
-let cache_stats c = c.stats
-let stats j = j.cache.stats
 
 (* ------------------------------------------------------------------ *)
 (* Template compilation: one closure per instruction.                  *)
@@ -660,13 +645,11 @@ let compile_term p ~obs ~check ~addr ~size insn ~(bid : (int, int) Hashtbl.t) :
         -1
 
 (* ------------------------------------------------------------------ *)
-(* Function bodies: scan, digest, carve into blocks, compile.          *)
+(* Function bodies: scan, carve into blocks, compile.                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Decoded body of a function: contiguous instructions from its entry, in
-   the current predecode table. Stops at padding/builtin slots. Used both
-   to compile and to revalidate a stale cache entry, so it must be a pure
-   function of the current image. *)
+   the current predecode table. Stops at padding/builtin slots. *)
 let scan_body (pd : Image.pslot array) ~base (fi : Image.func_info) :
     (int * Insn.t * int) list =
   let lo = fi.Image.entry - base in
@@ -681,24 +664,13 @@ let scan_body (pd : Image.pslot array) ~base (fi : Image.func_info) :
   in
   if lo < 0 || lo >= Array.length pd then [] else go lo []
 
-let body_digest (fi : Image.func_info) insns =
-  let b = Buffer.create 256 in
-  Buffer.add_string b (string_of_int fi.Image.entry);
-  Buffer.add_char b '/';
-  Buffer.add_string b (string_of_int fi.Image.code_len);
-  List.iter
-    (fun (a, i, s) ->
-      Buffer.add_string b (Printf.sprintf "|%d:%d:%s" a s (Insn.to_string i)))
-    insns;
-  Digest.string (Buffer.contents b)
-
 let is_control = function
   | Insn.Jmp _ | Insn.Jmp_ind _ | Insn.Jcc _ | Insn.Call _ | Insn.Call_ind _
   | Insn.Ret | Insn.Halt ->
       true
   | _ -> false
 
-let compile_func (p : Cost.profile) ~gen (fi : Image.func_info) insns : cfunc =
+let compile_func (p : Cost.profile) (c : Image.chunk) insns : cfunc =
   let arr = Array.of_list insns in
   let n = Array.length arr in
   let addr_set = Hashtbl.create (2 * n) in
@@ -792,151 +764,347 @@ let compile_func (p : Cost.profile) ~gen (fi : Image.func_info) insns : cfunc =
       blocks_idx
   in
   {
-    f_entry = fi.Image.entry;
-    f_digest = body_digest fi insns;
-    f_gen = gen;
+    f_entry = c.Image.c_entry;
+    f_body = c.Image.c_body;
+    f_ext = c.Image.c_ext;
     f_blocks = Array.map (compile_block ~obs:false) blocks_idx;
-    f_obs = lazy (Array.map (compile_block ~obs:true) blocks_idx);
+    f_obs = Atomic.make None;
+    f_build_obs = (fun () -> Array.map (compile_block ~obs:true) blocks_idx);
     f_leaders;
   }
 
+let obs_blocks f =
+  match Atomic.get f.f_obs with
+  | Some blocks -> blocks
+  | None ->
+      let blocks = f.f_build_obs () in
+      Atomic.set f.f_obs (Some blocks);
+      blocks
+
 (* ------------------------------------------------------------------ *)
-(* Cache state: dense slot table, leader registry, (un)installation.   *)
+(* Code caches: one image's slot table and compiled functions.         *)
 (* ------------------------------------------------------------------ *)
 
-let build_state cache (img : Image.t) =
+(* A slot at or above 0 is an installed leader: block [s lsr fbits] of
+   function [s land fmask]. *)
+let fbits = 24
+let fmask = (1 lsl fbits) - 1
+
+(* The slot table: address -> slot, by open addressing over interleaved
+   (address, slot) pairs; a free pair holds (-1, -1). It holds only
+   function entries and installed leaders, so it stays small enough to sit
+   in the host's cache, which a per-byte array over the text does not. A
+   pair's address is set once, its slot is only ever rewritten with
+   another slot valid for that address, and a table is only replaced by a
+   fully built larger one, so a reader in another domain sees a valid
+   slot or a miss. *)
+type slots = { mask : int; kv : int array; mutable used : int }
+
+(* Room for [n] pairs at a load of at most a quarter. *)
+let slots_create n =
+  let cap = ref 64 in
+  while !cap < 4 * n do
+    cap := 2 * !cap
+  done;
+  { mask = !cap - 1; kv = Array.make (2 * !cap) (-1); used = 0 }
+
+let[@inline] hash a mask = ((a * 0x9E3779B97F4A7C1) lsr 20) land mask
+
+(* A reader stops at a free key before looking at its slot: a writer
+   fills the slot first, so a pair being taken reads as free. *)
+let rec probe kv mask a i =
+  let k = Array.unsafe_get kv (2 * i) in
+  if k = a then Array.unsafe_get kv ((2 * i) + 1)
+  else if k = -1 then -1
+  else probe kv mask a ((i + 1) land mask)
+
+let[@inline] lookup (tb : slots) a = probe tb.kv tb.mask a (hash a tb.mask)
+
+(* The pair index holding [a], or the free one it would take. *)
+let rec place kv mask a i =
+  let k = Array.unsafe_get kv (2 * i) in
+  if k = a || k = -1 then i else place kv mask a ((i + 1) land mask)
+
+let put_fresh tb a v =
+  let i = place tb.kv tb.mask a (hash a tb.mask) in
+  if tb.kv.(2 * i) = -1 then tb.used <- tb.used + 1;
+  tb.kv.((2 * i) + 1) <- v;
+  tb.kv.(2 * i) <- a
+
+type fstate = Cold | Declined | Compiled of cfunc
+
+type code = {
+  img : Image.t;
+  base : int;  (* text base: the predecode table's origin *)
+  slots : slots Atomic.t;
+      (* -(i+2) at the entry of function i while it has no installed code,
+         else installed leaders; every other address is a miss (-1) *)
+  marks : Bytes.t;
+      (* one bit per text byte, set for every address ever in [slots]: the
+         cold loop stops only at transfers onto a marked address (or short
+         backward ones), so a transfer to anything else costs one bit
+         test. A bit is never cleared; a stale one costs a probe. *)
+  funcs : Image.func_info array;  (* sorted by entry *)
+  bounds : int array;  (* entry and end of function [i] at [2i], [2i+1] *)
+  longest : int;  (* the longest [code_len] *)
+  states : fstate Atomic.t array;
+      (* per function; [install] sets it before writing the leaders, so a
+         reader that finds a leader and then [Compiled f] runs a fully
+         built [f], and one that finds anything else just stays cold *)
+}
+
+let mark code a =
+  let o = a - code.base in
+  if o >= 0 && o lsr 3 < Bytes.length code.marks then
+    Bytes.set code.marks (o lsr 3)
+      (Char.unsafe_chr (Char.code (Bytes.get code.marks (o lsr 3)) lor (1 lsl (o land 7))))
+
+(* Writers hold the cache lock. A full table is replaced by one twice the
+   size, published whole. *)
+let set_slot code a v =
+  mark code a;
+  let tb = Atomic.get code.slots in
+  let i = place tb.kv tb.mask a (hash a tb.mask) in
+  if tb.kv.(2 * i) = a then tb.kv.((2 * i) + 1) <- v
+  else if 2 * (tb.used + 1) <= tb.mask + 1 then put_fresh tb a v
+  else begin
+    let big = slots_create ((tb.mask + 1) / 2) in
+    for j = 0 to tb.mask do
+      let k = tb.kv.(2 * j) in
+      if k <> -1 then put_fresh big k tb.kv.((2 * j) + 1)
+    done;
+    put_fresh big a v;
+    Atomic.set code.slots big
+  end
+
+let build_code (img : Image.t) =
   let funcs = img.Image.funcs in
   let nf = Array.length funcs in
-  cache.base <- img.Image.text_base;
-  cache.funcs <- funcs;
-  let tlen = max 1 img.Image.text_len in
-  let slot = Array.make tlen (-1) in
-  Array.iteri
-    (fun i (fi : Image.func_info) ->
-      let off = fi.Image.entry - img.Image.text_base in
-      if off >= 0 && off < tlen then slot.(off) <- -(i + 2))
-    funcs;
-  cache.slot <- slot;
-  cache.fcalls <- Array.make (max 1 nf) 0;
-  cache.fbacks <- Array.make (max 1 nf) 0;
-  cache.nocompile <- Array.make (max 1 nf) false;
-  cache.leaders <- [||];
-  cache.nleaders <- 0
+  if nf > fmask then invalid_arg "Jit: too many functions";
+  let code =
+    {
+      img;
+      base = img.Image.text_base;
+      slots = Atomic.make (slots_create nf);
+      marks = Bytes.make ((img.Image.text_len + 7) / 8) '\000';
+      funcs;
+      bounds =
+        Array.init (2 * nf) (fun k ->
+            let fi = funcs.(k / 2) in
+            if k land 1 = 0 then fi.Image.entry else fi.Image.entry + fi.Image.code_len);
+      longest = Array.fold_left (fun m (fi : Image.func_info) -> max m fi.Image.code_len) 0 funcs;
+      states = Array.init nf (fun _ -> Atomic.make Cold);
+    }
+  in
+  Array.iteri (fun i (fi : Image.func_info) -> set_slot code fi.Image.entry (-(i + 2))) funcs;
+  code
 
-let push_leader cache f bi =
-  let n = cache.nleaders in
-  if n = Array.length cache.leaders then begin
-    let a = Array.make (max 64 (2 * n)) (f, bi) in
-    Array.blit cache.leaders 0 a 0 n;
-    cache.leaders <- a
-  end;
-  cache.leaders.(n) <- (f, bi);
-  cache.nleaders <- n + 1;
-  n
+(* What a never-compiling runner sees: no slots and no functions, so the
+   cold loop's probes find nothing and no counter exists. *)
+let no_code (img : Image.t) =
+  {
+    img;
+    base = img.Image.text_base;
+    slots = Atomic.make (slots_create 0);
+    marks = Bytes.empty;
+    funcs = [||];
+    bounds = [||];
+    longest = 0;
+    states = [||];
+  }
 
-(* The slot value a text offset reverts to when compiled code is removed:
-   a function-entry marker if the current image has an entry there. *)
-let entry_marker cache addr =
-  let fs = cache.funcs in
-  let lo = ref 0 and hi = ref (Array.length fs - 1) and res = ref (-1) in
+(* A code cache: the dense state of the image it currently serves, and
+   every compiled function by entry address, for adoption by key. The
+   lock serializes compilation and installation; readers go through
+   [code.states]. *)
+type cache = {
+  lock : Mutex.t;
+  mutable profile : Cost.profile;
+  cfg : config;  (* thresholds for attachments that name none *)
+  tbl : (int, cfunc) Hashtbl.t;
+  mutable code : code;
+}
+
+type Image.jit_cache += Cache of cache
+
+let create_cache ?(config = default_config) ~profile (img : Image.t) =
+  { lock = Mutex.create (); profile; cfg = config; tbl = Hashtbl.create 64; code = build_code img }
+
+(* The image's own cache for [profile], published once: racing domains
+   may both build one, and the compare-and-set keeps exactly one. *)
+let image_cache (img : Image.t) profile =
+  let rec find = function
+    | Cache c :: _ when c.profile == profile -> Some c
+    | _ :: rest -> find rest
+    | [] -> None
+  in
+  let rec get () =
+    let cur = Atomic.get img.Image.jit in
+    match find cur with
+    | Some c -> c
+    | None ->
+        let c = create_cache ~profile img in
+        if Atomic.compare_and_set img.Image.jit cur (Cache c :: cur) then c else get ()
+  in
+  get ()
+
+(* A JIT attachment: one CPU, its thresholds, and its own hotness counters
+   and statistics. [fcalls.(i)] counts calls of function [i] until this
+   attachment compiles, adopts or declines it, and is [-1] from then on. *)
+type t = {
+  cpu : Cpu.t;
+  ctx : ctx;
+  cfg : config;
+  stats : stats;
+  explicit : cache option;  (* the cache [attach] adopted, if any *)
+  mutable fcalls : int array;
+  mutable fbacks : int array;
+  from : int ref;  (* the cold loop's last transferring instruction *)
+}
+
+let stats j = j.stats
+
+let cache_of j =
+  match j.explicit with
+  | Some c -> c
+  | None -> image_cache j.cpu.Cpu.image j.cpu.Cpu.profile
+
+(* The dense state this attachment's runs use. An explicit cache serving
+   another image is retargeted at this one: a fresh slot table, with its
+   compiled functions left in [tbl] to be adopted by key. *)
+let code_of j =
+  let img = j.cpu.Cpu.image in
+  if never_compiles j.cfg then no_code img
+  else begin
+    let cache = cache_of j in
+    Mutex.protect cache.lock (fun () ->
+        if cache.code.img != img then cache.code <- build_code img;
+        cache.code)
+  end
+
+let install code fidx f =
+  Atomic.set code.states.(fidx) (Compiled f);
+  Array.iter (fun (a, bi) -> set_slot code a ((bi lsl fbits) lor fidx)) f.f_leaders
+
+let uninstall code fidx f =
+  Atomic.set code.states.(fidx) Cold;
+  Array.iter (fun (a, bi) -> set_slot code a (if bi = 0 then -(fidx + 2) else -1)) f.f_leaders
+
+(* Last function whose entry is <= addr and whose body covers it: a
+   binary search over the flat [bounds], not the scattered records. *)
+let func_covering code addr =
+  let b = code.bounds in
+  let lo = ref 0 and hi = ref ((Array.length b / 2) - 1) and res = ref (-1) in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
-    let e = fs.(mid).Image.entry in
-    if e = addr then begin
-      res := mid;
-      lo := !hi + 1
-    end
-    else if e < addr then lo := mid + 1
-    else hi := mid - 1
-  done;
-  if !res >= 0 then -(!res + 2) else -1
-
-let install cache f =
-  Array.iter
-    (fun (a, bix) ->
-      let off = a - cache.base in
-      if off >= 0 && off < Array.length cache.slot then
-        cache.slot.(off) <- push_leader cache f bix)
-    f.f_leaders
-
-let uninstall cache f =
-  Array.iter
-    (fun (a, _) ->
-      let off = a - cache.base in
-      if off >= 0 && off < Array.length cache.slot then begin
-        let s = cache.slot.(off) in
-        if s >= 0 then begin
-          let g, _ = cache.leaders.(s) in
-          if g == f then cache.slot.(off) <- entry_marker cache a
-        end
-      end)
-    f.f_leaders
-
-(* Last function whose entry is <= addr and whose body covers it. *)
-let func_covering cache addr =
-  let fs = cache.funcs in
-  let lo = ref 0 and hi = ref (Array.length fs - 1) and res = ref (-1) in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    if fs.(mid).Image.entry <= addr then begin
+    if Array.unsafe_get b (2 * mid) <= addr then begin
       res := mid;
       lo := mid + 1
     end
     else hi := mid - 1
   done;
   let i = !res in
-  if i >= 0 && addr < fs.(i).Image.entry + fs.(i).Image.code_len then i else -1
+  if i >= 0 && addr < b.((2 * i) + 1) then i else -1
 
-(* Compile (or adopt) function [fidx] of the current image. A cached entry
-   from an earlier generation is revalidated against the digest of the
-   current decoded body: unchanged bodies are re-installed as-is (the
-   common case for functions an incremental rerandomization did not move);
-   anything else is dropped and recompiled — a stale entry never runs. *)
-let try_compile j fidx =
-  let cache = j.cache in
-  let fi = cache.funcs.(fidx) in
-  let pd = Image.predecoded j.cpu.Cpu.image in
-  let insns = scan_body pd ~base:cache.base fi in
-  if insns = [] then cache.nocompile.(fidx) <- true
-  else begin
-    let st = cache.stats in
-    let fresh () =
-      match compile_func cache.profile ~gen:cache.cgen fi insns with
-      | f ->
-          Hashtbl.replace cache.tbl fi.Image.entry f;
-          install cache f;
-          st.compiled <- st.compiled + 1
-      | exception Unsupported -> cache.nocompile.(fidx) <- true
-    in
-    match Hashtbl.find_opt cache.tbl fi.Image.entry with
-    | Some f when f.f_gen = cache.cgen -> ()
-    | Some f when f.f_digest = body_digest fi insns ->
-        f.f_gen <- cache.cgen;
-        install cache f;
-        st.revalidated <- st.revalidated + 1
-    | Some _ ->
-        Hashtbl.remove cache.tbl fi.Image.entry;
-        st.invalidated <- st.invalidated + 1;
-        fresh ()
-    | None -> fresh ()
-  end
+(* The placed body at [entry]: the chunk a function's key is read from. *)
+let chunk_at (img : Image.t) entry =
+  let cs = img.Image.chunks in
+  let lo = ref 0 and hi = ref (Array.length cs - 1) and res = ref None in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let e = cs.(mid).Image.c_entry in
+    if e = entry then begin
+      res := Some cs.(mid);
+      lo := !hi + 1
+    end
+    else if e < entry then lo := mid + 1
+    else hi := mid - 1
+  done;
+  !res
+
+(* Function [fidx] reached a threshold. This attachment stops counting it
+   and takes whatever the image's cache has: code another process
+   installed, an entry from an earlier image whose key still matches
+   (both adoptions), or a fresh compile — replacing an entry whose key
+   does not match, which never runs again. *)
+let try_compile j code fidx =
+  let st = j.stats in
+  j.fcalls.(fidx) <- -1;
+  let adopt () = st.revalidated <- st.revalidated + 1 in
+  match Atomic.get code.states.(fidx) with
+  | Compiled _ -> adopt ()
+  | Declined -> ()
+  | Cold ->
+      let cache = cache_of j in
+      Mutex.protect cache.lock (fun () ->
+          match Atomic.get code.states.(fidx) with
+          | Compiled _ -> adopt ()
+          | Declined -> ()
+          | Cold -> (
+              let fi = code.funcs.(fidx) in
+              let decline () = Atomic.set code.states.(fidx) Declined in
+              match chunk_at code.img fi.Image.entry with
+              | None -> decline ()
+              | Some c -> (
+                  let fresh () =
+                    match scan_body (Image.predecoded code.img) ~base:code.base fi with
+                    | [] -> decline ()
+                    | insns -> (
+                        match compile_func cache.profile c insns with
+                        | f ->
+                            Hashtbl.replace cache.tbl fi.Image.entry f;
+                            install code fidx f;
+                            st.compiled <- st.compiled + 1
+                        | exception Unsupported -> decline ())
+                  in
+                  match Hashtbl.find_opt cache.tbl fi.Image.entry with
+                  | Some f when f.f_body == c.Image.c_body && f.f_ext = c.Image.c_ext ->
+                      install code fidx f;
+                      adopt ()
+                  | Some _ ->
+                      Hashtbl.remove cache.tbl fi.Image.entry;
+                      st.invalidated <- st.invalidated + 1;
+                      fresh ()
+                  | None -> fresh ())))
 
 (* ------------------------------------------------------------------ *)
 (* The runner.                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Execute compiled blocks of [f] starting at block [bi0] with at most
-   [budget0] instructions. Returns instructions retired, or
+(* The compiled blocks to enter for the leader slot [s], or [[||]] when
+   its function's code is not visibly installed. Every function installed
+   at one index of one [code] was compiled from the same placed body, so
+   it has the same blocks: a leader read just before a reinstall still
+   names the right one. Counts the entry, and the adoption when this
+   attachment has not run the function's code before. *)
+let leader j code ~observed s =
+  let fidx = s land fmask in
+  match Atomic.get (Array.unsafe_get code.states fidx) with
+  | Compiled f ->
+      let blocks = if observed then obs_blocks f else f.f_blocks in
+      let bi = s lsr fbits in
+      if bi < Array.length blocks then begin
+        let st = j.stats in
+        if Array.unsafe_get j.fcalls fidx >= 0 then begin
+          j.fcalls.(fidx) <- -1;
+          st.revalidated <- st.revalidated + 1
+        end;
+        if bi = 0 then st.entry_enters <- st.entry_enters + 1
+        else st.osr_enters <- st.osr_enters + 1;
+        blocks
+      end
+      else [||]
+  | Cold | Declined -> [||]
+
+(* Execute compiled blocks starting at block [bi0] of [blocks0] with at
+   most [budget0] instructions. Returns instructions retired, or
    [-(retired + 1)] when the exit is a deopt (rip points at an
    instruction the caller must interpret). The cycle counter lives in
    [ctx.cyc] for the duration and is flushed back on every exit,
    exceptional ones included; rip is materialized at every exit point. *)
-let exec_cfunc (j : t) ~observed (f : cfunc) bi0 budget0 =
+let exec_cfunc (j : t) ~observed code blocks0 bi0 budget0 =
   let c = j.ctx in
   let t = j.cpu in
-  let cache = j.cache in
-  let slot = cache.slot in
-  let nslots = Array.length slot in
   c.cyc.(0) <- t.Cpu.cycles;
   let consumed = ref 0 in
   let deopt = ref false in
@@ -971,16 +1139,11 @@ let exec_cfunc (j : t) ~observed (f : cfunc) bi0 budget0 =
            call-heavy workloads) *)
         let budget = budget - n in
         if budget > 0 && not t.Cpu.halted then begin
-          let off = t.Cpu.rip - cache.base in
-          if off >= 0 && off < nslots then begin
-            let s = Array.unsafe_get slot off in
-            if s >= 0 then begin
-              let f', bi' = Array.unsafe_get cache.leaders s in
-              let st = cache.stats in
-              if bi' = 0 then st.entry_enters <- st.entry_enters + 1
-              else st.osr_enters <- st.osr_enters + 1;
-              loop (if observed then Lazy.force f'.f_obs else f'.f_blocks) bi' budget
-            end
+          let rip = t.Cpu.rip in
+          let s = lookup (Atomic.get code.slots) rip in
+          if s >= 0 then begin
+            let blocks' = leader j code ~observed s in
+            if Array.length blocks' > 0 then loop blocks' (s lsr fbits) budget
           end
         end
       end
@@ -991,63 +1154,90 @@ let exec_cfunc (j : t) ~observed (f : cfunc) bi0 budget0 =
       end
     end
   in
-  (try loop (if observed then Lazy.force f.f_obs else f.f_blocks) bi0 budget0
+  (try loop blocks0 bi0 budget0
    with e ->
      t.Cpu.cycles <- c.cyc.(0);
      raise e);
   t.Cpu.cycles <- c.cyc.(0);
   if !deopt then -(!consumed + 1) else !consumed
 
-(* One cold instruction through the shared interpreter core (the OSR exit
-   path, everything not yet hot, and out-of-text rips, which fault exactly
-   as the interpreter tiers report them). *)
-let interp_core j pd rip off =
-  let t = j.cpu in
-  Mem.check_exec t.Cpu.mem rip;
-  (if off >= 0 && off < Array.length pd then
-     match Array.unsafe_get pd off with
-     | Image.P_insn (insn, size) -> Cpu.Internal.execute t rip insn size
-     | Image.P_builtin name -> Cpu.Internal.step_builtin t name
-     | Image.P_none -> Fault.raise_fault (Invalid_opcode { addr = rip })
-   else Fault.raise_fault (Invalid_opcode { addr = rip }));
-  j.cache.stats.interp_insns <- j.cache.stats.interp_insns + 1
-
-(* Under an observer, wrapped exactly as [Cpu.step] wraps its core. *)
-let interp_step j ~observed pd rip off =
-  if not observed then interp_core j pd rip off
+(* One cold instruction ([j.from] set if it transferred control); when
+   observed, wrapped exactly as [Cpu.step] wraps its core. *)
+let step1 j ~observed code (t : Cpu.t) pd =
+  let step () =
+    ignore (Cpu.Internal.straight t pd ~marks:code.marks ~longest:code.longest ~from:j.from 1)
+  in
+  if not observed then step ()
   else begin
-    let t = j.cpu in
+    let rip = t.Cpu.rip in
     let cycles0 = t.Cpu.cycles
     and misses0 = Icache.misses t.Cpu.icache
     and calls0 = t.Cpu.calls in
-    match interp_core j pd rip off with
+    match step () with
     | () -> Cpu.Internal.fire t rip ~cycles0 ~misses0 ~called:(t.Cpu.calls > calls0)
     | exception e ->
         Cpu.Internal.fire t rip ~cycles0 ~misses0 ~called:false;
         raise e
   end
 
-let rec go j ~observed pd budget =
+(* A backward transfer from [from] to [rip] within one function is a loop
+   backedge of it. One spanning more than the longest body cannot be —
+   most returns — so only the rest pay for the function lookup. *)
+let backedge j code ~from rip =
+  let fidx = if from - rip < code.longest then func_covering code rip else -1 in
+  if fidx >= 0 then begin
+    if from < code.bounds.((2 * fidx) + 1) && j.fcalls.(fidx) >= 0 then begin
+      let n = j.fbacks.(fidx) + 1 in
+      j.fbacks.(fidx) <- n;
+      if n >= j.cfg.backedge_threshold then try_compile j code fidx
+    end
+  end
+
+(* The cold loop: straight-line code through the interpreter core (one
+   step at a time when observed) up to a transfer onto a marked address or
+   a short backward one, then a backedge count when it jumped back inside
+   one function, and a probe. A never-compiling runner marks nothing, so
+   its straight line runs through every transfer to the end of the run:
+   no probe, no counter. *)
+let rec cold j ~observed code pd budget =
+  let t = j.cpu in
+  j.from := -1;
+  let budget =
+    if observed then begin
+      step1 j ~observed code t pd;
+      budget - 1
+    end
+    else Cpu.Internal.straight t pd ~marks:code.marks ~longest:code.longest ~from:j.from budget
+  in
+  let from = !(j.from) in
+  if from >= 0 then begin
+    let rip' = t.Cpu.rip in
+    if rip' < from && not t.Cpu.halted then backedge j code ~from rip';
+    enter j ~observed code pd budget
+  end
+  else if t.Cpu.halted then Cpu.Halted
+  else if budget <= 0 then Cpu.Fuel_exhausted
+  else cold j ~observed code pd budget
+
+(* Control arrived at rip by a transfer: enter compiled code at an
+   installed leader, count a call at an uncompiled function entry, and
+   otherwise carry on cold. *)
+and enter j ~observed code pd budget =
   let t = j.cpu in
   if t.Cpu.halted then Cpu.Halted
   else if budget <= 0 then Cpu.Fuel_exhausted
   else begin
     let rip = t.Cpu.rip in
-    let cache = j.cache in
-    let off = rip - cache.base in
-    if off >= 0 && off < Array.length cache.slot then begin
-      let s = Array.unsafe_get cache.slot off in
-      if s >= 0 then begin
-        (* compiled leader: enter tier 3 (block 0 = function entry,
-           anything else is an OSR entry at a block leader) *)
-        let f, bi = Array.unsafe_get cache.leaders s in
-        let st = cache.stats in
-        if bi = 0 then st.entry_enters <- st.entry_enters + 1
-        else st.osr_enters <- st.osr_enters + 1;
-        let r = exec_cfunc j ~observed f bi budget in
+    let s = lookup (Atomic.get code.slots) rip in
+    if s >= 0 then begin
+      let blocks = leader j code ~observed s in
+      if Array.length blocks = 0 then cold j ~observed code pd budget
+      else begin
+        let st = j.stats in
+        let r = exec_cfunc j ~observed code blocks (s lsr fbits) budget in
         if r >= 0 then begin
           st.tier3_insns <- st.tier3_insns + r;
-          go j ~observed pd (budget - r)
+          enter j ~observed code pd (budget - r)
         end
         else begin
           let consumed = -r - 1 in
@@ -1056,85 +1246,61 @@ let rec go j ~observed pd budget =
           (* the deopt instruction itself runs in the interpreter; the
              budget always has room for it (a deopt exit retires at most
              budget - 1 instructions) *)
-          interp_step j ~observed pd t.Cpu.rip (t.Cpu.rip - cache.base);
-          go j ~observed pd (budget - consumed - 1)
-        end
-      end
-      else begin
-        if s <= -2 then begin
-          (* uncompiled function entry: bump its call counter *)
-          let fidx = -s - 2 in
-          if not (Array.unsafe_get cache.nocompile fidx) then begin
-            let ctr = Array.unsafe_get cache.fcalls fidx + 1 in
-            Array.unsafe_set cache.fcalls fidx ctr;
-            if ctr >= cache.cfg.call_threshold then try_compile j fidx
-          end
-        end;
-        let s2 = Array.unsafe_get cache.slot off in
-        if s2 >= 0 then go j ~observed pd budget (* just compiled: re-probe *)
-        else begin
-          interp_step j ~observed pd rip off;
-          (* a backward transfer within one function is a loop backedge *)
-          let rip' = t.Cpu.rip in
-          if rip' < rip && rip' >= cache.base && not t.Cpu.halted then begin
-            let fidx = func_covering cache rip' in
-            if
-              fidx >= 0
-              && rip
-                 < cache.funcs.(fidx).Image.entry
-                   + cache.funcs.(fidx).Image.code_len
-              && not (Array.unsafe_get cache.nocompile fidx)
-            then begin
-              let ctr = cache.fbacks.(fidx) + 1 in
-              cache.fbacks.(fidx) <- ctr;
-              if ctr >= cache.cfg.backedge_threshold then try_compile j fidx
-            end
-          end;
-          go j ~observed pd (budget - 1)
+          step1 j ~observed code t pd;
+          enter j ~observed code pd (budget - consumed - 1)
         end
       end
     end
-    else begin
-      (* out-of-text rip: the interpreter core faults on it exactly as
-         the interpreter tiers do *)
-      interp_step j ~observed pd rip off;
-      go j ~observed pd (budget - 1)
+    else if s < -1 && Array.unsafe_get j.fcalls (-s - 2) >= 0 then begin
+      let fidx = -s - 2 in
+      let n = j.fcalls.(fidx) + 1 in
+      j.fcalls.(fidx) <- n;
+      if n >= j.cfg.call_threshold then begin
+        (* installed now, or no longer counted: the re-probe settles it *)
+        try_compile j code fidx;
+        enter j ~observed code pd budget
+      end
+      else cold j ~observed code pd budget
     end
+    else cold j ~observed code pd budget
   end
 
+(* Cold instructions are counted as whatever tier 3 did not retire, so
+   the cold loop itself counts nothing. *)
 let run j ~fuel =
-  let cache = j.cache in
-  if cache.owner != j.cpu.Cpu.image then begin
-    (* the shared cache was retargeted at a (re)randomized image: dense
-       state is per-layout, compiled entries await digest revalidation *)
-    cache.owner <- j.cpu.Cpu.image;
-    cache.cgen <- cache.cgen + 1;
-    build_state cache j.cpu.Cpu.image
-  end
-  else if Array.length cache.slot = 0 then build_state cache j.cpu.Cpu.image;
-  let pd = Image.predecoded j.cpu.Cpu.image in
-  let observed = Option.is_some j.cpu.Cpu.observer in
-  try go j ~observed pd fuel with Fault.Fault f -> Cpu.Faulted f
+  let code = code_of j in
+  let nf = Array.length code.funcs in
+  if Array.length j.fcalls <> nf then begin
+    j.fcalls <- Array.make nf 0;
+    j.fbacks <- Array.make nf 0
+  end;
+  let t = j.cpu and st = j.stats in
+  let pd = Image.predecoded t.Cpu.image in
+  let observed = Option.is_some t.Cpu.observer in
+  let insns0 = t.Cpu.insns and tier30 = st.tier3_insns in
+  let r = try enter j ~observed code pd fuel with Fault.Fault f -> Cpu.Faulted f in
+  st.interp_insns <- st.interp_insns + (t.Cpu.insns - insns0) - (st.tier3_insns - tier30);
+  r
 
 (* ------------------------------------------------------------------ *)
 (* Attachment.                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let attach ?config ?cache (cpu : Cpu.t) =
-  let cache =
-    match cache with
-    | None -> create_cache ?config ~profile:cpu.Cpu.profile cpu.Cpu.image
-    | Some c ->
-        if c.profile != cpu.Cpu.profile then begin
-          (* compiled code bakes cost constants in; a different profile
-             invalidates the whole cache *)
+let attach ?config ?cache ?stats (cpu : Cpu.t) =
+  (match cache with
+  | Some c when c.profile != cpu.Cpu.profile ->
+      (* compiled code bakes cost constants in; a different profile
+         invalidates the whole cache *)
+      Mutex.protect c.lock (fun () ->
           Hashtbl.reset c.tbl;
           c.profile <- cpu.Cpu.profile;
-          c.cgen <- c.cgen + 1;
-          c.slot <- [||]
-        end;
-        (match config with Some cfg -> c.cfg <- cfg | None -> ());
-        c
+          c.code <- build_code cpu.Cpu.image)
+  | _ -> ());
+  let cfg =
+    match (config, cache) with
+    | Some cfg, _ -> cfg
+    | None, Some c -> c.cfg
+    | None, None -> default_config
   in
   let ctx =
     {
@@ -1147,20 +1313,35 @@ let attach ?config ?cache (cpu : Cpu.t) =
       om = 0;
     }
   in
-  let j = { cpu; cache; ctx } in
+  let stats = match stats with Some s -> s | None -> fresh_stats () in
+  let j = { cpu; ctx; cfg; stats; explicit = cache; fcalls = [||]; fbacks = [||]; from = ref (-1) } in
   Cpu.set_tier3 cpu (Some (fun _ ~fuel -> run j ~fuel));
   j
 
-let detach cpu = Cpu.set_tier3 cpu None
-
 (* Test hook: corrupt the cached entry for [entry] as a crashed
-   rerandomization might leave it — stale generation, wrong digest. The
-   probe path must invalidate and recompile it, never execute it. *)
+   rerandomization might leave it. It is uninstalled, its key no longer
+   matches any placement, and its code raises if it ever runs. The next
+   time the function is hot it must be invalidated and recompiled. *)
 let poison j ~entry =
-  match Hashtbl.find_opt j.cache.tbl entry with
-  | None -> false
-  | Some f ->
-      uninstall j.cache f;
-      f.f_digest <- "<poisoned>";
-      f.f_gen <- j.cache.cgen - 1;
-      true
+  let cache = cache_of j in
+  Mutex.protect cache.lock (fun () ->
+      match Hashtbl.find_opt cache.tbl entry with
+      | None -> false
+      | Some f ->
+          let code = cache.code in
+          let fidx = func_covering code entry in
+          if fidx >= 0 then begin
+            (match Atomic.get code.states.(fidx) with
+            | Compiled g when g == f -> uninstall code fidx f
+            | _ -> ());
+            if code.img == j.cpu.Cpu.image && fidx < Array.length j.fcalls then begin
+              j.fcalls.(fidx) <- 0;
+              j.fbacks.(fidx) <- 0
+            end
+          end;
+          f.f_ext <- Array.append f.f_ext [| -1 |];
+          let stale _ = failwith "Jit: stale code executed" in
+          let trip b = { b with b_ops = Array.map (fun _ -> stale) b.b_ops; b_term = stale } in
+          f.f_blocks <- Array.map trip f.f_blocks;
+          Atomic.set f.f_obs (Some f.f_blocks);
+          true)

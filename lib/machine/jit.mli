@@ -1,17 +1,22 @@
-(** Tier-3 template JIT with on-stack replacement (ROADMAP item 1).
+(** Tier-3 template JIT with on-stack replacement.
 
     Hot functions — found by cheap per-function call and loop-backedge
-    counters, zero-cost when the JIT is off — are compiled from their
-    predecoded form into flat arrays of OCaml closures: straight-line
-    basic blocks fused, no per-step decode or dispatch probe, registers
-    and the cycle counter in unboxed locals. Execution enters compiled
-    code at function entries and (OSR) at any basic-block leader, and
-    leaves it by materializing the complete interpreter frame — rip,
-    registers, RSP, call depth, cycle/insn/icache counters — at every
-    deopt trigger: fault, fuel exhaustion, a builtin call, a transfer out
-    of compiled code, or an instruction the template compiler declines
-    (injector attachment deopts one level higher, in {!Cpu.run}'s tier
-    dispatch).
+    counters — are compiled from their predecoded form into flat arrays
+    of OCaml closures: straight-line basic blocks fused, no per-step
+    decode or dispatch probe, registers and the cycle counter in unboxed
+    locals. Execution enters compiled code at function entries and (OSR)
+    at any basic-block leader, and leaves it by materializing the
+    complete interpreter frame — rip, registers, RSP, call depth,
+    cycle/insn/icache counters — at every deopt trigger: fault, fuel
+    exhaustion, a builtin call, a transfer out of compiled code, or an
+    instruction the template compiler declines (injector attachment
+    deopts one level higher, in {!Cpu.run}'s tier dispatch).
+
+    Code that is not compiled runs through one cold loop — the predecoded
+    fetch and the interpreter core — that probes for compiled code only
+    where control arrives by a transfer. With both thresholds at
+    [max_int] ({!never}: the JIT switched off) the runner is that loop
+    alone, with no code cache at all.
 
     An attached {!Cpu.observer} does not deopt: the run executes observed
     templates — a second compilation of the same blocks, built per
@@ -23,25 +28,30 @@
     running total sits in the JIT's own slot until compiled code exits,
     so observers work from the deltas.
 
-    The contract is three-way bit-identicality: {!Cpu.run} with tier 3,
-    {!Cpu.run} with the JIT disabled (fast interpreter), and
-    {!Cpu.run_reference} produce identical cycles, insns, icache
-    counters, faults, output, exit codes and peak depth on every program;
-    observed, tier 3 and the reference tier also fire identical sites
-    with identical deltas. [experiments jit] and the [jit] test suite
-    enforce it.
+    The contract is bit-identicality: {!Cpu.run} with tier 3 compiling,
+    {!Cpu.run} with it never compiling, and {!Cpu.run_reference} produce
+    identical cycles, insns, icache counters, faults, output, exit codes
+    and peak depth on every program; observed, tier 3 and the reference
+    tier also fire identical sites with identical deltas. [experiments
+    jit] and the [jit] test suite enforce it.
 
-    Code caches are per-{!Process} and CPU-independent (closures receive
-    the machine context as an argument), so a cache stays warm across
-    {!Process.restart}. Entries carry a digest of the decoded body; after
-    an incremental rerandomization retargets the cache, each entry is
-    revalidated or invalidated on next use — stale code never runs. *)
+    Code caches are per image, not per process: compiled code is
+    CPU-independent (closures receive the machine context as an
+    argument), so the first run of an image publishes its cache on the
+    image and every process, respawn and pool worker of it — in any
+    domain — shares the code. A reader may miss a function another domain
+    just compiled, never see one half-installed. Hotness counters and
+    {!stats} stay per attachment. A compiled function is keyed by the
+    placed body it came from (physical identity), its entry and its
+    resolved externals; a cache adopted across images re-installs the
+    functions whose key still matches and recompiles the rest — stale
+    code never runs. *)
 
 type t
-(** A JIT attachment: one CPU wired to a code cache. *)
+(** A JIT attachment: one CPU, its thresholds, its own counters. *)
 
 type cache
-(** A code cache, shareable across the respawns of one process. *)
+(** A code cache. *)
 
 type config = { call_threshold : int; backedge_threshold : int }
 (** Hotness thresholds: compile a function after this many entries, or
@@ -49,11 +59,19 @@ type config = { call_threshold : int; backedge_threshold : int }
 
 val default_config : config
 
-(** Lifetime counters of a cache (monotonic; shared by every CPU attached
-    to it). [tier3_insns]/[interp_insns] split retired instructions by
-    tier; [entry_enters]/[osr_enters] count compiled-code entries at
-    function entry vs at OSR points; [deopts] counts mid-function exits
-    to the interpreter. *)
+(** Both thresholds at [max_int]: never compile, never run compiled
+    code. What [~jit:false] and [R2C_JIT=0] attach. *)
+val never : config
+
+(** Counters of one attachment (or of every attachment handed the same
+    record, see {!attach}). [compiled] counts functions it compiled;
+    [revalidated] counts functions it adopted by key — code another
+    process of the image installed, or an entry compiled for an earlier
+    image whose key still matches; [invalidated] counts key mismatches,
+    each recompiled. [tier3_insns]/[interp_insns] split retired
+    instructions by tier; [entry_enters]/[osr_enters] count
+    compiled-code entries at function entry vs at OSR points; [deopts]
+    counts mid-function exits to the interpreter. *)
 type stats = {
   mutable compiled : int;
   mutable revalidated : int;
@@ -65,36 +83,34 @@ type stats = {
   mutable interp_insns : int;
 }
 
+(** All counters zero. *)
+val fresh_stats : unit -> stats
+
 (** Global default used by {!Loader.load}/{!Process.start} when no
     explicit [?jit] is given. Initialised from [R2C_JIT] (off when set to
     [0]/[false]/[off]/[no], on otherwise). *)
 val enabled : unit -> bool
 
-(** [create_cache ?config ~profile img] — an empty cache for images laid
-    out like [img] under cost profile [profile]. *)
+(** [create_cache ?config ~profile img] — a private empty cache serving
+    [img] under cost profile [profile]; [?config] is the default for
+    attachments that name no thresholds. Use it from one domain at a
+    time. *)
 val create_cache : ?config:config -> profile:Cost.profile -> Image.t -> cache
 
-(** [attach ?config ?cache cpu] installs the tier-3 runner on [cpu]
-    ({!Cpu.set_tier3}). Without [?cache] a private cache is created; with
-    one, the cache is adopted — retargeting it (new image generation, or
-    a full reset if the cost profile differs) as needed. *)
-val attach : ?config:config -> ?cache:cache -> Cpu.t -> t
-
-(** [detach cpu] removes the tier-3 runner; [cpu] falls back to the fast
-    interpreter tier. *)
-val detach : Cpu.t -> unit
-
-(** [run j ~fuel] — the tier-3 driver itself: compiled blocks where hot
-    code exists, the shared interpreter core everywhere else. Same
-    results contract as {!Cpu.run}. *)
-val run : t -> fuel:int -> Cpu.run_result
+(** [attach ?config ?cache ?stats cpu] installs the tier-3 runner on [cpu]
+    ({!Cpu.set_tier3}). Without [?cache] it runs on the code cache of
+    [cpu]'s image, built by its first run; with one, that cache is
+    adopted — retargeted at [cpu]'s image, or fully reset if the cost
+    profile differs. Counts go to [?stats] (default a fresh record). *)
+val attach : ?config:config -> ?cache:cache -> ?stats:stats -> Cpu.t -> t
 
 val stats : t -> stats
-val cache_stats : cache -> stats
 
 (** [poison j ~entry] corrupts the cached entry for the function at
-    [entry] (stale generation, wrong digest) the way an interrupted
-    rerandomization would strand it. Returns false if nothing is cached
-    there. The next entry attempt must invalidate and recompile it —
-    the regression suite asserts stale code never executes. *)
+    [entry] the way an interrupted rerandomization would strand it: it is
+    uninstalled, its key no longer matches, and its code raises if it
+    ever runs. Returns false if nothing is cached there. The next time
+    the function is hot it must be invalidated and recompiled — the
+    regression suite asserts stale code never executes. A test hook: not
+    for use while other domains run the image. *)
 val poison : t -> entry:int -> bool

@@ -1,4 +1,4 @@
-let load ?(strict_align = false) ?inject ?jit ?jit_cache ~profile (img : Image.t) =
+let load ?(strict_align = false) ?inject ?jit ?jit_cache ?jit_stats ~profile (img : Image.t) =
   let mem = Mem.create () in
   (* Text: the placed bodies' cached bytes are copied in while the pages
      are writable, then sealed. *)
@@ -11,11 +11,11 @@ let load ?(strict_align = false) ?inject ?jit ?jit_cache ~profile (img : Image.t
   (* Data. *)
   let data_len = Addr.align_up (max img.Image.data_len Addr.page_size) ~align:Addr.page_size in
   Mem.map mem img.Image.data_base data_len Perm.rw;
-  let words = Lazy.force img.Image.data_words in
+  let words = Image.force img.Image.data_words in
   for k = 0 to (Array.length words / 2) - 1 do
     Mem.write_u64 mem words.(2 * k) words.((2 * k) + 1)
   done;
-  Array.iter (fun (addr, s) -> Mem.blit_string mem addr s) (Lazy.force img.Image.data_bytes);
+  Array.iter (fun (addr, s) -> Mem.blit_string mem addr s) (Image.force img.Image.data_bytes);
   (* Stack. *)
   let stack_len = Addr.align_up img.Image.stack_bytes ~align:Addr.page_size in
   Mem.map mem (Addr.stack_top - stack_len) stack_len Perm.rw;
@@ -25,9 +25,11 @@ let load ?(strict_align = false) ?inject ?jit ?jit_cache ~profile (img : Image.t
   let cpu =
     Cpu.create ~strict_align ?inject ~profile ~mem ~heap img ~rip:img.Image.entry ~rsp
   in
-  (* Tier-3 JIT: on by default (R2C_JIT=0 disables fleet-wide). An
-     attached injector forces the reference tier anyway, so attaching a
-     JIT under injection would only waste the cache. *)
+  (* Tier 3: compiling by default, never compiling with [~jit:false] or
+     R2C_JIT=0. An attached injector forces the reference tier anyway, so
+     no runner is attached under injection. *)
   let want = match jit with Some b -> b | None -> Jit.enabled () in
-  if want && Option.is_none inject then ignore (Jit.attach ?cache:jit_cache cpu);
+  if Option.is_none inject then
+    if want then ignore (Jit.attach ?cache:jit_cache ?stats:jit_stats cpu)
+    else ignore (Jit.attach ~config:Jit.never cpu);
   cpu

@@ -9,16 +9,21 @@
     user space. Loading never forces {!Image.t.code_list}: its cost is
     page mapping, byte copies and the data initialisers. *)
 
-(** [load ?strict_align ?inject ?jit ?jit_cache ~profile img]. [?jit]
-    (default {!Jit.enabled}, i.e. on unless [R2C_JIT=0]) attaches the
-    tier-3 JIT to the fresh CPU; [?jit_cache] shares an existing code
-    cache (warm restarts — see {!Process.restart}). An injector disables
-    the attachment: injector presence already forces the reference tier. *)
+(** [load ?strict_align ?inject ?jit ?jit_cache ?jit_stats ~profile img].
+    The fresh CPU gets a tier-3 runner. With [?jit] (default
+    {!Jit.enabled}, i.e. on unless [R2C_JIT=0]) it compiles hot code into
+    the code cache of [img] — shared by every process of the image — or
+    into [?jit_cache], and counts into [?jit_stats] (see
+    {!Process.jit_stats}); with [~jit:false] it never compiles and never
+    runs compiled code. Loading builds no JIT state: the cache is built
+    by the first run that needs it. An injector disables the attachment:
+    injector presence already forces the reference tier. *)
 val load :
   ?strict_align:bool ->
   ?inject:Inject.t ->
   ?jit:bool ->
   ?jit_cache:Jit.cache ->
+  ?jit_stats:Jit.stats ->
   profile:Cost.profile ->
   Image.t ->
   Cpu.t

@@ -7,7 +7,7 @@ type t = {
   strict_align : bool;
   inject : Inject.t option;
   jit : bool;
-  jit_cache : Jit.cache option;
+  jit_stats : Jit.stats option;
   mutable cpu : Cpu.t;
   mutable fuel_left : int;
   mutable detections : Fault.t list;
@@ -17,10 +17,10 @@ type t = {
 
 let start ?(profile = Cost.epyc_rome) ?(fuel = 50_000_000) ?(strict_align = false) ?inject
     ?jit image =
-  (* One code cache per process, shared across respawns: a restarted
-     worker reuses the hot code its predecessor compiled. *)
+  (* The code cache belongs to the image and is built by its first run;
+     the process only keeps its own counters, across respawns. *)
   let jit = (match jit with Some b -> b | None -> Jit.enabled ()) && Option.is_none inject in
-  let jit_cache = if jit then Some (Jit.create_cache ~profile image) else None in
+  let jit_stats = if jit then Some (Jit.fresh_stats ()) else None in
   {
     image;
     profile;
@@ -28,8 +28,8 @@ let start ?(profile = Cost.epyc_rome) ?(fuel = 50_000_000) ?(strict_align = fals
     strict_align;
     inject;
     jit;
-    jit_cache;
-    cpu = Loader.load ~strict_align ?inject ~jit ?jit_cache ~profile image;
+    jit_stats;
+    cpu = Loader.load ~strict_align ?inject ~jit ?jit_stats ~profile image;
     fuel_left = fuel;
     detections = [];
     crashes = 0;
@@ -80,7 +80,7 @@ let run_until ?fuel t ~break =
 let restart t =
   t.cpu <-
     Loader.load ~strict_align:t.strict_align ?inject:t.inject ~jit:t.jit
-      ?jit_cache:t.jit_cache ~profile:t.profile t.image;
+      ?jit_stats:t.jit_stats ~profile:t.profile t.image;
   (* A respawned worker gets the full fuel budget again, exactly as a
      [start]ed one does. *)
   t.fuel_left <- t.fuel;
@@ -99,7 +99,7 @@ let icache_misses t = Icache.misses t.cpu.Cpu.icache
 let icache_accesses t = Icache.accesses t.cpu.Cpu.icache
 let fuel_left t = t.fuel_left
 let maxrss_bytes t = Mem.max_mapped_pages t.cpu.Cpu.mem * Addr.page_size
-let jit_stats t = Option.map Jit.cache_stats t.jit_cache
+let jit_stats t = t.jit_stats
 let output t = Cpu.output t.cpu
 let sensitive_log t = t.cpu.Cpu.sensitive_log
 let detected t = t.detections <> []

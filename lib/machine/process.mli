@@ -19,11 +19,12 @@ type t = {
   fuel : int;
   strict_align : bool;
   inject : Inject.t option;  (** chaos injector, re-attached on restart *)
-  jit : bool;  (** tier-3 JIT attached to each incarnation's CPU *)
-  jit_cache : Jit.cache option;
-      (** the process's code cache, shared across {!restart}s so respawned
-          workers start with their predecessor's hot code already
-          compiled *)
+  jit : bool;  (** tier 3 compiles hot code in each incarnation *)
+  jit_stats : Jit.stats option;
+      (** the process's own tier-3 counters, summed over its
+          incarnations; the compiled code itself lives in the image's
+          cache, so respawned workers and every other process of the
+          image start with it already compiled *)
   mutable cpu : Cpu.t;
   mutable fuel_left : int;  (** remaining lifetime budget, in instructions *)
   mutable detections : Fault.t list;
@@ -34,9 +35,10 @@ type t = {
 (** [start ?profile ?fuel ?strict_align ?inject ?jit image] loads the
     image; nothing runs yet. Default profile {!Cost.epyc_rome}, default
     fuel 50M instructions, strict alignment off, no injection. [?jit]
-    (default {!Jit.enabled}) attaches the tier-3 JIT with a per-process
-    code cache; an injector disables it (injection already forces the
-    reference tier). *)
+    (default {!Jit.enabled}) lets tier 3 compile into the image's shared
+    code cache; [~jit:false] runs tier 3 never compiling. An injector
+    forces the reference tier. No JIT state is built here: the image's
+    cache is built by its first run. *)
 val start :
   ?profile:Cost.profile -> ?fuel:int -> ?strict_align:bool -> ?inject:Inject.t ->
   ?jit:bool -> Image.t -> t
@@ -81,8 +83,9 @@ val fuel_left : t -> int
 (** [maxrss_bytes t] — peak resident set, the Section 6.2.5 metric. *)
 val maxrss_bytes : t -> int
 
-(** [jit_stats t] — lifetime tier-3 counters of the process's code cache
-    (compilations, OSR entries, tier split); [None] when the JIT is off. *)
+(** [jit_stats t] — this process's own tier-3 counters over all its
+    incarnations (compilations, adoptions, OSR entries, tier split), not
+    the image cache's totals; [None] when the JIT is off. *)
 val jit_stats : t -> Jit.stats option
 
 val output : t -> string

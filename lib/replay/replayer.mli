@@ -4,7 +4,7 @@
     diversification coordinates ({!Trace.build} — same config, same seed,
     same cost model), stubs the environment by pre-queueing the recorded
     [read_input] responses ({!Trace.feeds}), and runs to completion on
-    the fast interpreter tier (no hooks attached). The run is fully
+    the default tier (no hooks attached). The run is fully
     deterministic, so the measured profile is compared against the
     recorded {!Trace.expect}: cycles, instructions and icache traffic
     must agree within a relative tolerance (default 1%), exit code and

@@ -1,12 +1,14 @@
-(* Differential tests for the tier-3 template JIT: the three-way
-   bit-identicality contract (reference dispatch, fast interpreter,
-   tier 3) on pinned generated programs, the fuzz corpus, faults inside
-   compiled code, and deopt storms (random fuel cuts, mid-run profiler
-   attachment). Every three-tier case also runs observed — a profiler, a
-   post-mortem ring and a fire counter tee'd onto one CPU — on the
-   reference tier and on tier 3, which must agree on all three. Plus the
+(* Differential tests for the tier-3 template JIT: the bit-identicality
+   contract across three lanes (reference dispatch, tier 3 never
+   compiling, tier 3 compiling) on pinned generated programs, the fuzz
+   corpus, faults inside compiled code, and deopt storms (random fuel
+   cuts, mid-run profiler attachment). Every three-lane case also runs
+   observed — a profiler, a post-mortem ring and a fire counter tee'd onto
+   one CPU — on the reference tier and on tier 3, which must agree on all
+   three. Plus the per-image code cache: shared by the processes of an
+   image, across domains too, never entered with the JIT off; and the
    staleness battery: a poisoned or rerandomized cache entry must be
-   invalidated or revalidated — never executed. *)
+   invalidated or adopted by key — never executed. *)
 
 open R2c_machine
 module D = R2c_core.Dconfig
@@ -42,7 +44,8 @@ let fingerprint cpu result =
     (Icache.accesses cpu.Cpu.icache)
     cpu.Cpu.max_depth (Cpu.output cpu)
 
-(* JIT off at load; each leg decides its own tier. *)
+(* JIT off at load (tier 3 never compiling); each leg decides its own
+   tier. *)
 let load img = Loader.load ~strict_align:true ~jit:false ~profile:Cost.epyc_rome img
 
 let load_fed ~inputs img =
@@ -54,7 +57,7 @@ let fp_reference ?(inputs = []) img =
   let cpu = load_fed ~inputs img in
   fingerprint cpu (Cpu.run_reference cpu ~fuel)
 
-let fp_fast ~inputs img =
+let fp_jit_off ~inputs img =
   let cpu = load_fed ~inputs img in
   fingerprint cpu (Cpu.run cpu ~fuel)
 
@@ -99,7 +102,7 @@ let check_observed ~inputs name img ~reference =
 
 let check_three_tiers ?(inputs = []) name img =
   let reference = fp_reference ~inputs img in
-  Alcotest.(check string) (name ^ " [fast]") reference (fp_fast ~inputs img);
+  Alcotest.(check string) (name ^ " [jit off]") reference (fp_jit_off ~inputs img);
   let t3, st = fp_tier3 ~inputs img in
   Alcotest.(check string) (name ^ " [tier3]") reference t3;
   check_observed ~inputs name img ~reference;
@@ -293,35 +296,100 @@ let prop_deopt_storm =
       && String.equal reference fp_jit
       && String.equal prof_ref prof_jit)
 
+(* --- the per-image code cache ----------------------------------------- *)
+
+let genprog_image ~funcs =
+  Pipeline.compile ~seed:5 (D.full ()) (Genprog.generate ~seed:5 ~funcs)
+
+let run_process img =
+  let p = Process.start ~jit:true ~fuel img in
+  let o = Process.run p in
+  let st = Option.get (Process.jit_stats p) in
+  ( Printf.sprintf "%s|cycles:%Lx|insns:%d|imiss:%d|iacc:%d|out:%s"
+      (Process.outcome_to_string o)
+      (Int64.bits_of_float (Process.cycles p))
+      (Process.insns p) (Process.icache_misses p) (Process.icache_accesses p)
+      (Process.output p),
+    st )
+
+(* The second process of an image compiles nothing: it runs the code the
+   first one compiled, adopting each function it enters. *)
+let test_shared_cache () =
+  let img = genprog_image ~funcs:60 in
+  let fp1, st1 = run_process img in
+  let fp2, st2 = run_process img in
+  Alcotest.(check string) "same run" fp1 fp2;
+  Alcotest.(check bool) "the first process compiled" true (st1.Jit.compiled > 0);
+  Alcotest.(check int) "the second compiled nothing" 0 st2.Jit.compiled;
+  Alcotest.(check bool) "and adopted the first one's code" true (st2.Jit.revalidated > 0);
+  Alcotest.(check bool) "and ran it" true (st2.Jit.tier3_insns > st1.Jit.tier3_insns)
+
+(* With the JIT off, a warm image cache is never entered. *)
+let test_jit_off_never_compiled () =
+  let img = genprog_image ~funcs:60 in
+  let reference = fp_reference img in
+  let warm = load img in
+  ignore (Jit.attach ~config:hot warm);
+  ignore (Cpu.run warm ~fuel);
+  let cpu = load img in
+  let st = Jit.fresh_stats () in
+  ignore (Jit.attach ~config:Jit.never ~stats:st cpu);
+  Alcotest.(check string) "never-compiling run" reference (fingerprint cpu (Cpu.run cpu ~fuel));
+  Alcotest.(check int) "no compiled code ran" 0 st.Jit.tier3_insns;
+  Alcotest.(check int) "no compiled code entered" 0 (st.Jit.entry_enters + st.Jit.osr_enters);
+  Alcotest.(check int) "nothing compiled or adopted" 0 (st.Jit.compiled + st.Jit.revalidated);
+  Alcotest.(check int) "every instruction cold" cpu.Cpu.insns st.Jit.interp_insns;
+  let p = Process.start ~jit:false ~strict_align:true ~fuel img in
+  ignore (Process.run p);
+  Alcotest.(check bool) "a JIT-off process keeps no tier-3 counters" true
+    (Process.jit_stats p = None);
+  Alcotest.(check int) "and retires the same run" cpu.Cpu.insns (Process.insns p)
+
+(* Processes of one fresh image in two domains at once compile into and
+   run from one cache: each retires exactly the serial run. *)
+let test_domains_share_cache () =
+  let serial, _ = run_process (genprog_image ~funcs:200) in
+  let img = genprog_image ~funcs:200 in
+  let worker () = List.init 3 (fun _ -> fst (run_process img)) in
+  let d1 = Domain.spawn worker and d2 = Domain.spawn worker in
+  let fps = Domain.join d1 @ Domain.join d2 in
+  List.iteri (fun i fp -> Alcotest.(check string) (Printf.sprintf "run %d" i) serial fp) fps
+
 (* --- staleness: poisoned entries are invalidated, never executed ---- *)
 
+(* A poisoned entry raises if it ever runs, so a run that completes never
+   ran one. *)
 let test_poisoned_cache () =
   let seed = 7001 + (137 * 3) in
   let img = Pipeline.compile ~seed (D.full ()) (Gen.v2 ~seed ()) in
   let reference = fp_reference img in
-  let cache = Jit.create_cache ~config:hot ~profile:Cost.epyc_rome img in
-  let cpu1 = load img in
-  let j1 = Jit.attach ~config:hot ~cache cpu1 in
-  Alcotest.(check string) "warm run" reference (fingerprint cpu1 (Cpu.run cpu1 ~fuel));
+  let run () =
+    let cpu = load img in
+    let j = Jit.attach ~config:hot cpu in
+    (fingerprint cpu (Cpu.run cpu ~fuel), j)
+  in
+  let fp1, j1 = run () in
+  Alcotest.(check string) "warm run" reference fp1;
   (* strand every cached entry the way an interrupted rerandomization
-     would: stale generation, wrong digest *)
+     would *)
   let poisoned =
     List.fold_left
       (fun acc (f : Image.func_info) ->
         if Jit.poison j1 ~entry:f.Image.entry then acc + 1 else acc)
       0 (Array.to_list img.Image.funcs)
   in
-  Alcotest.(check bool) "something was cached to poison" true (poisoned > 0);
-  let compiled_before = (Jit.cache_stats cache).Jit.compiled in
-  let cpu2 = load img in
-  ignore (Jit.attach ~config:hot ~cache cpu2);
-  Alcotest.(check string) "post-poison run" reference
-    (fingerprint cpu2 (Cpu.run cpu2 ~fuel));
-  let st = Jit.cache_stats cache in
+  Alcotest.(check int) "every compiled entry poisoned" (Jit.stats j1).Jit.compiled poisoned;
+  let fp2, j2 = run () in
+  Alcotest.(check string) "post-poison run" reference fp2;
+  let st = Jit.stats j2 in
   Alcotest.(check bool) "stale entries invalidated" true (st.Jit.invalidated >= 1);
-  Alcotest.(check bool) "and recompiled fresh" true (st.Jit.compiled > compiled_before)
+  Alcotest.(check bool) "and recompiled fresh" true (st.Jit.compiled >= st.Jit.invalidated);
+  Alcotest.(check int) "none adopted" 0 st.Jit.revalidated;
+  let fp3, j3 = run () in
+  Alcotest.(check string) "third run" reference fp3;
+  Alcotest.(check int) "the fresh code is shared again" 0 (Jit.stats j3).Jit.compiled
 
-(* --- cache survival across incremental rerandomization (PR 9) ------- *)
+(* --- cache survival across incremental rerandomization -------------- *)
 
 let test_rerand_cache_reuse () =
   let p = Genprog.generate ~seed:5 ~funcs:24 in
@@ -332,22 +400,23 @@ let test_rerand_cache_reuse () =
   let img1b, _ = Pipeline.compile_incremental r (coords 100) p in
   let img2, _ = Pipeline.compile_incremental r (coords 101) p in
   let cache = Jit.create_cache ~config:hot ~profile:Cost.epyc_rome img1 in
+  let st = Jit.fresh_stats () in
   let run_jit img =
     let cpu = load img in
-    let j = Jit.attach ~config:hot ~cache cpu in
+    let j = Jit.attach ~config:hot ~cache ~stats:st cpu in
     (fingerprint cpu (Cpu.run cpu ~fuel), j)
   in
   let fp1, j1 = run_jit img1 in
   Alcotest.(check string) "variant ls=100" (fp_reference img1) fp1;
   (* poison one entry, then retarget the warm cache at a byte-identical
-     image (same coords, fresh Image.t): the poisoned entry must be
-     invalidated and recompiled, the healthy ones revalidated *)
+     image (same coords, fresh Image.t, the same placed bodies): the
+     poisoned entry must be invalidated and recompiled, the healthy ones
+     adopted by key *)
   let first_entry = img1.Image.funcs.(0).Image.entry in
   let could_poison = Jit.poison j1 ~entry:first_entry in
   let fp1b, _ = run_jit img1b in
   Alcotest.(check string) "same coords, warm cache" (fp_reference img1b) fp1b;
-  let st = Jit.cache_stats cache in
-  Alcotest.(check bool) "healthy entries revalidated" true (st.Jit.revalidated >= 1);
+  Alcotest.(check bool) "healthy entries adopted by key" true (st.Jit.revalidated >= 1);
   if could_poison then
     Alcotest.(check bool) "poisoned entry invalidated" true (st.Jit.invalidated >= 1);
   (* rotate the link seed: new layout, same bodies — the cache follows
@@ -367,6 +436,12 @@ let suite =
         Alcotest.test_case "fault equality in hot code" `Quick test_fault_equality;
         Alcotest.test_case "builtin taps under tier 3" `Quick test_builtin_tap;
         QCheck_alcotest.to_alcotest prop_deopt_storm;
+        Alcotest.test_case "two processes of one image share its code cache" `Quick
+          test_shared_cache;
+        Alcotest.test_case "JIT off never enters a warm image cache" `Quick
+          test_jit_off_never_compiled;
+        Alcotest.test_case "two domains share one fresh image's cache" `Quick
+          test_domains_share_cache;
         Alcotest.test_case "poisoned cache invalidated, not executed" `Quick
           test_poisoned_cache;
         Alcotest.test_case "cache reuse across incremental rerandomization" `Quick

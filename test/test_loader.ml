@@ -1,5 +1,5 @@
 (* The relocation-only load path. The loader copies each placed body's
-   cached bytes and never forces [code_list]; the fast tiers fetch from a
+   cached bytes and never forces [code_list]; tier 3 fetches from a
    predecode built from the same placement. Both are checked here against
    references derived from [code_list] alone: the per-byte pseudo-encoding
    of every listed instruction, and the dense table of every listed

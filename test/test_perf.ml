@@ -1,8 +1,9 @@
-(* Differential tests for the two-tier interpreter dispatch: every
-   program must produce bit-identical architectural state and counters
-   under the reference (hash-probing) dispatch and the predecoded fast
-   path. This is the OSR-style equivalence contract the fast path ships
-   under — any divergence here is a fast-path bug by definition. *)
+(* Differential tests for the two fetch paths: every program must
+   produce bit-identical architectural state and counters under the
+   reference (hash-probing) dispatch and [Cpu.run] — tier 3's predecoded
+   cold loop, compiling hot code unless R2C_JIT=0 (CI runs the suite both
+   ways). This is the OSR-style equivalence contract the predecoded path
+   ships under — any divergence here is a bug in it by definition. *)
 
 open R2c_machine
 module D = R2c_core.Dconfig
