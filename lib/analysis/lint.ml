@@ -266,7 +266,7 @@ let ir_finding_to_string f =
 
 let block_arr (f : Ir.func) = Array.of_list f.Ir.blocks
 
-(* --- Rule: use-before-def (reaching definitions) ----------------------- *)
+(* --- Rule: use-before-def (may-uninit) ----------------------------------- *)
 
 let ir_rule_ubd (f : Ir.func) =
   let blocks = block_arr f in
@@ -377,7 +377,7 @@ let ir_rules_ccp (f : Ir.func) =
 let ir_registry =
   [
     ( "use-before-def",
-      "a path reaches a var read with no prior definition (reaching defs)" );
+      "a path reaches a var read with no prior definition (may-uninit)" );
     ("dead-store", "a pure definition is never read (liveness)");
     ("const-div-by-zero", "a divisor folds to the constant 0 (CCP)");
     ( "oob-const-slot-offset",

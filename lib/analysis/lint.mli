@@ -66,5 +66,8 @@ val ir_rules : (string * string) list
 (** [run_ir p] — evaluate every IR rule on every function. Findings are
     in deterministic (function, block, instruction) order. Only
     statically executable code is flagged: reads, stores and divisions
-    behind a constant-false branch are dead, not defects. *)
+    behind a constant-false branch are dead, not defects. Precondition:
+    every var lies in [[0, nvars)] and [nparams <= nvars], as
+    {!Validate.check} enforces; an out-of-range var raises
+    [Invalid_argument]. *)
 val run_ir : Ir.program -> ir_finding list

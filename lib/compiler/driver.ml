@@ -4,23 +4,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 exception Invalid_program of Validate.error list
 
-let emit_all ~opts (p : Ir.program) =
-  let size = opts.Opts.mdesc.Mdesc.insn_size in
-  List.map (fun f -> Emit.emit_func ~opts f) p.funcs
-  @ List.map (Asm.of_raw ~size) opts.Opts.raw_funcs
-
-let compile ?(opts = Opts.default) (p : Ir.program) =
-  (match Validate.check p with
-  | [] -> ()
-  | errors -> raise (Invalid_program errors));
-  let emitted = emit_all ~opts p in
-  let img = Link.link ~opts ~main:p.main emitted p.globals in
-  Log.debug (fun m ->
-      m "linked %s: %d functions, %d bytes of text, %d bytes of data"
-        p.main (Array.length img.R2c_machine.Image.funcs) img.R2c_machine.Image.text_len
-        img.R2c_machine.Image.data_len);
-  img
-
 let compile_with_meta ?(opts = Opts.default) (p : Ir.program) =
   (match Validate.check p with
   | [] -> ()
@@ -31,7 +14,10 @@ let compile_with_meta ?(opts = Opts.default) (p : Ir.program) =
     @ List.map (Asm.of_raw ~size:opts.Opts.mdesc.Mdesc.insn_size) opts.Opts.raw_funcs
   in
   let img = Link.link ~opts ~main:p.main emitted p.globals in
-  let meta =
-    List.map2 (fun (f : Ir.func) (_, m) -> (f.name, m)) p.funcs pairs
-  in
-  (img, meta)
+  Log.debug (fun m ->
+      m "linked %s: %d functions, %d bytes of text, %d bytes of data"
+        p.main (Array.length img.R2c_machine.Image.funcs) img.R2c_machine.Image.text_len
+        img.R2c_machine.Image.data_len);
+  (img, List.map2 (fun (f : Ir.func) (_, m) -> (f.name, m)) p.funcs pairs)
+
+let compile ?opts p = fst (compile_with_meta ?opts p)

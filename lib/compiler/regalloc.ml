@@ -8,59 +8,17 @@ type result = {
   used_regs : R2c_machine.Insn.reg list;
 }
 
-let operand_vars = function
-  | Ir.Var v -> [ v ]
-  | Ir.Const _ | Ir.Global _ | Ir.Func _ -> []
-
-let instr_uses = function
-  | Ir.Mov (_, op) -> operand_vars op
-  | Ir.Binop (_, _, a, b) | Ir.Cmp (_, _, a, b) -> operand_vars a @ operand_vars b
-  | Ir.Load (_, base, _) | Ir.Load8 (_, base, _) -> operand_vars base
-  | Ir.Store (base, _, value) | Ir.Store8 (base, _, value) ->
-      operand_vars base @ operand_vars value
-  | Ir.Slot_addr (_, _) -> []
-  | Ir.Call (_, callee, args) ->
-      (match callee with
-      | Ir.Indirect op -> operand_vars op
-      | Ir.Direct _ | Ir.Builtin _ -> [])
-      @ List.concat_map operand_vars args
-
-let instr_defs = function
-  | Ir.Mov (v, _)
-  | Ir.Binop (v, _, _, _)
-  | Ir.Cmp (v, _, _, _)
-  | Ir.Load (v, _, _)
-  | Ir.Load8 (v, _, _)
-  | Ir.Slot_addr (v, _) -> [ v ]
-  | Ir.Store _ | Ir.Store8 _ -> []
-  | Ir.Call (dst, _, _) -> Option.to_list dst
-
-let term_uses = function
-  | Ir.Ret None -> []
-  | Ir.Ret (Some op) -> operand_vars op
-  | Ir.Br _ -> []
-  | Ir.Cond_br (c, _, _) -> operand_vars c
-
-let term_succs = function
-  | Ir.Ret _ -> []
-  | Ir.Br l -> [ l ]
-  | Ir.Cond_br (_, l1, l2) -> [ l1; l2 ]
-
-module IntSet = Set.Make (Int)
-
 (* Conservative live intervals over a linear numbering of instructions:
    a variable's interval covers every position where it is mentioned plus
    the full extent of every block at whose boundary it is live. This over-
    approximates around loops, which is all linear scan needs for
    correctness. *)
 let intervals (f : Ir.func) =
-  let nblocks = List.length f.blocks in
+  let { Dataflow.Liveness.live_in; live_out; _ } = Dataflow.Liveness.compute f in
   let blocks = Array.of_list f.blocks in
-  let index_of_label = Hashtbl.create 8 in
-  Array.iteri (fun i (b : Ir.block) -> Hashtbl.replace index_of_label b.lbl i) blocks;
   (* Position ranges per block. *)
-  let starts = Array.make nblocks 0 in
-  let stops = Array.make nblocks 0 in
+  let starts = Array.make (Array.length blocks) 0 in
+  let stops = Array.make (Array.length blocks) 0 in
   let pos = ref 0 in
   Array.iteri
     (fun i (b : Ir.block) ->
@@ -68,47 +26,6 @@ let intervals (f : Ir.func) =
       pos := !pos + List.length b.body + 1;
       stops.(i) <- !pos - 1)
     blocks;
-  (* use/def per block. *)
-  let gen = Array.make nblocks IntSet.empty in
-  let kill = Array.make nblocks IntSet.empty in
-  Array.iteri
-    (fun i (b : Ir.block) ->
-      (* Backward within the block: use before def exposes the use. *)
-      let g = ref (IntSet.of_list (term_uses b.term)) in
-      let k = ref IntSet.empty in
-      List.iter
-        (fun instr ->
-          let defs = instr_defs instr in
-          List.iter (fun v -> g := IntSet.remove v !g) defs;
-          List.iter (fun v -> k := IntSet.add v !k) defs;
-          List.iter (fun v -> g := IntSet.add v !g) (instr_uses instr))
-        (List.rev b.body);
-      gen.(i) <- !g;
-      kill.(i) <- !k)
-    blocks;
-  let live_in = Array.make nblocks IntSet.empty in
-  let live_out = Array.make nblocks IntSet.empty in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = nblocks - 1 downto 0 do
-      let out =
-        List.fold_left
-          (fun acc l ->
-            match Hashtbl.find_opt index_of_label l with
-            | Some j -> IntSet.union acc live_in.(j)
-            | None -> acc)
-          IntSet.empty
-          (term_succs blocks.(i).term)
-      in
-      let inn = IntSet.union gen.(i) (IntSet.diff out kill.(i)) in
-      if not (IntSet.equal out live_out.(i)) || not (IntSet.equal inn live_in.(i)) then begin
-        live_out.(i) <- out;
-        live_in.(i) <- inn;
-        changed := true
-      end
-    done
-  done;
   let lo = Array.make f.nvars max_int in
   let hi = Array.make f.nvars (-1) in
   let touch v p =
@@ -121,16 +38,16 @@ let intervals (f : Ir.func) =
   done;
   Array.iteri
     (fun i (b : Ir.block) ->
-      IntSet.iter (fun v -> touch v starts.(i)) live_in.(i);
-      IntSet.iter (fun v -> touch v stops.(i)) live_out.(i);
+      Dataflow.Iset.iter (fun v -> touch v starts.(i)) live_in.(i);
+      Dataflow.Iset.iter (fun v -> touch v stops.(i)) live_out.(i);
       let p = ref starts.(i) in
       List.iter
         (fun instr ->
-          List.iter (fun v -> touch v !p) (instr_uses instr);
-          List.iter (fun v -> touch v !p) (instr_defs instr);
+          List.iter (fun v -> touch v !p) (Dataflow.instr_uses instr);
+          Option.iter (fun v -> touch v !p) (Ir.instr_def instr);
           incr p)
         b.body;
-      List.iter (fun v -> touch v !p) (term_uses b.term))
+      List.iter (fun v -> touch v !p) (Dataflow.term_uses b.term))
     blocks;
   Array.init f.nvars (fun v -> if hi.(v) < 0 then (0, 0) else (lo.(v), hi.(v)))
 

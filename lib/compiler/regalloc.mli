@@ -3,7 +3,9 @@
     Allocatable registers are callee-saved only, so values survive calls
     without caller-side spills; everything else lives in frame slots. The
     pool's order comes from {!Opts.t.reg_pool} — register-allocation
-    randomization (Section 4.3) is a permuted pool. *)
+    randomization (Section 4.3) is a permuted pool. Block live-in/out
+    sets come from {!Dataflow.Liveness}; this module only turns them into
+    intervals over instruction positions. *)
 
 type assignment =
   | In_reg of R2c_machine.Insn.reg

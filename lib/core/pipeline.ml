@@ -206,17 +206,8 @@ let instrument ?(extra_raw = []) ?(mdesc = R2c_compiler.Mdesc.x86_64) ?link_seed
   in
   (p, opts)
 
-let compile ?(extra_raw = []) ?(seed = 1) cfg p =
-  let p, opts = instrument ~extra_raw ~seed cfg p in
-  R2c_compiler.Driver.compile ~opts p
-
-let compile_with_meta ?(extra_raw = []) ?(seed = 1) cfg p =
-  let p, opts = instrument ~extra_raw ~seed cfg p in
-  let img, meta = R2c_compiler.Driver.compile_with_meta ~opts p in
-  (img, meta, p)
-
 (* ------------------------------------------------------------------ *)
-(* Rerandomization coordinates and the incremental rebuild handle.     *)
+(* Compile coordinates, cold compiles, and the incremental handle.     *)
 
 module Incremental = R2c_compiler.Incremental
 module Mdesc = R2c_compiler.Mdesc
@@ -226,11 +217,20 @@ type coords = { cfg : Dconfig.t; body_seed : int; link_seed : int option }
 let salt_of_coords c =
   Digest.to_hex (Digest.string (Marshal.to_string (c.cfg, c.body_seed) []))
 
-let compile_cold ?extra_raw ?mdesc (c : coords) p =
-  let p, opts =
-    instrument ?extra_raw ?mdesc ?link_seed:c.link_seed ~seed:c.body_seed c.cfg p
-  in
+let instrument_at ?extra_raw ?mdesc (c : coords) p =
+  instrument ?extra_raw ?mdesc ?link_seed:c.link_seed ~seed:c.body_seed c.cfg p
+
+let compile_cold ?extra_raw ?mdesc c p =
+  let p, opts = instrument_at ?extra_raw ?mdesc c p in
   R2c_compiler.Driver.compile ~opts p
+
+let at_seed cfg seed = { cfg; body_seed = seed; link_seed = None }
+let compile ?extra_raw ?(seed = 1) cfg p = compile_cold ?extra_raw (at_seed cfg seed) p
+
+let compile_with_meta ?extra_raw ?(seed = 1) cfg p =
+  let p, opts = instrument_at ?extra_raw (at_seed cfg seed) p in
+  let img, meta = R2c_compiler.Driver.compile_with_meta ~opts p in
+  (img, meta, p)
 
 type memo = {
   m_src : Ir.program;  (** the caller's program, by physical identity *)
@@ -260,9 +260,7 @@ let compile_incremental_with_meta ?(extra_raw = []) ?jobs ?(mdesc = Mdesc.x86_64
     match r.memo with
     | Some m when memo_valid m -> m
     | _ ->
-        let prog, opts =
-          instrument ~extra_raw ~mdesc ?link_seed:c.link_seed ~seed:c.body_seed c.cfg p
-        in
+        let prog, opts = instrument_at ~extra_raw ~mdesc c p in
         (* The Incremental key memo may only be reused while the
            emission-level options are unchanged; everything they depend
            on beyond the program itself goes into the token. *)

@@ -1,46 +1,3 @@
-(* Generic operand plumbing: enumerate and rebuild the operands of an
-   instruction, so one candidate generator covers every position. *)
-
-let instr_ops (i : Ir.instr) =
-  match i with
-  | Mov (_, o) -> [ o ]
-  | Binop (_, _, a, b) | Cmp (_, _, a, b) -> [ a; b ]
-  | Load (_, b, _) | Load8 (_, b, _) -> [ b ]
-  | Store (b, _, v) | Store8 (b, _, v) -> [ b; v ]
-  | Slot_addr _ -> []
-  | Call (_, callee, args) -> (
-      match callee with Indirect o -> o :: args | Direct _ | Builtin _ -> args)
-
-let instr_with_ops (i : Ir.instr) ops =
-  match (i, ops) with
-  | Mov (v, _), [ o ] -> Ir.Mov (v, o)
-  | Binop (v, op, _, _), [ a; b ] -> Binop (v, op, a, b)
-  | Cmp (v, c, _, _), [ a; b ] -> Cmp (v, c, a, b)
-  | Load (v, _, off), [ b ] -> Load (v, b, off)
-  | Load8 (v, _, off), [ b ] -> Load8 (v, b, off)
-  | Store (_, off, _), [ b; v ] -> Store (b, off, v)
-  | Store8 (_, off, _), [ b; v ] -> Store8 (b, off, v)
-  | Slot_addr _, [] -> i
-  | Call (d, Indirect _, _), o :: args -> Call (d, Indirect o, args)
-  | Call (d, callee, _), args -> Call (d, callee, args)
-  | _ -> invalid_arg "Shrink.instr_with_ops: arity mismatch"
-
-let map_instr_ops f i = instr_with_ops i (List.map f (instr_ops i))
-
-let map_term_ops f (t : Ir.term) =
-  match t with
-  | Ret (Some o) -> Ir.Ret (Some (f o))
-  | Cond_br (c, l1, l2) -> Cond_br (f c, l1, l2)
-  | Ret None | Br _ -> t
-
-let def_var (i : Ir.instr) =
-  match i with
-  | Mov (v, _) | Binop (v, _, _, _) | Cmp (v, _, _, _)
-  | Load (v, _, _) | Load8 (v, _, _) | Slot_addr (v, _)
-  | Call (Some v, _, _) ->
-      Some v
-  | Store _ | Store8 _ | Call (None, _, _) -> None
-
 (* ---- weight: every accepted edit strictly decreases it ---- *)
 
 let bits n =
@@ -54,17 +11,14 @@ let op_weight = function
   | Ir.Var _ -> 8
   | Ir.Global _ | Ir.Func _ -> 12
 
+let ops_weight = List.fold_left (fun a o -> a + op_weight o) 0
+
 (* Mov is cheaper than every other instruction so collapsing an
    arithmetic or memory op into a copy is a strict improvement. *)
-let instr_weight i =
-  (match i with Ir.Mov _ -> 20 | _ -> 30)
-  + List.fold_left (fun a o -> a + op_weight o) 0 (instr_ops i)
+let instr_weight i = (match i with Ir.Mov _ -> 20 | _ -> 30) + ops_weight (Ir.instr_operands i)
 
-let term_weight : Ir.term -> int = function
-  | Ret None -> 0
-  | Ret (Some o) -> op_weight o
-  | Br _ -> 5
-  | Cond_br (c, _, _) -> 50 + op_weight c
+let term_weight (t : Ir.term) =
+  (match t with Ret _ -> 0 | Br _ -> 5 | Cond_br _ -> 50) + ops_weight (Ir.term_operands t)
 
 let weight (p : Ir.program) =
   let fw (f : Ir.func) =
@@ -91,26 +45,8 @@ let map_blocks g (f : Ir.func) = { f with Ir.blocks = List.map g f.Ir.blocks }
 (* Drop unreachable blocks (the entry stays first), so collapsing a
    conditional branch leaves a program Validate accepts. *)
 let gc_blocks (f : Ir.func) =
-  match f.blocks with
-  | [] -> f
-  | entry :: _ ->
-      let succs (b : Ir.block) =
-        match b.term with
-        | Ret _ -> []
-        | Br l -> [ l ]
-        | Cond_br (_, l1, l2) -> [ l1; l2 ]
-      in
-      let by_lbl = Hashtbl.create 16 in
-      List.iter (fun (b : Ir.block) -> Hashtbl.replace by_lbl b.lbl b) f.blocks;
-      let seen = Hashtbl.create 16 in
-      let rec visit l =
-        if (not (Hashtbl.mem seen l)) && Hashtbl.mem by_lbl l then begin
-          Hashtbl.replace seen l ();
-          List.iter visit (succs (Hashtbl.find by_lbl l))
-        end
-      in
-      visit entry.lbl;
-      { f with blocks = List.filter (fun (b : Ir.block) -> Hashtbl.mem seen b.lbl) f.blocks }
+  let live = Dataflow.reachable f in
+  { f with blocks = List.filteri (fun i _ -> live.(i)) f.blocks }
 
 (* Remove a function wholesale: calls to it become [Mov dst, 0] (or
    vanish), address-of operands and table initialisers become 0. *)
@@ -120,7 +56,7 @@ let remove_func (p : Ir.program) name =
     match i with
     | Call (Some d, Direct n, _) when n = name -> Some (Ir.Mov (d, Ir.Const 0))
     | Call (None, Direct n, _) when n = name -> None
-    | i -> Some (map_instr_ops fix_op i)
+    | i -> Some (Ir.map_instr_operands fix_op i)
   in
   {
     Ir.main = p.main;
@@ -135,7 +71,7 @@ let remove_func (p : Ir.program) name =
                    {
                      b with
                      Ir.body = List.filter_map fix_instr b.body;
-                     term = map_term_ops fix_op b.term;
+                     term = Ir.map_term_operands fix_op b.term;
                    })
                  f))
         p.funcs;
@@ -154,17 +90,15 @@ let remove_func (p : Ir.program) name =
         p.globals;
   }
 
-let var_used (f : Ir.func) v =
-  let in_op = function Ir.Var w -> w = v | _ -> false in
+(* Does some instruction or terminator of [f] read an operand [is]? *)
+let reads (f : Ir.func) is =
   List.exists
     (fun (b : Ir.block) ->
-      List.exists (fun i -> List.exists in_op (instr_ops i)) b.body
-      ||
-      match b.term with
-      | Ret (Some o) -> in_op o
-      | Cond_br (c, _, _) -> in_op c
-      | Ret None | Br _ -> false)
+      List.exists (fun i -> List.exists is (Ir.instr_operands i)) b.body
+      || List.exists is (Ir.term_operands b.term))
     f.blocks
+
+let var_used f v = reads f (function Ir.Var w -> w = v | _ -> false)
 
 let edit_block_instr p fname lbl j g =
   map_func p fname
@@ -178,19 +112,7 @@ let edit_block_instr p fname lbl j g =
            }))
 
 let global_used (p : Ir.program) name =
-  let in_op = function Ir.Global g -> g = name | _ -> false in
-  List.exists
-    (fun (f : Ir.func) ->
-      List.exists
-        (fun (b : Ir.block) ->
-          List.exists (fun i -> List.exists in_op (instr_ops i)) b.body
-          ||
-          match b.term with
-          | Ret (Some o) -> in_op o
-          | Cond_br (c, _, _) -> in_op c
-          | Ret None | Br _ -> false)
-        f.blocks)
-    p.funcs
+  List.exists (fun f -> reads f (function Ir.Global g -> g = name | _ -> false)) p.funcs
   || List.exists
        (fun (g : Ir.global) ->
          List.exists
@@ -264,10 +186,10 @@ let candidates (p : Ir.program) : (unit -> Ir.program) list =
                     push (fun () ->
                         edit_block_instr p f.name b.lbl j (fun i ->
                             [
-                              instr_with_ops i
+                              Ir.instr_with_operands i
                                 (List.mapi
                                    (fun k' o0 -> if k' = k then o' else o0)
-                                   (instr_ops i));
+                                   (Ir.instr_operands i));
                             ]))
                   in
                   (match o with
@@ -278,7 +200,7 @@ let candidates (p : Ir.program) : (unit -> Ir.program) list =
                     replace (Ir.Const 1);
                     replace (Ir.Const 0)
                   end)
-                (instr_ops i))
+                (Ir.instr_operands i))
             b.body)
         f.blocks)
     p.funcs;
@@ -301,14 +223,14 @@ let candidates (p : Ir.program) : (unit -> Ir.program) list =
         (fun (b : Ir.block) ->
           List.iteri
             (fun j i ->
-              match (def_var i, i) with
+              match (Ir.instr_def i, i) with
               | Some _, Ir.Mov _ | None, _ -> ()
               | Some v, _ ->
                   let try_mov o =
                     push (fun () ->
                         edit_block_instr p f.name b.lbl j (fun _ -> [ Ir.Mov (v, o) ]))
                   in
-                  List.iter try_mov (instr_ops i);
+                  List.iter try_mov (Ir.instr_operands i);
                   (match i with
                   | Ir.Load _ | Ir.Load8 _ -> List.iter try_mov store_vals
                   | _ -> ()))
@@ -323,7 +245,7 @@ let candidates (p : Ir.program) : (unit -> Ir.program) list =
         List.fold_left
           (fun a (b : Ir.block) ->
             List.fold_left
-              (fun a i -> if def_var i = Some v then a + 1 else a)
+              (fun a i -> if Ir.instr_def i = Some v then a + 1 else a)
               a b.Ir.body)
           0 f.blocks
       in
@@ -341,8 +263,8 @@ let candidates (p : Ir.program) : (unit -> Ir.program) list =
                         (map_blocks (fun (b' : Ir.block) ->
                              {
                                b' with
-                               Ir.body = List.map (map_instr_ops subst) b'.Ir.body;
-                               term = map_term_ops subst b'.term;
+                               Ir.body = List.map (Ir.map_instr_operands subst) b'.Ir.body;
+                               term = Ir.map_term_operands subst b'.term;
                              })))
               | _ -> ())
             b.body)
@@ -355,11 +277,7 @@ let candidates (p : Ir.program) : (unit -> Ir.program) list =
       let preds l =
         List.fold_left
           (fun a (b : Ir.block) ->
-            match b.term with
-            | Br l' -> if l' = l then a + 1 else a
-            | Cond_br (_, l1, l2) ->
-                a + (if l1 = l then 1 else 0) + if l2 = l then 1 else 0
-            | Ret _ -> a)
+            a + List.length (List.filter (( = ) l) (Ir.term_succs b.term)))
           0 f.blocks
       in
       List.iter
@@ -415,7 +333,7 @@ let candidates (p : Ir.program) : (unit -> Ir.program) list =
         (fun (b : Ir.block) ->
           List.iteri
             (fun j i ->
-              match def_var i with
+              match Ir.instr_def i with
               | None ->
                   (* Pure effects (stores, void calls) can simply go. *)
                   push (fun () -> edit_block_instr p f.name b.lbl j (fun _ -> []))

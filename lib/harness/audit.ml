@@ -60,12 +60,12 @@ let check_ir () =
 
 (* Dataflow statistics per workload: how much the solver sees. Dead
    stores come from the liveness-backed lint rule (a clean workload has
-   none); folded instructions and sweep counts from the CCP/liveness/
-   reaching fixpoints. *)
+   none); folded instructions and sweep counts from the liveness/uninit/
+   CCP fixpoints. *)
 let dataflow_stats () =
   List.map
     (fun (name, p) ->
-      let s = R2c_analysis.Dataflow.program_stats p in
+      let s = Dataflow.program_stats p in
       let dead =
         List.length
           (List.filter
@@ -75,8 +75,8 @@ let dataflow_stats () =
       {
         dwork = name;
         dead_stores = dead;
-        folded = s.R2c_analysis.Dataflow.folded;
-        max_iterations = s.R2c_analysis.Dataflow.max_iterations;
+        folded = s.Dataflow.folded;
+        max_iterations = s.Dataflow.max_iterations;
       })
     (ir_programs ())
 

@@ -13,74 +13,66 @@ let block_index (f : Ir.func) =
   List.iteri (fun i (b : Ir.block) -> Hashtbl.replace tbl b.lbl i) f.blocks;
   tbl
 
-let succs (f : Ir.func) =
+(* Block successors by position in [f.blocks], unknown labels dropped; with
+   [~preds] the predecessor lists instead. Joins are order-insensitive, so
+   neither list is sorted. *)
+let edges ?(preds = false) (f : Ir.func) =
   let idx = block_index f in
   let arr = Array.make (List.length f.blocks) [] in
   List.iteri
     (fun i (b : Ir.block) ->
-      let s =
-        match b.term with
-        | Ir.Ret _ -> []
-        | Ir.Br l -> [ l ]
-        | Ir.Cond_br (_, l1, l2) -> [ l1; l2 ]
-      in
-      arr.(i) <- List.filter_map (fun l -> Hashtbl.find_opt idx l) s)
+      List.iter
+        (fun l ->
+          match Hashtbl.find_opt idx l with
+          | Some j -> if preds then arr.(j) <- i :: arr.(j) else arr.(i) <- j :: arr.(i)
+          | None -> ())
+        (Ir.term_succs b.term))
     f.blocks;
   arr
 
-let preds (f : Ir.func) =
-  let sx = succs f in
-  let arr = Array.make (Array.length sx) [] in
-  Array.iteri (fun i ss -> List.iter (fun s -> arr.(s) <- i :: arr.(s)) ss) sx;
-  (* Reversed accumulation: restore ascending order for determinism. *)
-  Array.map List.rev arr
+let reachable (f : Ir.func) =
+  let succs = edges f in
+  let seen = Array.make (Array.length succs) false in
+  let rec visit i =
+    if not seen.(i) then begin
+      seen.(i) <- true;
+      List.iter visit succs.(i)
+    end
+  in
+  if Array.length succs > 0 then visit 0;
+  seen
 
-let op_uses = function Ir.Var v -> [ v ] | Ir.Const _ | Ir.Global _ | Ir.Func _ -> []
+let rec vars = function
+  | [] -> []
+  | Ir.Var v :: ops -> v :: vars ops
+  | (Ir.Const _ | Ir.Global _ | Ir.Func _) :: ops -> vars ops
 
-let instr_uses = function
-  | Ir.Mov (_, op) -> op_uses op
-  | Ir.Binop (_, _, a, b) | Ir.Cmp (_, _, a, b) -> op_uses a @ op_uses b
-  | Ir.Load (_, base, _) | Ir.Load8 (_, base, _) -> op_uses base
-  | Ir.Store (base, _, value) | Ir.Store8 (base, _, value) -> op_uses base @ op_uses value
-  | Ir.Slot_addr _ -> []
-  | Ir.Call (_, callee, args) ->
-      (match callee with
-      | Ir.Indirect op -> op_uses op
-      | Ir.Direct _ | Ir.Builtin _ -> [])
-      @ List.concat_map op_uses args
-
-let instr_defs = function
-  | Ir.Mov (v, _)
-  | Ir.Binop (v, _, _, _)
-  | Ir.Cmp (v, _, _, _)
-  | Ir.Load (v, _, _)
-  | Ir.Load8 (v, _, _)
-  | Ir.Slot_addr (v, _) ->
-      [ v ]
-  | Ir.Store _ | Ir.Store8 _ -> []
-  | Ir.Call (dst, _, _) -> Option.to_list dst
-
-let term_uses = function
-  | Ir.Ret (Some op) -> op_uses op
-  | Ir.Cond_br (c, _, _) -> op_uses c
-  | Ir.Ret None | Ir.Br _ -> []
+let instr_uses i = vars (Ir.instr_operands i)
+let term_uses t = vars (Ir.term_operands t)
 
 module Make (L : LATTICE) = struct
   type result = { block_in : L.t array; block_out : L.t array; iterations : int }
 
+  (* Facts arrive at a block's [front] (its entry going forward, its exit
+     going backward) as the join over its flow sources, and the transfer
+     carries them to its [back]. [back] is a function of [front] alone, so
+     after the first sweep a block whose [front] is unchanged is skipped,
+     and a sweep changes some block's facts iff it changes some [front]. *)
   let solve ~direction ?(entry = L.bottom) ?(edge = fun ~src:_ ~dst:_ x -> x) ~transfer
       (f : Ir.func) =
     let blocks = Array.of_list f.blocks in
     let n = Array.length blocks in
-    let sx = succs f and px = preds f in
-    let block_in = Array.make n L.bottom in
-    let block_out = Array.make n L.bottom in
-    let order =
+    let sources = edges ~preds:(direction = Forward) f in
+    let front = Array.make n L.bottom in
+    let back = Array.make n L.bottom in
+    let order, seeded, flow =
       match direction with
-      | Forward -> Array.init n (fun i -> i)
-      | Backward -> Array.init n (fun i -> n - 1 - i)
+      | Forward -> (Array.init n (fun i -> i), (fun i -> i = 0), fun i j -> edge ~src:j ~dst:i)
+      | Backward ->
+          ( Array.init n (fun i -> n - 1 - i),
+            (fun i -> match blocks.(i).Ir.term with Ir.Ret _ -> true | _ -> false),
+            fun i j -> edge ~src:i ~dst:j )
     in
-    let is_exit i = match blocks.(i).Ir.term with Ir.Ret _ -> true | _ -> false in
     let iterations = ref 0 in
     let changed = ref true in
     (* Monotone transfers over finite lattices converge; the cap turns a
@@ -90,35 +82,26 @@ module Make (L : LATTICE) = struct
       changed := false;
       incr iterations;
       if !iterations > cap then invalid_arg "Dataflow.solve: no fixpoint (non-monotone transfer?)";
+      let first = !iterations = 1 in
       Array.iter
         (fun i ->
-          match direction with
-          | Forward ->
-              let inc =
-                List.fold_left
-                  (fun acc p -> L.join acc (edge ~src:p ~dst:i block_out.(p)))
-                  L.bottom px.(i)
-              in
-              let inc = if i = 0 then L.join inc entry else inc in
-              let out = transfer i inc in
-              if not (L.equal inc block_in.(i) && L.equal out block_out.(i)) then
-                changed := true;
-              block_in.(i) <- inc;
-              block_out.(i) <- out
-          | Backward ->
-              let out =
-                List.fold_left
-                  (fun acc s -> L.join acc (edge ~src:i ~dst:s block_in.(s)))
-                  L.bottom sx.(i)
-              in
-              let out = if is_exit i then L.join out entry else out in
-              let inc = transfer i out in
-              if not (L.equal inc block_in.(i) && L.equal out block_out.(i)) then
-                changed := true;
-              block_in.(i) <- inc;
-              block_out.(i) <- out)
+          let x =
+            List.fold_left
+              (fun acc j -> L.join acc (flow i j back.(j)))
+              (if seeded i then entry else L.bottom)
+              sources.(i)
+          in
+          if first || not (L.equal x front.(i)) then begin
+            let y = transfer i x in
+            if not (first && L.equal x L.bottom && L.equal y L.bottom) then changed := true;
+            front.(i) <- x;
+            back.(i) <- y
+          end)
         order
     done;
+    let block_in, block_out =
+      match direction with Forward -> (front, back) | Backward -> (back, front)
+    in
     { block_in; block_out; iterations = !iterations }
 end
 
@@ -138,7 +121,7 @@ module Liveness = struct
   type t = { live_in : Iset.t array; live_out : Iset.t array; iterations : int }
 
   let through_instr instr live =
-    let live = List.fold_left (fun s v -> Iset.remove v s) live (instr_defs instr) in
+    let live = match Ir.instr_def instr with Some v -> Iset.remove v live | None -> live in
     List.fold_left (fun s v -> Iset.add v s) live (instr_uses instr)
 
   let through_block (b : Ir.block) live_out =
@@ -169,68 +152,39 @@ module Liveness = struct
     table
 end
 
-module Reaching = struct
-  type site = Param of Ir.var | Uninit of Ir.var | Def of int * int
+module Uninit = struct
+  type t = { maybe_in : Iset.t array; iterations : int }
 
-  type t = {
-    sites : site array;
-    site_var : int array;
-    reach_in : Iset.t array;
-    reach_out : Iset.t array;
-    iterations : int;
-  }
-
-  (* Def-site numbering: params, then virtual uninit sites, then textual
-     definitions in layout order — stable per function. *)
-  let enumerate (f : Ir.func) =
-    let sites = ref [] in
-    let add s v = sites := (s, v) :: !sites in
-    for v = 0 to f.nparams - 1 do
-      add (Param v) v
-    done;
-    for v = f.nparams to f.nvars - 1 do
-      add (Uninit v) v
-    done;
+  (* A block's effect on the may-uninit set; [report k v] hears every read
+     of a var still in it (k = List.length body for the terminator). *)
+  let through_block ?report (b : Ir.block) maybe =
+    let maybe = ref maybe in
+    let read k v = match report with Some f when Iset.mem v !maybe -> f k v | _ -> () in
     List.iteri
-      (fun bi (b : Ir.block) ->
-        List.iteri
-          (fun k instr -> List.iter (fun v -> add (Def (bi, k)) v) (instr_defs instr))
-          b.body)
-      f.blocks;
-    let all = List.rev !sites in
-    (Array.of_list (List.map fst all), Array.of_list (List.map snd all))
+      (fun k instr ->
+        List.iter (read k) (instr_uses instr);
+        match Ir.instr_def instr with Some v -> maybe := Iset.remove v !maybe | None -> ())
+      b.body;
+    List.iter (read (List.length b.body)) (term_uses b.term);
+    !maybe
 
   let compute (f : Ir.func) =
-    let sites, site_var = enumerate f in
-    (* var -> all of its def ids (the kill-set support). *)
-    let var_sites = Array.make (max f.nvars 1) Iset.empty in
-    Array.iteri (fun id v -> var_sites.(v) <- Iset.add id var_sites.(v)) site_var;
-    (* (block, instr) -> def id for the textual defs. *)
-    let def_id = Hashtbl.create 64 in
-    Array.iteri
-      (fun id s -> match s with Def (bi, k) -> Hashtbl.replace def_id (bi, k) id | _ -> ())
-      sites;
     let blocks = Array.of_list f.blocks in
-    let transfer bi inc =
-      let set = ref inc in
-      List.iteri
-        (fun k instr ->
-          List.iter
-            (fun v ->
-              let id = Hashtbl.find def_id (bi, k) in
-              set := Iset.add id (Iset.diff !set var_sites.(v)))
-            (instr_defs instr))
-        blocks.(bi).Ir.body;
-      !set
+    let entry = Iset.of_list (List.init (max 0 (f.nvars - f.nparams)) (fun i -> f.nparams + i)) in
+    let r =
+      Iset_solver.solve ~direction:Forward ~entry
+        ~transfer:(fun i maybe -> through_block blocks.(i) maybe)
+        f
     in
-    let entry = ref Iset.empty in
-    Array.iteri
-      (fun id s ->
-        match s with Param _ | Uninit _ -> entry := Iset.add id !entry | Def _ -> ())
-      sites;
-    let r = Iset_solver.solve ~direction:Forward ~entry:!entry ~transfer f in
-    { sites; site_var; reach_in = r.block_in; reach_out = r.block_out;
-      iterations = r.iterations }
+    { maybe_in = r.block_in; iterations = r.iterations }
+
+  let reads t (f : Ir.func) =
+    let found = ref [] in
+    List.iteri
+      (fun i b ->
+        ignore (through_block ~report:(fun k v -> found := (v, i, k) :: !found) b t.maybe_in.(i)))
+      f.blocks;
+    List.rev !found
 end
 
 module Constprop = struct
@@ -389,9 +343,9 @@ module Constprop = struct
                   | _ -> false
                 in
                 if foldable then
-                  match instr_defs instr with
-                  | [ v ] -> ( match env.(v) with Cconst _ -> incr count | _ -> ())
-                  | _ -> ())
+                  match Ir.instr_def instr with
+                  | Some v -> ( match env.(v) with Cconst _ -> incr count | _ -> ())
+                  | None -> ())
               b.body)
       f.blocks;
     !count
@@ -403,13 +357,13 @@ let program_stats (p : Ir.program) =
   List.fold_left
     (fun acc (f : Ir.func) ->
       let lv = Liveness.compute f in
-      let rd = Reaching.compute f in
+      let un = Uninit.compute f in
       let cp = Constprop.compute f in
       {
         folded = acc.folded + Constprop.folded cp f;
         max_iterations =
           List.fold_left max acc.max_iterations
-            [ lv.Liveness.iterations; rd.Reaching.iterations; cp.Constprop.iterations ];
+            [ lv.Liveness.iterations; un.Uninit.iterations; cp.Constprop.iterations ];
       })
     { folded = 0; max_iterations = 0 }
     p.funcs

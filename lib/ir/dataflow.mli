@@ -1,27 +1,36 @@
-(** Generic worklist dataflow over [Ir] functions.
+(** The IR's flow facts, defined once: def/use, block reachability and
+    the fixpoint instances every analysis of an [Ir.func] reads.
 
     One internal solver, parameterized on a join-semilattice, runs a
     deterministic round-robin worklist (blocks in layout order for
     forward problems, reverse layout order for backward ones), so fact
     tables — and everything derived from them, lint findings included —
-    are reproducible across runs and job counts.
+    are reproducible across runs and job counts. It builds only the
+    adjacency its direction reads, and a block whose incoming fact is
+    unchanged since the last sweep is not re-transferred.
 
-    Three instances ship with the framework: liveness (backward),
-    reaching definitions (forward, with virtual "uninitialized" def
-    sites), and conditional constant propagation (forward, with edge
-    executability so code behind a statically-false branch is neither
-    folded nor flagged). These are
-    exactly the facts the translation validator ({!Tval}) and the
-    ROADMAP tier-3 OSR work need at block boundaries. *)
+    Three instances ship with the framework: liveness (backward; register
+    allocation's live ranges and the translation validator's block
+    boundaries), may-uninitialized vars (forward; {!Validate.uninit_reads}
+    is its only client-facing form), and conditional constant propagation
+    (forward, with edge executability so code behind a statically-false
+    branch is neither folded nor flagged).
 
-(** Block-graph helpers, shared by the instances and exposed for tests
-    and for {!Tval}. Blocks are indexed by their position in
-    [f.blocks]. *)
+    Liveness and the uninit analysis accept any var number. Constant
+    propagation (and so {!program_stats}) has a precondition: vars lie in
+    [[0, nvars)] and [nparams <= nvars], as {!Validate.check} enforces;
+    it raises on a var outside that range. *)
 
-val succs : Ir.func -> int list array
-val preds : Ir.func -> int list array
+(** [reachable f] — per block (by position in [f.blocks]), whether some
+    path from the entry block reaches it. Branches to unknown labels are
+    ignored; with duplicated labels the last block carrying a label is
+    its target. *)
+val reachable : Ir.func -> bool array
+
+(** The vars an instruction or terminator reads, in {!Ir.instr_operands}
+    order (repeats kept). *)
 val instr_uses : Ir.instr -> Ir.var list
-val instr_defs : Ir.instr -> Ir.var list
+
 val term_uses : Ir.term -> Ir.var list
 
 module Iset : Set.S with type elt = int
@@ -42,24 +51,21 @@ module Liveness : sig
   val before : t -> Ir.func -> int -> Iset.t array
 end
 
-module Reaching : sig
-  (** A definition site. [Uninit v] is the virtual "no definition yet"
-      site every non-parameter var carries at function entry; if one
-      reaches a read, the read may observe an uninitialized var. *)
-  type site =
-    | Param of Ir.var
-    | Uninit of Ir.var
-    | Def of int * int  (** block index, instruction index *)
-
+module Uninit : sig
   type t = {
-    sites : site array;  (** def id -> site *)
-    site_var : int array;  (** def id -> var defined *)
-    reach_in : Iset.t array;  (** def ids reaching block entry *)
-    reach_out : Iset.t array;
+    maybe_in : Iset.t array;
+        (** per block: non-parameter vars that some path from the entry
+            reaches with no definition *)
     iterations : int;
   }
 
   val compute : Ir.func -> t
+
+  (** [reads t f] — every read of a var in the may-uninit set at that
+      point, as [(var, block index, instruction index)] (instruction
+      index [List.length body] for the terminator), in (block,
+      instruction, operand) order. *)
+  val reads : t -> Ir.func -> (Ir.var * int * int) list
 end
 
 module Constprop : sig
@@ -94,7 +100,9 @@ module Constprop : sig
 end
 
 (** Aggregate dataflow statistics for the audit table. [max_iterations]
-    is the worst sweep count over all three analyses and functions. *)
+    is the worst sweep count over liveness, uninit and constant
+    propagation, over all functions. Same precondition as the instances:
+    raises on a var outside [[0, nvars)]. *)
 type stats = { folded : int; max_iterations : int }
 
 val program_stats : Ir.program -> stats

@@ -77,3 +77,32 @@ val init_footprint : init_item list -> int
 
 (** [program_size p] — rough size: number of instructions. *)
 val program_size : program -> int
+
+(** {2 Operands, definitions and successors}
+
+    The one place the IR's def/use vocabulary is spelled out; {!Dataflow}
+    and every pass that walks operands build on these. *)
+
+(** [instr_operands i] — the operands [i] reads, in evaluation order: an
+    indirect callee before the arguments, a store's base before its value. *)
+val instr_operands : instr -> operand list
+
+(** [instr_with_operands i ops] — [i] with its operands replaced by [ops]
+    (same order and arity as {!instr_operands}; [Invalid_argument]
+    otherwise). *)
+val instr_with_operands : instr -> operand list -> instr
+
+(** [map_instr_operands f i] — [i] with [f] applied to every operand. *)
+val map_instr_operands : (operand -> operand) -> instr -> instr
+
+(** [instr_def i] — the var [i] defines, if any. *)
+val instr_def : instr -> var option
+
+(** [term_operands t] — the operand a terminator reads, if any. *)
+val term_operands : term -> operand list
+
+(** [map_term_operands f t] — [t] with [f] applied to its operand. *)
+val map_term_operands : (operand -> operand) -> term -> term
+
+(** [term_succs t] — successor labels in order (taken arm first). *)
+val term_succs : term -> label list

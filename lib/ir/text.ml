@@ -418,24 +418,13 @@ type fstate = {
   mutable max_var : int;
 }
 
-let operand_max_var = function Ir.Var v -> v | Ir.Const _ | Ir.Global _ | Ir.Func _ -> -1
+let operands_max_var =
+  List.fold_left (fun acc o -> match o with Ir.Var v -> max acc v | _ -> acc) (-1)
 
-let instr_max_var = function
-  | Ir.Mov (v, op) -> max v (operand_max_var op)
-  | Ir.Binop (v, _, a, b) | Ir.Cmp (v, _, a, b) ->
-      max v (max (operand_max_var a) (operand_max_var b))
-  | Ir.Load (v, base, _) | Ir.Load8 (v, base, _) -> max v (operand_max_var base)
-  | Ir.Store (base, _, value) | Ir.Store8 (base, _, value) ->
-      max (operand_max_var base) (operand_max_var value)
-  | Ir.Slot_addr (v, _) -> v
-  | Ir.Call (dst, callee, args) ->
-      let d = match dst with Some v -> v | None -> -1 in
-      let c = match callee with Ir.Indirect op -> operand_max_var op | _ -> -1 in
-      List.fold_left (fun acc a -> max acc (operand_max_var a)) (max d c) args
+let instr_max_var i =
+  max (operands_max_var (Ir.instr_operands i)) (Option.value (Ir.instr_def i) ~default:(-1))
 
-let term_max_var = function
-  | Ir.Ret (Some op) | Ir.Cond_br (op, _, _) -> operand_max_var op
-  | Ir.Ret None | Ir.Br _ -> -1
+let term_max_var t = operands_max_var (Ir.term_operands t)
 
 let close_block line fs term =
   match fs.cur_label with

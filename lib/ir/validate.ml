@@ -2,100 +2,21 @@ type error = { where : string; what : string }
 
 let error_to_string e = Printf.sprintf "%s: %s" e.where e.what
 
-(* Use before initialization: a forward may-analysis over the block
-   successor map. A non-parameter var read while its "never yet defined"
-   fact still holds on some path makes the block's entry state
-   ill-defined — the interpreter happens to zero-fill, but the diversified
-   lowering is entitled to leave whatever the register allocator parked
-   there. *)
-module ISet = Set.Make (Int)
-
-let operand_uses = function Ir.Var v -> [ v ] | _ -> []
-
-let instr_uses = function
-  | Ir.Mov (_, op) | Ir.Load (_, op, _) | Ir.Load8 (_, op, _) -> operand_uses op
-  | Ir.Binop (_, _, a, b) | Ir.Cmp (_, _, a, b) | Ir.Store (a, _, b) | Ir.Store8 (a, _, b)
-    ->
-      operand_uses a @ operand_uses b
-  | Ir.Slot_addr _ -> []
-  | Ir.Call (_, callee, args) ->
-      (match callee with Ir.Indirect op -> operand_uses op | _ -> [])
-      @ List.concat_map operand_uses args
-
-let instr_def = function
-  | Ir.Mov (v, _) | Ir.Binop (v, _, _, _) | Ir.Cmp (v, _, _, _)
-  | Ir.Load (v, _, _) | Ir.Load8 (v, _, _) | Ir.Slot_addr (v, _) ->
-      Some v
-  | Ir.Store _ | Ir.Store8 _ -> None
-  | Ir.Call (dst, _, _) -> dst
-
-let term_uses = function
-  | Ir.Ret (Some op) | Ir.Cond_br (op, _, _) -> operand_uses op
-  | Ir.Ret None | Ir.Br _ -> []
-
-(* Block successors by position in [f.blocks], unknown targets dropped;
-   [None] for an empty function or duplicated labels (the map would be
-   ambiguous). *)
-let successors (f : Ir.func) =
-  let blocks = Array.of_list f.blocks in
-  let index = Hashtbl.create 16 in
-  Array.iteri (fun i (b : Ir.block) -> Hashtbl.replace index b.lbl i) blocks;
-  if Array.length blocks = 0 || Hashtbl.length index <> Array.length blocks then None
-  else
-    Some
-      (Array.map
-         (fun (b : Ir.block) ->
-           List.filter_map (Hashtbl.find_opt index)
-             (match b.term with
-             | Ir.Ret _ -> []
-             | Ir.Br l -> [ l ]
-             | Ir.Cond_br (_, l1, l2) -> [ l1; l2 ]))
-         blocks)
+(* Use before initialization: a forward may-analysis on the Dataflow
+   solver. A non-parameter var read while its "never yet defined" fact
+   still holds on some path makes the block's entry state ill-defined —
+   the interpreter happens to zero-fill, but the diversified lowering is
+   entitled to leave whatever the register allocator parked there. An
+   empty function or duplicated labels (an ambiguous successor map) get
+   no report. *)
+let labels_unique (f : Ir.func) =
+  let seen = Hashtbl.create 16 in
+  List.iter (fun (b : Ir.block) -> Hashtbl.replace seen b.lbl ()) f.blocks;
+  Hashtbl.length seen = List.length f.blocks
 
 let uninit_reads (f : Ir.func) =
-  match successors f with
-  | None -> []
-  | Some succs ->
-      let blocks = Array.of_list f.blocks in
-      let n = Array.length blocks in
-      let flow ?report maybe (b : Ir.block) =
-        let maybe = ref maybe in
-        let read k v =
-          match report with Some f when ISet.mem v !maybe -> f k v | _ -> ()
-        in
-        List.iteri
-          (fun k instr ->
-            List.iter (read k) (instr_uses instr);
-            match instr_def instr with Some v -> maybe := ISet.remove v !maybe | None -> ())
-          b.body;
-        List.iter (read (List.length b.body)) (term_uses b.term);
-        !maybe
-      in
-      let at_entry = Array.make n ISet.empty in
-      at_entry.(0) <-
-        ISet.of_list (List.init (max 0 (f.nvars - f.nparams)) (fun i -> f.nparams + i));
-      let changed = ref true in
-      while !changed do
-        changed := false;
-        Array.iteri
-          (fun i b ->
-            let out = flow at_entry.(i) b in
-            List.iter
-              (fun j ->
-                let next = ISet.union at_entry.(j) out in
-                if not (ISet.equal next at_entry.(j)) then begin
-                  at_entry.(j) <- next;
-                  changed := true
-                end)
-              succs.(i))
-          blocks
-      done;
-      let found = ref [] in
-      Array.iteri
-        (fun i b ->
-          ignore (flow ~report:(fun k v -> found := (v, i, k) :: !found) at_entry.(i) b))
-        blocks;
-      List.rev !found
+  if f.blocks = [] || not (labels_unique f) then []
+  else Dataflow.Uninit.(reads (compute f) f)
 
 let check (p : Ir.program) =
   let errors = ref [] in
@@ -128,10 +49,13 @@ let check (p : Ir.program) =
     let where what = err f.name what in
     if f.nparams > f.nvars then where "nparams exceeds nvars";
     let labels = Hashtbl.create 16 in
+    let dup_labels = ref false in
     List.iter
       (fun (b : Ir.block) ->
-        if Hashtbl.mem labels b.lbl then
-          where (Printf.sprintf "duplicate label %d" b.lbl);
+        if Hashtbl.mem labels b.lbl then begin
+          dup_labels := true;
+          where (Printf.sprintf "duplicate label %d" b.lbl)
+        end;
         Hashtbl.replace labels b.lbl ())
       f.blocks;
     let check_label l =
@@ -164,73 +88,44 @@ let check (p : Ir.program) =
           if not (List.mem name R2c_machine.Image.builtin_names) then
             where (Printf.sprintf "unknown builtin %s" name)
     in
-    let check_instr = function
-      | Ir.Mov (v, op) ->
-          check_var v;
-          check_operand op
-      | Ir.Binop (v, _, a, b) | Ir.Cmp (v, _, a, b) ->
-          check_var v;
-          check_operand a;
-          check_operand b
-      | Ir.Load (v, base, _) | Ir.Load8 (v, base, _) ->
-          check_var v;
-          check_operand base
-      | Ir.Store (base, _, value) | Ir.Store8 (base, _, value) ->
-          check_operand base;
-          check_operand value
-      | Ir.Slot_addr (v, i) ->
-          check_var v;
-          if i < 0 || i >= Array.length f.slots then
-            where (Printf.sprintf "slot %d out of range" i)
-      | Ir.Call (dst, callee, args) ->
-          Option.iter check_var dst;
+    let check_instr i =
+      Option.iter check_var (Ir.instr_def i);
+      match i with
+      | Ir.Slot_addr (_, s) ->
+          if s < 0 || s >= Array.length f.slots then
+            where (Printf.sprintf "slot %d out of range" s)
+      | Ir.Call (_, callee, args) ->
           List.iter check_operand args;
           check_callee callee (List.length args)
+      | _ -> List.iter check_operand (Ir.instr_operands i)
     in
-    (match f.blocks with
-    | [] -> where "no blocks"
-    | _ -> ());
+    if f.blocks = [] then where "no blocks";
     List.iter
       (fun (b : Ir.block) ->
         List.iter check_instr b.body;
-        match b.term with
-        | Ir.Ret None -> ()
-        | Ir.Ret (Some op) -> check_operand op
-        | Ir.Br l -> check_label l
-        | Ir.Cond_br (c, l1, l2) ->
-            check_operand c;
-            check_label l1;
-            check_label l2)
+        List.iter check_operand (Ir.term_operands b.term);
+        List.iter check_label (Ir.term_succs b.term))
       f.blocks;
     (* Reachability from the entry block: dead blocks are always a
        generator bug, and they inflate the diversified layout for no
        coverage. (Skipped when labels are duplicated — the successor map
        would be ambiguous.) Then use before initialization. *)
-    match successors f with
-    | Some succs ->
-        let seen = Array.make (Array.length succs) false in
-        let rec visit i =
-          if not seen.(i) then begin
-            seen.(i) <- true;
-            List.iter visit succs.(i)
-          end
-        in
-        visit 0;
-        let blocks = Array.of_list f.blocks in
-        Array.iteri
-          (fun i (b : Ir.block) ->
-            if not seen.(i) then where (Printf.sprintf "unreachable block %d" b.lbl))
-          blocks;
-        let reported = Hashtbl.create 8 in
-        List.iter
-          (fun (v, bi, _) ->
-            let lbl = blocks.(bi).Ir.lbl in
-            if not (Hashtbl.mem reported (lbl, v)) then begin
-              Hashtbl.replace reported (lbl, v) ();
-              where (Printf.sprintf "var %d read before any definition (block %d)" v lbl)
-            end)
-          (uninit_reads f)
-    | None -> ()
+    if f.blocks <> [] && not !dup_labels then begin
+      let blocks = Array.of_list f.blocks in
+      Array.iteri
+        (fun i seen ->
+          if not seen then where (Printf.sprintf "unreachable block %d" blocks.(i).Ir.lbl))
+        (Dataflow.reachable f);
+      let reported = Hashtbl.create 8 in
+      List.iter
+        (fun (v, bi, _) ->
+          let lbl = blocks.(bi).Ir.lbl in
+          if not (Hashtbl.mem reported (lbl, v)) then begin
+            Hashtbl.replace reported (lbl, v) ();
+            where (Printf.sprintf "var %d read before any definition (block %d)" v lbl)
+          end)
+        Dataflow.Uninit.(reads (compute f) f)
+    end
   in
   List.iter check_func p.funcs;
   (match Ir.find_func p p.main with

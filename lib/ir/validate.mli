@@ -19,8 +19,8 @@ val check : Ir.program -> error list
     prior definition of the (non-parameter) var: [(var, block index,
     instruction index)], where blocks are indexed by position in
     [f.blocks] and the instruction index equals [List.length body] for a
-    terminator read. A forward may-analysis iterated to its fixpoint in
-    block order; deterministic order (block, instruction, operand); empty
-    on initialization-clean functions and on functions whose labels are
-    not unique. *)
+    terminator read. {!Dataflow.Uninit} solved to its fixpoint;
+    deterministic order (block, instruction, operand); empty on
+    initialization-clean functions, on functions with no blocks and on
+    functions whose labels are not unique. *)
 val uninit_reads : Ir.func -> (Ir.var * int * int) list

@@ -122,18 +122,41 @@ let test_invalid_program_rejected () =
   | exception Driver.Invalid_program _ -> ()
   | _ -> Alcotest.fail "expected Invalid_program"
 
+(* Each var's interval must cover every position that mentions it and
+   every position where liveness says it is live (positions number each
+   block's instructions and terminator in layout order). *)
 let test_regalloc_intervals_cover_uses () =
+  let gens = List.init 25 (fun i -> (Printf.sprintf "gen-v2 %d" (i + 1), R2c_fuzz.Gen.v2 ~seed:(i + 1) ())) in
   List.iter
     (fun (name, (p : Ir.program)) ->
       List.iter
         (fun (f : Ir.func) ->
           let ivals = Regalloc.intervals f in
+          let lv = Dataflow.Liveness.compute f in
+          let covers what pos v =
+            let lo, hi = ivals.(v) in
+            if not (lo <= pos && pos <= hi) then
+              Alcotest.failf "%s/%s: v%d %s at %d outside [%d, %d]" name f.name v what pos lo hi
+          in
           Array.iter
-            (fun (lo, hi) ->
-              Alcotest.(check bool) (name ^ ": interval sane") true (lo <= hi))
-            ivals)
+            (fun (lo, hi) -> Alcotest.(check bool) (name ^ ": interval sane") true (lo <= hi))
+            ivals;
+          ignore
+            (List.fold_left
+               (fun (bi, start) (b : Ir.block) ->
+                 let before = Dataflow.Liveness.before lv f bi in
+                 Array.iteri (fun k live -> Dataflow.Iset.iter (covers "live" (start + k)) live) before;
+                 List.iteri
+                   (fun k i ->
+                     List.iter (covers "read" (start + k)) (Dataflow.instr_uses i);
+                     Option.iter (covers "written" (start + k)) (Ir.instr_def i))
+                   b.body;
+                 let term = start + List.length b.body in
+                 List.iter (covers "read" term) (Dataflow.term_uses b.term);
+                 (bi + 1, term + 1))
+               (0, 0) f.blocks))
         p.funcs)
-    Samples.all
+    (Samples.all @ gens)
 
 let test_regalloc_no_conflicts () =
   (* Two variables with overlapping intervals must not share a register. *)

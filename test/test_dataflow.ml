@@ -5,7 +5,6 @@
    caught plants, job-count determinism, corpus replay). *)
 
 module Q = QCheck
-module Dataflow = R2c_analysis.Dataflow
 module Lint = R2c_analysis.Lint
 module Selfcheck = R2c_analysis.Selfcheck
 module Tval = R2c_analysis.Tval
@@ -23,13 +22,13 @@ let prop_solver_fixpoint =
         (fun f ->
           let n = List.length f.blocks in
           let lv = Dataflow.Liveness.compute f in
-          let rd = Dataflow.Reaching.compute f in
+          let un = Dataflow.Uninit.compute f in
           let cp = Dataflow.Constprop.compute f in
           (* The solver caps sweeps at 64 + 4n and raises past it; getting
              results back at all is the fixpoint claim. The bound check
              asserts convergence wasn't just the cap. *)
           lv.Dataflow.Liveness.iterations <= (4 * n) + 64
-          && rd.Dataflow.Reaching.iterations <= (4 * n) + 64
+          && un.Dataflow.Uninit.iterations <= (4 * n) + 64
           && cp.Dataflow.Constprop.iterations <= (4 * n) + 64)
         p.funcs)
 
@@ -261,6 +260,80 @@ let validate_uninit_cases () =
             { lbl = 2; body = []; term = Ret (Some (Var 1)) };
           ]))
 
+(* Malformed functions: [Validate.check] reports every defect and never
+   raises, even though the uninit check now runs on the fixpoint solver
+   (whose sweep cap raises). [uninit_reads] itself stays total too. *)
+let validate_hostile_shapes () =
+  let main ?(nparams = 0) ?(nvars = 2) blocks =
+    { name = "main"; nparams; nvars; slots = [||]; blocks }
+  in
+  let case what expected funcs =
+    let p = { funcs; globals = []; main = "main" } in
+    Alcotest.(check (list string)) what expected
+      (List.map Validate.error_to_string (Validate.check p));
+    List.iter (fun f -> ignore (Validate.uninit_reads f)) funcs
+  in
+  case "empty block list" [ "main: no blocks" ] [ main [] ];
+  case "duplicate labels skip reachability and uninit"
+    [ "main: duplicate label 1" ]
+    [
+      main
+        [
+          { lbl = 0; body = []; term = Br 1 };
+          { lbl = 1; body = []; term = Ret None };
+          { lbl = 1; body = []; term = Ret (Some (Var 1)) };
+        ];
+    ];
+  Alcotest.(check (list (triple int int int)))
+    "duplicate labels: no uninit report" []
+    (Validate.uninit_reads
+       (main
+          [
+            { lbl = 1; body = []; term = Ret (Some (Var 1)) };
+            { lbl = 1; body = []; term = Ret None };
+          ]));
+  case "branch to an unknown label"
+    [
+      "main: branch to unknown label 7";
+      "main: var 1 read before any definition (block 1)";
+    ]
+    [
+      main
+        [
+          { lbl = 0; body = [ Mov (0, Const 1) ]; term = Cond_br (Var 0, 7, 1) };
+          { lbl = 1; body = []; term = Ret (Some (Var 1)) };
+        ];
+    ];
+  case "out-of-range vars, negative included"
+    [
+      "main: var 5 out of range";
+      "main: var -1 out of range";
+      "main: var 9 out of range";
+      "main: var 0 read before any definition (block 0)";
+    ]
+    [
+      main
+        [
+          {
+            lbl = 0;
+            body = [ Mov (5, Var (-1)); Binop (1, Add, Var 0, Const 1) ];
+            term = Ret (Some (Var 9));
+          };
+        ];
+    ];
+  case "nparams > nvars"
+    [ "g: nparams exceeds nvars"; "g: var 2 out of range" ]
+    [
+      main [ { lbl = 0; body = []; term = Ret None } ];
+      {
+        name = "g";
+        nparams = 3;
+        nvars = 1;
+        slots = [||];
+        blocks = [ { lbl = 0; body = []; term = Ret (Some (Var 2)) } ];
+      };
+    ]
+
 (* --- Tval: clean samples, caught plants, determinism -------------------- *)
 
 let check_clean name cfg p =
@@ -360,6 +433,8 @@ let suite =
           Alcotest.test_case "ccp: slot bounds through arithmetic" `Quick slot_bounds_cases;
           Alcotest.test_case "validate: use before initialization" `Quick
             validate_uninit_cases;
+          Alcotest.test_case "validate: hostile shapes never raise" `Quick
+            validate_hostile_shapes;
           Alcotest.test_case "tval: smoke on samples" `Quick tval_smoke;
           Alcotest.test_case "tval: plants caught" `Quick tval_plants;
           Alcotest.test_case "selfcheck: IR mutations trip exactly their rule" `Quick
