@@ -21,7 +21,7 @@ let program =
   let main = B.func "main" ~nparams:0 in
   let acc = B.slot main 8 in
   B.store main (B.slot_addr main acc) 0 (Ir.Const 0);
-  R2c_workloads.Wb.for_ main ~from:(Ir.Const 1) ~below:(Ir.Const 11) (fun i ->
+  B.for_ main ~from:(Ir.Const 1) ~below:(Ir.Const 11) (fun i ->
       let t = B.call main (Ir.Direct "triangle") [ i ] in
       let cur = B.load main (B.slot_addr main acc) 0 in
       B.store main (B.slot_addr main acc) 0 (B.binop main Ir.Add cur t));

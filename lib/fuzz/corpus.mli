@@ -1,7 +1,7 @@
 (** Reproducer corpus: shrunk divergences persisted as [.r2c] files.
 
     A surviving divergence is saved via the [Text] surface syntax (the
-    [Ir.Pretty]/[Text] round-trip is part of the fuzz test suite), so a
+    [Text] print/parse round-trip is part of the fuzz test suite), so a
     reproducer is a standalone compiler input: [r2cc file.r2c] compiles
     it, [experiments fuzz] and [dune runtest] replay everything under
     [test/corpus/]. An absent or empty directory is vacuously clean, so

@@ -1,40 +1,6 @@
 module B = Builder
 module Rng = R2c_util.Rng
 
-(* Private copies of the Wb control-flow shapes: Wb lives in r2c_workloads,
-   which depends on this library, so the helpers are duplicated here. The
-   [for_] copy must stay instruction-identical to [Wb.for_] — [layered]
-   relies on it to keep v1 output stable. *)
-
-let for_ fb ~from ~below body =
-  let ctr = B.slot fb 8 in
-  B.store fb (B.slot_addr fb ctr) 0 from;
-  let header = B.new_block fb and bodyl = B.new_block fb and fin = B.new_block fb in
-  B.br fb header;
-  B.switch_to fb header;
-  let i = B.load fb (B.slot_addr fb ctr) 0 in
-  let c = B.cmp fb Ir.Lt i below in
-  B.cond_br fb c bodyl fin;
-  B.switch_to fb bodyl;
-  let i' = B.load fb (B.slot_addr fb ctr) 0 in
-  body i';
-  let i2 = B.load fb (B.slot_addr fb ctr) 0 in
-  let inext = B.binop fb Ir.Add i2 (Ir.Const 1) in
-  B.store fb (B.slot_addr fb ctr) 0 inext;
-  B.br fb header;
-  B.switch_to fb fin
-
-let if_ fb c then_ else_ =
-  let yes = B.new_block fb and no = B.new_block fb and join = B.new_block fb in
-  B.cond_br fb c yes no;
-  B.switch_to fb yes;
-  then_ ();
-  B.br fb join;
-  B.switch_to fb no;
-  else_ ();
-  B.br fb join;
-  B.switch_to fb join
-
 (* ------------------------------------------------------------------ *)
 (* v1: the layered-DAG generator, verbatim from the original Genprog.  *)
 (* ------------------------------------------------------------------ *)
@@ -80,7 +46,7 @@ let gen_layered_func rng i =
   (* Occasional small loop. *)
   if Rng.int rng 3 = 0 then begin
     let n = Rng.int_in_range rng ~lo:2 ~hi:5 in
-    for_ fb ~from:(Ir.Const 0) ~below:(Ir.Const n) (fun k ->
+    B.for_ fb ~from:(Ir.Const 0) ~below:(Ir.Const n) (fun k ->
         let m = B.binop fb Ir.Mul k (Ir.Const 3) in
         add m)
   end;
@@ -122,7 +88,7 @@ let layered ~seed ~funcs =
     B.store main (B.slot_addr main acc) 0 (B.binop main Ir.Add cur v)
   done;
   (* Ensure every function ran at least once (coverage of the compile). *)
-  for_ main ~from:(Ir.Const 0) ~below:(Ir.Const 1) (fun _ -> ());
+  B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const 1) (fun _ -> ());
   let covered = B.func "gp_cover" ~nparams:0 in
   let acc2 = B.slot covered 8 in
   B.store covered (B.slot_addr covered acc2) 0 (Ir.Const 0);
@@ -241,7 +207,7 @@ let gen_shapes rng fb ~i ~acc ~recursive_pool =
   let loop () =
     let bound = Rng.int_in_range rng ~lo:2 ~hi:5 in
     let step = Ir.Const (Rng.int_in_range rng ~lo:1 ~hi:9) in
-    for_ fb ~from:(Ir.Const 0) ~below:(Ir.Const bound) (fun k ->
+    B.for_ fb ~from:(Ir.Const 0) ~below:(Ir.Const bound) (fun k ->
         add (B.binop fb Ir.Mul k step))
   in
   let cold_branch () =
@@ -251,7 +217,7 @@ let gen_shapes rng fb ~i ~acc ~recursive_pool =
     let c =
       B.cmp fb Ir.Eq (B.binop fb Ir.And a (Ir.Const 7)) (Ir.Const (Rng.int rng 8))
     in
-    if_ fb c
+    B.if_ fb c
       (fun () ->
         B.store fb (Ir.Global "fz_data") (8 * Rng.int rng 8)
           (Ir.Const (Rng.int_in_range rng ~lo:1 ~hi:99)))
@@ -336,7 +302,7 @@ let gen_recursive_func rng i =
   let mix = B.binop fb Ir.Xor b (Ir.Const (Rng.int_in_range rng ~lo:1 ~hi:1000)) in
   add mix;
   let c = B.cmp fb Ir.Gt d (Ir.Const 0) in
-  if_ fb c
+  B.if_ fb c
     (fun () ->
       let t = B.binop fb Ir.Add mix d in
       let r =
@@ -402,7 +368,7 @@ let v2 ?funcs ~seed () =
     (List.rev !recursive_pool);
   (* Checksum of the shared data array: layout divergence anywhere in the
      aliasing stores shows up here. *)
-  for_ main ~from:(Ir.Const 0) ~below:(Ir.Const data_words) (fun k ->
+  B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const data_words) (fun k ->
       let off = B.binop main Ir.Mul k (Ir.Const 8) in
       add (B.load main (B.binop main Ir.Add (Ir.Global "fz_data") off) 0));
   let total = B.load main (B.slot_addr main acc) 0 in

@@ -109,6 +109,35 @@ let ret t op = terminate t (Ir.Ret op)
 let br t lbl = terminate t (Ir.Br lbl)
 let cond_br t c l1 l2 = terminate t (Ir.Cond_br (c, l1, l2))
 
+let for_ t ~from ~below body =
+  let ctr = slot t 8 in
+  store t (slot_addr t ctr) 0 from;
+  let header = new_block t and bodyl = new_block t and fin = new_block t in
+  br t header;
+  switch_to t header;
+  let i = load t (slot_addr t ctr) 0 in
+  let c = cmp t Ir.Lt i below in
+  cond_br t c bodyl fin;
+  switch_to t bodyl;
+  let i' = load t (slot_addr t ctr) 0 in
+  body i';
+  let i2 = load t (slot_addr t ctr) 0 in
+  let inext = binop t Ir.Add i2 (Ir.Const 1) in
+  store t (slot_addr t ctr) 0 inext;
+  br t header;
+  switch_to t fin
+
+let if_ t c then_ else_ =
+  let yes = new_block t and no = new_block t and join = new_block t in
+  cond_br t c yes no;
+  switch_to t yes;
+  then_ ();
+  br t join;
+  switch_to t no;
+  else_ ();
+  br t join;
+  switch_to t join
+
 let finish t =
   let blocks =
     List.rev_map

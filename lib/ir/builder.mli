@@ -52,6 +52,14 @@ val ret : t -> Ir.operand option -> unit
 val br : t -> Ir.label -> unit
 val cond_br : t -> Ir.operand -> Ir.label -> Ir.label -> unit
 
+(** [for_ t ~from ~below body] — a counted loop; [body] receives the
+    counter operand. The counter lives in a stack slot, so arbitrarily
+    complex bodies (including calls) are safe. *)
+val for_ : t -> from:Ir.operand -> below:Ir.operand -> (Ir.operand -> unit) -> unit
+
+(** [if_ t c then_ else_] — two-armed conditional statement. *)
+val if_ : t -> Ir.operand -> (unit -> unit) -> (unit -> unit) -> unit
+
 (** [finish t] — assemble the function; every reached block must be
     terminated. *)
 val finish : t -> Ir.func

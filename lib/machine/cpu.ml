@@ -455,24 +455,27 @@ let fire t rip ~cycles0 ~misses0 ~called =
   let s = site t rip in
   s ~cycles:(t.cycles -. cycles0) ~misses:(Icache.misses t.icache - misses0) ~called
 
-(* The observation wrapper: with no observer attached, [step] is the bare
-   interpreter — the cycle totals are bit-identical. With one, the site
-   of the pre-step rip fires after every retired instruction (and, so
-   post-mortems see the detonating instruction, once more on the faulting
-   one before the fault propagates) with this step's cycle/miss deltas. *)
+(* The observation wrapper: [observed t step1] runs one step [step1 t]
+   and fires the site of the pre-step rip with this step's cycle/miss
+   deltas — and, so post-mortems see the detonating instruction, fires it
+   on a faulting step too, before the fault propagates. [step] and tier
+   3's cold loop both observe through it. With no observer attached,
+   [step] is the bare interpreter: the cycle totals are bit-identical. *)
+let observed t step1 =
+  let rip0 = t.rip in
+  let cycles0 = t.cycles in
+  let misses0 = Icache.misses t.icache in
+  let calls0 = t.calls in
+  match step1 t with
+  | () -> fire t rip0 ~cycles0 ~misses0 ~called:(t.calls > calls0)
+  | exception e ->
+      fire t rip0 ~cycles0 ~misses0 ~called:false;
+      raise e
+
 let step t =
   match t.observer with
   | None -> step_uninstrumented t
-  | Some _ ->
-      let rip0 = t.rip in
-      let cycles0 = t.cycles in
-      let misses0 = Icache.misses t.icache in
-      let calls0 = t.calls in
-      (match step_uninstrumented t with
-      | () -> fire t rip0 ~cycles0 ~misses0 ~called:(t.calls > calls0)
-      | exception e ->
-          fire t rip0 ~cycles0 ~misses0 ~called:false;
-          raise e)
+  | Some _ -> observed t step_uninstrumented
 
 let set_observer t obs =
   t.observer <- obs;
@@ -508,8 +511,8 @@ let run_reference t ~fuel =
 (* Predecoded straight-line stepping: the loop tier 3's cold path runs in
    (lib/machine/jit.ml). The fetch is one TLB exec probe plus one array
    read into the predecoded text; the observer and injector dispatches are
-   absent (tier 3 never runs under an injector, and wraps single steps
-   itself when observed). It returns just after a transfer of control the
+   absent (tier 3 never runs under an injector, and [Internal.straight]
+   observes single steps). It returns just after a transfer of control the
    JIT must see — onto an address set in the [marks] bitmap (one bit per
    text byte), or backward by less than [longest] bytes — leaving the
    transferring instruction's address in [from]; otherwise it runs until
@@ -589,7 +592,14 @@ let push_input t s = Queue.push s t.input
    on duplicated semantics. *)
 module Internal = struct
   let site = site
-  let fire = fire
+  let unresolved = unresolved
+
   let straight t pd ~marks ~longest ~from budget =
-    straight t pd t.image.Image.text_base marks longest from budget
+    let base = t.image.Image.text_base in
+    match t.observer with
+    | None -> straight t pd base marks longest from budget
+    | Some _ when budget > 0 && not t.halted ->
+        observed t (fun t -> ignore (straight t pd base marks longest from 1));
+        budget - 1
+    | Some _ -> budget
 end

@@ -167,20 +167,20 @@ module Internal : sig
       observer is attached. *)
   val site : t -> int -> site
 
-  (** [fire t rip ~cycles0 ~misses0 ~called] — fire [rip]'s site with the
-      deltas from the [cycles]/icache-miss snapshot to now, as {!step}
-      does after each instruction. *)
-  val fire : t -> int -> cycles0:float -> misses0:int -> called:bool -> unit
+  (** The sentinel filling the unresolved slots of [sites]. *)
+  val unresolved : site
 
   (** [straight t pd ~marks ~longest ~from budget] — steps [t] through
       the predecoded text [pd] ({!Image.predecoded} of its image) with the
-      reference tier's semantics, minus the observer and injector, until
-      it halts, [budget] instructions have retired, or an instruction
-      transfers control (any rip other than its fall-through, builtins
-      included) onto an address whose bit is set in [marks] (bit [k] of
-      byte [k/8] for text offset [k]) or backward by less than [longest]
-      bytes; in that last case it leaves the instruction's address in
-      [from]. Returns the budget left. Raises {!Fault.Fault}. *)
+      reference tier's semantics, minus the injector, until it halts,
+      [budget] instructions have retired, or an instruction transfers
+      control (any rip other than its fall-through, builtins included)
+      onto an address whose bit is set in [marks] (bit [k] of byte [k/8]
+      for text offset [k]) or backward by less than [longest] bytes; in
+      that last case it leaves the instruction's address in [from]. With
+      an observer attached it retires at most one instruction, observed
+      as {!step} observes one. Returns the budget left. Raises
+      {!Fault.Fault}. *)
   val straight :
     t -> Image.pslot array -> marks:Bytes.t -> longest:int -> from:int ref -> int -> int
 end

@@ -6,7 +6,16 @@
     line tags reproduces that pressure honestly: bigger call sites and
     trap-padded prologues touch more lines and evict more. *)
 
-type t
+(** Read-only outside this module: tier 3's observed templates read
+    [miss_count] directly, a field load where a {!misses} call would cost
+    a cross-module call per instruction. *)
+type t = private {
+  tags : int array;  (** -1 = invalid *)
+  lines : int;
+  line_shift : int;
+  mutable miss_count : int;
+  mutable access_count : int;
+}
 
 (** [create ~lines ~line_bytes] — [lines] must be a power of two. *)
 val create : lines:int -> line_bytes:int -> t

@@ -15,9 +15,9 @@
    reference tier before tier 3 is ever consulted. An attached observer
    does not: an observed run executes observed templates, which fire the
    observer's site after every instruction with the step's deltas. They
-   are a second compilation of the same blocks, built per function the
-   first time an observed run enters it, so the unobserved templates stay
-   exactly as they are.
+   wrap the function's plain templates closure by closure — nothing is
+   compiled twice — and are built per function the first time an observed
+   run enters it, so the unobserved templates stay exactly as they are.
 
    Everything not compiled runs through one cold loop
    ([Cpu.Internal.straight]): the predecoded fetch and the shared
@@ -72,17 +72,21 @@ let enabled_ref =
 
 let enabled () = !enabled_ref
 
-(* The machine context threaded through every compiled closure. All fields
-   are aliases into the owning [Cpu.t] except [cyc], the unboxed cycle
-   accumulator. *)
+(* The machine context threaded through every compiled closure. [t] to
+   [ic] are aliases into the owning [Cpu.t]. [cyc.(0)] is the unboxed
+   cycle accumulator, the live counter while compiled code runs. The rest
+   is for observed templates: the instruction in flight ([o_addr], -1
+   between instructions) and the cycle count ([cyc.(1)]) and icache miss
+   count ([o_miss]) before it. *)
 type ctx = {
   t : Cpu.t;
   regs : int array;
   ymm : int array;
   mem : Mem.t;
   ic : Icache.t;
-  cyc : float array;  (* one slot: the live cycle counter while compiled *)
-  mutable om : int;  (* observed templates: icache misses of this step *)
+  cyc : float array;
+  mutable o_addr : int;
+  mutable o_miss : int;
 }
 
 (* A fused basic block: [b_n] instructions at [b_addrs], the first
@@ -100,16 +104,15 @@ type block = {
 (* One compiled function. [f_body] and [f_ext] are its key, with the
    entry: the placed body it was compiled from and that placement's
    external addresses ([f_ext] and the code are mutable for [poison]).
-   The observed templates are built on first observed entry; an atomic
-   cell rather than a [Lazy] because the function is shared across
-   domains, where two racing builds just produce equal arrays. *)
+   The observed templates wrap [f_blocks] on first observed entry; an
+   atomic cell rather than a [Lazy] because the function is shared across
+   domains, where two racing builds just produce equivalent arrays. *)
 type cfunc = {
   f_entry : int;
   f_body : Image.body;
   mutable f_ext : int array;
   mutable f_blocks : block array;
   f_obs : block array option Atomic.t;
-  f_build_obs : unit -> block array;
   f_leaders : (int * int) array;  (* (address, block index) per leader *)
 }
 
@@ -358,9 +361,10 @@ let compile_effect ~addr (insn : Insn.t) : (ctx -> unit) * bool =
       (* control instructions are terminators, never plain effects *)
       raise Unsupported
 
-(* Fetch accounting, precomputed per instruction. The float additions run
-   in exactly [Cpu.execute]'s order — base, then fetch, then the miss
-   penalty term — on the live [cyc] slot; float addition is
+(* Fetch accounting, precomputed per instruction: the one place compiled
+   code charges an instruction's cycles, observed or not. The float
+   additions run in exactly [Cpu.execute]'s order — base, then fetch,
+   then the miss penalty term — on the live [cyc] slot; float addition is
    non-associative, so the order is part of the contract. *)
 let mk_core (p : Cost.profile) ~addr ~size ~(cb : float) (eff : ctx -> unit) :
     ctx -> unit =
@@ -391,8 +395,10 @@ let mk_core (p : Cost.profile) ~addr ~size ~(cb : float) (eff : ctx -> unit) :
 (* Exec-permission probes are kept only at block entries and page
    transitions: text protections can only change at builtin boundaries,
    which always exit compiled code, so within one runner activation the
-   elided same-page probes are provably no-ops. *)
-let wrap_op ~check ~can_fault ~addr (core : ctx -> unit) : ctx -> unit =
+   elided same-page probes are provably no-ops. A closure that can fault
+   materializes rip before the fault propagates; one wrapper serves ops
+   and terminators alike. *)
+let guard ~check ~can_fault ~addr (core : ctx -> 'a) : ctx -> 'a =
   if check then fun c ->
     try
       Mem.check_exec c.mem addr;
@@ -407,81 +413,10 @@ let wrap_op ~check ~can_fault ~addr (core : ctx -> unit) : ctx -> unit =
       raise e
   else core
 
-(* Observed templates. [fire] hands the attached observer's site for
-   [addr] the step's deltas, computed as [Cpu.step] computes them: the
-   live [cyc] slot differenced around the step (so the float delta is
-   bit-identical), and the fetch's miss count. Faults fire once, with rip
-   materialized, before propagating. *)
-let fire c addr cycles misses called =
-  let s = Cpu.Internal.site c.t addr in
-  s ~cycles ~misses ~called
-
-(* [mk_core]'s accounting — the same float additions in the same order —
-   returning the step's icache misses instead of running an effect. *)
-let obs_fetch (p : Cost.profile) ~addr ~size ~(cb : float) : ctx -> int =
-  let cf = float_of_int size /. p.Cost.fetch_bytes_per_cycle in
-  let pen = p.Cost.icache_miss_penalty in
-  let ls =
-    let rec log2 acc n = if n <= 1 then acc else log2 (acc + 1) (n lsr 1) in
-    log2 0 p.Cost.icache_line_bytes
-  in
-  let first = addr lsr ls in
-  let one_line = first = (addr + size - 1) lsr ls in
-  fun c ->
-    let m =
-      if one_line then Icache.access_line c.ic first
-      else Icache.access c.ic ~addr ~len:size
-    in
-    Array.unsafe_set c.cyc 0
-      (Array.unsafe_get c.cyc 0 +. cb +. cf +. (float_of_int m *. pen));
-    let t = c.t in
-    t.Cpu.insns <- t.Cpu.insns + 1;
-    m
-
-(* An observed non-control instruction. Only an instruction that can
-   fault (or carries the exec-permission probe) pays for a handler. *)
-let obs_op ~check ~can_fault ~addr (fetch : ctx -> int) (eff : ctx -> unit) :
-    ctx -> unit =
-  if check || can_fault then fun c ->
-    let cyc0 = Array.unsafe_get c.cyc 0 in
-    let m = ref 0 in
-    match
-      if check then Mem.check_exec c.mem addr;
-      m := fetch c;
-      eff c
-    with
-    | () -> fire c addr (Array.unsafe_get c.cyc 0 -. cyc0) !m false
-    | exception e ->
-        (match e with Fault.Fault _ -> c.t.Cpu.rip <- addr | _ -> ());
-        fire c addr (Array.unsafe_get c.cyc 0 -. cyc0) !m false;
-        raise e
-  else fun c ->
-    let cyc0 = Array.unsafe_get c.cyc 0 in
-    let m = fetch c in
-    eff c;
-    fire c addr (Array.unsafe_get c.cyc 0 -. cyc0) m false
-
-(* A control terminator compiled with [obs_fetch] accounting. Deopt
-   terminators are never wrapped: they retire nothing, and the
-   interpreter fires when it retries the instruction. *)
-let obs_term ~addr (term : ctx -> int) : ctx -> int =
- fun c ->
-  let t = c.t in
-  let cyc0 = Array.unsafe_get c.cyc 0 and calls0 = t.Cpu.calls in
-  c.om <- 0;
-  match term c with
-  | k ->
-      fire c addr (Array.unsafe_get c.cyc 0 -. cyc0) c.om (t.Cpu.calls > calls0);
-      k
-  | exception e ->
-      fire c addr (Array.unsafe_get c.cyc 0 -. cyc0) c.om false;
-      raise e
-
-let compile_op p ~obs ~check ~addr ~size insn : ctx -> unit =
+let compile_op p ~check ~addr ~size insn : ctx -> unit =
   let eff, can_fault = compile_effect ~addr insn in
   let cb = Cost.base_cost p insn in
-  if obs then obs_op ~check ~can_fault ~addr (obs_fetch p ~addr ~size ~cb) eff
-  else wrap_op ~check ~can_fault ~addr (mk_core p ~addr ~size ~cb eff)
+  guard ~check ~can_fault ~addr (mk_core p ~addr ~size ~cb eff)
 
 (* do_call / shadow_check mirrors, with rip passed explicitly (the
    interpreter reads the already-correct [t.rip]; compiled code does not
@@ -512,57 +447,31 @@ let shadow_check_c c ~addr ra =
     | [] -> Fault.raise_fault (Cfi_violation { rip = addr; expected = 0; got = ra })
   end
 
-let wrap_term ~check ~can_fault ~addr (core : ctx -> int) : ctx -> int =
-  if check then fun c ->
-    try
-      Mem.check_exec c.mem addr;
-      core c
-    with Fault.Fault _ as e ->
-      c.t.Cpu.rip <- addr;
-      raise e
-  else if can_fault then fun c ->
-    try core c
-    with Fault.Fault _ as e ->
-      c.t.Cpu.rip <- addr;
-      raise e
-  else core
-
 let deopt_term : ctx -> int = fun _ -> -2
 
 (* Terminator for a control instruction ending a block. [bid] maps
    in-function leader addresses to block indices; targets outside it set
    rip and exit the runner. *)
-let compile_term p ~obs ~check ~addr ~size insn ~(bid : (int, int) Hashtbl.t) :
+let compile_term p ~check ~addr ~size insn ~(bid : (int, int) Hashtbl.t) :
     ctx -> int =
   let next = addr + size in
-  let cb = Cost.base_cost p insn in
-  let acct =
-    if obs then begin
-      let fetch = obs_fetch p ~addr ~size ~cb in
-      fun c -> c.om <- fetch c
-    end
-    else mk_core p ~addr ~size ~cb (fun _ -> ())
-  in
-  let wrap_term ~check ~can_fault ~addr core =
-    let term = wrap_term ~check ~can_fault ~addr core in
-    if obs then obs_term ~addr term else term
-  in
+  let acct = mk_core p ~addr ~size ~cb:(Cost.base_cost p insn) (fun _ -> ()) in
   let fall = match Hashtbl.find_opt bid next with Some k -> k | None -> -1 in
   match insn with
   | Insn.Jmp (Insn.TAbs tgt) -> (
       match Hashtbl.find_opt bid tgt with
       | Some k ->
-          wrap_term ~check ~can_fault:false ~addr (fun c ->
+          guard ~check ~can_fault:false ~addr (fun c ->
               acct c;
               k)
       | None ->
-          wrap_term ~check ~can_fault:false ~addr (fun c ->
+          guard ~check ~can_fault:false ~addr (fun c ->
               acct c;
               c.t.Cpu.rip <- tgt;
               -1))
   | Insn.Jmp_ind o ->
       let ev, cf = ev_op o in
-      wrap_term ~check ~can_fault:cf ~addr (fun c ->
+      guard ~check ~can_fault:cf ~addr (fun c ->
           acct c;
           c.t.Cpu.rip <- ev c;
           -1)
@@ -571,7 +480,7 @@ let compile_term p ~obs ~check ~addr ~size insn ~(bid : (int, int) Hashtbl.t) :
       let delta = p.Cost.jcc_taken -. p.Cost.jcc_not_taken in
       match Hashtbl.find_opt bid tgt with
       | Some k ->
-          wrap_term ~check ~can_fault:false ~addr (fun c ->
+          guard ~check ~can_fault:false ~addr (fun c ->
               acct c;
               if tst c then begin
                 Array.unsafe_set c.cyc 0 (Array.unsafe_get c.cyc 0 +. delta);
@@ -583,7 +492,7 @@ let compile_term p ~obs ~check ~addr ~size insn ~(bid : (int, int) Hashtbl.t) :
                 -1
               end)
       | None ->
-          wrap_term ~check ~can_fault:false ~addr (fun c ->
+          guard ~check ~can_fault:false ~addr (fun c ->
               acct c;
               if tst c then begin
                 Array.unsafe_set c.cyc 0 (Array.unsafe_get c.cyc 0 +. delta);
@@ -596,19 +505,19 @@ let compile_term p ~obs ~check ~addr ~size insn ~(bid : (int, int) Hashtbl.t) :
                 -1
               end))
   | Insn.Call (Insn.TAbs tgt) ->
-      wrap_term ~check ~can_fault:true ~addr (fun c ->
+      guard ~check ~can_fault:true ~addr (fun c ->
           acct c;
           do_call_c c ~addr ~target:tgt ~next;
           -1)
   | Insn.Call_ind o ->
       let ev, _ = ev_op o in
-      wrap_term ~check ~can_fault:true ~addr (fun c ->
+      guard ~check ~can_fault:true ~addr (fun c ->
           acct c;
           let tgt = ev c in
           do_call_c c ~addr ~target:tgt ~next;
           -1)
   | Insn.Ret ->
-      wrap_term ~check ~can_fault:true ~addr (fun c ->
+      guard ~check ~can_fault:true ~addr (fun c ->
           acct c;
           let t = c.t in
           let rsp = Array.unsafe_get c.regs rsp_i in
@@ -621,7 +530,7 @@ let compile_term p ~obs ~check ~addr ~size insn ~(bid : (int, int) Hashtbl.t) :
           t.Cpu.rip <- ra;
           -1)
   | Insn.Halt ->
-      wrap_term ~check ~can_fault:false ~addr (fun c ->
+      guard ~check ~can_fault:false ~addr (fun c ->
           acct c;
           let t = c.t in
           t.Cpu.halted <- true;
@@ -635,7 +544,7 @@ let compile_term p ~obs ~check ~addr ~size insn ~(bid : (int, int) Hashtbl.t) :
   | _ ->
       (* a non-control instruction in terminator position (block split
          before a leader, or the last instruction of the body) *)
-      let op = compile_op p ~obs ~check ~addr ~size insn in
+      let op = compile_op p ~check ~addr ~size insn in
       if fall >= 0 then fun c ->
         op c;
         fall
@@ -717,7 +626,7 @@ let compile_func (p : Cost.profile) (c : Image.chunk) insns : cfunc =
       let a, _, _ = arr.(s) in
       Hashtbl.replace bid a k)
     blocks_idx;
-  let compile_block ~obs (s, e) =
+  let compile_block (s, e) =
     let bn = e - s + 1 in
     let need_check k =
       k = 0
@@ -734,15 +643,14 @@ let compile_func (p : Cost.profile) (c : Image.chunk) insns : cfunc =
     (try
        for k = 0 to bn - 2 do
          let a, insn, sz = arr.(s + k) in
-         ops := compile_op p ~obs ~check:(need_check k) ~addr:a ~size:sz insn :: !ops
+         ops := compile_op p ~check:(need_check k) ~addr:a ~size:sz insn :: !ops
        done
      with Unsupported -> cut := List.length !ops);
     let term, bn =
       if !cut >= 0 then (deopt_term, !cut + 1)
       else
         let la, linsn, lsz = arr.(e) in
-        ( (try compile_term p ~obs ~check:(need_check (bn - 1)) ~addr:la ~size:lsz
-                 linsn ~bid
+        ( (try compile_term p ~check:(need_check (bn - 1)) ~addr:la ~size:lsz linsn ~bid
            with Unsupported -> deopt_term),
           bn )
     in
@@ -767,17 +675,75 @@ let compile_func (p : Cost.profile) (c : Image.chunk) insns : cfunc =
     f_entry = c.Image.c_entry;
     f_body = c.Image.c_body;
     f_ext = c.Image.c_ext;
-    f_blocks = Array.map (compile_block ~obs:false) blocks_idx;
+    f_blocks = Array.map compile_block blocks_idx;
     f_obs = Atomic.make None;
-    f_build_obs = (fun () -> Array.map (compile_block ~obs:true) blocks_idx);
     f_leaders;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Observed templates: the plain ones, wrapped.                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Fire the site of [addr], the instruction just retired, with the
+   deltas [Cpu.step] computes: the live [cyc] slot and the icache miss
+   count, each differenced around the instruction (so the float delta is
+   bit-identical). A resolved site is read from the CPU's table in place:
+   [Cpu.Internal.site], a cross-module call per instruction, only
+   resolves a new one. *)
+let fire c addr ~called =
+  let t = c.t in
+  let sites = t.Cpu.sites and off = addr - t.Cpu.image.Image.text_base in
+  let s =
+    if off >= 0 && off < Array.length sites then Array.unsafe_get sites off
+    else Cpu.Internal.unresolved
+  in
+  let s = if s != Cpu.Internal.unresolved then s else Cpu.Internal.site t addr in
+  s
+    ~cycles:(Array.unsafe_get c.cyc 0 -. Array.unsafe_get c.cyc 1)
+    ~misses:(c.ic.Icache.miss_count - c.o_miss)
+    ~called
+
+(* [observe ~calls ~addr code] runs the plain template [code] with [addr]
+   in flight, then fires its site. No handler: when the template faults,
+   it has already materialized rip, and [exec_cfunc]'s exit handler fires
+   the site of the instruction still in flight. Only a terminator can
+   call ([~calls]); an op's wrapper skips the call-count snapshot. *)
+let observe ~calls ~addr (code : ctx -> 'a) : ctx -> 'a =
+  if calls then fun c ->
+    let t = c.t in
+    let calls0 = t.Cpu.calls in
+    Array.unsafe_set c.cyc 1 (Array.unsafe_get c.cyc 0);
+    c.o_miss <- c.ic.Icache.miss_count;
+    c.o_addr <- addr;
+    let r = code c in
+    c.o_addr <- -1;
+    fire c addr ~called:(t.Cpu.calls > calls0);
+    r
+  else fun c ->
+    Array.unsafe_set c.cyc 1 (Array.unsafe_get c.cyc 0);
+    c.o_miss <- c.ic.Icache.miss_count;
+    c.o_addr <- addr;
+    let r = code c in
+    c.o_addr <- -1;
+    fire c addr ~called:false;
+    r
+
+(* A deopt terminator is never wrapped: it retires nothing, and the
+   interpreter fires when it retries the instruction. *)
+let observe_block b =
+  {
+    b with
+    b_ops = Array.mapi (fun k op -> observe ~calls:false ~addr:b.b_addrs.(k) op) b.b_ops;
+    b_term =
+      (if b.b_term == deopt_term then deopt_term
+       else observe ~calls:true ~addr:b.b_addrs.(b.b_n - 1) b.b_term);
   }
 
 let obs_blocks f =
   match Atomic.get f.f_obs with
   | Some blocks -> blocks
   | None ->
-      let blocks = f.f_build_obs () in
+      let blocks = Array.map observe_block f.f_blocks in
       Atomic.set f.f_obs (Some blocks);
       blocks
 
@@ -1101,7 +1067,9 @@ let leader j code ~observed s =
    [-(retired + 1)] when the exit is a deopt (rip points at an
    instruction the caller must interpret). The cycle counter lives in
    [ctx.cyc] for the duration and is flushed back on every exit,
-   exceptional ones included; rip is materialized at every exit point. *)
+   exceptional ones included; rip is materialized at every exit point. An
+   exceptional exit of an observed run fires the site of the instruction
+   in flight, once, as [Cpu.step] does for a faulting step. *)
 let exec_cfunc (j : t) ~observed code blocks0 bi0 budget0 =
   let c = j.ctx in
   let t = j.cpu in
@@ -1157,28 +1125,14 @@ let exec_cfunc (j : t) ~observed code blocks0 bi0 budget0 =
   (try loop blocks0 bi0 budget0
    with e ->
      t.Cpu.cycles <- c.cyc.(0);
+     let a = c.o_addr in
+     if a >= 0 then begin
+       c.o_addr <- -1;
+       fire c a ~called:false
+     end;
      raise e);
   t.Cpu.cycles <- c.cyc.(0);
   if !deopt then -(!consumed + 1) else !consumed
-
-(* One cold instruction ([j.from] set if it transferred control); when
-   observed, wrapped exactly as [Cpu.step] wraps its core. *)
-let step1 j ~observed code (t : Cpu.t) pd =
-  let step () =
-    ignore (Cpu.Internal.straight t pd ~marks:code.marks ~longest:code.longest ~from:j.from 1)
-  in
-  if not observed then step ()
-  else begin
-    let rip = t.Cpu.rip in
-    let cycles0 = t.Cpu.cycles
-    and misses0 = Icache.misses t.Cpu.icache
-    and calls0 = t.Cpu.calls in
-    match step () with
-    | () -> Cpu.Internal.fire t rip ~cycles0 ~misses0 ~called:(t.Cpu.calls > calls0)
-    | exception e ->
-        Cpu.Internal.fire t rip ~cycles0 ~misses0 ~called:false;
-        raise e
-  end
 
 (* A backward transfer from [from] to [rip] within one function is a loop
    backedge of it. One spanning more than the longest body cannot be —
@@ -1203,11 +1157,7 @@ let rec cold j ~observed code pd budget =
   let t = j.cpu in
   j.from := -1;
   let budget =
-    if observed then begin
-      step1 j ~observed code t pd;
-      budget - 1
-    end
-    else Cpu.Internal.straight t pd ~marks:code.marks ~longest:code.longest ~from:j.from budget
+    Cpu.Internal.straight t pd ~marks:code.marks ~longest:code.longest ~from:j.from budget
   in
   let from = !(j.from) in
   if from >= 0 then begin
@@ -1246,7 +1196,8 @@ and enter j ~observed code pd budget =
           (* the deopt instruction itself runs in the interpreter; the
              budget always has room for it (a deopt exit retires at most
              budget - 1 instructions) *)
-          step1 j ~observed code t pd;
+          ignore
+            (Cpu.Internal.straight t pd ~marks:code.marks ~longest:code.longest ~from:j.from 1);
           enter j ~observed code pd (budget - consumed - 1)
         end
       end
@@ -1309,8 +1260,9 @@ let attach ?config ?cache ?stats (cpu : Cpu.t) =
       ymm = cpu.Cpu.ymm;
       mem = cpu.Cpu.mem;
       ic = cpu.Cpu.icache;
-      cyc = [| 0.0 |];
-      om = 0;
+      cyc = [| 0.0; 0.0 |];
+      o_addr = -1;
+      o_miss = 0;
     }
   in
   let stats = match stats with Some s -> s | None -> fresh_stats () in
@@ -1343,5 +1295,5 @@ let poison j ~entry =
           let stale _ = failwith "Jit: stale code executed" in
           let trip b = { b with b_ops = Array.map (fun _ -> stale) b.b_ops; b_term = stale } in
           f.f_blocks <- Array.map trip f.f_blocks;
-          Atomic.set f.f_obs (Some f.f_blocks);
+          Atomic.set f.f_obs None;
           true)

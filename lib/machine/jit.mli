@@ -19,14 +19,14 @@
     alone, with no code cache at all.
 
     An attached {!Cpu.observer} does not deopt: the run executes observed
-    templates — a second compilation of the same blocks, built per
-    function on first observed entry — which fire the observer's
-    {!Cpu.site} after every instruction with the deltas {!Cpu.step}
-    computes, and once on a faulting one. When a site fires, the
-    registers, [insns], [calls], [depth] and, after a call, [rip] (the
-    callee entry) are live in the {!Cpu.t}; [cycles] is not, because the
-    running total sits in the JIT's own slot until compiled code exits,
-    so observers work from the deltas.
+    templates — the function's plain templates, each wrapped once on
+    first observed entry — which fire the observer's {!Cpu.site} after
+    every instruction with the deltas {!Cpu.step} computes, and once on a
+    faulting one. When a site fires, the registers, [insns], [calls],
+    [depth] and, after a call, [rip] (the callee entry) are live in the
+    {!Cpu.t}; [cycles] is not, because the running total sits in the
+    JIT's own slot until compiled code exits, so observers work from the
+    deltas.
 
     The contract is bit-identicality: {!Cpu.run} with tier 3 compiling,
     {!Cpu.run} with it never compiling, and {!Cpu.run_reference} produce

@@ -2,7 +2,7 @@
     the profilers collected along the way.
 
     This is the value the [?obs] optional arguments accept
-    ({!R2c_harness.Measure.run}, [Pool.create]/[Pool.run]); a harness
+    ({!R2c_harness.Measure.run}, [Pool.create], [Fleet.create]); a harness
     creates one, threads it through, and reads everything back at the
     end. When no sink is attached anywhere, every hook is a no-op. *)
 

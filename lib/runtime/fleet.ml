@@ -17,7 +17,6 @@ type config = {
   quarantine_detections : int;
   quarantine_cycles : int;
   panic_min_healthy : int;
-  observe_shards : bool;
   jobs : int;
   shard : Pool.config;
 }
@@ -38,7 +37,6 @@ let default_config =
     quarantine_detections = 3;
     quarantine_cycles = 200_000;
     panic_min_healthy = 2;
-    observe_shards = false;
     jobs = 0;
     shard =
       {
@@ -143,26 +141,6 @@ type t = {
   mutable rotating : rotation option;
 }
 
-let zero_pool_stats () =
-  {
-    Pool.served = 0;
-    dropped = 0;
-    shed = 0;
-    retried = 0;
-    crashes = 0;
-    timeouts = 0;
-    detections = 0;
-    restarts = 0;
-    recycles = 0;
-    rerandomizations = 0;
-    quarantines = 0;
-    mvee_blocks = 0;
-    recovery_cycles = 0;
-    recoveries = 0;
-    first_detection = None;
-    first_response = None;
-  }
-
 let add_pool_stats (acc : Pool.stats) (s : Pool.stats) =
   acc.Pool.served <- acc.Pool.served + s.Pool.served;
   acc.Pool.dropped <- acc.Pool.dropped + s.Pool.dropped;
@@ -180,16 +158,12 @@ let add_pool_stats (acc : Pool.stats) (s : Pool.stats) =
   acc.Pool.recoveries <- acc.Pool.recoveries + s.Pool.recoveries
 
 let pool_totals t =
-  let acc = zero_pool_stats () in
+  let acc = Pool.fresh_stats () in
   add_pool_stats acc t.retired;
   Array.iter (fun sh -> add_pool_stats acc (Pool.stats sh.pool)) t.shards;
   acc
 
-let shard_cfg t ~seed = { t.cfg.shard with Pool.seed; arrival_cycles = 0 }
-
 let fresh_seed t = Rng.int t.rng 0x3fff_ffff
-
-let shard_ns i = Printf.sprintf "shard%d_" i
 
 let register_instruments (sink : Obs.Sink.t) =
   let m = sink.Obs.Sink.metrics in
@@ -227,22 +201,16 @@ let register_shard_instruments (sink : Obs.Sink.t) i =
         (n "request_cycles");
   }
 
+(* One shard's pool under [seed]. *)
+let shard_pool cfg ~build ~break_sym seed =
+  Pool.create ~cfg:{ cfg.shard with Pool.seed; arrival_cycles = 0 } ~build ~break_sym ()
+
 (* Build one epoch's worth of pools, fanned out across the Domain pool.
    Seeds are pre-drawn sequentially (the RNG stream is identical at any
-   job count) and each task touches only its own pool-to-be; observation
-   is attached afterwards, serially, because the sink's registry is not a
-   concurrent structure. *)
-let build_pools t seeds =
-  let jobs = if t.cfg.jobs <= 0 then None else Some t.cfg.jobs in
-  let pools =
-    Parallel.map ?jobs
-      (fun (i, seed) ->
-        Pool.create ~cfg:(shard_cfg t ~seed) ~ns:(shard_ns i) ~build:t.build
-          ~break_sym:t.break_sym ())
-      (List.mapi (fun i s -> (i, s)) seeds)
-  in
-  if t.cfg.observe_shards then List.iter (fun p -> Pool.attach p t.sink) pools;
-  pools
+   job count) and each task touches only its own pool-to-be. *)
+let build_pools cfg ~build ~break_sym seeds =
+  let jobs = if cfg.jobs <= 0 then None else Some cfg.jobs in
+  Parallel.map ?jobs (shard_pool cfg ~build ~break_sym) seeds
 
 (* A freshly built pool must prove it can serve before any traffic drains
    onto it: one canary request per worker. Round-robin dispatch walks the
@@ -268,17 +236,8 @@ let create ?(cfg = default_config) ?obs ~build ~break_sym () =
   if cfg.queue_bound <= 0 then invalid_arg "Fleet.create: queue_bound must be positive";
   let sink = match obs with Some s -> s | None -> Obs.Sink.create () in
   let rng = Rng.create cfg.seed in
-  let jobs = if cfg.jobs <= 0 then None else Some cfg.jobs in
   let seeds = List.init cfg.shards (fun _ -> Rng.int rng 0x3fff_ffff) in
-  let pools =
-    Parallel.map ?jobs
-      (fun (i, seed) ->
-        Pool.create
-          ~cfg:{ cfg.shard with Pool.seed; arrival_cycles = 0 }
-          ~ns:(shard_ns i) ~build ~break_sym ())
-      (List.mapi (fun i s -> (i, s)) seeds)
-  in
-  if cfg.observe_shards then List.iter (fun p -> Pool.attach p sink) pools;
+  let pools = build_pools cfg ~build ~break_sym seeds in
   (* Epoch-0 warmup: ignore outcomes (under chaos injection a canary can
      crash; the worker respawns and its downtime elapses before traffic
      starts) — what matters is that every worker's cold start is charged
@@ -316,7 +275,7 @@ let create ?(cfg = default_config) ?obs ~build ~break_sym () =
     stats = fresh_stats ();
     sink;
     ins = register_instruments sink;
-    retired = zero_pool_stats ();
+    retired = Pool.fresh_stats ();
     (* The fleet clock opens where warmup left the slowest shard: the
        service is "up" once every worker has served its canary. *)
     clock = clock0;
@@ -427,7 +386,7 @@ let start_rotation t ~reason =
      fleet-clock cycles are charged. Then warm each new pool with the
      canary before it is allowed anywhere near traffic. *)
   let seeds = List.init t.cfg.shards (fun _ -> fresh_seed t) in
-  let pools = build_pools t seeds in
+  let pools = build_pools t.cfg ~build:t.build ~break_sym:t.break_sym seeds in
   let warmed =
     List.mapi
       (fun i p ->
@@ -442,11 +401,8 @@ let start_rotation t ~reason =
             if tries >= t.cfg.canary_retries then None
             else
               let p' =
-                Pool.create
-                  ~cfg:(shard_cfg t ~seed:(fresh_seed t))
-                  ~ns:(shard_ns i) ~build:t.build ~break_sym:t.break_sym ()
+                shard_pool t.cfg ~build:t.build ~break_sym:t.break_sym (fresh_seed t)
               in
-              if t.cfg.observe_shards then Pool.attach p' t.sink;
               warm p' (tries + 1)
           end
         in
@@ -638,13 +594,9 @@ let submit t payload =
         attempt best 0 []
       end
 
-let run t payloads = List.map (fun p -> submit t p) payloads
-
 let stats t = t.stats
 let clock t = t.clock
 let epoch t = t.epoch
-let rotating t = t.rotating <> None
-let quarantined t i = t.shards.(i).quarantined_until > t.clock
 
 let availability s =
   if s.submitted = 0 then 1.0 else float_of_int s.served /. float_of_int s.submitted

@@ -59,10 +59,6 @@ type config = {
           balancer ignores quarantine and routes across every live shard —
           a struggling shard beats refusing the connection (cf. Envoy's
           panic routing) *)
-  observe_shards : bool;  (** attach the fleet sink to shard pools
-                              (namespaced [shardN_pool_*] metrics, full
-                              per-request spans — heavy; off for big
-                              campaigns) *)
   jobs : int;  (** Domain-pool width for background compiles; 0 = auto.
                    The fleet's observable behaviour is identical at any
                    width. *)
@@ -113,21 +109,12 @@ val create :
     described above. *)
 val submit : t -> string -> Pool.response
 
-(** [run t payloads] — {!submit} each payload in order. *)
-val run : t -> string list -> Pool.response list
-
 val stats : t -> stats
 val clock : t -> int
 
 (** [epoch t] — completed rotations (the fleet serves epoch [epoch t]
     images). *)
 val epoch : t -> int
-
-(** [rotating t] — a rotation is mid-drain. *)
-val rotating : t -> bool
-
-(** [quarantined t i] — shard [i] is currently excluded from dispatch. *)
-val quarantined : t -> int -> bool
 
 (** [pool_totals t] — shard-pool stats aggregated across every pool the
     fleet ever ran: live shards plus pools retired by rotation (and

@@ -108,7 +108,6 @@ type instruments = {
 
 type t = {
   cfg : config;
-  ns : string;  (* metric-name prefix: lets shards share one registry *)
   build : seed:int -> Image.t;
   break_sym : string;
   rng : Rng.t;
@@ -120,8 +119,8 @@ type t = {
   mutable shut : bool;
   mutable mvee_images : Image.t list;
   mutable sensitive : (int * int) list;
-  mutable obs : Obs.Sink.t option;
-  mutable instruments : instruments option;
+  obs : Obs.Sink.t option;
+  instruments : instruments option;
 }
 
 (* Post-mortems kept per run: only the last K crashes stay resident, so a
@@ -141,9 +140,9 @@ let observe_worker t w =
       w.ring <- Some ring;
       Ring.attach ring w.proc.Process.cpu
 
-let register_instruments ~ns (sink : Obs.Sink.t) =
+let register_instruments (sink : Obs.Sink.t) =
   let m = sink.Obs.Sink.metrics in
-  let c name help = Obs.Metrics.counter ~help m (ns ^ name) in
+  let c name help = Obs.Metrics.counter ~help m name in
   {
     i_requests = c "pool_requests_total" "requests submitted to the pool";
     i_served = c "pool_served_total" "requests served";
@@ -154,10 +153,9 @@ let register_instruments ~ns (sink : Obs.Sink.t) =
     i_restarts = c "pool_restarts_total" "worker restarts";
     i_rerand = c "pool_rerandomizations_total" "worker rerandomizations";
     i_clock =
-      Obs.Metrics.gauge ~help:"simulated pool clock (cycles)" m (ns ^ "pool_clock_cycles");
+      Obs.Metrics.gauge ~help:"simulated pool clock (cycles)" m "pool_clock_cycles";
     i_request_cycles =
-      Obs.Metrics.histogram ~help:"per-request service cycles" m
-        (ns ^ "pool_request_cycles");
+      Obs.Metrics.histogram ~help:"per-request service cycles" m "pool_request_cycles";
   }
 
 let sync_metrics t =
@@ -174,21 +172,6 @@ let sync_metrics t =
       Obs.Metrics.set_counter i.i_restarts s.restarts;
       Obs.Metrics.set_counter i.i_rerand s.rerandomizations;
       Obs.Metrics.set_gauge i.i_clock (float_of_int t.clock)
-
-(* Attaching is idempotent: re-attaching the sink that is already active
-   (whether it arrived at [create] or through a previous [run ?obs]) must
-   not re-register instruments or replace the workers' post-mortem rings.
-   Registration itself is also idempotent per name at the registry level,
-   so even a fresh [t] pointed at a registry that already carries
-   [ns ^ "pool_*"] series adopts the existing instruments instead of
-   duplicating them. *)
-let set_obs t sink =
-  let already = match t.obs with Some s -> s == sink | None -> false in
-  if not already then begin
-    t.obs <- Some sink;
-    t.instruments <- Some (register_instruments ~ns:t.ns sink);
-    Array.iter (fun w -> observe_worker t w) t.workers
-  end
 
 (* Snapshot the dying child's ring before the respawn path replaces its
    CPU; the tail also lands in the event timeline so a Chrome trace
@@ -212,7 +195,7 @@ let break_addr_of img sym =
   | Some a -> a
   | None -> invalid_arg ("Pool: no breakpoint symbol " ^ sym)
 
-let create ?(cfg = default_config) ?obs ?(ns = "") ~build ~break_sym () =
+let create ?(cfg = default_config) ?obs ~build ~break_sym () =
   if cfg.workers <= 0 then invalid_arg "Pool.create: need at least one worker";
   let rng = Rng.create cfg.seed in
   (* All workers start as forks of one parent image — the pre-fork server
@@ -245,7 +228,6 @@ let create ?(cfg = default_config) ?obs ?(ns = "") ~build ~break_sym () =
   let t =
     {
       cfg;
-      ns;
       build;
       break_sym;
       rng;
@@ -257,11 +239,11 @@ let create ?(cfg = default_config) ?obs ?(ns = "") ~build ~break_sym () =
       shut = false;
       mvee_images = [];
       sensitive = [];
-      obs = None;
-      instruments = None;
+      obs;
+      instruments = Option.map register_instruments obs;
     }
   in
-  (match obs with None -> () | Some sink -> set_obs t sink);
+  Array.iter (observe_worker t) workers;
   t
 
 let fresh_seed t = Rng.int t.rng 0x3fff_ffff
@@ -600,11 +582,7 @@ let submit ?retries t payload =
   finish_request t ~ts0 resp;
   resp
 
-(* Replay a whole request list through [submit], opting into observation
-   first so worker rings and instruments are live from the first request. *)
-let run ?obs t payloads =
-  (match obs with None -> () | Some sink -> set_obs t sink);
-  List.map (fun p -> submit t p) payloads
+let run t payloads = List.map (fun p -> submit t p) payloads
 
 let stats t = t.stats
 let clock t = t.clock
@@ -612,8 +590,6 @@ let escalated t = t.escalated
 let is_shutdown t = t.shut
 
 let advance_clock t now = if now > t.clock then t.clock <- now
-
-let attach t sink = set_obs t sink
 
 (* Graceful drain. The serving model is synchronous — a request is fully
    handled (or fully failed) inside [submit] — so "let in-flight work

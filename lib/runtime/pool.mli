@@ -53,6 +53,9 @@ type stats = {
   mutable first_response : int option;  (** clock of reactive escalation *)
 }
 
+(** All counters zero. *)
+val fresh_stats : unit -> stats
+
 type response =
   | Served of { cycles : int; lines : int }
       (** [lines]: response lines the client saw — the feedback channel
@@ -64,7 +67,7 @@ type response =
 
 type t
 
-(** [create ?cfg ?obs ?ns ~build ~break_sym ()] — [build ~seed] compiles one
+(** [create ?cfg ?obs ~build ~break_sym ()] — [build ~seed] compiles one
     worker image; [break_sym] names the per-request serving point every
     worker parks at between requests (the request-accept loop). All workers
     start from a single [build ~seed:cfg.seed] image — the fork model.
@@ -76,18 +79,10 @@ type t
     [pool_*] counters, a clock gauge and a request-cycles histogram in the
     metrics registry. Each worker also gets a small trace ring for crash
     post-mortems. Without [?obs] none of this exists — the serving path is
-    the bare interpreter.
-
-    [?ns] (default [""]) prefixes every registered metric name — a fleet
-    of pools sharing one registry gives each shard its own namespace
-    (["shard0_pool_served_total"], …) instead of fighting over one
-    [pool_*] series. Attachment is idempotent: re-attaching the sink that
-    is already active (at [create] or a previous {!run}/{!attach}) neither
-    re-registers instruments nor replaces the post-mortem rings. *)
+    the bare interpreter. *)
 val create :
   ?cfg:config ->
   ?obs:R2c_obs.Sink.t ->
-  ?ns:string ->
   build:(seed:int -> R2c_machine.Image.t) ->
   break_sym:string ->
   unit ->
@@ -104,15 +99,9 @@ val create :
     [stats.served + stats.dropped]. *)
 val submit : ?retries:int -> t -> string -> response
 
-(** [run ?obs t payloads] — submit each payload in order and collect the
-    responses. [?obs] attaches a sink first (equivalent to passing it at
-    {!create}), so existing harnesses can opt into observation per run. *)
-val run : ?obs:R2c_obs.Sink.t -> t -> string list -> response list
-
-(** [attach t sink] — opt into observation after the fact (what
-    [run ?obs] does before replaying). Idempotent for the sink already
-    attached. *)
-val attach : t -> R2c_obs.Sink.t -> unit
+(** [run t payloads] — {!submit} each payload in order and collect the
+    responses. *)
+val run : t -> string list -> response list
 
 (** [shutdown t] — graceful drain: stop admitting (every later {!submit}
     is refused and counted as shed), close out each worker with a

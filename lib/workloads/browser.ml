@@ -15,9 +15,9 @@ let tokenizer () =
   let seed = B.param 0 in
   let tags = B.slot fb 8 in
   B.store fb (B.slot_addr fb tags) 0 (Ir.Const 0);
-  Wb.for_ fb ~from:(Ir.Const 0) ~below:(Ir.Const html_len) (fun i ->
+  B.for_ fb ~from:(Ir.Const 0) ~below:(Ir.Const html_len) (fun i ->
       let c = B.load8 fb (B.binop fb Ir.Add (Ir.Global "bk_html") i) 0 in
-      Wb.if_ fb
+      B.if_ fb
         (B.cmp fb Ir.Eq c (Ir.Const (Char.code '<')))
         (fun () ->
           let cur = B.load fb (B.slot_addr fb tags) 0 in
@@ -39,7 +39,7 @@ let dom_create () =
   let node = B.call fb (Ir.Builtin "malloc") [ Ir.Const 40 ] in
   let tag = B.binop fb Ir.And tag_seed (Ir.Const 15) in
   B.store fb node 0 tag;
-  Wb.if_ fb
+  B.if_ fb
     (B.cmp fb Ir.Gt depth (Ir.Const 0))
     (fun () ->
       let d' = B.binop fb Ir.Sub depth (Ir.Const 1) in
@@ -70,16 +70,16 @@ let apply_styles () =
   (* Recursive walk: try 4 rules per node. *)
   let fb = B.func "bk_apply_styles" ~nparams:1 in
   let node = B.param 0 in
-  Wb.if_ fb
+  B.if_ fb
     (B.cmp fb Ir.Eq node (Ir.Const 0))
     (fun () -> ())
     (fun () ->
       let tag = B.load fb node 0 in
       let style = B.slot fb 8 in
       B.store fb (B.slot_addr fb style) 0 (Ir.Const 0);
-      Wb.for_ fb ~from:(Ir.Const 0) ~below:(Ir.Const 4) (fun rule ->
+      B.for_ fb ~from:(Ir.Const 0) ~below:(Ir.Const 4) (fun rule ->
           let hit = B.call fb (Ir.Direct "bk_style_match") [ tag; rule ] in
-          Wb.if_ fb hit
+          B.if_ fb hit
             (fun () ->
               let cur = B.load fb (B.slot_addr fb style) 0 in
               let bit = B.binop fb Ir.Shl (Ir.Const 1) rule in
@@ -98,18 +98,18 @@ let layout () =
   let fb = B.func "bk_layout" ~nparams:1 in
   let node = B.param 0 in
   let result = B.slot fb 8 in
-  Wb.if_ fb
+  B.if_ fb
     (B.cmp fb Ir.Eq node (Ir.Const 0))
     (fun () -> B.store fb (B.slot_addr fb result) 0 (Ir.Const 0))
     (fun () ->
       let c0 = B.load fb node 16 in
       let c1 = B.load fb node 24 in
-      Wb.if_ fb
+      B.if_ fb
         (B.cmp fb Ir.Eq c0 (Ir.Const 0))
         (fun () ->
           (* leaf: record the unwind depth once per page *)
           let seen = B.load fb (Ir.Global "bk_depth") 0 in
-          Wb.if_ fb
+          B.if_ fb
             (B.cmp fb Ir.Eq seen (Ir.Const 0))
             (fun () ->
               let d = B.call fb (Ir.Builtin "backtrace") [] in
@@ -139,7 +139,7 @@ let dispatch_events () =
   (* Virtual dispatch through the handler table, click/scroll/key/timer. *)
   let fb = B.func "bk_dispatch" ~nparams:1 in
   let n = B.param 0 in
-  Wb.for_ fb ~from:(Ir.Const 0) ~below:n (fun i ->
+  B.for_ fb ~from:(Ir.Const 0) ~below:n (fun i ->
       let r = Wb.lcg fb "bk_rng" in
       let kind = B.binop fb Ir.And r (Ir.Const 3) in
       let off = B.binop fb Ir.Mul kind (Ir.Const 8) in
@@ -154,18 +154,18 @@ let script_interp () =
   let root = B.param 0 and steps = B.param 1 in
   let acc = B.slot fb 8 in
   B.store fb (B.slot_addr fb acc) 0 (Ir.Const 1);
-  Wb.for_ fb ~from:(Ir.Const 0) ~below:steps (fun _ ->
+  B.for_ fb ~from:(Ir.Const 0) ~below:steps (fun _ ->
       let r = Wb.lcg fb "bk_rng" in
       let op = B.binop fb Ir.And r (Ir.Const 3) in
       let a = B.load fb (B.slot_addr fb acc) 0 in
-      Wb.if_ fb
+      B.if_ fb
         (B.cmp fb Ir.Eq op (Ir.Const 0))
         (fun () ->
           (* getElementHeight *)
           let h = B.load fb root 32 in
           B.store fb (B.slot_addr fb acc) 0 (B.binop fb Ir.Add a h))
         (fun () ->
-          Wb.if_ fb
+          B.if_ fb
             (B.cmp fb Ir.Eq op (Ir.Const 1))
             (fun () ->
               let m = B.binop fb Ir.Mul a (Ir.Const 3) in
@@ -181,7 +181,7 @@ let program ~pages =
   B.call_void main (Ir.Builtin "malloc_pages") [ Ir.Const 1500 ];
   let totals = B.slot main 8 in
   B.store main (B.slot_addr main totals) 0 (Ir.Const 0);
-  Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const pages) (fun page ->
+  B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const pages) (fun page ->
       let tags = B.call main (Ir.Direct "bk_tokenize") [ page ] in
       let root = B.call main (Ir.Direct "bk_dom_create") [ Ir.Const 6; B.binop main Ir.Add page (Ir.Const 3) ] in
       B.call_void main (Ir.Direct "bk_apply_styles") [ root ];

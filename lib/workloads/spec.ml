@@ -70,18 +70,18 @@ let perlbench scale =
   let interp = B.func "interp" ~nparams:1 in
   let acc = B.slot interp 8 in
   B.store interp (B.slot_addr interp acc) 0 (Ir.Const 0);
-  Wb.for_ interp ~from:(Ir.Const 0) ~below:(B.param 0) (fun _ ->
+  B.for_ interp ~from:(Ir.Const 0) ~below:(B.param 0) (fun _ ->
       let r = Wb.lcg interp "pl_rng" in
       let op = B.binop interp Ir.Rem r (Ir.Const 4) in
       let v = B.slot_addr interp acc in
       let cur = B.load interp v 0 in
-      Wb.if_ interp
+      B.if_ interp
         (B.cmp interp Ir.Eq op (Ir.Const 0))
         (fun () ->
           let x = B.call interp (Ir.Direct "hash_insert") [ r ] in
           B.store interp v 0 (B.binop interp Ir.Add cur x))
         (fun () ->
-          Wb.if_ interp
+          B.if_ interp
             (B.cmp interp Ir.Eq op (Ir.Const 1))
             (fun () ->
               let x = B.call interp (Ir.Direct "hash_lookup") [ r ] in
@@ -113,7 +113,7 @@ let gcc scale =
   let build = B.func "tree_build" ~nparams:1 in
   let depth = B.param 0 in
   let node = B.call build (Ir.Builtin "malloc") [ Ir.Const 24 ] in
-  Wb.if_ build
+  B.if_ build
     (B.cmp build Ir.Le depth (Ir.Const 0))
     (fun () ->
       B.store build node 0 (Ir.Const 0);
@@ -138,7 +138,7 @@ let gcc scale =
   let node = B.param 0 in
   let op = B.load eval node 0 in
   let result = B.slot eval 8 in
-  Wb.if_ eval
+  B.if_ eval
     (B.cmp eval Ir.Eq op (Ir.Const 0))
     (fun () -> B.store eval (B.slot_addr eval result) 0 (B.load eval node 8))
     (fun () ->
@@ -146,11 +146,11 @@ let gcc scale =
       let r = B.load eval node 16 in
       let lv = B.call eval (Ir.Direct "tree_eval") [ l ] in
       let rv = B.call eval (Ir.Direct "tree_eval") [ r ] in
-      Wb.if_ eval
+      B.if_ eval
         (B.cmp eval Ir.Eq op (Ir.Const 1))
         (fun () -> B.store eval (B.slot_addr eval result) 0 (B.binop eval Ir.Add lv rv))
         (fun () ->
-          Wb.if_ eval
+          B.if_ eval
             (B.cmp eval Ir.Eq op (Ir.Const 2))
             (fun () ->
               B.store eval (B.slot_addr eval result) 0 (B.binop eval Ir.Sub lv rv))
@@ -168,7 +168,7 @@ let gcc scale =
   let release = B.func "tree_free" ~nparams:1 in
   let node = B.param 0 in
   let op = B.load release node 0 in
-  Wb.if_ release
+  B.if_ release
     (B.cmp release Ir.Ne op (Ir.Const 0))
     (fun () ->
       B.call_void release (Ir.Direct "tree_free") [ B.load release node 8 ];
@@ -180,7 +180,7 @@ let gcc scale =
   working_set main 3000;
   let acc = B.slot main 8 in
   B.store main (B.slot_addr main acc) 0 (Ir.Const 0);
-  Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const (sc scale 12)) (fun _ ->
+  B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const (sc scale 12)) (fun _ ->
       let t = B.call main (Ir.Direct "tree_build") [ Ir.Const 4 ] in
       let v = B.call main (Ir.Direct "tree_eval") [ t ] in
       B.call_void main (Ir.Direct "tree_free") [ t ];
@@ -217,15 +217,15 @@ let mcf scale =
   let acc = B.slot main 8 in
   B.store main (B.slot_addr main acc) 0 (Ir.Const 0);
   (* Seed the cost array. *)
-  Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const arcs) (fun i ->
+  B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const arcs) (fun i ->
       let off = B.binop main Ir.Mul i (Ir.Const 8) in
       let v = B.binop main Ir.Mul i (Ir.Const 37) in
       let v2 = B.binop main Ir.Rem v (Ir.Const 1009) in
       B.store main (B.binop main Ir.Add (Ir.Global "mc_cost") off) 0 v2);
-  Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const (sc scale 19)) (fun _ ->
-      Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const arcs) (fun a ->
+  B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const (sc scale 19)) (fun _ ->
+      B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const arcs) (fun a ->
           let rc = B.call main (Ir.Direct "reduced_cost") [ a ] in
-          Wb.if_ main
+          B.if_ main
             (B.cmp main Ir.Gt rc (Ir.Const 500))
             (fun () -> B.call_void main (Ir.Direct "pivot") [ a; rc ])
             (fun () ->
@@ -248,12 +248,12 @@ let lbm scale =
   let cells = 1024 in
   let main = B.func "main" ~nparams:0 in
   working_set main 3500;
-  Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const cells) (fun i ->
+  B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const cells) (fun i ->
       let off = B.binop main Ir.Mul i (Ir.Const 8) in
       let v = B.binop main Ir.Mul i (Ir.Const 17) in
       B.store main (B.binop main Ir.Add (Ir.Global "lb_grid") off) 0 v);
-  Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const (sc scale 8)) (fun _ ->
-      Wb.for_ main ~from:(Ir.Const 1) ~below:(Ir.Const (cells - 1)) (fun i ->
+  B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const (sc scale 8)) (fun _ ->
+      B.for_ main ~from:(Ir.Const 1) ~below:(Ir.Const (cells - 1)) (fun i ->
           let off = B.binop main Ir.Mul i (Ir.Const 8) in
           let base = B.binop main Ir.Add (Ir.Global "lb_grid") off in
           let left = B.load main base (-8) in
@@ -265,7 +265,7 @@ let lbm scale =
           let avg = B.binop main Ir.Sar s3 (Ir.Const 2) in
           let relaxed = B.binop main Ir.Add avg (Ir.Const 1) in
           B.store main (B.binop main Ir.Add (Ir.Global "lb_next") off) 0 relaxed);
-      Wb.for_ main ~from:(Ir.Const 1) ~below:(Ir.Const (cells - 1)) (fun i ->
+      B.for_ main ~from:(Ir.Const 1) ~below:(Ir.Const (cells - 1)) (fun i ->
           let off = B.binop main Ir.Mul i (Ir.Const 8) in
           let v = B.load main (B.binop main Ir.Add (Ir.Global "lb_next") off) 0 in
           B.store main (B.binop main Ir.Add (Ir.Global "lb_grid") off) 0 v));
@@ -326,13 +326,13 @@ let omnetpp scale =
   let main = B.func "main" ~nparams:0 in
   working_set main 2600;
   (* Prime the queue. *)
-  Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const 16) (fun i ->
+  B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const 16) (fun i ->
       let m = B.binop main Ir.Rem i (Ir.Const 4) in
       B.call_void main (Ir.Direct "ev_schedule") [ m; i ]);
-  Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const (sc scale 5300)) (fun _ ->
+  B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const (sc scale 5300)) (fun _ ->
       let head = B.load main (Ir.Global "om_head") 0 in
       let tail = B.load main (Ir.Global "om_tail") 0 in
-      Wb.if_ main
+      B.if_ main
         (B.cmp main Ir.Lt head tail)
         (fun () ->
           let idx = B.binop main Ir.Rem head (Ir.Const qsize) in
@@ -390,10 +390,10 @@ let xalancbmk scale =
   let transform = B.func "transform" ~nparams:1 in
   let hash = B.slot transform 8 in
   B.store transform (B.slot_addr transform hash) 0 (Ir.Const 0);
-  Wb.for_ transform ~from:(Ir.Const 0) ~below:(Ir.Const doc_len) (fun i ->
+  B.for_ transform ~from:(Ir.Const 0) ~below:(Ir.Const doc_len) (fun i ->
       let addr = B.binop transform Ir.Add (Ir.Global "xa_doc") i in
       let c = B.load8 transform addr 0 in
-      Wb.if_ transform
+      B.if_ transform
         (B.cmp transform Ir.Eq c (Ir.Const (Char.code '<')))
         (fun () ->
           let hv = B.load transform (B.slot_addr transform hash) 0 in
@@ -409,7 +409,7 @@ let xalancbmk scale =
   B.ret transform (Some (Ir.Const 0));
   let main = B.func "main" ~nparams:0 in
   working_set main 1800;
-  Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const (sc scale 63)) (fun pass ->
+  B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const (sc scale 63)) (fun pass ->
       B.call_void main (Ir.Direct "transform") [ pass ]);
   B.call_void main (Ir.Builtin "print_int") [ B.load main (Ir.Global "xa_out") 0 ];
   B.ret main (Some (Ir.Const 0));
@@ -438,7 +438,7 @@ let x264 scale =
   let a = B.param 0 and b = B.param 1 in
   let acc = B.slot sad 8 in
   B.store sad (B.slot_addr sad acc) 0 (Ir.Const 0);
-  Wb.for_ sad ~from:(Ir.Const 0) ~below:(Ir.Const 32) (fun i ->
+  B.for_ sad ~from:(Ir.Const 0) ~below:(Ir.Const 32) (fun i ->
       let pa = B.binop sad Ir.Add (Ir.Global "xv_ref") (B.binop sad Ir.Add a i) in
       let pb = B.binop sad Ir.Add (Ir.Global "xv_cur") (B.binop sad Ir.Add b i) in
       let va = B.load8 sad pa 0 in
@@ -446,14 +446,14 @@ let x264 scale =
       let d = B.binop sad Ir.Sub va vb in
       let neg = B.binop sad Ir.Sub (Ir.Const 0) d in
       let m = B.slot_addr sad acc in
-      Wb.if_ sad
+      B.if_ sad
         (B.cmp sad Ir.Lt d (Ir.Const 0))
         (fun () -> B.store sad m 0 (B.binop sad Ir.Add (B.load sad m 0) neg))
         (fun () -> B.store sad m 0 (B.binop sad Ir.Add (B.load sad m 0) d)));
   B.ret sad (Some (B.load sad (B.slot_addr sad acc) 0));
   let main = B.func "main" ~nparams:0 in
   working_set main 2800;
-  Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const frame) (fun i ->
+  B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const frame) (fun i ->
       let v = B.binop main Ir.Mul i (Ir.Const 7) in
       let v2 = B.binop main Ir.And v (Ir.Const 0xff) in
       B.store8 main (B.binop main Ir.Add (Ir.Global "xv_ref") i) 0 v2;
@@ -462,8 +462,8 @@ let x264 scale =
       B.store8 main (B.binop main Ir.Add (Ir.Global "xv_cur") i) 0 w2);
   let best = B.slot main 8 in
   B.store main (B.slot_addr main best) 0 (Ir.Const 0);
-  Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const (sc scale 21)) (fun pass ->
-      Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const 40) (fun blk ->
+  B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const (sc scale 21)) (fun pass ->
+      B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const 40) (fun blk ->
           let a = B.binop main Ir.Mul blk (Ir.Const 64) in
           let shift = B.binop main Ir.Rem pass (Ir.Const 32) in
           let b = B.binop main Ir.Add a shift in
@@ -489,7 +489,7 @@ let deepsjeng scale =
   let acc = B.slot evaluate 8 in
   B.store evaluate (B.slot_addr evaluate acc) 0 (Ir.Const 0);
   (* Material + positional terms over an 8-entry piece table. *)
-  Wb.for_ evaluate ~from:(Ir.Const 0) ~below:(Ir.Const 8) (fun k ->
+  B.for_ evaluate ~from:(Ir.Const 0) ~below:(Ir.Const 8) (fun k ->
       let shifted = B.binop evaluate Ir.Shr a k in
       let piece = B.binop evaluate Ir.And shifted (Ir.Const 7) in
       let off = B.binop evaluate Ir.Mul piece (Ir.Const 8) in
@@ -502,14 +502,14 @@ let deepsjeng scale =
   let search = B.func "search" ~nparams:2 in
   let pos = B.param 0 and depth = B.param 1 in
   let best = B.slot search 8 in
-  Wb.if_ search
+  B.if_ search
     (B.cmp search Ir.Le depth (Ir.Const 0))
     (fun () ->
       let v = B.call search (Ir.Direct "evaluate") [ pos ] in
       B.store search (B.slot_addr search best) 0 v)
     (fun () ->
       B.store search (B.slot_addr search best) 0 (Ir.Const (-1000000));
-      Wb.for_ search ~from:(Ir.Const 0) ~below:(Ir.Const 4) (fun mv ->
+      B.for_ search ~from:(Ir.Const 0) ~below:(Ir.Const 4) (fun mv ->
           let p7 = B.binop search Ir.Mul pos (Ir.Const 7) in
           let child = B.binop search Ir.Add p7 mv in
           let child2 = B.binop search Ir.And child (Ir.Const 0xfffffff) in
@@ -517,7 +517,7 @@ let deepsjeng scale =
           let v = B.call search (Ir.Direct "search") [ child2; d' ] in
           let neg = B.binop search Ir.Sub (Ir.Const 0) v in
           let cur = B.load search (B.slot_addr search best) 0 in
-          Wb.if_ search
+          B.if_ search
             (B.cmp search Ir.Gt neg cur)
             (fun () -> B.store search (B.slot_addr search best) 0 neg)
             (fun () -> ())));
@@ -526,7 +526,7 @@ let deepsjeng scale =
   working_set main 1500;
   let acc = B.slot main 8 in
   B.store main (B.slot_addr main acc) 0 (Ir.Const 0);
-  Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const (sc scale 5)) (fun i ->
+  B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const (sc scale 5)) (fun i ->
       let v = B.call main (Ir.Direct "search") [ i; Ir.Const 4 ] in
       let cur = B.load main (B.slot_addr main acc) 0 in
       B.store main (B.slot_addr main acc) 0 (B.binop main Ir.Add cur v));
@@ -553,7 +553,7 @@ let imagick scale =
   let row_op = B.func "row_op" ~nparams:1 in
   let y = B.param 0 in
   let base = B.binop row_op Ir.Mul y (Ir.Const width) in
-  Wb.for_ row_op ~from:(Ir.Const 1) ~below:(Ir.Const (width - 1)) (fun x ->
+  B.for_ row_op ~from:(Ir.Const 1) ~below:(Ir.Const (width - 1)) (fun x ->
       let idx = B.binop row_op Ir.Add base x in
       let addr = B.binop row_op Ir.Add (Ir.Global "im_pix") idx in
       let l = B.load8 row_op addr (-1) in
@@ -567,19 +567,19 @@ let imagick scale =
   let checksum = B.func "im_checksum" ~nparams:0 in
   let acc = B.slot checksum 8 in
   B.store checksum (B.slot_addr checksum acc) 0 (Ir.Const 0);
-  Wb.for_ checksum ~from:(Ir.Const 0) ~below:(Ir.Const (width * height)) (fun i ->
+  B.for_ checksum ~from:(Ir.Const 0) ~below:(Ir.Const (width * height)) (fun i ->
       let v = B.load8 checksum (B.binop checksum Ir.Add (Ir.Global "im_out") i) 0 in
       let cur = B.load checksum (B.slot_addr checksum acc) 0 in
       B.store checksum (B.slot_addr checksum acc) 0 (B.binop checksum Ir.Add cur v));
   B.ret checksum (Some (B.load checksum (B.slot_addr checksum acc) 0));
   let main = B.func "main" ~nparams:0 in
   working_set main 2500;
-  Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const (width * height)) (fun i ->
+  B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const (width * height)) (fun i ->
       let v = B.binop main Ir.Mul i (Ir.Const 13) in
       let v2 = B.binop main Ir.And v (Ir.Const 0xff) in
       B.store8 main (B.binop main Ir.Add (Ir.Global "im_pix") i) 0 v2);
-  Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const (sc scale 108)) (fun _ ->
-      Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const height) (fun y ->
+  B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const (sc scale 108)) (fun _ ->
+      B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const height) (fun y ->
           B.call_void main (Ir.Direct "row_op") [ y ]));
   let chk = B.call main (Ir.Direct "im_checksum") [] in
   B.call_void main (Ir.Builtin "print_int") [ chk ];
@@ -601,14 +601,14 @@ let leela scale =
   let node = B.param 0 and r = B.param 1 in
   let best = B.slot select 8 in
   B.store select (B.slot_addr select best) 0 (Ir.Const 0);
-  Wb.for_ select ~from:(Ir.Const 0) ~below:(Ir.Const 4) (fun c ->
+  B.for_ select ~from:(Ir.Const 0) ~below:(Ir.Const 4) (fun c ->
       let mixed = B.binop select Ir.Xor node (B.binop select Ir.Add r c) in
       let m2 = B.binop select Ir.Mul mixed (Ir.Const 0x9e3779b9) in
       let visits = B.binop select Ir.And m2 (Ir.Const 0xff) in
       let wins = B.binop select Ir.And (B.binop select Ir.Shr m2 (Ir.Const 8)) (Ir.Const 0xff) in
       let score = B.binop select Ir.Add (B.binop select Ir.Mul wins (Ir.Const 4)) visits in
       let cur = B.load select (B.slot_addr select best) 0 in
-      Wb.if_ select
+      B.if_ select
         (B.cmp select Ir.Gt score cur)
         (fun () -> B.store select (B.slot_addr select best) 0 score)
         (fun () -> ()));
@@ -626,17 +626,17 @@ let leela scale =
   working_set main 1600;
   let wins = B.slot main 8 in
   B.store main (B.slot_addr main wins) 0 (Ir.Const 0);
-  Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const (sc scale 265)) (fun _ ->
+  B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const (sc scale 265)) (fun _ ->
       (* Descend 8 plies. *)
       let node = B.slot main 8 in
       B.store main (B.slot_addr main node) 0 (Ir.Const 1);
-      Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const 8) (fun _ ->
+      B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const 8) (fun _ ->
           let r = Wb.lcg main "le_rng" in
           let cur = B.load main (B.slot_addr main node) 0 in
           let c = B.call main (Ir.Direct "select_child") [ cur; r ] in
           B.store main (B.slot_addr main node) 0 c);
       (* Playout of 16 steps. *)
-      Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const 16) (fun _ ->
+      B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const 16) (fun _ ->
           let r = Wb.lcg main "le_rng" in
           let s = B.call main (Ir.Direct "playout_score") [ r ] in
           let cur = B.load main (B.slot_addr main wins) 0 in
@@ -667,13 +667,13 @@ let nab scale =
   B.ret force_add (Some (Ir.Const 0));
   let main = B.func "main" ~nparams:0 in
   working_set main 1200;
-  Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const particles) (fun i ->
+  B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const particles) (fun i ->
       let off = B.binop main Ir.Mul i (Ir.Const 8) in
       let v = B.binop main Ir.Mul i (Ir.Const 31) in
       B.store main (B.binop main Ir.Add (Ir.Global "nb_x") off) 0 v);
-  Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const (sc scale 3)) (fun _ ->
-      Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const particles) (fun i ->
-          Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const particles) (fun j ->
+  B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const (sc scale 3)) (fun _ ->
+      B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const particles) (fun i ->
+          B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const particles) (fun j ->
               let d2 = B.call main (Ir.Direct "dist2") [ i; j ] in
               let f = B.binop main Ir.Rem d2 (Ir.Const 1021) in
               B.call_void main (Ir.Direct "force_add") [ i; f ])));
@@ -710,7 +710,7 @@ let xz scale =
   B.store emit_match (Ir.Global "xz_out") 0 (B.binop emit_match Ir.Add c (B.param 1));
   B.ret emit_match (Some (Ir.Const 0));
   let compress = B.func "compress" ~nparams:1 in
-  Wb.for_ compress ~from:(Ir.Const 4) ~below:(Ir.Const (input_len - 8)) (fun pos ->
+  B.for_ compress ~from:(Ir.Const 4) ~below:(Ir.Const (input_len - 8)) (fun pos ->
       let addr = B.binop compress Ir.Add (Ir.Global "xz_in") pos in
       let b0 = B.load8 compress addr 0 in
       let b1 = B.load8 compress addr 1 in
@@ -722,12 +722,12 @@ let xz scale =
       (* Compare 4 bytes at prev vs pos. *)
       let len = B.slot compress 8 in
       B.store compress (B.slot_addr compress len) 0 (Ir.Const 0);
-      Wb.for_ compress ~from:(Ir.Const 0) ~below:(Ir.Const 4) (fun k ->
+      B.for_ compress ~from:(Ir.Const 0) ~below:(Ir.Const 4) (fun k ->
           let pa = B.binop compress Ir.Add (Ir.Global "xz_in") (B.binop compress Ir.Add prev k) in
           let pb = B.binop compress Ir.Add (Ir.Global "xz_in") (B.binop compress Ir.Add pos k) in
           let va = B.load8 compress pa 0 in
           let vb = B.load8 compress pb 0 in
-          Wb.if_ compress
+          B.if_ compress
             (B.cmp compress Ir.Eq va vb)
             (fun () ->
               let cur = B.load compress (B.slot_addr compress len) 0 in
@@ -735,18 +735,18 @@ let xz scale =
                 (B.binop compress Ir.Add cur (Ir.Const 1)))
             (fun () -> ()));
       let matched = B.load compress (B.slot_addr compress len) 0 in
-      Wb.if_ compress
+      B.if_ compress
         (B.cmp compress Ir.Ge matched (Ir.Const 3))
         (fun () -> B.call_void compress (Ir.Direct "emit_match") [ prev; matched ])
         (fun () -> B.call_void compress (Ir.Direct "emit_literal") [ b0 ]));
   B.ret compress (Some (Ir.Const 0));
   let main = B.func "main" ~nparams:0 in
   working_set main 2400;
-  Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const input_len) (fun i ->
+  B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const input_len) (fun i ->
       let v = B.binop main Ir.Mul i (Ir.Const 5) in
       let v2 = B.binop main Ir.And v (Ir.Const 0x3f) in
       B.store8 main (B.binop main Ir.Add (Ir.Global "xz_in") i) 0 v2);
-  Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const (sc scale 2)) (fun pass ->
+  B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const (sc scale 2)) (fun pass ->
       B.call_void main (Ir.Direct "compress") [ pass ]);
   B.call_void main (Ir.Builtin "print_int") [ B.load main (Ir.Global "xz_out") 0 ];
   B.call_void main (Ir.Builtin "print_int") [ B.load main (Ir.Global "xz_chk") 0 ];

@@ -26,7 +26,7 @@ let serve_static_fn () =
      id (ETag flavour). *)
   let fb = B.func "ws_serve_static" ~nparams:1 in
   let route = B.param 0 in
-  Wb.for_ fb ~from:(Ir.Const 0) ~below:(Ir.Const 64) (fun i ->
+  B.for_ fb ~from:(Ir.Const 0) ~below:(Ir.Const 64) (fun i ->
       let src = B.binop fb Ir.Add (Ir.Global "ws_page") i in
       let c = B.load8 fb src 0 in
       let dst = B.binop fb Ir.Add (Ir.Global "ws_resp") i in
@@ -57,7 +57,7 @@ let parse_request_fn () =
   let seed = B.param 0 in
   let acc = B.slot fb 8 in
   B.store fb (B.slot_addr fb acc) 0 (Ir.Const 0);
-  Wb.for_ fb ~from:(Ir.Const 0) ~below:(Ir.Const 24) (fun i ->
+  B.for_ fb ~from:(Ir.Const 0) ~below:(Ir.Const 24) (fun i ->
       let c = B.load8 fb (B.binop fb Ir.Add (Ir.Global "ws_reqline") i) 0 in
       let cur = B.load fb (B.slot_addr fb acc) 0 in
       let m = B.binop fb Ir.Mul cur (Ir.Const 17) in
@@ -79,7 +79,7 @@ let server flavour ~requests =
   let main = B.func "main" ~nparams:0 in
   (* The connection table: a realistic slice of worker heap. *)
   B.call_void main (Ir.Builtin "malloc_pages") [ Ir.Const 16 ];
-  Wb.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const requests) (fun i ->
+  B.for_ main ~from:(Ir.Const 0) ~below:(Ir.Const requests) (fun i ->
       let path = B.call main (Ir.Direct "ws_parse_request") [ i ] in
       let path2 =
         match flavour with

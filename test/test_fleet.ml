@@ -1,4 +1,4 @@
-(* Serving fleet: pool drain/attach semantics the fleet builds on, the
+(* Serving fleet: pool drain semantics the fleet builds on, the
    rotation state machine, and the QCheck admission/accounting/quarantine
    properties from the E-FLEET acceptance list. *)
 
@@ -12,8 +12,8 @@ module Q = QCheck
 let dc = R2c_core.Dconfig.full_checked
 let build ~seed = Fleetapp.build ~seed dc
 
-let make_pool ?obs ?ns ?(cfg = Pool.default_config) () =
-  Pool.create ?obs ?ns ~cfg ~build ~break_sym:Fleetapp.break_symbol ()
+let make_pool ?obs ?(cfg = Pool.default_config) () =
+  Pool.create ?obs ~cfg ~build ~break_sym:Fleetapp.break_symbol ()
 
 let serve_n pool n =
   for _ = 1 to n do
@@ -51,42 +51,6 @@ let test_pool_shutdown_final_snapshot () =
   let c = Obs.Metrics.counter sink.Obs.Sink.metrics "pool_served_total" in
   Alcotest.(check int) "snapshot matches stats" (Pool.stats pool).Pool.served
     (Obs.Metrics.counter_value c)
-
-(* --- idempotent observation / metric namespacing --- *)
-
-let test_pool_obs_idempotent () =
-  (* Sink attached at create; re-attaching the same sink through run/attach
-     must neither double-register pool_* instruments nor corrupt their
-     values. *)
-  let sink = Obs.Sink.create () in
-  let pool = make_pool ~obs:sink () in
-  serve_n pool 3;
-  ignore (Pool.run ~obs:sink pool [ "GET /status"; "GET /status" ]);
-  Pool.attach pool sink;
-  serve_n pool 2;
-  let c = Obs.Metrics.counter sink.Obs.Sink.metrics "pool_served_total" in
-  Alcotest.(check int) "served counter tracks stats exactly" 7
-    (Obs.Metrics.counter_value c);
-  Alcotest.(check int) "stats agree" 7 (Pool.stats pool).Pool.served
-
-let test_pool_ns_isolates_metrics () =
-  (* Two pools sharing one registry must not clobber each other's series:
-     the fleet gives each shard its own prefix. *)
-  let sink = Obs.Sink.create () in
-  let a = make_pool ~obs:sink ~ns:"shard0_" () in
-  let b = make_pool ~obs:sink ~ns:"shard1_" () in
-  serve_n a 4;
-  serve_n b 2;
-  let va =
-    Obs.Metrics.counter_value
-      (Obs.Metrics.counter sink.Obs.Sink.metrics "shard0_pool_served_total")
-  in
-  let vb =
-    Obs.Metrics.counter_value
-      (Obs.Metrics.counter sink.Obs.Sink.metrics "shard1_pool_served_total")
-  in
-  Alcotest.(check int) "shard0 series" 4 va;
-  Alcotest.(check int) "shard1 series" 2 vb
 
 (* --- fleet: rotation state machine --- *)
 
@@ -287,10 +251,6 @@ let suite =
         Alcotest.test_case "pool shutdown drains gracefully" `Quick test_pool_shutdown;
         Alcotest.test_case "pool shutdown snapshots metrics" `Quick
           test_pool_shutdown_final_snapshot;
-        Alcotest.test_case "pool observation is idempotent" `Quick
-          test_pool_obs_idempotent;
-        Alcotest.test_case "pool ns isolates shared registry" `Quick
-          test_pool_ns_isolates_metrics;
         Alcotest.test_case "timer rotation drops nothing" `Slow
           test_fleet_rotates_without_drops;
         Alcotest.test_case "detections trigger reactive rotation" `Quick

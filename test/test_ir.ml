@@ -142,12 +142,6 @@ let test_interp_sensitive_log () =
   let r = run_ok p in
   Alcotest.(check (list (pair int int))) "sensitive" [ (111, 222) ] r.Interp.sensitive
 
-let test_pretty_roundtrip_smoke () =
-  (* The printer must cover every construct without raising. *)
-  List.iter
-    (fun (_, p) -> Alcotest.(check bool) "nonempty" true (String.length (Pretty.program p) > 0))
-    Samples.all
-
 let test_builder_rejects_unterminated () =
   let f = B.func "f" ~nparams:0 in
   let _ = B.new_block f in
@@ -187,7 +181,6 @@ let suite =
         Alcotest.test_case "interp fuel" `Quick test_interp_fuel;
         Alcotest.test_case "interp input" `Quick test_interp_input;
         Alcotest.test_case "interp sensitive log" `Quick test_interp_sensitive_log;
-        Alcotest.test_case "pretty smoke" `Quick test_pretty_roundtrip_smoke;
         Alcotest.test_case "builder unterminated" `Quick test_builder_rejects_unterminated;
         Alcotest.test_case "builder double terminate" `Quick test_builder_rejects_double_terminate;
       ] );

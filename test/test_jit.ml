@@ -81,32 +81,54 @@ let observe cpu img =
   Cpu.attach_observer ~tee:true cpu (fun ~rip:_ -> count);
   fun () -> (Profile.fingerprint pr, Ring.records ring, !fires)
 
+(* One observed run, on tier 3 under [hot] thresholds or on the reference
+   tier: its fingerprint, what its observers saw, and the tier-3 stats. *)
+let observed_run ?(inputs = []) ~tier3 img =
+  let cpu = load_fed ~inputs img in
+  let st = Jit.fresh_stats () in
+  if tier3 then ignore (Jit.attach ~config:hot ~stats:st cpu);
+  let read = observe cpu img in
+  let r = if tier3 then Cpu.run cpu ~fuel else Cpu.run_reference cpu ~fuel in
+  (fingerprint cpu r, read (), st)
+
 (* The observed half of the contract: an observed tier-3 run retires the
    same run as the unobserved reference, and its observers see exactly
-   what they see on the observed reference tier. *)
+   what they see on the observed reference tier. Returns the tier-3 run's
+   stats. *)
 let check_observed ~inputs name img ~reference =
-  let run ~tier3 =
-    let cpu = load_fed ~inputs img in
-    if tier3 then ignore (Jit.attach ~config:hot cpu);
-    let read = observe cpu img in
-    let r = if tier3 then Cpu.run cpu ~fuel else Cpu.run_reference cpu ~fuel in
-    (fingerprint cpu r, read ())
-  in
-  let fp_r, (prof_r, ring_r, fires_r) = run ~tier3:false in
-  let fp_j, (prof_j, ring_j, fires_j) = run ~tier3:true in
+  let fp_r, (prof_r, ring_r, fires_r), _ = observed_run ~inputs ~tier3:false img in
+  let fp_j, (prof_j, ring_j, fires_j), st = observed_run ~inputs ~tier3:true img in
   Alcotest.(check string) (name ^ " [observed reference]") reference fp_r;
   Alcotest.(check string) (name ^ " [observed tier3]") reference fp_j;
   Alcotest.(check string) (name ^ " [profile]") prof_r prof_j;
   Alcotest.(check bool) (name ^ " [ring tail]") true (ring_r = ring_j);
-  Alcotest.(check int) (name ^ " [fire count]") fires_r fires_j
+  Alcotest.(check int) (name ^ " [fire count]") fires_r fires_j;
+  st
 
 let check_three_tiers ?(inputs = []) name img =
   let reference = fp_reference ~inputs img in
   Alcotest.(check string) (name ^ " [jit off]") reference (fp_jit_off ~inputs img);
   let t3, st = fp_tier3 ~inputs img in
   Alcotest.(check string) (name ^ " [tier3]") reference t3;
-  check_observed ~inputs name img ~reference;
+  ignore (check_observed ~inputs name img ~reference);
   st
+
+(* --- observed first: templates compiled under an observer ----------- *)
+
+(* Every case above compiles plain code before an observed run wraps it.
+   Here the first tier-3 run of a fresh image is the observed one, so its
+   functions compile, and their observed templates are derived, in the
+   middle of an observed run. *)
+let test_observed_first () =
+  List.iter
+    (fun i ->
+      let seed = 7001 + (137 * i) in
+      let img = Pipeline.compile ~seed (D.full ()) (Gen.v2 ~seed ()) in
+      let name = Printf.sprintf "observed first, gen seed %d" seed in
+      let st = check_observed ~inputs:[] name img ~reference:(fp_reference img) in
+      Alcotest.(check bool) (name ^ " [compiled while observed]") true (st.Jit.compiled > 0);
+      Alcotest.(check bool) (name ^ " [ran compiled]") true (st.Jit.tier3_insns > 0))
+    [ 1; 4; 9; 16 ]
 
 (* --- the 25 pinned-seed programs, three tiers ----------------------- *)
 
@@ -387,7 +409,21 @@ let test_poisoned_cache () =
   Alcotest.(check int) "none adopted" 0 st.Jit.revalidated;
   let fp3, j3 = run () in
   Alcotest.(check string) "third run" reference fp3;
-  Alcotest.(check int) "the fresh code is shared again" 0 (Jit.stats j3).Jit.compiled
+  Alcotest.(check int) "the fresh code is shared again" 0 (Jit.stats j3).Jit.compiled;
+  (* The same for observed templates: derive them from the fresh code,
+     poison every entry again, and run observed. A stale observed
+     template raises as a stale plain one does, so an observed run that
+     completes and matches the observed reference never ran one. *)
+  let fp_r, seen_r, _ = observed_run ~tier3:false img in
+  let fp_o, seen_o, _ = observed_run ~tier3:true img in
+  Alcotest.(check string) "observed warm run" fp_r fp_o;
+  Alcotest.(check bool) "observed warm run sees the reference" true (seen_r = seen_o);
+  Array.iter (fun (f : Image.func_info) -> ignore (Jit.poison j3 ~entry:f.Image.entry)) img.Image.funcs;
+  let fp_p, seen_p, st = observed_run ~tier3:true img in
+  Alcotest.(check string) "observed post-poison run" reference fp_p;
+  Alcotest.(check bool) "observed post-poison run sees the reference" true (seen_r = seen_p);
+  Alcotest.(check bool) "observed: stale entries invalidated" true (st.Jit.invalidated >= 1);
+  Alcotest.(check int) "observed: none adopted" 0 st.Jit.revalidated
 
 (* --- cache survival across incremental rerandomization -------------- *)
 
@@ -435,6 +471,8 @@ let suite =
         Alcotest.test_case "OSR entry at loop heads" `Quick test_osr_entry;
         Alcotest.test_case "fault equality in hot code" `Quick test_fault_equality;
         Alcotest.test_case "builtin taps under tier 3" `Quick test_builtin_tap;
+        Alcotest.test_case "observed first: compiled under an observer" `Quick
+          test_observed_first;
         QCheck_alcotest.to_alcotest prop_deopt_storm;
         Alcotest.test_case "two processes of one image share its code cache" `Quick
           test_shared_cache;
