@@ -1,6 +1,6 @@
 # Convenience targets around dune. `make check` is the tier-1 gate CI runs.
 
-.PHONY: all build test check clean examples bench
+.PHONY: all build test check clean examples
 
 all: build
 
@@ -20,9 +20,6 @@ check: build test
 
 examples:
 	dune build examples
-
-bench:
-	dune exec bench/main.exe
 
 clean:
 	dune clean

@@ -24,7 +24,7 @@ let json_out =
 (* Print a report and its one-line JSON (also to [json_out]); return its
    findings, which also go to stderr. *)
 let emit ?json_out name (r : E.report) =
-  r.print ();
+  print_string (R2c_harness.Results.text r.E.results);
   let line = J.to_string (E.to_json name r) in
   print_endline line;
   Option.iter
@@ -90,7 +90,7 @@ let determinism_cmd =
       (List.concat_map
          (fun e ->
            let name = E.name e in
-           let det jobs = J.to_string (E.run ~jobs e).E.det in
+           let det jobs = J.to_string (E.det (E.run ~jobs e)) in
            let serial = det 1 and parallel = det 8 in
            Printf.printf "%s: det %s at jobs=1 and jobs=8 (%d bytes)\n%!" name
              (if serial = parallel then "identical" else "DIFFERS")

@@ -104,7 +104,7 @@ let self_check ?out_dir ?fuel ~seed () =
       {
         caught = true;
         shrunk_size = Ir.program_size shrunk;
-        reproducer = path;
+        reproducer = Filename.basename path;
         roundtrip_ok;
         still_fails = still_fails shrunk;
       }

@@ -30,7 +30,9 @@ val run :
 type self_check = {
   caught : bool;  (** the planted miscompile diverged *)
   shrunk_size : int;  (** [Ir.program_size] of the reduced reproducer *)
-  reproducer : string;  (** path of the saved [.r2c] file *)
+  reproducer : string;
+      (** file name of the saved [.r2c] under [out_dir]: a name, not a
+          path, so the report does not depend on the temp directory *)
   roundtrip_ok : bool;  (** saved file parses, validates, still fails *)
   still_fails : bool;  (** the shrunk program still diverges *)
 }

@@ -4,7 +4,6 @@ module Probability = R2c_core.Probability
 module Boobytrap = R2c_core.Boobytrap
 module Btra = R2c_core.Btra
 module Stats = R2c_util.Stats
-module Table = R2c_util.Table
 module Rng = R2c_util.Rng
 
 type row = { label : string; overhead : float option; metric : string }
@@ -165,31 +164,35 @@ let call_overhead_correlation ?(seed = 13) () =
   let ohs = List.map (fun (_, _, o) -> o) rows in
   (Stats.pearson calls ohs, rows)
 
-let print_rows title rows =
-  Table.print ~title
-    ~headers:[ "configuration"; "overhead"; "metric" ]
-    (List.map
-       (fun r ->
-         [
-           r.label;
-           (match r.overhead with Some o -> Table.pct (o -. 1.0) | None -> "-");
-           r.metric;
-         ])
-       rows)
-
-let print_all () =
-  print_rows "Ablation: BTRA count (security vs performance)" (btra_count ());
-  print_rows "Ablation: setup sequences (Sections 5.1, 7.1, 7.3)" (setups ());
-  print_rows "Ablation: BTDP density" (btdp_density ());
-  print_rows "Ablation: guard-page pool vs memory" (guard_pages ());
-  print_rows "Ablation: booby-trap pool vs set reuse (property C)" (pool_size ());
+let run () =
+  let open Results in
+  let overhead o = pct (o -. 1.0) in
+  let sweep key title rows =
+    table key ~title
+      [ left "configuration" "configuration"; left "overhead" "overhead"; left "metric" "metric" ]
+      (List.map (fun r -> [ Str r.label; opt overhead r.overhead; Str r.metric ]) rows)
+  in
+  let sweeps =
+    List.map
+      (fun (key, title, rows) -> sweep key title (rows ()))
+      [
+        ("btra_count", "Ablation: BTRA count (security vs performance)", fun () -> btra_count ());
+        ("setups", "Ablation: setup sequences (Sections 5.1, 7.1, 7.3)", fun () -> setups ());
+        ("btdp_density", "Ablation: BTDP density", fun () -> btdp_density ());
+        ("guard_pages", "Ablation: guard-page pool vs memory", fun () -> guard_pages ());
+        ( "pool_size",
+          "Ablation: booby-trap pool vs set reuse (property C)",
+          fun () -> pool_size () );
+      ]
+  in
   let r, rows = call_overhead_correlation () in
-  Table.print ~title:"Call frequency vs overhead (Section 7.1)"
-    ~headers:[ "benchmark"; "calls"; "overhead" ]
-    (List.map
-       (fun (n, c, o) -> [ n; string_of_int c; Table.pct (o -. 1.0) ])
-       rows);
-  Printf.printf
-    "Pearson r = %.2f: correlated but, as the paper notes, insufficient to predict\n\
-     (perlbench has ~1/3 of omnetpp's calls yet comparable overhead).\n"
-    r
+  sweeps
+  @ [
+      table "call_frequency" ~title:"Call frequency vs overhead (Section 7.1)"
+        [ left "benchmark" "benchmark"; left "calls" "calls"; left "overhead" "overhead" ]
+        (List.map (fun (n, c, o) -> [ Str n; Int c; overhead o ]) rows);
+      field "pearson_r" ~label:"Pearson r" (Float (Printf.sprintf "%.2f", r));
+      Note
+        "correlated but, as the paper notes, insufficient to predict\n\
+         (perlbench has ~1/3 of omnetpp's calls yet comparable overhead).";
+    ]

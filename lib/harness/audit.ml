@@ -1,4 +1,3 @@
-module Table = R2c_util.Table
 module Dconfig = R2c_core.Dconfig
 module Defenses = R2c_defenses.Defenses
 module Lint = R2c_analysis.Lint
@@ -160,74 +159,88 @@ let gate t =
           t.r2c_survivors < min_gadgets t.r2c );
       ])
 
-let print t =
+(* The [det] half is the summary the gate entry has always pinned; the
+   per-workload and per-variant tables are text only. *)
+let results t =
+  let open Results in
+  let shown key header = col ~kind:Text key header in
   let ir_bad = List.filter (fun (_, errs) -> errs <> []) t.ir_checked in
-  Printf.printf "IR validation: %d workload programs, %d with diagnostics\n"
-    (List.length t.ir_checked) (List.length ir_bad);
-  List.iter
-    (fun (name, errs) ->
-      List.iter (fun e -> Printf.printf "  %s: %s\n" name e) errs)
-    ir_bad;
-  Table.print ~title:"IR dataflow statistics (per workload)"
-    ~headers:[ "workload"; "dead stores"; "folded"; "max iters" ]
-    ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right ]
-    (List.map
-       (fun d ->
-         [
-           d.dwork;
-           string_of_int d.dead_stores;
-           string_of_int d.folded;
-           string_of_int d.max_iterations;
-         ])
-       t.dataflow);
-  let variant_row v =
-    [
-      v.label;
-      string_of_int v.seed;
-      string_of_int (List.length v.findings);
-      string_of_int v.cfg_stats.Cfg.n_funcs;
-      string_of_int v.cfg_stats.Cfg.n_blocks;
-      string_of_int v.cfg_stats.Cfg.n_edges;
-      string_of_int v.n_gadgets;
-    ]
+  let variants = t.r2c @ t.baseline @ [ t.checked ] in
+  let wiring key title rows =
+    table key ~title
+      [
+        left ~kind:Text "mutation" "mutation";
+        left ~kind:Text "expected" "expected rule";
+        left ~kind:Text "rules_hit" "rules hit";
+        left ~kind:Text "findings" "findings";
+        left ~kind:Text "verdict" "verdict";
+      ]
+      (List.map
+         (fun (mutation, expected, hit, n, ok) ->
+           [ Str mutation; Str expected; Str (String.concat "," hit); Int n;
+             Str (if ok then "ok" else "MISWIRED") ])
+         rows)
   in
-  Table.print ~title:"Static image audit (vulnapp)"
-    ~headers:[ "config"; "seed"; "findings"; "funcs"; "blocks"; "edges"; "gadgets" ]
-    ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right;
-              Table.Right; Table.Right ]
-    (List.map variant_row (t.r2c @ t.baseline @ [ t.checked ]));
-  List.iter
-    (fun v ->
-      List.iter
-        (fun f -> Printf.printf "  %s seed %d: %s\n" v.label v.seed (Lint.finding_to_string f))
-        v.findings)
-    (t.r2c @ t.baseline @ [ t.checked ]);
-  Printf.printf
-    "Gadget survivors across %d diversified r2c variants: %d (min single-variant %d)\n"
-    (List.length t.r2c) t.r2c_survivors (min_gadgets t.r2c);
-  Printf.printf "Gadget survivors across %d identical baseline variants: %d\n"
-    (List.length t.baseline) t.baseline_survivors;
-  Table.print ~title:"Sanitizer wiring self-check (r2c-checked image)"
-    ~headers:[ "mutation"; "expected rule"; "rules hit"; "findings"; "verdict" ]
-    (List.map
-       (fun (o : Selfcheck.outcome) ->
-         [
-           Selfcheck.mutation_to_string o.mutation;
-           o.expected;
-           String.concat "," o.rules_hit;
-           string_of_int o.n_findings;
-           (if o.ok then "ok" else "MISWIRED");
-         ])
-       t.selfcheck);
-  Table.print ~title:"IR rule pack + validator wiring self-check"
-    ~headers:[ "mutation"; "expected rule"; "rules hit"; "findings"; "verdict" ]
-    (List.map
-       (fun (o : Selfcheck.ir_outcome) ->
-         [
-           Selfcheck.ir_mutation_to_string o.ir_mutation;
-           o.ir_expected;
-           String.concat "," o.ir_rules_hit;
-           string_of_int o.ir_n_findings;
-           (if o.ir_ok then "ok" else "MISWIRED");
-         ])
-       t.ir_selfcheck)
+  [ field "ir_programs" ~label:"IR validation, workload programs" (Int (List.length t.ir_checked));
+    field ~kind:Text "ir_with_diagnostics" ~label:"  with diagnostics" (Int (List.length ir_bad)) ]
+  @ List.concat_map
+      (fun (name, errs) -> List.map (fun e -> Note (Printf.sprintf "  %s: %s" name e)) errs)
+      ir_bad
+  @ [
+      table "dataflow" ~title:"IR dataflow statistics (per workload)"
+        [
+          left ~kind:Text "workload" "workload"; shown "dead_stores" "dead stores";
+          shown "folded" "folded"; shown "max_iterations" "max iters";
+        ]
+        (List.map
+           (fun d -> [ Str d.dwork; Int d.dead_stores; Int d.folded; Int d.max_iterations ])
+           t.dataflow);
+      table "variants" ~title:"Static image audit (vulnapp)"
+        [
+          left ~kind:Text "config" "config"; shown "seed" "seed";
+          shown "findings" "findings"; shown "funcs" "funcs"; shown "blocks" "blocks";
+          shown "edges" "edges"; shown "gadgets" "gadgets";
+        ]
+        (List.map
+           (fun v ->
+             [
+               Str v.label; Int v.seed; Int (List.length v.findings);
+               Int v.cfg_stats.Cfg.n_funcs; Int v.cfg_stats.Cfg.n_blocks;
+               Int v.cfg_stats.Cfg.n_edges; Int v.n_gadgets;
+             ])
+           variants);
+    ]
+  @ List.concat_map
+      (fun v ->
+        List.map
+          (fun f ->
+            Note (Printf.sprintf "  %s seed %d: %s" v.label v.seed (Lint.finding_to_string f)))
+          v.findings)
+      variants
+  @ [
+      field "r2c_survivors"
+        ~label:
+          (Printf.sprintf "Gadget survivors across %d diversified r2c variants"
+             (List.length t.r2c))
+        (Int t.r2c_survivors);
+      field ~kind:Text "min_variant_gadgets" ~label:"  min single-variant gadgets"
+        (Int (min_gadgets t.r2c));
+      field "baseline_survivors"
+        ~label:
+          (Printf.sprintf "Gadget survivors across %d identical baseline variants"
+             (List.length t.baseline))
+        (Int t.baseline_survivors);
+      wiring "selfcheck" "Sanitizer wiring self-check (r2c-checked image)"
+        (List.map
+           (fun (o : Selfcheck.outcome) ->
+             ( Selfcheck.mutation_to_string o.mutation, o.expected, o.rules_hit, o.n_findings,
+               o.ok ))
+           t.selfcheck);
+      wiring "ir_selfcheck" "IR rule pack + validator wiring self-check"
+        (List.map
+           (fun (o : Selfcheck.ir_outcome) ->
+             ( Selfcheck.ir_mutation_to_string o.ir_mutation, o.ir_expected, o.ir_rules_hit,
+               o.ir_n_findings, o.ir_ok ))
+           t.ir_selfcheck);
+      field "gate_failures" ~label:"gate failures" (Strs (List.map snd (gate t)));
+    ]

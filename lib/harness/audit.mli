@@ -50,4 +50,7 @@ val run : ?seeds:int list -> unit -> t
 (** [gate t] — violated criteria as [(check, detail)] pairs (empty = a
     clean audit). *)
 val gate : t -> (string * string) list
-val print : t -> unit
+
+(** [results t] — [det] holds the workload count, both survivor counts and
+    the gate failures; the tables are text only. *)
+val results : t -> Results.t

@@ -3,7 +3,6 @@ module Pool = R2c_runtime.Pool
 module Policy = R2c_runtime.Policy
 module Vulnapp = R2c_workloads.Vulnapp
 module Payload = R2c_attacks.Payload
-module Table = R2c_util.Table
 
 (* The victim: the vulnerable server under full R2C with post-return BTRA
    checks (Section 7.3) and without ASLR — the non-PIE worker-respawn
@@ -255,14 +254,6 @@ let policies =
 let run ?seed ?legit_total ?attack () =
   List.map (fun p -> run_policy ?seed ?legit_total ?attack p) policies
 
-let mttr_str s =
-  match Pool.mttr s with Some m -> Printf.sprintf "%.0fk" (m /. 1000.) | None -> "-"
-
-let d2r_str s =
-  match Pool.detection_to_response s with
-  | Some d -> Printf.sprintf "%dk" (d / 1000)
-  | None -> "-"
-
 let gate ~equivalent results =
   Gate.failed
     (( "zero-rate-injector",
@@ -278,29 +269,6 @@ let gate ~equivalent results =
                    not r.compromised )
            | Policy.Same_image | Policy.Backoff _ -> None)
          results)
-
-let print results =
-  Table.print ~title:"Availability under Blind ROP, by restart policy"
-    ~headers:
-      [ "policy"; "avail"; "served"; "crashes"; "detect"; "rerand"; "mttr"; "det->resp";
-        "probes"; "campaign end" ]
-    ~aligns:
-      [ Table.Left; Right; Right; Right; Right; Right; Right; Right; Right; Left ]
-    (List.map
-       (fun r ->
-         [
-           Policy.to_string r.policy;
-           Table.pct r.availability;
-           Printf.sprintf "%d/%d" r.legit_served r.legit_total;
-           string_of_int r.stats.Pool.crashes;
-           string_of_int r.stats.Pool.detections;
-           string_of_int r.stats.Pool.rerandomizations;
-           mttr_str r.stats;
-           d2r_str r.stats;
-           string_of_int r.probes;
-           (if r.compromised then "COMPROMISED" else r.attack_note);
-         ])
-       results)
 
 (* ------------------------------------------------------------------ *)
 (* Fault-injection sweep: legit traffic only, increasing chaos rates.
@@ -348,23 +316,6 @@ let injection_sweep ?(seed = 11) ?(requests = 120) () =
         sweep_points)
     [ Policy.Same_image; Policy.Backoff Policy.default_backoff; Policy.Rerandomize ]
 
-let print_sweep rows =
-  Table.print ~title:"Fault-injection sweep (legit traffic only)"
-    ~headers:[ "policy"; "chaos"; "avail"; "crashes"; "timeouts"; "restarts"; "quarantine" ]
-    ~aligns:[ Table.Left; Left; Right; Right; Right; Right; Right ]
-    (List.map
-       (fun r ->
-         [
-           Policy.to_string r.sweep_policy;
-           r.label;
-           Table.pct r.sweep_availability;
-           string_of_int r.sweep_stats.Pool.crashes;
-           string_of_int r.sweep_stats.Pool.timeouts;
-           string_of_int r.sweep_stats.Pool.restarts;
-           string_of_int r.sweep_stats.Pool.quarantines;
-         ])
-       rows)
-
 (* ------------------------------------------------------------------ *)
 (* Rate-zero equivalence: an attached injector with all rates at 0.0 must
    not perturb execution at all — same outcome, same instruction count,
@@ -381,6 +332,53 @@ let baseline_equivalence ?(seed = 5) () =
   let zeroed = run (Some (Inject.create ~rates:Inject.zero ~seed:99 ())) in
   bare = zeroed
 
-let print_equivalence ok =
-  Printf.printf "rate-0 injector equivalence: %s\n%!"
-    (if ok then "exact (outcome, insns, cycles identical)" else "MISMATCH")
+let results ~sweep ~equivalent runs =
+  let open Results in
+  let kcycles fmt = function Some c -> Float (fmt, c) | None -> Missing in
+  [
+    table "policies" ~title:"Availability under Blind ROP, by restart policy"
+      [
+        left "policy" "policy"; col "availability" "avail"; col "served" "served";
+        col "crashes" "crashes"; col "detections" "detect"; col "rerandomizations" "rerand";
+        col "mttr_cycles" "mttr"; col "detection_to_response_cycles" "det->resp";
+        col "probes" "probes"; left "campaign_end" "campaign end";
+      ]
+      (List.map
+         (fun r ->
+           [
+             Str (Policy.to_string r.policy);
+             pct r.availability;
+             Str (Printf.sprintf "%d/%d" r.legit_served r.legit_total);
+             Int r.stats.Pool.crashes;
+             Int r.stats.Pool.detections;
+             Int r.stats.Pool.rerandomizations;
+             kcycles (fun m -> Printf.sprintf "%.0fk" (m /. 1000.)) (Pool.mttr r.stats);
+             kcycles
+               (fun d -> Printf.sprintf "%dk" (int_of_float d / 1000))
+               (Option.map float_of_int (Pool.detection_to_response r.stats));
+             Int r.probes;
+             Str (if r.compromised then "COMPROMISED" else r.attack_note);
+           ])
+         runs);
+    table "injection_sweep" ~title:"Fault-injection sweep (legit traffic only)"
+      [
+        left "policy" "policy"; left "chaos" "chaos"; col "availability" "avail";
+        col "crashes" "crashes"; col "timeouts" "timeouts"; col "restarts" "restarts";
+        col "quarantines" "quarantine";
+      ]
+      (List.map
+         (fun r ->
+           [
+             Str (Policy.to_string r.sweep_policy);
+             Str r.label;
+             pct r.sweep_availability;
+             Int r.sweep_stats.Pool.crashes;
+             Int r.sweep_stats.Pool.timeouts;
+             Int r.sweep_stats.Pool.restarts;
+             Int r.sweep_stats.Pool.quarantines;
+           ])
+         sweep);
+    field "zero_rate_equivalent"
+      ~label:"rate-0 injector run identical to the bare run (outcome, insns, cycles)"
+      (Bool equivalent);
+  ]

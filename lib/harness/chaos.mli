@@ -44,12 +44,9 @@ val run_policy :
   ?seed:int -> ?legit_total:int -> ?attack:attack_cfg -> R2c_runtime.Policy.t ->
   run_result
 
-(** The policy lineup compared by {!run}: same-image, backoff,
-    rerandomize, reactive→rerandomize, reactive→MVEE. *)
-val policies : R2c_runtime.Policy.t list
-
+(** [run ()] — {!run_policy} for each policy in the lineup: same-image,
+    backoff, rerandomize, reactive→rerandomize, reactive→MVEE. *)
 val run : ?seed:int -> ?legit_total:int -> ?attack:attack_cfg -> unit -> run_result list
-val print : run_result list -> unit
 
 (** [gate ~equivalent results] — violated criteria as [(check, detail)]
     pairs (empty = pass): [equivalent] (see {!baseline_equivalence})
@@ -66,10 +63,11 @@ type sweep_row = {
 }
 
 val injection_sweep : ?seed:int -> ?requests:int -> unit -> sweep_row list
-val print_sweep : sweep_row list -> unit
 
 (** [baseline_equivalence ()] — true iff the rate-0 injector run equals
     the bare run exactly. *)
 val baseline_equivalence : ?seed:int -> unit -> bool
 
-val print_equivalence : bool -> unit
+(** [results ~sweep ~equivalent runs] — the per-policy campaign table,
+    the injection sweep and the rate-0 equivalence verdict. *)
+val results : sweep:sweep_row list -> equivalent:bool -> run_result list -> Results.t

@@ -17,23 +17,27 @@ let findings_to_string fs =
 
 let findings experiment = List.map (fun (check, detail) -> { experiment; check; detail })
 
-type report = { det : J.t; volatile : J.t; findings : finding list; print : unit -> unit }
+type report = { results : Results.t; findings : finding list; jobs : int; wall_ms : float }
+
+let det r = J.Obj (Results.members Det r.results)
+
+let volatile r =
+  J.Obj
+    (Results.members Timed r.results
+    @ [ ("jobs", J.Int r.jobs); ("wall_ms", J.Float r.wall_ms) ])
 
 type t =
   | Experiment : {
       name : string;
       doc : string;
       term : 'a Term.t;
-      run : jobs:int option -> 'a -> report;
+      run : jobs:int option -> 'a -> Results.t * (string * string) list;
       check : bool;
     }
       -> t
 
 let v ?(check = false) name doc term run = Experiment { name; doc; term; run; check }
 let name (Experiment e) = e.name
-
-let report ?(det = J.Obj []) ?(volatile = J.Obj []) ?(gate = []) name print =
-  { det; volatile; findings = findings name gate; print }
 
 let write path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
 
@@ -64,13 +68,11 @@ let min_speedup_term default =
 
 let table1 =
   v "table1" "Component overheads (paper Table 1)." (seeds_term ()) (fun ~jobs:_ seeds ->
-      let rows = Table1.run ~seeds () in
-      report "table1" (fun () -> Table1.print rows))
+      (Table1.results (Table1.run ~seeds ()), []))
 
 let table2 =
   v "table2" "Call frequencies (paper Table 2)." (Term.const ()) (fun ~jobs:_ () ->
-      let rows = Table2.run () in
-      report "table2" (fun () -> Table2.print rows))
+      (Table2.run (), []))
 
 (* Reproduction gate: the R2C row must stop every attack trial and the
    unprotected baseline must fall to at least one. *)
@@ -83,13 +85,12 @@ let table3 =
     Term.(const (fun t n -> (t, n)) $ trials $ no_overhead)
     (fun ~jobs:_ (trials, no_overhead) ->
       let rows = Table3.run ~trials ~with_overhead:(not no_overhead) () in
-      report "table3" ~gate:(Table3.gate rows) (fun () -> Table3.print rows))
+      (Table3.results rows, Table3.gate rows))
 
 let figure6 =
   v "figure6" "Full R2C overhead on four machines (paper Figure 6)." (seeds_term ())
     (fun ~jobs seeds ->
-      let r = Figure6.run ~seeds ?jobs () in
-      report "figure6" (fun () -> Figure6.print r))
+      (Figure6.run ~seeds ?jobs (), []))
 
 let web =
   v "web" "Webserver throughput (Section 6.2.4)."
@@ -98,20 +99,18 @@ let web =
       $ seeds_term ()
       $ int_opt [ "requests" ] 400 ~docv:"N" ~doc:"Requests per run.")
     (fun ~jobs:_ (seeds, requests) ->
-      let r = Webbench.run ~seeds ~requests () in
-      report "web" (fun () -> Webbench.print r))
+      (Webbench.run ~seeds ~requests (), []))
 
 let memory =
   v "memory" "Memory overhead (Section 6.2.5)." (Term.const ()) (fun ~jobs () ->
-      let r = Membench.run ?jobs () in
-      report "memory" (fun () -> Membench.print r))
+      (Membench.run ?jobs (), []))
 
 let security =
   v "security" "Probabilistic security evaluation (Section 7.2)."
     (int_opt [ "trials" ] 8 ~docv:"N" ~doc:"Monte-Carlo trials.")
     (fun ~jobs trials ->
       let r = Secbench.run ~trials ?jobs () in
-      report "security" ~gate:(Secbench.gate r) (fun () -> Secbench.print r))
+      (Secbench.results r, Secbench.gate r))
 
 let scale =
   let sizes =
@@ -121,20 +120,15 @@ let scale =
       & info [ "sizes" ] ~docv:"SIZES" ~doc:"Program sizes in functions.")
   in
   v "scale" "Compilation at scale (Section 6.3)." sizes (fun ~jobs:_ sizes ->
-      let r = Scale.run ~sizes () in
-      report "scale" (fun () -> Scale.print r))
+      (Scale.results (Scale.run ~sizes ()), []))
 
-(* These two print as they measure. *)
 let ablation =
   v "ablation" "Design-choice ablation sweeps." (Term.const ()) (fun ~jobs:_ () ->
-      Ablation.print_all ();
-      report "ablation" ignore)
+      (Ablation.run (), []))
 
 let extensions =
   v "extensions" "Section 7.1/7.3 extensions: race window, RA zeroing vs checks, CFI, MVEE."
-    (Term.const ()) (fun ~jobs:_ () ->
-      Extension_demos.run ();
-      report "extensions" ignore)
+    (Term.const ()) (fun ~jobs:_ () -> (Extension_demos.run (), []))
 
 (* --- robustness and static assurance ---------------------------------- *)
 
@@ -147,13 +141,10 @@ let chaos =
     Term.(const (fun s l b -> (s, l, b)) $ seed_term 11 ~doc:"Pool master seed." $ legit $ budget)
     (fun ~jobs:_ (seed, legit_total, probe_budget) ->
       let attack = { Chaos.default_attack with probe_budget } in
-      let results = Chaos.run ~seed ~legit_total ~attack () in
+      let runs = Chaos.run ~seed ~legit_total ~attack () in
       let sweep = Chaos.injection_sweep () in
       let equivalent = Chaos.baseline_equivalence () in
-      report "chaos" ~gate:(Chaos.gate ~equivalent results) (fun () ->
-          Chaos.print results;
-          Chaos.print_sweep sweep;
-          Chaos.print_equivalence equivalent))
+      (Chaos.results ~sweep ~equivalent runs, Chaos.gate ~equivalent runs))
 
 let audit =
   v ~check:true "audit"
@@ -162,17 +153,7 @@ let audit =
     (seeds_term ~default:[ 2; 3; 5; 7; 11 ] ~doc:"Variant seeds (one diversified image each)." ())
     (fun ~jobs:_ seeds ->
       let a = Audit.run ~seeds () in
-      let gate = Audit.gate a in
-      let det =
-        J.Obj
-          [
-            ("ir_programs", J.Int (List.length a.Audit.ir_checked));
-            ("r2c_survivors", J.Int a.Audit.r2c_survivors);
-            ("baseline_survivors", J.Int a.Audit.baseline_survivors);
-            ("gate_failures", J.Arr (List.map (fun (_, d) -> J.Str d) gate));
-          ]
-      in
-      report "audit" ~det ~gate (fun () -> Audit.print a))
+      (Audit.results a, Audit.gate a))
 
 let profile_gate ~sums_ok ~trace_error ~spans ~expected =
   Gate.failed
@@ -227,31 +208,30 @@ let profile =
         write trace doc;
         write (trace ^ ".jsonl") (Events.to_jsonl events)
       end;
-      let det =
-        J.Obj
-          [
-            ("workload", J.Str workload);
-            ("config", J.Str config);
-            ("seed", J.Int seed);
-            ("sums_ok", J.Bool sums_ok);
-            ("events", J.Int (Events.count events));
-            ("request_spans", J.Int spans);
-            ("served", J.Int stats.Pool.served);
-            ("dropped", J.Int stats.Pool.dropped);
-            ("crashes", J.Int stats.Pool.crashes);
-          ]
+      let postmortems = Events.count ~cat:"postmortem" events in
+      let results =
+        Prof.results ~top r
+        @ (if metrics then
+             [ Results.Note (String.trim (R2c_obs.Metrics.expose sink.R2c_obs.Sink.metrics)) ]
+           else [])
+        @ Results.
+            [
+              field "workload" (Str workload);
+              field "config" (Str config);
+              field "seed" (Int seed);
+              field "sums_ok" (Bool sums_ok);
+              field "events" ~label:"pool timeline events" (Int (Events.count events));
+              field "request_spans" ~label:"  request spans (= served + dropped)" (Int spans);
+              field "served" ~label:"  served" (Int stats.Pool.served);
+              field "dropped" ~label:"  dropped" (Int stats.Pool.dropped);
+              field "crashes" ~label:"  crashes" (Int stats.Pool.crashes);
+              field ~kind:Text "postmortems" ~label:"  post-mortems" (Int postmortems);
+            ]
+        @
+        if trace <> "" then [ Results.Note (Printf.sprintf "trace written to %s (+ .jsonl)" trace) ]
+        else []
       in
-      report "profile" ~det
-        ~gate:(profile_gate ~sums_ok ~trace_error ~spans ~expected)
-        (fun () ->
-          Prof.print ~top r;
-          if metrics then print_string (R2c_obs.Metrics.expose sink.R2c_obs.Sink.metrics);
-          Printf.printf
-            "pool timeline: %d events (%d request spans = %d served + %d dropped), %d crashes, \
-             %d post-mortems\n"
-            (Events.count events) spans stats.Pool.served stats.Pool.dropped stats.Pool.crashes
-            (Events.count ~cat:"postmortem" events);
-          if trace <> "" then Printf.printf "trace written to %s (+ .jsonl)\n" trace))
+      (results, profile_gate ~sums_ok ~trace_error ~spans ~expected))
 
 let fuzz_gate (rep : Campaign.report) ~replay_failures (sc : Campaign.self_check) =
   List.map (fun (path, why) -> ("corpus-replay", path ^ ": " ^ why)) replay_failures
@@ -292,37 +272,37 @@ let fuzz =
       let rep = Campaign.run ~corpus_dir:corpus ~fuel ?jobs ~seed ~count () in
       let campaign_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
       let sc = Campaign.self_check ~fuel ~seed () in
-      let det =
-        J.Obj
-          [
-            ("seed", J.Int rep.Campaign.seed);
-            ("programs", J.Int rep.Campaign.programs);
-            ("skipped", J.Int rep.Campaign.skipped);
-            ("configs", J.Int (List.length R2c_fuzz.Oracle.matrix));
-            ("points_per_program", J.Int rep.Campaign.points);
-            ("corpus_replayed", J.Int (List.length (R2c_fuzz.Corpus.files ~dir:corpus)));
-            ("corpus_failures", J.Int (List.length replay_failures));
-            ("divergences", J.Int rep.Campaign.divergences);
-            ( "reproducers",
-              J.Arr
-                (List.map
-                   (fun (path, size) -> J.Obj [ ("path", J.Str path); ("shrunk_size", J.Int size) ])
-                   rep.Campaign.reproducers) );
-            ( "self_check",
-              J.Obj
-                [
-                  ("caught", J.Bool sc.Campaign.caught);
-                  ("shrunk_size", J.Int sc.Campaign.shrunk_size);
-                  ("reproducer", J.Str sc.Campaign.reproducer);
-                  ("roundtrip_ok", J.Bool sc.Campaign.roundtrip_ok);
-                  ("still_fails", J.Bool sc.Campaign.still_fails);
-                ] );
-          ]
+      let results =
+        Results.(
+          List.map
+            (fun (key, v) -> field key v)
+            [
+              ("seed", Int rep.Campaign.seed);
+              ("programs", Int rep.Campaign.programs);
+              ("skipped", Int rep.Campaign.skipped);
+              ("configs", Int (List.length R2c_fuzz.Oracle.matrix));
+              ("points_per_program", Int rep.Campaign.points);
+              ("corpus_replayed", Int (List.length (R2c_fuzz.Corpus.files ~dir:corpus)));
+              ("corpus_failures", Int (List.length replay_failures));
+              ("divergences", Int rep.Campaign.divergences);
+            ]
+          @ [
+              table "reproducers" ~title:"divergence reproducers"
+                [ left "path" "path"; col "shrunk_size" "shrunk size" ]
+                (List.map (fun (path, size) -> [ Str path; Int size ]) rep.Campaign.reproducers);
+              field "self_check"
+                (Record
+                   [
+                     ("caught", Bool sc.Campaign.caught);
+                     ("shrunk_size", Int sc.Campaign.shrunk_size);
+                     ("reproducer", Str sc.Campaign.reproducer);
+                     ("roundtrip_ok", Bool sc.Campaign.roundtrip_ok);
+                     ("still_fails", Bool sc.Campaign.still_fails);
+                   ]);
+              field ~kind:Timed "campaign_wall_ms" (Float (Printf.sprintf "%.0f", campaign_ms));
+            ])
       in
-      report "fuzz" ~det
-        ~volatile:(J.Obj [ ("campaign_wall_ms", J.Float campaign_ms) ])
-        ~gate:(fuzz_gate rep ~replay_failures sc)
-        ignore)
+      (results, fuzz_gate rep ~replay_failures sc))
 
 (* --- serving, validation, replay and the fast paths -------------------- *)
 
@@ -364,8 +344,7 @@ let fleet =
           ~incremental ()
       in
       let max_p99 = if max_p99 > 0 then Some max_p99 else None in
-      report "fleet" ~det:(Fleetbench.json r) ~gate:(Fleetbench.gate ?max_p99 r) (fun () ->
-          Fleetbench.print r))
+      (Fleetbench.results r, Fleetbench.gate ?max_p99 r))
 
 let tval =
   v ~check:true "tval"
@@ -379,7 +358,7 @@ let tval =
       $ corpus_term ~doc:"Fuzz reproducer corpus replayed through the validator.")
     (fun ~jobs (seed, corpus_dir) ->
       let r = Tvalbench.run ~seed ?jobs ~corpus_dir () in
-      report "tval" ~det:(Tvalbench.json r) ~gate:(Tvalbench.gate r) (fun () -> Tvalbench.print r))
+      (Tvalbench.results r, Tvalbench.gate r))
 
 let replay =
   let tolerance =
@@ -406,12 +385,11 @@ let replay =
     Term.(const (fun t m c -> (t, m, c)) $ tolerance $ max_checks $ corpus_out)
     (fun ~jobs (tolerance, max_checks, corpus_out) ->
       match Replaybench.run ~tolerance ~max_checks ?jobs () with
-      | Error e -> report "replay" ~gate:[ ("run", e) ] ignore
+      | Error e -> ([], [ ("run", e) ])
       | Ok r ->
           let written = if corpus_out = "" then [] else Replaybench.save_corpus ~dir:corpus_out r in
-          report "replay" ~det:(Replaybench.json r) ~gate:(Replaybench.gate r) (fun () ->
-              Replaybench.print r;
-              List.iter (Printf.printf "  wrote %s\n") written))
+          ( Replaybench.results r @ List.map (fun path -> Results.Note ("  wrote " ^ path)) written,
+            Replaybench.gate r ))
 
 let rerand =
   let funcs = int_opt [ "funcs" ] 10_000 ~docv:"N" ~doc:"Generated program size in functions." in
@@ -435,9 +413,8 @@ let rerand =
     (fun ~jobs (funcs, config, rotations, checked, min_speedup) ->
       let r, t = Rerandbench.run ~funcs ~config ~rotations ~checked ?jobs () in
       let timing = if min_speedup > 0.0 then Some t else None in
-      report "rerand" ~det:(Rerandbench.json r) ~volatile:(Rerandbench.timing_json t)
-        ~gate:(Rerandbench.gate ~min_speedup:(max min_speedup 1.0) ?timing r)
-        (fun () -> Rerandbench.print (r, t)))
+      ( Rerandbench.results (r, t),
+        Rerandbench.gate ~min_speedup:(max min_speedup 1.0) ?timing r ))
 
 let jit =
   v ~check:true "jit"
@@ -454,9 +431,7 @@ let jit =
     (fun ~jobs (config, seed, fuel, min_speedup) ->
       let r, t = Jitbench.run ~config ~seed ~fuel ?jobs () in
       let timing = if min_speedup > 0.0 then Some t else None in
-      report "jit" ~det:(Jitbench.json r) ~volatile:(Jitbench.timing_json t)
-        ~gate:(Jitbench.gate ~min_speedup:(max min_speedup 1.0) ?timing r)
-        (fun () -> Jitbench.print (r, t)))
+      (Jitbench.results (r, t), Jitbench.gate ~min_speedup:(max min_speedup 1.0) ?timing r))
 
 let all =
   [
@@ -467,11 +442,13 @@ let all =
 let command (Experiment e) =
   let timed args ~jobs =
     let t0 = Unix.gettimeofday () in
-    let r = e.run ~jobs args in
-    let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    let timings = match r.volatile with J.Obj fs -> fs | v -> [ ("timing", v) ] in
-    let width = Option.value jobs ~default:(R2c_util.Parallel.default_jobs ()) in
-    { r with volatile = J.Obj (timings @ [ ("jobs", J.Int width); ("wall_ms", J.Float wall_ms) ]) }
+    let results, gate = e.run ~jobs args in
+    {
+      results;
+      findings = findings e.name gate;
+      jobs = Option.value jobs ~default:(R2c_util.Parallel.default_jobs ());
+      wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
+    }
   in
   Term.(const timed $ e.term)
 
@@ -484,7 +461,7 @@ let to_json name r =
   J.Obj
     [
       ("experiment", J.Str name);
-      ("det", r.det);
-      ("volatile", r.volatile);
+      ("det", det r);
+      ("volatile", volatile r);
       ("findings", J.Arr (List.map finding_to_json r.findings));
     ]

@@ -4,11 +4,12 @@
     subcommand per entry, plus [all], [check] and [determinism]), [make
     check] and CI. An entry's flags are a cmdliner term whose defaults are
     the values [make check] runs it at; running it yields a {!report}
-    whose JSON is split structurally into a deterministic half ([det],
-    byte-identical at any job count) and a volatile half (job count, wall
-    clock, timings). Gate breaches are {!finding}s: one structured value,
-    rendered as text ({!findings_to_string}) and JSON
-    ({!finding_to_json}). *)
+    holding one typed {!Results.t}. Its text and both JSON halves derive
+    from that one value: {!det} gathers the fields and columns marked
+    deterministic (byte-identical at any job count), {!volatile} the
+    host-timed ones plus the job count and wall clock. Gate breaches are
+    {!finding}s: one structured value, rendered as text
+    ({!findings_to_string}) and JSON ({!finding_to_json}). *)
 
 type finding = {
   experiment : string;
@@ -24,18 +25,25 @@ val findings_to_string : finding list -> string
 val findings : string -> (string * string) list -> finding list
 
 type report = {
-  det : R2c_obs.Json.t;  (** deterministic fields; [{}] when there are none *)
-  volatile : R2c_obs.Json.t;  (** timings, plus [jobs] and [wall_ms] *)
+  results : Results.t;  (** printed with {!Results.text} *)
   findings : finding list;  (** empty = every gate passed *)
-  print : unit -> unit;  (** the human-readable report *)
+  jobs : int;  (** the effective domain-pool width *)
+  wall_ms : float;
 }
+
+(** The deterministic half: the {!Results.Det} items. *)
+val det : report -> R2c_obs.Json.t
+
+(** The {!Results.Timed} items, then [jobs] and [wall_ms]. *)
+val volatile : report -> R2c_obs.Json.t
 
 type t =
   | Experiment : {
       name : string;
       doc : string;
       term : 'a Cmdliner.Term.t;  (** the experiment's own flags *)
-      run : jobs:int option -> 'a -> report;
+      run : jobs:int option -> 'a -> Results.t * (string * string) list;
+          (** the results and the gate's [(check, detail)] failures *)
       check : bool;  (** part of [experiments check] / [make check] *)
     }
       -> t
@@ -45,9 +53,7 @@ val all : t list
 
 val name : t -> string
 
-(** [command e] — [e]'s flags, parsed into a runner whose report's
-    [volatile] object ends with [jobs] (the effective width) and
-    [wall_ms]. *)
+(** [command e] — [e]'s flags, parsed into a runner that times the run. *)
 val command : t -> (jobs:int option -> report) Cmdliner.Term.t
 
 (** [run ?jobs e] — run [e] at its flag defaults, as {!command} would. *)

@@ -4,6 +4,6 @@
     backward-edge CFI alone and composed with R2C, and the MVEE
     divergence detector. *)
 
-(** [run ()] — run every battery, printing one line per battery as it
-    completes. *)
-val run : unit -> unit
+(** [run ()] — run every battery: one table per section, one row per
+    battery, then the MVEE verdicts. *)
+val run : unit -> Results.t

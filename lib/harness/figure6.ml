@@ -1,12 +1,10 @@
-module Table = R2c_util.Table
 module Stats = R2c_util.Stats
 module Parallel = R2c_util.Parallel
 
-type machine_result = {
-  machine : string;
-  per_benchmark : (string * float) list;
-  geomean : float;
-}
+let bar width ratio =
+  (* Scale: 25% overhead = full width. *)
+  let n = int_of_float (Float.min 1.0 ((ratio -. 1.0) /. 0.25) *. float_of_int width) in
+  String.make (max 0 n) '#'
 
 (* The machine x benchmark matrix is embarrassingly parallel: every cell
    compiles and runs its own images. Flattening both axes into one task
@@ -14,62 +12,40 @@ type machine_result = {
    than another's; [Parallel.map] preserves cell order, so regrouping by
    machine reproduces the serial result exactly. *)
 let run ?(seeds = [ 5; 13; 29 ]) ?jobs () =
+  let open Results in
   let cfg = R2c_core.Dconfig.full () in
   let machines = R2c_machine.Cost.all_machines in
   let benchmarks = R2c_workloads.Spec.all () in
-  let cells =
-    List.concat_map
-      (fun profile ->
-        List.map (fun (b : R2c_workloads.Spec.benchmark) -> (profile, b)) benchmarks)
-      machines
-  in
   let overheads =
     Parallel.map ?jobs
       (fun ((profile : R2c_machine.Cost.profile), (b : R2c_workloads.Spec.benchmark)) ->
-        (b.name, Measure.overhead ~profile ~seeds cfg b.program))
-      cells
+        Measure.overhead ~profile ~seeds cfg b.program)
+      (List.concat_map (fun profile -> List.map (fun b -> (profile, b)) benchmarks) machines)
   in
-  List.mapi
-    (fun i (profile : R2c_machine.Cost.profile) ->
-      let nb = List.length benchmarks in
-      let per_benchmark = List.filteri (fun j _ -> j / nb = i) overheads in
-      {
-        machine = profile.R2c_machine.Cost.name;
-        per_benchmark;
-        geomean = Stats.geomean (List.map snd per_benchmark);
-      })
-    machines
-
-let bar width ratio =
-  (* Scale: 25% overhead = full width. *)
-  let n = int_of_float (Float.min 1.0 ((ratio -. 1.0) /. 0.25) *. float_of_int width) in
-  String.make (max 0 n) '#'
-
-let print results =
-  let benchmarks = List.map fst (List.hd results).per_benchmark in
-  let headers = "benchmark" :: List.map (fun r -> r.machine) results @ [ "bars (i9)" ] in
+  let nb = List.length benchmarks in
+  let columns = List.mapi (fun i _ -> List.filteri (fun j _ -> j / nb = i) overheads) machines in
+  let overhead r = pct (r -. 1.0) in
   let rows =
-    List.map
-      (fun b ->
-        let cells =
-          List.map
-            (fun r -> Table.pct (List.assoc b r.per_benchmark -. 1.0))
-            results
-        in
-        let first = List.assoc b (List.hd results).per_benchmark in
-        (b :: cells) @ [ bar 24 first ])
+    List.mapi
+      (fun j (b : R2c_workloads.Spec.benchmark) ->
+        (Str b.name :: List.map (fun c -> overhead (List.nth c j)) columns)
+        @ [ Str (bar 24 (List.nth (List.hd columns) j)) ])
       benchmarks
   in
   let geo_row =
-    ("geomean" :: List.map (fun r -> Table.pct (r.geomean -. 1.0)) results) @ [ "" ]
+    (Str "geomean" :: List.map (fun c -> overhead (Stats.geomean c)) columns) @ [ Str "" ]
   in
-  Table.print ~title:"Figure 6: full R2C overhead per machine"
-    ~headers
-    ~aligns:[ Table.Left; Right; Right; Right; Right; Left ]
-    (rows @ [ geo_row ]);
   let lo, hi = Paper.figure6_geomean_range in
-  Printf.printf "paper: geomean %.1f%% - %.1f%% across machines; worst case %s at %.0f%%\n"
-    ((lo -. 1.0) *. 100.0)
-    ((hi -. 1.0) *. 100.0)
-    (fst Paper.figure6_worst)
-    ((snd Paper.figure6_worst -. 1.0) *. 100.0)
+  [
+    table "benchmarks" ~title:"Figure 6: full R2C overhead per machine"
+      ((left "benchmark" "benchmark"
+       :: List.map (fun { R2c_machine.Cost.name; _ } -> col name name) machines)
+      @ [ left ~kind:Text "bars" "bars (i9)" ])
+      (rows @ [ geo_row ]);
+    Note
+      (Printf.sprintf "paper: geomean %.1f%% - %.1f%% across machines; worst case %s at %.0f%%"
+         ((lo -. 1.0) *. 100.0)
+         ((hi -. 1.0) *. 100.0)
+         (fst Paper.figure6_worst)
+         ((snd Paper.figure6_worst -. 1.0) *. 100.0));
+  ]

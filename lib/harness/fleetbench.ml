@@ -2,7 +2,6 @@ module Fleet = R2c_runtime.Fleet
 module Pool = R2c_runtime.Pool
 module Inject = R2c_machine.Inject
 module Rng = R2c_util.Rng
-module J = R2c_obs.Json
 
 (* Sustained low-grade chaos: bit flips, corrupted loads and spurious
    faults at half the injection sweep's "light" mix. The sweep's rates
@@ -132,62 +131,39 @@ let gate ?(min_requests = 100_000) ?(min_shards = 4) ?(min_rotations = 3)
         r.shard_p99);
   List.rev !fails
 
-let json r =
+let results r =
+  let open Results in
   let f = r.fleet and p = r.pool in
-  J.Obj
-    [
-      ("seed", J.Int r.seed);
-      ("requests", J.Int f.Fleet.submitted);
-      ("shards", J.Int r.shards);
-      ("epoch_cycles", J.Int r.epoch_cycles);
-      ("incremental", J.Bool r.incremental);
-      ("served", J.Int f.Fleet.served);
-      ("dropped", J.Int f.Fleet.dropped);
-      ("shed", J.Int f.Fleet.shed);
-      ("rejected", J.Int f.Fleet.rejected);
-      ("hedges", J.Int f.Fleet.hedges);
-      ("availability", J.Float r.availability);
-      ("p50_cycles", J.Int r.p50);
-      ("p99_cycles", J.Int r.p99);
-      ("shard_p50_cycles", J.Arr (List.map (fun p -> J.Int p) r.shard_p50));
-      ("shard_p99_cycles", J.Arr (List.map (fun p -> J.Int p) r.shard_p99));
-      ("clock_cycles", J.Int r.clock);
-      ("epochs", J.Int r.epochs);
-      ("rotations", J.Int f.Fleet.rotations);
-      ("rotation_drops", J.Int f.Fleet.rotation_drops);
-      ("drops_during_rotation", J.Int f.Fleet.drops_during_rotation);
-      ("canary_failures", J.Int f.Fleet.canary_failures);
-      ("quarantines", J.Int f.Fleet.quarantines);
-      ("max_queue_depth", J.Int f.Fleet.max_queue_depth);
-      ("pool_crashes", J.Int p.Pool.crashes);
-      ("pool_detections", J.Int p.Pool.detections);
-      ("pool_restarts", J.Int p.Pool.restarts);
-      ("pool_rerandomizations", J.Int p.Pool.rerandomizations);
-      ("gate_failures", J.Arr (List.map (fun (_, m) -> J.Str m) (gate r)));
-    ]
-
-let print r =
-  let f = r.fleet in
-  Printf.printf "Fleet campaign (seed %d): %d requests over %d shards\n" r.seed
-    f.Fleet.submitted r.shards;
-  Printf.printf
-    "  served %d  dropped %d (shed %d, rejected %d)  availability %.5f\n"
-    f.Fleet.served f.Fleet.dropped f.Fleet.shed f.Fleet.rejected r.availability;
-  Printf.printf "  latency p50 %d cycles  p99 %d cycles  fleet clock %d\n" r.p50 r.p99
-    r.clock;
-  Printf.printf "  per-shard p50/p99:%s\n"
-    (String.concat ""
-       (List.map2
-          (fun a b -> Printf.sprintf "  %d/%d" a b)
-          r.shard_p50 r.shard_p99));
-  Printf.printf
-    "  rotations %d (epoch %d, rotation drops %d, drops during rotation %d, canary \
-     failures %d)\n"
-    f.Fleet.rotations r.epochs f.Fleet.rotation_drops f.Fleet.drops_during_rotation
-    f.Fleet.canary_failures;
-  Printf.printf "  hedges %d  quarantines %d  max queue depth %d\n" f.Fleet.hedges
-    f.Fleet.quarantines f.Fleet.max_queue_depth;
-  Printf.printf "  shard pools: crashes %d  detections %d  restarts %d  rerandomizations %d\n"
-    r.pool.Pool.crashes r.pool.Pool.detections r.pool.Pool.restarts
-    r.pool.Pool.rerandomizations;
-  flush stdout
+  Note "Fleet campaign"
+  :: List.map
+       (fun (key, v) -> field key v)
+       [
+         ("seed", Int r.seed);
+         ("requests", Int f.Fleet.submitted);
+         ("shards", Int r.shards);
+         ("epoch_cycles", Int r.epoch_cycles);
+         ("incremental", Bool r.incremental);
+         ("served", Int f.Fleet.served);
+         ("dropped", Int f.Fleet.dropped);
+         ("shed", Int f.Fleet.shed);
+         ("rejected", Int f.Fleet.rejected);
+         ("hedges", Int f.Fleet.hedges);
+         ("availability", Float (Printf.sprintf "%.5f", r.availability));
+         ("p50_cycles", Int r.p50);
+         ("p99_cycles", Int r.p99);
+         ("shard_p50_cycles", Ints r.shard_p50);
+         ("shard_p99_cycles", Ints r.shard_p99);
+         ("clock_cycles", Int r.clock);
+         ("epochs", Int r.epochs);
+         ("rotations", Int f.Fleet.rotations);
+         ("rotation_drops", Int f.Fleet.rotation_drops);
+         ("drops_during_rotation", Int f.Fleet.drops_during_rotation);
+         ("canary_failures", Int f.Fleet.canary_failures);
+         ("quarantines", Int f.Fleet.quarantines);
+         ("max_queue_depth", Int f.Fleet.max_queue_depth);
+         ("pool_crashes", Int p.Pool.crashes);
+         ("pool_detections", Int p.Pool.detections);
+         ("pool_restarts", Int p.Pool.restarts);
+         ("pool_rerandomizations", Int p.Pool.rerandomizations);
+         ("gate_failures", Strs (List.map snd (gate r)));
+       ]

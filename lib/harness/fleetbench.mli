@@ -59,7 +59,5 @@ val gate :
   report ->
   (string * string) list
 
-(** [json r] — the campaign summary: deterministic fields only. *)
-val json : report -> R2c_obs.Json.t
-
-val print : report -> unit
+(** [results r] — the campaign summary, every field deterministic. *)
+val results : report -> Results.t

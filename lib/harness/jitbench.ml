@@ -14,7 +14,6 @@ module Spec = R2c_workloads.Spec
 module Genprog = R2c_workloads.Genprog
 module Parallel = R2c_util.Parallel
 open R2c_machine
-module J = R2c_obs.Json
 module Profile = R2c_obs.Profile
 
 type row = {
@@ -243,66 +242,43 @@ let gate ?(min_speedup = 5.0) ?timing r =
   in
   Gate.failed checks
 
-let json r =
-  let row_json row =
-    J.Obj
+let results (r, t) =
+  let open Results in
+  let timed key v = field ~kind:Timed key (Float (Printf.sprintf "%.2f", v)) in
+  [
+    field "seed" (Int r.seed);
+    field "config" (Str r.config);
+    field "fuel" (Int r.fuel);
+    field "identical" (Bool r.identical);
+    field "compiled_total" (Int r.compiled_total);
+    field "osr_total" (Int r.osr_total);
+    field "tier3_share" (pct r.tier3_share);
+    table "workloads" ~title:"E-JIT: three lanes per workload"
       [
-        ("name", J.Str row.name);
-        ("insns", J.Int row.insns);
-        ("cycles_bits", J.Str (Printf.sprintf "%016Lx" row.cycles_bits));
-        ("icache_misses", J.Int row.icache_misses);
-        ("identical", J.Bool row.identical);
-        ("profile_identical", J.Bool row.profile_identical);
-        ("compiled", J.Int row.compiled);
-        ("entry_enters", J.Int row.entry_enters);
-        ("osr_enters", J.Int row.osr_enters);
-        ("deopts", J.Int row.deopts);
-        ("tier3_insns", J.Int row.tier3_insns);
-        ("interp_insns", J.Int row.interp_insns);
+        left "name" "workload"; col "insns" "insns"; left "cycles_bits" "cycles bits";
+        col "icache_misses" "misses"; left "identical" "identical";
+        left "profile_identical" "profile"; col "compiled" "compiled"; col "entry_enters" "entry";
+        col "osr_enters" "osr"; col "deopts" "deopts"; col "tier3_insns" "tier3 insns";
+        col "interp_insns" "interp insns"; col ~kind:Text "entries" "entries";
+        col ~kind:Text "tier3" "tier3";
       ]
-  in
-  J.Obj
-    [
-      ("seed", J.Int r.seed);
-      ("config", J.Str r.config);
-      ("fuel", J.Int r.fuel);
-      ("identical", J.Bool r.identical);
-      ("compiled_total", J.Int r.compiled_total);
-      ("osr_total", J.Int r.osr_total);
-      ("tier3_share", J.Float r.tier3_share);
-      ("workloads", J.Arr (List.map row_json r.rows));
-    ]
-
-let timing_json t =
-  J.Obj
-    [
-      ("ref_ms", J.Float t.ref_ms);
-      ("fast_ms", J.Float t.fast_ms);
-      ("jit_ms", J.Float t.jit_ms);
-      ("speedup_fast", J.Float t.speedup_fast);
-      ("speedup_jit", J.Float t.speedup_jit);
-      ("ref_obs_ms", J.Float t.ref_obs_ms);
-      ("jit_obs_ms", J.Float t.jit_obs_ms);
-      ("speedup_obs", J.Float t.speedup_obs);
-    ]
-
-let print (r, t) =
-  List.iter
-    (fun row ->
-      Printf.printf
-        "%-12s %9d insns  compiled %3d  entries %7d (osr %5d, deopts %3d)  tier3 \
-         %5.1f%%  identical=%b profile=%b\n"
-        row.name row.insns row.compiled
-        (row.entry_enters + row.osr_enters)
-        row.osr_enters row.deopts
-        (let tot = row.tier3_insns + row.interp_insns in
-         if tot = 0 then 0.0
-         else 100.0 *. float_of_int row.tier3_insns /. float_of_int tot)
-        row.identical row.profile_identical)
-    r.rows;
-  Printf.printf
-    "TOTAL ref %.1fms fast %.1fms (%.2fx) jit %.1fms (%.2fx)  tier3 share %.1f%%  \
-     identical=%b\n\
-     PROFILED ref %.1fms jit %.1fms (%.2fx)\n"
-    t.ref_ms t.fast_ms t.speedup_fast t.jit_ms t.speedup_jit
-    (100.0 *. r.tier3_share) r.identical t.ref_obs_ms t.jit_obs_ms t.speedup_obs
+      (List.map
+         (fun row ->
+           let tot = row.tier3_insns + row.interp_insns in
+           [
+             Str row.name; Int row.insns; Str (Printf.sprintf "%016Lx" row.cycles_bits);
+             Int row.icache_misses; Bool row.identical; Bool row.profile_identical;
+             Int row.compiled; Int row.entry_enters; Int row.osr_enters; Int row.deopts;
+             Int row.tier3_insns; Int row.interp_insns; Int (row.entry_enters + row.osr_enters);
+             pct (if tot = 0 then 0.0 else float_of_int row.tier3_insns /. float_of_int tot);
+           ])
+         r.rows);
+    timed "ref_ms" t.ref_ms;
+    timed "fast_ms" t.fast_ms;
+    timed "jit_ms" t.jit_ms;
+    timed "speedup_fast" t.speedup_fast;
+    timed "speedup_jit" t.speedup_jit;
+    timed "ref_obs_ms" t.ref_obs_ms;
+    timed "jit_obs_ms" t.jit_obs_ms;
+    timed "speedup_obs" t.speedup_obs;
+  ]

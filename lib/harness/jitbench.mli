@@ -80,10 +80,6 @@ val run :
     given. *)
 val gate : ?min_speedup:float -> ?timing:timing -> report -> (string * string) list
 
-(** [json r] — the deterministic summary. *)
-val json : report -> R2c_obs.Json.t
-
-(** The wall-clock timings, kept apart from {!json}. *)
-val timing_json : timing -> R2c_obs.Json.t
-
-val print : report * timing -> unit
+(** [results (r, t)] — the report's fields and per-workload rows are
+    deterministic, the timings host-timed. *)
+val results : report * timing -> Results.t

@@ -2,18 +2,7 @@
     the webserver workers under full R2C, with the BTDP guard-page share
     isolated by differencing against a full-minus-BTDP build. *)
 
-type row = {
-  name : string;
-  base_kb : int;
-  r2c_kb : int;
-  overhead : float;  (** fraction *)
-  btdp_share : float;  (** of the overhead attributable to BTDP pages *)
-}
-
-(** [run ?seed ?jobs ()] — per-workload rows, fanned out over a
+(** [run ?seed ?jobs ()] — one row per workload, fanned out over a
     {!R2c_util.Parallel} domain pool ([jobs] caps it; results are
-    independent of [jobs]). *)
-val run : ?seed:int -> ?jobs:int -> unit -> row list * row list
-(** (spec, webserver) *)
-
-val print : row list * row list -> unit
+    independent of [jobs]), then the SPEC median. *)
+val run : ?seed:int -> ?jobs:int -> unit -> Results.t

@@ -10,22 +10,6 @@ let table1 =
 let oia_geomean = 1.0079
 let oia_max = 1.0361
 
-let table2 =
-  [
-    ("perlbench", 9_435_182_963.0);
-    ("gcc", 7_471_474_392.0);
-    ("mcf", 38_657_893_688.0);
-    ("lbm", 20_906_700.0);
-    ("omnetpp", 23_536_583_520.0);
-    ("xalancbmk", 12_430_137_048.0);
-    ("x264", 3_400_115_007.0);
-    ("deepsjeng", 11_366_032_234.0);
-    ("imagick", 10_441_212_712.0);
-    ("leela", 13_108_456_661.0);
-    ("nab", 135_237_228_510.0);
-    ("xz", 3_287_645_643.0);
-  ]
-
 let figure6_geomean_range = (1.066, 1.085)
 let figure6_worst = ("omnetpp (Xeon)", 1.21)
 

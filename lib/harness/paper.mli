@@ -1,18 +1,16 @@
 (** The paper's reported numbers, for side-by-side output.
 
-    Sources: Table 1 (component overheads), Table 2 (call frequencies),
-    Section 6.2.1 (offset-invariant addressing), Section 6.2.4 (webserver
-    throughput), Section 6.2.5 (memory), Figure 6 (full-R2C geomeans),
-    Section 7.2.1 (probability example). *)
+    Sources: Table 1 (component overheads), Section 6.2.1 (offset-invariant
+    addressing), Section 6.2.4 (webserver throughput), Section 6.2.5
+    (memory), Figure 6 (full-R2C geomeans), Section 7.2.1 (probability
+    example). Table 2's call counts live with the workloads
+    ([Spec.benchmark.paper_calls]). *)
 
 val table1 : (string * float * float) list
 (** (component, max, geomean) overhead ratios *)
 
 val oia_geomean : float
 val oia_max : float
-
-val table2 : (string * float) list
-(** (benchmark, median executed calls) *)
 
 val figure6_geomean_range : float * float
 val figure6_worst : string * float  (** omnetpp on Xeon *)

@@ -54,78 +54,62 @@ let side_sums_ok ?(tol = 0.01) s =
 
 let sums_ok ?tol r = side_sums_ok ?tol r.base && side_sums_ok ?tol r.r2c
 
-let f0 x = Printf.sprintf "%.0f" x
-
-let print ?(top = 12) r =
+(* Text only: the [det] half of the profile entry is the pool-timeline
+   summary the registry assembles. *)
+let results ?(top = 12) r =
+  let open Results in
+  let f0 x = Float (Printf.sprintf "%.0f", x) in
   let base_rows = Obs.Profile.rows r.base.prof in
-  let r2c_rows = Obs.Profile.rows r.r2c.prof in
   let base_cycles name =
     match List.find_opt (fun (x : Obs.Profile.row) -> x.name = name) base_rows with
     | Some x -> x.Obs.Profile.cycles
     | None -> 0.0
   in
-  let rows =
-    List.filteri (fun i _ -> i < top) r2c_rows
-    |> List.map (fun (x : Obs.Profile.row) ->
-           let b = base_cycles x.Obs.Profile.name in
-           let other =
-             x.Obs.Profile.cycles -. x.callsite_cycles -. x.prologue_cycles
-             -. x.icache_cycles
-           in
-           [
-             x.Obs.Profile.name;
-             f0 b;
-             f0 x.Obs.Profile.cycles;
-             (if b > 0.0 then Table.ratio (x.Obs.Profile.cycles /. b) else "-");
-             f0 x.callsite_cycles;
-             f0 x.prologue_cycles;
-             f0 x.icache_cycles;
-             f0 other;
-           ])
+  let row name b (x : Obs.Profile.row) =
+    let c = x.Obs.Profile.cycles in
+    [
+      Str name; f0 b; f0 c; (if b > 0.0 then ratio (c /. b) else Missing); f0 x.callsite_cycles;
+      f0 x.prologue_cycles; f0 x.icache_cycles;
+      f0 (c -. x.callsite_cycles -. x.prologue_cycles -. x.icache_cycles);
+    ]
   in
   let bt = Obs.Profile.total r.base.prof in
   let rt = Obs.Profile.total r.r2c.prof in
-  let total_row =
-    let other =
-      rt.Obs.Profile.cycles -. rt.callsite_cycles -. rt.prologue_cycles
-      -. rt.icache_cycles
-    in
-    [
-      "TOTAL";
-      f0 bt.Obs.Profile.cycles;
-      f0 rt.Obs.Profile.cycles;
-      Table.ratio (rt.Obs.Profile.cycles /. bt.Obs.Profile.cycles);
-      f0 rt.callsite_cycles;
-      f0 rt.prologue_cycles;
-      f0 rt.icache_cycles;
-      f0 other;
-    ]
+  let rows =
+    List.filteri (fun i _ -> i < top) (Obs.Profile.rows r.r2c.prof)
+    |> List.map (fun (x : Obs.Profile.row) ->
+           row x.Obs.Profile.name (base_cycles x.Obs.Profile.name) x)
   in
-  Table.print
-    ~title:
-      (Printf.sprintf "profile: %s — baseline vs %s (cycles)" r.workload r.cfg_name)
-    ~headers:
-      [ "function"; "base"; r.cfg_name; "ratio"; "callsite"; "prologue"; "icache"; "other" ]
-    ~aligns:
-      [
-        Table.Left; Table.Right; Table.Right; Table.Right; Table.Right; Table.Right;
-        Table.Right; Table.Right;
-      ]
-    (rows @ [ total_row ]);
+  let shown key header = col ~kind:Text key header in
   let extra = rt.Obs.Profile.cycles -. bt.Obs.Profile.cycles in
-  if extra > 0.0 then
-    Printf.printf
-      "overhead split: +%.0f cycles total — callsite %s, prologue %s, icache %s of the added cost\n"
-      extra
-      (Table.pct (rt.Obs.Profile.callsite_cycles /. extra))
-      (Table.pct (rt.Obs.Profile.prologue_cycles /. extra))
-      (Table.pct
-         ((rt.Obs.Profile.icache_cycles -. bt.Obs.Profile.icache_cycles) /. extra));
-  Printf.printf
-    "icache: baseline %d/%d misses, %s %d/%d; peak call depth: %d -> %d\n\n"
-    r.base.stats.Measure.icache_misses r.base.stats.Measure.icache_accesses r.cfg_name
-    r.r2c.stats.Measure.icache_misses r.r2c.stats.Measure.icache_accesses
-    r.base.stats.Measure.peak_depth r.r2c.stats.Measure.peak_depth
+  table "functions"
+    ~title:(Printf.sprintf "profile: %s — baseline vs %s (cycles)" r.workload r.cfg_name)
+    [
+      left ~kind:Text "function" "function"; shown "base" "base"; shown "r2c" r.cfg_name;
+      shown "ratio" "ratio"; shown "callsite" "callsite"; shown "prologue" "prologue";
+      shown "icache" "icache"; shown "other" "other";
+    ]
+    (rows @ [ row "TOTAL" bt.Obs.Profile.cycles rt ])
+  :: (if extra > 0.0 then
+        [
+          Note
+            (Printf.sprintf
+               "overhead split: +%.0f cycles total — callsite %s, prologue %s, icache %s of the \
+                added cost"
+               extra
+               (Table.pct (rt.Obs.Profile.callsite_cycles /. extra))
+               (Table.pct (rt.Obs.Profile.prologue_cycles /. extra))
+               (Table.pct
+                  ((rt.Obs.Profile.icache_cycles -. bt.Obs.Profile.icache_cycles) /. extra)));
+        ]
+      else [])
+  @ [
+      Note
+        (Printf.sprintf "icache: baseline %d/%d misses, %s %d/%d; peak call depth: %d -> %d\n"
+           r.base.stats.Measure.icache_misses r.base.stats.Measure.icache_accesses r.cfg_name
+           r.r2c.stats.Measure.icache_misses r.r2c.stats.Measure.icache_accesses
+           r.base.stats.Measure.peak_depth r.r2c.stats.Measure.peak_depth);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* A small observed pool run for the timeline export: the chaos victim

@@ -34,10 +34,11 @@ val run :
     [tol] (default 1%). *)
 val sums_ok : ?tol:float -> result -> bool
 
-(** [print ?top r] — side-by-side per-function cycle table (descending by
+(** [results ?top r] — side-by-side per-function cycle table (descending by
     diversified cycles) with the callsite / prologue / icache / other
-    overhead split, followed by icache and call-depth summary lines. *)
-val print : ?top:int -> result -> unit
+    overhead split, followed by icache and call-depth summary lines; all
+    text only. *)
+val results : ?top:int -> result -> Results.t
 
 (** [pool_timeline ?requests ?seed ()] — run the chaos victim pool under
     observation on a mixed legitimate/attack request stream; returns the

@@ -4,7 +4,6 @@ module Trace = R2c_replay.Trace
 module Record = R2c_replay.Record
 module Reduce = R2c_replay.Reduce
 module Replayer = R2c_replay.Replayer
-module J = R2c_obs.Json
 module Parallel = R2c_util.Parallel
 
 type case = {
@@ -129,36 +128,48 @@ let save_corpus ~dir r =
       path)
     r.case_reports
 
-let case_json cr =
-  J.Obj
-    [
-      ("name", J.Str cr.cr_name);
-      ("config", J.Str cr.cr_trace.Trace.meta.Trace.config);
-      ("seed", J.Int cr.cr_trace.Trace.meta.Trace.seed);
-      ("reduce", Reduce.report_json cr.cr_reduce);
-      ("replay", Replayer.run_json cr.cr_replay);
-      ("fidelity", J.Str (if cr.cr_failures = [] then "pass" else "fail"));
-    ]
-
-let json r =
-  J.Obj
-    [
-      ("experiment", J.Str "replay");
-      ("cases", J.Arr (List.map case_json r.case_reports));
-      ("gate", J.Str (if gate r = [] then "pass" else "fail"));
-    ]
-
-let print r =
-  print_endline "E-REPLAY: record / reduce / replay with profile-fidelity gates";
-  List.iter
-    (fun cr ->
-      Printf.printf
-        "  %-10s %6d -> %4d spans, %7d -> %5d bytes (%.1f%% reduced), %d oracle \
-         runs; replay %s\n"
-        cr.cr_name cr.cr_reduce.Reduce.raw_spans cr.cr_reduce.Reduce.reduced_spans
-        cr.cr_reduce.Reduce.raw_bytes cr.cr_reduce.Reduce.reduced_bytes
-        (100. *. Reduce.ratio cr.cr_reduce)
-        cr.cr_reduce.Reduce.checks
-        (if cr.cr_failures = [] then "reproduces the recorded profile (<=1%)"
-         else "BREACHES fidelity: " ^ String.concat "; " cr.cr_failures))
-    r.case_reports
+let results r =
+  let open Results in
+  let reduce (x : Reduce.report) =
+    Record
+      [
+        ("raw_bytes", Int x.Reduce.raw_bytes);
+        ("reduced_bytes", Int x.Reduce.reduced_bytes);
+        ("reduction", pct (Reduce.ratio x));
+        ("raw_spans", Int x.Reduce.raw_spans);
+        ("reduced_spans", Int x.Reduce.reduced_spans);
+        ("oracle_checks", Int x.Reduce.checks);
+        ("edits_kept", Int x.Reduce.kept);
+      ]
+  in
+  let replay (x : Replayer.run) =
+    Record
+      [
+        ("cycles", Float (Printf.sprintf "%.0f", x.Replayer.r_cycles));
+        ("insns", Int x.Replayer.r_insns);
+        ("icache_accesses", Int x.Replayer.r_accesses);
+        ("icache_misses", Int x.Replayer.r_misses);
+        ("exit", Int x.Replayer.r_exit);
+        ("output_len", Int x.Replayer.r_output_len);
+        ("output_hash", Str (Printf.sprintf "%016Lx" x.Replayer.r_output_hash));
+      ]
+  in
+  [
+    Note "E-REPLAY: record / reduce / replay with profile-fidelity gates";
+    field "experiment" (Str "replay");
+    table "cases" ~title:"replay cases (reduced trace, final replay)"
+      [
+        left "name" "name"; left "config" "config"; col "seed" "seed"; left "reduce" "reduce";
+        left "replay" "replay"; left "fidelity" "fidelity"; left ~kind:Text "failures" "failures";
+      ]
+      (List.map
+         (fun cr ->
+           let meta = cr.cr_trace.Trace.meta in
+           [
+             Str cr.cr_name; Str meta.Trace.config; Int meta.Trace.seed; reduce cr.cr_reduce;
+             replay cr.cr_replay; Str (if cr.cr_failures = [] then "pass" else "fail");
+             Strs cr.cr_failures;
+           ])
+         r.case_reports);
+    field "gate" (Str (if gate r = [] then "pass" else "fail"));
+  ]

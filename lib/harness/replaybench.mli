@@ -1,7 +1,8 @@
 (** Record-reduce-replay campaign (E-REPLAY).
 
     For each capture case — the {!Fleetapp} server under a deterministic
-    periodic request stream, and a generated {!Genprog} compute program —
+    periodic request stream (the reduction-ratio workhorse), and a
+    generated {!Genprog} compute program (no input, pure compute) —
     the campaign records a full builtin-boundary trace
     ({!R2c_replay.Record}), delta-debugs it down to the semantic core
     ({!R2c_replay.Reduce}), and replays the reduced trace as a standalone
@@ -12,17 +13,6 @@
     sequential and fully deterministic (simulated time only), so the
     {!report} is bit-identical at any Domain-pool width. Wall-clock and
     job count are never stored in the report. *)
-
-type case = {
-  c_name : string;
-  c_meta : R2c_replay.Trace.meta;
-  c_program : Ir.program;
-  c_inputs : string list;
-}
-
-(** The standard corpus: [fleetapp] (periodic request traffic, the
-    reduction-ratio workhorse) and [genprog] (no input, pure compute). *)
-val cases : unit -> case list
 
 type case_report = {
   cr_name : string;
@@ -51,7 +41,6 @@ val gate : ?min_reduction:float -> report -> (string * string) list
     [dir/<name>.r2cr]; returns the paths written. *)
 val save_corpus : dir:string -> report -> string list
 
-(** The deterministic summary. *)
-val json : report -> R2c_obs.Json.t
-
-val print : report -> unit
+(** [results r] — one deterministic row per case, its reduction and
+    final replay as nested records. *)
+val results : report -> Results.t

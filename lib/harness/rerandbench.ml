@@ -8,7 +8,6 @@ module Loader = R2c_machine.Loader
 module Mem = R2c_machine.Mem
 module Addr = R2c_machine.Addr
 module Cost = R2c_machine.Cost
-module J = R2c_obs.Json
 
 type report = {
   funcs : int;
@@ -169,39 +168,31 @@ let gate ?(min_speedup = 10.0) ?timing r =
   in
   Gate.failed checks
 
-let json r =
-  J.Obj
+let results (r, t) =
+  let open Results in
+  let timed key digits v = field ~kind:Timed key (Float (Printf.sprintf "%.*f" digits, v)) in
+  List.map
+    (fun (key, v) -> field key v)
     [
-      ("funcs", J.Int r.funcs);
-      ("config", J.Str r.config);
-      ("body_seed", J.Int r.body_seed);
-      ("base_link_seed", J.Int r.base_link_seed);
-      ("rotations", J.Int r.rotations);
-      ("checked", J.Int r.checked);
-      ("identical", J.Bool r.identical);
-      ("loaded_identical", J.Bool r.loaded_identical);
-      ("warm_misses", J.Int r.warm_misses);
-      ("rotation_hits", J.Int r.rotation_hits);
-      ("rotation_misses", J.Int r.rotation_misses);
-      ("edit_misses", J.Int r.edit_misses);
-      ("edit_missed", J.Arr (List.map (fun s -> J.Str s) r.edit_missed));
-      ("edit_identical", J.Bool r.edit_identical);
-      ("cache_entries", J.Int r.cache_entries);
+      ("funcs", Int r.funcs);
+      ("config", Str r.config);
+      ("body_seed", Int r.body_seed);
+      ("base_link_seed", Int r.base_link_seed);
+      ("rotations", Int r.rotations);
+      ("checked", Int r.checked);
+      ("identical", Bool r.identical);
+      ("loaded_identical", Bool r.loaded_identical);
+      ("warm_misses", Int r.warm_misses);
+      ("rotation_hits", Int r.rotation_hits);
+      ("rotation_misses", Int r.rotation_misses);
+      ("edit_misses", Int r.edit_misses);
+      ("edit_missed", Strs r.edit_missed);
+      ("edit_identical", Bool r.edit_identical);
+      ("cache_entries", Int r.cache_entries);
     ]
-
-let timing_json t =
-  J.Obj
-    [
-      ("cold_ms", J.Float t.cold_ms);
-      ("incr_ms", J.Float t.incr_ms);
-      ("start_ms", J.Float t.start_ms);
-      ("speedup", J.Float t.speedup);
+  @ [
+      timed "cold_ms" 0 t.cold_ms;
+      timed "incr_ms" 1 t.incr_ms;
+      timed "start_ms" 1 t.start_ms;
+      timed "speedup" 1 t.speedup;
     ]
-
-let print (r, t) =
-  Printf.printf
-    "rerand: %d funcs (%s), %d rotations: cold %.0f ms, incremental %.1f ms (%.1fx) + start \
-     %.1f ms, %d/%d rotation hits, edit recompiled %d, identical=%b\n"
-    r.funcs r.config r.rotations t.cold_ms t.incr_ms t.speedup t.start_ms r.rotation_hits
-    (r.rotation_hits + r.rotation_misses) r.edit_misses
-    (r.identical && r.edit_identical && r.loaded_identical)

@@ -56,10 +56,6 @@ val run :
     clock. *)
 val gate : ?min_speedup:float -> ?timing:timing -> report -> (string * string) list
 
-(** The deterministic summary. *)
-val json : report -> R2c_obs.Json.t
-
-(** The wall-clock timings, kept apart from {!json}. *)
-val timing_json : timing -> R2c_obs.Json.t
-
-val print : report * timing -> unit
+(** [results (r, t)] — the report's fields are deterministic, the
+    timings host-timed. *)
+val results : report * timing -> Results.t

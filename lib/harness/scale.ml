@@ -1,4 +1,3 @@
-module Table = R2c_util.Table
 open R2c_machine
 
 type row = {
@@ -55,23 +54,25 @@ let run ?(sizes = [ 500; 2000; 8000 ]) () =
       })
     sizes
 
-let print rows =
-  Table.print
-    ~title:
-      "Scalability: full-R2C compilation (first row: the browser-shaped workload)"
-    ~headers:[ "functions"; "IR instrs"; "text KB"; "data KB"; "compile s"; "correct" ]
-    ~aligns:[ Table.Right; Right; Right; Right; Right; Left ]
-    (List.map
-       (fun r ->
-         [
-           string_of_int r.funcs;
-           string_of_int r.ir_instrs;
-           string_of_int r.text_kb;
-           string_of_int r.data_kb;
-           Printf.sprintf "%.2f" r.compile_seconds;
-           (if r.run_ok then "yes" else "NO");
-         ])
-       rows);
-  print_endline
-    "paper: compiles WebKit (4.5M lines) and Chromium (32M lines); browser test\n\
-     suites pass after disabling R2C for 3 functions (Section 6.3/7.4.2)."
+let results rows =
+  let open Results in
+  [
+    table "programs"
+      ~title:"Scalability: full-R2C compilation (first row: the browser-shaped workload)"
+      [
+        col "functions" "functions"; col "ir_instrs" "IR instrs"; col "text_kb" "text KB";
+        col "data_kb" "data KB"; col ~kind:Timed "compile_s" "compile s";
+        left "correct" "correct";
+      ]
+      (List.map
+         (fun r ->
+           [
+             Int r.funcs; Int r.ir_instrs; Int r.text_kb; Int r.data_kb;
+             Float (Printf.sprintf "%.2f", r.compile_seconds);
+             Str (if r.run_ok then "yes" else "NO");
+           ])
+         rows);
+    Note
+      "paper: compiles WebKit (4.5M lines) and Chromium (32M lines); browser test\n\
+       suites pass after disabling R2C for 3 functions (Section 6.3/7.4.2).";
+  ]

@@ -12,4 +12,6 @@ type row = {
 }
 
 val run : ?sizes:int list -> unit -> row list
-val print : row list -> unit
+
+(** [results rows] — the compile seconds are host-timed. *)
+val results : row list -> Results.t

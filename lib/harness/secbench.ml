@@ -119,20 +119,33 @@ let gate t =
         t.brop_successes = 0 );
     ]
 
-let print t =
-  Printf.printf "\n== Security evaluation (Section 7.2) ==\n";
-  Printf.printf "return-address camouflage: %.1f text-range candidates per frame\n"
-    t.ra_candidates_mean;
-  Printf.printf "  guess probability: empirical %.4f vs analytic 1/(R+1) = %.4f\n"
-    t.empirical_ra_p t.analytic_ra_p;
-  Printf.printf "  paper example (n=4, R=10): (1/11)^4 = %.6f; ours: %.6f\n"
-    Paper.guess_probability_example
-    (t.empirical_ra_p ** 4.0);
-  Printf.printf "heap-pointer camouflage: %.1f benign vs %.1f BTDPs per leak\n"
-    t.heap_benign_mean t.heap_btdp_mean;
-  Printf.printf "  benign pick probability: empirical %.3f vs analytic H/(H+B) = %.3f\n"
-    t.empirical_pick_p t.analytic_pick_p;
-  Printf.printf "AOCR vs R2C: %d/%d succeeded, %d/%d campaigns detected\n" t.aocr_successes
-    t.aocr_trials t.aocr_detections t.aocr_trials;
-  Printf.printf "Blind ROP vs non-PIE R2C: %d/%d succeeded, %d/%d detected\n"
-    t.brop_successes t.brop_trials t.brop_detections t.brop_trials
+let results t =
+  let open Results in
+  let p digits x = Float (Printf.sprintf "%.*f" digits, x) in
+  [
+    table "camouflage" ~title:"Security evaluation (Section 7.2)"
+      [ left "quantity" "quantity"; col "empirical" "empirical"; col "analytic" "analytic" ]
+      [
+        [ Str "return-address candidates per frame"; f1 t.ra_candidates_mean; Missing ];
+        [ Str "RA guess probability, 1/(R+1)"; p 4 t.empirical_ra_p; p 4 t.analytic_ra_p ];
+        [
+          Str "4-RA chain (paper: n=4, R=10)"; p 6 (t.empirical_ra_p ** 4.0);
+          p 6 Paper.guess_probability_example;
+        ];
+        [ Str "benign heap pointers per leak"; f1 t.heap_benign_mean; Missing ];
+        [ Str "BTDPs per leak"; f1 t.heap_btdp_mean; Missing ];
+        [ Str "benign pick probability, H/(H+B)"; p 3 t.empirical_pick_p; p 3 t.analytic_pick_p ];
+      ];
+    table "campaigns" ~title:"Monte-Carlo attack campaigns"
+      [
+        left "campaign" "campaign"; col "trials" "trials"; col "successes" "succeeded";
+        col "detections" "detected";
+      ]
+      [
+        [ Str "AOCR vs R2C"; Int t.aocr_trials; Int t.aocr_successes; Int t.aocr_detections ];
+        [
+          Str "Blind ROP vs non-PIE R2C"; Int t.brop_trials; Int t.brop_successes;
+          Int t.brop_detections;
+        ];
+      ];
+  ]

@@ -28,7 +28,7 @@ type t = {
     batteries, fanned out per trial over a {!R2c_util.Parallel} domain
     pool ([jobs] caps it; results are independent of [jobs]). *)
 val run : ?trials:int -> ?jobs:int -> unit -> t
-val print : t -> unit
+val results : t -> Results.t
 
 (** [gate t] — violated criteria as [(check, detail)] pairs (empty =
     pass): neither battery ever breaches full R2C. *)

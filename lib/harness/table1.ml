@@ -1,5 +1,5 @@
 module Dconfig = R2c_core.Dconfig
-module Table = R2c_util.Table
+open Results
 
 type row = {
   label : string;
@@ -26,19 +26,22 @@ let run ?(seeds = [ 3; 11; 27 ]) () =
       { label; max; geomean; per_benchmark })
     components
 
-let print rows =
+let results rows =
   let paper label =
     match List.assoc_opt label (List.map (fun (l, m, g) -> (l, (m, g))) Paper.table1) with
-    | Some (m, g) -> (Table.ratio m, Table.ratio g)
-    | None ->
-        if label = "OIA" then (Table.ratio Paper.oia_max, Table.ratio Paper.oia_geomean)
-        else ("-", "-")
+    | Some (m, g) -> (ratio m, ratio g)
+    | None when label = "OIA" -> (ratio Paper.oia_max, ratio Paper.oia_geomean)
+    | None -> (Missing, Missing)
   in
-  Table.print ~title:"Table 1: component overheads (ratio to baseline)"
-    ~headers:[ "component"; "max"; "geomean"; "paper max"; "paper geomean" ]
-    ~aligns:[ Table.Left; Right; Right; Right; Right ]
-    (List.map
-       (fun r ->
-         let pm, pg = paper r.label in
-         [ r.label; Table.ratio r.max; Table.ratio r.geomean; pm; pg ])
-       rows)
+  [
+    table "components" ~title:"Table 1: component overheads (ratio to baseline)"
+      [
+        left "component" "component"; col "max" "max"; col "geomean" "geomean";
+        col "paper_max" "paper max"; col "paper_geomean" "paper geomean";
+      ]
+      (List.map
+         (fun r ->
+           let pm, pg = paper r.label in
+           [ Str r.label; ratio r.max; ratio r.geomean; pm; pg ])
+         rows);
+  ]

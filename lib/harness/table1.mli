@@ -14,5 +14,5 @@ type row = {
 (** [run ?seeds ()] — default seeds [3; 11; 27]. *)
 val run : ?seeds:int list -> unit -> row list
 
-(** [print rows] — render with the paper's Table 1 beside it. *)
-val print : row list -> unit
+(** [results rows] — the measured table with the paper's Table 1 beside it. *)
+val results : row list -> Results.t

@@ -1,14 +1,5 @@
-module Table = R2c_util.Table
-
-type row = {
-  name : string;
-  measured_calls : int;
-  paper_calls : float;
-  measured_rel : float;
-  paper_rel : float;
-}
-
 let run () =
+  let open Results in
   let raw =
     List.map
       (fun (b : R2c_workloads.Spec.benchmark) ->
@@ -27,28 +18,18 @@ let run () =
     List.fold_left (fun acc (_, c, _) -> min acc c) max_int raw |> float_of_int
   in
   let base_paper = List.fold_left (fun acc (_, _, p) -> Float.min acc p) infinity raw in
-  List.map
-    (fun (name, measured_calls, paper_calls) ->
-      {
-        name;
-        measured_calls;
-        paper_calls;
-        measured_rel = float_of_int measured_calls /. base_measured;
-        paper_rel = paper_calls /. base_paper;
-      })
-    raw
-
-let print rows =
-  Table.print ~title:"Table 2: median call frequencies (measured at ~2.5e-7 scale)"
-    ~headers:[ "benchmark"; "calls"; "paper calls"; "rel (lbm=1)"; "paper rel" ]
-    ~aligns:[ Table.Left; Right; Right; Right; Right ]
-    (List.map
-       (fun r ->
-         [
-           r.name;
-           string_of_int r.measured_calls;
-           Printf.sprintf "%.0f" r.paper_calls;
-           Printf.sprintf "%.0f" r.measured_rel;
-           Printf.sprintf "%.0f" r.paper_rel;
-         ])
-       rows)
+  let f0 x = Float (Printf.sprintf "%.0f", x) in
+  [
+    table "benchmarks" ~title:"Table 2: median call frequencies (measured at ~2.5e-7 scale)"
+      [
+        left "benchmark" "benchmark"; col "calls" "calls"; col "paper_calls" "paper calls";
+        col "rel" "rel (lbm=1)"; col "paper_rel" "paper rel";
+      ]
+      (List.map
+         (fun (name, calls, paper) ->
+           [
+             Str name; Int calls; f0 paper; f0 (float_of_int calls /. base_measured);
+             f0 (paper /. base_paper);
+           ])
+         raw);
+  ]

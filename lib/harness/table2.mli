@@ -2,15 +2,6 @@
     (tail calls excluded — our codegen emits none, matching the paper's
     instrumentation note). The simulated counts sit at a documented scale
     (~2.5e-7) of the paper's; the table reports both and the resulting
-    relative shape. *)
+    relative shape (each relative to its lbm row). *)
 
-type row = {
-  name : string;
-  measured_calls : int;
-  paper_calls : float;
-  measured_rel : float;  (** relative to lbm *)
-  paper_rel : float;
-}
-
-val run : unit -> row list
-val print : row list -> unit
+val run : unit -> Results.t

@@ -5,7 +5,6 @@ module Report = R2c_attacks.Report
 module Vulnapp = R2c_workloads.Vulnapp
 module Rng = R2c_util.Rng
 module Stats = R2c_util.Stats
-module Table = R2c_util.Table
 
 type cell = {
   attack : string;
@@ -141,31 +140,28 @@ let gate rows =
         fell "unprotected" = Some true );
     ]
 
-let print rows =
-  let headers =
-    [ "defense"; "overhead"; "paper"; "icache"; "depth"; "C++" ]
-    @ List.map (fun (a, _) -> a) attacks
-    @ [ "detections" ]
-  in
-  Table.print
-    ~title:
-      "Table 3: defense comparison (# = stopped every trial, o = broken, + = partial)"
-    ~headers
-    (List.map
-       (fun r ->
-         [
-           r.defense;
-           (match r.measured_overhead with
-           | Some o -> Table.pct (o -. 1.0)
-           | None -> "-");
-           r.paper_overhead;
-           (match r.icache_miss_pct with Some m -> Table.pct m | None -> "-");
-           (match r.peak_depth with Some d -> string_of_int d | None -> "-");
-           (if r.cpp then "yes" else "no");
-         ]
-         @ List.map glyph r.cells
-         @ [
-             String.concat "/"
-               (List.map (fun c -> string_of_int c.detections) r.cells);
-           ])
-       rows)
+let results rows =
+  let open Results in
+  [
+    table "defenses"
+      ~title:"Table 3: defense comparison (# = stopped every trial, o = broken, + = partial)"
+      ([
+         left "defense" "defense"; left "overhead" "overhead"; left "paper_overhead" "paper";
+         left "icache_miss" "icache"; left "peak_depth" "depth"; left "cpp" "C++";
+       ]
+      @ List.map (fun (a, _) -> left a a) attacks
+      @ [ left "detections" "detections" ])
+      (List.map
+         (fun r ->
+           [
+             Str r.defense;
+             opt (fun o -> pct (o -. 1.0)) r.measured_overhead;
+             Str r.paper_overhead;
+             opt pct r.icache_miss_pct;
+             opt (fun d -> Int d) r.peak_depth;
+             Str (if r.cpp then "yes" else "no");
+           ]
+           @ List.map (fun c -> Str (glyph c)) r.cells
+           @ [ Str (String.concat "/" (List.map (fun c -> string_of_int c.detections) r.cells)) ])
+         rows);
+  ]

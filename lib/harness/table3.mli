@@ -30,7 +30,7 @@ type row = {
     overhead column (set [with_overhead:false] to skip the slow part). *)
 val run : ?trials:int -> ?with_overhead:bool -> unit -> row list
 
-val print : row list -> unit
+val results : row list -> Results.t
 
 (** [gate rows] — the reproduction check as [(check, detail)] pairs
     (empty = pass): every attack fails against the R2C row, and at least

@@ -2,7 +2,6 @@ module Tval = R2c_analysis.Tval
 module Lint = R2c_analysis.Lint
 module Oracle = R2c_fuzz.Oracle
 module Parallel = R2c_util.Parallel
-module J = R2c_obs.Json
 
 type point = {
   pname : string;
@@ -121,18 +120,24 @@ let run ?(seed = 3) ?jobs ?(corpus_dir = "test/corpus") () =
   in
   { seed; workloads; plants; corpus }
 
+(* (funcs, blocks, validator findings, IR findings) of one workload. *)
+let workload_totals w =
+  List.fold_left
+    (fun (f, b, fd, ir) pt -> (f + pt.pfuncs, b + pt.pblocks, fd + List.length pt.pfindings, ir))
+    (0, 0, 0, List.length w.ir_findings)
+    w.points
+
 let totals r =
   List.fold_left
     (fun (funcs, blocks, findings, ir) w ->
-      let f, b, fd =
-        List.fold_left
-          (fun (f, b, fd) pt -> (f + pt.pfuncs, b + pt.pblocks, fd + List.length pt.pfindings))
-          (0, 0, 0) w.points
-      in
-      (funcs + f, blocks + b, findings + fd, ir + List.length w.ir_findings))
+      let f, b, fd, i = workload_totals w in
+      (funcs + f, blocks + b, findings + fd, ir + i))
     (0, 0, 0, 0) r.workloads
 
-let gate ?(min_workloads = 17) ?(min_points = 11) r =
+let min_workloads = 17
+let min_points = 11
+
+let gate r =
   let fails = ref [] in
   let check ok what msg = if not ok then fails := (what, msg) :: !fails in
   let _, _, findings, ir = totals r in
@@ -161,77 +166,55 @@ let gate ?(min_workloads = 17) ?(min_points = 11) r =
     r.corpus;
   List.rev !fails
 
-let json r =
+let results r =
+  let open Results in
   let funcs, blocks, findings, ir = totals r in
-  J.Obj
-    [
-      ("seed", J.Int r.seed);
-      ("workloads", J.Int (List.length r.workloads));
-      ("points", J.Int (match r.workloads with w :: _ -> List.length w.points | [] -> 0));
-      ("validated_funcs", J.Int funcs);
-      ("validated_blocks", J.Int blocks);
-      ("findings", J.Int findings);
-      ("ir_findings", J.Int ir);
-      ( "plants",
-        J.Arr
-          (List.map
-             (fun pl ->
-               J.Obj
-                 [
-                   ("plant", J.Str pl.plname);
-                   ("point", J.Str pl.plpoint);
-                   ("caught", J.Int pl.caught);
-                 ])
-             r.plants) );
-      ("corpus_replayed", J.Int (List.length r.corpus));
-      ( "corpus_failures",
-        J.Int (List.length (List.filter (fun rp -> rp.rerrors <> []) r.corpus)) );
-      ("gate_failures", J.Arr (List.map (fun (_, m) -> J.Str m) (gate r)));
+  let shown key header = col ~kind:Text key header in
+  [
+    field "seed" (Int r.seed);
+    field "workloads" (Int (List.length r.workloads));
+    field "points" (Int (match r.workloads with w :: _ -> List.length w.points | [] -> 0));
+    table "per_workload" ~title:"E-TVAL: symbolic refinement per workload"
+      [
+        left ~kind:Text "workload" "workload"; shown "funcs" "funcs";
+        shown "blocks" "blocks"; shown "tval" "tval"; shown "ir_lint" "ir lint";
+      ]
+      (List.map
+         (fun w ->
+           let f, b, fd, ir = workload_totals w in
+           [ Str w.wname; Int f; Int b; Int fd; Int ir ])
+         r.workloads);
+  ]
+  @ List.concat_map
+      (fun w ->
+        List.map (fun m -> Note (Printf.sprintf "  %s: %s" w.wname m)) w.ir_findings
+        @ List.concat_map
+            (fun pt ->
+              List.map
+                (fun m -> Note (Printf.sprintf "  %s/%s: %s" w.wname pt.pname m))
+                pt.pfindings)
+            w.points)
+      r.workloads
+  @ [
+      field "validated_funcs" (Int funcs);
+      field "validated_blocks" (Int blocks);
+      field "findings" (Int findings);
+      field "ir_findings" (Int ir);
+      table "plants" ~title:"Planted miscompiles (must be caught statically)"
+        [
+          left "plant" "plant"; left "point" "config"; col "caught" "findings";
+          left ~kind:Text "verdict" "verdict";
+        ]
+        (List.map
+           (fun pl ->
+             [ Str pl.plname; Str pl.plpoint; Int pl.caught;
+               Str (if pl.caught > 0 then "caught" else "MISSED") ])
+           r.plants);
+      field "corpus_replayed" (Int (List.length r.corpus));
+      field "corpus_failures"
+        (Int (List.length (List.filter (fun rp -> rp.rerrors <> []) r.corpus)));
     ]
-
-let print r =
-  let module Table = R2c_util.Table in
-  let funcs, blocks, findings, ir = totals r in
-  Printf.printf
-    "Translation validation (seed %d): %d workloads x %d config points\n" r.seed
-    (List.length r.workloads)
-    (match r.workloads with w :: _ -> List.length w.points | [] -> 0);
-  Table.print ~title:"E-TVAL: symbolic refinement per workload"
-    ~headers:[ "workload"; "funcs"; "blocks"; "tval"; "ir lint" ]
-    ~aligns:[ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right ]
-    (List.map
-       (fun w ->
-         let f, b, fd =
-           List.fold_left
-             (fun (f, b, fd) pt ->
-               (f + pt.pfuncs, b + pt.pblocks, fd + List.length pt.pfindings))
-             (0, 0, 0) w.points
-         in
-         [ w.wname; string_of_int f; string_of_int b; string_of_int fd;
-           string_of_int (List.length w.ir_findings) ])
-       r.workloads);
-  List.iter
-    (fun w ->
-      List.iter (fun m -> Printf.printf "  %s: %s\n" w.wname m) w.ir_findings;
-      List.iter
-        (fun pt ->
-          List.iter (fun m -> Printf.printf "  %s/%s: %s\n" w.wname pt.pname m) pt.pfindings)
-        w.points)
-    r.workloads;
-  Table.print ~title:"Planted miscompiles (must be caught statically)"
-    ~headers:[ "plant"; "config"; "findings"; "verdict" ]
-    ~aligns:[ Table.Left; Table.Left; Table.Right; Table.Left ]
-    (List.map
-       (fun pl ->
-         [ pl.plname; pl.plpoint; string_of_int pl.caught;
-           (if pl.caught > 0 then "caught" else "MISSED") ])
-       r.plants);
-  Printf.printf "Corpus replays: %d, failures %d\n" (List.length r.corpus)
-    (List.length (List.filter (fun rp -> rp.rerrors <> []) r.corpus));
-  List.iter
-    (fun rp -> List.iter (fun m -> Printf.printf "  %s: %s\n" rp.rpath m) rp.rerrors)
-    r.corpus;
-  Printf.printf "Totals: %d functions, %d blocks validated; %d finding(s), %d IR finding(s)\n"
-    funcs blocks findings ir
-
-let gate r = gate r
+  @ List.concat_map
+      (fun rp -> List.map (fun m -> Note (Printf.sprintf "  %s: %s" rp.rpath m)) rp.rerrors)
+      r.corpus
+  @ [ field "gate_failures" (Strs (List.map snd (gate r))) ]

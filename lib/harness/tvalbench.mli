@@ -56,7 +56,6 @@ val run : ?seed:int -> ?jobs:int -> ?corpus_dir:string -> unit -> report
     non-trivial coverage (>= 17 workloads, >= 11 points). *)
 val gate : report -> (string * string) list
 
-(** [json r] — the summary: deterministic fields only. *)
-val json : report -> R2c_obs.Json.t
-
-val print : report -> unit
+(** [results r] — [det] holds the totals, the plant catches and the gate
+    failures; the per-workload table and the verdicts are text only. *)
+val results : report -> Results.t

@@ -1,16 +1,7 @@
 (** Section 6.2.4's webserver benchmarks: nginx/Apache throughput under
     full R2C versus baseline. Throughput is CPU-bound at saturation, so the
     drop equals the cycle overhead of the serving loop; the harness also
-    prints the wrk-style saturation sweep used to pick the measurement
+    reports the wrk-style saturation sweep used to pick the measurement
     point. *)
 
-type result = {
-  flavour : string;
-  machine : string;
-  base_throughput : float;  (** requests per megacycle *)
-  r2c_throughput : float;
-  drop : float;  (** fraction *)
-}
-
-val run : ?seeds:int list -> ?requests:int -> unit -> result list
-val print : result list -> unit
+val run : ?seeds:int list -> ?requests:int -> unit -> Results.t

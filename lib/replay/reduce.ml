@@ -1,4 +1,3 @@
-module J = R2c_obs.Json
 module Shrink = R2c_fuzz.Shrink
 open Trace
 
@@ -14,18 +13,6 @@ type report = {
 let ratio r =
   if r.raw_bytes <= 0 then 0.0
   else 1.0 -. (float_of_int r.reduced_bytes /. float_of_int r.raw_bytes)
-
-let report_json r =
-  J.Obj
-    [
-      ("raw_bytes", J.Int r.raw_bytes);
-      ("reduced_bytes", J.Int r.reduced_bytes);
-      ("reduction", J.Float (ratio r));
-      ("raw_spans", J.Int r.raw_spans);
-      ("reduced_spans", J.Int r.reduced_spans);
-      ("oracle_checks", J.Int r.checks);
-      ("edits_kept", J.Int r.kept);
-    ]
 
 (* --- tree helpers -------------------------------------------------- *)
 

@@ -35,8 +35,6 @@ type report = {
 (** Fraction of event/dictionary bytes removed, in [0, 1]. *)
 val ratio : report -> float
 
-val report_json : report -> R2c_obs.Json.t
-
 (** [run ?max_checks ?tolerance t] — the reduced trace and the report.
     [t] must itself pass the oracle; if nothing can be removed it is
     returned unchanged. Default [max_checks]: 200 (each check is a full

@@ -2,7 +2,6 @@ module Cpu = R2c_machine.Cpu
 module Icache = R2c_machine.Icache
 module Loader = R2c_machine.Loader
 module Fault = R2c_machine.Fault
-module J = R2c_obs.Json
 
 type run = {
   r_cycles : float;
@@ -71,15 +70,3 @@ let check ?(tolerance = default_tolerance) ?image (t : Trace.t) =
         || r.r_output_hash <> e.Trace.e_output_hash
       then fails := "output: digest differs from recording" :: !fails;
       Ok { result = r; failures = List.rev !fails }
-
-let run_json r =
-  J.Obj
-    [
-      ("cycles", J.Float r.r_cycles);
-      ("insns", J.Int r.r_insns);
-      ("icache_accesses", J.Int r.r_accesses);
-      ("icache_misses", J.Int r.r_misses);
-      ("exit", J.Int r.r_exit);
-      ("output_len", J.Int r.r_output_len);
-      ("output_hash", J.Str (Printf.sprintf "%016Lx" r.r_output_hash));
-    ]

@@ -42,6 +42,3 @@ val execute : ?image:R2c_machine.Image.t -> Trace.t -> (run, string) result
     hash are exact. *)
 val check :
   ?tolerance:float -> ?image:R2c_machine.Image.t -> Trace.t -> (verdict, string) result
-
-(** JSON fragment for reports: the measured counters. *)
-val run_json : run -> R2c_obs.Json.t

@@ -1,7 +1,8 @@
 (* The experiment registry: unique names that the Makefile and CI can
    resolve, each of the eleven gates turning one planted breach (on a
-   constructed report, not a campaign) into exactly one finding, and
-   findings that survive a JSON round-trip. *)
+   constructed report, not a campaign) into exactly one finding, findings
+   that survive a JSON round-trip, and the one results renderer: text
+   through [Table.render], [det] and [volatile] split by marking. *)
 
 module E = R2c_harness.Experiment
 module H = R2c_harness
@@ -71,6 +72,62 @@ let test_finding_json_roundtrip () =
   Alcotest.(check string) "text rendering"
     ("fleet: rotation_drops: " ^ detail ^ "\n")
     (E.findings_to_string [ f ])
+
+(* --- the results renderer ---------------------------------------------- *)
+
+let test_results_render () =
+  let module R = H.Results in
+  let module T = R2c_util.Table in
+  let f2 x = R.Float (Printf.sprintf "%.2f", x) in
+  let results =
+    [
+      R.field "programs" (R.Int 17);
+      R.field ~kind:R.Timed "campaign_ms" ~label:"campaign ms"
+        (R.Float (Printf.sprintf "%.0f", 1234.0));
+      R.table "rows" ~title:"per row"
+        [
+          R.left "name" "name"; R.col "overhead" "overhead"; R.col "shards" "shards";
+          R.col ~kind:R.Timed "compile_s" "compile s";
+        ]
+        [
+          [ R.Str "a"; R.Missing; R.Ints [ 1; 2 ]; f2 0.25 ];
+          [ R.Str "b"; R.pct 0.066; R.Strs [ "x"; "y" ]; f2 1.5 ];
+        ];
+      R.Note "a note";
+    ]
+  in
+  Alcotest.(check string) "text: fields, then the table through Table.render, then the note"
+    ("programs: 17\ncampaign ms: 1234\n\n== per row ==\n"
+    ^ T.render ~headers:[ "name"; "overhead"; "shards"; "compile s" ]
+        ~aligns:[ T.Left; T.Right; T.Right; T.Right ]
+        [ [ "a"; "-"; "1, 2"; "0.25" ]; [ "b"; "6.6%"; "x, y"; "1.50" ] ]
+    ^ "\n" ^ "a note\n")
+    (R.text results);
+  let det = J.Obj (R.members R.Det results) and volatile = J.Obj (R.members R.Timed results) in
+  Alcotest.(check string) "det holds the deterministic values only"
+    ({|{"programs":17,"rows":[{"name":"a","overhead":null,"shards":[1,2]},|}
+    ^ {|{"name":"b","overhead":0.066,"shards":["x","y"]}]}|})
+    (J.to_string det);
+  Alcotest.(check string) "volatile holds every host-timed value"
+    {|{"campaign_ms":1234.0,"rows":[{"compile_s":0.25},{"compile_s":1.5}]}|}
+    (J.to_string volatile);
+  List.iter
+    (fun (half, v) ->
+      Alcotest.(check bool) (half ^ " round-trips through Json.parse") true
+        (J.parse (J.to_string v) = Ok v))
+    [ ("det", det); ("volatile", volatile) ]
+
+(* Paper entries report data: a non-empty [det], byte-identical at jobs=1
+   and jobs=8. *)
+let test_paper_det_jobs () =
+  List.iter
+    (fun name ->
+      let e = List.find (fun e -> E.name e = name) E.all in
+      let det jobs = J.to_string (E.det (E.run ~jobs e)) in
+      let serial = det 1 in
+      Alcotest.(check bool) (name ^ ": det is not empty") true (serial <> "{}");
+      Alcotest.(check string) (name ^ ": det identical at jobs=1 and jobs=8") serial (det 8))
+    [ "security"; "web"; "memory" ]
 
 (* --- gates: clean report -> no finding, one planted breach -> one ------- *)
 
@@ -269,6 +326,9 @@ let suite =
         Alcotest.test_case "registry names are unique" `Quick test_names_unique;
         Alcotest.test_case "Makefile and CI names resolve" `Quick test_front_ends_resolve;
         Alcotest.test_case "finding JSON round-trips" `Quick test_finding_json_roundtrip;
+        Alcotest.test_case "results render to text, det and volatile" `Quick test_results_render;
+        Alcotest.test_case "paper entries: det non-empty and job-count independent" `Slow
+          test_paper_det_jobs;
         Alcotest.test_case "table3 gate" `Quick test_table3_gate;
         Alcotest.test_case "security gate" `Quick test_security_gate;
         Alcotest.test_case "chaos gate" `Quick test_chaos_gate;

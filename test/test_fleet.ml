@@ -235,7 +235,7 @@ let prop_jobs_deterministic =
       in
       let det jobs =
         match Cmd.eval_value ~argv (Cmd.v (Cmd.info "fleet") (E.command fleet)) with
-        | Ok (`Ok go) -> Obs.Json.to_string (go ~jobs:(Some jobs)).E.det
+        | Ok (`Ok go) -> Obs.Json.to_string (E.det (go ~jobs:(Some jobs)))
         | Ok (`Help | `Version) | Error _ -> Alcotest.fail "fleet flags rejected"
       in
       String.equal (det 1) (det 8))

@@ -84,7 +84,7 @@ let test_planted_miscompile () =
   Alcotest.(check bool) "shrunk program still fails" true sc.Campaign.still_fails;
   (* The reproducer on disk is a valid .r2c that still contains the Sub
      the plant miscompiles. *)
-  match Corpus.load sc.Campaign.reproducer with
+  match Corpus.load (Filename.concat out_dir sc.Campaign.reproducer) with
   | Error e -> Alcotest.fail ("reproducer unreadable: " ^ e)
   | Ok p ->
       Alcotest.(check bool) "reproducer validates" true (Validate.check p = []);
@@ -100,6 +100,22 @@ let test_planted_miscompile () =
           p.Ir.funcs
       in
       Alcotest.(check bool) "reproducer keeps the planted Sub" true has_sub
+
+(* The self-check's report names its reproducer, not where the temp
+   directory put it: two temp directories give equal reports. *)
+let test_self_check_tmpdir_independent () =
+  let saved = Filename.get_temp_dir_name () in
+  let under dir =
+    let tmp = Filename.concat saved dir in
+    if not (Sys.file_exists tmp) then Sys.mkdir tmp 0o755;
+    Filename.set_temp_dir_name tmp;
+    Fun.protect
+      ~finally:(fun () -> Filename.set_temp_dir_name saved)
+      (fun () -> Campaign.self_check ~seed:11 ())
+  in
+  let a = under "r2c_tmp_a" and b = under "r2c_tmp_b" in
+  Alcotest.(check bool) "caught" true a.Campaign.caught;
+  Alcotest.(check bool) "equal reports" true (a = b)
 
 let test_replay_missing_dir_vacuous () =
   Alcotest.(check int) "no files, no failures" 0
@@ -128,6 +144,8 @@ let suite =
           test_clean_campaign;
         Alcotest.test_case "planted miscompile caught and shrunk" `Quick
           test_planted_miscompile;
+        Alcotest.test_case "self-check report independent of the temp dir" `Quick
+          test_self_check_tmpdir_independent;
         Alcotest.test_case "replay of missing corpus is vacuous" `Quick
           test_replay_missing_dir_vacuous;
         Alcotest.test_case "replay committed corpus" `Quick test_replay_corpus;
