@@ -344,7 +344,7 @@ let fleet =
           ~incremental ()
       in
       let max_p99 = if max_p99 > 0 then Some max_p99 else None in
-      (Fleetbench.results r, Fleetbench.gate ?max_p99 r))
+      (Fleetbench.results ?max_p99 r, Fleetbench.gate ?max_p99 r))
 
 let tval =
   v ~check:true "tval"

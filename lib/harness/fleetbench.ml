@@ -131,7 +131,7 @@ let gate ?(min_requests = 100_000) ?(min_shards = 4) ?(min_rotations = 3)
         r.shard_p99);
   List.rev !fails
 
-let results r =
+let results ?max_p99 r =
   let open Results in
   let f = r.fleet and p = r.pool in
   Note "Fleet campaign"
@@ -165,5 +165,5 @@ let results r =
          ("pool_detections", Int p.Pool.detections);
          ("pool_restarts", Int p.Pool.restarts);
          ("pool_rerandomizations", Int p.Pool.rerandomizations);
-         ("gate_failures", Strs (List.map snd (gate r)));
+         ("gate_failures", Strs (List.map snd (gate ?max_p99 r)));
        ]

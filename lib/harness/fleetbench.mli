@@ -59,5 +59,7 @@ val gate :
   report ->
   (string * string) list
 
-(** [results r] — the campaign summary, every field deterministic. *)
-val results : report -> Results.t
+(** [results ?max_p99 r] — the campaign summary, every field
+    deterministic; [gate_failures] lists {!gate}[ ?max_p99 r], so a latency
+    breach that fails the run is in the report too. *)
+val results : ?max_p99:int -> report -> Results.t

@@ -74,6 +74,30 @@ let create ?(strict_align = false) ?inject ~profile ~mem ~heap image ~rip ~rsp =
   t.regs.(Insn.reg_index RSP) <- rsp;
   t
 
+(* Every field not named here is a value, copied by [with]; the named ones
+   are the mutable structures, copied deep, and the attachments, left
+   off. *)
+let clone ?inject t =
+  let mem = Mem.clone t.mem in
+  let out = Buffer.create (Buffer.length t.out + 256) in
+  Buffer.add_buffer out t.out;
+  {
+    t with
+    mem;
+    heap = Heap.clone t.heap ~mem;
+    regs = Array.copy t.regs;
+    ymm = Array.copy t.ymm;
+    icache = Icache.copy t.icache;
+    out;
+    input = Queue.copy t.input;
+    shadow = ref !(t.shadow);
+    inject;
+    observer = None;
+    sites = [||];
+    btap = None;
+    tier3 = None;
+  }
+
 let reg_get t r = t.regs.(Insn.reg_index r)
 let reg_set t r v = t.regs.(Insn.reg_index r) <- v
 
@@ -568,13 +592,15 @@ let run t ~fuel =
 
 let set_tier3 t f = t.tier3 <- f
 
+let rec is_break (rip : int) = function
+  | [] -> false
+  | a :: rest -> a = rip || is_break rip rest
+
 let run_until t ~fuel ~break =
-  let bset = Hashtbl.create (max 8 (List.length break)) in
-  List.iter (fun a -> Hashtbl.replace bset a ()) break;
   let rec go budget =
     if t.halted then Error Halted
     else if budget <= 0 then Error Fuel_exhausted
-    else if Hashtbl.mem bset t.rip then Ok ()
+    else if is_break t.rip break then Ok ()
     else begin
       step t;
       go (budget - 1)

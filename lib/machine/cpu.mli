@@ -92,6 +92,17 @@ val create :
   ?inject:Inject.t ->
   profile:Cost.profile -> mem:Mem.t -> heap:Heap.t -> Image.t -> rip:int -> rsp:int -> t
 
+(** [clone ?inject t] — a CPU in [t]'s exact state that evolves
+    independently: memory is a copy-on-write {!Mem.clone} (so cloning is
+    O(pages), not O(bytes)), and the heap allocator, registers, vector
+    registers, flags, cycle count, counters, icache, output, input queue,
+    shadow stack and sensitive log are copied. It gets [?inject] (default
+    none) instead of [t]'s injector, and no observer, builtin tap or
+    tier-3 runner: {!Loader.clone} arms it as {!Loader.load} arms a fresh
+    CPU. A snapshot is a clone that is never run; a restore is a clone of
+    the snapshot. *)
+val clone : ?inject:Inject.t -> t -> t
+
 val reg_get : t -> Insn.reg -> int
 
 (** [step t] executes one instruction. Raises {!Fault.Fault}. *)
@@ -150,8 +161,8 @@ val run_reference : t -> fuel:int -> run_result
 
 (** [run_until t ~fuel ~break] like {!run} but also stops (returning
     [Ok ()]) just before executing the instruction at an address in
-    [break]. Breakpoint membership is a hash probe, O(1) per step in the
-    number of breakpoints. *)
+    [break]. Breakpoint membership is one integer compare per breakpoint
+    per step; callers pass one or a few. *)
 val run_until : t -> fuel:int -> break:int list -> (unit, run_result) result
 
 (** [output t] — program output so far. *)

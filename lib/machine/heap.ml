@@ -19,6 +19,8 @@ type t = {
 let create mem ~base =
   { mem; base; top = base; mapped_to = base; free_list = []; sizes = Hashtbl.create 256; live = 0 }
 
+let clone t ~mem = { t with mem; sizes = Hashtbl.copy t.sizes }
+
 let ensure_mapped t upto =
   if upto > t.mapped_to then begin
     let map_to = Addr.align_up upto ~align:Addr.page_size in

@@ -12,6 +12,10 @@ type t
 (** [create mem ~base] — allocator serving from [base] upward. *)
 val create : Mem.t -> base:int -> t
 
+(** [clone t ~mem] — an allocator in [t]'s state (top, free list, live
+    blocks) serving from [mem], a {!Mem.clone} of [t]'s memory. *)
+val clone : t -> mem:Mem.t -> t
+
 (** [malloc t size] returns a 16-byte-aligned block. Raises [Out_of_memory]
     if the heap region is exhausted. *)
 val malloc : t -> int -> int

@@ -64,6 +64,8 @@ let access_line t line =
   end
   else 0
 
+let copy t = { t with tags = Array.copy t.tags }
+
 let reset t =
   Array.fill t.tags 0 t.lines (-1);
   t.miss_count <- 0;

@@ -30,6 +30,10 @@ val access : t -> addr:int -> len:int -> int
     are bit-identical to the single-line case of {!access}. *)
 val access_line : t -> int -> int
 
+(** [copy t] — an independent cache in the same state: lines and
+    counters. *)
+val copy : t -> t
+
 val reset : t -> unit
 
 (** Cumulative miss/access counters. *)

@@ -26,6 +26,7 @@ type t = {
   mutable load_corruptions : int;
   mutable spurious_faults : int;
   mutable fuel_cuts : int;
+  mutable draws : int;
 }
 
 let create ?(rates = zero) ~seed () =
@@ -36,6 +37,7 @@ let create ?(rates = zero) ~seed () =
     load_corruptions = 0;
     spurious_faults = 0;
     fuel_cuts = 0;
+    draws = 0;
   }
 
 let rates t = t.rates
@@ -51,7 +53,27 @@ let counters t =
 (* A rate of exactly 0 must not even consume randomness: a rate-0 injector
    is bitwise-indistinguishable from no injector (the chaos harness's
    baseline-equivalence guarantee). *)
-let hit t rate = rate > 0.0 && Rng.float t.rng 1.0 < rate
+let hit t rate =
+  rate > 0.0
+  && begin
+       t.draws <- t.draws + 1;
+       Rng.float t.rng 1.0 < rate
+     end
+
+let draws t = t.draws
+
+(* A draw at or above every active rate fires nothing, whichever hook
+   made it: [n] such draws in a row replay a run that fired nothing. *)
+let skip_quiet t ~draws =
+  let r = t.rates in
+  let floor =
+    Float.max (Float.max r.bitflip r.load_corrupt) (Float.max r.spurious_fault r.fuel_cut)
+  in
+  Rng.skip_floats_at_least t.rng ~n:draws ~floor
+  && begin
+       t.draws <- t.draws + draws;
+       true
+     end
 
 let flip_random_bit t mem =
   match Mem.writable_page_addrs mem with

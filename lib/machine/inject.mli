@@ -43,6 +43,20 @@ val rates : t -> rates
 (** [counters t] — how many of each injection actually fired so far. *)
 val counters : t -> counters
 
+(** [draws t] — how many uniform draws the hooks have made so far: one
+    per hook call at a non-zero rate. A hook that fires draws more (the
+    bit, the address), uncounted; a run that fired nothing made exactly
+    [draws] draws. *)
+val draws : t -> int
+
+(** [skip_quiet t ~draws] — when the next [draws] draws of [t] would
+    each fire nothing whatever hook made it (each is at or above the
+    largest rate), advance [t] past them, count them, and return [true];
+    otherwise leave [t] untouched and return [false]. With [true], [t] is
+    in exactly the state re-running a quiet segment that made [draws]
+    draws would leave it in ({!Process.warm_until} restores on it). *)
+val skip_quiet : t -> draws:int -> bool
+
 (** Hooks, called by the machine. *)
 
 (** [on_step t ~mem ~rip] — before instruction dispatch: may flip a random

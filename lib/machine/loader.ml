@@ -1,3 +1,13 @@
+(* Tier 3: compiling by default, never compiling with [~jit:false] or
+   R2C_JIT=0. An attached injector forces the reference tier anyway, so no
+   runner is attached under injection. *)
+let arm ?inject ?jit ?jit_cache ?jit_stats cpu =
+  let want = match jit with Some b -> b | None -> Jit.enabled () in
+  if Option.is_none inject then
+    if want then ignore (Jit.attach ?cache:jit_cache ?stats:jit_stats cpu)
+    else ignore (Jit.attach ~config:Jit.never cpu);
+  cpu
+
 let load ?(strict_align = false) ?inject ?jit ?jit_cache ?jit_stats ~profile (img : Image.t) =
   let mem = Mem.create () in
   (* Text: the placed bodies' cached bytes are copied in while the pages
@@ -22,14 +32,7 @@ let load ?(strict_align = false) ?inject ?jit ?jit_cache ?jit_stats ~profile (im
   let rsp = Addr.stack_top - 64 in
   assert (rsp land 15 = 0);
   let heap = Heap.create mem ~base:img.Image.heap_base in
-  let cpu =
-    Cpu.create ~strict_align ?inject ~profile ~mem ~heap img ~rip:img.Image.entry ~rsp
-  in
-  (* Tier 3: compiling by default, never compiling with [~jit:false] or
-     R2C_JIT=0. An attached injector forces the reference tier anyway, so
-     no runner is attached under injection. *)
-  let want = match jit with Some b -> b | None -> Jit.enabled () in
-  if Option.is_none inject then
-    if want then ignore (Jit.attach ?cache:jit_cache ?stats:jit_stats cpu)
-    else ignore (Jit.attach ~config:Jit.never cpu);
-  cpu
+  arm ?inject ?jit ?jit_cache ?jit_stats
+    (Cpu.create ~strict_align ?inject ~profile ~mem ~heap img ~rip:img.Image.entry ~rsp)
+
+let clone ?inject ?jit ?jit_stats cpu = arm ?inject ?jit ?jit_stats (Cpu.clone ?inject cpu)

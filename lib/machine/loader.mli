@@ -27,3 +27,8 @@ val load :
   profile:Cost.profile ->
   Image.t ->
   Cpu.t
+
+(** [clone ?inject ?jit ?jit_stats cpu] — a {!Cpu.clone} of [cpu] with
+    [?inject] attached and its tier-3 runner armed exactly as {!load} arms
+    a fresh CPU. Restoring a snapshot is [clone] of the snapshot CPU. *)
+val clone : ?inject:Inject.t -> ?jit:bool -> ?jit_stats:Jit.stats -> Cpu.t -> Cpu.t

@@ -1,8 +1,18 @@
+(* Copy-on-write: a page whose [shared] flag is set may hold the same
+   bytes as another page — the global [zero_page] every [map] starts
+   from, or a page of a {!clone} — and must get its own copy before its
+   first write. The flag is never cleared on the other side when one side
+   copies: without reference counts, a page once shared stays copy-on-
+   write, which costs at most one spare copy. *)
 type page = {
   mutable perm : Perm.t;
   mutable guard : bool;
-  data : Bytes.t;
+  mutable data : Bytes.t;
+  mutable shared : bool;
 }
+
+(* Never written: every write path unshares first. Domains may share it. *)
+let zero_page = Bytes.make Addr.page_size '\000'
 
 (* Direct-mapped software TLB. Each slot caches one page's data bytes plus
    its *decoded* permission bits, so the hot accessors never chase the
@@ -10,7 +20,10 @@ type page = {
    copied out, every in-place page mutation — [map], [unmap], and crucially
    [protect]/[tag_guard], which change [perm]/[guard] without touching the
    page table — must invalidate the TLB or a read could be served under a
-   permission that no longer exists. *)
+   permission that no longer exists. A shared page is cached with
+   [e_write = false], so the hot writers keep their single permission
+   test and a copy-on-write fault takes the same slow path as a real
+   one. *)
 type tlb_entry = {
   mutable e_index : int;  (* cached page index; -1 = invalid *)
   mutable e_data : Bytes.t;
@@ -31,21 +44,18 @@ type t = {
 
 let no_bytes = Bytes.create 0
 
-let create () =
-  {
-    pages = Hashtbl.create 1024;
-    tlb =
-      Array.init tlb_slots (fun _ ->
-          {
-            e_index = -1;
-            e_data = no_bytes;
-            e_read = false;
-            e_write = false;
-            e_exec = false;
-            e_guard = false;
-          });
-    max_resident = 0;
-  }
+let fresh_tlb () =
+  Array.init tlb_slots (fun _ ->
+      {
+        e_index = -1;
+        e_data = no_bytes;
+        e_read = false;
+        e_write = false;
+        e_exec = false;
+        e_guard = false;
+      })
+
+let create () = { pages = Hashtbl.create 1024; tlb = fresh_tlb (); max_resident = 0 }
 
 let tlb_invalidate t =
   for i = 0 to tlb_slots - 1 do
@@ -61,7 +71,7 @@ let tlb_fill t index =
       e.e_index <- index;
       e.e_data <- p.data;
       e.e_read <- p.perm.Perm.read;
-      e.e_write <- p.perm.Perm.write;
+      e.e_write <- p.perm.Perm.write && not p.shared;
       e.e_exec <- p.perm.Perm.exec;
       e.e_guard <- p.guard;
       Some e
@@ -72,6 +82,27 @@ let tlb_lookup t index =
 
 let find_page t index = Hashtbl.find_opt t.pages index
 
+(* The copy in copy-on-write: [p] (page [index]) gets bytes of its own,
+   and a TLB slot still caching the shared ones is dropped. *)
+let unshare t index p =
+  if p.shared then begin
+    p.data <- Bytes.copy p.data;
+    p.shared <- false;
+    let e = t.tlb.(index land tlb_mask) in
+    if e.e_index = index then e.e_index <- -1
+  end
+
+let clone t =
+  let pages = Hashtbl.copy t.pages in
+  Hashtbl.filter_map_inplace
+    (fun _ p ->
+      p.shared <- true;
+      Some { p with shared = true })
+    pages;
+  (* The source's cached write permissions predate the sharing. *)
+  tlb_invalidate t;
+  { pages; tlb = fresh_tlb (); max_resident = t.max_resident }
+
 let page_range addr len =
   assert (len > 0);
   (Addr.page_of addr, Addr.page_of (addr + len - 1))
@@ -81,8 +112,7 @@ let map t addr len perm =
   for i = first to last do
     if Hashtbl.mem t.pages i then
       invalid_arg (Printf.sprintf "Mem.map: page 0x%x already mapped" (i lsl Addr.page_shift));
-    Hashtbl.replace t.pages i
-      { perm; guard = false; data = Bytes.make Addr.page_size '\000' }
+    Hashtbl.replace t.pages i { perm; guard = false; data = zero_page; shared = true }
   done;
   tlb_invalidate t;
   t.max_resident <- max t.max_resident (Hashtbl.length t.pages)
@@ -124,6 +154,16 @@ let fault_access addr access guard =
   if guard then Fault.raise_fault (Guard_page { addr; access })
   else Fault.raise_fault (Segv { addr; access })
 
+(* A denied access is either the first write to a writable page whose
+   bytes are shared — copy them and serve the write — or a real fault. *)
+let denied t addr (access : Fault.access) e =
+  let index = Addr.page_of addr in
+  match (access, find_page t index) with
+  | Write, Some p when p.perm.Perm.write -> (
+      unshare t index p;
+      match tlb_fill t index with Some e -> e | None -> assert false)
+  | _ -> fault_access addr access e.e_guard
+
 let checked_entry t addr (access : Fault.access) =
   match tlb_lookup t (Addr.page_of addr) with
   | None -> Fault.raise_fault (Segv { addr; access })
@@ -134,8 +174,7 @@ let checked_entry t addr (access : Fault.access) =
         | Write -> e.e_write
         | Exec -> e.e_exec
       in
-      if not allowed then fault_access addr access e.e_guard;
-      e
+      if allowed then e else denied t addr access e
 
 (* The interpreter's per-fetch exec probe. Matches the historical
    [perm_at]-based check bit for bit: an exec violation is always a plain
@@ -239,8 +278,17 @@ let peek_u64 t addr =
     bytes 7 0
   end
 
+(* The permission-free writers: the page of [addr], unshared. *)
+let owned_page t addr =
+  let index = Addr.page_of addr in
+  match find_page t index with
+  | None -> None
+  | Some p ->
+      unshare t index p;
+      Some p
+
 let poke_u64 t addr v =
-  match find_page t (Addr.page_of addr) with
+  match owned_page t addr with
   | None -> invalid_arg (Printf.sprintf "Mem.poke_u64: 0x%x unmapped" addr)
   | Some p ->
       let off = Addr.page_offset addr in
@@ -248,7 +296,7 @@ let poke_u64 t addr v =
       else
         for i = 0 to 7 do
           let b = (v lsr (8 * i)) land 0xff in
-          match find_page t (Addr.page_of (addr + i)) with
+          match owned_page t (addr + i) with
           | Some q -> Bytes.unsafe_set q.data (Addr.page_offset (addr + i)) (Char.chr b)
           | None -> invalid_arg "Mem.poke_u64: crosses unmapped page"
         done
@@ -260,7 +308,7 @@ let writable_page_addrs t =
   |> List.sort compare
 
 let flip_bit t ~addr ~bit =
-  match find_page t (Addr.page_of addr) with
+  match owned_page t addr with
   | None -> invalid_arg (Printf.sprintf "Mem.flip_bit: 0x%x unmapped" addr)
   | Some p ->
       let off = Addr.page_offset addr in

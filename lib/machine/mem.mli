@@ -13,15 +13,31 @@
 
     All checked accessors raise {!Fault.Fault}. The [peek]/[poke] variants
     ignore permissions — they model the defender/experimenter's view (e.g.
-    loaders and ground-truth checks in tests), never the attacker's. *)
+    loaders and ground-truth checks in tests), never the attacker's.
+
+    Pages are copy-on-write. A page's bytes may be shared: every page
+    {!map} creates shares one global zero page, and {!clone} shares every
+    page between the original and the clone. A shared page gets bytes of
+    its own on its first write — a checked write (which takes the TLB's
+    slow path: shared pages are cached as not writable, so the hot
+    accessors keep their single permission test), {!poke_u64} or
+    {!flip_bit} — and no write through one memory is ever visible through
+    another. Sharing changes only host memory: contents, permissions,
+    faults and {!max_mapped_pages} are those of private pages. *)
 
 type t
 
 val create : unit -> t
 
 (** [map t addr len perm] maps the pages covering [\[addr, addr+len)],
-    zero-filled. Remapping an already-mapped page is an error. *)
+    zero-filled: each shares the zero page until its first write.
+    Remapping an already-mapped page is an error. *)
 val map : t -> int -> int -> Perm.t -> unit
+
+(** [clone t] — an independent memory with [t]'s pages, permissions,
+    guard tags and high-water mark, sharing every page's bytes with [t]
+    until either side writes it. O(pages), copies no page bytes. *)
+val clone : t -> t
 
 (** [unmap t addr len] removes the covered pages. *)
 val unmap : t -> int -> int -> unit

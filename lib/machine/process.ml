@@ -77,6 +77,60 @@ let run_until ?fuel t ~break =
       record_fault t f;
       `Done (Crashed f)
 
+(* A warmup's snapshot: the CPU frozen at the stop (never run, no
+   injector), what the run left of the lifetime fuel, how many injector
+   draws it made, and everything else the run depended on. *)
+type snapshot = {
+  s_cpu : Cpu.t;
+  s_fuel_left : int;
+  s_draws : int;
+  s_fuel : int;
+  s_cap : int option;
+  s_rates : Inject.rates option;
+}
+
+let adopt t s ~cap =
+  let c = s.s_cpu in
+  c.Cpu.image == t.image
+  && c.Cpu.profile = t.profile
+  && c.Cpu.strict_align = t.strict_align
+  && s.s_fuel = t.fuel && s.s_cap = cap
+  && s.s_rates = Option.map Inject.rates t.inject
+  && (match t.inject with Some inj -> Inject.skip_quiet inj ~draws:s.s_draws | None -> true)
+  && begin
+       t.cpu <- Loader.clone ?inject:t.inject ~jit:t.jit ?jit_stats:t.jit_stats c;
+       t.fuel_left <- s.s_fuel_left;
+       true
+     end
+
+let warm_until ?fuel t ~break snap =
+  (* Nothing has run since the (re)start and no input is queued. *)
+  let fresh = t.cpu.Cpu.insns = 0 && Queue.is_empty t.cpu.Cpu.input in
+  match snap with
+  | Some s when fresh && adopt t s ~cap:fuel -> `Restored
+  | _ -> (
+      let mark = Option.map (fun inj -> (Inject.counters inj, Inject.draws inj)) t.inject in
+      match run_until ?fuel t ~break with
+      | `Done d -> `Done d
+      | `Hit ->
+          let quiet, draws =
+            match (t.inject, mark) with
+            | Some inj, Some (c0, d0) -> (Inject.counters inj = c0, Inject.draws inj - d0)
+            | _ -> (true, 0)
+          in
+          `Hit
+            (if fresh && quiet && Option.is_none snap then
+               Some
+                 {
+                   s_cpu = Cpu.clone t.cpu;
+                   s_fuel_left = t.fuel_left;
+                   s_draws = draws;
+                   s_fuel = t.fuel;
+                   s_cap = fuel;
+                   s_rates = Option.map Inject.rates t.inject;
+                 }
+             else None))
+
 let restart t =
   t.cpu <-
     Loader.load ~strict_align:t.strict_align ?inject:t.inject ~jit:t.jit

@@ -53,6 +53,40 @@ val run : ?fuel:int -> t -> outcome
     stack the attacker inspects). *)
 val run_until : ?fuel:int -> t -> break:int list -> [ `Hit | `Done of outcome ]
 
+(** A post-warmup snapshot: the state a freshly (re)started process is in
+    once a warmup has brought it to its serving point. The paper's pre-fork
+    servers fork their workers after initialisation, so each child starts
+    with R2C's BTDP constructor already run; a process that adopts a
+    snapshot starts the same way instead of re-running the constructor.
+    Memory is shared copy-on-write ({!Mem.clone}) between the snapshot and
+    every process restored from it. *)
+type snapshot
+
+(** [warm_until ?fuel t ~break snap] — the warmup of a freshly started or
+    restarted [t] (nothing run, no input queued): bring it to an address
+    in [break], by restoring [snap] or by running.
+
+    - [`Restored]: [t] adopted [snap] — CPU state (memory, heap, registers,
+      flags, cycles, counters, icache, output, shadow stack, sensitive
+      log), lifetime fuel and the injector's RNG are exactly what running
+      the warmup would have left. It is stopped at the break, with no
+      observer attached.
+    - [`Hit s]: the warmup ran to the break. [s] is its snapshot when
+      there was no [snap] and the run was {e quiet}: the injector fired
+      nothing.
+    - [`Done o]: the warmup ran and ended otherwise.
+
+    [snap] is adopted only if it was captured with the same image, cost
+    profile, alignment mode, fuel, [?fuel] cap and injector rates, and the
+    injector check passes: each of [t]'s next [n] injector draws, [n] being
+    the draws the captured run made, is at or above the largest rate, so
+    re-running it would fire nothing and take the same path
+    ({!Inject.skip_quiet}). The RNG then advances past the [n] draws.
+    Otherwise [t] and its RNG are untouched and the warmup runs. *)
+val warm_until :
+  ?fuel:int -> t -> break:int list -> snapshot option ->
+  [ `Restored | `Hit of snapshot option | `Done of outcome ]
+
 (** [restart t] — fresh CPU and memory from the same image, and a full
     fuel budget (consistent with [start]). Input queue and output start
     empty; detection history is preserved. *)

@@ -15,6 +15,8 @@ let create ~capacity =
   assert (capacity > 0);
   { ring = Array.make capacity None; next = 0; total = 0 }
 
+let copy t = { t with ring = Array.copy t.ring }
+
 let push t r =
   t.ring.(t.next) <- Some r;
   t.next <- (t.next + 1) mod Array.length t.ring;

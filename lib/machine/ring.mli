@@ -14,6 +14,9 @@ type t
 (** [create ~capacity] — keeps the last [capacity] records. *)
 val create : capacity:int -> t
 
+(** [copy t] — an independent ring holding the same records. *)
+val copy : t -> t
+
 (** [step t cpu] — record the instruction at the current rip, then
     {!Cpu.step}. Use when the caller drives stepping itself. *)
 val step : t -> Cpu.t -> unit

@@ -155,7 +155,9 @@ let add_pool_stats (acc : Pool.stats) (s : Pool.stats) =
   acc.Pool.quarantines <- acc.Pool.quarantines + s.Pool.quarantines;
   acc.Pool.mvee_blocks <- acc.Pool.mvee_blocks + s.Pool.mvee_blocks;
   acc.Pool.recovery_cycles <- acc.Pool.recovery_cycles + s.Pool.recovery_cycles;
-  acc.Pool.recoveries <- acc.Pool.recoveries + s.Pool.recoveries
+  acc.Pool.recoveries <- acc.Pool.recoveries + s.Pool.recoveries;
+  acc.Pool.restores <- acc.Pool.restores + s.Pool.restores;
+  acc.Pool.fallbacks <- acc.Pool.fallbacks + s.Pool.fallbacks
 
 let pool_totals t =
   let acc = Pool.fresh_stats () in

@@ -51,6 +51,8 @@ type stats = {
   mutable mvee_blocks : int;
   mutable recovery_cycles : int;
   mutable recoveries : int;
+  mutable restores : int;
+  mutable fallbacks : int;
   mutable first_detection : int option;
   mutable first_response : int option;
 }
@@ -71,6 +73,8 @@ let fresh_stats () =
     mvee_blocks = 0;
     recovery_cycles = 0;
     recoveries = 0;
+    restores = 0;
+    fallbacks = 0;
     first_detection = None;
     first_response = None;
   }
@@ -119,6 +123,9 @@ type t = {
   mutable shut : bool;
   mutable mvee_images : Image.t list;
   mutable sensitive : (int * int) list;
+  mutable snapshots : (Image.t * (Process.snapshot * Ring.t option)) list;
+      (* at most one post-warmup snapshot per live image, with the
+         capturing child's ring when observed *)
   obs : Obs.Sink.t option;
   instruments : instruments option;
 }
@@ -239,6 +246,7 @@ let create ?(cfg = default_config) ?obs ~build ~break_sym () =
       shut = false;
       mvee_images = [];
       sensitive = [];
+      snapshots = [];
       obs;
       instruments = Option.map register_instruments obs;
     }
@@ -268,7 +276,11 @@ let rerandomize_worker t w =
   w.proc <- Process.start ?inject:w.inject ~fuel:t.cfg.worker_fuel img;
   w.break_addr <- break_addr_of img t.break_sym;
   t.stats.rerandomizations <- t.stats.rerandomizations + 1;
-  observe_worker t w
+  observe_worker t w;
+  t.snapshots <-
+    List.filter
+      (fun (i, _) -> Array.exists (fun w -> w.proc.Process.image == i) t.workers)
+      t.snapshots
 
 (* How a crashed worker comes back, given the policy and the escalation
    state. *)
@@ -397,13 +409,46 @@ let charge_cycles t w cyc0 =
 
 let line_count s = String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 s
 
+(* Every warmup of a fresh child goes through here, the fork-after-init
+   model: the child adopts its image's post-warmup snapshot when
+   [Process.warm_until] proves re-running the warmup would change nothing,
+   and runs it otherwise; the first quiet run of an image becomes the
+   snapshot. A restored child gets a copy of the capturing child's ring,
+   the records running the warmup would have left in its own. *)
+let warm_up t w =
+  let img = w.proc.Process.image in
+  let snap = List.assq_opt img t.snapshots in
+  let r =
+    Process.warm_until ~fuel:t.cfg.request_fuel w.proc ~break:[ w.break_addr ]
+      (Option.map fst snap)
+  in
+  (match (r, snap) with
+  | `Restored, _ -> t.stats.restores <- t.stats.restores + 1
+  | _, Some _ -> t.stats.fallbacks <- t.stats.fallbacks + 1
+  | _, None -> ());
+  match r with
+  | `Restored ->
+      (match (t.obs, snap) with
+      | Some _, Some (_, Some ring) ->
+          let ring = Ring.copy ring in
+          w.ring <- Some ring;
+          Ring.attach ring w.proc.Process.cpu
+      | _ -> ());
+      `Ready
+  | `Hit captured ->
+      Option.iter
+        (fun s -> t.snapshots <- (img, (s, Option.map Ring.copy w.ring)) :: t.snapshots)
+        captured;
+      `Ready
+  | `Done d -> `Done d
+
 let serve_on t w payload =
   let cyc0 = Process.cycles w.proc in
   let warm =
     if w.at_break then `Ready
     else
-      match Process.run_until ~fuel:t.cfg.request_fuel w.proc ~break:[ w.break_addr ] with
-      | `Hit ->
+      match warm_up t w with
+      | `Ready ->
           w.at_break <- true;
           `Ready
       | `Done d -> `Done d
@@ -586,6 +631,10 @@ let run t payloads = List.map (fun p -> submit t p) payloads
 
 let stats t = t.stats
 let clock t = t.clock
+
+let inject_counters t =
+  Array.to_list t.workers |> List.filter_map (fun w -> Option.map Inject.counters w.inject)
+
 let escalated t = t.escalated
 let is_shutdown t = t.shut
 

@@ -14,7 +14,22 @@
     Time is simulated-cycle time: serving burns the worker's measured
     cycles, respawns burn configured penalty cycles, and arrivals advance a
     global clock — enough to measure availability, MTTR and
-    detection-to-response latency deterministically. *)
+    detection-to-response latency deterministically.
+
+    Fresh workers start like forks taken after initialisation. The first
+    quiet warmup of an image — its run from load to the serving point in
+    which the injector fired nothing — is kept as that image's snapshot
+    ({!R2c_machine.Process.warm_until}), at most one per live image,
+    dropped when no worker runs the image any more. Every later warmup of
+    the image (recycles, crash and timeout respawns) restores it, with its
+    memory shared copy-on-write, unless the worker's own injector might
+    fire within it: a restore needs each of the worker's next [n] injector
+    draws at or above the largest rate, [n] being the draws the captured
+    warmup made. Then the RNG skips those draws; otherwise it is untouched
+    and the warmup runs. Either way the worker's state, its RNG and the
+    cycles charged are exactly those of running the warmup, so no report
+    changes. When observed, a restored worker's ring holds what the
+    capturing worker's ring held at the break. *)
 
 type config = {
   workers : int;  (** pool size *)
@@ -49,6 +64,10 @@ type stats = {
   mutable mvee_blocks : int;  (** requests refused by lockstep divergence *)
   mutable recovery_cycles : int;  (** total downtime charged *)
   mutable recoveries : int;
+  mutable restores : int;  (** warmups that adopted their image's snapshot *)
+  mutable fallbacks : int;
+      (** warmups that ran although their image had a snapshot: the
+          injector check failed *)
   mutable first_detection : int option;  (** clock of first detection *)
   mutable first_response : int option;  (** clock of reactive escalation *)
 }
@@ -125,6 +144,10 @@ val advance_clock : t -> int -> unit
 
 val stats : t -> stats
 val clock : t -> int
+
+(** [inject_counters t] — each worker's chaos-injector counters, worker
+    order; empty when [cfg.inject] is all zero. *)
+val inject_counters : t -> R2c_machine.Inject.counters list
 
 (** [escalated t] — a Reactive pool has fired its escalation. *)
 val escalated : t -> bool

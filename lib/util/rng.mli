@@ -38,6 +38,14 @@ val bool : t -> bool
 (** [float t bound] returns a uniform float in [\[0, bound)]. *)
 val float : t -> float -> float
 
+(** [skip_floats_at_least t ~n ~floor] — when each of [t]'s next [n]
+    [float t 1.0] draws is [>= floor], advance [t] past them (exactly as
+    making them would) and return [true]; otherwise leave [t] untouched and
+    return [false]. A caller that discards draws it knows cannot fall below
+    any of its thresholds uses this to replay them without re-executing
+    what made them. *)
+val skip_floats_at_least : t -> n:int -> floor:float -> bool
+
 (** [shuffle t arr] permutes [arr] in place (Fisher–Yates). *)
 val shuffle : t -> 'a array -> unit
 

@@ -141,7 +141,8 @@ let pool_stats () =
   {
     Pool.served = 10; dropped = 0; shed = 0; retried = 0; crashes = 0; timeouts = 0;
     detections = 0; restarts = 0; recycles = 0; rerandomizations = 0; quarantines = 0;
-    mvee_blocks = 0; recovery_cycles = 0; recoveries = 0; first_detection = None;
+    mvee_blocks = 0; recovery_cycles = 0; recoveries = 0; restores = 0; fallbacks = 0;
+    first_detection = None;
     first_response = None;
   }
 
@@ -241,6 +242,36 @@ let test_fleet_gate () =
   in
   one_breach "fleet" ~clean:(H.Fleetbench.gate (report 0)) ~breached:(H.Fleetbench.gate (report 1))
 
+(* A planted p99 breach under [--max-p99] lands in [det.gate_failures] as
+   well as in the findings; without the ceiling the det is unchanged. *)
+let test_fleet_p99_in_det () =
+  let report =
+    {
+      H.Fleetbench.seed = 11; requests = 100_000; shards = 4; epoch_cycles = 1; incremental = false;
+      fleet =
+        {
+          Fleet.submitted = 100_000; served = 100_000; dropped = 0; shed = 0; rejected = 0;
+          hedges = 0; quarantines = 0; rotations = 3; rotation_drops = 0; drops_during_rotation = 0;
+          canary_failures = 0; max_queue_depth = 1;
+        };
+      pool = pool_stats (); clock = 1; epochs = 3; p50 = 1; p99 = 900; shard_p50 = [ 1; 1 ];
+      shard_p99 = [ 50; 900 ]; availability = 1.0;
+    }
+  in
+  let gate_failures results =
+    match List.assoc_opt "gate_failures" (H.Results.members H.Results.Det results) with
+    | Some j -> R2c_obs.Json.to_string j
+    | None -> Alcotest.fail "no gate_failures in det"
+  in
+  Alcotest.(check string) "no ceiling: clean" "[]" (gate_failures (H.Fleetbench.results report));
+  Alcotest.(check string) "ceiling met: clean" "[]"
+    (gate_failures (H.Fleetbench.results ~max_p99:900 report));
+  Alcotest.(check string) "breach in det"
+    {|["p99 900 > 100 cycles","shard 1 p99 900 > 100 cycles"]|}
+    (gate_failures (H.Fleetbench.results ~max_p99:100 report));
+  Alcotest.(check int) "breach in findings" 2
+    (List.length (H.Fleetbench.gate ~max_p99:100 report))
+
 let test_tval_gate () =
   let point = { H.Tvalbench.pname = "full"; pfuncs = 1; pblocks = 1; pfindings = [] } in
   let report caught =
@@ -336,6 +367,7 @@ let suite =
         Alcotest.test_case "profile gate" `Quick test_profile_gate;
         Alcotest.test_case "fuzz gate" `Quick test_fuzz_gate;
         Alcotest.test_case "fleet gate" `Quick test_fleet_gate;
+        Alcotest.test_case "fleet p99 breach in det" `Quick test_fleet_p99_in_det;
         Alcotest.test_case "tval gate" `Quick test_tval_gate;
         Alcotest.test_case "replay gate" `Quick test_replay_gate;
         Alcotest.test_case "rerand gate" `Quick test_rerand_gate;

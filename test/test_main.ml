@@ -10,4 +10,5 @@ let () =
    @ Test_extensions.suite @ Test_emit.suite @ Test_text.suite @ Test_analysis.suite @ Test_linker.suite @ Test_loader.suite @ Test_table.suite
    @ Test_audit.suite @ Test_unwind.suite @ Test_obs.suite @ Test_fuzz.suite
    @ Test_perf.suite @ Test_parallel.suite @ Test_fleet.suite
-   @ Test_dataflow.suite @ Test_replay.suite @ Test_rerand.suite @ Test_jit.suite @ Test_experiment.suite)
+   @ Test_dataflow.suite @ Test_replay.suite @ Test_rerand.suite @ Test_jit.suite @ Test_experiment.suite
+   @ Test_snapshot.suite)

@@ -175,6 +175,60 @@ let test_blit_string_across_pages () =
   Mem.blit_string m 0x10ff0 s;
   Alcotest.(check string) "read back" s (Bytes.to_string (Mem.read_bytes m 0x10ff0 9000))
 
+(* Copy-on-write: every writer of one side — checked words and bytes, a
+   page-spanning blit, a page-straddling poke, a bit flip — leaves the
+   other side's bytes alone, in both directions, including a write whose
+   page the TLB had cached as writable before the clone. *)
+let test_clone_copy_on_write () =
+  let m = Mem.create () in
+  Mem.map m 0x10000 (3 * 4096) Perm.rw;
+  Mem.map m 0x20000 4096 Perm.ro;
+  Mem.write_u64 m 0x10008 42;
+  Mem.write_u64 m 0x11008 43;
+  let c = Mem.clone m in
+  let snapshot mem = List.init (3 * 512) (fun k -> Mem.peek_u64 mem (0x10000 + (8 * k))) in
+  let c0 = snapshot c in
+  Mem.write_u64 m 0x10008 1;
+  Mem.write_u8 m 0x11009 0xff;
+  Mem.blit_string m 0x10ff0 (String.make 5000 'z');
+  Mem.poke_u64 m 0x11ffc (-1);
+  Mem.poke_u64 m 0x20000 7;
+  Mem.flip_bit m ~addr:0x12010 ~bit:1;
+  Alcotest.(check bool) "clone untouched" true (snapshot c = c0);
+  Alcotest.(check (option int)) "clone ro page untouched" (Some 0) (Mem.peek_u64 c 0x20000);
+  Alcotest.(check int) "clone reads its own" 42 (Mem.read_u64 c 0x10008);
+  let m1 = snapshot m in
+  Mem.write_u64 c 0x10010 5;
+  Mem.flip_bit c ~addr:0x11008 ~bit:0;
+  Alcotest.(check bool) "original untouched" true (snapshot m = m1);
+  Alcotest.(check int) "original wrote" 1 (Mem.read_u64 m 0x10008);
+  Mem.protect c 0x10000 4096 Perm.ro;
+  Mem.write_u64 m 0x10000 9;
+  check_fault "clone's protect is its own" "SIGSEGV: write at 0x10000" (fun () ->
+      Mem.write_u64 c 0x10000 9);
+  Alcotest.(check int) "max_mapped_pages carried" (Mem.max_mapped_pages m) (Mem.max_mapped_pages c)
+
+(* Fresh maps share one zero page: writing one never shows through another
+   memory's (or a later map's) unwritten pages, and sharing moves no
+   permission check. *)
+let test_zero_page_shared () =
+  let a = Mem.create () and b = Mem.create () in
+  Mem.map a 0x10000 4096 Perm.rw;
+  Mem.map b 0x10000 4096 Perm.rw;
+  Mem.write_u64 a 0x10100 0x77;
+  Mem.blit_string a 0x10200 "abc";
+  Alcotest.(check int) "other memory still zero" 0 (Mem.read_u64 b 0x10100);
+  Mem.map a 0x30000 4096 Perm.rw;
+  Alcotest.(check int) "later map still zero" 0 (Mem.read_u64 a 0x30100);
+  Mem.map b 0x40000 4096 Perm.ro;
+  check_fault "ro zero page" "SIGSEGV: write at 0x40008" (fun () -> Mem.write_u64 b 0x40008 1);
+  Mem.protect b 0x10000 4096 Perm.none;
+  Mem.tag_guard b 0x10000 4096;
+  match Mem.write_u8 b 0x10010 1 with
+  | exception Fault.Fault f ->
+      Alcotest.(check bool) "guard write detected" true (Fault.is_detection f)
+  | () -> Alcotest.fail "write to a guard page succeeded"
+
 let suite =
   [
     ( "mem",
@@ -198,5 +252,7 @@ let suite =
         Alcotest.test_case "tlb invalidated by protect" `Quick test_tlb_invalidated_by_protect;
         Alcotest.test_case "tlb slot aliasing" `Quick test_tlb_slot_aliasing;
         Alcotest.test_case "address regions" `Quick test_addr_regions;
+        Alcotest.test_case "clone is copy-on-write" `Quick test_clone_copy_on_write;
+        Alcotest.test_case "zero page shared until written" `Quick test_zero_page_shared;
       ] );
   ]

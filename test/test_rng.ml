@@ -81,6 +81,23 @@ let test_float_bounds () =
     Alcotest.(check bool) "in [0,2.5)" true (v >= 0.0 && v < 2.5)
   done
 
+(* The skip decides exactly as [n] calls of [float g 1.0] would, advances
+   exactly [n] draws on success, and leaves the generator alone on
+   failure. *)
+let test_skip_floats_at_least () =
+  for seed = 0 to 199 do
+    let n = 50 + (seed mod 7) and floor = float_of_int (seed mod 5) *. 0.01 in
+    let g = Rng.create seed in
+    let by_hand = Rng.copy g in
+    let all = List.for_all (fun x -> x >= floor) (List.init n (fun _ -> Rng.float by_hand 1.0)) in
+    let before = Rng.copy g in
+    let skipped = Rng.skip_floats_at_least g ~n ~floor in
+    Alcotest.(check bool) (Printf.sprintf "seed %d: decision" seed) all skipped;
+    Alcotest.(check int64) (Printf.sprintf "seed %d: next draw" seed)
+      (Rng.int64 (if skipped then by_hand else before))
+      (Rng.int64 g)
+  done
+
 let suite =
   [
     ( "rng",
@@ -96,5 +113,6 @@ let suite =
         Alcotest.test_case "sample without replacement" `Quick test_sample_without_replacement;
         Alcotest.test_case "choose uniformity" `Quick test_choose_uniformity;
         Alcotest.test_case "float bounds" `Quick test_float_bounds;
+        Alcotest.test_case "skip_floats_at_least" `Quick test_skip_floats_at_least;
       ] );
   ]

@@ -127,6 +127,89 @@ let test_chaos_acceptance () =
     true
     (reactive.Chaos.availability > base.Chaos.availability)
 
+(* A small chaos campaign whose workers recycle every second request, so
+   most warmups adopt their image's snapshot and some fall back. Every
+   value is pinned at what the pool produced when each warmup ran for
+   real: stats, clock, served cycles, per-worker injector counters and,
+   observed, the whole event timeline (post-mortem ring tails included). *)
+let test_snapshot_campaign_pinned () =
+  let run ?obs ~fuel_cut policy =
+    let inject =
+      { Inject.bitflip = 0.00002; load_corrupt = 0.00002; spurious_fault = 0.00001; fuel_cut }
+    in
+    let cfg = { Pool.default_config with Pool.policy; seed = 7; requests_per_child = 2; inject } in
+    let pool = Pool.create ?obs ~cfg ~build ~break_sym:Vulnapp.break_symbol () in
+    let served_cycles = ref 0 in
+    for i = 1 to 150 do
+      match Pool.submit pool (if i mod 37 = 0 then String.make 200 'A' else "GET /status") with
+      | Pool.Served { cycles; _ } -> served_cycles := !served_cycles + cycles
+      | _ -> ()
+    done;
+    let s = Pool.stats pool in
+    let line =
+      Printf.sprintf
+        "served=%d dropped=%d shed=%d retried=%d crashes=%d timeouts=%d detections=%d \
+         restarts=%d recycles=%d rerand=%d quarantines=%d recovery=%d recoveries=%d clock=%d \
+         served_cycles=%d"
+        s.Pool.served s.dropped s.shed s.retried s.crashes s.timeouts s.detections s.restarts
+        s.recycles s.rerandomizations s.quarantines s.recovery_cycles s.recoveries
+        (Pool.clock pool) !served_cycles
+    in
+    let counters =
+      List.map
+        (fun (c : Inject.counters) ->
+          [ c.bitflips; c.load_corruptions; c.spurious_faults; c.fuel_cuts ])
+        (Pool.inject_counters pool)
+    in
+    (line, counters, s)
+  in
+  let check ~fuel_cut policy ~line ~counters ~digest =
+    let name = Printf.sprintf "%s, fuel_cut %g" (Policy.to_string policy) fuel_cut in
+    let got_line, got_counters, s = run ~fuel_cut policy in
+    Alcotest.(check string) (name ^ ": stats and clock") line got_line;
+    Alcotest.(check (list (list int))) (name ^ ": injector counters") counters got_counters;
+    (* A fuel-cut rate is the largest rate, and a warmup makes thousands
+       of draws: every restore check fails and the warmup runs. *)
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: restores (%d), fallbacks (%d)" name s.Pool.restores s.Pool.fallbacks)
+      true
+      (s.Pool.fallbacks > 0 && (s.Pool.restores > 0) = (fuel_cut = 0.0));
+    let sink = R2c_obs.Sink.create () in
+    let obs_line, obs_counters, _ = run ~obs:sink ~fuel_cut policy in
+    Alcotest.(check string) (name ^ ": observed stats") line obs_line;
+    Alcotest.(check (list (list int))) (name ^ ": observed counters") counters obs_counters;
+    Alcotest.(check string) (name ^ ": event timeline") digest
+      (Digest.to_hex (Digest.string (R2c_obs.Events.to_jsonl sink.R2c_obs.Sink.events)))
+  in
+  check ~fuel_cut:0.0 Policy.Same_image
+    ~line:
+      "served=95 dropped=55 shed=48 retried=16 crashes=17 timeouts=0 detections=0 restarts=17 \
+       recycles=45 rerand=0 quarantines=0 recovery=10200000 recoveries=17 clock=7604528 \
+       served_cycles=1389325"
+    ~counters:[ [ 3; 1; 4; 0 ]; [ 6; 1; 2; 0 ]; [ 10; 0; 1; 0 ] ]
+    ~digest:"af72eca16a7a27280e773944d7555cc0";
+  check ~fuel_cut:0.0 Policy.Rerandomize
+    ~line:
+      "served=71 dropped=79 shed=75 retried=9 crashes=12 timeouts=0 detections=0 restarts=12 \
+       recycles=35 rerand=12 quarantines=0 recovery=12000000 recoveries=12 clock=7242274 \
+       served_cycles=1004403"
+    ~counters:[ [ 6; 1; 1; 0 ]; [ 5; 1; 0; 0 ]; [ 1; 0; 2; 0 ] ]
+    ~digest:"a9327af36f45f28370402683d4388f52";
+  check ~fuel_cut:0.02 Policy.Same_image
+    ~line:
+      "served=119 dropped=31 shed=25 retried=16 crashes=16 timeouts=0 detections=0 restarts=16 \
+       recycles=58 rerand=0 quarantines=0 recovery=9600000 recoveries=16 clock=7886989 \
+       served_cycles=1699363"
+    ~counters:[ [ 3; 0; 5; 2 ]; [ 5; 1; 3; 2 ]; [ 9; 0; 3; 0 ] ]
+    ~digest:"999fdc17d37e6b0cfe128bc516d6f451";
+  check ~fuel_cut:0.02 Policy.Rerandomize
+    ~line:
+      "served=108 dropped=42 shed=38 retried=13 crashes=14 timeouts=0 detections=0 restarts=14 \
+       recycles=52 rerand=14 quarantines=0 recovery=14000000 recoveries=14 clock=7724206 \
+       served_cycles=1558635"
+    ~counters:[ [ 6; 0; 3; 1 ]; [ 6; 1; 2; 2 ]; [ 3; 0; 3; 0 ] ]
+    ~digest:"4c6589a95ba119f150c64ca597f8988b"
+
 let suite =
   [
     ( "runtime",
@@ -137,6 +220,7 @@ let suite =
         Alcotest.test_case "crash restarts worker" `Quick test_pool_crash_restarts_worker;
         Alcotest.test_case "spurious injection crashes" `Quick test_spurious_injection_crashes;
         Alcotest.test_case "rate-0 injection is exact no-op" `Quick test_rate_zero_equivalence;
+        Alcotest.test_case "snapshot campaign pinned" `Quick test_snapshot_campaign_pinned;
         Alcotest.test_case "reactive out-survives same-image" `Slow test_chaos_acceptance;
       ] );
   ]
