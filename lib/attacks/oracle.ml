@@ -30,18 +30,16 @@ let attach ?(restart_allowed = true) ?relink ~break_sym img =
     sensitive_acc = [];
   }
 
-let record_outcome t (o : Process.outcome) =
-  match o with
-  | Process.Crashed _ -> t.dead <- true
-  | Process.Exited _ | Process.Timeout -> t.dead <- true
+(* Every outcome ends the process: it exited, crashed or timed out. *)
+let ended t o =
+  t.dead <- true;
+  `Done o
 
 let to_break t =
   if t.dead then invalid_arg "Oracle.to_break: process dead (restart first)";
   match Process.run_until t.proc ~break:[ t.break_addr ] with
   | `Hit -> `Break
-  | `Done o ->
-      record_outcome t o;
-      `Done o
+  | `Done o -> ended t o
 
 let rsp t = Cpu.reg_get t.proc.Process.cpu RSP
 
@@ -61,11 +59,10 @@ let leak_stack t ~words =
 
 (* A faulting corruption primitive kills the worker; booby traps and guard
    pages additionally raise the monitoring alarm. *)
-let record_fault t (f : Fault.t) =
-  t.proc.Process.crashes <- t.proc.Process.crashes + 1;
-  if Fault.is_detection f then
-    t.proc.Process.detections <- f :: t.proc.Process.detections;
-  t.dead <- true
+let killed t f =
+  Process.record_fault t.proc f;
+  t.dead <- true;
+  Error f
 
 (* Malicious Thread Blocking can freeze the victim at an arbitrary
    instruction; [to_symbol] positions the block at a named point and
@@ -75,44 +72,31 @@ let to_symbol t sym =
   match Image.find_symbol t.img sym with
   | None -> invalid_arg ("Oracle.to_symbol: unknown symbol " ^ sym)
   | Some addr -> (
-      (if t.proc.Process.cpu.Cpu.rip = addr then
-         try Cpu.step t.proc.Process.cpu with Fault.Fault f -> record_fault t f);
-      if t.dead then `Done (Process.Crashed (Fault.Segv { addr; access = Fault.Exec }))
-      else
-        match Process.run_until t.proc ~break:[ addr ] with
-        | `Hit -> `Break
-        | `Done o ->
-            record_outcome t o;
-            `Done o)
+      match Process.resume t.proc ~break:[ addr ] with
+      | `Hit -> `Break
+      | `Done o -> ended t o
+      | `Step_fault _ -> ended t (Process.Crashed (Fault.Segv { addr; access = Fault.Exec })))
 
 let step t =
   if t.dead then invalid_arg "Oracle.step: process dead";
   match Cpu.step t.proc.Process.cpu with
   | () -> Ok ()
-  | exception Fault.Fault f ->
-      record_fault t f;
-      Error f
+  | exception Fault.Fault f -> killed t f
 
 let arb_read t addr =
   match Mem.read_u64 t.proc.Process.cpu.Cpu.mem addr with
   | v -> Ok v
-  | exception Fault.Fault f ->
-      record_fault t f;
-      Error f
+  | exception Fault.Fault f -> killed t f
 
 let arb_write t addr v =
   match Mem.write_u64 t.proc.Process.cpu.Cpu.mem addr v with
   | () -> Ok ()
-  | exception Fault.Fault f ->
-      record_fault t f;
-      Error f
+  | exception Fault.Fault f -> killed t f
 
 let disasm t addr =
   match Mem.read_u8 t.proc.Process.cpu.Cpu.mem addr with
   | _ -> Ok (Image.code_at t.img addr)
-  | exception Fault.Fault f ->
-      record_fault t f;
-      Error f
+  | exception Fault.Fault f -> killed t f
 
 (* Swap in a freshly re-randomized instance (TASR model), preserving the
    monitor's view (crashes, detections) and the attack-success log. *)
@@ -140,24 +124,15 @@ let send t payload =
 let resume_to_end t =
   if t.dead then invalid_arg "Oracle.resume_to_end: process dead";
   let o = Process.run t.proc in
-  record_outcome t o;
+  t.dead <- true;
   o
 
 let resume_to_break t =
   if t.dead then invalid_arg "Oracle.resume_to_break: process dead";
-  (* Step over the breakpoint instruction first, else we re-hit in place. *)
-  match
-    if t.proc.Process.cpu.Cpu.rip = t.break_addr then Cpu.step t.proc.Process.cpu
-  with
-  | () -> (
-      match Process.run_until t.proc ~break:[ t.break_addr ] with
-      | `Hit -> `Break
-      | `Done o ->
-          record_outcome t o;
-          `Done o)
-  | exception Fault.Fault f ->
-      record_fault t f;
-      `Done (Process.Crashed f)
+  match Process.resume t.proc ~break:[ t.break_addr ] with
+  | `Hit -> `Break
+  | `Done o -> ended t o
+  | `Step_fault f -> ended t (Process.Crashed f)
 
 let restart t =
   if not t.restart_allowed then false

@@ -48,16 +48,16 @@ let measure img =
   (* Observe at the SECOND request's breakpoint: the frame then carries the
      previous request's residue (session pointer, dispatched function
      pointer) at the very slots the next request will reuse. *)
-  let hit () =
-    match Process.run_until proc ~break:[ break ] with
-    | `Hit -> ()
-    | `Done o ->
-        failwith
-          ("Reference.measure: never reached breakpoint: " ^ Process.outcome_to_string o)
+  let unreached o =
+    failwith ("Reference.measure: never reached breakpoint: " ^ Process.outcome_to_string o)
   in
-  hit ();
-  Cpu.step proc.Process.cpu;
-  hit ();
+  let hit = function
+    | `Hit -> ()
+    | `Done o -> unreached o
+    | `Step_fault f -> unreached (Process.Crashed f)
+  in
+  hit (Process.run_until proc ~break:[ break ]);
+  hit (Process.resume proc ~break:[ break ]);
   let cpu = proc.Process.cpu in
   let mem = cpu.Cpu.mem in
   let rsp = Cpu.reg_get cpu RSP in

@@ -521,16 +521,25 @@ type builtin_tap = t -> string -> unit
 
 let set_builtin_tap t tap = t.btap <- tap
 
-let run_reference t ~fuel =
+let rec is_break (rip : int) = function
+  | [] -> false
+  | a :: rest -> a = rip || is_break rip rest
+
+(* The reference loop, with and without breakpoints. *)
+let run_until t ~fuel ~break =
   let rec go budget =
-    if t.halted then Halted
-    else if budget <= 0 then Fuel_exhausted
+    if t.halted then Error Halted
+    else if budget <= 0 then Error Fuel_exhausted
+    else if is_break t.rip break then Ok ()
     else begin
       step t;
       go (budget - 1)
     end
   in
-  try go fuel with Fault.Fault f -> Faulted f
+  try go fuel with Fault.Fault f -> Error (Faulted f)
+
+let run_reference t ~fuel =
+  match run_until t ~fuel ~break:[] with Error r -> r | Ok () -> assert false
 
 (* Predecoded straight-line stepping: the loop tier 3's cold path runs in
    (lib/machine/jit.ml). The fetch is one TLB exec probe plus one array
@@ -591,22 +600,6 @@ let run t ~fuel =
   | _ -> run_reference t ~fuel
 
 let set_tier3 t f = t.tier3 <- f
-
-let rec is_break (rip : int) = function
-  | [] -> false
-  | a :: rest -> a = rip || is_break rip rest
-
-let run_until t ~fuel ~break =
-  let rec go budget =
-    if t.halted then Error Halted
-    else if budget <= 0 then Error Fuel_exhausted
-    else if is_break t.rip break then Ok ()
-    else begin
-      step t;
-      go (budget - 1)
-    end
-  in
-  try go fuel with Fault.Fault f -> Error (Faulted f)
 
 let output t = Buffer.contents t.out
 

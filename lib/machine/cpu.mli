@@ -159,9 +159,10 @@ val set_tier3 : t -> (t -> fuel:int -> run_result) option -> unit
     tiers and require identical architectural state and counters. *)
 val run_reference : t -> fuel:int -> run_result
 
-(** [run_until t ~fuel ~break] like {!run} but also stops (returning
-    [Ok ()]) just before executing the instruction at an address in
-    [break]. Breakpoint membership is one integer compare per breakpoint
+(** [run_until t ~fuel ~break] — {!run_reference} that also stops
+    (returning [Ok ()]) just before executing the instruction at an
+    address in [break]. It never takes tier 3, injector or not.
+    Breakpoint membership is one integer compare per breakpoint
     per step; callers pass one or a few. *)
 val run_until : t -> fuel:int -> break:int list -> (unit, run_result) result
 

@@ -77,6 +77,15 @@ let run_until ?fuel t ~break =
       record_fault t f;
       `Done (Crashed f)
 
+(* Stepping off the breakpoint happens outside both fuel budgets: the
+   resumed segment is charged from the instruction after it. *)
+let resume ?fuel t ~break =
+  match if List.mem t.cpu.Cpu.rip break then Cpu.step t.cpu with
+  | exception Fault.Fault f ->
+      record_fault t f;
+      `Step_fault f
+  | () -> run_until ?fuel t ~break
+
 (* A warmup's snapshot: the CPU frozen at the stop (never run, no
    injector), what the run left of the lifetime fuel, how many injector
    draws it made, and everything else the run depended on. *)

@@ -53,6 +53,19 @@ val run : ?fuel:int -> t -> outcome
     stack the attacker inspects). *)
 val run_until : ?fuel:int -> t -> break:int list -> [ `Hit | `Done of outcome ]
 
+(** [resume ?fuel t ~break] — continue [t] from a breakpoint: step over
+    the instruction at [rip] when it is in [break] (a plain {!run_until}
+    would stop in place), then {!run_until}. The step is charged to
+    neither fuel budget. A fault of the stepped instruction is recorded
+    like any crash and returned as [`Step_fault]. *)
+val resume :
+  ?fuel:int -> t -> break:int list -> [ `Hit | `Done of outcome | `Step_fault of Fault.t ]
+
+(** [record_fault t f] — count a crash of [t], and a detection when [f]
+    is one: what {!run} records for a fault it returns. For faults raised
+    outside a run, such as an attacker's wild memory access. *)
+val record_fault : t -> Fault.t -> unit
+
 (** A post-warmup snapshot: the state a freshly (re)started process is in
     once a warmup has brought it to its serving point. The paper's pre-fork
     servers fork their workers after initialisation, so each child starts

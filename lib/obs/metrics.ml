@@ -1,67 +1,42 @@
 let max_buckets = 62
 
-type counter = { c_name : string; c_help : string; mutable c_value : int }
-type gauge = { g_name : string; g_help : string; mutable g_value : float }
-
 type histogram = {
-  h_name : string;
-  h_help : string;
   buckets : int array;  (* log2 buckets, see mli *)
   mutable h_count : int;
   mutable h_sum : float;
 }
 
-type item = Counter of counter | Gauge of gauge | Histogram of histogram
-
+type reading = Counter of (unit -> int) | Gauge of (unit -> float) | Histogram of histogram
+type item = { name : string; help : string; mutable reading : reading }
 type t = { mutable items : item list (* newest first *) }
 
 let create () = { items = [] }
 
-let item_name = function
-  | Counter c -> c.c_name
-  | Gauge g -> g.g_name
-  | Histogram h -> h.h_name
+let kind = function Counter _ -> "counter" | Gauge _ -> "gauge" | Histogram _ -> "histogram"
+let find t name = List.find_opt (fun i -> i.name = name) t.items
 
-let find t name = List.find_opt (fun i -> item_name i = name) t.items
+let clash kind name = invalid_arg (Printf.sprintf "Metrics.%s: %s registered as another kind" kind name)
+let add t ~help name reading = t.items <- { name; help; reading } :: t.items
 
-let counter ?(help = "") t name =
+(* Counters and gauges read through a function; registering one again
+   replaces it. *)
+let read_through t ~help name reading =
   match find t name with
-  | Some (Counter c) -> c
-  | Some _ -> invalid_arg ("Metrics.counter: " ^ name ^ " registered as another kind")
-  | None ->
-      let c = { c_name = name; c_help = help; c_value = 0 } in
-      t.items <- Counter c :: t.items;
-      c
+  | None -> add t ~help name reading
+  | Some i when kind i.reading = kind reading -> i.reading <- reading
+  | Some _ -> clash (kind reading) name
 
-let gauge ?(help = "") t name =
-  match find t name with
-  | Some (Gauge g) -> g
-  | Some _ -> invalid_arg ("Metrics.gauge: " ^ name ^ " registered as another kind")
-  | None ->
-      let g = { g_name = name; g_help = help; g_value = 0.0 } in
-      t.items <- Gauge g :: t.items;
-      g
+let counter ?(help = "") t name read = read_through t ~help name (Counter read)
+let gauge ?(help = "") t name read = read_through t ~help name (Gauge read)
 
 let histogram ?(help = "") t name =
   match find t name with
-  | Some (Histogram h) -> h
-  | Some _ -> invalid_arg ("Metrics.histogram: " ^ name ^ " registered as another kind")
+  | Some { reading = Histogram h; _ } -> h
+  | Some _ -> clash "histogram" name
   | None ->
-      let h =
-        {
-          h_name = name;
-          h_help = help;
-          buckets = Array.make (max_buckets + 1) 0;
-          h_count = 0;
-          h_sum = 0.0;
-        }
-      in
-      t.items <- Histogram h :: t.items;
+      let h = { buckets = Array.make (max_buckets + 1) 0; h_count = 0; h_sum = 0.0 } in
+      add t ~help name (Histogram h);
       h
-
-let inc ?(by = 1) c = c.c_value <- c.c_value + by
-let set_counter c v = c.c_value <- v
-let set_gauge g v = g.g_value <- v
 
 let bucket_of v =
   if v <= 1 then 0
@@ -78,7 +53,12 @@ let observe h v =
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum +. float_of_int v
 
-let counter_value c = c.c_value
+let counter_value t name =
+  match find t name with Some { reading = Counter read; _ } -> read () | _ -> raise Not_found
+
+let gauge_value t name =
+  match find t name with Some { reading = Gauge read; _ } -> read () | _ -> raise Not_found
+
 let hist_count h = h.h_count
 let hist_sum h = h.h_sum
 
@@ -109,50 +89,43 @@ let float_str f =
 
 let expose t =
   let buf = Buffer.create 1024 in
-  let header name help kind =
-    if help <> "" then Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
-    Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind)
-  in
   List.iter
-    (fun item ->
-      match item with
-      | Counter c ->
-          header c.c_name c.c_help "counter";
-          Buffer.add_string buf (Printf.sprintf "%s %d\n" c.c_name c.c_value)
-      | Gauge g ->
-          header g.g_name g.g_help "gauge";
-          Buffer.add_string buf (Printf.sprintf "%s %s\n" g.g_name (float_str g.g_value))
+    (fun { name; help; reading } ->
+      if help <> "" then Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
+      Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name (kind reading));
+      match reading with
+      | Counter read -> Buffer.add_string buf (Printf.sprintf "%s %d\n" name (read ()))
+      | Gauge read -> Buffer.add_string buf (Printf.sprintf "%s %s\n" name (float_str (read ())))
       | Histogram h ->
-          header h.h_name h.h_help "histogram";
           let top = top_bucket h in
           let cum = ref 0 in
           for i = 0 to top do
             cum := !cum + h.buckets.(i);
             Buffer.add_string buf
-              (Printf.sprintf "%s_bucket{le=\"%d\"} %d\n" h.h_name (bucket_bound i) !cum)
+              (Printf.sprintf "%s_bucket{le=\"%d\"} %d\n" name (bucket_bound i) !cum)
           done;
-          Buffer.add_string buf
-            (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" h.h_name h.h_count);
-          Buffer.add_string buf
-            (Printf.sprintf "%s_sum %s\n" h.h_name (float_str h.h_sum));
-          Buffer.add_string buf (Printf.sprintf "%s_count %d\n" h.h_name h.h_count))
+          Buffer.add_string buf (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" name h.h_count);
+          Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" name (float_str h.h_sum));
+          Buffer.add_string buf (Printf.sprintf "%s_count %d\n" name h.h_count))
     (items_in_order t);
   Buffer.contents buf
 
 let to_json t =
-  let item_json = function
-    | Counter c -> (c.c_name, Json.Obj [ ("type", Json.Str "counter"); ("value", Json.Int c.c_value) ])
-    | Gauge g -> (g.g_name, Json.Obj [ ("type", Json.Str "gauge"); ("value", Json.Float g.g_value) ])
+  let item_json { name; reading; _ } =
+    let typ = ("type", Json.Str (kind reading)) in
+    match reading with
+    | Counter read -> (name, Json.Obj [ typ; ("value", Json.Int (read ())) ])
+    | Gauge read -> (name, Json.Obj [ typ; ("value", Json.Float (read ())) ])
     | Histogram h ->
         let top = top_bucket h in
         let buckets =
           List.init (top + 1) (fun i ->
               Json.Obj [ ("le", Json.Int (bucket_bound i)); ("n", Json.Int h.buckets.(i)) ])
         in
-        ( h.h_name,
+        ( name,
           Json.Obj
             [
-              ("type", Json.Str "histogram");
+              typ;
               ("count", Json.Int h.h_count);
               ("sum", Json.Float h.h_sum);
               ("buckets", Json.Arr buckets);

@@ -1,19 +1,24 @@
 (** Metrics registry: counters, gauges, and log-bucketed histograms with a
     Prometheus-style text exposition and a JSON dump.
 
-    The machine, pool and harness layers publish into a registry when one
-    is attached; nothing in the hot path touches a registry otherwise.
-    Instruments are registered by name — registration is idempotent, so a
-    re-attached observer finds its existing instrument instead of a
-    duplicate series.
+    The registry reads counts and owns only samples. A counter or gauge is
+    registered with a function that reads the total from the code that
+    keeps it (a pool's stats, a fleet's clock, a profiler's totals), and
+    {!expose} and {!to_json} call it when they render, so no count is
+    stored twice. A histogram keeps its own samples, since nothing else
+    does. The machine, pool and harness layers register into a registry
+    when one is attached; nothing in the hot path touches a registry
+    otherwise. Instruments are registered by name — registration is
+    idempotent, so a re-attached observer finds its existing histogram
+    instead of a duplicate series, and a re-registered counter or gauge
+    reads through its newest function. The exposition lists instruments
+    in the order they were first registered.
 
     Histograms are log2-bucketed: bucket 0 counts values [<= 1], bucket
     [i >= 1] counts values in [(2^(i-1), 2^i]]. The exposition renders them
     as cumulative Prometheus buckets with [le="2^i"] bounds. *)
 
 type t
-type counter
-type gauge
 type histogram
 
 val create : unit -> t
@@ -22,28 +27,23 @@ val create : unit -> t
     [Invalid_argument] if the name is already registered as a different
     kind. [help] is kept from the first registration. *)
 
-val counter : ?help:string -> t -> string -> counter
+(** [counter t name read] — a monotone count; [read ()] is its value. *)
+val counter : ?help:string -> t -> string -> (unit -> int) -> unit
 
-val gauge : ?help:string -> t -> string -> gauge
+(** [gauge t name read] — a value that can go down; [read ()] is its value. *)
+val gauge : ?help:string -> t -> string -> (unit -> float) -> unit
 
 val histogram : ?help:string -> t -> string -> histogram
-
-(** Updates. *)
-
-val inc : ?by:int -> counter -> unit
-
-(** [set_counter c v] — jump the counter to an externally tracked monotone
-    total (mirroring an existing stats struct). *)
-val set_counter : counter -> int -> unit
-
-val set_gauge : gauge -> float -> unit
 
 (** [observe h v] — record a (non-negative) sample. *)
 val observe : histogram -> int -> unit
 
-(** Reads. *)
+(** Reads. [counter_value] and [gauge_value] raise [Not_found] when no
+    instrument of that kind has the name. *)
 
-val counter_value : counter -> int
+val counter_value : t -> string -> int
+
+val gauge_value : t -> string -> float
 
 val hist_count : histogram -> int
 

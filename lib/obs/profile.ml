@@ -278,14 +278,11 @@ let sanitize_name s =
 
 let publish t ~prefix metrics =
   let p = sanitize_name prefix in
-  let tot = total t in
-  let c name help v =
-    Metrics.set_counter (Metrics.counter ~help metrics (p ^ name)) v
-  in
-  c "_cycles_total" "cycles attributed by the profiler" (int_of_float tot.cycles);
-  c "_insns_total" "instructions retired" tot.insns;
-  c "_icache_misses_total" "icache misses" tot.misses;
-  c "_calls_total" "call entries" tot.calls;
+  let c name help read = Metrics.counter ~help metrics (p ^ name) (fun () -> read (total t)) in
+  c "_cycles_total" "cycles attributed by the profiler" (fun tot -> int_of_float tot.cycles);
+  c "_insns_total" "instructions retired" (fun tot -> tot.insns);
+  c "_icache_misses_total" "icache misses" (fun tot -> tot.misses);
+  c "_calls_total" "call entries" (fun tot -> tot.calls);
   let h =
     Metrics.histogram ~help:"per-function cycle totals" metrics (p ^ "_function_cycles")
   in

@@ -75,7 +75,8 @@ val fingerprint : t -> string
 val report : ?top:int -> ?title:string -> t -> string
 
 (** [publish t ~prefix metrics] — counters ([<prefix>_cycles_total],
-    [_insns_total], [_icache_misses_total], [_calls_total]) and a
-    per-function-cycles histogram into a registry. [prefix] is sanitized
-    to a valid metric name. *)
+    [_insns_total], [_icache_misses_total], [_calls_total]) that read
+    {!total} when the registry renders, and a histogram of the
+    per-function cycles at publish time. [prefix] is sanitized to a valid
+    metric name. *)
 val publish : t -> prefix:string -> Metrics.t -> unit

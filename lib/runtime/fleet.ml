@@ -6,17 +6,12 @@ type config = {
   shards : int;
   seed : int;
   queue_bound : int;
-  hedge_retries : int;
   arrival_cycles : int;
   epoch_cycles : int;
   rotate_detections : int;
   canary : string;
-  canary_retries : int;
-  quarantine_failures : int;
-  quarantine_window : int;
   quarantine_detections : int;
   quarantine_cycles : int;
-  panic_min_healthy : int;
   jobs : int;
   shard : Pool.config;
 }
@@ -26,17 +21,12 @@ let default_config =
     shards = 4;
     seed = 1;
     queue_bound = 32;
-    hedge_retries = 3;
     arrival_cycles = 800;
     epoch_cycles = 18_000_000;
     rotate_detections = 0;
     canary = "GET /healthz";
-    canary_retries = 3;
-    quarantine_failures = 8;
-    quarantine_window = 32;
     quarantine_detections = 3;
     quarantine_cycles = 200_000;
-    panic_min_healthy = 2;
     jobs = 0;
     shard =
       {
@@ -47,6 +37,16 @@ let default_config =
         arrival_cycles = 0;
       };
   }
+
+(* Cross-shard retries of a rejected request; rebuilds of a shard whose
+   new-epoch canary failed; quarantine at this many failures among a
+   shard's last [quarantine_window] outcomes; and the healthy-shard count
+   below which the balancer panics. *)
+let hedge_retries = 3
+let canary_retries = 3
+let quarantine_failures = 8
+let quarantine_window = 32
+let panic_min_healthy = 2
 
 type stats = {
   mutable submitted : int;
@@ -80,15 +80,7 @@ let fresh_stats () =
   }
 
 (* Per-shard dispatcher view: the queueing model (outstanding completion
-   times), the health window, and the live pool. *)
-type shard_instruments = {
-  s_served : Obs.Metrics.counter;
-  s_failed : Obs.Metrics.counter;
-  s_quarantines : Obs.Metrics.counter;
-  s_depth : Obs.Metrics.gauge;
-  s_latency : Obs.Metrics.histogram;
-}
-
+   times), the health window, the live pool, and the shard's own counts. *)
 type shard = {
   idx : int;
   mutable pool : Pool.t;
@@ -100,22 +92,11 @@ type shard = {
   mutable win_len : int;
   mutable win_fails : int;
   mutable det_base : int;  (* pool detections at the last health reset *)
-  si : shard_instruments;
-}
-
-type instruments = {
-  f_requests : Obs.Metrics.counter;
-  f_served : Obs.Metrics.counter;
-  f_dropped : Obs.Metrics.counter;
-  f_shed : Obs.Metrics.counter;
-  f_hedges : Obs.Metrics.counter;
-  f_quarantines : Obs.Metrics.counter;
-  f_rotations : Obs.Metrics.counter;
-  f_rotation_drops : Obs.Metrics.counter;
-  f_canary_failures : Obs.Metrics.counter;
-  f_epoch : Obs.Metrics.gauge;
-  f_clock : Obs.Metrics.gauge;
-  f_request_cycles : Obs.Metrics.histogram;
+  mutable served : int;
+  mutable failed : int;  (* dispatches that failed *)
+  mutable quarantines : int;
+  mutable served_depth : int;  (* queue depth after its last served request *)
+  latency : Obs.Metrics.histogram;
 }
 
 type rotation = {
@@ -132,7 +113,7 @@ type t = {
   shards : shard array;
   stats : stats;
   sink : Obs.Sink.t;
-  ins : instruments;
+  request_cycles : Obs.Metrics.histogram;
   retired : Pool.stats;  (* accumulated stats of every retired pool *)
   mutable clock : int;
   mutable epoch : int;
@@ -167,41 +148,35 @@ let pool_totals t =
 
 let fresh_seed t = Rng.int t.rng 0x3fff_ffff
 
-let register_instruments (sink : Obs.Sink.t) =
-  let m = sink.Obs.Sink.metrics in
-  let c name help = Obs.Metrics.counter ~help m name in
-  let g name help = Obs.Metrics.gauge ~help m name in
-  {
-    f_requests = c "fleet_requests_total" "requests submitted to the fleet";
-    f_served = c "fleet_served_total" "requests served";
-    f_dropped = c "fleet_dropped_total" "requests shed or rejected";
-    f_shed = c "fleet_shed_total" "requests refused at admission";
-    f_hedges = c "fleet_hedges_total" "cross-shard hedge dispatches";
-    f_quarantines = c "fleet_quarantines_total" "shard quarantines";
-    f_rotations = c "fleet_rotations_total" "completed epoch rotations";
-    f_rotation_drops =
-      c "fleet_rotation_drops_total" "drops caused by rotation itself (SLO: 0)";
-    f_canary_failures = c "fleet_canary_failures_total" "new-epoch pools failing warmup";
-    f_epoch = g "fleet_epoch" "current serving epoch";
-    f_clock = g "fleet_clock_cycles" "simulated fleet clock (cycles)";
-    f_request_cycles =
-      Obs.Metrics.histogram ~help:"request latency: queue wait + service cycles" m
-        "fleet_request_cycles";
-  }
+(* The registry reads the fleet's stats, epoch and clock, and each
+   shard's own counts. Each set is registered after its histogram, in
+   the exposition's order. *)
+let register_counts t =
+  let m = t.sink.Obs.Sink.metrics and s = t.stats in
+  let c name help read = Obs.Metrics.counter ~help m name read in
+  let g name help read = Obs.Metrics.gauge ~help m name (fun () -> float_of_int (read ())) in
+  g "fleet_clock_cycles" "simulated fleet clock (cycles)" (fun () -> t.clock);
+  g "fleet_epoch" "current serving epoch" (fun () -> t.epoch);
+  c "fleet_canary_failures_total" "new-epoch pools failing warmup" (fun () -> s.canary_failures);
+  c "fleet_rotation_drops_total" "drops caused by rotation itself (SLO: 0)" (fun () ->
+      s.rotation_drops);
+  c "fleet_rotations_total" "completed epoch rotations" (fun () -> s.rotations);
+  c "fleet_quarantines_total" "shard quarantines" (fun () -> s.quarantines);
+  c "fleet_hedges_total" "cross-shard hedge dispatches" (fun () -> s.hedges);
+  c "fleet_shed_total" "requests refused at admission" (fun () -> s.shed);
+  c "fleet_dropped_total" "requests shed or rejected" (fun () -> s.dropped);
+  c "fleet_served_total" "requests served" (fun () -> s.served);
+  c "fleet_requests_total" "requests submitted to the fleet" (fun () -> s.submitted)
 
-let register_shard_instruments (sink : Obs.Sink.t) i =
+let register_shard_counts (sink : Obs.Sink.t) sh =
   let m = sink.Obs.Sink.metrics in
-  let n suffix = Printf.sprintf "fleet_shard%d_%s" i suffix in
-  {
-    s_served = Obs.Metrics.counter ~help:"requests served by this shard" m (n "served_total");
-    s_failed =
-      Obs.Metrics.counter ~help:"dispatches this shard failed" m (n "failed_total");
-    s_quarantines = Obs.Metrics.counter ~help:"times quarantined" m (n "quarantines_total");
-    s_depth = Obs.Metrics.gauge ~help:"outstanding requests" m (n "queue_depth");
-    s_latency =
-      Obs.Metrics.histogram ~help:"request latency served by this shard (cycles)" m
-        (n "request_cycles");
-  }
+  let n suffix = Printf.sprintf "fleet_shard%d_%s" sh.idx suffix in
+  let c suffix help read = Obs.Metrics.counter ~help m (n suffix) read in
+  Obs.Metrics.gauge ~help:"outstanding requests" m (n "queue_depth") (fun () ->
+      float_of_int sh.served_depth);
+  c "quarantines_total" "times quarantined" (fun () -> sh.quarantines);
+  c "failed_total" "dispatches this shard failed" (fun () -> sh.failed);
+  c "served_total" "requests served by this shard" (fun () -> sh.served)
 
 (* One shard's pool under [seed]. *)
 let shard_pool cfg ~build ~break_sym seed =
@@ -253,42 +228,61 @@ let create ?(cfg = default_config) ?obs ~build ~break_sym () =
     Array.of_list
       (List.mapi
          (fun i p ->
-           {
-             idx = i;
-             pool = p;
-             tail = 0;
-             completions = Queue.create ();
-             quarantined_until = 0;
-             window = Array.make (max 1 cfg.quarantine_window) false;
-             win_pos = 0;
-             win_len = 0;
-             win_fails = 0;
-             det_base = (Pool.stats p).Pool.detections;
-             si = register_shard_instruments sink i;
-           })
+           let sh =
+             {
+               idx = i;
+               pool = p;
+               tail = 0;
+               completions = Queue.create ();
+               quarantined_until = 0;
+               window = Array.make quarantine_window false;
+               win_pos = 0;
+               win_len = 0;
+               win_fails = 0;
+               det_base = (Pool.stats p).Pool.detections;
+               served = 0;
+               failed = 0;
+               quarantines = 0;
+               served_depth = 0;
+               latency =
+                 Obs.Metrics.histogram ~help:"request latency served by this shard (cycles)"
+                   sink.Obs.Sink.metrics
+                   (Printf.sprintf "fleet_shard%d_request_cycles" i);
+             }
+           in
+           register_shard_counts sink sh;
+           sh)
          pools)
   in
-  {
-    cfg;
-    build;
-    break_sym;
-    rng;
-    shards;
-    stats = fresh_stats ();
-    sink;
-    ins = register_instruments sink;
-    retired = Pool.fresh_stats ();
-    (* The fleet clock opens where warmup left the slowest shard: the
-       service is "up" once every worker has served its canary. *)
-    clock = clock0;
-    epoch = 0;
-    last_rotation = clock0;
-    (* Canary crashes during warmup can already be detections; the
-       reactive trigger counts only detections since serving began. *)
-    det_at_rotation =
-      List.fold_left (fun acc p -> acc + (Pool.stats p).Pool.detections) 0 pools;
-    rotating = None;
-  }
+  let request_cycles =
+    Obs.Metrics.histogram ~help:"request latency: queue wait + service cycles"
+      sink.Obs.Sink.metrics "fleet_request_cycles"
+  in
+  let t =
+    {
+      cfg;
+      build;
+      break_sym;
+      rng;
+      shards;
+      stats = fresh_stats ();
+      sink;
+      request_cycles;
+      retired = Pool.fresh_stats ();
+      (* The fleet clock opens where warmup left the slowest shard: the
+         service is "up" once every worker has served its canary. *)
+      clock = clock0;
+      epoch = 0;
+      last_rotation = clock0;
+      (* Canary crashes during warmup can already be detections; the
+         reactive trigger counts only detections since serving began. *)
+      det_at_rotation =
+        List.fold_left (fun acc p -> acc + (Pool.stats p).Pool.detections) 0 pools;
+      rotating = None;
+    }
+  in
+  register_counts t;
+  t
 
 (* --- queueing model --- *)
 
@@ -323,8 +317,7 @@ let record_outcome sh ~failed =
 let quarantine t sh ~why =
   sh.quarantined_until <- t.clock + t.cfg.quarantine_cycles;
   t.stats.quarantines <- t.stats.quarantines + 1;
-  Obs.Metrics.inc t.ins.f_quarantines;
-  Obs.Metrics.inc sh.si.s_quarantines;
+  sh.quarantines <- sh.quarantines + 1;
   reset_window sh;
   sh.det_base <- (Pool.stats sh.pool).Pool.detections;
   ev t (fun sink ->
@@ -342,7 +335,7 @@ let quarantine t sh ~why =
    pool has accumulated booby-trap detections past the threshold (it is
    being probed — rest it while its workers rerandomize). *)
 let check_health t sh =
-  if sh.win_fails >= t.cfg.quarantine_failures then quarantine t sh ~why:"failures"
+  if sh.win_fails >= quarantine_failures then quarantine t sh ~why:"failures"
   else
     let det = (Pool.stats sh.pool).Pool.detections in
     if t.cfg.quarantine_detections > 0 && det - sh.det_base >= t.cfg.quarantine_detections
@@ -374,8 +367,6 @@ let finish_rotation t r =
   t.epoch <- t.epoch + 1;
   t.last_rotation <- t.clock;
   t.stats.rotations <- t.stats.rotations + 1;
-  Obs.Metrics.inc t.ins.f_rotations;
-  Obs.Metrics.set_gauge t.ins.f_epoch (float_of_int t.epoch);
   ev t (fun sink ->
       Obs.Events.complete ~cat:"rotation"
         ~args:[ ("epoch", string_of_int t.epoch); ("reason", r.reason) ]
@@ -397,10 +388,9 @@ let start_rotation t ~reason =
             Some p
           else begin
             t.stats.canary_failures <- t.stats.canary_failures + 1;
-            Obs.Metrics.inc t.ins.f_canary_failures;
             add_pool_stats t.retired (Pool.stats p);
             Pool.shutdown p;
-            if tries >= t.cfg.canary_retries then None
+            if tries >= canary_retries then None
             else
               let p' =
                 shard_pool t.cfg ~build:t.build ~break_sym:t.break_sym (fresh_seed t)
@@ -475,17 +465,13 @@ let candidates t =
     end
   done;
   let cands =
-    if List.length !healthy >= t.cfg.panic_min_healthy then !healthy else !live
+    if List.length !healthy >= panic_min_healthy then !healthy else !live
   in
   (cands, !shut_excluded)
 
 let record_drop t ~shed ~touched_shut =
   t.stats.dropped <- t.stats.dropped + 1;
-  Obs.Metrics.inc t.ins.f_dropped;
-  if shed then begin
-    t.stats.shed <- t.stats.shed + 1;
-    Obs.Metrics.inc t.ins.f_shed
-  end
+  if shed then t.stats.shed <- t.stats.shed + 1
   else t.stats.rejected <- t.stats.rejected + 1;
   if t.rotating <> None then
     t.stats.drops_during_rotation <- t.stats.drops_during_rotation + 1;
@@ -493,10 +479,7 @@ let record_drop t ~shed ~touched_shut =
      was refused or failed because a pool had already been shut down —
      which the atomic-swap design never allows a dispatchable shard to
      be. Nonzero here means the rotation machinery broke its promise. *)
-  if touched_shut then begin
-    t.stats.rotation_drops <- t.stats.rotation_drops + 1;
-    Obs.Metrics.inc t.ins.f_rotation_drops
-  end
+  if touched_shut then t.stats.rotation_drops <- t.stats.rotation_drops + 1
 
 (* Dispatch [payload] on [sh]; returns the pool's verdict plus whether
    the shard burned cycles. The shard pool is fast-forwarded to the
@@ -518,20 +501,16 @@ let dispatch t sh payload =
 let serve_result t sh ~completion =
   let latency = completion - t.clock in
   t.stats.served <- t.stats.served + 1;
-  Obs.Metrics.inc t.ins.f_served;
-  Obs.Metrics.inc sh.si.s_served;
-  Obs.Metrics.observe t.ins.f_request_cycles latency;
-  Obs.Metrics.observe sh.si.s_latency latency;
-  Obs.Metrics.set_gauge sh.si.s_depth (float_of_int (Queue.length sh.completions));
+  sh.served <- sh.served + 1;
+  Obs.Metrics.observe t.request_cycles latency;
+  Obs.Metrics.observe sh.latency latency;
   record_outcome sh ~failed:false;
-  let d = Queue.length sh.completions in
-  if d > t.stats.max_queue_depth then t.stats.max_queue_depth <- d
+  sh.served_depth <- Queue.length sh.completions;
+  if sh.served_depth > t.stats.max_queue_depth then t.stats.max_queue_depth <- sh.served_depth
 
 let submit t payload =
   t.stats.submitted <- t.stats.submitted + 1;
-  Obs.Metrics.inc t.ins.f_requests;
   t.clock <- t.clock + t.cfg.arrival_cycles;
-  Obs.Metrics.set_gauge t.ins.f_clock (float_of_int t.clock);
   rotation_tick t;
   let cands, shut_excluded = candidates t in
   match cands with
@@ -567,12 +546,12 @@ let submit t payload =
               resp
           | Pool.Rejected _ | Pool.Dropped -> (
               record_outcome sh ~failed:true;
-              Obs.Metrics.inc sh.si.s_failed;
+              sh.failed <- sh.failed + 1;
               check_health t sh;
               (* Hedge: bounded retry on the least-loaded other shard. *)
               let tried = sh.idx :: tried in
               let next =
-                if hedges >= t.cfg.hedge_retries then None
+                if hedges >= hedge_retries then None
                 else
                   List.filter (fun c -> not (List.mem c.idx tried)) cands
                   |> List.fold_left
@@ -587,7 +566,6 @@ let submit t payload =
               match next with
               | Some (c, _) ->
                   t.stats.hedges <- t.stats.hedges + 1;
-                  Obs.Metrics.inc t.ins.f_hedges;
                   attempt c (hedges + 1) tried
               | None ->
                   record_drop t ~shed:false ~touched_shut:!touched_shut;
@@ -603,6 +581,6 @@ let epoch t = t.epoch
 let availability s =
   if s.submitted = 0 then 1.0 else float_of_int s.served /. float_of_int s.submitted
 
-let percentile t p = Obs.Metrics.percentile t.ins.f_request_cycles p
-let shard_percentile t i p = Obs.Metrics.percentile t.shards.(i).si.s_latency p
+let percentile t p = Obs.Metrics.percentile t.request_cycles p
+let shard_percentile t i p = Obs.Metrics.percentile t.shards.(i).latency p
 let sink t = t.sink

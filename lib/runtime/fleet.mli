@@ -5,13 +5,16 @@
     runs power-of-two-choices over the healthy shards (two uniform picks,
     dispatch to the shallower queue), enforces a bounded per-shard queue
     depth (admission past the bound is shed — a fast 503 beats a
-    connection queue that melts the fleet), and hedges rejected requests
-    onto other shards within a bounded retry budget. Shard health is
-    tracked from the dispatcher's own view: a shard whose recent failure
-    count or booby-trap detection count crosses its threshold is
-    quarantined — excluded from dispatch while its workers' layouts churn
-    back to health — and its traffic redistributes to the remaining
-    shards.
+    connection queue that melts the fleet), and hedges a rejected request
+    onto at most 3 other shards. Shard health is tracked from the
+    dispatcher's own view: a shard with 8 failures among its last 32
+    outcomes, or whose booby-trap detections reach
+    [quarantine_detections], is quarantined — excluded from dispatch while
+    its workers' layouts churn back to health — and its traffic
+    redistributes to the remaining shards. Quarantine is advisory under
+    pressure: when fewer than 2 shards are healthy, the balancer panics
+    and routes across every live shard — a struggling shard beats
+    refusing the connection (cf. Envoy's panic routing).
 
     Time is simulated-cycle time, one global fleet clock: each arrival
     advances the clock; shards serve "concurrently" in the queueing-model
@@ -25,8 +28,8 @@
     freshly-seeded image per shard in the background — fanned out over
     {!R2c_util.Parallel}, charged zero fleet-clock cycles because serving
     does not wait on it — warms each new pool with a canary request
-    (rebuilding under a new seed on canary failure, bounded by
-    [canary_retries]), then drains traffic epoch-by-epoch: one shard per
+    (rebuilding under a new seed on canary failure, at most 3 times),
+    then drains traffic epoch-by-epoch: one shard per
     subsequent arrival atomically swaps to its warmed pool and the old
     pool retires through {!Pool.shutdown}. A swap happens between
     arrivals and the old pool serves until the instant its replacement
@@ -41,24 +44,14 @@ type config = {
   seed : int;  (** master seed: shard seeds, p2c picks, rotation seeds *)
   queue_bound : int;  (** max outstanding requests per shard; admission
                           past this sheds *)
-  hedge_retries : int;  (** cross-shard retries for a rejected request *)
   arrival_cycles : int;  (** fleet-clock advance per arrival *)
   epoch_cycles : int;  (** rotate every N cycles; 0 = timer off *)
   rotate_detections : int;  (** reactive rotation after N fleet-wide
                                 detections since the last rotation;
                                 0 = trigger off *)
   canary : string;  (** warmup payload served by each new-epoch pool *)
-  canary_retries : int;  (** rebuilds (fresh seed) before giving up on a
-                             shard's rotation this epoch *)
-  quarantine_failures : int;  (** quarantine at N failures in the window *)
-  quarantine_window : int;  (** per-shard sliding outcome window size *)
   quarantine_detections : int;  (** quarantine at N shard detections *)
   quarantine_cycles : int;  (** quarantine duration *)
-  panic_min_healthy : int;
-      (** panic threshold: when fewer shards than this are healthy, the
-          balancer ignores quarantine and routes across every live shard —
-          a struggling shard beats refusing the connection (cf. Envoy's
-          panic routing) *)
   jobs : int;  (** Domain-pool width for background compiles; 0 = auto.
                    The fleet's observable behaviour is identical at any
                    width. *)
@@ -91,9 +84,10 @@ type t
 
 (** [create ?cfg ?obs ~build ~break_sym ()] — compile the epoch-0 shard
     pools (fanned out over the Domain pool) and register [fleet_*]
-    metrics — aggregate counters, an epoch/clock gauge pair, a
-    request-latency histogram, and per-shard
-    [fleet_shardN_{served,failed,quarantines,queue_depth}] series — into
+    metrics — aggregate counters and an epoch/clock gauge pair that read
+    {!stats}, {!epoch} and {!clock}, a request-latency histogram, and
+    per-shard [fleet_shardN_{served,failed,quarantines,queue_depth}]
+    series (the queue depth as of the shard's last served request) — into
     [?obs] (an internal sink when omitted, so {!percentile} always
     works). *)
 val create :

@@ -7,15 +7,12 @@ type config = {
   workers : int;
   policy : Policy.t;
   seed : int;
-  worker_fuel : int;
   request_fuel : int;
   max_retries : int;
   requests_per_child : int;
-  spawn_cycles : int;
   restart_cycles : int;
   rerandomize_cycles : int;
   arrival_cycles : int;
-  detection_threshold : int;
   inject : Inject.rates;
 }
 
@@ -24,17 +21,20 @@ let default_config =
     workers = 3;
     policy = Policy.Same_image;
     seed = 1;
-    worker_fuel = 20_000_000;
     request_fuel = 2_000_000;
     max_retries = 2;
     requests_per_child = 0;
-    spawn_cycles = 10_000;
     restart_cycles = 600_000;
     rerandomize_cycles = 1_000_000;
     arrival_cycles = 40_000;
-    detection_threshold = 2;
     inject = Inject.zero;
   }
+
+(* A child's lifetime instruction budget, the downtime of a graceful
+   recycle, and the detections at which a Reactive pool escalates. *)
+let worker_fuel = 20_000_000
+let spawn_cycles = 10_000
+let detection_threshold = 2
 
 type stats = {
   mutable served : int;
@@ -96,20 +96,6 @@ type worker = {
   mutable ring : Ring.t option;  (* post-mortem ring, when observed *)
 }
 
-(* Live metric instruments, registered once per observed pool. *)
-type instruments = {
-  i_requests : Obs.Metrics.counter;
-  i_served : Obs.Metrics.counter;
-  i_dropped : Obs.Metrics.counter;
-  i_crashes : Obs.Metrics.counter;
-  i_detections : Obs.Metrics.counter;
-  i_timeouts : Obs.Metrics.counter;
-  i_restarts : Obs.Metrics.counter;
-  i_rerand : Obs.Metrics.counter;
-  i_clock : Obs.Metrics.gauge;
-  i_request_cycles : Obs.Metrics.histogram;
-}
-
 type t = {
   cfg : config;
   build : seed:int -> Image.t;
@@ -127,7 +113,7 @@ type t = {
       (* at most one post-warmup snapshot per live image, with the
          capturing child's ring when observed *)
   obs : Obs.Sink.t option;
-  instruments : instruments option;
+  request_cycles : Obs.Metrics.histogram option;  (* when observed *)
 }
 
 (* Post-mortems kept per run: only the last K crashes stay resident, so a
@@ -147,38 +133,21 @@ let observe_worker t w =
       w.ring <- Some ring;
       Ring.attach ring w.proc.Process.cpu
 
-let register_instruments (sink : Obs.Sink.t) =
-  let m = sink.Obs.Sink.metrics in
-  let c name help = Obs.Metrics.counter ~help m name in
-  {
-    i_requests = c "pool_requests_total" "requests submitted to the pool";
-    i_served = c "pool_served_total" "requests served";
-    i_dropped = c "pool_dropped_total" "requests rejected or dropped";
-    i_crashes = c "pool_crashes_total" "worker crashes";
-    i_detections = c "pool_detections_total" "crashes flagged as attack detections";
-    i_timeouts = c "pool_timeouts_total" "request timeouts";
-    i_restarts = c "pool_restarts_total" "worker restarts";
-    i_rerand = c "pool_rerandomizations_total" "worker rerandomizations";
-    i_clock =
-      Obs.Metrics.gauge ~help:"simulated pool clock (cycles)" m "pool_clock_cycles";
-    i_request_cycles =
-      Obs.Metrics.histogram ~help:"per-request service cycles" m "pool_request_cycles";
-  }
-
-let sync_metrics t =
-  match t.instruments with
-  | None -> ()
-  | Some i ->
-      let s = t.stats in
-      Obs.Metrics.set_counter i.i_requests (s.served + s.dropped);
-      Obs.Metrics.set_counter i.i_served s.served;
-      Obs.Metrics.set_counter i.i_dropped s.dropped;
-      Obs.Metrics.set_counter i.i_crashes s.crashes;
-      Obs.Metrics.set_counter i.i_detections s.detections;
-      Obs.Metrics.set_counter i.i_timeouts s.timeouts;
-      Obs.Metrics.set_counter i.i_restarts s.restarts;
-      Obs.Metrics.set_counter i.i_rerand s.rerandomizations;
-      Obs.Metrics.set_gauge i.i_clock (float_of_int t.clock)
+(* The registry reads the pool's own stats and clock, registered after
+   the request-cycles histogram in the exposition's order. *)
+let register_counts t (sink : Obs.Sink.t) =
+  let m = sink.Obs.Sink.metrics and s = t.stats in
+  let c name help read = Obs.Metrics.counter ~help m name read in
+  Obs.Metrics.gauge ~help:"simulated pool clock (cycles)" m "pool_clock_cycles" (fun () ->
+      float_of_int t.clock);
+  c "pool_rerandomizations_total" "worker rerandomizations" (fun () -> s.rerandomizations);
+  c "pool_restarts_total" "worker restarts" (fun () -> s.restarts);
+  c "pool_timeouts_total" "request timeouts" (fun () -> s.timeouts);
+  c "pool_detections_total" "crashes flagged as attack detections" (fun () -> s.detections);
+  c "pool_crashes_total" "worker crashes" (fun () -> s.crashes);
+  c "pool_dropped_total" "requests rejected or dropped" (fun () -> s.dropped);
+  c "pool_served_total" "requests served" (fun () -> s.served);
+  c "pool_requests_total" "requests submitted to the pool" (fun () -> s.served + s.dropped)
 
 (* Snapshot the dying child's ring before the respawn path replaces its
    CPU; the tail also lands in the event timeline so a Chrome trace
@@ -224,7 +193,7 @@ let create ?(cfg = default_config) ?obs ~build ~break_sym () =
             | Policy.Backoff b ->
                 Policy.Backoff_state.create ~cfg:b ~seed:((cfg.seed * 31) + i) ()
             | _ -> Policy.Backoff_state.create ~seed:((cfg.seed * 31) + i) ());
-          proc = Process.start ?inject ~fuel:cfg.worker_fuel img0;
+          proc = Process.start ?inject ~fuel:worker_fuel img0;
           break_addr = break0;
           at_break = false;
           served_this_child = 0;
@@ -248,15 +217,28 @@ let create ?(cfg = default_config) ?obs ~build ~break_sym () =
       sensitive = [];
       snapshots = [];
       obs;
-      instruments = Option.map register_instruments obs;
+      request_cycles =
+        Option.map
+          (fun (sink : Obs.Sink.t) ->
+            Obs.Metrics.histogram ~help:"per-request service cycles" sink.Obs.Sink.metrics
+              "pool_request_cycles")
+          obs;
     }
   in
+  Option.iter (register_counts t) obs;
   Array.iter (observe_worker t) workers;
   t
 
 let fresh_seed t = Rng.int t.rng 0x3fff_ffff
 
 let collect_sensitive t w = t.sensitive <- Process.sensitive_log w.proc @ t.sensitive
+
+(* The worker's child dies and a fresh one takes its place on the same
+   image: the dead child's privileged-call log is kept. *)
+let respawn t w =
+  collect_sensitive t w;
+  Process.restart w.proc;
+  observe_worker t w
 
 let take_down ?(kind = "restart") t w delay =
   w.at_break <- false;
@@ -273,7 +255,7 @@ let take_down ?(kind = "restart") t w delay =
 let rerandomize_worker t w =
   collect_sensitive t w;
   let img = t.build ~seed:(fresh_seed t) in
-  w.proc <- Process.start ?inject:w.inject ~fuel:t.cfg.worker_fuel img;
+  w.proc <- Process.start ?inject:w.inject ~fuel:worker_fuel img;
   w.break_addr <- break_addr_of img t.break_sym;
   t.stats.rerandomizations <- t.stats.rerandomizations + 1;
   observe_worker t w;
@@ -299,7 +281,7 @@ let respawn_mode t =
 let maybe_escalate t ~crashed =
   match t.cfg.policy with
   | Policy.Reactive esc
-    when (not t.escalated) && t.stats.detections >= t.cfg.detection_threshold ->
+    when (not t.escalated) && t.stats.detections >= detection_threshold ->
       t.escalated <- true;
       t.stats.first_response <- Some t.clock;
       ev t (fun sink ->
@@ -345,17 +327,13 @@ let handle_crash t w f =
   maybe_escalate t ~crashed:w.wid;
   match respawn_mode t with
   | `Same ->
-      collect_sensitive t w;
-      Process.restart w.proc;
-      observe_worker t w;
+      respawn t w;
       take_down t w t.cfg.restart_cycles
   | `Rerand ->
       rerandomize_worker t w;
       take_down ~kind:"rerandomize" t w t.cfg.rerandomize_cycles
   | `Backoff _ ->
-      collect_sensitive t w;
-      Process.restart w.proc;
-      observe_worker t w;
+      respawn t w;
       let tripped = Policy.Backoff_state.record_crash w.backoff ~now:t.clock in
       if tripped then begin
         t.stats.quarantines <- t.stats.quarantines + 1;
@@ -367,25 +345,21 @@ let handle_crash t w f =
 
 let handle_timeout t w =
   t.stats.timeouts <- t.stats.timeouts + 1;
-  collect_sensitive t w;
-  Process.restart w.proc;
-  observe_worker t w;
+  respawn t w;
   take_down t w t.cfg.restart_cycles
 
 (* Graceful child rotation (MaxRequestsPerChild): a spare replaces the
    worker, cheaper than a crash respawn and without policy involvement. *)
 let recycle t w =
-  collect_sensitive t w;
-  Process.restart w.proc;
-  observe_worker t w;
+  respawn t w;
   w.at_break <- false;
   w.served_this_child <- 0;
-  w.down_until <- t.clock + t.cfg.spawn_cycles;
+  w.down_until <- t.clock + spawn_cycles;
   t.stats.recycles <- t.stats.recycles + 1;
   ev t (fun sink ->
       Obs.Events.complete ~cat:"respawn" ~tid:(w.wid + 1)
         ~args:[ ("kind", "recycle"); ("wid", string_of_int w.wid) ]
-        sink.Obs.Sink.events ~name:"recycle" ~ts:t.clock ~dur:t.cfg.spawn_cycles)
+        sink.Obs.Sink.events ~name:"recycle" ~ts:t.clock ~dur:spawn_cycles)
 
 let pick_worker t ~skip =
   let n = Array.length t.workers in
@@ -486,16 +460,11 @@ let serve_on t w payload =
          detonates (booby traps, hijacked returns). Stopping earlier would
          let corrupted state park unexercised. *)
       let advance () =
-        match
-          if w.proc.Process.cpu.Cpu.rip = w.break_addr then Cpu.step w.proc.Process.cpu
-        with
-        | exception Fault.Fault f -> `Done (Process.Crashed f)
-        | () -> (
-            match
-              Process.run_until ~fuel:t.cfg.request_fuel w.proc ~break:[ w.break_addr ]
-            with
-            | `Hit -> `Hit
-            | `Done d -> `Done d)
+        match Process.resume ~fuel:t.cfg.request_fuel w.proc ~break:[ w.break_addr ] with
+        | `Step_fault f | `Done (Process.Crashed f) -> `Fail_crash f
+        | `Done Process.Timeout -> `Fail_timeout
+        | `Done (Process.Exited _) -> `Exited
+        | `Hit -> `Hit
       in
       let serve_done () =
         let l = lines () in
@@ -515,13 +484,7 @@ let serve_on t w payload =
         recycle t w;
         `Ok (d, l)
       in
-      let step = function
-        | `Done (Process.Crashed f) -> `Fail_crash f
-        | `Done Process.Timeout -> `Fail_timeout
-        | `Done (Process.Exited _) -> `Exited
-        | `Hit -> `Hit
-      in
-      (match (step (advance ()), lazy (step (advance ()))) with
+      (match (advance (), lazy (advance ())) with
       | `Fail_crash f, _ -> fail_crash f
       | `Fail_timeout, _ -> fail_timeout ()
       | `Exited, _ -> exited ()
@@ -570,10 +533,9 @@ let finish_request t ~ts0 resp =
       in
       Obs.Events.complete ~cat:"request" ~args sink.Obs.Sink.events ~name ~ts:ts0
         ~dur:(t.clock - ts0);
-      (match (t.instruments, resp) with
-      | Some i, Served { cycles; _ } -> Obs.Metrics.observe i.i_request_cycles cycles
-      | _ -> ());
-      sync_metrics t
+      match (t.request_cycles, resp) with
+      | Some h, Served { cycles; _ } -> Obs.Metrics.observe h cycles
+      | _ -> ()
 
 let submit ?retries t payload =
   let max_retries = match retries with Some r -> r | None -> t.cfg.max_retries in
@@ -645,10 +607,8 @@ let advance_clock t now = if now > t.clock then t.clock <- now
    finish" holds by construction once admission stops; what remains is to
    close out the observable lifecycle: one retirement span per worker
    covering its residual downtime (a worker abandoned mid-respawn would
-   otherwise leave a dangling recovery in the timeline), sensitive-log
-   collection from the final incarnations, a terminal stats snapshot in
-   the metrics registry, and a [shutdown] instant. Idempotent; later
-   [submit]s are refused as shed. *)
+   otherwise leave a dangling recovery in the timeline) and a [shutdown]
+   instant. Idempotent; later [submit]s are refused as shed. *)
 let shutdown t =
   if not t.shut then begin
     t.shut <- true;
@@ -674,8 +634,7 @@ let shutdown t =
               ("crashes", string_of_int t.stats.crashes);
               ("detections", string_of_int t.stats.detections);
             ]
-          sink.Obs.Sink.events ~name:"shutdown" ~ts:t.clock);
-    sync_metrics t
+          sink.Obs.Sink.events ~name:"shutdown" ~ts:t.clock)
   end
 
 let sensitive_log t =

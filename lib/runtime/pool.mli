@@ -29,21 +29,22 @@
     and the warmup runs. Either way the worker's state, its RNG and the
     cycles charged are exactly those of running the warmup, so no report
     changes. When observed, a restored worker's ring holds what the
-    capturing worker's ring held at the break. *)
+    capturing worker's ring held at the break.
+
+    A child's lifetime budget is 20M instructions, a graceful recycle
+    costs 10k cycles of downtime, and a Reactive pool escalates at its
+    second detection. *)
 
 type config = {
   workers : int;  (** pool size *)
   policy : Policy.t;
   seed : int;  (** master seed: parent image, respawn seeds, injectors *)
-  worker_fuel : int;  (** per-child lifetime instruction budget *)
   request_fuel : int;  (** per-request instruction cap (timeout) *)
   max_retries : int;  (** failed-request retries on other workers *)
   requests_per_child : int;  (** recycle after N requests; 0 = never *)
-  spawn_cycles : int;  (** graceful recycle downtime *)
   restart_cycles : int;  (** crash-respawn downtime *)
   rerandomize_cycles : int;  (** recompile + respawn downtime *)
   arrival_cycles : int;  (** inter-arrival gap charged per submit *)
-  detection_threshold : int;  (** Reactive: escalate at N detections *)
   inject : R2c_machine.Inject.rates;  (** chaos fault-injection rates *)
 }
 
@@ -95,8 +96,8 @@ type t
     attempt / respawn spans and crash / detection / escalation /
     post-mortem instants on the event timeline (dispatcher is thread 0,
     worker [w] is thread [w+1], timestamps are pool-clock cycles), plus
-    [pool_*] counters, a clock gauge and a request-cycles histogram in the
-    metrics registry. Each worker also gets a small trace ring for crash
+    [pool_*] counters and a clock gauge that read {!stats} and {!clock},
+    and a request-cycles histogram, in the metrics registry. Each worker also gets a small trace ring for crash
     post-mortems. Without [?obs] none of this exists — the serving path is
     the bare interpreter. *)
 val create :
@@ -124,9 +125,8 @@ val run : t -> string list -> response list
 
 (** [shutdown t] — graceful drain: stop admitting (every later {!submit}
     is refused and counted as shed), close out each worker with a
-    [retire] span covering its residual downtime, record a terminal
-    stats snapshot in the metrics registry, and mark the timeline with a
-    [shutdown] instant. In-flight work needs no waiting — serving is
+    [retire] span covering its residual downtime, and mark the timeline
+    with a [shutdown] instant. In-flight work needs no waiting — serving is
     synchronous, so nothing is mid-request between [submit]s.
     Idempotent. The fleet's epoch rotation retires old-epoch pools
     through this instead of abandoning them. *)

@@ -43,14 +43,13 @@ let test_pool_shutdown () =
   Alcotest.(check int) "second shutdown is a no-op" dropped0 s.Pool.dropped
 
 let test_pool_shutdown_final_snapshot () =
-  (* The drain pushes a terminal stats snapshot into the registry. *)
+  (* After the drain the registry reads the pool's final stats. *)
   let sink = Obs.Sink.create () in
   let pool = make_pool ~obs:sink () in
   serve_n pool 4;
   Pool.shutdown pool;
-  let c = Obs.Metrics.counter sink.Obs.Sink.metrics "pool_served_total" in
   Alcotest.(check int) "snapshot matches stats" (Pool.stats pool).Pool.served
-    (Obs.Metrics.counter_value c)
+    (Obs.Metrics.counter_value sink.Obs.Sink.metrics "pool_served_total")
 
 (* --- fleet: rotation state machine --- *)
 
@@ -141,17 +140,150 @@ let test_fleet_metrics_registered () =
     ignore (Fleet.submit fleet "GET /item/1")
   done;
   let m = (Fleet.sink fleet).Obs.Sink.metrics in
-  let v name = Obs.Metrics.counter_value (Obs.Metrics.counter m name) in
+  let v name = Obs.Metrics.counter_value m name in
   Alcotest.(check int) "fleet_requests_total" 10 (v "fleet_requests_total");
   Alcotest.(check int) "fleet_served_total" 10 (v "fleet_served_total");
   Alcotest.(check int) "per-shard series present"
     ((Fleet.stats fleet).Fleet.served)
     (v "fleet_shard0_served_total" + v "fleet_shard1_served_total")
 
-(* --- QCheck properties --- *)
+(* --- the registry reads the counts Pool and Fleet keep --- *)
 
 let stormy rate =
   { Inject.bitflip = 0.0; load_corrupt = 0.0; spurious_fault = rate; fuel_cut = 0.0 }
+
+(* The exposition after each campaign below, pinned at the text the
+   registry printed when it kept copies of the counts: reading them
+   through must not change it. *)
+let expected_exposition name =
+  let path =
+    List.find Sys.file_exists [ Filename.concat "registry" name; Filename.concat "test/registry" name ]
+  in
+  In_channel.with_open_bin path In_channel.input_all
+
+(* An observed Reactive pool of the vulnerable server under chaos, with a
+   stack smash every seventh request: crashes, detections, an escalation
+   and its rerandomizations. *)
+let chaos_pool () =
+  let sink = Obs.Sink.create () in
+  let inject =
+    { Inject.bitflip = 0.001; load_corrupt = 0.001; spurious_fault = 0.00001; fuel_cut = 0.02 }
+  in
+  let cfg =
+    {
+      Pool.default_config with
+      Pool.policy = R2c_runtime.Policy.(Reactive Escalate_rerandomize);
+      seed = 7;
+      requests_per_child = 0;
+      inject;
+    }
+  in
+  let pool =
+    Pool.create ~obs:sink ~cfg
+      ~build:(fun ~seed ->
+        R2c_workloads.Vulnapp.build ~seed { dc with R2c_core.Dconfig.aslr = false })
+      ~break_sym:R2c_workloads.Vulnapp.break_symbol ()
+  in
+  for i = 1 to 120 do
+    ignore (Pool.submit pool (if i mod 7 = 3 then String.make 120 'A' else "GET /status"))
+  done;
+  (pool, sink)
+
+let check_pool_reads what pool (sink : Obs.Sink.t) =
+  let m = sink.Obs.Sink.metrics and s = Pool.stats pool in
+  List.iter
+    (fun (name, v) -> Alcotest.(check int) (what ^ ": " ^ name) v (Obs.Metrics.counter_value m name))
+    [
+      ("pool_requests_total", s.Pool.served + s.Pool.dropped);
+      ("pool_served_total", s.Pool.served);
+      ("pool_dropped_total", s.Pool.dropped);
+      ("pool_crashes_total", s.Pool.crashes);
+      ("pool_detections_total", s.Pool.detections);
+      ("pool_timeouts_total", s.Pool.timeouts);
+      ("pool_restarts_total", s.Pool.restarts);
+      ("pool_rerandomizations_total", s.Pool.rerandomizations);
+    ];
+  Alcotest.(check (float 0.0)) (what ^ ": pool_clock_cycles")
+    (float_of_int (Pool.clock pool))
+    (Obs.Metrics.gauge_value m "pool_clock_cycles")
+
+let test_pool_registry_reads_stats () =
+  let pool, sink = chaos_pool () in
+  let s = Pool.stats pool in
+  Alcotest.(check bool) "the campaign detects and escalates" true
+    (s.Pool.detections > 0 && s.Pool.rerandomizations > 0);
+  check_pool_reads "after the campaign" pool sink;
+  Pool.shutdown pool;
+  ignore (Pool.submit pool "GET /status");
+  check_pool_reads "after shutdown" pool sink;
+  Alcotest.(check string) "exposition" (expected_exposition "pool.prom")
+    (Obs.Metrics.expose sink.Obs.Sink.metrics)
+
+(* Two shards under spurious faults with a short epoch timer: hedges,
+   sheds, quarantines, canary failures and rotations. *)
+let chaos_fleet () =
+  let cfg =
+    {
+      Fleet.default_config with
+      Fleet.shards = 2;
+      seed = 3;
+      queue_bound = 4;
+      arrival_cycles = 4000;
+      epoch_cycles = 300_000;
+      quarantine_cycles = 20_000;
+      shard =
+        {
+          Fleet.default_config.Fleet.shard with
+          Pool.workers = 2;
+          requests_per_child = 16;
+          restart_cycles = 30_000;
+          rerandomize_cycles = 50_000;
+          inject = stormy 0.00003;
+        };
+    }
+  in
+  let fleet = mk_fleet ~cfg () in
+  for i = 1 to 400 do
+    ignore (Fleet.submit fleet (Printf.sprintf "GET /item/%d" (i mod 9)))
+  done;
+  fleet
+
+let test_fleet_registry_reads_stats () =
+  let fleet = chaos_fleet () in
+  let m = (Fleet.sink fleet).Obs.Sink.metrics and s = Fleet.stats fleet in
+  List.iter
+    (fun (name, v) -> Alcotest.(check int) name v (Obs.Metrics.counter_value m name))
+    [
+      ("fleet_requests_total", s.Fleet.submitted);
+      ("fleet_served_total", s.Fleet.served);
+      ("fleet_dropped_total", s.Fleet.dropped);
+      ("fleet_shed_total", s.Fleet.shed);
+      ("fleet_hedges_total", s.Fleet.hedges);
+      ("fleet_quarantines_total", s.Fleet.quarantines);
+      ("fleet_rotations_total", s.Fleet.rotations);
+      ("fleet_rotation_drops_total", s.Fleet.rotation_drops);
+      ("fleet_canary_failures_total", s.Fleet.canary_failures);
+    ];
+  Alcotest.(check (float 0.0)) "fleet_epoch" (float_of_int (Fleet.epoch fleet))
+    (Obs.Metrics.gauge_value m "fleet_epoch");
+  Alcotest.(check (float 0.0)) "fleet_clock_cycles" (float_of_int (Fleet.clock fleet))
+    (Obs.Metrics.gauge_value m "fleet_clock_cycles");
+  (* The per-shard counts split the fleet's: a failed dispatch is hedged
+     or rejected. *)
+  let shards suffix =
+    List.fold_left
+      (fun acc i -> acc + Obs.Metrics.counter_value m (Printf.sprintf "fleet_shard%d_%s" i suffix))
+      0 [ 0; 1 ]
+  in
+  Alcotest.(check int) "shard served" s.Fleet.served (shards "served_total");
+  Alcotest.(check int) "shard quarantines" s.Fleet.quarantines (shards "quarantines_total");
+  Alcotest.(check int) "shard failures" (s.Fleet.hedges + s.Fleet.rejected) (shards "failed_total");
+  Alcotest.(check bool) "the campaign hedges, sheds, quarantines and rotates" true
+    (s.Fleet.hedges > 0 && s.Fleet.shed > 0 && s.Fleet.quarantines > 0
+    && s.Fleet.rotations > 0 && s.Fleet.canary_failures > 0);
+  Alcotest.(check string) "exposition" (expected_exposition "fleet.prom") (Obs.Metrics.expose m)
+
+(* --- QCheck properties --- *)
 
 let run_fleet ~seed ~queue_bound ~arrival_cycles ~rate ~requests =
   let cfg =
@@ -257,6 +389,10 @@ let suite =
           test_fleet_reactive_rotation;
         Alcotest.test_case "fleet metrics registered" `Quick
           test_fleet_metrics_registered;
+        Alcotest.test_case "pool registry reads its stats" `Quick
+          test_pool_registry_reads_stats;
+        Alcotest.test_case "fleet registry reads its stats" `Quick
+          test_fleet_registry_reads_stats;
       ]
       @ props );
   ]

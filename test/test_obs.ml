@@ -69,28 +69,39 @@ let test_percentile () =
 
 let test_registry_exposition () =
   let m = Metrics.create () in
-  let c = Metrics.counter ~help:"requests" m "reqs_total" in
-  Metrics.inc ~by:3 c;
-  let g = Metrics.gauge m "depth" in
-  Metrics.set_gauge g 2.5;
+  let reqs = ref 3 in
+  Metrics.counter ~help:"requests" m "reqs_total" (fun () -> !reqs);
+  Metrics.gauge m "depth" (fun () -> 2.5);
   let h = Metrics.histogram m "sizes" in
   Metrics.observe h 3;
-  let text = Metrics.expose m in
-  let contains needle =
+  let contains text needle =
     let nl = String.length needle and tl = String.length text in
     let rec go i = i + nl <= tl && (String.sub text i nl = needle || go (i + 1)) in
     go 0
   in
+  let text = Metrics.expose m in
   List.iter
     (fun needle ->
-      Alcotest.(check bool) ("exposition has " ^ needle) true (contains needle))
+      Alcotest.(check bool) ("exposition has " ^ needle) true (contains text needle))
     [ "# TYPE reqs_total counter"; "reqs_total 3"; "depth 2.5"; "sizes_count 1" ];
-  (* idempotent re-registration, kind mismatch rejected *)
-  Metrics.inc (Metrics.counter m "reqs_total");
-  Alcotest.(check int) "re-registered" 4 (Metrics.counter_value c);
+  (* Counters read through at render time. *)
+  reqs := 4;
+  Alcotest.(check bool) "read at render" true (contains (Metrics.expose m) "reqs_total 4");
+  (* Idempotent re-registration: a counter reads through its newest
+     function under its first help, a histogram keeps its samples, and a
+     kind mismatch is rejected. *)
+  Metrics.counter ~help:"ignored" m "reqs_total" (fun () -> !reqs + 1);
+  Alcotest.(check int) "re-registered" 5 (Metrics.counter_value m "reqs_total");
+  Metrics.observe (Metrics.histogram m "sizes") 5;
+  Alcotest.(check int) "histogram re-registered" 2 (Metrics.hist_count h);
+  let head = "# HELP reqs_total requests\n# TYPE reqs_total counter\nreqs_total 5\n# TYPE depth gauge\n" in
+  Alcotest.(check string) "one series each, help kept" head
+    (String.sub (Metrics.expose m) 0 (String.length head));
   Alcotest.check_raises "kind clash"
     (Invalid_argument "Metrics.gauge: reqs_total registered as another kind")
-    (fun () -> ignore (Metrics.gauge m "reqs_total"));
+    (fun () -> Metrics.gauge m "reqs_total" (fun () -> 0.0));
+  Alcotest.check_raises "no such counter" Not_found (fun () ->
+      ignore (Metrics.counter_value m "depth"));
   match Json.parse (Json.to_string (Metrics.to_json m)) with
   | Ok _ -> ()
   | Error e -> Alcotest.fail ("metrics json: " ^ e)

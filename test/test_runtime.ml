@@ -210,6 +210,78 @@ let test_snapshot_campaign_pinned () =
     ~counters:[ [ 6; 0; 3; 1 ]; [ 6; 1; 2; 2 ]; [ 3; 0; 3; 0 ] ]
     ~digest:"4c6589a95ba119f150c64ca597f8988b"
 
+(* --- a fault of the instruction stepped over at a break --- *)
+
+let spurious rate = { Inject.bitflip = 0.0; load_corrupt = 0.0; spurious_fault = rate; fuel_cut = 0.0 }
+
+(* Give a process parked at a break an injector that faults the next
+   instruction it runs: the break instruction [Process.resume] steps. *)
+let arm (p : Process.t) =
+  p.Process.cpu <- Cpu.clone ~inject:(Inject.create ~rates:(spurious 1.0) ~seed:1 ()) p.Process.cpu
+
+let test_resume_step_fault () =
+  let img = build ~seed:1 in
+  let break = Image.symbol img Vulnapp.break_symbol in
+  let p = Process.start img in
+  Alcotest.(check bool) "parked" true (Process.run_until p ~break:[ break ] = `Hit);
+  arm p;
+  let fuel0 = Process.fuel_left p in
+  (match Process.resume p ~break:[ break ] with
+  | `Step_fault (Fault.Injected { rip; _ }) -> Alcotest.(check int) "at the break" break rip
+  | _ -> Alcotest.fail "the stepped instruction did not fault");
+  Alcotest.(check int) "recorded on the process" 1 p.Process.crashes;
+  Alcotest.(check int) "no fuel charged" fuel0 (Process.fuel_left p);
+  (* The attacker's oracle: the crash it returns is unchanged, and the
+     monitor's count comes from the process. *)
+  let module Oracle = R2c_attacks.Oracle in
+  let o = Oracle.attach ~break_sym:Vulnapp.break_symbol img in
+  Alcotest.(check bool) "oracle parked" true (Oracle.to_break o = `Break);
+  arm o.Oracle.proc;
+  (match Oracle.resume_to_break o with
+  | `Done (Process.Crashed (Fault.Injected { rip; _ })) -> Alcotest.(check int) "resume_to_break" break rip
+  | _ -> Alcotest.fail "resume_to_break: no crash");
+  Alcotest.(check int) "resume_to_break counted" 1 (Oracle.crashes o);
+  Alcotest.(check bool) "resume_to_break dead" true o.Oracle.dead;
+  let o = Oracle.attach ~break_sym:Vulnapp.break_symbol img in
+  Alcotest.(check bool) "at symbol" true (Oracle.to_symbol o Vulnapp.break_symbol = `Break);
+  arm o.Oracle.proc;
+  (match Oracle.to_symbol o Vulnapp.break_symbol with
+  | `Done (Process.Crashed (Fault.Segv { addr; access = Fault.Exec })) ->
+      Alcotest.(check int) "to_symbol" break addr
+  | _ -> Alcotest.fail "to_symbol: no synthesized segv");
+  Alcotest.(check int) "to_symbol counted" 1 (Oracle.crashes o);
+  (* A pool whose injector faults one stepped break among its spurious
+     faults: stats, clock and timeline are what the pool produced before
+     the step went through [Process.resume]. *)
+  let sink = R2c_obs.Sink.create () in
+  let build ~seed = R2c_workloads.Fleetapp.build ~seed R2c_core.Dconfig.baseline in
+  let cfg =
+    { Pool.default_config with Pool.seed = 3; restart_cycles = 40_000; inject = spurious 0.001 }
+  in
+  let pool = Pool.create ~obs:sink ~cfg ~build ~break_sym:R2c_workloads.Fleetapp.break_symbol () in
+  for i = 1 to 100 do
+    ignore (Pool.submit pool (Printf.sprintf "GET /item/%d" i))
+  done;
+  let s = Pool.stats pool in
+  Alcotest.(check string) "pool stats"
+    "served=98 dropped=2 retried=19 crashes=21 restarts=21 clock=4086145"
+    (Printf.sprintf "served=%d dropped=%d retried=%d crashes=%d restarts=%d clock=%d" s.Pool.served
+       s.dropped s.retried s.crashes s.restarts (Pool.clock pool));
+  let events = R2c_obs.Sink.(sink.events) in
+  Alcotest.(check string) "pool timeline" "ed97367f1e688d673f4073aab84c184b"
+    (Digest.to_hex (Digest.string (R2c_obs.Events.to_jsonl events)));
+  let at_break =
+    Fault.to_string
+      (Fault.Injected
+         { rip = Image.symbol (build ~seed:3) R2c_workloads.Fleetapp.break_symbol; kind = "spurious-segv" })
+  in
+  Alcotest.(check int) "one crash at a stepped break" 1
+    (List.length
+       (List.filter
+          (fun (e : R2c_obs.Events.event) ->
+            e.R2c_obs.Events.name = "crash" && List.assoc_opt "fault" e.R2c_obs.Events.args = Some at_break)
+          (R2c_obs.Events.events events)))
+
 let suite =
   [
     ( "runtime",
@@ -221,6 +293,7 @@ let suite =
         Alcotest.test_case "spurious injection crashes" `Quick test_spurious_injection_crashes;
         Alcotest.test_case "rate-0 injection is exact no-op" `Quick test_rate_zero_equivalence;
         Alcotest.test_case "snapshot campaign pinned" `Quick test_snapshot_campaign_pinned;
+        Alcotest.test_case "fault on a stepped break" `Quick test_resume_step_fault;
         Alcotest.test_case "reactive out-survives same-image" `Slow test_chaos_acceptance;
       ] );
   ]
