@@ -3,94 +3,47 @@
 
 open Cmdliner
 module Defenses = R2c_defenses.Defenses
-module Oracle = R2c_attacks.Oracle
-module Reference = R2c_attacks.Reference
 module Report = R2c_attacks.Report
-module Vulnapp = R2c_workloads.Vulnapp
-module Rng = R2c_util.Rng
+module Suite = R2c_attacks.Suite
 
-let defense_of_name name =
-  match
-    List.find_opt
-      (fun (d : Defenses.t) ->
-        String.lowercase_ascii d.Defenses.name = String.lowercase_ascii name)
-      Defenses.all
-  with
-  | Some d -> d
-  | None -> (
-      match
-        List.find_opt
-          (fun (d : Defenses.t) ->
-            String.lowercase_ascii d.Defenses.name = String.lowercase_ascii name)
-          Defenses.variants
-      with
-      | Some d -> d
-      | None ->
-          failwith
-            (Printf.sprintf "unknown defense %s (have: %s)" name
-               (String.concat ", "
-                  (List.map
-                     (fun (d : Defenses.t) -> d.Defenses.name)
-                     (Defenses.all @ Defenses.variants)))))
-
-let scenario (d : Defenses.t) ~seed =
-  let target_img = Defenses.build_vulnapp d ~seed in
-  let reference = Reference.measure (Defenses.build_vulnapp d ~seed:(seed + 1000)) in
-  let relink =
-    if d.Defenses.rerandomize then begin
-      let counter = ref 0 in
-      Some
-        (fun () ->
-          incr counter;
-          Defenses.build_vulnapp d ~seed:(seed + (7777 * !counter)))
-    end
-    else None
+(* A positional or option value looked up by name, listing every name on a
+   miss. *)
+let lookup what find names name_of =
+  let parse s =
+    match find s with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "unknown %s %s (have: %s)" what s (String.concat ", " names))
   in
-  (reference, Oracle.attach ?relink ~break_sym:Vulnapp.break_symbol target_img)
+  Arg.conv' (parse, fun ppf x -> Format.pp_print_string ppf (name_of x))
 
-let run_attack attack defense seed =
-  let d = defense_of_name defense in
-  Printf.printf "target: vulnerable server under %s (seed %d) — %s\n" d.Defenses.name seed
-    d.Defenses.footnote;
-  let reference, target = scenario d ~seed in
-  let report =
-    match attack with
-    | "rop" -> R2c_attacks.Rop.run ~reference ~target
-    | "jitrop" -> R2c_attacks.Jitrop.run ~reference ~target
-    | "indirect-jitrop" -> R2c_attacks.Indirect_jitrop.run ~reference ~target
-    | "aocr" -> R2c_attacks.Aocr.run ~rng:(Rng.create (seed * 31)) ~reference ~target ()
-    | "pirop" -> R2c_attacks.Pirop.run ~reference ~target ()
-    | "blindrop" -> R2c_attacks.Blindrop.run ~target ()
-    | "race" -> R2c_attacks.Race.run ~target
-    | "ra-zeroing" -> R2c_attacks.Ra_zeroing.run ~target ()
-    | other ->
-        failwith
-          ("unknown attack " ^ other
-         ^ " (have: rop, jitrop, indirect-jitrop, aocr, pirop, blindrop, race, \
-            ra-zeroing)")
-  in
-  print_endline (Report.to_string report);
+let run_attack (name, run) (d : Defenses.t) seed =
+  Printf.printf "target: vulnerable server under %s (seed %d) — %s\n" d.name seed d.footnote;
+  let report = run d ~seed in
+  Printf.printf "%s: %s\n" name (Report.to_string report);
   Printf.printf "victim sensitive-call log: %s\n"
     (String.concat ", "
-       (List.map
-          (fun (a, b) -> Printf.sprintf "(0x%x, 0x%x)" a b)
-          (Oracle.sensitive_log target)));
+       (List.map (fun (a, b) -> Printf.sprintf "(0x%x, 0x%x)" a b) report.Report.sensitive));
   if report.Report.success then 0 else 1
 
 let () =
+  let attack_names = List.map fst Suite.all in
+  let defense_names =
+    List.map (fun (d : Defenses.t) -> d.name) (Defenses.all @ Defenses.variants)
+  in
   let attack =
     Arg.(
       required
-      & pos 0 (some string) None
+      & pos 0 (some (lookup "attack" Suite.find attack_names fst)) None
       & info [] ~docv:"ATTACK"
-          ~doc:"One of: rop, jitrop, indirect-jitrop, aocr, pirop, blindrop.")
+          ~doc:("One of: " ^ String.concat ", " attack_names ^ " (case and '-' ignored)."))
   in
   let defense =
     Arg.(
-      value & opt string "unprotected"
+      value
+      & opt (lookup "defense" Defenses.find defense_names (fun (d : Defenses.t) -> d.name))
+          Defenses.unprotected
       & info [ "d"; "defense" ] ~docv:"DEFENSE"
-          ~doc:"Defense model (unprotected, aslr, CodeArmor, TASR, StackArmor, \
-                Readactor, kR^X, R2C, r2c-nopie).")
+          ~doc:("Defense model, case ignored: " ^ String.concat ", " defense_names ^ "."))
   in
   let seed =
     Arg.(value & opt int 2 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Victim seed.")

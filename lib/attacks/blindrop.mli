@@ -9,8 +9,6 @@
     landing in booby-trap functions, and the monitoring threshold ends the
     campaign — the reactive deterrence of Section 4.1. *)
 
-val name : string
-
 val run :
   ?probe_budget:int ->
   ?monitor_threshold:int ->

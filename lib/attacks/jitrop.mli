@@ -7,6 +7,4 @@
     cold by execute-only memory, whose very first text read faults
     (Section 2.1's leakage-resilience upgrade). *)
 
-val name : string
-
 val run : reference:Reference.t -> target:Oracle.t -> Report.t

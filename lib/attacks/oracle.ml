@@ -3,29 +3,25 @@ open R2c_machine
 type t = {
   mutable img : Image.t;
   mutable proc : Process.t;
-  restart_allowed : bool;
   relink : (unit -> Image.t) option;
-  break_sym : string;
   mutable break_addr : int;
-  mutable interactions : int;
   mutable dead : bool;
   mutable sensitive_acc : (int * int) list;  (* carried across restarts *)
 }
 
-let break_addr_of img break_sym =
-  match Image.find_symbol img break_sym with
-  | Some a -> a
-  | None -> invalid_arg ("Oracle.attach: no breakpoint symbol " ^ break_sym)
+module Vulnapp = R2c_workloads.Vulnapp
 
-let attach ?(restart_allowed = true) ?relink ~break_sym img =
+let break_addr_of img =
+  match Image.find_symbol img Vulnapp.break_symbol with
+  | Some a -> a
+  | None -> invalid_arg ("Oracle.attach: no breakpoint symbol " ^ Vulnapp.break_symbol)
+
+let attach ?relink img =
   {
     img;
     proc = Process.start img;
-    restart_allowed;
     relink;
-    break_sym;
-    break_addr = break_addr_of img break_sym;
-    interactions = 0;
+    break_addr = break_addr_of img;
     dead = false;
     sensitive_acc = [];
   }
@@ -48,15 +44,6 @@ let leak_at t ~addr ~words =
   Array.init words (fun i ->
       match Mem.peek_u64 mem (addr + (8 * i)) with Some v -> v | None -> 0)
 
-let leak_stack t ~words =
-  let base = rsp t in
-  let mem = t.proc.Process.cpu.Cpu.mem in
-  let values =
-    Array.init words (fun i ->
-        match Mem.peek_u64 mem (base + (8 * i)) with Some v -> v | None -> 0)
-  in
-  (base, values)
-
 (* A faulting corruption primitive kills the worker; booby traps and guard
    pages additionally raise the monitoring alarm. *)
 let killed t f =
@@ -75,7 +62,7 @@ let to_symbol t sym =
       match Process.resume t.proc ~break:[ addr ] with
       | `Hit -> `Break
       | `Done o -> ended t o
-      | `Step_fault _ -> ended t (Process.Crashed (Fault.Segv { addr; access = Fault.Exec })))
+      | `Step_fault f -> ended t (Process.Crashed f))
 
 let step t =
   if t.dead then invalid_arg "Oracle.step: process dead";
@@ -109,12 +96,11 @@ let relink_swap t f =
   proc.Process.crashes <- crashes;
   proc.Process.detections <- detections;
   t.img <- img;
-  t.break_addr <- break_addr_of img t.break_sym;
+  t.break_addr <- break_addr_of img;
   t.proc <- proc;
   t.dead <- false
 
 let send t payload =
-  t.interactions <- t.interactions + 1;
   (* Under live re-randomization, the response/request round trip that
      delivers the payload crosses an I/O boundary: the layout the attacker
      observed is gone (TASR's defensive property). *)
@@ -134,19 +120,26 @@ let resume_to_break t =
   | `Done o -> ended t o
   | `Step_fault f -> ended t (Process.Crashed f)
 
+let to_serving t =
+  let never what o = Error (what ^ ": " ^ Process.outcome_to_string o) in
+  match to_break t with
+  | `Done o -> never "no breakpoint" o
+  | `Break -> (
+      match resume_to_break t with
+      | `Break -> Ok ()
+      | `Done o -> never "second request never reached" o)
+
 let restart t =
-  if not t.restart_allowed then false
-  else begin
-    (match t.relink with
-    | Some f -> relink_swap t f
-    | None ->
-        t.sensitive_acc <- Process.sensitive_log t.proc @ t.sensitive_acc;
-        Process.restart t.proc);
-    t.dead <- false;
-    true
-  end
+  (match t.relink with
+  | Some f -> relink_swap t f
+  | None ->
+      t.sensitive_acc <- Process.sensitive_log t.proc @ t.sensitive_acc;
+      Process.restart t.proc);
+  t.dead <- false
 
 let sensitive_log t = Process.sensitive_log t.proc @ t.sensitive_acc
+
+let compromised t = List.exists (fun (rdi, _) -> rdi = Vulnapp.marker) (sensitive_log t)
 
 let detected t = Process.detected t.proc
 

@@ -1,4 +1,5 @@
-(** The attacker's interface to a victim process.
+(** The attacker's interface to a victim process: the vulnerable server
+    ({!R2c_workloads.Vulnapp}).
 
     Primitives mirror the threat model (Section 3): a deterministic stack
     leak (Malicious Thread Blocking), arbitrary read/write through the
@@ -8,6 +9,10 @@
     and if it hit a booby trap or guard page, the defender's monitoring has
     seen it.
 
+    The MTB breakpoint sits at [Vulnapp.break_symbol]; {!to_serving} walks
+    to the serving state every attack starts from, and {!compromised} is
+    the success test the marker-chain attacks share.
+
     The [img] field is the target's image; attacks must not consult it for
     layout knowledge (that is what {!Reference} is for) — it is exposed for
     harness-side scoring and for the breakpoint scaffolding that stands in
@@ -16,44 +21,39 @@
 type t = {
   mutable img : R2c_machine.Image.t;
   mutable proc : R2c_machine.Process.t;
-  restart_allowed : bool;
   relink : (unit -> R2c_machine.Image.t) option;
       (** TASR-style re-randomization: a fresh layout on every respawn *)
-  break_sym : string;
   mutable break_addr : int;
-  mutable interactions : int;
   mutable dead : bool;
   mutable sensitive_acc : (int * int) list;
 }
 
-(** [attach ?restart_allowed ?relink ~break_sym img] — load the target and
-    position the MTB breakpoint at symbol [break_sym]. *)
-val attach :
-  ?restart_allowed:bool ->
-  ?relink:(unit -> R2c_machine.Image.t) ->
-  break_sym:string ->
-  R2c_machine.Image.t ->
-  t
+(** [attach ?relink img] — load the target and position the MTB breakpoint
+    at the server's serving point. *)
+val attach : ?relink:(unit -> R2c_machine.Image.t) -> R2c_machine.Image.t -> t
 
 (** [to_break t] — run (or re-run, under [relink]) until the breakpoint.
     [`Done] carries the final outcome when the breakpoint is never
     reached. *)
 val to_break : t -> [ `Break | `Done of R2c_machine.Process.outcome ]
 
+(** [to_serving t] — {!to_break}, then on to the second request's
+    breakpoint: the mid-request state every leak is taken in (the frame
+    then carries the first request's residue). [Error] is the note saying
+    which stop was never reached. *)
+val to_serving : t -> (unit, string) result
+
 (** [rsp t] — stack pointer at the current stop. *)
 val rsp : t -> int
 
-(** [leak_stack t ~words] — [words] 64-bit words upward from rsp, with
-    their addresses: [(rsp, values)]. *)
-val leak_stack : t -> words:int -> int * int array
-
-(** [leak_at t ~addr ~words] — snapshot at an absolute address (race-window
-    diffing across instructions that move rsp). *)
+(** [leak_at t ~addr ~words] — [words] 64-bit words upward from [addr]
+    (usually {!rsp}); unmapped words read as 0. *)
 val leak_at : t -> addr:int -> words:int -> int array
 
 (** [to_symbol t sym] — MTB at an arbitrary named instruction (e.g. a
     specific call site). Steps over the current position first when
-    already there. *)
+    already there; a fault on that step ends the process with the fault
+    itself. *)
 val to_symbol : t -> string -> [ `Break | `Done of R2c_machine.Process.outcome ]
 
 (** [step t] — advance the frozen victim by exactly one instruction (the
@@ -81,13 +81,17 @@ val resume_to_end : t -> R2c_machine.Process.outcome
 (** [resume_to_break t] — continue to the next breakpoint hit. *)
 val resume_to_break : t -> [ `Break | `Done of R2c_machine.Process.outcome ]
 
-(** [restart t] — respawn a crashed worker (same layout unless [relink]).
-    [false] if the server does not restart workers. *)
-val restart : t -> bool
+(** [restart t] — respawn a crashed worker (same layout unless [relink]). *)
+val restart : t -> unit
 
 (** Scoring accessors (harness side). *)
 
 val sensitive_log : t -> (int * int) list
+
+(** [compromised t] — the privileged sink ran with the attacker's marker
+    as its argument ({!R2c_workloads.Vulnapp.marker}). *)
+val compromised : t -> bool
+
 val detected : t -> bool
 val crashes : t -> int
 val detections : t -> int

@@ -10,3 +10,10 @@ let slice ~values ~from_off ~upto_off =
       Char.chr ((word lsr (8 * (off mod 8))) land 0xff))
 
 let fill n = String.make n 'A'
+
+let plt_addr_of ?(base = R2c_machine.Addr.text_base) name =
+  let rec idx i = function
+    | [] -> 0
+    | n :: tl -> if n = name then i else idx (i + 1) tl
+  in
+  base + (16 * idx 0 R2c_machine.Image.builtin_names)

@@ -14,3 +14,8 @@ val slice : values:int array -> from_off:int -> upto_off:int -> string
 
 (** [fill n] — [n] filler bytes (0x41). *)
 val fill : int -> string
+
+(** [plt_addr_of ?base name] — the PLT stub of builtin [name]: libc's entry
+    order is public, so it sits at a known offset from the PLT's [base]
+    (default: the text base, where a non-PIE image puts its PLT). *)
+val plt_addr_of : ?base:int -> string -> int

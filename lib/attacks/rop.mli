@@ -10,8 +10,6 @@
     the return address (BTRAs); a wrong guess that lands in a booby trap is
     a detection. *)
 
-val name : string
-
 (** [run ~reference ~target] *)
 val run : reference:Reference.t -> target:Oracle.t -> Report.t
 

@@ -217,6 +217,10 @@ let r2c_cfi =
 let variants =
   [ r2c_naive; r2c_checked; r2c_nopie; r2c_checked_nopie; r2c_rerand; cfi; r2c_cfi ]
 
+let find name =
+  let name = String.lowercase_ascii name in
+  List.find_opt (fun t -> String.lowercase_ascii t.name = name) (all @ variants)
+
 let trampoline_name f = "__tramp_" ^ f
 
 let build t ~seed ~extra_raw (p : Ir.program) =

@@ -67,6 +67,10 @@ val cfi : t
 val r2c_cfi : t
 val variants : t list
 
+(** [find name] — the model in {!all} or {!variants} named [name], ignoring
+    case. *)
+val find : string -> t option
+
 (** [build t ~seed program ~extra_raw] — compile a program under the model
     (adds CPH trampolines when the model hides code pointers). *)
 val build :

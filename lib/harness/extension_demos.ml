@@ -12,10 +12,7 @@ module Mvee = R2c_defenses.Mvee
 module Oracle = R2c_attacks.Oracle
 module Reference = R2c_attacks.Reference
 module Report = R2c_attacks.Report
-module Vulnapp = R2c_workloads.Vulnapp
-
-let attach (d : Defenses.t) ~seed =
-  Oracle.attach ~break_sym:Vulnapp.break_symbol (Defenses.build_vulnapp d ~seed)
+module Suite = R2c_attacks.Suite
 
 (* One table per section, one row per battery run in order: [n] trials
    seeded 1..n, counted as trials, successes and detections. *)
@@ -34,7 +31,7 @@ let batteries key title specs =
     (List.map battery specs)
 
 let run () =
-  let zeroing d seed = R2c_attacks.Ra_zeroing.run ~target:(attach d ~seed) () in
+  let zeroing d seed = R2c_attacks.Ra_zeroing.run ~target:(Suite.target d ~seed) () in
   let rerand_zeroing seed =
     let d = Defenses.r2c_rerand in
     let counter = ref 0 in
@@ -42,14 +39,9 @@ let run () =
       incr counter;
       Defenses.build_vulnapp d ~seed:(seed + 900 + !counter)
     in
-    R2c_attacks.Ra_zeroing.run
-      ~target:
-        (Oracle.attach ~relink ~break_sym:Vulnapp.break_symbol (Defenses.build_vulnapp d ~seed))
-      ()
+    R2c_attacks.Ra_zeroing.run ~target:(Oracle.attach ~relink (Defenses.build_vulnapp d ~seed)) ()
   in
-  let cfi_scenario d seed =
-    (Reference.measure (Defenses.build_vulnapp d ~seed:(seed + 700)), attach d ~seed)
-  in
+  let cfi_scenario d seed = Suite.scenario ~reference_seed:(seed + 700) d ~seed in
   let rop d seed =
     let reference, target = cfi_scenario d seed in
     R2c_attacks.Rop.run ~reference ~target
@@ -58,7 +50,7 @@ let run () =
     let reference, target = cfi_scenario d seed in
     R2c_attacks.Aocr.run ~rng:(R2c_util.Rng.create (seed * 7)) ~reference ~target ()
   in
-  let race d seed = R2c_attacks.Race.run ~target:(attach d ~seed) in
+  let race d seed = R2c_attacks.Race.run ~target:(Suite.target d ~seed) in
   let tables =
     List.map
       (fun (key, title, specs) -> batteries key title specs)
@@ -94,16 +86,17 @@ let run () =
   (* Craft the exploit against variant 1's exact layout. *)
   let v1 = build ~seed:1 in
   let reference = Reference.measure v1 in
-  let target = Oracle.attach ~break_sym:Vulnapp.break_symbol v1 in
+  let target = Oracle.attach v1 in
   let exploit =
-    match (Oracle.to_break target, Oracle.resume_to_break target) with
-    | `Break, `Break -> (
-        let _, values = Oracle.leak_stack target ~words:((reference.Reference.ra_off / 8) + 8) in
+    match Oracle.to_serving target with
+    | Ok () -> (
+        let words = (reference.Reference.ra_off / 8) + 8 in
+        let values = Oracle.leak_at target ~addr:(Oracle.rsp target) ~words in
         match R2c_attacks.Rop.craft ~reference ~values with
         | None -> "no gadget in reference"
         | Some payload ->
             Mvee.verdict_to_string (Mvee.run ~build ~seeds:[ 1; 2 ] ~inputs:[ ""; payload ]))
-    | _ -> "victim never reached serving state"
+    | Error _ -> "victim never reached serving state"
   in
   tables
   @ Results.

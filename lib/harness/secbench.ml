@@ -2,7 +2,7 @@ module Defenses = R2c_defenses.Defenses
 module Oracle = R2c_attacks.Oracle
 module Reference = R2c_attacks.Reference
 module Report = R2c_attacks.Report
-module Vulnapp = R2c_workloads.Vulnapp
+module Suite = R2c_attacks.Suite
 module Probability = R2c_core.Probability
 module Rng = R2c_util.Rng
 module Stats = R2c_util.Stats
@@ -29,11 +29,10 @@ let frame_census ~seed =
   let img = Defenses.build_vulnapp Defenses.r2c ~seed in
   (* Reference.measure on the target itself: evaluation-side ground truth. *)
   let truth = Reference.measure img in
-  let target = Oracle.attach ~break_sym:Vulnapp.break_symbol img in
-  (match Oracle.to_break target with `Break -> () | `Done _ -> failwith "no break");
-  (match Oracle.resume_to_break target with `Break -> () | `Done _ -> failwith "no break2");
+  let target = Oracle.attach img in
+  (match Oracle.to_serving target with Ok () -> () | Error e -> failwith e);
   let words = (truth.Reference.ra_off / 8) + 8 in
-  let _, values = Oracle.leak_stack target ~words in
+  let values = Oracle.leak_at target ~addr:(Oracle.rsp target) ~words in
   let mem = target.Oracle.proc.Process.cpu.Cpu.mem in
   let guards = Mem.guard_page_addrs mem in
   let text_candidates = ref 0 in
@@ -64,28 +63,17 @@ let run ?(trials = 8) ?jobs () =
   let aocr_reports =
     parallel_init trials (fun i ->
         let seed = (i * 3) + 1 in
-        let target =
-          Oracle.attach ~break_sym:Vulnapp.break_symbol
-            (Defenses.build_vulnapp Defenses.r2c ~seed)
-        in
-        let reference =
-          Reference.measure (Defenses.build_vulnapp Defenses.r2c ~seed:(seed + 500))
-        in
+        let reference, target = Suite.scenario ~reference_seed:(seed + 500) Defenses.r2c ~seed in
         R2c_attacks.Aocr.run ~rng:(Rng.create (seed * 131)) ~reference ~target ())
   in
   (* Blind ROP battery against a non-PIE R2C server (the restart scenario
      of Section 7.3). *)
-  let r2c_nopie =
-    { Defenses.r2c with Defenses.cfg = { (R2c_core.Dconfig.full ()) with aslr = false } }
-  in
   let brop_trials = max 2 (trials / 3) in
   let brop_reports =
     parallel_init brop_trials (fun i ->
-        let target =
-          Oracle.attach ~break_sym:Vulnapp.break_symbol
-            (Defenses.build_vulnapp r2c_nopie ~seed:((i * 11) + 3))
-        in
-        R2c_attacks.Blindrop.run ~probe_budget:4000 ~target ())
+        R2c_attacks.Blindrop.run ~probe_budget:4000
+          ~target:(Suite.target Defenses.r2c_nopie ~seed:((i * 11) + 3))
+          ())
   in
   let count p l = List.length (List.filter p l) in
   {

@@ -1,9 +1,5 @@
 module Defenses = R2c_defenses.Defenses
-module Oracle = R2c_attacks.Oracle
-module Reference = R2c_attacks.Reference
 module Report = R2c_attacks.Report
-module Vulnapp = R2c_workloads.Vulnapp
-module Rng = R2c_util.Rng
 module Stats = R2c_util.Stats
 
 type cell = {
@@ -23,40 +19,12 @@ type row = {
   cells : cell list;
 }
 
-let scenario (d : Defenses.t) ~seed =
-  let target_img = Defenses.build_vulnapp d ~seed in
-  let reference = Reference.measure (Defenses.build_vulnapp d ~seed:(seed + 1000)) in
-  let relink =
-    if d.Defenses.rerandomize then begin
-      let counter = ref 0 in
-      Some
-        (fun () ->
-          incr counter;
-          Defenses.build_vulnapp d ~seed:(seed + (7777 * !counter)))
-    end
-    else None
-  in
-  (reference, Oracle.attach ?relink ~break_sym:Vulnapp.break_symbol target_img)
-
-let attacks : (string * (Defenses.t -> seed:int -> Report.t)) list =
-  [
-    ( "ROP",
-      fun d ~seed ->
-        let reference, target = scenario d ~seed in
-        R2c_attacks.Rop.run ~reference ~target );
-    ( "JIT-ROP",
-      fun d ~seed ->
-        let reference, target = scenario d ~seed in
-        R2c_attacks.Jitrop.run ~reference ~target );
-    ( "PIROP",
-      fun d ~seed ->
-        let reference, target = scenario d ~seed in
-        R2c_attacks.Pirop.run ~reference ~target () );
-    ( "AOCR",
-      fun d ~seed ->
-        let reference, target = scenario d ~seed in
-        R2c_attacks.Aocr.run ~rng:(Rng.create (seed * 977)) ~reference ~target () );
-  ]
+(* Table 3's four attack columns, labelled by their upper-cased suite
+   names. *)
+let attacks =
+  List.map
+    (fun name -> (String.uppercase_ascii name, List.assoc name R2c_attacks.Suite.all))
+    [ "rop"; "jit-rop"; "pirop"; "aocr" ]
 
 (* A small SPEC subset keeps the overhead column affordable. *)
 let overhead_subset = [ "perlbench"; "mcf"; "omnetpp"; "x264" ]

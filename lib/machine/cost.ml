@@ -91,6 +91,18 @@ let xeon_8358 = {
 
 let all_machines = [ i9_9900k; epyc_rome; tr_3970x; xeon_8358 ]
 
+let of_name name =
+  let key = String.lowercase_ascii name in
+  match List.find_opt (fun p -> String.lowercase_ascii p.name = key) all_machines with
+  | Some p -> Ok p
+  | None -> (
+      match key with
+      | "i9" -> Ok i9_9900k
+      | "epyc" -> Ok epyc_rome
+      | "tr" -> Ok tr_3970x
+      | "xeon" -> Ok xeon_8358
+      | _ -> Error ("unknown machine " ^ name))
+
 let base_cost p (i : Insn.t) =
   match i with
   | Mov (Reg _, Reg _) | Mov (Reg _, Imm _) -> p.mov_rr

@@ -48,6 +48,10 @@ val xeon_8358 : profile
 (** The paper's four evaluation machines. *)
 val all_machines : profile list
 
+(** [of_name name] — the machine whose profile name is [name], or whose
+    short name ([i9], [epyc], [tr], [xeon]) it is, ignoring case. *)
+val of_name : string -> (profile, string) result
+
 (** [base_cost p i] — execution cost excluding front-end effects (those are
     charged by the CPU from [size] and the icache). *)
 val base_cost : profile -> Insn.t -> float

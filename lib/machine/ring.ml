@@ -37,13 +37,6 @@ let resolve cpu ~rip =
       | Some name -> Some (Insn.Nop 1, Some ("<" ^ name ^ ">"))
       | None -> None)
 
-let step t cpu =
-  let rip = cpu.Cpu.rip in
-  (match resolve cpu ~rip with
-  | Some (insn, symbol) -> push t { rip; insn; rsp = Cpu.reg_get cpu RSP; symbol }
-  | None -> ());
-  Cpu.step cpu
-
 let ignore_step ~cycles:_ ~misses:_ ~called:_ = ()
 
 (* Staged: the record's static part is resolved once per address; a fire
@@ -55,17 +48,6 @@ let attach ?tee t cpu =
           fun ~cycles:_ ~misses:_ ~called:_ ->
             push t { rip; insn; rsp = Cpu.reg_get cpu RSP; symbol }
       | None -> ignore_step)
-
-let run t cpu ~fuel =
-  let rec go budget =
-    if cpu.Cpu.halted then Cpu.Halted
-    else if budget <= 0 then Cpu.Fuel_exhausted
-    else begin
-      step t cpu;
-      go (budget - 1)
-    end
-  in
-  try go fuel with Fault.Fault f -> Cpu.Faulted f
 
 let records t =
   (* Oldest first: the slot at [next] holds the oldest record once the ring

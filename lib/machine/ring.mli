@@ -5,7 +5,7 @@
 type record = {
   rip : int;
   insn : Insn.t;
-  rsp : int;
+  rsp : int;  (** after the instruction ran *)
   symbol : string option;  (** function covering [rip], if compiled code *)
 }
 
@@ -17,19 +17,11 @@ val create : capacity:int -> t
 (** [copy t] — an independent ring holding the same records. *)
 val copy : t -> t
 
-(** [step t cpu] — record the instruction at the current rip, then
-    {!Cpu.step}. Use when the caller drives stepping itself. *)
-val step : t -> Cpu.t -> unit
-
-(** [run t cpu ~fuel] — traced equivalent of {!Cpu.run}. *)
-val run : t -> Cpu.t -> fuel:int -> Cpu.run_result
-
-(** [attach ?tee t cpu] — record via the {!Cpu.observer} hook instead of
-    wrapped stepping: every instruction retired through any runner
-    ({!Cpu.run} on any tier, {!Process.run}, the pool) lands in the ring,
-    including the faulting instruction of a crash. The instruction and
-    symbol are resolved once per address; [rsp] in hook-recorded entries
-    is post-step. By default any previously attached observer is replaced
+(** [attach ?tee t cpu] — record via the {!Cpu.observer} hook: every
+    instruction retired through any runner ({!Cpu.run} on any tier,
+    {!Process.run}, the pool) lands in the ring, including the faulting
+    instruction of a crash. The instruction and symbol are resolved once
+    per address; [rsp] is read after the instruction ran. By default any previously attached observer is replaced
     (the pool wants exactly one fresh ring per child); with [~tee:true]
     the previous observer keeps firing first on every step, so the ring
     can coexist with a profiler ({!Cpu.attach_observer}). *)

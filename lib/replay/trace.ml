@@ -212,15 +212,6 @@ let structurally_valid t =
   in
   List.for_all ok t.events
 
-let machine_of_name name =
-  match
-    List.find_opt
-      (fun p -> String.lowercase_ascii p.Cost.name = String.lowercase_ascii name)
-      Cost.all_machines
-  with
-  | Some p -> Ok p
-  | None -> Error ("unknown machine " ^ name)
-
 let parse_line what line =
   match J.parse line with
   | Ok v -> v
@@ -248,7 +239,7 @@ let of_string s =
         in
         (* The rebuild coordinates must name a known config and machine,
            or replay would fail later, outside this result. *)
-        (match (Dconfig.of_name meta.config, machine_of_name meta.machine) with
+        (match (Dconfig.of_name meta.config, Cost.of_name meta.machine) with
         | Error e, _ | _, Error e -> fail "header: %s" e
         | Ok _, Ok _ -> ());
         let expect = expect_of_json (field "header" hj "expect") in
@@ -307,7 +298,7 @@ let files ~dir =
 (* --- rebuild under the recorded coordinates ------------------------ *)
 
 let ok_or_fail = function Ok x -> x | Error e -> failwith ("r2cr: " ^ e)
-let cost_profile meta = ok_or_fail (machine_of_name meta.machine)
+let cost_profile meta = ok_or_fail (Cost.of_name meta.machine)
 
 let build meta program =
   if meta.config = "baseline" then R2c_compiler.Driver.compile program

@@ -95,7 +95,6 @@ type shard = {
   mutable served : int;
   mutable failed : int;  (* dispatches that failed *)
   mutable quarantines : int;
-  mutable served_depth : int;  (* queue depth after its last served request *)
   latency : Obs.Metrics.histogram;
 }
 
@@ -168,12 +167,15 @@ let register_counts t =
   c "fleet_served_total" "requests served" (fun () -> s.served);
   c "fleet_requests_total" "requests submitted to the fleet" (fun () -> s.submitted)
 
-let register_shard_counts (sink : Obs.Sink.t) sh =
+(* The queue depth is the completions still outstanding at the fleet
+   clock [now ()], counted without expiring them. *)
+let register_shard_counts (sink : Obs.Sink.t) sh ~now =
   let m = sink.Obs.Sink.metrics in
   let n suffix = Printf.sprintf "fleet_shard%d_%s" sh.idx suffix in
   let c suffix help read = Obs.Metrics.counter ~help m (n suffix) read in
   Obs.Metrics.gauge ~help:"outstanding requests" m (n "queue_depth") (fun () ->
-      float_of_int sh.served_depth);
+      let now = now () in
+      float_of_int (Queue.fold (fun k c -> if c > now then k + 1 else k) 0 sh.completions));
   c "quarantines_total" "times quarantined" (fun () -> sh.quarantines);
   c "failed_total" "dispatches this shard failed" (fun () -> sh.failed);
   c "served_total" "requests served by this shard" (fun () -> sh.served)
@@ -224,6 +226,8 @@ let create ?(cfg = default_config) ?obs ~build ~break_sym () =
       ignore (warm_pool ~workers:cfg.shard.Pool.workers ~canary:cfg.canary p))
     pools;
   let clock0 = List.fold_left (fun acc p -> max acc (Pool.clock p)) 0 pools in
+  (* The shard gauges read the fleet clock, which [t] below will hold. *)
+  let fleet_clock = ref (fun () -> clock0) in
   let shards =
     Array.of_list
       (List.mapi
@@ -243,14 +247,13 @@ let create ?(cfg = default_config) ?obs ~build ~break_sym () =
                served = 0;
                failed = 0;
                quarantines = 0;
-               served_depth = 0;
                latency =
                  Obs.Metrics.histogram ~help:"request latency served by this shard (cycles)"
                    sink.Obs.Sink.metrics
                    (Printf.sprintf "fleet_shard%d_request_cycles" i);
              }
            in
-           register_shard_counts sink sh;
+           register_shard_counts sink sh ~now:(fun () -> !fleet_clock ());
            sh)
          pools)
   in
@@ -281,6 +284,7 @@ let create ?(cfg = default_config) ?obs ~build ~break_sym () =
       rotating = None;
     }
   in
+  fleet_clock := (fun () -> t.clock);
   register_counts t;
   t
 
@@ -505,8 +509,8 @@ let serve_result t sh ~completion =
   Obs.Metrics.observe t.request_cycles latency;
   Obs.Metrics.observe sh.latency latency;
   record_outcome sh ~failed:false;
-  sh.served_depth <- Queue.length sh.completions;
-  if sh.served_depth > t.stats.max_queue_depth then t.stats.max_queue_depth <- sh.served_depth
+  let depth = Queue.length sh.completions in
+  if depth > t.stats.max_queue_depth then t.stats.max_queue_depth <- depth
 
 let submit t payload =
   t.stats.submitted <- t.stats.submitted + 1;

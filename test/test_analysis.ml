@@ -61,16 +61,10 @@ let test_cluster_on_live_leak () =
   let img =
     R2c_defenses.Defenses.build_vulnapp R2c_defenses.Defenses.r2c ~seed:6
   in
-  let target =
-    R2c_attacks.Oracle.attach ~break_sym:R2c_workloads.Vulnapp.break_symbol img
-  in
-  (match R2c_attacks.Oracle.to_break target with
-  | `Break -> ()
-  | `Done _ -> Alcotest.fail "no break");
-  (match R2c_attacks.Oracle.resume_to_break target with
-  | `Break -> ()
-  | `Done _ -> Alcotest.fail "no second break");
-  let _, values = R2c_attacks.Oracle.leak_stack target ~words:512 in
+  let module Oracle = R2c_attacks.Oracle in
+  let target = Oracle.attach img in
+  (match Oracle.to_serving target with Ok () -> () | Error e -> Alcotest.fail e);
+  let values = Oracle.leak_at target ~addr:(Oracle.rsp target) ~words:512 in
   let cs = Cluster.analyze (Array.to_list values) in
   let heap = Cluster.heap_candidates cs in
   Alcotest.(check bool) "heap cluster found" true (heap <> []);
@@ -88,7 +82,8 @@ let traced_image () =
 let test_trace_records_execution () =
   let cpu = Loader.load ~profile:Cost.epyc_rome (traced_image ()) in
   let tr = Ring.create ~capacity:64 in
-  (match Ring.run tr cpu ~fuel:1_000_000 with
+  Ring.attach tr cpu;
+  (match Cpu.run cpu ~fuel:1_000_000 with
   | Cpu.Halted -> ()
   | r -> Alcotest.failf "unexpected %s" (match r with Cpu.Fuel_exhausted -> "fuel" | _ -> "fault"));
   let rs = Ring.records tr in
@@ -104,13 +99,15 @@ let test_trace_records_execution () =
 let test_trace_capacity_bound () =
   let cpu = Loader.load ~profile:Cost.epyc_rome (traced_image ()) in
   let tr = Ring.create ~capacity:8 in
-  ignore (Ring.run tr cpu ~fuel:1_000_000);
+  Ring.attach tr cpu;
+  ignore (Cpu.run cpu ~fuel:1_000_000);
   Alcotest.(check int) "bounded" 8 (List.length (Ring.records tr))
 
 let test_trace_order () =
   let cpu = Loader.load ~profile:Cost.epyc_rome (traced_image ()) in
   let tr = Ring.create ~capacity:16 in
-  ignore (Ring.run tr cpu ~fuel:1_000_000);
+  Ring.attach tr cpu;
+  ignore (Cpu.run cpu ~fuel:1_000_000);
   (* Records are in execution order: a ret is eventually followed by the
      halt in _start; pp_tail renders without raising. *)
   Alcotest.(check bool) "tail non-empty" true (String.length (Ring.pp_tail tr ~n:8) > 0)

@@ -1,4 +1,3 @@
-module Oracle = R2c_attacks.Oracle
 module Reference = R2c_attacks.Reference
 module Report = R2c_attacks.Report
 module Rop = R2c_attacks.Rop
@@ -7,30 +6,11 @@ module Indirect_jitrop = R2c_attacks.Indirect_jitrop
 module Aocr = R2c_attacks.Aocr
 module Pirop = R2c_attacks.Pirop
 module Blindrop = R2c_attacks.Blindrop
+module Suite = R2c_attacks.Suite
 module Defenses = R2c_defenses.Defenses
 module Vulnapp = R2c_workloads.Vulnapp
 module Rng = R2c_util.Rng
 module Process = R2c_machine.Process
-
-(* The attacker's reference copy always uses a different seed than the
-   victim: under no/static diversification the binaries coincide (the
-   monoculture); under per-binary diversification every transferred offset
-   is potentially stale. *)
-let scenario (d : Defenses.t) ~seed =
-  let target_img = Defenses.build_vulnapp d ~seed in
-  let reference = Reference.measure (Defenses.build_vulnapp d ~seed:(seed + 1000)) in
-  let relink =
-    if d.Defenses.rerandomize then begin
-      let counter = ref 0 in
-      Some
-        (fun () ->
-          incr counter;
-          Defenses.build_vulnapp d ~seed:(seed + (7777 * !counter)))
-    end
-    else None
-  in
-  let target = Oracle.attach ?relink ~break_sym:Vulnapp.break_symbol target_img in
-  (reference, target)
 
 let check_result name ~expect_success ?expect_detected (r : Report.t) =
   Alcotest.(check bool)
@@ -81,15 +61,13 @@ let test_reference_measure_all_models () =
 
 let test_rop_vs_unprotected () =
   (* Identical binaries: reference knowledge is exact. *)
-  let target_img = Defenses.build_vulnapp Defenses.unprotected ~seed:5 in
-  let reference = Reference.measure (Defenses.build_vulnapp Defenses.unprotected ~seed:99) in
-  let target = Oracle.attach ~break_sym:Vulnapp.break_symbol target_img in
+  let reference, target = Suite.scenario ~reference_seed:99 Defenses.unprotected ~seed:5 in
   check_result "rop vs unprotected" ~expect_success:true (Rop.run ~reference ~target)
 
 let test_rop_vs_r2c () =
   let runs =
     trials 5 (fun seed ->
-        let reference, target = scenario Defenses.r2c ~seed in
+        let reference, target = Suite.scenario Defenses.r2c ~seed in
         Rop.run ~reference ~target)
   in
   Alcotest.(check int) "rop never succeeds vs R2C" 0 (rate runs)
@@ -97,7 +75,7 @@ let test_rop_vs_r2c () =
 let test_rop_vs_aslr_fails () =
   let runs =
     trials 3 (fun seed ->
-        let reference, target = scenario Defenses.aslr ~seed in
+        let reference, target = Suite.scenario Defenses.aslr ~seed in
         Rop.run ~reference ~target)
   in
   Alcotest.(check int) "rop blind vs ASLR fails" 0 (rate runs)
@@ -105,19 +83,19 @@ let test_rop_vs_aslr_fails () =
 (* --- JIT-ROP --- *)
 
 let test_jitrop_vs_unprotected () =
-  let reference, target = scenario Defenses.unprotected ~seed:2 in
+  let reference, target = Suite.scenario Defenses.unprotected ~seed:2 in
   check_result "jitrop vs unprotected" ~expect_success:true (Jitrop.run ~reference ~target)
 
 let test_jitrop_vs_aslr () =
   (* Runtime disclosure defeats sliding. *)
-  let reference, target = scenario Defenses.aslr ~seed:4 in
+  let reference, target = Suite.scenario Defenses.aslr ~seed:4 in
   check_result "jitrop vs aslr" ~expect_success:true (Jitrop.run ~reference ~target)
 
 let test_jitrop_vs_xom () =
   (* Execute-only memory stops the disclosure read. *)
   List.iter
     (fun d ->
-      let reference, target = scenario d ~seed:6 in
+      let reference, target = Suite.scenario d ~seed:6 in
       let r = Jitrop.run ~reference ~target in
       check_result ("jitrop vs " ^ d.Defenses.name) ~expect_success:false r;
       Alcotest.(check bool)
@@ -129,14 +107,14 @@ let test_jitrop_vs_xom () =
 (* --- indirect JIT-ROP --- *)
 
 let test_indirect_vs_aslr () =
-  let reference, target = scenario Defenses.aslr ~seed:8 in
+  let reference, target = Suite.scenario Defenses.aslr ~seed:8 in
   check_result "indirect vs aslr" ~expect_success:true
     (Indirect_jitrop.run ~reference ~target)
 
 let test_indirect_vs_shuffling () =
   let runs =
     trials 4 (fun seed ->
-        let reference, target = scenario Defenses.readactor ~seed in
+        let reference, target = Suite.scenario Defenses.readactor ~seed in
         Indirect_jitrop.run ~reference ~target)
   in
   Alcotest.(check int) "indirect vs readactor fails" 0 (rate runs)
@@ -144,7 +122,7 @@ let test_indirect_vs_shuffling () =
 let test_indirect_vs_r2c () =
   let runs =
     trials 5 (fun seed ->
-        let reference, target = scenario Defenses.r2c ~seed in
+        let reference, target = Suite.scenario Defenses.r2c ~seed in
         Indirect_jitrop.run ~reference ~target)
   in
   Alcotest.(check int) "indirect vs R2C fails" 0 (rate runs)
@@ -152,32 +130,32 @@ let test_indirect_vs_r2c () =
 (* --- AOCR --- *)
 
 let test_aocr_vs_unprotected () =
-  let reference, target = scenario Defenses.unprotected ~seed:10 in
+  let reference, target = Suite.scenario Defenses.unprotected ~seed:10 in
   check_result "aocr vs unprotected" ~expect_success:true
     (Aocr.run ~rng:(Rng.create 1) ~reference ~target ())
 
 let test_aocr_vs_aslr () =
-  let reference, target = scenario Defenses.aslr ~seed:12 in
+  let reference, target = Suite.scenario Defenses.aslr ~seed:12 in
   check_result "aocr vs aslr" ~expect_success:true
     (Aocr.run ~rng:(Rng.create 2) ~reference ~target ())
 
 let test_aocr_vs_readactor () =
   (* The paper's headline: AOCR defeats leakage-resilient code-only
      diversification. *)
-  let reference, target = scenario Defenses.readactor ~seed:14 in
+  let reference, target = Suite.scenario Defenses.readactor ~seed:14 in
   check_result "aocr vs readactor" ~expect_success:true
     (Aocr.run ~rng:(Rng.create 3) ~reference ~target ())
 
 let test_aocr_vs_tasr () =
   (* Re-randomizing code does not help: AOCR is address-oblivious. *)
-  let reference, target = scenario Defenses.tasr ~seed:16 in
+  let reference, target = Suite.scenario Defenses.tasr ~seed:16 in
   check_result "aocr vs tasr" ~expect_success:true
     (Aocr.run ~rng:(Rng.create 4) ~reference ~target ())
 
 let test_aocr_vs_r2c () =
   let runs =
     trials 8 (fun seed ->
-        let reference, target = scenario Defenses.r2c ~seed in
+        let reference, target = Suite.scenario Defenses.r2c ~seed in
         Aocr.run ~rng:(Rng.create (seed * 31)) ~reference ~target ())
   in
   Alcotest.(check int) "aocr vs R2C never succeeds" 0 (rate runs);
@@ -190,14 +168,14 @@ let test_aocr_vs_r2c () =
 (* --- PIROP --- *)
 
 let test_pirop_vs_aslr () =
-  let reference, target = scenario Defenses.aslr ~seed:18 in
+  let reference, target = Suite.scenario Defenses.aslr ~seed:18 in
   check_result "pirop vs aslr" ~expect_success:true
     (Pirop.run ~reference ~target ())
 
 let test_pirop_vs_r2c () =
   let runs =
     trials 5 (fun seed ->
-        let reference, target = scenario Defenses.r2c ~seed in
+        let reference, target = Suite.scenario Defenses.r2c ~seed in
         Pirop.run ~reference ~target ())
   in
   Alcotest.(check int) "pirop vs R2C fails" 0 (rate runs)
@@ -205,19 +183,43 @@ let test_pirop_vs_r2c () =
 (* --- Blind ROP --- *)
 
 let test_blindrop_vs_unprotected () =
-  let _, target = scenario Defenses.unprotected ~seed:20 in
+  let target = Suite.target Defenses.unprotected ~seed:20 in
   check_result "blindrop vs unprotected" ~expect_success:true
     (Blindrop.run ~probe_budget:6000 ~target ())
 
 let test_blindrop_vs_r2c_detected () =
   (* BROP's precondition is a non-PIE worker-respawning server; R2C's
      booby traps are what stops it there (Section 4.1). *)
-  let r2c_nopie =
-    { Defenses.r2c with Defenses.cfg = { (R2c_core.Dconfig.full ()) with aslr = false } }
-  in
-  let _, target = scenario r2c_nopie ~seed:22 in
+  let target = Suite.target Defenses.r2c_nopie ~seed:22 in
   let r = Blindrop.run ~probe_budget:20000 ~target () in
   check_result "blindrop vs R2C" ~expect_success:false ~expect_detected:true r
+
+(* --- the suite registry --- *)
+
+let test_suite_registry () =
+  (* Every spelling r2c-attack has accepted resolves, and together they
+     name every entry exactly once. *)
+  let spellings =
+    [ "rop"; "jitrop"; "indirect-jitrop"; "aocr"; "pirop"; "blindrop"; "race"; "ra-zeroing" ]
+  in
+  let resolved =
+    List.map
+      (fun s ->
+        match Suite.find s with
+        | Some (name, _) -> name
+        | None -> Alcotest.failf "%s does not resolve" s)
+      spellings
+  in
+  Alcotest.(check (list string))
+    "every entry, once" (List.sort compare (List.map fst Suite.all)) (List.sort compare resolved);
+  Alcotest.(check bool) "case ignored" true (Suite.find "JIT-ROP" <> None);
+  Alcotest.(check bool) "unknown" true (Suite.find "brop" = None);
+  (* The monoculture baseline falls to every attack. *)
+  List.iter
+    (fun (name, run) ->
+      check_result (name ^ " vs unprotected") ~expect_success:true
+        (run Defenses.unprotected ~seed:2))
+    Suite.all
 
 let suite =
   [
@@ -243,5 +245,6 @@ let suite =
         Alcotest.test_case "pirop vs r2c" `Quick test_pirop_vs_r2c;
         Alcotest.test_case "blindrop vs unprotected" `Quick test_blindrop_vs_unprotected;
         Alcotest.test_case "blindrop vs r2c detected" `Quick test_blindrop_vs_r2c_detected;
+        Alcotest.test_case "suite registry" `Quick test_suite_registry;
       ] );
   ]

@@ -462,6 +462,23 @@ let test_run_until_many_breakpoints () =
   Alcotest.(check int) "insns" i_slow i_fast;
   Alcotest.(check int) "final rax" rax_slow rax_fast
 
+(* r2cc's --machine and a replay header name a cost profile the same way. *)
+let test_machine_names () =
+  let name = function Ok (p : Cost.profile) -> p.Cost.name | Error e -> e in
+  List.iter
+    (fun (p : Cost.profile) ->
+      let upper = String.uppercase_ascii p.name in
+      Alcotest.(check string) upper p.name (name (Cost.of_name upper)))
+    Cost.all_machines;
+  List.iter
+    (fun (short, (p : Cost.profile)) ->
+      Alcotest.(check string) short p.name (name (Cost.of_name short)))
+    [
+      ("i9", Cost.i9_9900k); ("EPYC", Cost.epyc_rome); ("tr", Cost.tr_3970x);
+      ("xeon", Cost.xeon_8358);
+    ];
+  Alcotest.(check bool) "unknown" true (Result.is_error (Cost.of_name "PDP-11"))
+
 let suite =
   [
     ( "cpu",
@@ -494,5 +511,6 @@ let suite =
           test_crash_accounting_across_restarts;
         Alcotest.test_case "run_until with 64 breakpoints" `Quick
           test_run_until_many_breakpoints;
+        Alcotest.test_case "machine names" `Quick test_machine_names;
       ] );
   ]

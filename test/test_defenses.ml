@@ -1,6 +1,5 @@
 module Defenses = R2c_defenses.Defenses
 module Oracle = R2c_attacks.Oracle
-module Vulnapp = R2c_workloads.Vulnapp
 open R2c_machine
 
 let test_all_models_listed () =
@@ -81,9 +80,7 @@ let test_tasr_relink_invalidate () =
     incr counter;
     Defenses.build_vulnapp d ~seed:(100 + !counter)
   in
-  let target =
-    Oracle.attach ~relink ~break_sym:Vulnapp.break_symbol (Defenses.build_vulnapp d ~seed:50)
-  in
+  let target = Oracle.attach ~relink (Defenses.build_vulnapp d ~seed:50) in
   (match Oracle.to_break target with `Break -> () | `Done _ -> Alcotest.fail "no break");
   let before = Image.symbol target.Oracle.img "main" in
   Oracle.send target "x";

@@ -7,7 +7,7 @@ module Oracle = R2c_attacks.Oracle
 module Report = R2c_attacks.Report
 module Race = R2c_attacks.Race
 module Ra_zeroing = R2c_attacks.Ra_zeroing
-module Vulnapp = R2c_workloads.Vulnapp
+module Suite = R2c_attacks.Suite
 module Dconfig = R2c_core.Dconfig
 module Pipeline = R2c_core.Pipeline
 open R2c_machine
@@ -84,10 +84,7 @@ let test_avx512_halves_the_gap () =
 (* --- race window (Section 5.1) --- *)
 
 let test_race_beats_naive () =
-  let target =
-    Oracle.attach ~break_sym:Vulnapp.break_symbol
-      (Defenses.build_vulnapp Defenses.r2c_naive ~seed:6)
-  in
+  let target = Suite.target Defenses.r2c_naive ~seed:6 in
   let r = Race.run ~target in
   Alcotest.(check bool)
     ("race vs naive: " ^ Report.to_string r)
@@ -96,10 +93,7 @@ let test_race_beats_naive () =
 let test_race_fails_against_r2c () =
   List.iter
     (fun seed ->
-      let target =
-        Oracle.attach ~break_sym:Vulnapp.break_symbol
-          (Defenses.build_vulnapp Defenses.r2c ~seed)
-      in
+      let target = Suite.target Defenses.r2c ~seed in
       let r = Race.run ~target in
       Alcotest.(check bool)
         ("race vs R2C: " ^ Report.to_string r)
@@ -108,9 +102,7 @@ let test_race_fails_against_r2c () =
 
 let test_race_fails_against_push_r2c () =
   let d = { Defenses.r2c with Defenses.cfg = Dconfig.full ~setup:Dconfig.Push () } in
-  let target =
-    Oracle.attach ~break_sym:Vulnapp.break_symbol (Defenses.build_vulnapp d ~seed:9)
-  in
+  let target = Suite.target d ~seed:9 in
   let r = Race.run ~target in
   Alcotest.(check bool) ("race vs push R2C: " ^ Report.to_string r) false r.Report.success
 
@@ -121,10 +113,7 @@ let test_ra_zeroing_discloses_without_checks () =
   let successes =
     List.filter
       (fun seed ->
-        let target =
-          Oracle.attach ~break_sym:Vulnapp.break_symbol
-            (Defenses.build_vulnapp Defenses.r2c_nopie ~seed)
-        in
+        let target = Suite.target Defenses.r2c_nopie ~seed in
         (Ra_zeroing.run ~target ()).Report.success)
       [ 3; 4; 5; 6 ]
   in
@@ -138,10 +127,7 @@ let test_ra_zeroing_checks_detect () =
   let results =
     List.map
       (fun seed ->
-        let target =
-          Oracle.attach ~break_sym:Vulnapp.break_symbol
-            (Defenses.build_vulnapp Defenses.r2c_checked_nopie ~seed)
-        in
+        let target = Suite.target Defenses.r2c_checked_nopie ~seed in
         Ra_zeroing.run ~target ())
       [ 3; 4; 5; 6; 7; 8 ]
   in
@@ -160,10 +146,7 @@ let test_rerandomization_stops_restart_probing () =
     incr counter;
     Defenses.build_vulnapp d ~seed:(500 + !counter)
   in
-  let target =
-    Oracle.attach ~relink ~break_sym:Vulnapp.break_symbol
-      (Defenses.build_vulnapp d ~seed:500)
-  in
+  let target = Oracle.attach ~relink (Defenses.build_vulnapp d ~seed:500) in
   let r = Ra_zeroing.run ~target () in
   Alcotest.(check bool) ("zeroing vs rerand: " ^ Report.to_string r) false r.Report.success
 
@@ -174,16 +157,13 @@ let test_check_fires_on_corrupted_btra () =
      request return: the consistency check must trap. *)
   let img = Defenses.build_vulnapp Defenses.r2c_checked ~seed:11 in
   let truth = R2c_attacks.Reference.measure img in
-  let target = Oracle.attach ~break_sym:Vulnapp.break_symbol img in
-  (match Oracle.to_break target with `Break -> () | `Done _ -> Alcotest.fail "no break");
-  (match Oracle.resume_to_break target with
-  | `Break -> ()
-  | `Done _ -> Alcotest.fail "no second break");
+  let target = Oracle.attach img in
+  (match Oracle.to_serving target with Ok () -> () | Error e -> Alcotest.fail e);
   (* Zero every live pre-BTRA above the frame's return address: one of
      them is the checked one. *)
   let base = Oracle.rsp target in
   let ra_off = truth.R2c_attacks.Reference.ra_off in
-  let _, values = Oracle.leak_stack target ~words:((ra_off / 8) + 12) in
+  let values = Oracle.leak_at target ~addr:base ~words:((ra_off / 8) + 12) in
   Array.iteri
     (fun i v ->
       let off = 8 * i in
@@ -197,11 +177,7 @@ let test_check_fires_on_corrupted_btra () =
 
 (* --- CFI / shadow stack (Section 8.2) --- *)
 
-let scenario (d : Defenses.t) ~seed =
-  let reference =
-    R2c_attacks.Reference.measure (Defenses.build_vulnapp d ~seed:(seed + 700))
-  in
-  (reference, Oracle.attach ~break_sym:Vulnapp.break_symbol (Defenses.build_vulnapp d ~seed))
+let scenario d ~seed = Suite.scenario ~reference_seed:(seed + 700) d ~seed
 
 let test_cfi_differential () =
   (* Programs behave identically under the shadow stack. *)
@@ -249,8 +225,7 @@ let test_shadow_stack_mechanics () =
      baseline+aslr config, so the reference's ra_off locates the frame's
      return address on the target. *)
   let reference, target = scenario Defenses.cfi ~seed:18 in
-  (match Oracle.to_break target with `Break -> () | `Done _ -> Alcotest.fail "no break");
-  (match Oracle.resume_to_break target with `Break -> () | `Done _ -> Alcotest.fail "no b2");
+  (match Oracle.to_serving target with Ok () -> () | Error e -> Alcotest.fail e);
   let slot = Oracle.rsp target + reference.R2c_attacks.Reference.ra_off in
   (* Redirect the return into some other executable byte. *)
   (match Oracle.arb_write target slot (Oracle.rsp target) with
@@ -279,12 +254,11 @@ let test_mvee_detects_tailored_exploit () =
      1 but diverges on variant 2 — the MVEE's detection signal. *)
   let v1 = mvee_build ~seed:1 in
   let reference = R2c_attacks.Reference.measure v1 in
-  let target = Oracle.attach ~break_sym:Vulnapp.break_symbol v1 in
-  (match (Oracle.to_break target, Oracle.resume_to_break target) with
-  | `Break, `Break -> ()
-  | _ -> Alcotest.fail "no serving state");
-  let _, values =
-    Oracle.leak_stack target ~words:((reference.R2c_attacks.Reference.ra_off / 8) + 8)
+  let target = Oracle.attach v1 in
+  (match Oracle.to_serving target with Ok () -> () | Error e -> Alcotest.fail e);
+  let values =
+    Oracle.leak_at target ~addr:(Oracle.rsp target)
+      ~words:((reference.R2c_attacks.Reference.ra_off / 8) + 8)
   in
   match R2c_attacks.Rop.craft ~reference ~values with
   | None -> Alcotest.fail "no gadget"
@@ -321,13 +295,12 @@ let test_unwind_through_btras () =
   (* Walk a live stack with the unwinder and confirm the frame count and
      that every frame's return address lies inside a compiled function. *)
   let img = Defenses.build_vulnapp Defenses.r2c ~seed:8 in
-  let target = Oracle.attach ~break_sym:Vulnapp.break_symbol img in
-  (match Oracle.to_break target with `Break -> () | `Done _ -> Alcotest.fail "no break");
+  let target = Oracle.attach img in
+  (match Oracle.to_serving target with Ok () -> () | Error e -> Alcotest.fail e);
   (* At the breakpoint we are mid-call-site; unwinding is specified from a
      return-address slot, so locate process_request's RA with ground truth
      and walk from there. *)
   let truth = R2c_attacks.Reference.measure img in
-  (match Oracle.resume_to_break target with `Break -> () | `Done _ -> Alcotest.fail "no b2");
   let slot = Oracle.rsp target + truth.R2c_attacks.Reference.ra_off in
   let frames =
     Unwind.backtrace target.Oracle.proc.Process.cpu.Cpu.mem img ~ra_slot:slot

@@ -231,10 +231,10 @@ let test_resume_step_fault () =
   | _ -> Alcotest.fail "the stepped instruction did not fault");
   Alcotest.(check int) "recorded on the process" 1 p.Process.crashes;
   Alcotest.(check int) "no fuel charged" fuel0 (Process.fuel_left p);
-  (* The attacker's oracle: the crash it returns is unchanged, and the
-     monitor's count comes from the process. *)
+  (* The attacker's oracle returns the stepped instruction's own fault,
+     and the monitor's count comes from the process. *)
   let module Oracle = R2c_attacks.Oracle in
-  let o = Oracle.attach ~break_sym:Vulnapp.break_symbol img in
+  let o = Oracle.attach img in
   Alcotest.(check bool) "oracle parked" true (Oracle.to_break o = `Break);
   arm o.Oracle.proc;
   (match Oracle.resume_to_break o with
@@ -242,13 +242,12 @@ let test_resume_step_fault () =
   | _ -> Alcotest.fail "resume_to_break: no crash");
   Alcotest.(check int) "resume_to_break counted" 1 (Oracle.crashes o);
   Alcotest.(check bool) "resume_to_break dead" true o.Oracle.dead;
-  let o = Oracle.attach ~break_sym:Vulnapp.break_symbol img in
+  let o = Oracle.attach img in
   Alcotest.(check bool) "at symbol" true (Oracle.to_symbol o Vulnapp.break_symbol = `Break);
   arm o.Oracle.proc;
   (match Oracle.to_symbol o Vulnapp.break_symbol with
-  | `Done (Process.Crashed (Fault.Segv { addr; access = Fault.Exec })) ->
-      Alcotest.(check int) "to_symbol" break addr
-  | _ -> Alcotest.fail "to_symbol: no synthesized segv");
+  | `Done (Process.Crashed (Fault.Injected { rip; _ })) -> Alcotest.(check int) "to_symbol" break rip
+  | _ -> Alcotest.fail "to_symbol: no injected fault at the break");
   Alcotest.(check int) "to_symbol counted" 1 (Oracle.crashes o);
   (* A pool whose injector faults one stepped break among its spurious
      faults: stats, clock and timeline are what the pool produced before
