@@ -240,8 +240,6 @@ let registry =
     ("frame", "frame layout, unwind rows and memory-budget sanity", rule_frame);
   ]
 
-let rules = List.map (fun (name, doc, _) -> (name, doc)) registry
-
 let run ~expect img =
   let cpu = Loader.load ~profile:Cost.epyc_rome img in
   let ctx = { img; mem = cpu.Cpu.mem; cfg = Cfg.recover img; expect } in
@@ -323,7 +321,7 @@ let ir_rule_dead_store (f : Ir.func) =
 (* --- Rules: const-div-by-zero + oob-const-slot-offset (CCP) ------------ *)
 
 (* Both walk the same conditional-constant environments, so they share
-   one pass; the registry still reports them as distinct rules. *)
+   one pass; their findings still name distinct rules. *)
 let ir_rules_ccp (f : Ir.func) =
   let cp = Dataflow.Constprop.compute f in
   let blocks = block_arr f in
@@ -373,18 +371,6 @@ let ir_rules_ccp (f : Ir.func) =
       end)
     blocks;
   List.rev !fs
-
-let ir_registry =
-  [
-    ( "use-before-def",
-      "a path reaches a var read with no prior definition (may-uninit)" );
-    ("dead-store", "a pure definition is never read (liveness)");
-    ("const-div-by-zero", "a divisor folds to the constant 0 (CCP)");
-    ( "oob-const-slot-offset",
-      "a constant-folded slot access escapes the slot's bounds (CCP)" );
-  ]
-
-let ir_rules = ir_registry
 
 let run_ir (p : Ir.program) =
   List.concat_map

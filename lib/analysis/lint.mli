@@ -33,9 +33,6 @@ type finding = {
 
 val finding_to_string : finding -> string
 
-(** Registry: [(name, one-line description)] in evaluation order. *)
-val rules : (string * string) list
-
 (** [run ~expect img] — load [img] into fresh memory, recover its CFG and
     evaluate every rule. Findings are sorted by rule then address. *)
 val run : expect:expect -> R2c_machine.Image.t -> finding list
@@ -59,9 +56,6 @@ type ir_finding = {
 }
 
 val ir_finding_to_string : ir_finding -> string
-
-(** Registry: [(name, one-line description)] in evaluation order. *)
-val ir_rules : (string * string) list
 
 (** [run_ir p] — evaluate every IR rule on every function. Findings are
     in deterministic (function, block, instruction) order. Only

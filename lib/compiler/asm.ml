@@ -14,8 +14,6 @@ type emitted = {
   eframe : frame_meta option;
 }
 
-let byte_size e = Array.fold_left ( + ) 0 e.esizes
-
 let sizes_of ?(size = R2c_machine.Insn.size) insns = Array.map size insns
 
 let of_raw ?size (r : Opts.raw_func) =
@@ -28,18 +26,3 @@ let of_raw ?size (r : Opts.raw_func) =
     ebooby_trap = r.rbooby_trap;
     eframe = None;
   }
-
-let to_string e =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "%s:\n" e.ename);
-  let off = ref 0 in
-  Array.iteri
-    (fun idx i ->
-      List.iter
-        (fun (s, o) -> if o = !off then Buffer.add_string buf (Printf.sprintf "%s:\n" s))
-        e.local_syms;
-      Buffer.add_string buf
-        (Printf.sprintf "  +%-4d %s\n" !off (R2c_machine.Insn.to_string i));
-      off := !off + e.esizes.(idx))
-    e.insns;
-  Buffer.contents buf

@@ -28,9 +28,6 @@ type emitted = {
   eframe : frame_meta option;  (** None for raw functions *)
 }
 
-(** [byte_size e] — total encoded length. *)
-val byte_size : emitted -> int
-
 (** [sizes_of ?size insns] — per-instruction lengths under an encoder
     hook (default {!R2c_machine.Insn.size}). *)
 val sizes_of : ?size:(R2c_machine.Insn.t -> int) -> R2c_machine.Insn.t array -> int array
@@ -38,5 +35,3 @@ val sizes_of : ?size:(R2c_machine.Insn.t -> int) -> R2c_machine.Insn.t array -> 
 (** [of_raw ?size r] — wrap a raw machine-code function, measuring with
     the given encoder hook. *)
 val of_raw : ?size:(R2c_machine.Insn.t -> int) -> Opts.raw_func -> emitted
-
-val to_string : emitted -> string

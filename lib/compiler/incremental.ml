@@ -29,8 +29,6 @@ type entry = Asm.emitted * Emit.tvmeta * Link.template
 type t = {
   lock : Mutex.t;
   table : (string, entry) Hashtbl.t;
-  mutable total_hits : int;
-  mutable total_misses : int;
   (* Key memoization: valid only while the same instrumented program is
      rebuilt under the same caller-asserted key token — the steady-state
      rotation path, where only link-level options change between builds.
@@ -43,7 +41,7 @@ type t = {
   (* The link plan of the memoized program over the table's current
      entries, with its lowering metadata: a rotation whose plan is still
      valid is one placement. [gen] counts the events that drop it — a
-     memo reset, [poison], [clear] and installed misses — so a plan built
+     memo reset, [poison] and installed misses — so a plan built
      outside the lock is only kept if none happened meanwhile. *)
   mutable plan : (Link.plan * (string * Emit.tvmeta) list) option;
   mutable gen : int;
@@ -53,8 +51,6 @@ let create () =
   {
     lock = Mutex.create ();
     table = Hashtbl.create 4096;
-    total_hits = 0;
-    total_misses = 0;
     memo_ctx = None;
     memo_keys = Hashtbl.create 4096;
     memo_raw = [];
@@ -74,17 +70,7 @@ let reset_memo t =
   t.memo_raw <- [];
   invalidate t
 
-let clear t =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.reset t.table;
-      reset_memo t;
-      t.validated <- None)
-
 let size t = Mutex.protect t.lock (fun () -> Hashtbl.length t.table)
-
-let totals t =
-  Mutex.protect t.lock (fun () ->
-      { hits = t.total_hits; misses = t.total_misses; missed = [] })
 
 let func_digest (f : Ir.func) = Digest.string (Marshal.to_string f [])
 
@@ -224,8 +210,6 @@ let plan_of ?jobs t ~key_token ~(opts : Opts.t) ~salt (p : Ir.program) =
           invalidate t
         end;
         let hits = List.length keyed - List.length misses in
-        t.total_hits <- t.total_hits + hits;
-        t.total_misses <- t.total_misses + List.length misses;
         ( {
             hits;
             misses = List.length misses;
@@ -265,9 +249,7 @@ let build_with_meta ?jobs ?key_token t ~(opts : Opts.t) ~salt (p : Ir.program) =
     Mutex.protect t.lock (fun () ->
         match t.plan with
         | Some (plan, meta) when memo_hit t ~key_token p ->
-            let hits = List.length p.funcs in
-            t.total_hits <- t.total_hits + hits;
-            Some (plan, meta, { hits; misses = 0; missed = [] })
+            Some (plan, meta, { hits = List.length p.funcs; misses = 0; missed = [] })
         | _ -> None)
   in
   let plan, meta, stats =

@@ -12,7 +12,7 @@
     build's {!Link.plan} (symbols interned, references resolved to ids):
     a rebuild of the same program under the same key token whose bodies
     all hit is one {!Link.place} — layout by integer arithmetic and
-    nothing else. [poison], [clear], a key-memo reset and any installed
+    nothing else. [poison], a key-memo reset and any installed
     miss drop the plan.
 
     Contract (enforced by the rerand gate and the differential test
@@ -36,14 +36,9 @@ type stats = {
 type t
 
 val create : unit -> t
-val clear : t -> unit
 
 (** Resident entries. *)
 val size : t -> int
-
-(** Cumulative hit/miss traffic since [create]/[clear] ([missed] is
-    empty). *)
-val totals : t -> stats
 
 (** [build ?jobs ?key_token t ~opts ~salt p] — the linked image and this
     build's cache traffic. Raises {!Driver.Invalid_program} like the

@@ -278,7 +278,7 @@ let place (pl : plan) ~(opts : Opts.t) =
   let data_len = max Addr.page_size (!dcursor - data_base) in
   if data_base + data_len > Addr.data_limit then invalid_arg "link: data region overflow";
   (* The placed text, _start first: each chunk's externals read off the
-     address array, for the loader-free predecode. *)
+     address array, for the loader-free fetch ([Image.predecode]). *)
   let resolve_ids ids = Array.map (fun id -> addrs.(id)) ids in
   let chunks =
     Array.init (nf + 1) (fun k ->
@@ -328,8 +328,8 @@ let place (pl : plan) ~(opts : Opts.t) =
      layout and execution must agree even when resolution changes an
      immediate's width. Built on demand, straight from the emitted
      instructions and by symbol name, independently of the templates'
-     relocations — it is the reference the placement-built
-     [Image.predecode] is checked against, and loading never needs it:
+     relocations — it is the reference the placement-built fetch
+     ([Image.slot_at]) is checked against, and loading never needs it:
      the loader copies the templates' bytes. *)
   let code_list =
     lazy

@@ -117,7 +117,7 @@ let gate ?(min_requests = 100_000) ?(min_shards = 4) ?(min_rotations = 3)
     (r.availability >= min_availability)
     "availability"
     (Printf.sprintf "availability %.5f < %.3f" r.availability min_availability);
-  (* Latency SLO (ROADMAP item 3): opt-in ceiling on the tail, checked
+  (* Latency SLO: opt-in ceiling on the tail, checked
      fleet-wide and per shard so one degraded shard cannot hide behind a
      healthy aggregate. *)
   (match max_p99 with

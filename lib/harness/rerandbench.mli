@@ -6,7 +6,8 @@
     differentially fingerprinting sampled rotations against cold
     compiles at the same coordinates and comparing the text pages each
     loads to. Every rotated image is started as a process, timed apart
-    from the relink. A final edit step changes one
+    from the relink, and the last two are run twice after the one before
+    each ran: the first run against a warm rerun. A final edit step changes one
     function's IR and asserts the rebuild recompiles exactly that
     function and still matches a cold compile of the edited program.
 
@@ -34,8 +35,19 @@ type report = {
 }
 
 (** [incr_ms] is the mean relink per rotation; [start_ms] the mean
-    {!R2c_machine.Process.start} of the rotated image, timed apart. *)
-type timing = { cold_ms : float; incr_ms : float; start_ms : float; speedup : float }
+    {!R2c_machine.Process.start} of the rotated image, timed apart.
+    [first_run_ms] is the mean of the last two rotated images' first
+    {!R2c_machine.Process.run}s, each after the image placed before it has
+    run; [warm_rerun_ms] is the mean of a second process's run of the
+    same images. *)
+type timing = {
+  cold_ms : float;
+  incr_ms : float;
+  start_ms : float;
+  speedup : float;
+  first_run_ms : float;
+  warm_rerun_ms : float;
+}
 
 val run :
   ?funcs:int ->

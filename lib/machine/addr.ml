@@ -37,7 +37,3 @@ let region_to_string = function
   | Heap -> "heap"
   | Stack -> "stack"
   | Unmapped_region -> "unmapped"
-
-let pp fmt a = Format.fprintf fmt "0x%x" a
-
-let to_hex a = Printf.sprintf "0x%x" a

@@ -37,8 +37,3 @@ type region = Text | Data | Heap | Stack | Unmapped_region
 
 val region_of : t -> region
 val region_to_string : region -> string
-
-(** [pp] prints an address in hex. *)
-val pp : Format.formatter -> t -> unit
-
-val to_hex : t -> string

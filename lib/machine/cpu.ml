@@ -28,9 +28,13 @@ type t = {
   shadow : int list ref;  (* shadow stack of return addresses (CFI) *)
   inject : Inject.t option;  (* chaos fault injector, if attached *)
   mutable observer : observer option;  (* per-step hook; None = no cost *)
-  mutable sites : site array;
-      (* [observer ~rip] per text offset, resolved on first fire; [||]
-         until the first observed step after an attach *)
+  mutable sites : site array array;
+      (* [observer ~rip] per chunk of the image's decoder and byte offset
+         into it, resolved on first fire; each [||] until the first
+         observed step in that chunk after an attach *)
+  mutable site_lo : int;
+  mutable site_arr : site array;  (* the chunk [site] last resolved in *)
+  mutable fetch : Image.view;  (* the chunk [straight] last fetched from *)
   mutable btap : (t -> string -> unit) option;
       (* builtin-boundary tap; None = no cost *)
   mutable tier3 : (t -> fuel:int -> run_result) option;
@@ -67,6 +71,9 @@ let create ?(strict_align = false) ?inject ~profile ~mem ~heap image ~rip ~rsp =
       inject;
       observer = None;
       sites = [||];
+      site_lo = 0;
+      site_arr = [||];
+      fetch = Image.no_view;
       btap = None;
       tier3 = None;
     }
@@ -94,6 +101,9 @@ let clone ?inject t =
     inject;
     observer = None;
     sites = [||];
+    site_lo = 0;
+    site_arr = [||];
+    fetch = Image.no_view;
     btap = None;
     tier3 = None;
   }
@@ -303,7 +313,7 @@ let step_builtin t name =
 (* The per-instruction core shared by the reference fetcher and tier 3's
    cold loop: icache charge, cycle accounting, and the dispatch itself.
    Both funnel here, so they cannot disagree on execution semantics —
-   only the fetch (hash probes vs predecoded array) differs, and the
+   only the fetch (hash probes vs the bodies' decoded slots) differs, and the
    differential tests pin that down. *)
 let execute t rip insn size =
   let misses = Icache.access t.icache ~addr:rip ~len:size in
@@ -445,31 +455,54 @@ let step_uninstrumented t =
 
 (* Staged observation. An observer is applied in two stages: [obs ~rip]
    resolves everything static about one text address into a site, once,
-   into the dense [sites] table; the site then fires after every step at
-   that address. The sentinel marks unresolved slots, so an attach only
-   pays for the addresses it actually sees. Out-of-text rips (wild jumps)
-   resolve afresh on every fire. *)
+   into the [sites] table of its chunk; the site then fires after every
+   step at that address. The sentinel marks unresolved slots, so an attach
+   only pays for the chunks and addresses it actually sees, and [site]
+   remembers the last chunk it resolved in, so a step that stays in it
+   finds its site with one compare. Rips outside every chunk (builtin
+   stubs, wild jumps) resolve afresh on every fire. *)
 let unresolved : site = fun ~cycles:_ ~misses:_ ~called:_ -> ()
 
-let resolve t rip off =
+(* The resolved sites of chunk [i], allocated on first use. *)
+let chunk_sites t (d : Image.decoder) i =
+  if Array.length t.sites = 0 then t.sites <- Array.make (Array.length d.Image.d_entries) [||];
+  let arr = t.sites.(i) in
+  if Array.length arr > 0 then arr
+  else begin
+    let arr = Array.make (d.Image.d_ends.(i) - d.Image.d_entries.(i)) unresolved in
+    t.sites.(i) <- arr;
+    arr
+  end
+
+(* Remember the chunk covering [rip] as [site]'s current one; false when
+   no chunk covers it. *)
+let enter_chunk t rip =
+  let d = Image.predecoded t.image in
+  match Image.locate d rip with
+  | -1 -> false
+  | i ->
+      t.site_lo <- d.Image.d_entries.(i);
+      t.site_arr <- chunk_sites t d i;
+      true
+
+(* Resolve [rip]'s site, memoized when [rip] is in the current chunk. *)
+let resolve t rip =
   match t.observer with
   | None -> unresolved
   | Some obs ->
       let s = obs ~rip in
-      let len = t.image.Image.text_len in
-      if off >= 0 && off < len then begin
-        if Array.length t.sites = 0 then t.sites <- Array.make len unresolved;
-        Array.unsafe_set t.sites off s
-      end;
+      let off = rip - t.site_lo in
+      if off >= 0 && off < Array.length t.site_arr then Array.unsafe_set t.site_arr off s;
       s
 
-let site t rip =
-  let sites = t.sites in
-  let off = rip - t.image.Image.text_base in
-  if off >= 0 && off < Array.length sites then
-    let s = Array.unsafe_get sites off in
-    if s != unresolved then s else resolve t rip off
-  else resolve t rip off
+let rec site t rip =
+  let arr = t.site_arr in
+  let off = rip - t.site_lo in
+  if off >= 0 && off < Array.length arr then
+    let s = Array.unsafe_get arr off in
+    if s != unresolved then s else resolve t rip
+  else if Option.is_some t.observer && enter_chunk t rip then site t rip
+  else resolve t rip
 
 (* Fire [rip]'s site with the deltas since the snapshot. The site is bound
    before the call: written as one application, [site t rip ~cycles ...]
@@ -503,7 +536,9 @@ let step t =
 
 let set_observer t obs =
   t.observer <- obs;
-  t.sites <- [||]
+  t.sites <- [||];
+  t.site_lo <- 0;
+  t.site_arr <- [||]
 
 let tee (first : observer) (second : observer) : observer =
  fun ~rip ->
@@ -541,51 +576,85 @@ let run_until t ~fuel ~break =
 let run_reference t ~fuel =
   match run_until t ~fuel ~break:[] with Error r -> r | Ok () -> assert false
 
-(* Predecoded straight-line stepping: the loop tier 3's cold path runs in
-   (lib/machine/jit.ml). The fetch is one TLB exec probe plus one array
-   read into the predecoded text; the observer and injector dispatches are
-   absent (tier 3 never runs under an injector, and [Internal.straight]
-   observes single steps). It returns just after a transfer of control the
-   JIT must see — onto an address set in the [marks] bitmap (one bit per
-   text byte), or backward by less than [longest] bytes — leaving the
-   transferring instruction's address in [from]; otherwise it runs until
-   halt or the end of the budget. Returns the budget left. Out-of-text
-   rip falls through to Invalid_opcode exactly as the reference fetch
-   reports it: neither hash table can match outside the text segment. It
-   lives here, beside [execute], so the per-step calls are direct. *)
-let rec straight t pd base marks longest from budget =
-  if budget <= 0 || t.halted then budget
+(* Unchecked native-endian read of an [Image.view.v_starts] entry. *)
+external get_start : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+
+(* Whether the cold loop stops after the instruction at [rip] moved rip to
+   [a] by a transfer: [a] is marked, or lies backward by less than
+   [longest] bytes. *)
+let[@inline] stops (d : Image.decoder) marks longest rip a =
+  let o = a - d.Image.d_base in
+  (o >= 0
+  && o lsr 3 < Bytes.length marks
+  && Char.code (Bytes.unsafe_get marks (o lsr 3)) land (1 lsl (o land 7)) <> 0)
+  || (a < rip && rip - a < longest)
+
+(* Straight-line stepping over the placed bodies: the loop tier 3's cold
+   path runs in (lib/machine/jit.ml). The fetch is one TLB exec probe,
+   then the current chunk's view ([Image.view]): its body's starts name
+   the instruction at rip, and a relocated one is read from the view's
+   fix-ups. The chunk is looked up ([Image.locate]) only when rip leaves
+   it, so a straight-line step pays one bounds compare. The observer and
+   injector dispatches are absent (tier 3 never runs under an injector,
+   and [Internal.straight] observes single steps). It returns just after a
+   transfer of control the JIT must see ([stops]) — onto an address set
+   in the [marks] bitmap (one bit per text byte), or backward by less
+   than [longest] bytes — leaving the transferring instruction's address
+   in [from]; otherwise it runs until halt or the end of the budget.
+   Returns the budget left, and leaves the current view in [t.fetch] for
+   the next call to start from. A rip outside every chunk is a builtin
+   stub or no instruction at all (Invalid_opcode), exactly as the
+   reference fetch reports it. It lives here, beside [execute], so the
+   per-step calls are direct. *)
+let rec straight t d (v : Image.view) marks longest from budget =
+  if budget <= 0 || t.halted then begin
+    t.fetch <- v;
+    budget
+  end
   else begin
     let rip = t.rip in
     Mem.check_exec t.mem rip;
-    let off = rip - base in
-    let next =
-      if off >= 0 && off < Array.length pd then
-        match Array.unsafe_get pd off with
-        | Image.P_insn (insn, size) ->
-            execute t rip insn size;
-            rip + size
-        | Image.P_builtin name ->
-            step_builtin t name;
-            -1
-        | Image.P_none -> Fault.raise_fault (Invalid_opcode { addr = rip })
-      else Fault.raise_fault (Invalid_opcode { addr = rip })
-    in
-    let a = t.rip in
-    if a = next then straight t pd base marks longest from (budget - 1)
-    else begin
-      let o = a - base in
-      if
-        (o >= 0
-        && o lsr 3 < Bytes.length marks
-        && Char.code (Bytes.unsafe_get marks (o lsr 3)) land (1 lsl (o land 7)) <> 0)
-        || (a < rip && rip - a < longest)
-      then begin
+    let off = rip - v.Image.v_entry in
+    if off >= 0 && off < v.Image.v_len then begin
+      let e = Int32.to_int (get_start v.Image.v_starts (off lsl 2)) in
+      let next =
+        if e > 0 then begin
+          let size = Array.unsafe_get v.Image.v_sizes (e - 1) in
+          execute t rip (Array.unsafe_get v.Image.v_insns (e - 1)) size;
+          rip + size
+        end
+        else if e < 0 then begin
+          let k = -e - 1 in
+          let insn = Array.unsafe_get v.Image.v_fix k in
+          let insn = if insn != Image.unfixed then insn else Image.fixed d v k in
+          let size = v.Image.v_sizes.((Array.unsafe_get v.Image.v_relocs k).Image.r_index) in
+          execute t rip insn size;
+          rip + size
+        end
+        else Fault.raise_fault (Invalid_opcode { addr = rip })
+      in
+      let a = t.rip in
+      if a <> next && stops d marks longest rip a then begin
         from := rip;
+        t.fetch <- v;
         budget - 1
       end
-      else straight t pd base marks longest from (budget - 1)
+      else straight t d v marks longest from (budget - 1)
     end
+    else
+      match Image.locate d rip with
+      | -1 -> (
+          match Hashtbl.find_opt t.image.Image.builtin_addrs rip with
+          | Some name ->
+              step_builtin t name;
+              if stops d marks longest rip t.rip then begin
+                from := rip;
+                t.fetch <- v;
+                budget - 1
+              end
+              else straight t d v marks longest from (budget - 1)
+          | None -> Fault.raise_fault (Invalid_opcode { addr = rip }))
+      | i -> straight t d (Image.view d i) marks longest from budget
   end
 
 (* Tier dispatch: an attached injector forces the reference tier (it
@@ -613,12 +682,12 @@ module Internal = struct
   let site = site
   let unresolved = unresolved
 
-  let straight t pd ~marks ~longest ~from budget =
-    let base = t.image.Image.text_base in
+  let straight t d ~marks ~longest ~from budget =
+    let go t budget = straight t d t.fetch marks longest from budget in
     match t.observer with
-    | None -> straight t pd base marks longest from budget
+    | None -> go t budget
     | Some _ when budget > 0 && not t.halted ->
-        observed t (fun t -> ignore (straight t pd base marks longest from 1));
+        observed t (fun t -> ignore (go t 1));
         budget - 1
     | Some _ -> budget
 end

@@ -19,8 +19,9 @@
 type site = cycles:float -> misses:int -> called:bool -> unit
 
 (** Per-step observation hook, applied in two stages: [obs ~rip] is
-    resolved once per text address (lazily, into a dense per-CPU table)
-    and the resulting {!site} fires on every step at that address. An
+    resolved once per text address (lazily, into a per-CPU table for each
+    chunk the CPU has run in) and the resulting {!site} fires on every
+    step at that address. An
     observer that does its static work — symbol lookup, classification —
     before taking [~cycles] pays for it once per address, not per step;
     one written as a plain four-argument function still works, resolving
@@ -74,9 +75,17 @@ type t = {
   mutable observer : observer option;
       (** per-step hook ({!set_observer}); [None] (the default) costs
           nothing *)
-  mutable sites : site array;
-      (** the observer's resolved sites per text offset, filled on first
-          fire; reset by {!set_observer} *)
+  mutable sites : site array array;
+      (** the observer's resolved sites per chunk of the image's
+          {!Image.decoder} and byte offset into it, each chunk's array
+          allocated on its first fire; reset by {!set_observer} *)
+  mutable site_lo : int;
+  mutable site_arr : site array;
+      (** the entry and sites of the chunk the last site was resolved
+          in *)
+  mutable fetch : Image.view;
+      (** the chunk tier 3's cold loop last fetched from, where the next
+          stretch starts looking ({!Image.no_view} before the first) *)
   mutable btap : (t -> string -> unit) option;
       (** builtin-boundary tap ({!set_builtin_tap}); [None] (the default)
           costs nothing *)
@@ -182,9 +191,10 @@ module Internal : sig
   (** The sentinel filling the unresolved slots of [sites]. *)
   val unresolved : site
 
-  (** [straight t pd ~marks ~longest ~from budget] — steps [t] through
-      the predecoded text [pd] ({!Image.predecoded} of its image) with the
-      reference tier's semantics, minus the injector, until it halts,
+  (** [straight t d ~marks ~longest ~from budget] — steps [t] through
+      the bodies of its image, located by [d] ({!Image.predecoded} of the
+      image), with the reference tier's semantics, minus the injector,
+      until it halts,
       [budget] instructions have retired, or an instruction transfers
       control (any rip other than its fall-through, builtins included)
       onto an address whose bit is set in [marks] (bit [k] of byte [k/8]
@@ -194,7 +204,7 @@ module Internal : sig
       as {!step} observes one. Returns the budget left. Raises
       {!Fault.Fault}. *)
   val straight :
-    t -> Image.pslot array -> marks:Bytes.t -> longest:int -> from:int ref -> int -> int
+    t -> Image.decoder -> marks:Bytes.t -> longest:int -> from:int ref -> int -> int
 end
 
 (** [push_input t s] queues bytes for [read_input]. *)

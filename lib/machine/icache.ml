@@ -66,11 +66,6 @@ let access_line t line =
 
 let copy t = { t with tags = Array.copy t.tags }
 
-let reset t =
-  Array.fill t.tags 0 t.lines (-1);
-  t.miss_count <- 0;
-  t.access_count <- 0
-
 let misses t = t.miss_count
 
 let accesses t = t.access_count

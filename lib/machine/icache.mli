@@ -34,8 +34,6 @@ val access_line : t -> int -> int
     counters. *)
 val copy : t -> t
 
-val reset : t -> unit
-
 (** Cumulative miss/access counters. *)
 val misses : t -> int
 

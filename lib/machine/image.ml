@@ -10,6 +10,8 @@ type pslot =
   | P_insn of Insn.t * int
   | P_builtin of string
 
+type body_code = ..
+
 type reloc = {
   r_index : int;
   r_off : int;
@@ -22,7 +24,8 @@ type body = {
   b_sizes : int array;
   b_relocs : reloc array;
   b_ext : string array;
-  b_slots : pslot array option Atomic.t;
+  b_starts : Bytes.t option Atomic.t;
+  b_code : body_code list Atomic.t;
 }
 
 type chunk = {
@@ -33,11 +36,32 @@ type chunk = {
 
 type jit_cache = ..
 
+type view = {
+  v_ci : int;
+  v_entry : int;
+  v_len : int;
+  v_starts : Bytes.t;
+  v_insns : Insn.t array;
+  v_sizes : int array;
+  v_relocs : reloc array;
+  v_fix : Insn.t array;
+}
+
+type decoder = {
+  d_chunks : chunk array;
+  d_base : int;
+  d_len : int;
+  d_entries : int array;
+  d_ends : int array;
+  d_buckets : int array;
+  d_views : view array;
+}
+
 type t = {
   code : (int, Insn.t * int) Hashtbl.t Lazy.t;
   code_list : (int * Insn.t * int) array Lazy.t;
   chunks : chunk array;
-  index : pslot array option Atomic.t;
+  index : decoder option Atomic.t;
   jit : jit_cache list Atomic.t;
   text_base : int;
   text_len : int;
@@ -200,24 +224,61 @@ let body ~locals insns sizes =
     b_sizes = sizes;
     b_relocs = Array.of_list (List.rev !relocs);
     b_ext;
-    b_slots = Atomic.make None;
+    b_starts = Atomic.make None;
+    b_code = Atomic.make [];
   }
 
-(* A body's predecoded slots, [P_insn (insn, size)] per instruction as
-   emitted. Built on the first predecode of any image the body is placed
-   in, then shared by every later one, so the templates of a rotating
-   program allocate their slots once, not once per rotation. Deferred
-   rather than computed with the bytes because images that are never run
-   fast — cold references, audits — would only pay its memory; an atomic
-   cell rather than a [Lazy] because bodies are shared across domains,
-   where two domains racing to build it just produce equal arrays. *)
-let body_slots b =
-  match Atomic.get b.b_slots with
-  | Some slots -> slots
+(* Which instruction of a body starts at each byte offset, for the cold
+   loop's fetch: 4 bytes per text byte, built on the first fetch from any
+   image the body is placed in and shared by every later one, so the
+   templates of a rotating program are indexed once, not once per
+   rotation. An instruction owns the offset it starts at only when it has
+   a nonzero length: a zero-length one is overwritten by its successor,
+   as in [code_list]'s address table. An instruction with a relocation is
+   named by its relocation, whose resolved form is the placement's
+   ([fixed]). Deferred rather than computed with the bytes because
+   images that are never run fast — cold references, audits — would only
+   pay its memory; an atomic cell rather than a [Lazy] because bodies are
+   shared across domains, where two domains racing to build it just
+   produce equal tables. *)
+let body_starts b =
+  match Atomic.get b.b_starts with
+  | Some starts -> starts
   | None ->
-      let slots = Array.mapi (fun i insn -> P_insn (insn, b.b_sizes.(i))) b.b_insns in
-      Atomic.set b.b_slots (Some slots);
-      slots
+      let starts = Bytes.make (4 * String.length b.b_text) '\000' in
+      let off = ref 0 and k = ref 0 in
+      Array.iteri
+        (fun i _ ->
+          let size = b.b_sizes.(i) in
+          let reloc = !k < Array.length b.b_relocs && b.b_relocs.(!k).r_index = i in
+          if size > 0 then
+            Bytes.set_int32_ne starts (4 * !off) (Int32.of_int (if reloc then -(!k + 1) else i + 1));
+          if reloc then incr k;
+          off := !off + size)
+        b.b_insns;
+      Atomic.set b.b_starts (Some starts);
+      starts
+
+(* A relocation resolved against one placement: each symbol reference in
+   [Insn.map_syms] order is the body's own entry plus an offset, or one of
+   the placement's already-resolved external addresses. *)
+let resolve c r =
+  let insn = c.c_body.b_insns.(r.r_index) in
+  let target k = if k >= 0 then c.c_entry + k else c.c_ext.(-k - 1) in
+  if Array.length r.r_refs = 1 then begin
+    (* the common case, without the visiting counter *)
+    let v = target r.r_refs.(0) in
+    Insn.map_syms (fun _ o -> o + v) insn
+  end
+  else begin
+    let j = ref 0 in
+    Insn.map_syms
+      (fun _ o ->
+        let k = r.r_refs.(!j) in
+        incr j;
+        o + target k)
+      insn
+  end
 
 (* Canonical digest: every observable field serialized in a fixed order,
    hashtables dumped sorted (their internal layout depends on insertion
@@ -273,56 +334,132 @@ let fingerprint img =
   List.iter int (sorted_of_tbl (force img.code_ptr_slots) (fun k () -> k));
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* Predecoded text: one dense array slot per text byte, so tier 3's cold
-   loop fetches with a single bounds-checked array read instead of a
-   [builtin_addrs] probe followed by a [code] probe. Built from the placed
-   bodies: their cached slots are stored at their offsets as-is, then only
-   the relocations are resolved — against the placement's already-resolved
-   external addresses and the body's own entry — so neither [code_list]
-   nor a symbol-table probe is needed. An instruction owns the slot at its
-   offset only when it has a nonzero length: a zero-length one is
-   overwritten by its successor, as in [code_list]'s address table. Slots
-   between instruction starts stay [P_none] — jumping into the middle of
-   an instruction is an invalid opcode, exactly as [code_at] reports
-   it. *)
+(* The fetch side of a placement. Nothing in it is text-sized: the
+   decoded instructions are the bodies' shared slots, and what the
+   placement adds is which chunk covers an address — a bucket per 256
+   bytes of text names the last chunk entered at or before the
+   bucket, and a short forward scan finds the one that covers — and each
+   chunk's relocations, resolved on their first fetch. *)
+let bucket_shift = 8
+
+(* Covers no address: the fetch starts from it, and it stands for a
+   chunk whose view is not built yet. *)
+let no_view =
+  {
+    v_ci = -1;
+    v_entry = 0;
+    v_len = 0;
+    v_starts = Bytes.empty;
+    v_insns = [||];
+    v_sizes = [||];
+    v_relocs = [||];
+    v_fix = [||];
+  }
+
+let locate d addr =
+  let o = addr - d.d_base in
+  if o < 0 || o >= d.d_len then -1
+  else begin
+    let es = d.d_entries in
+    let n = Array.length es in
+    let i = ref (Array.unsafe_get d.d_buckets (o lsr bucket_shift)) in
+    while !i + 1 < n && Array.unsafe_get es (!i + 1) <= addr do
+      incr i
+    done;
+    let i = !i in
+    if i < n && Array.unsafe_get es i <= addr && addr < Array.unsafe_get d.d_ends i then i else -1
+  end
+
 let predecode img =
-  let table = Array.make (max 1 img.text_len) P_none in
-  Array.iter
-    (fun c ->
-      let b = c.c_body in
-      let slots = body_slots b in
-      let off = ref (c.c_entry - img.text_base) in
-      Array.iteri
-        (fun i slot ->
-          let size = b.b_sizes.(i) in
-          if size > 0 then table.(!off) <- slot;
-          off := !off + size)
-        slots;
-      let entry = c.c_entry in
-      Array.iter
-        (fun r ->
-          let j = ref 0 in
-          let resolve _ o =
-            let k = r.r_refs.(!j) in
-            incr j;
-            o + if k >= 0 then entry + k else c.c_ext.(-k - 1)
-          in
-          table.(entry - img.text_base + r.r_off) <-
-            P_insn (Insn.map_syms resolve b.b_insns.(r.r_index), b.b_sizes.(r.r_index)))
-        b.b_relocs)
-    img.chunks;
+  let cs = img.chunks in
+  let n = Array.length cs in
+  let d_entries = Array.map (fun c -> c.c_entry) cs in
+  let d_ends = Array.map (fun c -> c.c_entry + String.length c.c_body.b_text) cs in
+  let d_buckets = Array.make (((max 1 img.text_len - 1) lsr bucket_shift) + 1) 0 in
+  let i = ref 0 in
+  Array.iteri
+    (fun b _ ->
+      let start = img.text_base + (b lsl bucket_shift) in
+      while !i + 1 < n && d_entries.(!i + 1) <= start do
+        incr i
+      done;
+      d_buckets.(b) <- !i)
+    d_buckets;
+  let d =
+    {
+      d_chunks = cs;
+      d_base = img.text_base;
+      d_len = img.text_len;
+      d_entries;
+      d_ends;
+      d_buckets;
+      d_views = Array.make n no_view;
+    }
+  in
   Hashtbl.iter
-    (fun addr name -> table.(addr - img.text_base) <- P_builtin name)
+    (fun addr name ->
+      if locate d addr >= 0 then invalid_arg ("Image.predecode: builtin " ^ name ^ " inside a body"))
     img.builtin_addrs;
-  table
+  d
+
+(* Stands for a relocation not resolved yet. *)
+let unfixed = Insn.Nop (-1)
+
+(* Built on the first fetch from the chunk, each relocation resolved on
+   its own first fetch: a run resolves only the relocations it executes.
+   Two domains racing on a chunk or a relocation both build equal values;
+   either may win. *)
+let view d i =
+  let v = Array.unsafe_get d.d_views i in
+  if v != no_view then v
+  else begin
+    let c = d.d_chunks.(i) in
+    let b = c.c_body in
+    let v =
+      {
+        v_ci = i;
+        v_entry = c.c_entry;
+        v_len = String.length b.b_text;
+        v_starts = body_starts b;
+        v_insns = b.b_insns;
+        v_sizes = b.b_sizes;
+        v_relocs = b.b_relocs;
+        v_fix = Array.make (Array.length b.b_relocs) unfixed;
+      }
+    in
+    d.d_views.(i) <- v;
+    v
+  end
+
+let fixed d v k =
+  let insn = Array.unsafe_get v.v_fix k in
+  if insn != unfixed then insn
+  else begin
+    let insn = resolve d.d_chunks.(v.v_ci) v.v_relocs.(k) in
+    v.v_fix.(k) <- insn;
+    insn
+  end
 
 (* Built at most once per image and shared by every CPU that runs it. Two
-   domains racing on a fresh image both build the same table; either
+   domains racing on a fresh image both build equal decoders; either
    result may win. *)
 let predecoded img =
   match Atomic.get img.index with
-  | Some table -> table
+  | Some d -> d
   | None ->
-      let table = predecode img in
-      Atomic.set img.index (Some table);
-      table
+      let d = predecode img in
+      Atomic.set img.index (Some d);
+      d
+
+(* Builtin stubs lie outside every chunk ([predecode] checks it), so the
+   stub table is probed only where no chunk covers the address. *)
+let slot_at img addr =
+  let d = predecoded img in
+  match locate d addr with
+  | -1 -> ( match Hashtbl.find_opt img.builtin_addrs addr with Some name -> P_builtin name | None -> P_none)
+  | i -> (
+      let v = view d i in
+      match Int32.to_int (Bytes.get_int32_ne v.v_starts (4 * (addr - v.v_entry))) with
+      | 0 -> P_none
+      | e when e > 0 -> P_insn (v.v_insns.(e - 1), v.v_sizes.(e - 1))
+      | e -> P_insn (fixed d v (-e - 1), v.v_sizes.(v.v_relocs.(-e - 1).r_index)))

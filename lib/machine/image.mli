@@ -1,11 +1,19 @@
 (** A linked executable image.
 
     The linker produces one of these; the loader maps it; the CPU fetches
-    decoded instructions from {!predecoded} (tier 3) or [code]
+    decoded instructions through {!predecoded} (tier 3) or [code]
     (reference tier). Text bytes are also materialised into memory with a
     deterministic pseudo-encoding so that read attacks against
     non-execute-only text observe real bytes, while [code_at] is the
     (defender/CPU-side) decoder.
+
+    What is derived from a body's bytes is built once per {!body} and
+    shared by every image that places it: its pseudo-encoded text, the
+    index of its instruction starts ({!view.v_starts}) and, in [Jit], its
+    compile plans
+    ({!body_code}). A placement adds only O(functions) state — the
+    entry-to-chunk map of its {!decoder} — and its relocations resolved
+    against the entry and externals it was placed at.
 
     [func_table] is defender-side metadata (symbols stay out of the
     process's memory, as with a stripped binary plus external debug info);
@@ -19,14 +27,17 @@ type func_info = {
   is_booby_trap : bool;
 }
 
-(** A predecoded text slot: what sits at one byte offset into the text
-    segment. [P_none] marks bytes that are not an instruction start
-    (padding, instruction interiors) — executing one is an invalid
-    opcode. *)
+(** What sits at one byte offset into the text segment ({!slot_at}).
+    [P_none] marks bytes that are not an instruction start (padding,
+    instruction interiors) — executing one is an invalid opcode. *)
 type pslot =
   | P_none
   | P_insn of Insn.t * int  (** decoded instruction and byte length *)
   | P_builtin of string  (** intercepted library entry *)
+
+(** Extended by [Jit] with its per-body compile plans; the machine layer
+    below it only stores them. *)
+type body_code = ..
 
 (** One relocation of a body: instruction [r_index], at byte offset
     [r_off], and each of its symbol references in {!Insn.map_syms}
@@ -47,10 +58,15 @@ type body = {
   b_sizes : int array;  (** emission-time lengths *)
   b_relocs : reloc array;  (** ascending *)
   b_ext : string array;  (** distinct external symbols the relocations reference *)
-  b_slots : pslot array option Atomic.t;
-      (** [P_insn (insn, size)] per instruction, built by the first
-          {!predecode} that places the body and shared afterwards; a body
-          copied with other instructions needs a fresh cell *)
+  b_starts : Bytes.t option Atomic.t;
+      (** memo cell of the index of the body's instruction starts
+          ({!view.v_starts}), built by the first fetch from any image that
+          places the body; a body copied with other instructions needs a
+          fresh cell *)
+  b_code : body_code list Atomic.t;
+      (** the tier-3 compile plans of this body, at most one per cost
+          profile, shared by every image that places it; a body copied
+          with other instructions needs a fresh cell *)
 }
 
 (** One placed body: its entry address and the addresses of its external
@@ -64,6 +80,44 @@ type chunk = {
 (** Code caches the tier-3 JIT publishes on an image ({!t.jit}). Extended
     by [Jit]; the machine layer below it only stores them. *)
 type jit_cache = ..
+
+(** One placed chunk as the fetch sees it ({!view}): its index in
+    [chunks], entry and text length, its body's shared index of
+    instruction starts, instructions, sizes and relocations, and [v_fix],
+    its relocations resolved at this placement ({!fixed}), each
+    {!unfixed} until its first fetch. *)
+type view = {
+  v_ci : int;
+  v_entry : int;
+  v_len : int;
+  v_starts : Bytes.t;
+      (** which instruction starts at each byte offset of the body, as a
+          native-endian int32 at [4 * offset]: [i + 1] where instruction
+          [i] of [v_insns] starts and has no relocation, [-(k + 1)] where
+          the one with relocation [k] of [v_relocs] starts, 0 elsewhere
+          (and where a zero-length instruction sits before its
+          successor) *)
+  v_insns : Insn.t array;
+  v_sizes : int array;
+  v_relocs : reloc array;
+  v_fix : Insn.t array;
+}
+
+(** The fetch side of one placement, O(functions): which chunk covers an
+    address ({!locate}), and each chunk's {!view}, built on its first
+    fetch. The decoded instructions themselves are the bodies', indexed by
+    their shared starts. *)
+type decoder = {
+  d_chunks : chunk array;  (** the image's [chunks] *)
+  d_base : int;  (** text base *)
+  d_len : int;  (** text length *)
+  d_entries : int array;  (** chunk [i]'s entry, ascending *)
+  d_ends : int array;  (** chunk [i]'s end (entry + text length) *)
+  d_buckets : int array;
+      (** per 256 bytes of text: the last chunk entered at or before the
+          bucket's start, or 0 *)
+  d_views : view array;  (** chunk [i]'s {!view}, once built, else {!no_view} *)
+}
 
 type t = {
   code : (int, Insn.t * int) Hashtbl.t Lazy.t;
@@ -83,15 +137,16 @@ type t = {
       (** the placed text, ascending by address: [_start], then every
           function. Bytes outside the chunks (the builtin PLT region,
           function padding) are zero. *)
-  index : pslot array option Atomic.t;
+  index : decoder option Atomic.t;
       (** memo cell of {!predecoded}. An image copied with a changed
           [chunks] must get a fresh cell ([Atomic.make None]). *)
   jit : jit_cache list Atomic.t;
-      (** the tier-3 code caches of this image, at most one per cost
+      (** the tier-3 code state of this image, at most one per cost
           profile, each published once by the first run that needs it and
-          shared by every process of the image afterwards. An image copied
-          with a changed [chunks] must get a fresh cell ([Atomic.make
-          \[\]]). *)
+          shared by every process of the image afterwards; the compiled
+          code itself is instantiated from plans kept on the bodies. An
+          image copied with a changed [chunks] must get a fresh cell
+          ([Atomic.make \[\]]). *)
   text_base : int;
   text_len : int;
   text_perm : Perm.t;
@@ -179,14 +234,40 @@ val body : locals:(string * int) list -> Insn.t array -> int array -> body
     incremental-rerandomization pipeline is gated on. *)
 val fingerprint : t -> string
 
-(** [predecode img] — a fresh dense fetch table for tier 3,
-    indexed by [addr - text_base] over [\[0, text_len)], built from
-    [chunks]: the bodies' cached slots are stored at their offsets and
-    only their relocations are resolved. One O(1) array read replaces the per-step
-    [builtin_addrs] + [code] hash probes; the result agrees with
-    [code_at]/[builtin_addrs] at every address. *)
-val predecode : t -> pslot array
+(** [resolve c r] — relocation [r] of [c]'s body resolved against the
+    entry and externals of placement [c]. *)
+val resolve : chunk -> reloc -> Insn.t
+
+(** [predecode img] — a fresh {!decoder} of [img], O(functions) to build:
+    the bodies' starts and the chunks' views are built on first fetch,
+    and a rotated image finds its bodies' starts already built. Builtin
+    stubs must lie outside every chunk (the linker places them below
+    [_start]); raises [Invalid_argument] otherwise. *)
+val predecode : t -> decoder
 
 (** [predecoded img] — {!predecode}, built on first use and then shared by
     every CPU, respawn and JIT that runs [img]. *)
-val predecoded : t -> pslot array
+val predecoded : t -> decoder
+
+(** [locate d addr] — the index of the chunk whose text covers [addr], or
+    [-1]. *)
+val locate : decoder -> int -> int
+
+(** [view d i] — chunk [i]'s {!view}, built on first use. *)
+val view : decoder -> int -> view
+
+(** The view of no chunk: it covers no address. *)
+val no_view : view
+
+(** A [v_fix] entry not resolved yet (compared physically). *)
+val unfixed : Insn.t
+
+(** [fixed d v k] — relocation [k] of [v]'s chunk resolved, resolving and
+    memoizing it in [v.v_fix] on first use. *)
+val fixed : decoder -> view -> int -> Insn.t
+
+(** [slot_at img addr] — the resolved slot at [addr]: the instruction the
+    CPU fetches there, [P_builtin] at a builtin stub, [P_none] anywhere
+    else. Agrees with [code_at]/[builtin_addrs] at
+    every address. *)
+val slot_at : t -> int -> pslot

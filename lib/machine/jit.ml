@@ -1,8 +1,8 @@
 (* Tier-3 template JIT.
 
    Hot functions — detected by cheap per-function call and loop-backedge
-   counters — are compiled from their predecoded [Image.pslot] form into
-   flat arrays of OCaml closures: one closure per instruction, straight-line
+   counters — are compiled from their placed bodies into flat arrays of
+   OCaml closures: one closure per instruction, straight-line
    basic blocks fused into arrays executed without any per-step decode,
    dispatch-table probe, or rip store. Execution enters compiled code at
    function entries and at any basic-block leader (which is what makes loop
@@ -20,8 +20,8 @@
    run enters it, so the unobserved templates stay exactly as they are.
 
    Everything not compiled runs through one cold loop
-   ([Cpu.Internal.straight]): the predecoded fetch and the shared
-   interpreter core. It hands control back only after a transfer (a taken
+   ([Cpu.Internal.straight]): the bodies' shared decoded slots and the
+   shared interpreter core. It hands control back only after a transfer (a taken
    branch, call, return or builtin) onto a function entry or installed
    leader, or backward by less than the longest body; the slot table is
    probed there, on entry to the runner and after compiled code exits.
@@ -29,8 +29,9 @@
    leader is reached, so the call and backedge counters fire where a
    per-step probe would fire them — save straight-line fall-through from
    the end of one body into the next function's entry, which counts no
-   call. Straight-line code pays one compare. With both thresholds at [max_int] (JIT off) the runner has no
-   slot table at all: it is the cold loop alone.
+   call. Straight-line code pays one compare. With both thresholds at
+   [max_int] (JIT off) the runner has no slot table at all: it is the cold
+   loop alone.
 
    The bit-identicality contract is absolute: every cycle is accumulated by
    the same float additions in the same order as [Cpu.execute], base costs
@@ -41,17 +42,27 @@
    [Cpu.t] on every exit, including exceptional ones.
 
    Compiled code is CPU-independent: closures take the machine context as
-   an argument and capture only constants. So one code cache serves a
-   whole image: it is published on the image ([Image.t.jit], one per cost
+   an argument and capture only constants. So one image's code serves all
+   of it: it is published on the image ([Image.t.jit], one per cost
    profile) by the first run that needs it, and every process, respawn and
    pool worker of the image — in any domain — runs the code the others
-   compiled. Hotness counters and statistics stay per attachment. Compiled
-   functions are keyed by the placed body ([Image.body], by physical
-   identity), its entry and its resolved externals ([c_ext]): a cache
-   adopted by a process of another image (an explicit cache across an
-   incremental rerandomization) re-installs a function whose key still
-   matches and recompiles one whose key does not — stale code never
-   runs. *)
+   compiled. Hotness counters and statistics stay per attachment.
+
+   Compiling is split the way linking is: a plan, derived once per body
+   and cost profile and kept on the body ([Image.body.b_code]), and its
+   instantiation at one placement. The plan holds everything that depends
+   only on the body — the scan, the leaders and blocks as body offsets,
+   the fetch-accounting constants, the effect closures that name no
+   address; instantiating it builds the closures that bake in the
+   placement's addresses — icache lines, exec probes at block entries and
+   page transitions, branch and call targets, relocated operands — so the
+   templates are exactly as fast as ones compiled for that placement
+   alone. Every rotation of a program places the same bodies, so its
+   first run adopts each hot function's plan on first entry instead of
+   compiling it after the thresholds. A private cache ([create_cache])
+   keeps its own plans. [poison] marks a plan stale: it is never
+   instantiated again, and the next hot entry recompiles — stale code
+   never runs. *)
 
 exception Unsupported
 
@@ -101,16 +112,47 @@ type block = {
   b_n : int;
 }
 
-(* One compiled function. [f_body] and [f_ext] are its key, with the
-   entry: the placed body it was compiled from and that placement's
-   external addresses ([f_ext] and the code are mutable for [poison]).
-   The observed templates wrap [f_blocks] on first observed entry; an
-   atomic cell rather than a [Lazy] because the function is shared across
-   domains, where two racing builds just produce equivalent arrays. *)
+(* One instruction's fetch-accounting constants (see [charge]). *)
+type acct = { cb : float; cf : float; pen : float }
+
+(* A function's compile plan: what compiling it needs that depends only on
+   its body and the cost profile, derived once per body and shared by
+   every placement of it. Per scanned instruction (the body's instructions
+   with a nonzero length, in order, up to its length): its index in the
+   body, its body offset, its relocation (or -1), its fetch accounting, and its
+   effect closure when that depends on no address (no relocation, no
+   fault that names its rip). The block structure is body-relative: the
+   leaders by offset, each block's first and last scanned instruction.
+   [p_tgt] keys a placement's fit: for each direct jump through an
+   external or to an absolute address, its target offset when it falls
+   inside the body, else -1 — such a jump landing inside the body (a
+   hand-patched image) makes a plan that fits only placements agreeing on
+   it. [p_stale] is set by
+   [poison]: a stale plan is never instantiated again. *)
+type plan = {
+  p_ins : int array;
+  p_offs : int array;
+  p_rel : int array;
+  p_acct : acct array;
+  p_eff : ((ctx -> unit) * bool) option array;
+  p_blocks : (int * int) array;
+  p_bid : (int, int) Hashtbl.t;  (* leader offset -> block index *)
+  p_leaders : (int * int) array;  (* (leader offset, block index) *)
+  p_direct : int array;  (* scanned indices of the direct jumps [fits] checks *)
+  p_tgt : int array;  (* per such jump *)
+  mutable p_stale : bool;
+}
+
+(* One compiled function: a plan instantiated at one placement. [f_ci] is
+   its chunk's index in the image ([Image.t.chunks], the decoder's and the
+   observer's tables). [f_blocks] is mutable for [poison]. The observed
+   templates wrap [f_blocks] on first observed entry; an atomic cell
+   rather than a [Lazy] because the function is shared across domains,
+   where two racing builds just produce equivalent arrays. *)
 type cfunc = {
   f_entry : int;
-  f_body : Image.body;
-  mutable f_ext : int array;
+  f_ci : int;
+  f_plan : plan;
   mutable f_blocks : block array;
   f_obs : block array option Atomic.t;
   f_leaders : (int * int) array;  (* (address, block index) per leader *)
@@ -365,39 +407,76 @@ let compile_effect ~addr (insn : Insn.t) : (ctx -> unit) * bool =
    code charges an instruction's cycles, observed or not. The float
    additions run in exactly [Cpu.execute]'s order — base, then fetch,
    then the miss penalty term — on the live [cyc] slot; float addition is
-   non-associative, so the order is part of the contract. *)
-let mk_core (p : Cost.profile) ~addr ~size ~(cb : float) (eff : ctx -> unit) :
-    ctx -> unit =
-  let cf = float_of_int size /. p.Cost.fetch_bytes_per_cycle in
-  let pen = p.Cost.icache_miss_penalty in
-  let ls =
-    let rec log2 acc n = if n <= 1 then acc else log2 (acc + 1) (n lsr 1) in
-    log2 0 p.Cost.icache_line_bytes
-  in
-  let first = addr lsr ls and last = (addr + size - 1) lsr ls in
-  if first = last then
-    fun c ->
-      let m = Icache.access_line c.ic first in
-      Array.unsafe_set c.cyc 0
-        (Array.unsafe_get c.cyc 0 +. cb +. cf +. (float_of_int m *. pen));
-      let t = c.t in
-      t.Cpu.insns <- t.Cpu.insns + 1;
-      eff c
-  else
-    fun c ->
-      let m = Icache.access c.ic ~addr ~len:size in
-      Array.unsafe_set c.cyc 0
-        (Array.unsafe_get c.cyc 0 +. cb +. cf +. (float_of_int m *. pen));
-      let t = c.t in
-      t.Cpu.insns <- t.Cpu.insns + 1;
-      eff c
+   non-associative, so the order is part of the contract. The constants
+   sit in one unboxed record per instruction, shared by every placement
+   of its plan: the closure captures one pointer, not three boxed
+   floats. *)
 
-(* Exec-permission probes are kept only at block entries and page
+let acct (p : Cost.profile) insn ~size =
+  {
+    cb = Cost.base_cost p insn;
+    cf = float_of_int size /. p.Cost.fetch_bytes_per_cycle;
+    pen = p.Cost.icache_miss_penalty;
+  }
+
+let line_shift (p : Cost.profile) =
+  let rec log2 acc n = if n <= 1 then acc else log2 (acc + 1) (n lsr 1) in
+  log2 0 p.Cost.icache_line_bytes
+
+let[@inline] charge c a m =
+  Array.unsafe_set c.cyc 0 (Array.unsafe_get c.cyc 0 +. a.cb +. a.cf +. (float_of_int m *. a.pen));
+  let t = c.t in
+  t.Cpu.insns <- t.Cpu.insns + 1
+
+(* One instruction's template: its fetch accounting, then [eff]. Exec-
+   permission probes ([check]) are kept only at block entries and page
    transitions: text protections can only change at builtin boundaries,
    which always exit compiled code, so within one runner activation the
-   elided same-page probes are provably no-ops. A closure that can fault
-   materializes rip before the fault propagates; one wrapper serves ops
-   and terminators alike. *)
+   elided same-page probes are provably no-ops. A template that can fault
+   materializes rip before the fault propagates. The icache line is baked
+   in when the fetch sits inside one. *)
+let compile_op ~ls ~check ~addr ~size (a : acct) (eff, can_fault) : ctx -> unit =
+  let first = addr lsr ls and last = (addr + size - 1) lsr ls in
+  if first = last then
+    if check then fun c ->
+      try
+        Mem.check_exec c.mem addr;
+        charge c a (Icache.access_line c.ic first);
+        eff c
+      with Fault.Fault _ as e ->
+        c.t.Cpu.rip <- addr;
+        raise e
+    else if can_fault then fun c ->
+      try
+        charge c a (Icache.access_line c.ic first);
+        eff c
+      with Fault.Fault _ as e ->
+        c.t.Cpu.rip <- addr;
+        raise e
+    else fun c ->
+      charge c a (Icache.access_line c.ic first);
+      eff c
+  else if check then fun c ->
+    try
+      Mem.check_exec c.mem addr;
+      charge c a (Icache.access c.ic ~addr ~len:size);
+      eff c
+    with Fault.Fault _ as e ->
+      c.t.Cpu.rip <- addr;
+      raise e
+  else if can_fault then fun c ->
+    try
+      charge c a (Icache.access c.ic ~addr ~len:size);
+      eff c
+    with Fault.Fault _ as e ->
+      c.t.Cpu.rip <- addr;
+      raise e
+  else fun c ->
+    charge c a (Icache.access c.ic ~addr ~len:size);
+    eff c
+
+(* A terminator's wrapper: the exec probe and rip materialization of
+   [compile_op] around [core], which charges the fetch itself. *)
 let guard ~check ~can_fault ~addr (core : ctx -> 'a) : ctx -> 'a =
   if check then fun c ->
     try
@@ -412,11 +491,6 @@ let guard ~check ~can_fault ~addr (core : ctx -> 'a) : ctx -> 'a =
       c.t.Cpu.rip <- addr;
       raise e
   else core
-
-let compile_op p ~check ~addr ~size insn : ctx -> unit =
-  let eff, can_fault = compile_effect ~addr insn in
-  let cb = Cost.base_cost p insn in
-  guard ~check ~can_fault ~addr (mk_core p ~addr ~size ~cb eff)
 
 (* do_call / shadow_check mirrors, with rip passed explicitly (the
    interpreter reads the already-correct [t.rip]; compiled code does not
@@ -449,22 +523,25 @@ let shadow_check_c c ~addr ra =
 
 let deopt_term : ctx -> int = fun _ -> -2
 
+(* Fills the op slots of a block before they are compiled. *)
+let deopt_op : ctx -> unit = fun _ -> ()
+
 (* Terminator for a control instruction ending a block. [bid] maps
-   in-function leader addresses to block indices; targets outside it set
-   rip and exit the runner. *)
-let compile_term p ~check ~addr ~size insn ~(bid : (int, int) Hashtbl.t) :
-    ctx -> int =
+   in-function leader addresses to block indices, and everything else to
+   -1; targets outside it set rip and exit the runner. [eff] is the
+   instruction's effect, for one that is no control instruction. *)
+let compile_term p ~ls ~check ~addr ~size ~(a : acct) insn ~eff ~(bid : int -> int) : ctx -> int =
   let next = addr + size in
-  let acct = mk_core p ~addr ~size ~cb:(Cost.base_cost p insn) (fun _ -> ()) in
-  let fall = match Hashtbl.find_opt bid next with Some k -> k | None -> -1 in
+  let acct = compile_op ~ls ~check:false ~addr ~size a ((fun _ -> ()), false) in
+  let fall = bid next in
   match insn with
   | Insn.Jmp (Insn.TAbs tgt) -> (
-      match Hashtbl.find_opt bid tgt with
-      | Some k ->
+      match bid tgt with
+      | k when k >= 0 ->
           guard ~check ~can_fault:false ~addr (fun c ->
               acct c;
               k)
-      | None ->
+      | _ ->
           guard ~check ~can_fault:false ~addr (fun c ->
               acct c;
               c.t.Cpu.rip <- tgt;
@@ -478,8 +555,8 @@ let compile_term p ~check ~addr ~size insn ~(bid : (int, int) Hashtbl.t) :
   | Insn.Jcc (cnd, Insn.TAbs tgt) -> (
       let tst = ev_cond cnd in
       let delta = p.Cost.jcc_taken -. p.Cost.jcc_not_taken in
-      match Hashtbl.find_opt bid tgt with
-      | Some k ->
+      match bid tgt with
+      | k when k >= 0 ->
           guard ~check ~can_fault:false ~addr (fun c ->
               acct c;
               if tst c then begin
@@ -491,7 +568,7 @@ let compile_term p ~check ~addr ~size insn ~(bid : (int, int) Hashtbl.t) :
                 c.t.Cpu.rip <- next;
                 -1
               end)
-      | None ->
+      | _ ->
           guard ~check ~can_fault:false ~addr (fun c ->
               acct c;
               if tst c then begin
@@ -544,7 +621,7 @@ let compile_term p ~check ~addr ~size insn ~(bid : (int, int) Hashtbl.t) :
   | _ ->
       (* a non-control instruction in terminator position (block split
          before a leader, or the last instruction of the body) *)
-      let op = compile_op p ~check ~addr ~size insn in
+      let op = compile_op ~ls ~check ~addr ~size a (eff ()) in
       if fall >= 0 then fun c ->
         op c;
         fall
@@ -554,24 +631,8 @@ let compile_term p ~check ~addr ~size insn ~(bid : (int, int) Hashtbl.t) :
         -1
 
 (* ------------------------------------------------------------------ *)
-(* Function bodies: scan, carve into blocks, compile.                  *)
+(* Function bodies: plan once per body, instantiate per placement.    *)
 (* ------------------------------------------------------------------ *)
-
-(* Decoded body of a function: contiguous instructions from its entry, in
-   the current predecode table. Stops at padding/builtin slots. *)
-let scan_body (pd : Image.pslot array) ~base (fi : Image.func_info) :
-    (int * Insn.t * int) list =
-  let lo = fi.Image.entry - base in
-  let hi = min (lo + fi.Image.code_len) (Array.length pd) in
-  let rec go off acc =
-    if off < 0 || off >= hi then List.rev acc
-    else
-      match pd.(off) with
-      | Image.P_insn (insn, size) when size > 0 ->
-          go (off + size) ((base + off, insn, size) :: acc)
-      | _ -> List.rev acc
-  in
-  if lo < 0 || lo >= Array.length pd then [] else go lo []
 
 let is_control = function
   | Insn.Jmp _ | Insn.Jmp_ind _ | Insn.Jcc _ | Insn.Call _ | Insn.Call_ind _
@@ -579,122 +640,196 @@ let is_control = function
       true
   | _ -> false
 
-let compile_func (p : Cost.profile) (c : Image.chunk) insns : cfunc =
-  let arr = Array.of_list insns in
-  let n = Array.length arr in
-  let addr_set = Hashtbl.create (2 * n) in
-  Array.iter (fun (a, _, _) -> Hashtbl.replace addr_set a ()) arr;
-  (* Leaders: the entry, every branch target inside the body, and the
-     fall-through successor of every control instruction. Each leader is
-     an OSR entry point. *)
+(* Scanned instruction [k] — body instruction [ins.(k)], relocation
+   [rel.(k)] — as placement [c] resolves it. *)
+let placed (c : Image.chunk) ~ins ~rel k =
+  let b = c.Image.c_body in
+  if rel.(k) < 0 then b.Image.b_insns.(ins.(k)) else Image.resolve c b.Image.b_relocs.(rel.(k))
+
+let placed_insn plan c k = placed c ~ins:plan.p_ins ~rel:plan.p_rel k
+
+(* A direct jump's target as a body offset when it lands inside the body's
+   [len] bytes, else -1. *)
+let direct_target (c : Image.chunk) ~len = function
+  | Insn.Jmp (Insn.TAbs t) | Insn.Jcc (_, Insn.TAbs t) ->
+      let rel = t - c.Image.c_entry in
+      if rel >= 0 && rel < len then rel else -1
+  | _ -> -1
+
+(* The plan of the function placed as [c], [len] bytes long: its body's
+   instructions with a nonzero length, from the entry on — exactly the
+   chain of slots the fetch sees from the entry — carved into blocks.
+   Leaders: the entry, every branch target inside the body, and the
+   fall-through successor of every control instruction. Each leader is an
+   OSR entry point. Raises [Unsupported] on an empty body. *)
+let plan_func (p : Cost.profile) (c : Image.chunk) ~len =
+  let b = c.Image.c_body in
+  let ins = ref [] and offs = ref [] and rels = ref [] in
+  let off = ref 0 and r = ref 0 in
+  Array.iteri
+    (fun i _ ->
+      let size = b.Image.b_sizes.(i) in
+      let rel =
+        if !r < Array.length b.Image.b_relocs && b.Image.b_relocs.(!r).Image.r_index = i then begin
+          incr r;
+          !r - 1
+        end
+        else -1
+      in
+      if size > 0 && !off < len then begin
+        ins := i :: !ins;
+        offs := !off :: !offs;
+        rels := rel :: !rels
+      end;
+      off := !off + size)
+    b.Image.b_insns;
+  let p_ins = Array.of_list (List.rev !ins) in
+  let p_offs = Array.of_list (List.rev !offs) in
+  let p_rel = Array.of_list (List.rev !rels) in
+  let n = Array.length p_ins in
+  if n = 0 then raise Unsupported;
+  let insns = Array.init n (placed c ~ins:p_ins ~rel:p_rel) in
+  (* A jump whose every symbol is the body's own lands at the same offset
+     in every placement; the others are what [fits] checks. *)
+  let local k =
+    p_rel.(k) >= 0 && Array.for_all (fun r -> r >= 0) b.Image.b_relocs.(p_rel.(k)).Image.r_refs
+  in
+  let size k = b.Image.b_sizes.(p_ins.(k)) in
+  let starts = Hashtbl.create (2 * n) in
+  Array.iter (fun o -> Hashtbl.replace starts o ()) p_offs;
   let leader = Hashtbl.create 16 in
-  let mark a = if Hashtbl.mem addr_set a then Hashtbl.replace leader a () in
-  (let a0, _, _ = arr.(0) in
-   Hashtbl.replace leader a0 ());
-  Array.iter
-    (fun (a, insn, s) ->
+  let mark o = if Hashtbl.mem starts o then Hashtbl.replace leader o () in
+  Hashtbl.replace leader 0 ();
+  let direct = ref [] in
+  Array.iteri
+    (fun k insn ->
       if is_control insn then begin
-        mark (a + s);
+        mark (p_offs.(k) + size k);
         match insn with
-        | Insn.Jmp (Insn.TAbs t) -> mark t
-        | Insn.Jcc (_, Insn.TAbs t) -> mark t
+        | Insn.Jmp (Insn.TAbs _) | Insn.Jcc (_, Insn.TAbs _) ->
+            if not (local k) then direct := k :: !direct;
+            mark (direct_target c ~len insn)
         | _ -> ()
       end)
-    arr;
-  (* Carve [arr] into maximal straight-line blocks. *)
-  let blocks_idx = ref [] in
+    insns;
+  (* Carve the scan into maximal straight-line blocks. *)
+  let blocks = ref [] in
   let i = ref 0 in
   while !i < n do
     let s = !i in
     let j = ref s in
-    let fin = ref false in
-    while not !fin do
-      let _, insn, _ = arr.(!j) in
-      if is_control insn || !j + 1 >= n then fin := true
-      else begin
-        let na, _, _ = arr.(!j + 1) in
-        if Hashtbl.mem leader na then fin := true else incr j
-      end
+    while not (is_control insns.(!j) || !j + 1 >= n || Hashtbl.mem leader p_offs.(!j + 1)) do
+      incr j
     done;
-    blocks_idx := (s, !j) :: !blocks_idx;
+    blocks := (s, !j) :: !blocks;
     i := !j + 1
   done;
-  let blocks_idx = Array.of_list (List.rev !blocks_idx) in
-  let bid = Hashtbl.create 16 in
+  let p_blocks = Array.of_list (List.rev !blocks) in
+  let p_bid = Hashtbl.create (2 * Array.length p_blocks) in
+  Array.iteri (fun k (s, _) -> Hashtbl.replace p_bid p_offs.(s) k) p_blocks;
+  (* Effects that name no address are built here, once for every
+     placement; the rest per placement. *)
+  let shared k =
+    match insns.(k) with
+    | Insn.Div _ | Insn.Rem _ | Insn.Trap -> None
+    | _ when p_rel.(k) >= 0 -> None
+    | insn -> ( try Some (compile_effect ~addr:0 insn) with Unsupported -> None)
+  in
+  let p_direct = Array.of_list (List.rev !direct) in
+  {
+    p_ins;
+    p_offs;
+    p_rel;
+    p_acct = Array.mapi (fun k insn -> acct p insn ~size:(size k)) insns;
+    p_eff = Array.init n (fun k -> if is_control insns.(k) then None else shared k);
+    p_blocks;
+    p_bid;
+    p_leaders = Array.mapi (fun k (s, _) -> (p_offs.(s), k)) p_blocks;
+    p_direct;
+    p_tgt = Array.map (fun k -> direct_target c ~len insns.(k)) p_direct;
+    p_stale = false;
+  }
+
+(* Whether [plan] compiles placement [c] as it compiled the placement it
+   was derived from: every direct jump lands inside the body, at the same
+   offset, or outside it in both. *)
+let fits plan (c : Image.chunk) ~len =
+  let ok = ref true in
   Array.iteri
-    (fun k (s, _) ->
-      let a, _, _ = arr.(s) in
-      Hashtbl.replace bid a k)
-    blocks_idx;
+    (fun j k -> if direct_target c ~len (placed_insn plan c k) <> plan.p_tgt.(j) then ok := false)
+    plan.p_direct;
+  !ok
+
+(* The code of [plan] at placement [c], chunk [ci] of its image: the
+   address-dependent closures — fetch accounting, exec-permission probes
+   at block entries and page transitions, terminators, the effects that
+   name an address — built around the plan's shared effects. *)
+let instantiate (p : Cost.profile) plan (c : Image.chunk) ~ci =
+  let b = c.Image.c_body and entry = c.Image.c_entry in
+  let ls = line_shift p in
+  let addr k = entry + plan.p_offs.(k) in
+  let size k = b.Image.b_sizes.(plan.p_ins.(k)) in
+  let bid a = match Hashtbl.find_opt plan.p_bid (a - entry) with Some k -> k | None -> -1 in
+  let effect k () =
+    match plan.p_eff.(k) with
+    | Some e -> e
+    | None -> compile_effect ~addr:(addr k) (placed_insn plan c k)
+  in
   let compile_block (s, e) =
     let bn = e - s + 1 in
-    let need_check k =
-      k = 0
-      ||
-      let pa, _, _ = arr.(s + k - 1) in
-      let a, _, _ = arr.(s + k) in
-      Addr.page_base a <> Addr.page_base pa
-    in
+    let need_check k = k = 0 || Addr.page_base (addr (s + k)) <> Addr.page_base (addr (s + k - 1)) in
     (* Compile effects until one is unsupported; the block then truncates
        there with a deopt terminator (the interpreter retries that
        instruction; anything after it stays cold until the next leader). *)
-    let ops = ref [] in
-    let cut = ref (-1) in
+    let ops = Array.make (bn - 1) deopt_op in
+    let k = ref 0 in
     (try
-       for k = 0 to bn - 2 do
-         let a, insn, sz = arr.(s + k) in
-         ops := compile_op p ~check:(need_check k) ~addr:a ~size:sz insn :: !ops
+       while !k < bn - 1 do
+         let i = s + !k in
+         ops.(!k) <-
+           compile_op ~ls ~check:(need_check !k) ~addr:(addr i) ~size:(size i) plan.p_acct.(i)
+             (effect i ());
+         incr k
        done
-     with Unsupported -> cut := List.length !ops);
-    let term, bn =
-      if !cut >= 0 then (deopt_term, !cut + 1)
+     with Unsupported -> ());
+    let ops, term, bn =
+      if !k < bn - 1 then (Array.sub ops 0 !k, deopt_term, !k + 1)
       else
-        let la, linsn, lsz = arr.(e) in
-        ( (try compile_term p ~check:(need_check (bn - 1)) ~addr:la ~size:lsz linsn ~bid
+        ( ops,
+          (try
+             compile_term p ~ls ~check:(need_check (bn - 1)) ~addr:(addr e) ~size:(size e)
+               ~a:plan.p_acct.(e) (placed_insn plan c e) ~eff:(effect e) ~bid
            with Unsupported -> deopt_term),
           bn )
     in
-    {
-      b_addrs =
-        Array.init bn (fun k ->
-            let a, _, _ = arr.(s + k) in
-            a);
-      b_ops = Array.of_list (List.rev !ops);
-      b_term = term;
-      b_n = bn;
-    }
-  in
-  let f_leaders =
-    Array.mapi
-      (fun k (s, _) ->
-        let a, _, _ = arr.(s) in
-        (a, k))
-      blocks_idx
+    { b_addrs = Array.init bn (fun k -> addr (s + k)); b_ops = ops; b_term = term; b_n = bn }
   in
   {
-    f_entry = c.Image.c_entry;
-    f_body = c.Image.c_body;
-    f_ext = c.Image.c_ext;
-    f_blocks = Array.map compile_block blocks_idx;
+    f_entry = entry;
+    f_ci = ci;
+    f_plan = plan;
+    f_blocks = Array.map compile_block plan.p_blocks;
     f_obs = Atomic.make None;
-    f_leaders;
+    f_leaders = Array.map (fun (o, k) -> (entry + o, k)) plan.p_leaders;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Observed templates: the plain ones, wrapped.                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Fire the site of [addr], the instruction just retired, with the
-   deltas [Cpu.step] computes: the live [cyc] slot and the icache miss
-   count, each differenced around the instruction (so the float delta is
-   bit-identical). A resolved site is read from the CPU's table in place:
-   [Cpu.Internal.site], a cross-module call per instruction, only
-   resolves a new one. *)
-let fire c addr ~called =
+(* Fire the site of [addr], the instruction just retired at offset [off]
+   of chunk [ci], with the deltas [Cpu.step] computes: the live [cyc] slot
+   and the icache miss count, each differenced around the instruction (so
+   the float delta is bit-identical). A resolved site is read from the
+   CPU's table in place: [Cpu.Internal.site], a cross-module call per
+   instruction, only resolves a new one. *)
+let fire c ~ci ~off addr ~called =
   let t = c.t in
-  let sites = t.Cpu.sites and off = addr - t.Cpu.image.Image.text_base in
+  let sites = t.Cpu.sites in
   let s =
-    if off >= 0 && off < Array.length sites then Array.unsafe_get sites off
+    if ci < Array.length sites then
+      let arr = Array.unsafe_get sites ci in
+      if off < Array.length arr then Array.unsafe_get arr off else Cpu.Internal.unresolved
     else Cpu.Internal.unresolved
   in
   let s = if s != Cpu.Internal.unresolved then s else Cpu.Internal.site t addr in
@@ -703,12 +838,13 @@ let fire c addr ~called =
     ~misses:(c.ic.Icache.miss_count - c.o_miss)
     ~called
 
-(* [observe ~calls ~addr code] runs the plain template [code] with [addr]
-   in flight, then fires its site. No handler: when the template faults,
-   it has already materialized rip, and [exec_cfunc]'s exit handler fires
-   the site of the instruction still in flight. Only a terminator can
-   call ([~calls]); an op's wrapper skips the call-count snapshot. *)
-let observe ~calls ~addr (code : ctx -> 'a) : ctx -> 'a =
+(* [observe ~calls ~ci ~off ~addr code] runs the plain template [code]
+   with [addr] in flight, then fires its site. No handler: when the
+   template faults, it has already materialized rip, and [exec_cfunc]'s
+   exit handler fires the site of the instruction still in flight. Only a
+   terminator can call ([~calls]); an op's wrapper skips the call-count
+   snapshot. *)
+let observe ~calls ~ci ~off ~addr (code : ctx -> 'a) : ctx -> 'a =
   if calls then fun c ->
     let t = c.t in
     let calls0 = t.Cpu.calls in
@@ -717,7 +853,7 @@ let observe ~calls ~addr (code : ctx -> 'a) : ctx -> 'a =
     c.o_addr <- addr;
     let r = code c in
     c.o_addr <- -1;
-    fire c addr ~called:(t.Cpu.calls > calls0);
+    fire c ~ci ~off addr ~called:(t.Cpu.calls > calls0);
     r
   else fun c ->
     Array.unsafe_set c.cyc 1 (Array.unsafe_get c.cyc 0);
@@ -725,25 +861,25 @@ let observe ~calls ~addr (code : ctx -> 'a) : ctx -> 'a =
     c.o_addr <- addr;
     let r = code c in
     c.o_addr <- -1;
-    fire c addr ~called:false;
+    fire c ~ci ~off addr ~called:false;
     r
 
 (* A deopt terminator is never wrapped: it retires nothing, and the
    interpreter fires when it retries the instruction. *)
-let observe_block b =
+let observe_block f b =
+  let obs ~calls a = observe ~calls ~ci:f.f_ci ~off:(a - f.f_entry) ~addr:a in
   {
     b with
-    b_ops = Array.mapi (fun k op -> observe ~calls:false ~addr:b.b_addrs.(k) op) b.b_ops;
+    b_ops = Array.mapi (fun k op -> obs ~calls:false b.b_addrs.(k) op) b.b_ops;
     b_term =
-      (if b.b_term == deopt_term then deopt_term
-       else observe ~calls:true ~addr:b.b_addrs.(b.b_n - 1) b.b_term);
+      (if b.b_term == deopt_term then deopt_term else obs ~calls:true b.b_addrs.(b.b_n - 1) b.b_term);
   }
 
 let obs_blocks f =
   match Atomic.get f.f_obs with
   | Some blocks -> blocks
   | None ->
-      let blocks = Array.map observe_block f.f_blocks in
+      let blocks = Array.map (observe_block f) f.f_blocks in
       Atomic.set f.f_obs (Some blocks);
       blocks
 
@@ -801,7 +937,7 @@ type fstate = Cold | Declined | Compiled of cfunc
 
 type code = {
   img : Image.t;
-  base : int;  (* text base: the predecode table's origin *)
+  base : int;  (* text base: the origin of [marks] *)
   slots : slots Atomic.t;
       (* -(i+2) at the entry of function i while it has no installed code,
          else installed leaders; every other address is a miss (-1) *)
@@ -811,6 +947,7 @@ type code = {
          backward ones), so a transfer to anything else costs one bit
          test. A bit is never cleared; a stale one costs a probe. *)
   funcs : Image.func_info array;  (* sorted by entry *)
+  cis : int array;  (* function [i]'s chunk in [img.chunks], or -1 *)
   bounds : int array;  (* entry and end of function [i] at [2i], [2i+1] *)
   longest : int;  (* the longest [code_len] *)
   states : fstate Atomic.t array;
@@ -854,6 +991,16 @@ let build_code (img : Image.t) =
       slots = Atomic.make (slots_create nf);
       marks = Bytes.make ((img.Image.text_len + 7) / 8) '\000';
       funcs;
+      cis =
+        (let cs = img.Image.chunks in
+         let k = ref 0 in
+         Array.map
+           (fun (fi : Image.func_info) ->
+             while !k < Array.length cs && cs.(!k).Image.c_entry < fi.Image.entry do
+               incr k
+             done;
+             if !k < Array.length cs && cs.(!k).Image.c_entry = fi.Image.entry then !k else -1)
+           funcs);
       bounds =
         Array.init (2 * nf) (fun k ->
             let fi = funcs.(k / 2) in
@@ -874,27 +1021,66 @@ let no_code (img : Image.t) =
     slots = Atomic.make (slots_create 0);
     marks = Bytes.empty;
     funcs = [||];
+    cis = [||];
     bounds = [||];
     longest = 0;
     states = [||];
   }
 
-(* A code cache: the dense state of the image it currently serves, and
-   every compiled function by entry address, for adoption by key. The
-   lock serializes compilation and installation; readers go through
-   [code.states]. *)
+(* Plans by body, for a private cache: physical identity, hashed on the
+   body's bytes. *)
+module Bodies = Hashtbl.Make (struct
+  type t = Image.body
+
+  let equal = ( == )
+  let hash (b : Image.body) = Hashtbl.hash b.Image.b_text
+end)
+
+type Image.body_code += Plan of Cost.profile * plan
+
+(* A code cache: the dense state of the image it currently serves, and the
+   plans it compiles from. An image's own cache keeps its plans on the
+   bodies ([Image.body.b_code], one per cost profile), so every image
+   that places a body — every rotation of a program — instantiates the
+   plan the first one derived; a cache made by [create_cache] keeps them
+   in a private table. The lock serializes compilation and installation;
+   readers go through [code.states]. *)
 type cache = {
   lock : Mutex.t;
   mutable profile : Cost.profile;
   cfg : config;  (* thresholds for attachments that name none *)
-  tbl : (int, cfunc) Hashtbl.t;
+  own : plan Bodies.t option;  (* a private cache's plans *)
   mutable code : code;
 }
 
 type Image.jit_cache += Cache of cache
 
+let find_plan cache (b : Image.body) =
+  match cache.own with
+  | Some h -> Bodies.find_opt h b
+  | None ->
+      let rec find = function
+        | Plan (p, plan) :: _ when p == cache.profile -> Some plan
+        | _ :: rest -> find rest
+        | [] -> None
+      in
+      find (Atomic.get b.Image.b_code)
+
+(* Bodies are shared by images whose caches hold different locks: the
+   compare-and-set keeps every other profile's plan. *)
+let set_plan cache (b : Image.body) plan =
+  match cache.own with
+  | Some h -> Bodies.replace h b plan
+  | None ->
+      let rec set () =
+        let cur = Atomic.get b.Image.b_code in
+        let rest = List.filter (function Plan (p, _) -> p != cache.profile | _ -> true) cur in
+        if not (Atomic.compare_and_set b.Image.b_code cur (Plan (cache.profile, plan) :: rest)) then set ()
+      in
+      set ()
+
 let create_cache ?(config = default_config) ~profile (img : Image.t) =
-  { lock = Mutex.create (); profile; cfg = config; tbl = Hashtbl.create 64; code = build_code img }
+  { lock = Mutex.create (); profile; cfg = config; own = Some (Bodies.create 64); code = build_code img }
 
 (* The image's own cache for [profile], published once: racing domains
    may both build one, and the compare-and-set keeps exactly one. *)
@@ -909,7 +1095,9 @@ let image_cache (img : Image.t) profile =
     match find cur with
     | Some c -> c
     | None ->
-        let c = create_cache ~profile img in
+        let c =
+          { lock = Mutex.create (); profile; cfg = default_config; own = None; code = build_code img }
+        in
         if Atomic.compare_and_set img.Image.jit cur (Cache c :: cur) then c else get ()
   in
   get ()
@@ -937,7 +1125,7 @@ let cache_of j =
 
 (* The dense state this attachment's runs use. An explicit cache serving
    another image is retargeted at this one: a fresh slot table, with its
-   compiled functions left in [tbl] to be adopted by key. *)
+   plans kept to be instantiated at the new placements. *)
 let code_of j =
   let img = j.cpu.Cpu.image in
   if never_compiles j.cfg then no_code img
@@ -972,27 +1160,24 @@ let func_covering code addr =
   let i = !res in
   if i >= 0 && addr < b.((2 * i) + 1) then i else -1
 
-(* The placed body at [entry]: the chunk a function's key is read from. *)
-let chunk_at (img : Image.t) entry =
-  let cs = img.Image.chunks in
-  let lo = ref 0 and hi = ref (Array.length cs - 1) and res = ref None in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let e = cs.(mid).Image.c_entry in
-    if e = entry then begin
-      res := Some cs.(mid);
-      lo := !hi + 1
-    end
-    else if e < entry then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !res
+(* Whether function [fidx]'s body has a live plan: an earlier placement
+   found it hot, so this one adopts it on first entry rather than after
+   the thresholds — a rotated image's first run enters compiled code where
+   a rerun of it would. *)
+let planned j code fidx =
+  let ci = code.cis.(fidx) in
+  ci >= 0
+  &&
+  match find_plan (cache_of j) code.img.Image.chunks.(ci).Image.c_body with
+  | Some plan -> not plan.p_stale
+  | None -> false
 
 (* Function [fidx] reached a threshold. This attachment stops counting it
-   and takes whatever the image's cache has: code another process
-   installed, an entry from an earlier image whose key still matches
-   (both adoptions), or a fresh compile — replacing an entry whose key
-   does not match, which never runs again. *)
+   and takes whatever the cache has: code another process of the image
+   installed, or its body's plan — derived by an earlier placement — at
+   this placement (both adoptions), or a fresh plan, replacing a stale one
+   ([poison]), which is never instantiated again. A plan that does not fit
+   this placement (see [fits]) is compiled afresh for it alone. *)
 let try_compile j code fidx =
   let st = j.stats in
   j.fcalls.(fidx) <- -1;
@@ -1009,29 +1194,29 @@ let try_compile j code fidx =
           | Cold -> (
               let fi = code.funcs.(fidx) in
               let decline () = Atomic.set code.states.(fidx) Declined in
-              match chunk_at code.img fi.Image.entry with
-              | None -> decline ()
-              | Some c -> (
-                  let fresh () =
-                    match scan_body (Image.predecoded code.img) ~base:code.base fi with
-                    | [] -> decline ()
-                    | insns -> (
-                        match compile_func cache.profile c insns with
-                        | f ->
-                            Hashtbl.replace cache.tbl fi.Image.entry f;
-                            install code fidx f;
-                            st.compiled <- st.compiled + 1
-                        | exception Unsupported -> decline ())
+              match code.cis.(fidx) with
+              | -1 -> decline ()
+              | ci -> (
+                  let c = code.img.Image.chunks.(ci) in
+                  let len = fi.Image.code_len in
+                  let place plan = install code fidx (instantiate cache.profile plan c ~ci) in
+                  let fresh ~keep =
+                    match plan_func cache.profile c ~len with
+                    | plan ->
+                        if keep then set_plan cache c.Image.c_body plan;
+                        place plan;
+                        st.compiled <- st.compiled + 1
+                    | exception Unsupported -> decline ()
                   in
-                  match Hashtbl.find_opt cache.tbl fi.Image.entry with
-                  | Some f when f.f_body == c.Image.c_body && f.f_ext = c.Image.c_ext ->
-                      install code fidx f;
-                      adopt ()
-                  | Some _ ->
-                      Hashtbl.remove cache.tbl fi.Image.entry;
+                  match find_plan cache c.Image.c_body with
+                  | Some plan when plan.p_stale ->
                       st.invalidated <- st.invalidated + 1;
-                      fresh ()
-                  | None -> fresh ())))
+                      fresh ~keep:true
+                  | Some plan when fits plan c ~len ->
+                      place plan;
+                      adopt ()
+                  | Some _ -> fresh ~keep:false
+                  | None -> fresh ~keep:true)))
 
 (* ------------------------------------------------------------------ *)
 (* The runner.                                                         *)
@@ -1039,9 +1224,9 @@ let try_compile j code fidx =
 
 (* The compiled blocks to enter for the leader slot [s], or [[||]] when
    its function's code is not visibly installed. Every function installed
-   at one index of one [code] was compiled from the same placed body, so
-   it has the same blocks: a leader read just before a reinstall still
-   names the right one. Counts the entry, and the adoption when this
+   at one index of one [code] was instantiated at the same placement from
+   a plan of the same body, so it has the same blocks: a leader read just
+   before a reinstall still names the right one. Counts the entry, and the adoption when this
    attachment has not run the function's code before. *)
 let leader j code ~observed s =
   let fidx = s land fmask in
@@ -1128,7 +1313,10 @@ let exec_cfunc (j : t) ~observed code blocks0 bi0 budget0 =
      let a = c.o_addr in
      if a >= 0 then begin
        c.o_addr <- -1;
-       fire c a ~called:false
+       (Cpu.Internal.site t a)
+         ~cycles:(c.cyc.(0) -. c.cyc.(1))
+         ~misses:(c.ic.Icache.miss_count - c.o_miss)
+         ~called:false
      end;
      raise e);
   t.Cpu.cycles <- c.cyc.(0);
@@ -1143,7 +1331,7 @@ let backedge j code ~from rip =
     if from < code.bounds.((2 * fidx) + 1) && j.fcalls.(fidx) >= 0 then begin
       let n = j.fbacks.(fidx) + 1 in
       j.fbacks.(fidx) <- n;
-      if n >= j.cfg.backedge_threshold then try_compile j code fidx
+      if n >= j.cfg.backedge_threshold || (n = 1 && planned j code fidx) then try_compile j code fidx
     end
   end
 
@@ -1153,26 +1341,26 @@ let backedge j code ~from rip =
    one function, and a probe. A never-compiling runner marks nothing, so
    its straight line runs through every transfer to the end of the run:
    no probe, no counter. *)
-let rec cold j ~observed code pd budget =
+let rec cold j ~observed code d budget =
   let t = j.cpu in
   j.from := -1;
   let budget =
-    Cpu.Internal.straight t pd ~marks:code.marks ~longest:code.longest ~from:j.from budget
+    Cpu.Internal.straight t d ~marks:code.marks ~longest:code.longest ~from:j.from budget
   in
   let from = !(j.from) in
   if from >= 0 then begin
     let rip' = t.Cpu.rip in
     if rip' < from && not t.Cpu.halted then backedge j code ~from rip';
-    enter j ~observed code pd budget
+    enter j ~observed code d budget
   end
   else if t.Cpu.halted then Cpu.Halted
   else if budget <= 0 then Cpu.Fuel_exhausted
-  else cold j ~observed code pd budget
+  else cold j ~observed code d budget
 
 (* Control arrived at rip by a transfer: enter compiled code at an
    installed leader, count a call at an uncompiled function entry, and
    otherwise carry on cold. *)
-and enter j ~observed code pd budget =
+and enter j ~observed code d budget =
   let t = j.cpu in
   if t.Cpu.halted then Cpu.Halted
   else if budget <= 0 then Cpu.Fuel_exhausted
@@ -1181,13 +1369,13 @@ and enter j ~observed code pd budget =
     let s = lookup (Atomic.get code.slots) rip in
     if s >= 0 then begin
       let blocks = leader j code ~observed s in
-      if Array.length blocks = 0 then cold j ~observed code pd budget
+      if Array.length blocks = 0 then cold j ~observed code d budget
       else begin
         let st = j.stats in
         let r = exec_cfunc j ~observed code blocks (s lsr fbits) budget in
         if r >= 0 then begin
           st.tier3_insns <- st.tier3_insns + r;
-          enter j ~observed code pd (budget - r)
+          enter j ~observed code d (budget - r)
         end
         else begin
           let consumed = -r - 1 in
@@ -1197,8 +1385,8 @@ and enter j ~observed code pd budget =
              budget always has room for it (a deopt exit retires at most
              budget - 1 instructions) *)
           ignore
-            (Cpu.Internal.straight t pd ~marks:code.marks ~longest:code.longest ~from:j.from 1);
-          enter j ~observed code pd (budget - consumed - 1)
+            (Cpu.Internal.straight t d ~marks:code.marks ~longest:code.longest ~from:j.from 1);
+          enter j ~observed code d (budget - consumed - 1)
         end
       end
     end
@@ -1206,14 +1394,14 @@ and enter j ~observed code pd budget =
       let fidx = -s - 2 in
       let n = j.fcalls.(fidx) + 1 in
       j.fcalls.(fidx) <- n;
-      if n >= j.cfg.call_threshold then begin
+      if n >= j.cfg.call_threshold || (n = 1 && planned j code fidx) then begin
         (* installed now, or no longer counted: the re-probe settles it *)
         try_compile j code fidx;
-        enter j ~observed code pd budget
+        enter j ~observed code d budget
       end
-      else cold j ~observed code pd budget
+      else cold j ~observed code d budget
     end
-    else cold j ~observed code pd budget
+    else cold j ~observed code d budget
   end
 
 (* Cold instructions are counted as whatever tier 3 did not retire, so
@@ -1226,10 +1414,10 @@ let run j ~fuel =
     j.fbacks <- Array.make nf 0
   end;
   let t = j.cpu and st = j.stats in
-  let pd = Image.predecoded t.Cpu.image in
+  let d = Image.predecoded t.Cpu.image in
   let observed = Option.is_some t.Cpu.observer in
   let insns0 = t.Cpu.insns and tier30 = st.tier3_insns in
-  let r = try enter j ~observed code pd fuel with Fault.Fault f -> Cpu.Faulted f in
+  let r = try enter j ~observed code d fuel with Fault.Fault f -> Cpu.Faulted f in
   st.interp_insns <- st.interp_insns + (t.Cpu.insns - insns0) - (st.tier3_insns - tier30);
   r
 
@@ -1243,7 +1431,7 @@ let attach ?config ?cache ?stats (cpu : Cpu.t) =
       (* compiled code bakes cost constants in; a different profile
          invalidates the whole cache *)
       Mutex.protect c.lock (fun () ->
-          Hashtbl.reset c.tbl;
+          Option.iter Bodies.reset c.own;
           c.profile <- cpu.Cpu.profile;
           c.code <- build_code cpu.Cpu.image)
   | _ -> ());
@@ -1271,29 +1459,30 @@ let attach ?config ?cache ?stats (cpu : Cpu.t) =
   j
 
 (* Test hook: corrupt the cached entry for [entry] as a crashed
-   rerandomization might leave it. It is uninstalled, its key no longer
-   matches any placement, and its code raises if it ever runs. The next
+   rerandomization might leave it. Its body's plan goes stale, so no
+   placement instantiates it again; the code this attachment's image
+   installed from it is uninstalled and raises if it ever runs. The next
    time the function is hot it must be invalidated and recompiled. *)
 let poison j ~entry =
   let cache = cache_of j in
   Mutex.protect cache.lock (fun () ->
-      match Hashtbl.find_opt cache.tbl entry with
+      let code = cache.code in
+      let fidx = func_covering code entry in
+      let ci = if fidx >= 0 && code.funcs.(fidx).Image.entry = entry then code.cis.(fidx) else -1 in
+      match if ci < 0 then None else find_plan cache code.img.Image.chunks.(ci).Image.c_body with
       | None -> false
-      | Some f ->
-          let code = cache.code in
-          let fidx = func_covering code entry in
-          if fidx >= 0 then begin
-            (match Atomic.get code.states.(fidx) with
-            | Compiled g when g == f -> uninstall code fidx f
-            | _ -> ());
-            if code.img == j.cpu.Cpu.image && fidx < Array.length j.fcalls then begin
-              j.fcalls.(fidx) <- 0;
-              j.fbacks.(fidx) <- 0
-            end
+      | Some plan ->
+          plan.p_stale <- true;
+          (match Atomic.get code.states.(fidx) with
+          | Compiled f ->
+              uninstall code fidx f;
+              let stale _ = failwith "Jit: stale code executed" in
+              let trip b = { b with b_ops = Array.map (fun _ -> stale) b.b_ops; b_term = stale } in
+              f.f_blocks <- Array.map trip f.f_blocks;
+              Atomic.set f.f_obs None
+          | Cold | Declined -> ());
+          if code.img == j.cpu.Cpu.image && fidx < Array.length j.fcalls then begin
+            j.fcalls.(fidx) <- 0;
+            j.fbacks.(fidx) <- 0
           end;
-          f.f_ext <- Array.append f.f_ext [| -1 |];
-          let stale _ = failwith "Jit: stale code executed" in
-          let trip b = { b with b_ops = Array.map (fun _ -> stale) b.b_ops; b_term = stale } in
-          f.f_blocks <- Array.map trip f.f_blocks;
-          Atomic.set f.f_obs None;
           true)

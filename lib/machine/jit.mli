@@ -1,22 +1,22 @@
 (** Tier-3 template JIT with on-stack replacement.
 
     Hot functions — found by cheap per-function call and loop-backedge
-    counters — are compiled from their predecoded form into flat arrays
-    of OCaml closures: straight-line basic blocks fused, no per-step
-    decode or dispatch probe, registers and the cycle counter in unboxed
-    locals. Execution enters compiled code at function entries and (OSR)
-    at any basic-block leader, and leaves it by materializing the
-    complete interpreter frame — rip, registers, RSP, call depth,
-    cycle/insn/icache counters — at every deopt trigger: fault, fuel
-    exhaustion, a builtin call, a transfer out of compiled code, or an
-    instruction the template compiler declines (injector attachment
-    deopts one level higher, in {!Cpu.run}'s tier dispatch).
+    counters — are compiled into flat arrays of OCaml closures:
+    straight-line basic blocks fused, no per-step decode or dispatch
+    probe, registers and the cycle counter in unboxed locals. Execution
+    enters compiled code at function entries and (OSR) at any basic-block
+    leader, and leaves it by materializing the complete interpreter frame
+    — rip, registers, RSP, call depth, cycle/insn/icache counters — at
+    every deopt trigger: fault, fuel exhaustion, a builtin call, a
+    transfer out of compiled code, or an instruction the template
+    compiler declines (injector attachment deopts one level higher, in
+    {!Cpu.run}'s tier dispatch).
 
-    Code that is not compiled runs through one cold loop — the predecoded
-    fetch and the interpreter core — that probes for compiled code only
-    where control arrives by a transfer. With both thresholds at
-    [max_int] ({!never}: the JIT switched off) the runner is that loop
-    alone, with no code cache at all.
+    Code that is not compiled runs through one cold loop — the bodies'
+    shared decoded slots and the interpreter core — that probes for
+    compiled code only where control arrives by a transfer. With both
+    thresholds at [max_int] ({!never}: the JIT switched off) the runner is
+    that loop alone, with no code cache at all.
 
     An attached {!Cpu.observer} does not deopt: the run executes observed
     templates — the function's plain templates, each wrapped once on
@@ -35,17 +35,20 @@
     tier also fire identical sites with identical deltas. [experiments
     jit] and the [jit] test suite enforce it.
 
-    Code caches are per image, not per process: compiled code is
+    Compiling is split like linking: a function's plan — its scan, block
+    structure, fetch-accounting constants and the effects that name no
+    address — depends only on its body and the cost profile, and is
+    derived once per body; a placement instantiates it, building the
+    closures that bake in its addresses (icache lines, exec probes,
+    branch and call targets, relocated operands). Compiled code is
     CPU-independent (closures receive the machine context as an
-    argument), so the first run of an image publishes its cache on the
+    argument), so the first run of an image publishes its code on the
     image and every process, respawn and pool worker of it — in any
-    domain — shares the code. A reader may miss a function another domain
-    just compiled, never see one half-installed. Hotness counters and
-    {!stats} stay per attachment. A compiled function is keyed by the
-    placed body it came from (physical identity), its entry and its
-    resolved externals; a cache adopted across images re-installs the
-    functions whose key still matches and recompiles the rest — stale
-    code never runs. *)
+    domain — shares it; and an image's plans live on its bodies, so every
+    later placement of a body (every rotation of the program) adopts the
+    plan on the function's first entry instead of compiling. A reader may
+    miss a function another domain just compiled, never see one
+    half-installed. Hotness counters and {!stats} stay per attachment. *)
 
 type t
 (** A JIT attachment: one CPU, its thresholds, its own counters. *)
@@ -64,11 +67,11 @@ val default_config : config
 val never : config
 
 (** Counters of one attachment (or of every attachment handed the same
-    record, see {!attach}). [compiled] counts functions it compiled;
-    [revalidated] counts functions it adopted by key — code another
-    process of the image installed, or an entry compiled for an earlier
-    image whose key still matches; [invalidated] counts key mismatches,
-    each recompiled. [tier3_insns]/[interp_insns] split retired
+    record, see {!attach}). [compiled] counts functions it compiled from
+    a fresh plan; [revalidated] counts functions it adopted — code another
+    process of the image installed, or a plan an earlier placement of the
+    body derived; [invalidated] counts stale plans ({!poison}), each
+    recompiled. [tier3_insns]/[interp_insns] split retired
     instructions by tier; [entry_enters]/[osr_enters] count
     compiled-code entries at function entry vs at OSR points; [deopts]
     counts mid-function exits to the interpreter. *)
@@ -92,25 +95,27 @@ val fresh_stats : unit -> stats
 val enabled : unit -> bool
 
 (** [create_cache ?config ~profile img] — a private empty cache serving
-    [img] under cost profile [profile]; [?config] is the default for
-    attachments that name no thresholds. Use it from one domain at a
-    time. *)
+    [img] under cost profile [profile], keeping its own plans rather than
+    the bodies' shared ones; [?config] is the default for attachments that
+    name no thresholds. Use it from one domain at a time. *)
 val create_cache : ?config:config -> profile:Cost.profile -> Image.t -> cache
 
 (** [attach ?config ?cache ?stats cpu] installs the tier-3 runner on [cpu]
-    ({!Cpu.set_tier3}). Without [?cache] it runs on the code cache of
-    [cpu]'s image, built by its first run; with one, that cache is
-    adopted — retargeted at [cpu]'s image, or fully reset if the cost
-    profile differs. Counts go to [?stats] (default a fresh record). *)
+    ({!Cpu.set_tier3}). Without [?cache] it runs on the code of [cpu]'s
+    image, built by its first run from the bodies' shared plans; with one,
+    that cache is adopted — retargeted at [cpu]'s image, its plans kept,
+    or fully reset if the cost profile differs. Counts go to [?stats]
+    (default a fresh record). *)
 val attach : ?config:config -> ?cache:cache -> ?stats:stats -> Cpu.t -> t
 
 val stats : t -> stats
 
 (** [poison j ~entry] corrupts the cached entry for the function at
-    [entry] the way an interrupted rerandomization would strand it: it is
-    uninstalled, its key no longer matches, and its code raises if it
-    ever runs. Returns false if nothing is cached there. The next time
-    the function is hot it must be invalidated and recompiled — the
+    [entry] the way an interrupted rerandomization would strand it: its
+    body's plan goes stale, so no placement instantiates it again, and
+    the code [j]'s cache installed from it is uninstalled and raises if it
+    ever runs. Returns false if no plan is cached for that body. The next
+    time the function is hot it must be invalidated and recompiled — the
     regression suite asserts stale code never executes. A test hook: not
     for use while other domains run the image. *)
 val poison : t -> entry:int -> bool

@@ -146,13 +146,9 @@ let observer t (cpu : Cpu.t) : Cpu.observer =
     in
     if in_prologue then Prologue
     else
-      let pd = Image.predecoded t.img in
-      let off = rip - t.img.Image.text_base in
-      if off >= 0 && off < Array.length pd then
-        match pd.(off) with
-        | Image.P_insn (insn, _) when is_callsite_insn insn -> Callsite
-        | Image.P_insn _ | Image.P_builtin _ | Image.P_none -> Other
-      else Other
+      match Image.slot_at t.img rip with
+      | Image.P_insn (insn, _) when is_callsite_insn insn -> Callsite
+      | Image.P_insn _ | Image.P_builtin _ | Image.P_none -> Other
   in
   fun ~cycles ~misses ~called ->
     let icache_c = float_of_int misses *. t.cpen in

@@ -460,6 +460,159 @@ let test_rerand_cache_reuse () =
   let fp2, _ = run_jit img2 in
   Alcotest.(check string) "rotated variant ls=101" (fp_reference img2) fp2
 
+
+(* --- rotated placements: execution state derived once per body ------- *)
+
+(* The rerandomization battery's placements of one program: a warm build
+   at link seed 100, then rotations 101-104 placing the same bodies. *)
+let rotation_battery () =
+  let p = Genprog.generate ~seed:5 ~funcs:24 in
+  let coords ls = { Pipeline.cfg = D.full (); body_seed = 3; link_seed = Some ls } in
+  let r = Pipeline.rerand_create () in
+  List.map (fun ls -> (ls, fst (Pipeline.compile_incremental r (coords ls) p))) [ 100; 101; 102; 103; 104 ]
+
+(* Each rotated image on the reference tier, on tier 3 never compiling
+   (what R2C_JIT=0 attaches), on tier 3 compiling into the images' own
+   caches, observed too, and as a process on the default tier: every
+   placement after the first compiles nothing and runs the code
+   instantiated from the first one's plans. *)
+let test_rotated_placements () =
+  List.iteri
+    (fun k (ls, img) ->
+      let name = Printf.sprintf "link seed %d" ls in
+      let reference = fp_reference img in
+      let never =
+        let cpu = load img in
+        ignore (Jit.attach ~config:Jit.never cpu);
+        fingerprint cpu (Cpu.run cpu ~fuel)
+      in
+      Alcotest.(check string) (name ^ " [never compiling]") reference never;
+      let t3, st = fp_tier3 ~inputs:[] img in
+      Alcotest.(check string) (name ^ " [tier3]") reference t3;
+      Alcotest.(check bool) (name ^ " [ran compiled]") true (st.Jit.tier3_insns > 0);
+      if k = 0 then Alcotest.(check bool) (name ^ " [compiled]") true (st.Jit.compiled > 0)
+      else begin
+        Alcotest.(check int) (name ^ " [compiled nothing]") 0 st.Jit.compiled;
+        Alcotest.(check bool) (name ^ " [adopted plans]") true (st.Jit.revalidated > 0)
+      end;
+      ignore (check_observed ~inputs:[] name img ~reference);
+      (* the default tier of a process: compiling, or not under R2C_JIT=0 *)
+      let p = Process.start ~strict_align:true ~fuel img in
+      let r =
+        match Process.run p with
+        | Process.Exited _ -> Cpu.Halted
+        | Process.Crashed f -> Cpu.Faulted f
+        | Process.Timeout -> Cpu.Fuel_exhausted
+      in
+      Alcotest.(check string) (name ^ " [process default tier]") reference
+        (fingerprint p.Process.cpu r))
+    (rotation_battery ())
+
+(* Instruction counts at which the reference run's next instruction lies
+   in another chunk than the last one, with the rip there. *)
+let chunk_boundaries img ~limit =
+  let cpu = load img in
+  let d = Image.predecoded img in
+  let cur = ref (Image.locate d cpu.Cpu.rip) and acc = ref [] in
+  let rec go n =
+    if n < limit && not cpu.Cpu.halted then
+      match Cpu.run_reference cpu ~fuel:1 with
+      | Cpu.Fuel_exhausted ->
+          let ci = Image.locate d cpu.Cpu.rip in
+          if ci <> !cur then acc := (n + 1, cpu.Cpu.rip) :: !acc;
+          cur := ci;
+          go (n + 1)
+      | _ -> ()
+  in
+  go 0;
+  List.rev !acc
+
+(* A rotated placement adopting code from the one before it, cut by fuel
+   mid-chunk and exactly where the next instruction starts another chunk,
+   lands on one uninterrupted reference run, and stops at every boundary
+   cut where the reference does. *)
+let rotated_battery =
+  lazy
+    (let p = Genprog.generate ~seed:8 ~funcs:24 in
+     let r = Pipeline.rerand_create () in
+     let img ls =
+       fst (Pipeline.compile_incremental r { Pipeline.cfg = D.full (); body_seed = 2; link_seed = Some ls } p)
+     in
+     ignore (fp_tier3 ~inputs:[] (img 1));
+     img)
+
+let prop_rotated_fuel_cuts =
+  Q.Test.make ~count:12
+    ~name:"jit: rotated placement cut mid-chunk and at chunk boundaries == reference"
+    Q.(triple (int_range 2 10_000) (small_list (int_range 1 3_000)) (small_list (int_range 0 400)))
+    (fun (ls, mids, picks) ->
+      let img = (Lazy.force rotated_battery) ls in
+      let reference, total =
+        let cpu = load img in
+        let r = Cpu.run_reference cpu ~fuel in
+        (fingerprint cpu r, cpu.Cpu.insns)
+      in
+      let bounds = Array.of_list (chunk_boundaries img ~limit:total) in
+      let at_bound =
+        if Array.length bounds = 0 then [] else List.map (fun k -> bounds.(k mod Array.length bounds)) picks
+      in
+      let stops =
+        List.sort_uniq compare
+          (List.map fst at_bound @ List.filter (fun n -> n < total) (List.map (fun m -> m * 7) mids))
+      in
+      let cpu = load img in
+      let j = Jit.attach ~config:hot cpu in
+      let rips_ok = ref true and result = ref Cpu.Fuel_exhausted in
+      let last =
+        List.fold_left
+          (fun at stop ->
+            (match !result with
+            | Cpu.Fuel_exhausted -> (
+                result := Cpu.run cpu ~fuel:(stop - at);
+                match List.assoc_opt stop at_bound with
+                | Some rip when !result = Cpu.Fuel_exhausted -> if cpu.Cpu.rip <> rip then rips_ok := false
+                | _ -> ())
+            | _ -> ());
+            stop)
+          0 stops
+      in
+      if !result = Cpu.Fuel_exhausted then result := Cpu.run cpu ~fuel:(fuel - last);
+      String.equal reference (fingerprint cpu !result)
+      && !rips_ok
+      && (Jit.stats j).Jit.tier3_insns > 0)
+
+(* Code one placement adopted from another's plan, poisoned through the
+   adopting attachment: it is invalidated and recompiled, never run, and
+   the placement that compiled the plan keeps running its own code. *)
+let test_poison_adopted () =
+  match rotation_battery () with
+  | (_, first) :: (_, second) :: _ ->
+      let run img =
+        let cpu = load img in
+        let j = Jit.attach ~config:hot cpu in
+        (fingerprint cpu (Cpu.run cpu ~fuel), j)
+      in
+      let fp1, j1 = run first in
+      Alcotest.(check string) "first placement" (fp_reference first) fp1;
+      let fp2, j2 = run second in
+      Alcotest.(check string) "second placement" (fp_reference second) fp2;
+      Alcotest.(check int) "second placement compiled nothing" 0 (Jit.stats j2).Jit.compiled;
+      let poisoned =
+        Array.fold_left
+          (fun n (f : Image.func_info) -> if Jit.poison j2 ~entry:f.Image.entry then n + 1 else n)
+          0 second.Image.funcs
+      in
+      Alcotest.(check int) "every adopted plan poisoned" (Jit.stats j1).Jit.compiled poisoned;
+      let fp3, j3 = run second in
+      Alcotest.(check string) "post-poison run" (fp_reference second) fp3;
+      let st = Jit.stats j3 in
+      Alcotest.(check bool) "stale plans invalidated" true (st.Jit.invalidated >= 1);
+      Alcotest.(check bool) "and recompiled" true (st.Jit.compiled >= st.Jit.invalidated);
+      Alcotest.(check int) "none adopted" 0 st.Jit.revalidated;
+      let fp4, _ = run first in
+      Alcotest.(check string) "the compiling placement still runs" (fp_reference first) fp4
+  | _ -> assert false
+
 let suite =
   [
     ( "jit",
@@ -484,5 +637,9 @@ let suite =
           test_poisoned_cache;
         Alcotest.test_case "cache reuse across incremental rerandomization" `Quick
           test_rerand_cache_reuse;
+        Alcotest.test_case "rotated placements, every lane" `Quick test_rotated_placements;
+        QCheck_alcotest.to_alcotest prop_rotated_fuel_cuts;
+        Alcotest.test_case "poisoned adopted code invalidated, not executed" `Quick
+          test_poison_adopted;
       ] );
   ]
