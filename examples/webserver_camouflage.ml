@@ -19,7 +19,7 @@ let dump_frame (d : Defenses.t) ~seed ~words =
   (match Oracle.to_serving target with Ok () -> () | Error e -> failwith e);
   let base = Oracle.rsp target in
   let values = Oracle.leak_at target ~addr:base ~words in
-  let mem = target.Oracle.proc.Process.cpu.Cpu.mem in
+  let mem = (Oracle.proc target).Process.cpu.Cpu.mem in
   let guards = Mem.guard_page_addrs mem in
   Printf.printf "--- leaked frame under %s (rsp = 0x%x) ---\n" d.Defenses.name base;
   Array.iteri

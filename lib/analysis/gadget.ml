@@ -3,9 +3,9 @@ open R2c_machine
 type kind = K_ret | K_jmp_ind | K_call_ind
 
 type gadget = {
-  g_off : int;
-  g_len : int;
-  g_insns : int;
+  g_off : int;  (* text-relative byte offset (ASLR-independent) *)
+  g_len : int;  (* bytes *)
+  g_insns : int;  (* decoded instructions including the terminator *)
   g_kind : kind;
   g_bytes : string;
 }

@@ -11,17 +11,7 @@
 
 type kind = K_ret | K_jmp_ind | K_call_ind
 
-type gadget = {
-  g_off : int;  (** text-relative byte offset (ASLR-independent) *)
-  g_len : int;  (** bytes *)
-  g_insns : int;  (** decoded instructions including the terminator *)
-  g_kind : kind;
-  g_bytes : string;
-}
-
-(** [text_bytes img] — the text segment exactly as the loader materialises
-    it (pseudo-encoded instructions, zero padding). *)
-val text_bytes : R2c_machine.Image.t -> string
+type gadget
 
 (** [scan ?max_insns img] — all gadgets of at most [max_insns]
     instructions (default 5), ascending by offset. *)

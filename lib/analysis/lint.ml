@@ -1,10 +1,10 @@
 open R2c_machine
 
 type expect = {
-  xom : bool;
-  checked_btra : bool;
-  cph : bool;
-  booby_traps : bool;
+  xom : bool;  (* text must be execute-only *)
+  checked_btra : bool;  (* every call site carries a Section 7.3 post-check *)
+  cph : bool;  (* readable function pointers must be trampolines *)
+  booby_traps : bool;  (* the image must contain booby-trap functions *)
 }
 
 let relaxed = { xom = false; checked_btra = false; cph = false; booby_traps = false }

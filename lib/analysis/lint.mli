@@ -9,12 +9,7 @@
 (** What the diversity configuration promises, i.e. which invariants are
     load-bearing for this image. Derive it with {!expect_of_dconfig} so
     the linter does not flag, say, readable text on a baseline build. *)
-type expect = {
-  xom : bool;  (** text must be execute-only *)
-  checked_btra : bool;  (** every call site carries a Section 7.3 post-check *)
-  cph : bool;  (** readable function pointers must be trampolines *)
-  booby_traps : bool;  (** the image must contain booby-trap functions *)
-}
+type expect
 
 (** Nothing promised: only unconditional invariants (W^X, unwind-row and
     call-site consistency, pointer sanctioning) are checked. *)

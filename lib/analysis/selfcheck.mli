@@ -14,7 +14,6 @@ type mutation =
   | Plant_code_pointer
       (** append a readable data word holding a real function entry *)
 
-val all : mutation list
 val mutation_to_string : mutation -> string
 
 (** [expected_rule m] — the one {!Lint} rule that must flag [m]. *)

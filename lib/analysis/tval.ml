@@ -5,8 +5,8 @@ module Regalloc = R2c_compiler.Regalloc
 
 type finding = {
   tv_func : string;
-  tv_block : int option;
-  tv_addr : int option;
+  tv_block : int option;  (* IR block label, [None] for function-level *)
+  tv_addr : int option;  (* machine address of the disagreement *)
   tv_what : string;
 }
 

@@ -27,12 +27,7 @@
     [oob-const-slot-offset] lint rule covers the statically visible
     case. *)
 
-type finding = {
-  tv_func : string;
-  tv_block : int option;  (** IR block label, [None] for function-level *)
-  tv_addr : int option;  (** machine address of the disagreement *)
-  tv_what : string;
-}
+type finding
 
 type report = {
   findings : finding list;  (** deterministic (layout) order *)

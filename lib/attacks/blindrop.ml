@@ -1,7 +1,7 @@
 open R2c_machine
 
 let output_lines t =
-  String.fold_left (fun acc c -> if c = '\n' then acc + 1 else acc) 0 (Process.output t.Oracle.proc)
+  String.fold_left (fun acc c -> if c = '\n' then acc + 1 else acc) 0 (Process.output (Oracle.proc t))
 
 type probe_result = Survived | Crashed_probe | Gone
 
@@ -9,7 +9,7 @@ type probe_result = Survived | Crashed_probe | Gone
    the end; report survival. The response lines the attacker saw stay in
    the process output. *)
 let probe t payload =
-  if t.Oracle.dead then Oracle.restart t;
+  if Oracle.dead t then Oracle.restart t;
   match Oracle.to_break t with
   | `Done _ -> Gone
   | `Break -> (

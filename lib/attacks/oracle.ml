@@ -6,7 +6,10 @@ type t = {
   relink : (unit -> Image.t) option;
   mutable break_addr : int;
   mutable dead : bool;
-  mutable sensitive_acc : (int * int) list;  (* carried across restarts *)
+  (* What the processes a relink replaced saw, carried forward. *)
+  mutable sensitive_acc : (int * int) list;  (* also across restarts *)
+  mutable crashes_acc : int;
+  mutable detections_acc : int;
 }
 
 module Vulnapp = R2c_workloads.Vulnapp
@@ -24,7 +27,16 @@ let attach ?relink img =
     break_addr = break_addr_of img;
     dead = false;
     sensitive_acc = [];
+    crashes_acc = 0;
+    detections_acc = 0;
   }
+
+let img t = t.img
+let proc t = t.proc
+let dead t = t.dead
+let crashes t = t.crashes_acc + t.proc.Process.crashes
+let detections t = t.detections_acc + List.length t.proc.Process.detections
+let detected t = detections t > 0
 
 (* Every outcome ends the process: it exited, crashed or timed out. *)
 let ended t o =
@@ -89,15 +101,12 @@ let disasm t addr =
    monitor's view (crashes, detections) and the attack-success log. *)
 let relink_swap t f =
   t.sensitive_acc <- Process.sensitive_log t.proc @ t.sensitive_acc;
-  let crashes = t.proc.Process.crashes in
-  let detections = t.proc.Process.detections in
+  t.crashes_acc <- crashes t;
+  t.detections_acc <- detections t;
   let img = f () in
-  let proc = Process.start img in
-  proc.Process.crashes <- crashes;
-  proc.Process.detections <- detections;
   t.img <- img;
   t.break_addr <- break_addr_of img;
-  t.proc <- proc;
+  t.proc <- Process.start img;
   t.dead <- false
 
 let send t payload =
@@ -140,9 +149,3 @@ let restart t =
 let sensitive_log t = Process.sensitive_log t.proc @ t.sensitive_acc
 
 let compromised t = List.exists (fun (rdi, _) -> rdi = Vulnapp.marker) (sensitive_log t)
-
-let detected t = Process.detected t.proc
-
-let crashes t = t.proc.Process.crashes
-
-let detections t = List.length t.proc.Process.detections

@@ -13,24 +13,23 @@
     to the serving state every attack starts from, and {!compromised} is
     the success test the marker-chain attacks share.
 
-    The [img] field is the target's image; attacks must not consult it for
-    layout knowledge (that is what {!Reference} is for) — it is exposed for
-    harness-side scoring and for the breakpoint scaffolding that stands in
-    for MTB. *)
+    {!img} and {!proc} are the target's current image and process; attacks
+    must not consult them for layout knowledge (that is what {!Reference}
+    is for) — they are exposed for harness-side scoring and for the
+    breakpoint scaffolding that stands in for MTB. *)
 
-type t = {
-  mutable img : R2c_machine.Image.t;
-  mutable proc : R2c_machine.Process.t;
-  relink : (unit -> R2c_machine.Image.t) option;
-      (** TASR-style re-randomization: a fresh layout on every respawn *)
-  mutable break_addr : int;
-  mutable dead : bool;
-  mutable sensitive_acc : (int * int) list;
-}
+type t
 
 (** [attach ?relink img] — load the target and position the MTB breakpoint
-    at the server's serving point. *)
+    at the server's serving point. [relink] is TASR-style
+    re-randomization: a fresh layout on every respawn and every {!send}. *)
 val attach : ?relink:(unit -> R2c_machine.Image.t) -> R2c_machine.Image.t -> t
+
+val img : t -> R2c_machine.Image.t
+val proc : t -> R2c_machine.Process.t
+
+(** [dead t] — the process has ended; {!restart} before driving it again. *)
+val dead : t -> bool
 
 (** [to_break t] — run (or re-run, under [relink]) until the breakpoint.
     [`Done] carries the final outcome when the breakpoint is never
@@ -91,6 +90,9 @@ val sensitive_log : t -> (int * int) list
 (** [compromised t] — the privileged sink ran with the attacker's marker
     as its argument ({!R2c_workloads.Vulnapp.marker}). *)
 val compromised : t -> bool
+
+(** Crashes and detections since {!attach}, over every process a relink
+    replaced as well as the current one. *)
 
 val detected : t -> bool
 val crashes : t -> int

@@ -20,7 +20,7 @@ val of_target : ?success:bool -> ?attempts:int -> ?notes:string list -> Oracle.t
 
 (** A probing campaign's running tally against one target: the attempts
     made and the notes taken so far. *)
-type tally = { target : Oracle.t; mutable tries : int; mutable log : string list }
+type tally = private { target : Oracle.t; mutable tries : int; mutable log : string list }
 
 val tally : Oracle.t -> tally
 

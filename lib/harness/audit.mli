@@ -19,12 +19,7 @@ type variant = {
 (** Per-workload dataflow statistics: dead stores flagged by the
     liveness lint rule, instructions the conditional constant propagator
     folds, and the worst fixpoint sweep count over all three analyses. *)
-type dataflow_row = {
-  dwork : string;
-  dead_stores : int;
-  folded : int;
-  max_iterations : int;
-}
+type dataflow_row
 
 type t = {
   ir_checked : (string * string list) list;  (** workload, diagnostics *)

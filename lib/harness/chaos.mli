@@ -25,8 +25,6 @@ type attack_cfg = {
 
 val default_attack : attack_cfg
 
-type attack_report = { probes : int; note : string; compromised : bool }
-
 type run_result = {
   policy : R2c_runtime.Policy.t;
   stats : R2c_runtime.Pool.stats;
@@ -54,13 +52,7 @@ val run : ?seed:int -> ?legit_total:int -> ?attack:attack_cfg -> unit -> run_res
     compromised by the campaign the same-image policy loses to. *)
 val gate : equivalent:bool -> run_result list -> (string * string) list
 
-type sweep_row = {
-  label : string;
-  rates : R2c_machine.Inject.rates;
-  sweep_policy : R2c_runtime.Policy.t;
-  sweep_stats : R2c_runtime.Pool.stats;
-  sweep_availability : float;
-}
+type sweep_row
 
 val injection_sweep : ?seed:int -> ?requests:int -> unit -> sweep_row list
 

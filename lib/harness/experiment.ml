@@ -21,6 +21,7 @@ type report = { results : Results.t; findings : finding list; jobs : int; wall_m
 
 let det r = J.Obj (Results.members Det r.results)
 
+(* The [Timed] items, then [jobs] and [wall_ms]. *)
 let volatile r =
   J.Obj
     (Results.members Timed r.results

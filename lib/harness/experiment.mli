@@ -34,9 +34,6 @@ type report = {
 (** The deterministic half: the {!Results.Det} items. *)
 val det : report -> R2c_obs.Json.t
 
-(** The {!Results.Timed} items, then [jobs] and [wall_ms]. *)
-val volatile : report -> R2c_obs.Json.t
-
 type t =
   | Experiment : {
       name : string;

@@ -53,16 +53,7 @@ type report = {
           compiled code (warm-up included) *)
 }
 
-type timing = {
-  ref_ms : float;
-  fast_ms : float;
-  jit_ms : float;
-  speedup_fast : float;  (** reference / never-compiling tier 3 *)
-  speedup_jit : float;  (** reference / tier 3 *)
-  ref_obs_ms : float;  (** profiled reference tier *)
-  jit_obs_ms : float;  (** profiled tier 3 *)
-  speedup_obs : float;  (** profiled reference / profiled tier 3 *)
-}
+type timing
 
 (** [run ?seed ?config ?fuel ?jobs ()] — compile the 13 workloads
     ([?jobs] fans the compilations over the domain pool; the measured

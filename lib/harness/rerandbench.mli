@@ -40,14 +40,7 @@ type report = {
     {!R2c_machine.Process.run}s, each after the image placed before it has
     run; [warm_rerun_ms] is the mean of a second process's run of the
     same images. *)
-type timing = {
-  cold_ms : float;
-  incr_ms : float;
-  start_ms : float;
-  speedup : float;
-  first_run_ms : float;
-  warm_rerun_ms : float;
-}
+type timing
 
 val run :
   ?funcs:int ->

@@ -53,17 +53,37 @@ let rec cell_json = function
   | Strs ss -> J.Arr (List.map (fun s -> J.Str s) ss)
   | Record kvs -> J.Obj (List.map (fun (k, c) -> (k, cell_json c)) kvs)
 
+let render title columns rows =
+  Printf.sprintf "\n== %s ==\n%s\n" title
+    (Table.render
+       ~headers:(List.map (fun c -> c.header) columns)
+       ~aligns:(List.map (fun c -> c.align) columns)
+       (List.map (List.map cell_text) rows))
+
+(* A column whose cells are all [Record]s prints as a table of its own, one
+   column per key, led by the table's first column: inline, each cell would
+   be one long [k=v ...] string. *)
+let table_text title columns rows =
+  let nested i =
+    rows <> [] && List.for_all (fun r -> match List.nth r i with Record _ -> true | _ -> false) rows
+  in
+  let flat, records = List.partition (fun (i, _) -> not (nested i)) (List.mapi (fun i c -> (i, c)) columns) in
+  let record (i, c) =
+    let kvs r = match List.nth r i with Record kvs -> kvs | _ -> [] in
+    render (title ^ ": " ^ c.header)
+      (List.hd columns :: List.map (fun (k, _) -> { c with header = k; align = Table.Right }) (kvs (List.hd rows)))
+      (List.map (fun r -> List.hd r :: List.map snd (kvs r)) rows)
+  in
+  String.concat ""
+    (render title (List.map snd flat) (List.map (fun r -> List.map (fun (i, _) -> List.nth r i) flat) rows)
+    :: List.map record records)
+
 let text r =
   String.concat ""
     (List.map
        (function
          | Field f -> Printf.sprintf "%s: %s\n" f.label (cell_text f.value)
-         | Table t ->
-             Printf.sprintf "\n== %s ==\n%s\n" t.title
-               (Table.render
-                  ~headers:(List.map (fun c -> c.header) t.columns)
-                  ~aligns:(List.map (fun c -> c.align) t.columns)
-                  (List.map (List.map cell_text) t.rows))
+         | Table t -> table_text t.title t.columns t.rows
          | Note s -> s ^ "\n")
        r)
 

@@ -25,7 +25,7 @@ type cell =
   | Strs of string list
   | Record of (string * cell) list  (** one nested object: [k=v] pairs in text *)
 
-type column = { key : string; header : string; align : R2c_util.Table.align; kind : kind }
+type column
 
 type item =
   | Field of { key : string; label : string; kind : kind; value : cell }

@@ -33,7 +33,7 @@ let frame_census ~seed =
   (match Oracle.to_serving target with Ok () -> () | Error e -> failwith e);
   let words = (truth.Reference.ra_off / 8) + 8 in
   let values = Oracle.leak_at target ~addr:(Oracle.rsp target) ~words in
-  let mem = target.Oracle.proc.Process.cpu.Cpu.mem in
+  let mem = (Oracle.proc target).Process.cpu.Cpu.mem in
   let guards = Mem.guard_page_addrs mem in
   let text_candidates = ref 0 in
   let benign_heap = ref 0 in

@@ -18,7 +18,7 @@ type workload = {
 
 type plant = { plname : string; plpoint : string; caught : int }
 
-type replay = { rpath : string; rerrors : string list }
+type replay = { rpath : string; rerrors : string list (* parse/validate/tval failures *) }
 
 type report = {
   seed : int;

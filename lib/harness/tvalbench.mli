@@ -32,10 +32,7 @@ type plant = {
   caught : int;  (** validator findings against the unplanted IR *)
 }
 
-type replay = {
-  rpath : string;
-  rerrors : string list;  (** parse/validate/tval failures *)
-}
+type replay
 
 type report = {
   seed : int;

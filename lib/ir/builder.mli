@@ -20,9 +20,6 @@ val func : string -> nparams:int -> t
 (** [param i] — operand for the [i]-th parameter. *)
 val param : int -> Ir.operand
 
-(** [fresh t] — a new virtual register. *)
-val fresh : t -> Ir.var
-
 (** [slot t size] — declare a local stack slot, returning its index. *)
 val slot : t -> int -> int
 

@@ -35,7 +35,7 @@
     [to_string] prints this exact syntax; [parse (to_string p)] returns a
     program structurally equal to [p] (the round-trip property test). *)
 
-type error = { line : int; message : string }
+type error
 
 val error_to_string : error -> string
 

@@ -3,7 +3,7 @@
     Run before compilation and by tests on every generated workload: a
     validated program compiles without compiler-side assertions firing. *)
 
-type error = { where : string; what : string }
+type error
 
 val error_to_string : error -> string
 

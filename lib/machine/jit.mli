@@ -60,8 +60,6 @@ type config = { call_threshold : int; backedge_threshold : int }
 (** Hotness thresholds: compile a function after this many entries, or
     after this many loop backedges land inside it (whichever first). *)
 
-val default_config : config
-
 (** Both thresholds at [max_int]: never compile, never run compiled
     code. What [~jit:false] and [R2C_JIT=0] attach. *)
 val never : config

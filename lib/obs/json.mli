@@ -20,9 +20,6 @@ type t =
     escaping. *)
 val to_string : t -> string
 
-(** [escape s] — the JSON string literal for [s], including the quotes. *)
-val escape : string -> string
-
 (** [parse ?max_depth s] — parse one JSON value; trailing non-whitespace
     is an error. Errors carry a byte offset. Containers may nest at most
     [max_depth] (default 512) levels deep — past that the parser reports

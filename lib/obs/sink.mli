@@ -6,7 +6,7 @@
     creates one, threads it through, and reads everything back at the
     end. When no sink is attached anywhere, every hook is a no-op. *)
 
-type t = {
+type t = private {
   metrics : Metrics.t;
   events : Events.t;
   mutable profiles : (string * Profile.t) list;  (** label → profiler, in

@@ -28,16 +28,13 @@ type verdict = {
   failures : string list;  (** empty means the gate passed *)
 }
 
-(** [execute ?image t] — recompile, feed, run; the measured profile.
-    Errors on fuel exhaustion or fault. With [?image] the recompile is
-    skipped and the given image runs instead — the caller asserts it was
-    built at the trace's recorded coordinates (the incremental-rebuild
-    regression path substitutes a cache-backed rebuild here and lets the
-    fidelity gate vouch for it). *)
-val execute : ?image:R2c_machine.Image.t -> Trace.t -> (run, string) result
-
-(** [check ?tolerance t] — {!execute} plus the fidelity comparison
-    against [t.expect]. Counter comparisons are relative
+(** [check ?tolerance ?image t] — recompile, feed and run [t], then
+    compare the measured profile against [t.expect]. Errors on fuel
+    exhaustion or fault. With [?image] the recompile is skipped and the
+    given image runs instead — the caller asserts it was built at the
+    trace's recorded coordinates (the incremental-rebuild regression path
+    substitutes a cache-backed rebuild here and lets the fidelity gate
+    vouch for it). Counter comparisons are relative
     ([|got - want| / max 1 |want|]); exit code, output length and output
     hash are exact. *)
 val check :

@@ -121,28 +121,10 @@ type t = {
   mutable rotating : rotation option;
 }
 
-let add_pool_stats (acc : Pool.stats) (s : Pool.stats) =
-  acc.Pool.served <- acc.Pool.served + s.Pool.served;
-  acc.Pool.dropped <- acc.Pool.dropped + s.Pool.dropped;
-  acc.Pool.shed <- acc.Pool.shed + s.Pool.shed;
-  acc.Pool.retried <- acc.Pool.retried + s.Pool.retried;
-  acc.Pool.crashes <- acc.Pool.crashes + s.Pool.crashes;
-  acc.Pool.timeouts <- acc.Pool.timeouts + s.Pool.timeouts;
-  acc.Pool.detections <- acc.Pool.detections + s.Pool.detections;
-  acc.Pool.restarts <- acc.Pool.restarts + s.Pool.restarts;
-  acc.Pool.recycles <- acc.Pool.recycles + s.Pool.recycles;
-  acc.Pool.rerandomizations <- acc.Pool.rerandomizations + s.Pool.rerandomizations;
-  acc.Pool.quarantines <- acc.Pool.quarantines + s.Pool.quarantines;
-  acc.Pool.mvee_blocks <- acc.Pool.mvee_blocks + s.Pool.mvee_blocks;
-  acc.Pool.recovery_cycles <- acc.Pool.recovery_cycles + s.Pool.recovery_cycles;
-  acc.Pool.recoveries <- acc.Pool.recoveries + s.Pool.recoveries;
-  acc.Pool.restores <- acc.Pool.restores + s.Pool.restores;
-  acc.Pool.fallbacks <- acc.Pool.fallbacks + s.Pool.fallbacks
-
 let pool_totals t =
   let acc = Pool.fresh_stats () in
-  add_pool_stats acc t.retired;
-  Array.iter (fun sh -> add_pool_stats acc (Pool.stats sh.pool)) t.shards;
+  Pool.add_stats acc t.retired;
+  Array.iter (fun sh -> Pool.add_stats acc (Pool.stats sh.pool)) t.shards;
   acc
 
 let fresh_seed t = Rng.int t.rng 0x3fff_ffff
@@ -352,7 +334,7 @@ let swap t idx np =
   let old = sh.pool in
   Pool.advance_clock np t.clock;
   Pool.shutdown old;
-  add_pool_stats t.retired (Pool.stats old);
+  Pool.add_stats t.retired (Pool.stats old);
   sh.pool <- np;
   (* Fresh layout: clear the health record and any quarantine — the
      probes that tripped it were against the retired epoch's layouts.
@@ -392,7 +374,7 @@ let start_rotation t ~reason =
             Some p
           else begin
             t.stats.canary_failures <- t.stats.canary_failures + 1;
-            add_pool_stats t.retired (Pool.stats p);
+            Pool.add_stats t.retired (Pool.stats p);
             Pool.shutdown p;
             if tries >= canary_retries then None
             else

@@ -79,6 +79,29 @@ let fresh_stats () =
     first_response = None;
   }
 
+(* The pattern names every field, so a counter added to [stats] and not
+   summed here fails to compile (warning 9). *)
+let add_stats acc
+    { served; dropped; shed; retried; crashes; timeouts; detections; restarts; recycles;
+      rerandomizations; quarantines; mvee_blocks; recovery_cycles; recoveries; restores;
+      fallbacks; first_detection = _; first_response = _ } =
+  acc.served <- acc.served + served;
+  acc.dropped <- acc.dropped + dropped;
+  acc.shed <- acc.shed + shed;
+  acc.retried <- acc.retried + retried;
+  acc.crashes <- acc.crashes + crashes;
+  acc.timeouts <- acc.timeouts + timeouts;
+  acc.detections <- acc.detections + detections;
+  acc.restarts <- acc.restarts + restarts;
+  acc.recycles <- acc.recycles + recycles;
+  acc.rerandomizations <- acc.rerandomizations + rerandomizations;
+  acc.quarantines <- acc.quarantines + quarantines;
+  acc.mvee_blocks <- acc.mvee_blocks + mvee_blocks;
+  acc.recovery_cycles <- acc.recovery_cycles + recovery_cycles;
+  acc.recoveries <- acc.recoveries + recoveries;
+  acc.restores <- acc.restores + restores;
+  acc.fallbacks <- acc.fallbacks + fallbacks
+
 type response =
   | Served of { cycles : int; lines : int }
   | Rejected of { reason : string; lines : int }

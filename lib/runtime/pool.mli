@@ -76,6 +76,10 @@ type stats = {
 (** All counters zero. *)
 val fresh_stats : unit -> stats
 
+(** [add_stats acc s] — add each of [s]'s counters into [acc]; [acc]'s
+    [first_detection] and [first_response] clocks are left as they are. *)
+val add_stats : stats -> stats -> unit
+
 type response =
   | Served of { cycles : int; lines : int }
       (** [lines]: response lines the client saw — the feedback channel

@@ -4,6 +4,7 @@ module Opts = R2c_compiler.Opts
 
 let marker = 0xdeadbeef
 
+(* Requests served per run of [main]. *)
 let requests = 8
 
 let break_symbol = "__ra_process_request_0"

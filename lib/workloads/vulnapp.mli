@@ -26,9 +26,6 @@
     makes the program call [sensitive] with this rdi. *)
 val marker : int
 
-(** Requests served per run of [main]. *)
-val requests : int
-
 (** The server program. *)
 val program : unit -> Ir.program
 

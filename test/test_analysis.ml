@@ -69,7 +69,7 @@ let test_cluster_on_live_leak () =
   let heap = Cluster.heap_candidates cs in
   Alcotest.(check bool) "heap cluster found" true (heap <> []);
   let guards =
-    Mem.guard_page_addrs target.R2c_attacks.Oracle.proc.Process.cpu.Cpu.mem
+    Mem.guard_page_addrs (R2c_attacks.Oracle.proc target).Process.cpu.Cpu.mem
   in
   Alcotest.(check bool) "cluster contaminated with BTDPs" true
     (List.exists (fun v -> List.mem (Addr.page_base v) guards) heap)

@@ -82,10 +82,37 @@ let test_tasr_relink_invalidate () =
   in
   let target = Oracle.attach ~relink (Defenses.build_vulnapp d ~seed:50) in
   (match Oracle.to_break target with `Break -> () | `Done _ -> Alcotest.fail "no break");
-  let before = Image.symbol target.Oracle.img "main" in
+  let before = Image.symbol (Oracle.img target) "main" in
   Oracle.send target "x";
-  let after = Image.symbol target.Oracle.img "main" in
+  let after = Image.symbol (Oracle.img target) "main" in
   Alcotest.(check bool) "layout re-randomized on send" true (before <> after)
+
+(* The monitor's view outlives the process a relink replaces: crashes and
+   detections are the old processes' plus the current one's. *)
+let test_relink_keeps_counts () =
+  let d = Defenses.r2c_rerand in
+  let counter = ref 0 in
+  let relink () =
+    incr counter;
+    Defenses.build_vulnapp d ~seed:(200 + !counter)
+  in
+  let target = Oracle.attach ~relink (Defenses.build_vulnapp d ~seed:200) in
+  (match Oracle.to_serving target with Ok () -> () | Error e -> Alcotest.fail e);
+  let counts what c d =
+    Alcotest.(check (pair int int)) what (c, d) (Oracle.crashes target, Oracle.detections target)
+  in
+  (match Mem.guard_page_addrs (Oracle.proc target).Process.cpu.Cpu.mem with
+  | g :: _ -> ignore (Oracle.arb_read target g)
+  | [] -> Alcotest.fail "no guard page");
+  counts "guard page: one crash, one detection" 1 1;
+  let img = Oracle.img target in
+  Oracle.restart target;
+  Alcotest.(check bool) "restart relinked" true (Oracle.img target != img);
+  counts "carried across the relink" 1 1;
+  Alcotest.(check bool) "still detected" true (Oracle.detected target);
+  (match Oracle.to_break target with `Break -> () | `Done _ -> Alcotest.fail "no break");
+  ignore (Oracle.arb_read target 0);
+  counts "old plus current" 2 1
 
 let suite =
   [
@@ -99,5 +126,6 @@ let suite =
         Alcotest.test_case "aslr slides" `Quick test_aslr_models_slide;
         Alcotest.test_case "kR^X single decoy" `Quick test_krx_single_decoy;
         Alcotest.test_case "TASR relink on send" `Quick test_tasr_relink_invalidate;
+        Alcotest.test_case "relink keeps crash and detection counts" `Quick test_relink_keeps_counts;
       ] );
   ]

@@ -87,26 +87,31 @@ let test_results_render () =
       R.table "rows" ~title:"per row"
         [
           R.left "name" "name"; R.col "overhead" "overhead"; R.col "shards" "shards";
-          R.col ~kind:R.Timed "compile_s" "compile s";
+          R.left "io" "io"; R.col ~kind:R.Timed "compile_s" "compile s";
         ]
         [
-          [ R.Str "a"; R.Missing; R.Ints [ 1; 2 ]; f2 0.25 ];
-          [ R.Str "b"; R.pct 0.066; R.Strs [ "x"; "y" ]; f2 1.5 ];
+          [ R.Str "a"; R.Missing; R.Ints [ 1; 2 ]; R.Record [ ("in", R.Int 3); ("out", R.Int 4) ]; f2 0.25 ];
+          [ R.Str "b"; R.pct 0.066; R.Strs [ "x"; "y" ]; R.Record [ ("in", R.Int 5); ("out", R.Int 60) ]; f2 1.5 ];
         ];
       R.Note "a note";
     ]
   in
-  Alcotest.(check string) "text: fields, then the table through Table.render, then the note"
+  Alcotest.(check string)
+    "text: fields, then the table through Table.render (a column of records as its own table, \
+     keyed by the first column), then the note"
     ("programs: 17\ncampaign ms: 1234\n\n== per row ==\n"
     ^ T.render ~headers:[ "name"; "overhead"; "shards"; "compile s" ]
         ~aligns:[ T.Left; T.Right; T.Right; T.Right ]
         [ [ "a"; "-"; "1, 2"; "0.25" ]; [ "b"; "6.6%"; "x, y"; "1.50" ] ]
+    ^ "\n\n== per row: io ==\n"
+    ^ T.render ~headers:[ "name"; "in"; "out" ] ~aligns:[ T.Left; T.Right; T.Right ]
+        [ [ "a"; "3"; "4" ]; [ "b"; "5"; "60" ] ]
     ^ "\n" ^ "a note\n")
     (R.text results);
   let det = J.Obj (R.members R.Det results) and volatile = J.Obj (R.members R.Timed results) in
   Alcotest.(check string) "det holds the deterministic values only"
-    ({|{"programs":17,"rows":[{"name":"a","overhead":null,"shards":[1,2]},|}
-    ^ {|{"name":"b","overhead":0.066,"shards":["x","y"]}]}|})
+    ({|{"programs":17,"rows":[{"name":"a","overhead":null,"shards":[1,2],"io":{"in":3,"out":4}},|}
+    ^ {|{"name":"b","overhead":0.066,"shards":["x","y"],"io":{"in":5,"out":60}}]}|})
     (J.to_string det);
   Alcotest.(check string) "volatile holds every host-timed value"
     {|{"campaign_ms":1234.0,"rows":[{"compile_s":0.25},{"compile_s":1.5}]}|}

@@ -303,7 +303,7 @@ let test_unwind_through_btras () =
   let truth = R2c_attacks.Reference.measure img in
   let slot = Oracle.rsp target + truth.R2c_attacks.Reference.ra_off in
   let frames =
-    Unwind.backtrace target.Oracle.proc.Process.cpu.Cpu.mem img ~ra_slot:slot
+    Unwind.backtrace (Oracle.proc target).Process.cpu.Cpu.mem img ~ra_slot:slot
   in
   (* process_request's RA (into main); main's RA is in _start, which has no
      row — exactly one frame. *)

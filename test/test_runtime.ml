@@ -236,15 +236,15 @@ let test_resume_step_fault () =
   let module Oracle = R2c_attacks.Oracle in
   let o = Oracle.attach img in
   Alcotest.(check bool) "oracle parked" true (Oracle.to_break o = `Break);
-  arm o.Oracle.proc;
+  arm (Oracle.proc o);
   (match Oracle.resume_to_break o with
   | `Done (Process.Crashed (Fault.Injected { rip; _ })) -> Alcotest.(check int) "resume_to_break" break rip
   | _ -> Alcotest.fail "resume_to_break: no crash");
   Alcotest.(check int) "resume_to_break counted" 1 (Oracle.crashes o);
-  Alcotest.(check bool) "resume_to_break dead" true o.Oracle.dead;
+  Alcotest.(check bool) "resume_to_break dead" true (Oracle.dead o);
   let o = Oracle.attach img in
   Alcotest.(check bool) "at symbol" true (Oracle.to_symbol o Vulnapp.break_symbol = `Break);
-  arm o.Oracle.proc;
+  arm (Oracle.proc o);
   (match Oracle.to_symbol o Vulnapp.break_symbol with
   | `Done (Process.Crashed (Fault.Injected { rip; _ })) -> Alcotest.(check int) "to_symbol" break rip
   | _ -> Alcotest.fail "to_symbol: no injected fault at the break");
