@@ -12,7 +12,7 @@ module Rng = R2c_util.Rng
 let battle (d : Defenses.t) ~seed =
   Printf.printf "--- AOCR vs %s (%s) ---\n" d.Defenses.name d.Defenses.footnote;
   let reference, target = R2c_attacks.Suite.scenario d ~seed in
-  let report = R2c_attacks.Aocr.run ~rng:(Rng.create (seed * 31)) ~reference ~target () in
+  let report = R2c_attacks.Aocr.run ~rng:(Rng.create (seed * 31)) ~reference ~target in
   print_endline ("aocr: " ^ Report.to_string report);
   (match report.Report.sensitive with
   | [] -> print_endline "no privileged call was reached."

@@ -1,8 +1,9 @@
 (* The reactive component: Blind ROP against a worker-respawning non-PIE
    server. Against the unprotected build, stack reading plus a gadget sweep
-   pops the privileged call after a few hundred probes. Against R2C, the
-   very first probes land in booby-trap functions and the monitoring
-   threshold ends the campaign (Section 4.1's deterrence).
+   pops the privileged call after about a thousand probes. Against R2C, a
+   probe lands in a booby trap within a few hundred, the monitor takes the
+   service down, and the refused probes end the campaign (Section 4.1's
+   deterrence).
 
      dune exec examples/blindrop_boobytrap.exe *)
 
@@ -13,7 +14,7 @@ module Report = R2c_attacks.Report
 let campaign (d : Defenses.t) ~seed =
   Printf.printf "--- Blind ROP vs %s ---\n" d.Defenses.name;
   let target = R2c_attacks.Suite.target d ~seed in
-  let r = R2c_attacks.Blindrop.run ~probe_budget:20_000 ~target () in
+  let r = R2c_attacks.Blindrop.run ~target () in
   print_endline ("blind-rop: " ^ Report.to_string r);
   Printf.printf "worker crashes observed by the operator: %d\n" (Oracle.crashes target);
   Printf.printf "booby-trap/guard-page alarms raised: %d\n\n" (Oracle.detections target)

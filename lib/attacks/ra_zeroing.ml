@@ -1,9 +1,11 @@
 open R2c_machine
 
-let run ?(max_probes = 40) ?(monitor_threshold = 1) ~target:t () =
+(* Zeroing probes (confirmations included) before giving up. *)
+let max_probes = 40
+
+let run ~target:t =
   let tl = Report.tally t in
   let note fmt = Report.note tl fmt in
-  let monitor_tripped () = Oracle.detections t >= monitor_threshold in
   (* Success is disclosure, not the marker chain. *)
   let stop ?(success = false) why =
     note "%s" why;
@@ -35,7 +37,7 @@ let run ?(max_probes = 40) ?(monitor_threshold = 1) ~target:t () =
       let rec probe = function
         | [] -> Report.of_tally ~success:false tl
         | _ when tl.tries >= max_probes -> stop "probe budget exhausted"
-        | _ when monitor_tripped () -> stop "monitoring response (consistency check fired)"
+        | _ when Oracle.detected t -> stop "monitoring response (consistency check fired)"
         | off :: rest -> (
             Report.attempt tl;
             match zero off with

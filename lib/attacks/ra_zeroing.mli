@@ -16,10 +16,7 @@
     BTRA probes into booby-trap detections: a zeroed BTRA that happens to be
     its call site's checked one traps on the way out. *)
 
-(** Success = the true return-address slot was disclosed. *)
-val run :
-  ?max_probes:int ->
-  ?monitor_threshold:int ->
-  target:Oracle.t ->
-  unit ->
-  Report.t
+(** Success = the true return-address slot was disclosed.
+    At most 40 probes; the campaign stops at the first detection
+    ({!Oracle.detected}). *)
+val run : target:Oracle.t -> Report.t

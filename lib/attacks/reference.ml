@@ -20,9 +20,11 @@ type t = {
 
 let marker_byte = 0xa1
 
-let find_gadget code_at ~first ~len =
+(* The lowest text address that decodes [pop rdi] followed by [ret]. *)
+let find_pop_rdi img =
+  let code_at = Image.code_at img in
   let rec scan addr =
-    if addr >= first + len then None
+    if addr >= img.Image.text_base + img.Image.text_len then None
     else
       match code_at addr with
       | Some (Insn.Pop Insn.RDI, l) -> (
@@ -31,7 +33,7 @@ let find_gadget code_at ~first ~len =
           | Some _ | None -> scan (addr + 1))
       | Some _ | None -> scan (addr + 1)
   in
-  scan first
+  scan img.Image.text_base
 
 let measure img =
   let sym name =
@@ -107,8 +109,7 @@ let measure img =
     | Some off -> off
     | None -> failwith "Reference.measure: session pointer not found"
   in
-  let code_at a = Image.code_at img a in
-  let pop_rdi = find_gadget code_at ~first:img.Image.text_base ~len:img.Image.text_len in
+  let pop_rdi = find_pop_rdi img in
   let exec_entry = peek (sym "g_service_table" + 24) in
   {
     img;

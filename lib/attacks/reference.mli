@@ -30,10 +30,3 @@ type t = {
     breakpoint and extract the transferable knowledge. Raises
     [Failure] when the binary does not look like the vulnerable server. *)
 val measure : R2c_machine.Image.t -> t
-
-(** [find_gadget code_at ~first ~len] — lowest address [a] in
-    [\[first, first+len)] where [code_at a] decodes [pop rdi] immediately
-    followed by [ret]. Shared by reference measurement and the JIT-ROP
-    runtime scan. *)
-val find_gadget :
-  (int -> (R2c_machine.Insn.t * int) option) -> first:int -> len:int -> int option

@@ -31,11 +31,11 @@ let all =
     ("indirect-jit-rop", with_reference Indirect_jitrop.run);
     ( "aocr",
       fun d ~seed ->
-        with_reference (Aocr.run ~rng:(R2c_util.Rng.create (seed * 977)) ()) d ~seed );
-    ("pirop", with_reference (Pirop.run ()));
+        with_reference (Aocr.run ~rng:(R2c_util.Rng.create (seed * 977))) d ~seed );
+    ("pirop", with_reference Pirop.run);
     ("blind-rop", blind (Blindrop.run ()));
     ("race", blind Race.run);
-    ("ra-zeroing", blind (Ra_zeroing.run ()));
+    ("ra-zeroing", blind Ra_zeroing.run);
   ]
 
 let find name =

@@ -2,10 +2,10 @@
 
     Three experiments around {!R2c_runtime.Pool}:
 
-    - {!run} — the webserver worker pool under a combined campaign: a
-      Blind-ROP attacker (stack reading + ret2plt gadget sweep, adapted to
-      pool semantics: the only feedback is served / died / refused) probing
-      while legitimate traffic flows, once per restart policy. Reports
+    - {!run} — the webserver worker pool under a combined campaign: the
+      Blind-ROP attacker ({!R2c_attacks.Blindrop.campaign}, whose only
+      feedback is served / died / refused) probing the pool between
+      legitimate requests, once per restart policy. Reports
       availability, MTTR and detection-to-response latency; the expected
       shape is Same_image bleeding availability for the whole campaign
       while Rerandomize and Reactive force the attacker into a layout-churn
@@ -16,19 +16,9 @@
       all rates zero must reproduce the bare run bit for bit (outcome,
       instructions, cycles). *)
 
-type attack_cfg = {
-  probe_budget : int;
-  churn_limit : int;  (** consecutive failed revalidations before giving up *)
-  stall_limit : int;  (** consecutive refused probes before giving up *)
-  sweep_budget : int;  (** gadget addresses swept per RA candidate *)
-}
-
-val default_attack : attack_cfg
-
 type run_result = {
   policy : R2c_runtime.Policy.t;
   stats : R2c_runtime.Pool.stats;
-  clock : int;
   legit_served : int;
   legit_total : int;
   availability : float;  (** legit traffic only *)
@@ -38,13 +28,15 @@ type run_result = {
   escalated : bool;
 }
 
+(** [run_policy ?seed ?legit_total ?probe_budget policy] — one pool under
+    [policy] (default seed 7, 400 legitimate requests, a 4,000-probe
+    campaign). *)
 val run_policy :
-  ?seed:int -> ?legit_total:int -> ?attack:attack_cfg -> R2c_runtime.Policy.t ->
-  run_result
+  ?seed:int -> ?legit_total:int -> ?probe_budget:int -> R2c_runtime.Policy.t -> run_result
 
 (** [run ()] — {!run_policy} for each policy in the lineup: same-image,
     backoff, rerandomize, reactive→rerandomize, reactive→MVEE. *)
-val run : ?seed:int -> ?legit_total:int -> ?attack:attack_cfg -> unit -> run_result list
+val run : ?seed:int -> ?legit_total:int -> ?probe_budget:int -> unit -> run_result list
 
 (** [gate ~equivalent results] — violated criteria as [(check, detail)]
     pairs (empty = pass): [equivalent] (see {!baseline_equivalence})

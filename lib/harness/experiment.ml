@@ -141,8 +141,7 @@ let chaos =
   v "chaos" "Availability under fault injection and a Blind-ROP campaign, per restart policy."
     Term.(const (fun s l b -> (s, l, b)) $ seed_term 11 ~doc:"Pool master seed." $ legit $ budget)
     (fun ~jobs:_ (seed, legit_total, probe_budget) ->
-      let attack = { Chaos.default_attack with probe_budget } in
-      let runs = Chaos.run ~seed ~legit_total ~attack () in
+      let runs = Chaos.run ~seed ~legit_total ~probe_budget () in
       let sweep = Chaos.injection_sweep () in
       let equivalent = Chaos.baseline_equivalence () in
       (Chaos.results ~sweep ~equivalent runs, Chaos.gate ~equivalent runs))

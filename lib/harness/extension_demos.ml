@@ -31,7 +31,7 @@ let batteries key title specs =
     (List.map battery specs)
 
 let run () =
-  let zeroing d seed = R2c_attacks.Ra_zeroing.run ~target:(Suite.target d ~seed) () in
+  let zeroing d seed = R2c_attacks.Ra_zeroing.run ~target:(Suite.target d ~seed) in
   let rerand_zeroing seed =
     let d = Defenses.r2c_rerand in
     let counter = ref 0 in
@@ -39,7 +39,7 @@ let run () =
       incr counter;
       Defenses.build_vulnapp d ~seed:(seed + 900 + !counter)
     in
-    R2c_attacks.Ra_zeroing.run ~target:(Oracle.attach ~relink (Defenses.build_vulnapp d ~seed)) ()
+    R2c_attacks.Ra_zeroing.run ~target:(Oracle.attach ~relink (Defenses.build_vulnapp d ~seed))
   in
   let cfi_scenario d seed = Suite.scenario ~reference_seed:(seed + 700) d ~seed in
   let rop d seed =
@@ -48,7 +48,7 @@ let run () =
   in
   let aocr d seed =
     let reference, target = cfi_scenario d seed in
-    R2c_attacks.Aocr.run ~rng:(R2c_util.Rng.create (seed * 7)) ~reference ~target ()
+    R2c_attacks.Aocr.run ~rng:(R2c_util.Rng.create (seed * 7)) ~reference ~target
   in
   let race d seed = R2c_attacks.Race.run ~target:(Suite.target d ~seed) in
   let tables =

@@ -64,7 +64,7 @@ let run ?(trials = 8) ?jobs () =
     parallel_init trials (fun i ->
         let seed = (i * 3) + 1 in
         let reference, target = Suite.scenario ~reference_seed:(seed + 500) Defenses.r2c ~seed in
-        R2c_attacks.Aocr.run ~rng:(Rng.create (seed * 131)) ~reference ~target ())
+        R2c_attacks.Aocr.run ~rng:(Rng.create (seed * 131)) ~reference ~target)
   in
   (* Blind ROP battery against a non-PIE R2C server (the restart scenario
      of Section 7.3). *)

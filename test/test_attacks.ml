@@ -6,6 +6,9 @@ module Indirect_jitrop = R2c_attacks.Indirect_jitrop
 module Aocr = R2c_attacks.Aocr
 module Pirop = R2c_attacks.Pirop
 module Blindrop = R2c_attacks.Blindrop
+module Oracle = R2c_attacks.Oracle
+module Victim = R2c_attacks.Victim
+module Payload = R2c_attacks.Payload
 module Suite = R2c_attacks.Suite
 module Defenses = R2c_defenses.Defenses
 module Vulnapp = R2c_workloads.Vulnapp
@@ -132,31 +135,31 @@ let test_indirect_vs_r2c () =
 let test_aocr_vs_unprotected () =
   let reference, target = Suite.scenario Defenses.unprotected ~seed:10 in
   check_result "aocr vs unprotected" ~expect_success:true
-    (Aocr.run ~rng:(Rng.create 1) ~reference ~target ())
+    (Aocr.run ~rng:(Rng.create 1) ~reference ~target)
 
 let test_aocr_vs_aslr () =
   let reference, target = Suite.scenario Defenses.aslr ~seed:12 in
   check_result "aocr vs aslr" ~expect_success:true
-    (Aocr.run ~rng:(Rng.create 2) ~reference ~target ())
+    (Aocr.run ~rng:(Rng.create 2) ~reference ~target)
 
 let test_aocr_vs_readactor () =
   (* The paper's headline: AOCR defeats leakage-resilient code-only
      diversification. *)
   let reference, target = Suite.scenario Defenses.readactor ~seed:14 in
   check_result "aocr vs readactor" ~expect_success:true
-    (Aocr.run ~rng:(Rng.create 3) ~reference ~target ())
+    (Aocr.run ~rng:(Rng.create 3) ~reference ~target)
 
 let test_aocr_vs_tasr () =
   (* Re-randomizing code does not help: AOCR is address-oblivious. *)
   let reference, target = Suite.scenario Defenses.tasr ~seed:16 in
   check_result "aocr vs tasr" ~expect_success:true
-    (Aocr.run ~rng:(Rng.create 4) ~reference ~target ())
+    (Aocr.run ~rng:(Rng.create 4) ~reference ~target)
 
 let test_aocr_vs_r2c () =
   let runs =
     trials 8 (fun seed ->
         let reference, target = Suite.scenario Defenses.r2c ~seed in
-        Aocr.run ~rng:(Rng.create (seed * 31)) ~reference ~target ())
+        Aocr.run ~rng:(Rng.create (seed * 31)) ~reference ~target)
   in
   Alcotest.(check int) "aocr vs R2C never succeeds" 0 (rate runs);
   (* The reactive component: BTDP guard pages catch most campaigns. *)
@@ -170,13 +173,13 @@ let test_aocr_vs_r2c () =
 let test_pirop_vs_aslr () =
   let reference, target = Suite.scenario Defenses.aslr ~seed:18 in
   check_result "pirop vs aslr" ~expect_success:true
-    (Pirop.run ~reference ~target ())
+    (Pirop.run ~reference ~target)
 
 let test_pirop_vs_r2c () =
   let runs =
     trials 5 (fun seed ->
         let reference, target = Suite.scenario Defenses.r2c ~seed in
-        Pirop.run ~reference ~target ())
+        Pirop.run ~reference ~target)
   in
   Alcotest.(check int) "pirop vs R2C fails" 0 (rate runs)
 
@@ -193,6 +196,104 @@ let test_blindrop_vs_r2c_detected () =
   let target = Suite.target Defenses.r2c_nopie ~seed:22 in
   let r = Blindrop.run ~probe_budget:20000 ~target () in
   check_result "blindrop vs R2C" ~expect_success:false ~expect_detected:true r
+
+(* --- Blind ROP against a scripted victim --- *)
+
+(* A server whose stack holds [secret] below a return address at offset
+   [String.length secret]: a payload survives iff it is a prefix of the
+   secret, and past it the next word is what [ret] pops — a ret into
+   print_int@plt prints one more line, and [gadget; marker; sensitive@plt]
+   compromises the server. The first served payload of [rotate_at] bytes
+   re-randomizes the secret; probes from number [refuse_from] on are
+   refused. *)
+let scripted ?(rotate_at = -1) ?(refuse_from = max_int) ~secret ~gadget () =
+  let secret = ref secret and probes = ref 0 and owned = ref false in
+  let chain =
+    Payload.le64 gadget ^ Payload.le64 Vulnapp.marker ^ Payload.le64 (Payload.plt_addr_of "sensitive")
+  in
+  let probe p =
+    incr probes;
+    let ra = String.length !secret and n = String.length p in
+    if !probes >= refuse_from then Victim.Refused
+    else if n <= ra then
+      if p = String.sub !secret 0 n then begin
+        if n = rotate_at then secret := String.map (fun c -> Char.chr (Char.code c lxor 0xff)) !secret;
+        Victim.Served 1
+      end
+      else Victim.Died 1
+    else if String.sub p 0 ra <> !secret then Victim.Died 1
+    else
+      let tail = String.sub p ra (n - ra) in
+      if tail = Payload.le64 (Payload.plt_addr_of "print_int") then Victim.Died 2
+      else begin
+        if tail = chain then owned := true;
+        Victim.Died 1
+      end
+  in
+  { Victim.probe; compromised = (fun () -> !owned) }
+
+let planted_secret = String.init 24 (fun i -> Char.chr (((i * 37) + 5) land 0xff))
+
+(* The sweep's first candidate: the text right after the PLT. *)
+let sweep_start =
+  R2c_machine.Addr.text_base + (16 * List.length R2c_machine.Image.builtin_names)
+
+let test_campaign_finds_planted () =
+  let o =
+    Blindrop.campaign ~probe_budget:20_000
+      (scripted ~secret:planted_secret ~gadget:(sweep_start + 100) ())
+  in
+  Alcotest.(check (option int)) "return address located" (Some 24) o.Blindrop.ra_offset;
+  Alcotest.(check bool) ("planted gadget chained: " ^ o.Blindrop.note) true o.Blindrop.compromised
+
+let test_campaign_gives_up_on_churn () =
+  let o =
+    Blindrop.campaign ~probe_budget:20_000
+      (scripted ~rotate_at:8 ~secret:planted_secret ~gadget:(sweep_start + 100) ())
+  in
+  Alcotest.(check string) "note" "layout churn: learned bytes no longer hold" o.Blindrop.note;
+  Alcotest.(check bool) "not compromised" false o.Blindrop.compromised
+
+let test_campaign_gives_up_on_stall () =
+  let o =
+    Blindrop.campaign ~probe_budget:20_000
+      (scripted ~refuse_from:31 ~secret:planted_secret ~gadget:(sweep_start + 100) ())
+  in
+  Alcotest.(check string) "note" "fleet down, nothing to probe" o.Blindrop.note;
+  Alcotest.(check int) "30 answered, then 20 refused" 50 o.Blindrop.probes
+
+(* [Oracle.victim]'s verdicts: an exit is served, a crash died, a worker
+   that never reaches the serving point refused — and so is every probe
+   once the monitor has seen a detection. *)
+let test_oracle_victim_verdicts () =
+  let img = Defenses.build_vulnapp Defenses.unprotected ~seed:2 in
+  let v = Oracle.victim (Oracle.attach img) in
+  (match v.Victim.probe "GET /status" with
+  | Victim.Served n -> Alcotest.(check bool) "response lines seen" true (n > 0)
+  | Victim.Died _ | Victim.Refused -> Alcotest.fail "legit request: not served");
+  (match v.Victim.probe (Payload.fill 300) with
+  | Victim.Died _ -> ()
+  | Victim.Served _ | Victim.Refused -> Alcotest.fail "smashed stack: not died");
+  let target = Oracle.attach img in
+  let proc = Oracle.proc target in
+  let faulting = { R2c_machine.Inject.zero with R2c_machine.Inject.spurious_fault = 1.0 } in
+  proc.Process.cpu <-
+    R2c_machine.Cpu.clone ~inject:(R2c_machine.Inject.create ~rates:faulting ~seed:1 ()) proc.Process.cpu;
+  let v = Oracle.victim target in
+  Alcotest.(check bool) "no serving point: refused" true (v.Victim.probe "GET /status" = Victim.Refused);
+  (match v.Victim.probe "GET /status" with
+  | Victim.Served _ -> ()
+  | Victim.Died _ | Victim.Refused -> Alcotest.fail "respawned worker: not served");
+  let target = Suite.target Defenses.r2c ~seed:2 in
+  (match Oracle.to_serving target with Ok () -> () | Error e -> Alcotest.fail e);
+  (match R2c_machine.Mem.guard_page_addrs (Oracle.proc target).Process.cpu.R2c_machine.Cpu.mem with
+  | g :: _ -> ignore (Oracle.arb_read target g)
+  | [] -> Alcotest.fail "no guard page");
+  Alcotest.(check bool) "guard page detected" true (Oracle.detected target);
+  let crashes = Oracle.crashes target in
+  let v = Oracle.victim target in
+  Alcotest.(check bool) "monitor tripped: refused" true (v.Victim.probe "GET /status" = Victim.Refused);
+  Alcotest.(check int) "no worker driven" crashes (Oracle.crashes target)
 
 (* --- the suite registry --- *)
 
@@ -245,6 +346,10 @@ let suite =
         Alcotest.test_case "pirop vs r2c" `Quick test_pirop_vs_r2c;
         Alcotest.test_case "blindrop vs unprotected" `Quick test_blindrop_vs_unprotected;
         Alcotest.test_case "blindrop vs r2c detected" `Quick test_blindrop_vs_r2c_detected;
+        Alcotest.test_case "campaign finds planted" `Quick test_campaign_finds_planted;
+        Alcotest.test_case "campaign churn give-up" `Quick test_campaign_gives_up_on_churn;
+        Alcotest.test_case "campaign stall give-up" `Quick test_campaign_gives_up_on_stall;
+        Alcotest.test_case "oracle victim verdicts" `Quick test_oracle_victim_verdicts;
         Alcotest.test_case "suite registry" `Quick test_suite_registry;
       ] );
   ]

@@ -82,9 +82,9 @@ let test_tasr_relink_invalidate () =
   in
   let target = Oracle.attach ~relink (Defenses.build_vulnapp d ~seed:50) in
   (match Oracle.to_break target with `Break -> () | `Done _ -> Alcotest.fail "no break");
-  let before = Image.symbol (Oracle.img target) "main" in
+  let before = Image.symbol (Oracle.proc target).Process.image "main" in
   Oracle.send target "x";
-  let after = Image.symbol (Oracle.img target) "main" in
+  let after = Image.symbol (Oracle.proc target).Process.image "main" in
   Alcotest.(check bool) "layout re-randomized on send" true (before <> after)
 
 (* The monitor's view outlives the process a relink replaces: crashes and
@@ -105,9 +105,9 @@ let test_relink_keeps_counts () =
   | g :: _ -> ignore (Oracle.arb_read target g)
   | [] -> Alcotest.fail "no guard page");
   counts "guard page: one crash, one detection" 1 1;
-  let img = Oracle.img target in
+  let img = (Oracle.proc target).Process.image in
   Oracle.restart target;
-  Alcotest.(check bool) "restart relinked" true (Oracle.img target != img);
+  Alcotest.(check bool) "restart relinked" true ((Oracle.proc target).Process.image != img);
   counts "carried across the relink" 1 1;
   Alcotest.(check bool) "still detected" true (Oracle.detected target);
   (match Oracle.to_break target with `Break -> () | `Done _ -> Alcotest.fail "no break");

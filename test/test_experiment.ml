@@ -177,7 +177,7 @@ let test_security_gate () =
 let test_chaos_gate () =
   let result policy compromised =
     {
-      H.Chaos.policy; stats = pool_stats (); clock = 0; legit_served = 10; legit_total = 10;
+      H.Chaos.policy; stats = pool_stats (); legit_served = 10; legit_total = 10;
       availability = 1.0; probes = 5; attack_note = ""; compromised; escalated = false;
     }
   in

@@ -114,7 +114,7 @@ let test_ra_zeroing_discloses_without_checks () =
     List.filter
       (fun seed ->
         let target = Suite.target Defenses.r2c_nopie ~seed in
-        (Ra_zeroing.run ~target ()).Report.success)
+        (Ra_zeroing.run ~target).Report.success)
       [ 3; 4; 5; 6 ]
   in
   Alcotest.(check bool)
@@ -128,7 +128,7 @@ let test_ra_zeroing_checks_detect () =
     List.map
       (fun seed ->
         let target = Suite.target Defenses.r2c_checked_nopie ~seed in
-        Ra_zeroing.run ~target ())
+        Ra_zeroing.run ~target)
       [ 3; 4; 5; 6; 7; 8 ]
   in
   let detected = List.length (List.filter (fun r -> r.Report.detected) results) in
@@ -147,7 +147,7 @@ let test_rerandomization_stops_restart_probing () =
     Defenses.build_vulnapp d ~seed:(500 + !counter)
   in
   let target = Oracle.attach ~relink (Defenses.build_vulnapp d ~seed:500) in
-  let r = Ra_zeroing.run ~target () in
+  let r = Ra_zeroing.run ~target in
   Alcotest.(check bool) ("zeroing vs rerand: " ^ Report.to_string r) false r.Report.success
 
 (* --- checked BTRAs still behave (differential) and catch corruption --- *)
@@ -203,7 +203,7 @@ let test_cfi_misses_aocr () =
      shadow stack — Section 8.2's caveat, and the reason R2C exists. *)
   let reference, target = scenario Defenses.cfi ~seed:14 in
   let r =
-    R2c_attacks.Aocr.run ~rng:(R2c_util.Rng.create 5) ~reference ~target ()
+    R2c_attacks.Aocr.run ~rng:(R2c_util.Rng.create 5) ~reference ~target
   in
   Alcotest.(check bool) ("aocr vs CFI: " ^ Report.to_string r) true r.Report.success
 
@@ -214,7 +214,7 @@ let test_r2c_cfi_compose () =
   Alcotest.(check bool) "rop fails" false rop.Report.success;
   let reference, target = scenario Defenses.r2c_cfi ~seed:17 in
   let aocr =
-    R2c_attacks.Aocr.run ~rng:(R2c_util.Rng.create 6) ~reference ~target ()
+    R2c_attacks.Aocr.run ~rng:(R2c_util.Rng.create 6) ~reference ~target
   in
   Alcotest.(check bool) ("aocr vs R2C+CFI: " ^ Report.to_string aocr) false
     aocr.Report.success

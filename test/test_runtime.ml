@@ -237,11 +237,17 @@ let test_resume_step_fault () =
   let o = Oracle.attach img in
   Alcotest.(check bool) "oracle parked" true (Oracle.to_break o = `Break);
   arm (Oracle.proc o);
-  (match Oracle.resume_to_break o with
-  | `Done (Process.Crashed (Fault.Injected { rip; _ })) -> Alcotest.(check int) "resume_to_break" break rip
-  | _ -> Alcotest.fail "resume_to_break: no crash");
-  Alcotest.(check int) "resume_to_break counted" 1 (Oracle.crashes o);
-  Alcotest.(check bool) "resume_to_break dead" true (Oracle.dead o);
+  (* Parked at the first stop, [to_serving]'s second leg steps the armed
+     instruction. *)
+  (match Oracle.to_serving o with
+  | Error e ->
+      Alcotest.(check bool) ("to_serving: " ^ e) true
+        (String.ends_with ~suffix:(Printf.sprintf "at rip=0x%x)" break) e)
+  | Ok () -> Alcotest.fail "to_serving: no crash");
+  Alcotest.(check int) "to_serving counted" 1 (Oracle.crashes o);
+  Alcotest.check_raises "to_serving ended the process"
+    (Invalid_argument "Oracle.resume_to_end: process dead") (fun () ->
+      ignore (Oracle.resume_to_end o));
   let o = Oracle.attach img in
   Alcotest.(check bool) "at symbol" true (Oracle.to_symbol o Vulnapp.break_symbol = `Break);
   arm (Oracle.proc o);

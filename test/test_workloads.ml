@@ -171,12 +171,8 @@ let test_vulnapp_stub_gadget_present () =
   (* The libc-model stubs must provide the classic gadget the ROP
      experiments rely on. *)
   let img = R2c_workloads.Vulnapp.build ~seed:2 R2c_core.Dconfig.baseline in
-  let g =
-    R2c_attacks.Reference.find_gadget
-      (fun a -> Image.code_at img a)
-      ~first:img.Image.text_base ~len:img.Image.text_len
-  in
-  Alcotest.(check bool) "pop rdi; ret exists" true (g <> None)
+  let r = R2c_attacks.Reference.measure img in
+  Alcotest.(check bool) "pop rdi; ret exists" true (r.R2c_attacks.Reference.pop_rdi <> None)
 
 let suite =
   [
