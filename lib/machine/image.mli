@@ -27,14 +27,6 @@ type func_info = {
   is_booby_trap : bool;
 }
 
-(** What sits at one byte offset into the text segment ({!slot_at}).
-    [P_none] marks bytes that are not an instruction start (padding,
-    instruction interiors) — executing one is an invalid opcode. *)
-type pslot =
-  | P_none
-  | P_insn of Insn.t * int  (** decoded instruction and byte length *)
-  | P_builtin of string  (** intercepted library entry *)
-
 (** Extended by [Jit] with its per-body compile plans; the machine layer
     below it only stores them. *)
 type body_code = ..
@@ -266,8 +258,8 @@ val unfixed : Insn.t
     memoizing it in [v.v_fix] on first use. *)
 val fixed : decoder -> view -> int -> Insn.t
 
-(** [slot_at img addr] — the resolved slot at [addr]: the instruction the
-    CPU fetches there, [P_builtin] at a builtin stub, [P_none] anywhere
-    else. Agrees with [code_at]/[builtin_addrs] at
-    every address. *)
-val slot_at : t -> int -> pslot
+(** [insn_index v off] — the index in [v.v_insns] of the instruction
+    that starts at byte offset [off] of [v]'s chunk, or [-1] where none
+    does; [0 <= off < v.v_len]. One slot per body instruction: what
+    per-instruction tables are indexed by. *)
+val insn_index : view -> int -> int

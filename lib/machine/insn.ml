@@ -198,6 +198,70 @@ let to_string = function
   | Vzeroupper -> "vzeroupper"
   | Halt -> "hlt"
 
+(* An injective binary encoding, for hashing: a tag byte per
+   constructor, then its fields in order — registers and the small
+   enumerations as one byte, ints as 8 bytes, strings length-prefixed.
+   An absent register is byte 16, which no register encodes. *)
+let add_int b v = Buffer.add_int64_le b (Int64.of_int v)
+let add_str b s = add_int b (String.length s); Buffer.add_string b s
+let add_reg b r = Buffer.add_uint8 b (reg_index r)
+
+let add_imm b = function
+  | Abs v -> Buffer.add_uint8 b 0; add_int b v
+  | Sym (s, o) -> Buffer.add_uint8 b 1; add_str b s; add_int b o
+
+let add_mem b m =
+  (match m.base with None -> Buffer.add_uint8 b 16 | Some r -> add_reg b r);
+  (match m.index with
+  | None -> Buffer.add_uint8 b 16
+  | Some (r, s) -> add_reg b r; Buffer.add_uint8 b (scale_factor s));
+  add_imm b m.disp
+
+let add_op b = function
+  | Imm i -> Buffer.add_uint8 b 0; add_imm b i
+  | Reg r -> Buffer.add_uint8 b 1; add_reg b r
+  | Mem m -> Buffer.add_uint8 b 2; add_mem b m
+
+let add_tgt b = function
+  | TAbs a -> Buffer.add_uint8 b 0; add_int b a
+  | TSym (s, o) -> Buffer.add_uint8 b 1; add_str b s; add_int b o
+
+let cond_code = function Eq -> 0 | Ne -> 1 | Lt -> 2 | Le -> 3 | Gt -> 4 | Ge -> 5
+
+let binop_code = function
+  | Add -> 0 | Sub -> 1 | Imul -> 2 | And -> 3 | Or -> 4 | Xor -> 5 | Shl -> 6 | Shr -> 7 | Sar -> 8
+
+let add_binary b insn =
+  let tag t = Buffer.add_uint8 b t in
+  match insn with
+  | Mov (d, s) -> tag 0; add_op b d; add_op b s
+  | Mov8 (d, s) -> tag 1; add_op b d; add_op b s
+  | Lea (r, m) -> tag 2; add_reg b r; add_mem b m
+  | Push o -> tag 3; add_op b o
+  | Pop r -> tag 4; add_reg b r
+  | Binop (op, r, o) -> tag 5; Buffer.add_uint8 b (binop_code op); add_reg b r; add_op b o
+  | Div (r, o) -> tag 6; add_reg b r; add_op b o
+  | Rem (r, o) -> tag 7; add_reg b r; add_op b o
+  | Neg r -> tag 8; add_reg b r
+  | Cmp (x, y) -> tag 9; add_op b x; add_op b y
+  | Setcc (c, r) -> tag 10; Buffer.add_uint8 b (cond_code c); add_reg b r
+  | Jmp t -> tag 11; add_tgt b t
+  | Jmp_ind o -> tag 12; add_op b o
+  | Jcc (c, t) -> tag 13; Buffer.add_uint8 b (cond_code c); add_tgt b t
+  | Call t -> tag 14; add_tgt b t
+  | Call_ind o -> tag 15; add_op b o
+  | Ret -> tag 16
+  | Nop n -> tag 17; add_int b n
+  | Trap -> tag 18
+  | Vload (i, m) -> tag 19; add_int b i; add_mem b m
+  | Vstore (m, i) -> tag 20; add_mem b m; add_int b i
+  | Vload128 (i, m) -> tag 21; add_int b i; add_mem b m
+  | Vstore128 (m, i) -> tag 22; add_mem b m; add_int b i
+  | Vload512 (i, m) -> tag 23; add_int b i; add_mem b m
+  | Vstore512 (m, i) -> tag 24; add_mem b m; add_int b i
+  | Vzeroupper -> tag 25
+  | Halt -> tag 26
+
 let imm_resolved = function Abs _ -> true | Sym _ -> false
 
 let mem_resolved m = imm_resolved m.disp

@@ -82,6 +82,11 @@ val size : t -> int
 
 val to_string : t -> string
 
+(** [add_binary b i] — appends an injective binary encoding of [i] to
+    [b]: equal encodings mean equal instructions. What image fingerprints
+    hash. *)
+val add_binary : Buffer.t -> t -> unit
+
 (** [is_resolved i] — no remaining symbolic immediates or targets. *)
 val is_resolved : t -> bool
 

@@ -150,7 +150,6 @@ type plan = {
    rather than a [Lazy] because the function is shared across domains,
    where two racing builds just produce equivalent arrays. *)
 type cfunc = {
-  f_entry : int;
   f_ci : int;
   f_plan : plan;
   mutable f_blocks : block array;
@@ -805,7 +804,6 @@ let instantiate (p : Cost.profile) plan (c : Image.chunk) ~ci =
     { b_addrs = Array.init bn (fun k -> addr (s + k)); b_ops = ops; b_term = term; b_n = bn }
   in
   {
-    f_entry = entry;
     f_ci = ci;
     f_plan = plan;
     f_blocks = Array.map compile_block plan.p_blocks;
@@ -817,19 +815,19 @@ let instantiate (p : Cost.profile) plan (c : Image.chunk) ~ci =
 (* Observed templates: the plain ones, wrapped.                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Fire the site of [addr], the instruction just retired at offset [off]
-   of chunk [ci], with the deltas [Cpu.step] computes: the live [cyc] slot
-   and the icache miss count, each differenced around the instruction (so
-   the float delta is bit-identical). A resolved site is read from the
-   CPU's table in place: [Cpu.Internal.site], a cross-module call per
-   instruction, only resolves a new one. *)
-let fire c ~ci ~off addr ~called =
+(* Fire the site of [addr], the instruction just retired, body
+   instruction [k] of chunk [ci], with the deltas [Cpu.step] computes: the
+   live [cyc] slot and the icache miss count, each differenced around the
+   instruction (so the float delta is bit-identical). A resolved site is
+   read from the CPU's table in place: [Cpu.Internal.site], a cross-module
+   call per instruction, only resolves a new one. *)
+let fire c ~ci ~k addr ~called =
   let t = c.t in
   let sites = t.Cpu.sites in
   let s =
     if ci < Array.length sites then
       let arr = Array.unsafe_get sites ci in
-      if off < Array.length arr then Array.unsafe_get arr off else Cpu.Internal.unresolved
+      if k < Array.length arr then Array.unsafe_get arr k else Cpu.Internal.unresolved
     else Cpu.Internal.unresolved
   in
   let s = if s != Cpu.Internal.unresolved then s else Cpu.Internal.site t addr in
@@ -838,13 +836,13 @@ let fire c ~ci ~off addr ~called =
     ~misses:(c.ic.Icache.miss_count - c.o_miss)
     ~called
 
-(* [observe ~calls ~ci ~off ~addr code] runs the plain template [code]
+(* [observe ~calls ~ci ~k ~addr code] runs the plain template [code]
    with [addr] in flight, then fires its site. No handler: when the
    template faults, it has already materialized rip, and [exec_cfunc]'s
    exit handler fires the site of the instruction still in flight. Only a
    terminator can call ([~calls]); an op's wrapper skips the call-count
    snapshot. *)
-let observe ~calls ~ci ~off ~addr (code : ctx -> 'a) : ctx -> 'a =
+let observe ~calls ~ci ~k ~addr (code : ctx -> 'a) : ctx -> 'a =
   if calls then fun c ->
     let t = c.t in
     let calls0 = t.Cpu.calls in
@@ -853,7 +851,7 @@ let observe ~calls ~ci ~off ~addr (code : ctx -> 'a) : ctx -> 'a =
     c.o_addr <- addr;
     let r = code c in
     c.o_addr <- -1;
-    fire c ~ci ~off addr ~called:(t.Cpu.calls > calls0);
+    fire c ~ci ~k addr ~called:(t.Cpu.calls > calls0);
     r
   else fun c ->
     Array.unsafe_set c.cyc 1 (Array.unsafe_get c.cyc 0);
@@ -861,25 +859,29 @@ let observe ~calls ~ci ~off ~addr (code : ctx -> 'a) : ctx -> 'a =
     c.o_addr <- addr;
     let r = code c in
     c.o_addr <- -1;
-    fire c ~ci ~off addr ~called:false;
+    fire c ~ci ~k addr ~called:false;
     r
 
-(* A deopt terminator is never wrapped: it retires nothing, and the
-   interpreter fires when it retries the instruction. *)
-let observe_block f b =
-  let obs ~calls a = observe ~calls ~ci:f.f_ci ~off:(a - f.f_entry) ~addr:a in
+(* Block [bi]'s instruction [k] is scanned instruction [s + k] of the
+   plan, where [s] starts the block, and its site is body instruction
+   [p_ins.(s + k)]. A deopt terminator is never wrapped: it retires
+   nothing, and the interpreter fires when it retries the instruction. *)
+let observe_block f bi b =
+  let s, _ = f.f_plan.p_blocks.(bi) in
+  let obs ~calls k =
+    observe ~calls ~ci:f.f_ci ~k:f.f_plan.p_ins.(s + k) ~addr:b.b_addrs.(k)
+  in
   {
     b with
-    b_ops = Array.mapi (fun k op -> obs ~calls:false b.b_addrs.(k) op) b.b_ops;
-    b_term =
-      (if b.b_term == deopt_term then deopt_term else obs ~calls:true b.b_addrs.(b.b_n - 1) b.b_term);
+    b_ops = Array.mapi (fun k op -> obs ~calls:false k op) b.b_ops;
+    b_term = (if b.b_term == deopt_term then deopt_term else obs ~calls:true (b.b_n - 1) b.b_term);
   }
 
 let obs_blocks f =
   match Atomic.get f.f_obs with
   | Some blocks -> blocks
   | None ->
-      let blocks = Array.map (observe_block f) f.f_blocks in
+      let blocks = Array.mapi (observe_block f) f.f_blocks in
       Atomic.set f.f_obs (Some blocks);
       blocks
 
@@ -1335,8 +1337,8 @@ let backedge j code ~from rip =
     end
   end
 
-(* The cold loop: straight-line code through the interpreter core (one
-   step at a time when observed) up to a transfer onto a marked address or
+(* The cold loop: straight-line code through the interpreter core (its
+   observed twin when observed) up to a transfer onto a marked address or
    a short backward one, then a backedge count when it jumped back inside
    one function, and a probe. A never-compiling runner marks nothing, so
    its straight line runs through every transfer to the end of the run:

@@ -17,9 +17,14 @@ type row = {
    float arrays, so accumulating allocates nothing. *)
 type t = {
   img : Image.t;
+  dec : Image.decoder;
   cpen : float;  (* icache miss penalty *)
   (* Compiled functions, ascending by entry: (entry, end, prologue end). *)
   entries : (int * int * int) array;
+  chunk_acc : int array;
+      (* per chunk of [dec]: the function whose extent is exactly the
+         chunk's, or -1 ([_start], or a chunk no function matches), whose
+         addresses take [acc_slow] *)
   mutable n : int;  (* accumulators in use *)
   mutable names : string array;
   mutable col_cycles : float array;
@@ -30,7 +35,7 @@ type t = {
   mutable col_prologue : float array;
   mutable col_icache : float array;
   pseudo : (string, int) Hashtbl.t;  (* pseudo-function name -> accumulator *)
-  edges : (string * string, int ref) Hashtbl.t;
+  edges : (int, int ref) Hashtbl.t;  (* [edge_key caller callee] -> count *)
 }
 
 let create ~profile (img : Image.t) =
@@ -47,11 +52,28 @@ let create ~profile (img : Image.t) =
       funcs
   in
   let n = Array.length funcs in
+  let dec = Image.predecoded img in
+  (* Both ascending by entry: one merge. *)
+  let chunk_acc =
+    let k = ref 0 in
+    Array.mapi
+      (fun ci entry ->
+        while !k < n && funcs.(!k).Image.entry < entry do
+          incr k
+        done;
+        if !k < n && funcs.(!k).Image.entry = entry
+           && entry + funcs.(!k).Image.code_len = dec.Image.d_ends.(ci)
+        then !k
+        else -1)
+      dec.Image.d_entries
+  in
   let cap = n + 8 in
   {
     img;
+    dec;
     cpen = profile.Cost.icache_miss_penalty;
     entries;
+    chunk_acc;
     n;
     names = Array.init cap (fun i -> if i < n then funcs.(i).Image.fname else "");
     col_cycles = Array.make cap 0.0;
@@ -102,9 +124,9 @@ let pseudo t name =
       Hashtbl.replace t.pseudo name i;
       i
 
-(* Accumulator for the code at [rip], registering a pseudo-function on
-   first sight. *)
-let acc_at t rip =
+(* Accumulator for code no function's chunk covers, registering a
+   pseudo-function on first sight. *)
+let acc_slow t rip =
   match func_index t rip with
   | Some i -> i
   | None -> (
@@ -112,10 +134,20 @@ let acc_at t rip =
       | Some name -> pseudo t ("<" ^ name ^ ">")
       | None -> pseudo t "<unknown>")
 
+(* Accumulator for the code at [rip], covered by chunk [ci] (or -1). *)
+let acc_in t ci rip =
+  if ci >= 0 then
+    let i = Array.unsafe_get t.chunk_acc ci in
+    if i >= 0 then i else acc_slow t rip
+  else acc_slow t rip
+
+let acc_at t rip = acc_in t (Image.locate t.dec rip) rip
+
 (* The BTRA call-site instrumentation shapes (Figures 3/4) plus the
    call-site NOPs of Section 4.3. Plain register pushes (stack arguments)
    and the call itself are ordinary execution — present in the baseline
-   too. *)
+   too. Resolving a relocation keeps the constructor, so the body's own
+   instruction classifies its placed form. *)
 let is_callsite_insn = function
   | Insn.Push (Insn.Imm _) -> true
   | Insn.Vload _ | Insn.Vstore _ | Insn.Vload128 _ | Insn.Vstore128 _
@@ -123,48 +155,78 @@ let is_callsite_insn = function
   | Insn.Nop _ -> true
   | _ -> false
 
+(* Accumulator numbers stay far below 2^30. *)
+let edge_key caller callee = (caller lsl 30) lor callee
+
 let record_edge t caller callee =
-  let key = (caller, callee) in
+  let key = edge_key caller callee in
   match Hashtbl.find_opt t.edges key with
   | Some r -> incr r
   | None -> Hashtbl.replace t.edges key (ref 1)
 
 type kind = Prologue | Callsite | Other
 
-(* The staged observer. Resolution (once per address) finds the covering
-   function and classifies the instruction; the site then only adds the
-   step's deltas into the columns. *)
+let kind_index = function Prologue -> 0 | Callsite -> 1 | Other -> 2
+
+(* The kind of the instruction at [rip] of accumulator [i], covered by
+   chunk [ci] (or -1): prologue by one compare against the function's
+   prologue bound, else by the instruction the chunk's body has there. *)
+let kind_in t i ci rip =
+  if
+    i < Array.length t.entries
+    &&
+    let entry, _, prologue_end = t.entries.(i) in
+    rip >= entry && rip < prologue_end
+  then Prologue
+  else if ci < 0 then Other
+  else
+    let v = Image.view t.dec ci in
+    match Image.insn_index v (rip - v.Image.v_entry) with
+    | -1 -> Other
+    | k -> if is_callsite_insn v.Image.v_insns.(k) then Callsite else Other
+
+(* The site of accumulator [i] and kind [kind], for [cpu]: it adds one
+   step's deltas into the columns, and counts the call edge when the step
+   called. *)
+let make_site t (cpu : Cpu.t) i kind : Cpu.site =
+ fun ~cycles ~misses ~called ->
+  let icache_c = float_of_int misses *. t.cpen in
+  t.col_cycles.(i) <- t.col_cycles.(i) +. cycles;
+  t.col_insns.(i) <- t.col_insns.(i) + 1;
+  t.col_misses.(i) <- t.col_misses.(i) + misses;
+  t.col_icache.(i) <- t.col_icache.(i) +. icache_c;
+  (match kind with
+  | Prologue -> t.col_prologue.(i) <- t.col_prologue.(i) +. (cycles -. icache_c)
+  | Callsite -> t.col_callsite.(i) <- t.col_callsite.(i) +. (cycles -. icache_c)
+  | Other -> ());
+  if called then begin
+    let callee = acc_at t cpu.Cpu.rip in
+    t.col_calls.(callee) <- t.col_calls.(callee) + 1;
+    record_edge t i callee
+  end
+
+(* The staged observer. Every address of one function and kind shares one
+   site, built on first sight: resolving an address is a chunk lookup, an
+   array read for the accumulator and a classification, and allocates
+   nothing once its site exists. *)
 let observer t (cpu : Cpu.t) : Cpu.observer =
+  let sites = ref [||] in
  fun ~rip ->
-  let i = acc_at t rip in
-  let kind =
-    let in_prologue =
-      i < Array.length t.entries
-      &&
-      let entry, _, prologue_end = t.entries.(i) in
-      rip >= entry && rip < prologue_end
-    in
-    if in_prologue then Prologue
-    else
-      match Image.slot_at t.img rip with
-      | Image.P_insn (insn, _) when is_callsite_insn insn -> Callsite
-      | Image.P_insn _ | Image.P_builtin _ | Image.P_none -> Other
-  in
-  fun ~cycles ~misses ~called ->
-    let icache_c = float_of_int misses *. t.cpen in
-    t.col_cycles.(i) <- t.col_cycles.(i) +. cycles;
-    t.col_insns.(i) <- t.col_insns.(i) + 1;
-    t.col_misses.(i) <- t.col_misses.(i) + misses;
-    t.col_icache.(i) <- t.col_icache.(i) +. icache_c;
-    (match kind with
-    | Prologue -> t.col_prologue.(i) <- t.col_prologue.(i) +. (cycles -. icache_c)
-    | Callsite -> t.col_callsite.(i) <- t.col_callsite.(i) +. (cycles -. icache_c)
-    | Other -> ());
-    if called then begin
-      let callee = acc_at t cpu.Cpu.rip in
-      t.col_calls.(callee) <- t.col_calls.(callee) + 1;
-      record_edge t t.names.(i) t.names.(callee)
-    end
+  let ci = Image.locate t.dec rip in
+  let i = acc_in t ci rip in
+  let kind = kind_in t i ci rip in
+  let j = (3 * i) + kind_index kind in
+  if j >= Array.length !sites then begin
+    let old = !sites in
+    sites := Array.make (3 * Array.length t.names) None;
+    Array.blit old 0 !sites 0 (Array.length old)
+  end;
+  match !sites.(j) with
+  | Some s -> s
+  | None ->
+      let s = make_site t cpu i kind in
+      !sites.(j) <- Some s;
+      s
 
 let attach ?tee t cpu = Cpu.attach_observer ?tee cpu (observer t cpu)
 
@@ -212,9 +274,17 @@ let total t =
     }
     (rows t)
 
+(* In a total order: count descending, then caller, then callee. *)
 let edges t =
-  Hashtbl.fold (fun (caller, callee) n acc -> (caller, callee, !n) :: acc) t.edges []
-  |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
+  let mask = (1 lsl 30) - 1 in
+  Hashtbl.fold
+    (fun key n acc -> (t.names.(key lsr 30), t.names.(key land mask), !n) :: acc)
+    t.edges []
+  |> List.sort (fun (a1, b1, n1) (a2, b2, n2) ->
+         if n1 <> n2 then compare n2 n1
+         else
+           let c = String.compare a1 a2 in
+           if c <> 0 then c else String.compare b1 b2)
 
 let fingerprint t =
   let row r =

@@ -14,11 +14,16 @@
     - {b icache} — miss-penalty cycles, wherever charged;
     - the remainder is ordinary execution ({b other}).
 
-    Function, prologue and call-site classification happen once per text
-    address, when the observer resolves the address; each step only adds
-    its deltas into per-function columns. A profiled run therefore runs on
-    tier 3 when a JIT is attached, and its rows, edges and totals are
-    bit-identical to a profiled {!Cpu.run_reference}.
+    Every address of one function and kind (prologue, call-site, other)
+    shares one site, built on first sight. Resolving an address — once
+    per address, when the CPU first fires it — is O(1) and allocates
+    nothing once its site exists: the decoder's chunk lookup
+    ({!Image.locate}), an array from chunk to function built by
+    {!create}, one compare against the function's prologue bound, and the
+    body's instruction at that slot. Each step only adds its deltas into
+    per-function columns. A profiled run therefore runs on tier 3 when a
+    JIT is attached, and its rows, edges and totals are bit-identical to
+    a profiled {!Cpu.run_reference}.
 
     The split is exactly additive: the four components of a row sum to the
     row's cycles, and row sums equal the CPU's own totals. Intercepted
@@ -61,8 +66,8 @@ val rows : t -> row list
     construction equals the observed CPUs' own cycle/insn/miss totals. *)
 val total : t -> row
 
-(** [edges t] — (caller, callee, count) call edges, descending by
-    count. *)
+(** [edges t] — (caller, callee, count) call edges in a total order:
+    count descending, then caller name, then callee name. *)
 val edges : t -> (string * string * int) list
 
 (** [fingerprint t] — the total, every row and every edge in one string,

@@ -259,8 +259,25 @@ let test_campaign_gives_up_on_stall () =
     Blindrop.campaign ~probe_budget:20_000
       (scripted ~refuse_from:31 ~secret:planted_secret ~gadget:(sweep_start + 100) ())
   in
-  Alcotest.(check string) "note" "fleet down, nothing to probe" o.Blindrop.note;
+  Alcotest.(check string) "note" "20 probes in a row refused: nothing to probe" o.Blindrop.note;
   Alcotest.(check int) "30 answered, then 20 refused" 50 o.Blindrop.probes
+
+(* The budget bounds every probe: revalidations and stop-gadget pairs
+   included, whichever test the budget runs out in. *)
+let test_campaign_keeps_budget () =
+  for budget = 1 to 200 do
+    List.iter
+      (fun (name, victim) ->
+        let o = Blindrop.campaign ~probe_budget:budget (victim ()) in
+        if o.Blindrop.probes > budget then
+          Alcotest.failf "%s: budget %d, %d probes sent" name budget o.Blindrop.probes)
+      [
+        ("planted", fun () -> scripted ~secret:planted_secret ~gadget:(sweep_start + 100) ());
+        ("churn", fun () -> scripted ~rotate_at:8 ~secret:planted_secret ~gadget:(sweep_start + 100) ());
+        ( "stall",
+          fun () -> scripted ~refuse_from:31 ~secret:planted_secret ~gadget:(sweep_start + 100) () );
+      ]
+  done
 
 (* [Oracle.victim]'s verdicts: an exit is served, a crash died, a worker
    that never reaches the serving point refused — and so is every probe
@@ -349,6 +366,7 @@ let suite =
         Alcotest.test_case "campaign finds planted" `Quick test_campaign_finds_planted;
         Alcotest.test_case "campaign churn give-up" `Quick test_campaign_gives_up_on_churn;
         Alcotest.test_case "campaign stall give-up" `Quick test_campaign_gives_up_on_stall;
+        Alcotest.test_case "campaign keeps its probe budget" `Quick test_campaign_keeps_budget;
         Alcotest.test_case "oracle victim verdicts" `Quick test_oracle_victim_verdicts;
         Alcotest.test_case "suite registry" `Quick test_suite_registry;
       ] );

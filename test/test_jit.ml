@@ -318,6 +318,104 @@ let prop_deopt_storm =
       && String.equal reference fp_jit
       && String.equal prof_ref prof_jit)
 
+(* --- profiled at production thresholds, every lane ------------------ *)
+
+(* One profiled run of [img] on a lane: the run's fingerprint, then what a
+   profiler, a ring and a fire counter tee'd onto it saw. [arm] picks the
+   tier: [None] is the reference tier; otherwise tier 3 with that
+   attachment. No strict alignment, as a process runs. *)
+let profiled_lane ?(fuel = 50_000_000) img arm =
+  let cpu = Loader.load ~jit:false ~profile:Cost.epyc_rome img in
+  Option.iter (fun attach -> attach cpu) arm;
+  let read = observe cpu img in
+  let r = if Option.is_some arm then Cpu.run cpu ~fuel else Cpu.run_reference cpu ~fuel in
+  (fingerprint cpu r, read ())
+
+(* Profiled tier 3 at its default thresholds — compiling into a fresh
+   private cache, warm on that cache, never compiling — equals the
+   profiled reference run: rows, edges and totals bit for bit, the ring's
+   tail and the fire count too. *)
+let check_profiled_lanes name img =
+  let reference = profiled_lane img None in
+  let cache = Jit.create_cache ~profile:Cost.epyc_rome img in
+  let lane what ?config () =
+    let st = Jit.fresh_stats () in
+    let got = profiled_lane img (Some (fun cpu -> ignore (Jit.attach ?config ~cache ~stats:st cpu))) in
+    let (fp_r, (prof_r, ring_r, fires_r)), (fp, (prof, ring, fires)) = (reference, got) in
+    let what = name ^ " [" ^ what ^ "]" in
+    Alcotest.(check string) (what ^ " run") fp_r fp;
+    Alcotest.(check string) (what ^ " profile") prof_r prof;
+    Alcotest.(check bool) (what ^ " ring tail") true (ring_r = ring);
+    Alcotest.(check int) (what ^ " fire count") fires_r fires;
+    st
+  in
+  let compiling = lane "compiling" () in
+  let warm = lane "warm" () in
+  ignore (lane "never compiling" ~config:Jit.never ());
+  Alcotest.(check bool) (name ^ " compiled") true (compiling.Jit.compiled > 0);
+  Alcotest.(check int) (name ^ " warm compiles nothing") 0 warm.Jit.compiled;
+  Alcotest.(check bool) (name ^ " warm ran compiled") true (warm.Jit.tier3_insns > 0)
+
+let test_profiled_spec () =
+  List.iter
+    (fun (b : R2c_workloads.Spec.benchmark) ->
+      check_profiled_lanes b.R2c_workloads.Spec.name
+        (Pipeline.compile ~seed:3 (D.full ()) b.R2c_workloads.Spec.program))
+    (R2c_workloads.Spec.all ())
+
+(* A rotated 2,000-function image: the first run of a placement, whose
+   observed cold loop covers most of the run. *)
+let test_profiled_rotated_genprog () =
+  let p = Genprog.generate ~seed:1 ~funcs:2000 in
+  let r = Pipeline.rerand_create () in
+  let coords link = { Pipeline.cfg = D.full (); body_seed = 7920; link_seed = Some link } in
+  ignore (Pipeline.compile_incremental r (coords 1100) p);
+  check_profiled_lanes "genprog 2000, rotated" (fst (Pipeline.compile_incremental r (coords 1101) p))
+
+(* Two observers tee'd onto one CPU fire in the same interleaving on every
+   lane, and a crash leaves the same post-mortem tail: faults in the
+   observed cold loop (default thresholds, nothing hot yet) and in
+   observed templates fire exactly as the reference step does. *)
+let test_tee_order_and_post_mortem () =
+  let cases =
+    Insn.
+      [
+        ("trap", [ Mov (Reg RAX, Imm (Abs 1)); Trap ]);
+        ("div by zero", [ Mov (Reg RBX, Imm (Abs 0)); Div (RAX, Reg RBX); Ret ]);
+        ("wild store", [ Mov (Reg RAX, Imm (Abs 0x666000)); Mov (Mem (mem ~base:RAX ()), Imm (Abs 1)) ]);
+        ("jump out of the text", [ Mov (Reg RAX, Imm (Abs 0x10)); Jmp_ind (Reg RAX) ]);
+      ]
+  in
+  let run img arm =
+    let cpu = Loader.load ~jit:false ~profile:Cost.epyc_rome img in
+    Option.iter (fun attach -> attach cpu) arm;
+    let ring = Ring.create ~capacity:32 in
+    Ring.attach ring cpu;
+    let log = Buffer.create 256 in
+    let tagged tag ~rip =
+      Buffer.add_string log (Printf.sprintf "resolve %s %x;" tag rip);
+      fun ~cycles ~misses ~called ->
+        Buffer.add_string log (Printf.sprintf "%s %x %Lx %d %b;" tag rip (Int64.bits_of_float cycles) misses called)
+    in
+    Cpu.attach_observer ~tee:true cpu (tagged "a");
+    Cpu.attach_observer ~tee:true cpu (tagged "b");
+    let r = if Option.is_some arm then Cpu.run cpu ~fuel else Cpu.run_reference cpu ~fuel in
+    (fingerprint cpu r, Ring.pp_tail ring ~n:16, Buffer.contents log)
+  in
+  List.iter
+    (fun (name, insns) ->
+      let img = raw_image insns in
+      let fp_r, tail_r, log_r = run img None in
+      Alcotest.(check bool) (name ^ " faults") true (String.length fp_r > 5 && String.sub fp_r 0 5 = "fault");
+      List.iter
+        (fun (lane, config) ->
+          let fp, tail, log = run img (Some (fun cpu -> ignore (Jit.attach ?config cpu))) in
+          Alcotest.(check string) (Printf.sprintf "%s [%s] run" name lane) fp_r fp;
+          Alcotest.(check string) (Printf.sprintf "%s [%s] post-mortem tail" name lane) tail_r tail;
+          Alcotest.(check string) (Printf.sprintf "%s [%s] tee order" name lane) log_r log)
+        [ ("default thresholds", None); ("hot", Some hot); ("never compiling", Some Jit.never) ])
+    cases
+
 (* --- the per-image code cache ----------------------------------------- *)
 
 let genprog_image ~funcs =
@@ -627,6 +725,11 @@ let suite =
         Alcotest.test_case "observed first: compiled under an observer" `Quick
           test_observed_first;
         QCheck_alcotest.to_alcotest prop_deopt_storm;
+        Alcotest.test_case "profiled lanes: 12 Spec programs" `Quick test_profiled_spec;
+        Alcotest.test_case "profiled lanes: rotated 2,000-function genprog" `Quick
+          test_profiled_rotated_genprog;
+        Alcotest.test_case "tee order and post-mortem tails, every lane" `Quick
+          test_tee_order_and_post_mortem;
         Alcotest.test_case "two processes of one image share its code cache" `Quick
           test_shared_cache;
         Alcotest.test_case "JIT off never enters a warm image cache" `Quick

@@ -189,6 +189,106 @@ let test_profiler_diversified_sums () =
   Alcotest.(check bool) "callsite overhead attributed" true (tot.Profile.callsite_cycles > 0.0);
   Alcotest.(check bool) "prologue overhead attributed" true (tot.Profile.prologue_cycles > 0.0)
 
+(* An independent attribution: a plain observer classifying every step
+   from the image's own tables — the covering function by
+   [Image.func_of_addr], the prologue by its [.Lprolog] symbol, the
+   instruction by [Image.code_at] — and summing in step order reproduces
+   the profiler's rows bit for bit, on the reference tier and on tier 3. *)
+let naive_rows img (cpu : Cpu.t) =
+  let pen = Cost.epyc_rome.Cost.icache_miss_penalty in
+  let acc = Hashtbl.create 64 in
+  let get name =
+    match Hashtbl.find_opt acc name with
+    | Some a -> a
+    | None ->
+        let a = (Array.make 4 0.0, Array.make 3 0) in
+        Hashtbl.replace acc name a;
+        a
+  in
+  let owner rip =
+    match Image.func_of_addr img rip with
+    | Some f -> (f.Image.fname, Some f)
+    | None -> (
+        match Hashtbl.find_opt img.Image.builtin_addrs rip with
+        | Some n -> ("<" ^ n ^ ">", None)
+        | None -> ("<unknown>", None))
+  in
+  let callsite = function
+    | Insn.Push (Insn.Imm _) | Insn.Vload _ | Insn.Vstore _ | Insn.Vload128 _ | Insn.Vstore128 _
+    | Insn.Vload512 _ | Insn.Vstore512 _ | Insn.Vzeroupper | Insn.Nop _ -> true
+    | _ -> false
+  in
+  Cpu.attach_observer ~tee:true cpu (fun ~rip ~cycles ~misses ~called ->
+      let name, f = owner rip in
+      let floats, ints = get name in
+      let prologue =
+        match f with
+        | Some f -> (
+            match Image.find_symbol img (f.Image.fname ^ ".Lprolog") with
+            | Some a when a > f.Image.entry && a <= f.Image.entry + f.Image.code_len ->
+                rip >= f.Image.entry && rip < a
+            | _ -> false)
+        | None -> false
+      in
+      let icache_c = float_of_int misses *. pen in
+      floats.(0) <- floats.(0) +. cycles;
+      ints.(0) <- ints.(0) + 1;
+      ints.(1) <- ints.(1) + misses;
+      floats.(3) <- floats.(3) +. icache_c;
+      if prologue then floats.(2) <- floats.(2) +. (cycles -. icache_c)
+      else (
+        match Image.code_at img rip with
+        | Some (insn, _) when callsite insn -> floats.(1) <- floats.(1) +. (cycles -. icache_c)
+        | _ -> ());
+      if called then begin
+        let _, ints = get (fst (owner cpu.Cpu.rip)) in
+        ints.(2) <- ints.(2) + 1
+      end);
+  fun () ->
+    Hashtbl.fold
+      (fun name (f, i) l ->
+        if i.(0) = 0 then l
+        else
+          Printf.sprintf "%s:%Lx:%d:%d:%d:%Lx:%Lx:%Lx" name (Int64.bits_of_float f.(0)) i.(0) i.(1)
+            i.(2) (Int64.bits_of_float f.(1)) (Int64.bits_of_float f.(2))
+            (Int64.bits_of_float f.(3))
+          :: l)
+      acc []
+    |> List.sort compare
+
+let test_profiler_matches_naive () =
+  let profile = Cost.epyc_rome in
+  let mcf = R2c_workloads.Spec.find "mcf" in
+  List.iter
+    (fun (name, img) ->
+      List.iter
+        (fun jit ->
+          let p = Process.start ~profile ~jit img in
+          let pr = Profile.create ~profile img in
+          Profile.attach pr p.Process.cpu;
+          let naive = naive_rows img p.Process.cpu in
+          ignore (Process.run p);
+          let rows =
+            List.map
+              (fun (r : Profile.row) ->
+                Printf.sprintf "%s:%Lx:%d:%d:%d:%Lx:%Lx:%Lx" r.Profile.name
+                  (Int64.bits_of_float r.Profile.cycles) r.Profile.insns r.Profile.misses
+                  r.Profile.calls
+                  (Int64.bits_of_float r.Profile.callsite_cycles)
+                  (Int64.bits_of_float r.Profile.prologue_cycles)
+                  (Int64.bits_of_float r.Profile.icache_cycles))
+              (Profile.rows pr)
+            |> List.sort compare
+          in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s, %s" name (if jit then "compiling" else "never compiling"))
+            (naive ()) rows)
+        [ true; false ])
+    [
+      ("fib", R2c_compiler.Driver.compile (Samples.fib_prog 10));
+      ("mcf under full", R2c_core.Pipeline.compile ~seed:3 (R2c_core.Dconfig.full ()) mcf.R2c_workloads.Spec.program);
+    ]
+
 (* --- zero-cost when off: bit-identical cycles --- *)
 
 let test_unobserved_bit_identical () =
@@ -442,6 +542,8 @@ let suite =
           test_ring_wraparound_exact_capacity;
         Alcotest.test_case "profiler two-function attribution" `Quick
           test_profiler_two_functions;
+        Alcotest.test_case "profiler rows equal a naive attribution" `Quick
+          test_profiler_matches_naive;
         Alcotest.test_case "profiler sums on diversified build" `Slow
           test_profiler_diversified_sums;
         Alcotest.test_case "unobserved run bit-identical" `Quick

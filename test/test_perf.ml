@@ -74,37 +74,41 @@ let test_corpus_replay () =
           check_both_tiers (path ^ " baseline") (Pipeline.compile ~seed:11 D.baseline p))
     (Corpus.files ~dir:"corpus")
 
+(* What sits at one text address: no instruction start (padding,
+   instruction interiors — executing one is an invalid opcode), a decoded
+   instruction and its byte length, or an intercepted library entry. *)
+type slot = P_none | P_insn of Insn.t * int | P_builtin of string
+
 (* The placement-built fetch (shared body slots, located by the image's
    decoder, relocations resolved against the linker's external addresses)
    against a table built from [code_list] alone, slot for slot at every
    text address. *)
 let predecode_of_code_list (img : Image.t) =
-  let table = Array.make (max 1 img.text_len) Image.P_none in
+  let table = Array.make (max 1 img.text_len) P_none in
   Array.iter
-    (fun (addr, insn, len) -> table.(addr - img.text_base) <- Image.P_insn (insn, len))
+    (fun (addr, insn, len) -> table.(addr - img.text_base) <- P_insn (insn, len))
     (Lazy.force img.code_list);
   Hashtbl.iter
-    (fun addr name -> table.(addr - img.text_base) <- Image.P_builtin name)
+    (fun addr name -> table.(addr - img.text_base) <- P_builtin name)
     img.builtin_addrs;
   table
 
 (* What the cold loop fetches at [addr] through decoder [d]. *)
 let fetch (img : Image.t) d addr =
   match Hashtbl.find_opt img.builtin_addrs addr with
-  | Some name -> Image.P_builtin name
+  | Some name -> P_builtin name
   | None -> (
       match Image.locate d addr with
-      | -1 -> Image.P_none
+      | -1 -> P_none
       | i -> (
           let v = Image.view d i in
           match Int32.to_int (Bytes.get_int32_ne v.v_starts (4 * (addr - v.v_entry))) with
-          | 0 -> Image.P_none
-          | e when e > 0 -> Image.P_insn (v.v_insns.(e - 1), v.v_sizes.(e - 1))
-          | e -> Image.P_insn (Image.fixed d v (-e - 1), v.v_sizes.(v.v_relocs.(-e - 1).r_index))))
+          | 0 -> P_none
+          | e when e > 0 -> P_insn (v.v_insns.(e - 1), v.v_sizes.(e - 1))
+          | e -> P_insn (Image.fixed d v (-e - 1), v.v_sizes.(v.v_relocs.(-e - 1).r_index))))
 
-(* A fresh decoder, the image's shared one, and [slot_at]: a copy with new
-   text that kept its parent's memo cell would serve the parent's
-   chunks. *)
+(* A fresh decoder and the image's shared one: a copy with new text that
+   kept its parent's memo cell would serve the parent's chunks. *)
 let check_predecode name (img : Image.t) =
   let want = predecode_of_code_list img in
   List.iter
@@ -118,7 +122,6 @@ let check_predecode name (img : Image.t) =
     [
       ("predecode", fetch img (Image.predecode img));
       ("predecoded", fetch img (Image.predecoded img));
-      ("slot_at", Image.slot_at img);
     ]
 
 let test_predecode_matches_code_list () =

@@ -21,6 +21,7 @@ module Emit = R2c_compiler.Emit
 module Oracle = R2c_fuzz.Oracle
 module Genprog = R2c_workloads.Genprog
 module Image = R2c_machine.Image
+module Insn = R2c_machine.Insn
 module Tval = R2c_analysis.Tval
 module RTrace = R2c_replay.Trace
 module Record = R2c_replay.Record
@@ -113,6 +114,58 @@ let test_rotation_identity () =
       (fp (Pipeline.compile_cold c p))
       (fp img)
   done
+
+(* The fingerprint is the equality oracle, so it must see a change to any
+   one field: one instruction operand (an immediate, a register), one
+   symbol address, one data word, one booby-trap flag. The image under
+   test is an incremental rotation, which still fingerprints equal to its
+   cold compile. *)
+let test_fingerprint_sees_one_field () =
+  let p = Genprog.generate ~seed:5 ~funcs:24 in
+  let cfg = Dconfig.full () in
+  let r = Pipeline.rerand_create () in
+  ignore (Pipeline.compile_incremental r (coords cfg 3 (Some 100)) p);
+  let c = coords cfg 3 (Some 101) in
+  let img, _ = Pipeline.compile_incremental r c p in
+  let base = fp img in
+  Alcotest.(check string) "rotation == cold compile" (fp (Pipeline.compile_cold c p)) base;
+  let changed what img' =
+    Alcotest.(check bool) (what ^ " changes the fingerprint") false (String.equal base (fp img'))
+  in
+  let with_insn edit =
+    let code = Array.copy (Image.force img.Image.code_list) in
+    let k = ref (-1) in
+    Array.iteri
+      (fun i (a, insn, len) ->
+        if !k < 0 then
+          match edit insn with
+          | Some insn' ->
+              k := i;
+              code.(i) <- (a, insn', len)
+          | None -> ())
+      code;
+    Alcotest.(check bool) "an instruction to edit" true (!k >= 0);
+    { img with Image.code_list = Lazy.from_val code }
+  in
+  changed "one immediate"
+    (with_insn (function
+      | Insn.Mov (d, Insn.Imm (Insn.Abs v)) -> Some (Insn.Mov (d, Insn.Imm (Insn.Abs (v + 1))))
+      | _ -> None));
+  changed "one register"
+    (with_insn (function
+      | Insn.Mov (Insn.Reg r, src) ->
+          Some (Insn.Mov (Insn.Reg (if r = Insn.RAX then Insn.RBX else Insn.RAX), src))
+      | _ -> None));
+  let sym_addrs = Array.copy img.Image.sym_addrs in
+  sym_addrs.(0) <- sym_addrs.(0) + 1;
+  changed "one symbol address" { img with Image.sym_addrs };
+  let words = Array.copy (Image.force img.Image.data_words) in
+  Alcotest.(check bool) "a data word" true (Array.length words >= 2);
+  words.(1) <- words.(1) + 1;
+  changed "one data word" { img with Image.data_words = Lazy.from_val words };
+  let funcs = Array.copy img.Image.funcs in
+  funcs.(0) <- { (funcs.(0)) with Image.is_booby_trap = not funcs.(0).Image.is_booby_trap };
+  changed "one booby-trap flag" { img with Image.funcs }
 
 (* Rebuilding at identical coordinates is also a pure relink (the memo
    path), and the cache grows only on misses. *)
@@ -485,6 +538,7 @@ let suite =
     ( "rerand",
       [
         Alcotest.test_case "rotation identity" `Quick test_rotation_identity;
+        Alcotest.test_case "fingerprint sees one field" `Quick test_fingerprint_sees_one_field;
         Alcotest.test_case "same coordinates all hits" `Quick test_same_coords_all_hits;
         Alcotest.test_case "config matrix identity" `Slow test_matrix_identity;
         Alcotest.test_case "invalidation" `Quick test_invalidation;
