@@ -7,8 +7,6 @@ type expect = {
   booby_traps : bool;  (* the image must contain booby-trap functions *)
 }
 
-let relaxed = { xom = false; checked_btra = false; cph = false; booby_traps = false }
-
 let expect_of_dconfig ?(cph = false) (cfg : R2c_core.Dconfig.t) =
   {
     xom = cfg.xom;

@@ -11,10 +11,6 @@
     the linter does not flag, say, readable text on a baseline build. *)
 type expect
 
-(** Nothing promised: only unconditional invariants (W^X, unwind-row and
-    call-site consistency, pointer sanctioning) are checked. *)
-val relaxed : expect
-
 (** [expect_of_dconfig ?cph cfg] — the promises a {!R2c_core.Dconfig.t}
     makes. [cph] is a property of the defense model wrapped around the
     config (Readactor/CodeArmor), not of the config itself. *)

@@ -16,9 +16,6 @@ type mutation =
 
 val mutation_to_string : mutation -> string
 
-(** [expected_rule m] — the one {!Lint} rule that must flag [m]. *)
-val expected_rule : mutation -> string
-
 (** [apply m img] — a mutated copy; [img] itself is never modified.
     [Drop_btra_postcheck] requires an image built with
     [check_after_return] (raises [Invalid_argument] otherwise). *)

@@ -256,7 +256,3 @@ let build_with_meta ?jobs ?key_token t ~(opts : Opts.t) ~salt (p : Ir.program) =
     match cached with Some c -> c | None -> plan_of ?jobs t ~key_token ~opts ~salt p
   in
   (Link.place plan ~opts, meta, stats)
-
-let build ?jobs ?key_token t ~opts ~salt p =
-  let img, _, stats = build_with_meta ?jobs ?key_token t ~opts ~salt p in
-  (img, stats)

@@ -7,7 +7,7 @@
     (the "dconfig slice" — materialized by probing the hooks, so
     program-wide streams like BTRA planning invalidate exactly the
     functions whose plans moved), and the {!Mdesc.t} fingerprint.
-    [build] recompiles only cache misses, fanned over
+    A build recompiles only cache misses, fanned over
     [R2c_util.Parallel], and re-links. The cache also keeps the last
     build's {!Link.plan} (symbols interned, references resolved to ids):
     a rebuild of the same program under the same key token whose bodies
@@ -16,14 +16,14 @@
     miss drop the plan.
 
     Contract (enforced by the rerand gate and the differential test
-    battery): the image returned by [build] is byte-identical to a cold
+    battery): the image a build returns is byte-identical to a cold
     {!Driver.compile} under the same options — the cache can only make
     compilation faster, never different.
 
     The [salt] covers everything the slice probes cannot see without
     running the register allocator: callers hash the diversification
     config and per-function body seed into it (see
-    [R2c_core.Pipeline.compile_incremental]). Thread-safety: [build] may
+    [R2c_core.Pipeline.compile_incremental]). Thread-safety: builds may
     be called concurrently from multiple domains sharing one [t]; the
     cache phases are mutex-protected and emission itself runs unlocked. *)
 
@@ -40,9 +40,10 @@ val create : unit -> t
 (** Resident entries. *)
 val size : t -> int
 
-(** [build ?jobs ?key_token t ~opts ~salt p] — the linked image and this
-    build's cache traffic. Raises {!Driver.Invalid_program} like the
-    cold driver.
+(** [build_with_meta ?jobs ?key_token t ~opts ~salt p] — the linked
+    image, per-function lowering metadata for the translation validator,
+    and this build's cache traffic. Raises {!Driver.Invalid_program} like
+    the cold driver.
 
     [key_token], when given, asserts that every emission-relevant
     decision in [opts], and every option the link plan reads (machine
@@ -54,17 +55,6 @@ val size : t -> int
     steady-state rotation path ({!R2c_core.Pipeline.compile_incremental})
     passes its coordinate salt here, because rotations only override
     link-level hooks; hand-assembled [opts] values must omit it. *)
-val build :
-  ?jobs:int ->
-  ?key_token:string ->
-  t ->
-  opts:Opts.t ->
-  salt:string ->
-  Ir.program ->
-  R2c_machine.Image.t * stats
-
-(** [build_with_meta] — [build] plus per-function lowering metadata for
-    the translation validator. *)
 val build_with_meta :
   ?jobs:int ->
   ?key_token:string ->
@@ -75,7 +65,7 @@ val build_with_meta :
   R2c_machine.Image.t * (string * Emit.tvmeta) list * stats
 
 (** Test hook: plant [payload] in the cache under the key [f] gets with
-    [opts]/[salt], so the next [build] hits a deliberately wrong entry.
+    [opts]/[salt], so the next build hits a deliberately wrong entry.
     The stale-cache regression tests use this to prove the equality gate
     and the translation validator both catch cache corruption. *)
 val poison :

@@ -35,18 +35,6 @@ let x86_64 =
     insn_size = Insn.size;
   }
 
-(* A second calling-convention profile over the same encoder: allocation
-   order of the callee-saved file reversed and a wider PLT stride. Same
-   instruction set, different images — the cross-profile diversity axis
-   the cache key must separate. *)
-let x86_64_r15 =
-  {
-    x86_64 with
-    mname = "x86_64-r15";
-    callee_saved = Insn.[ R15; R14; R13; R12; RBX ];
-    plt_entry_bytes = 32;
-  }
-
 let nregs t = List.length t.arg_regs
 
 let fingerprint t =

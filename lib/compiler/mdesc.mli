@@ -39,11 +39,6 @@ type t = {
     scratch; rbp reserved for offset-invariant addressing. *)
 val x86_64 : t
 
-(** Same encoder, reversed callee-saved allocation order and a 32-byte
-    PLT stride — a second profile for cross-profile diversity and for
-    exercising machine-description cache invalidation. *)
-val x86_64_r15 : t
-
 (** Number of register-passed arguments. *)
 val nregs : t -> int
 

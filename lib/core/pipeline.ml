@@ -295,3 +295,6 @@ let compile_incremental_with_meta ?(extra_raw = []) ?jobs ?(mdesc = Mdesc.x86_64
 let compile_incremental ?extra_raw ?jobs ?mdesc r c p =
   let img, _, stats, _ = compile_incremental_with_meta ?extra_raw ?jobs ?mdesc r c p in
   (img, stats)
+
+let poison r c ~opts f ~payload =
+  Incremental.poison r.cache ~opts ~salt:(salt_of_coords c) f ~payload

@@ -68,10 +68,6 @@ type coords = {
   link_seed : int option;
 }
 
-(** Digest of the body-level coordinates — the incremental cache salt;
-    link-seed independent. *)
-val salt_of_coords : coords -> string
-
 (** Full non-cached pipeline at [coords] — the reference the incremental
     path is differentially tested against. *)
 val compile_cold :
@@ -119,3 +115,14 @@ val compile_incremental_with_meta :
   * (string * R2c_compiler.Emit.tvmeta) list
   * R2c_compiler.Incremental.stats
   * Ir.program
+
+(** [poison r coords ~opts f ~payload] — {!R2c_compiler.Incremental.poison}
+    on [r]'s cache, keyed by [coords]' salt: the next rebuild at those
+    body coordinates links [payload] for [f]. A test hook. *)
+val poison :
+  rerand ->
+  coords ->
+  opts:R2c_compiler.Opts.t ->
+  Ir.func ->
+  payload:R2c_compiler.Asm.emitted * R2c_compiler.Emit.tvmeta ->
+  unit

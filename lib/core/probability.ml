@@ -13,7 +13,3 @@ let pick_benign_heap_pointer ~benign ~btdps =
 let expected_btdps_in_leak ~min_per_func ~max_per_func ~frames =
   assert (min_per_func <= max_per_func);
   float_of_int (min_per_func + max_per_func) /. 2.0 *. float_of_int frames
-
-let detection_probability ~success_p ~attempts =
-  assert (success_p >= 0.0 && success_p <= 1.0 && attempts >= 0);
-  1.0 -. (success_p ** float_of_int attempts)

@@ -17,8 +17,3 @@ val pick_benign_heap_pointer : benign:int -> btdps:int -> float
 (** [expected_btdps_in_leak ~min_per_func ~max_per_func ~frames] — E(B)*S
     for a leak of [frames] stack frames (Section 7.2.3). *)
 val expected_btdps_in_leak : min_per_func:int -> max_per_func:int -> frames:int -> float
-
-(** [detection_probability ~success_p ~attempts] — probability that at
-    least one of [attempts] independent probes with per-probe success
-    [success_p] trips a booby trap, i.e. 1 - success_p^attempts. *)
-val detection_probability : success_p:float -> attempts:int -> float

@@ -38,11 +38,8 @@ type t = {
 }
 
 val unprotected : t
-val aslr : t
-val codearmor : t
 val tasr : t
 val readactor : t
-val krx : t
 val r2c : t
 
 (** The Table 3 rows, in paper order. *)

@@ -10,27 +10,23 @@ type row = { label : string; overhead : float option; metric : string }
 
 let subset = [ "perlbench"; "mcf"; "omnetpp"; "deepsjeng"; "nab" ]
 
-let subset_overhead ~seed cfg =
+let subset_overhead ~baselines ~seed cfg =
   Stats.geomean
     (List.map
        (fun name ->
-         let b = R2c_workloads.Spec.find name in
-         let base =
-           (Measure.run (R2c_compiler.Driver.compile b.program)).Measure.steady_cycles
-         in
-         (Measure.run (Pipeline.compile ~seed cfg b.program)).Measure.steady_cycles /. base)
+         Measure.overhead ~baselines ~seeds:[ seed ] cfg (R2c_workloads.Spec.find name).program)
        subset)
 
 let btra ?(setup = Dconfig.Avx) ?(check = false) total =
   { Dconfig.total; setup; to_builtins = true; max_post = 4; check_after_return = check }
 
-let btra_count ?(values = [ 2; 4; 6; 10; 16; 20 ]) ?(seed = 13) () =
+let btra_count ?(values = [ 2; 4; 6; 10; 16; 20 ]) ?(seed = 13) baselines =
   List.map
     (fun r ->
       let cfg = { Dconfig.btra_avx_only with btra = Some (btra r) } in
       {
         label = Printf.sprintf "R = %d" r;
-        overhead = Some (subset_overhead ~seed cfg);
+        overhead = Some (subset_overhead ~baselines ~seed cfg);
         metric =
           Printf.sprintf "guess p = %.4f, 4-chain p = %.2e"
             (Probability.guess_return_address ~btras:r)
@@ -38,8 +34,10 @@ let btra_count ?(values = [ 2; 4; 6; 10; 16; 20 ]) ?(seed = 13) () =
       })
     values
 
-let setups ?(seed = 13) () =
-  let mk label cfg metric = { label; overhead = Some (subset_overhead ~seed cfg); metric } in
+let setups ?(seed = 13) baselines =
+  let mk label cfg metric =
+    { label; overhead = Some (subset_overhead ~baselines ~seed cfg); metric }
+  in
   [
     mk "push" Dconfig.btra_push_only "Section 5.1 baseline sequence";
     mk "sse" Dconfig.btra_sse_only "Section 7.1 fallback (16-byte)";
@@ -53,7 +51,7 @@ let setups ?(seed = 13) () =
       "Section 7.3 consistency checks";
   ]
 
-let btdp_density ?(values = [ 1; 3; 5; 8 ]) ?(seed = 13) () =
+let btdp_density ?(values = [ 1; 3; 5; 8 ]) ?(seed = 13) baselines =
   List.map
     (fun mx ->
       let cfg =
@@ -74,18 +72,16 @@ let btdp_density ?(values = [ 1; 3; 5; 8 ]) ?(seed = 13) () =
       in
       {
         label = Printf.sprintf "0-%d per function" mx;
-        overhead = Some (subset_overhead ~seed cfg);
+        overhead = Some (subset_overhead ~baselines ~seed cfg);
         metric =
           Printf.sprintf "E(B) per frame = %.1f"
             (Probability.expected_btdps_in_leak ~min_per_func:0 ~max_per_func:mx ~frames:1);
       })
     values
 
-let guard_pages ?(values = [ 4; 16; 64 ]) ?(seed = 13) () =
+let guard_pages ?(values = [ 4; 16; 64 ]) ?(seed = 13) baselines =
   let program = (R2c_workloads.Spec.find "xz").R2c_workloads.Spec.program in
-  let base_rss =
-    (Measure.run (R2c_compiler.Driver.compile program)).Measure.maxrss_bytes
-  in
+  let base_rss = (Measure.baseline baselines program).Measure.maxrss_bytes in
   List.map
     (fun gp ->
       let cfg =
@@ -145,17 +141,13 @@ let pool_size ?(values = [ 1; 2; 4; 16; 48 ]) ?(seed = 13) () =
       { label = Printf.sprintf "%d trap functions" count; overhead = None; metric })
     values
 
-let call_overhead_correlation ?(seed = 13) () =
+let call_overhead_correlation ?(seed = 13) baselines =
   let cfg = Dconfig.full () in
   let rows =
     List.map
       (fun (b : R2c_workloads.Spec.benchmark) ->
-        let stats = Measure.run (R2c_compiler.Driver.compile b.program) in
-        let oh =
-          (Measure.run (Pipeline.compile ~seed cfg b.program)).Measure.steady_cycles
-          /. stats.Measure.steady_cycles
-        in
-        (b.name, stats.Measure.calls, oh))
+        let oh = Measure.overhead ~baselines ~seeds:[ seed ] cfg b.program in
+        (b.name, (Measure.baseline baselines b.program).Measure.calls, oh))
       (R2c_workloads.Spec.all ())
   in
   (* Correlate call *density* (calls per kilocycle), as the paper's
@@ -172,20 +164,25 @@ let run () =
       [ left "configuration" "configuration"; left "overhead" "overhead"; left "metric" "metric" ]
       (List.map (fun r -> [ Str r.label; opt overhead r.overhead; Str r.metric ]) rows)
   in
+  let baselines = Measure.baselines () in
   let sweeps =
     List.map
       (fun (key, title, rows) -> sweep key title (rows ()))
       [
-        ("btra_count", "Ablation: BTRA count (security vs performance)", fun () -> btra_count ());
-        ("setups", "Ablation: setup sequences (Sections 5.1, 7.1, 7.3)", fun () -> setups ());
-        ("btdp_density", "Ablation: BTDP density", fun () -> btdp_density ());
-        ("guard_pages", "Ablation: guard-page pool vs memory", fun () -> guard_pages ());
+        ( "btra_count",
+          "Ablation: BTRA count (security vs performance)",
+          fun () -> btra_count baselines );
+        ( "setups",
+          "Ablation: setup sequences (Sections 5.1, 7.1, 7.3)",
+          fun () -> setups baselines );
+        ("btdp_density", "Ablation: BTDP density", fun () -> btdp_density baselines);
+        ("guard_pages", "Ablation: guard-page pool vs memory", fun () -> guard_pages baselines);
         ( "pool_size",
           "Ablation: booby-trap pool vs set reuse (property C)",
           fun () -> pool_size () );
       ]
   in
-  let r, rows = call_overhead_correlation () in
+  let r, rows = call_overhead_correlation baselines in
   sweeps
   @ [
       table "call_frequency" ~title:"Call frequency vs overhead (Section 7.1)"

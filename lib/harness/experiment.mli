@@ -9,7 +9,8 @@
     deterministic (byte-identical at any job count), {!volatile} the
     host-timed ones plus the job count and wall clock. Gate breaches are
     {!finding}s: one structured value, rendered as text
-    ({!findings_to_string}) and JSON ({!finding_to_json}). *)
+    ({!findings_to_string}) and JSON (the [findings] member of
+    {!to_json}: [{"experiment", "check", "detail"}] each). *)
 
 type finding = {
   experiment : string;
@@ -17,7 +18,6 @@ type finding = {
   detail : string;
 }
 
-val finding_to_json : finding -> R2c_obs.Json.t
 val findings_to_string : finding list -> string
 
 (** [findings experiment gate] — one finding per [(check, detail)] pair

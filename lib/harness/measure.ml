@@ -55,21 +55,35 @@ let run ?(profile = Cost.epyc_rome) ?obs ?(label = "measure") img =
       }
   | o -> failwith ("Measure.run: " ^ Process.outcome_to_string o)
 
-let overhead ?profile ~seeds cfg program =
-  let base = (run ?profile (R2c_compiler.Driver.compile program)).steady_cycles in
-  let ratios =
-    List.map
-      (fun seed ->
-        let img = R2c_core.Pipeline.compile ~seed cfg program in
-        (run ?profile img).steady_cycles /. base)
-      seeds
-  in
-  Stats.median ratios
+(* Keyed by the profile's name and the program's structure: callers such as
+   [Spec.all] rebuild equal programs on every call. *)
+type baselines = (string * Ir.program, stats) Hashtbl.t
 
-let suite_overheads ?profile ~seeds cfg =
+let baselines () = Hashtbl.create 16
+
+let baseline ?(profile = Cost.epyc_rome) bs program =
+  let key = (profile.Cost.name, program) in
+  match Hashtbl.find_opt bs key with
+  | Some s -> s
+  | None ->
+      let s = run ~profile (R2c_compiler.Driver.compile program) in
+      Hashtbl.replace bs key s;
+      s
+
+let ratio ?profile bs program s = s.steady_cycles /. (baseline ?profile bs program).steady_cycles
+
+let overhead ?profile ?(baselines = baselines ()) ~seeds cfg program =
+  Stats.median
+    (List.map
+       (fun seed ->
+         let img = R2c_core.Pipeline.compile ~seed cfg program in
+         ratio ?profile baselines program (run ?profile img))
+       seeds)
+
+let suite_overheads ?profile ~baselines ~seeds cfg =
   List.map
     (fun (b : R2c_workloads.Spec.benchmark) ->
-      (b.name, overhead ?profile ~seeds cfg b.program))
+      (b.name, overhead ?profile ~baselines ~seeds cfg b.program))
     (R2c_workloads.Spec.all ())
 
 let geomean_max rows =

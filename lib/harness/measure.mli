@@ -27,19 +27,39 @@ val run :
   R2c_machine.Image.t ->
   stats
 
-(** [overhead ?profile ~seeds cfg program] — median over [seeds] of the
-    steady-cycle ratio R2C(cfg)/baseline. *)
+(** Baseline runs, one per (program, cost profile): a program compiled
+    without diversification ({!R2c_compiler.Driver.compile}) and {!run}.
+    An experiment makes one table per run and hands it to every overhead
+    it measures, so each baseline runs once however many configurations
+    it is compared with. Use a table from one domain at a time. *)
+type baselines
+
+val baselines : unit -> baselines
+
+(** [baseline ?profile bs program] — [program]'s baseline stats, measured
+    on first request (profile default EPYC Rome, as {!run}). *)
+val baseline : ?profile:R2c_machine.Cost.profile -> baselines -> Ir.program -> stats
+
+(** [ratio ?profile bs program s] — [s]'s steady cycles over [program]'s
+    baseline steady cycles. *)
+val ratio : ?profile:R2c_machine.Cost.profile -> baselines -> Ir.program -> stats -> float
+
+(** [overhead ?profile ?baselines ~seeds cfg program] — median over
+    [seeds] of the steady-cycle ratio R2C(cfg)/baseline; [?baselines]
+    defaults to a fresh table. *)
 val overhead :
   ?profile:R2c_machine.Cost.profile ->
+  ?baselines:baselines ->
   seeds:int list ->
   R2c_core.Dconfig.t ->
   Ir.program ->
   float
 
-(** [suite_overheads ?profile ~seeds cfg] — (benchmark, overhead) for the
-    whole SPEC-shaped suite. *)
+(** [suite_overheads ?profile ~baselines ~seeds cfg] — (benchmark,
+    overhead) for the whole SPEC-shaped suite. *)
 val suite_overheads :
   ?profile:R2c_machine.Cost.profile ->
+  baselines:baselines ->
   seeds:int list ->
   R2c_core.Dconfig.t ->
   (string * float) list

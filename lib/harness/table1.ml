@@ -19,9 +19,10 @@ let components =
   ]
 
 let run ?(seeds = [ 3; 11; 27 ]) () =
+  let baselines = Measure.baselines () in
   List.map
     (fun (label, cfg) ->
-      let per_benchmark = Measure.suite_overheads ~seeds cfg in
+      let per_benchmark = Measure.suite_overheads ~baselines ~seeds cfg in
       let max, geomean = Measure.geomean_max per_benchmark in
       { label; max; geomean; per_benchmark })
     components

@@ -31,17 +31,13 @@ let overhead_subset = [ "perlbench"; "mcf"; "omnetpp"; "x264" ]
 
 (* Geomean overhead plus the satellite columns: icache miss rate and peak
    call depth of the *defended* builds, aggregated over the subset. *)
-let measure_overhead (d : Defenses.t) =
+let measure_overhead baselines (d : Defenses.t) =
   let measurements =
     List.map
       (fun name ->
         let b = R2c_workloads.Spec.find name in
-        let base =
-          (Measure.run (R2c_compiler.Driver.compile b.program)).Measure.steady_cycles
-        in
-        let img = Defenses.build d ~seed:9 ~extra_raw:[] b.program in
-        let s = Measure.run img in
-        (s.Measure.steady_cycles /. base, s))
+        let s = Measure.run (Defenses.build d ~seed:9 ~extra_raw:[] b.program) in
+        (Measure.ratio baselines b.program s, s))
       overhead_subset
   in
   let ratios = List.map fst measurements in
@@ -60,6 +56,7 @@ let measure_overhead (d : Defenses.t) =
   (Stats.geomean ratios, miss_pct, depth)
 
 let run ?(trials = 3) ?(with_overhead = true) () =
+  let baselines = Measure.baselines () in
   List.map
     (fun (d : Defenses.t) ->
       let cells =
@@ -77,7 +74,7 @@ let run ?(trials = 3) ?(with_overhead = true) () =
           attacks
       in
       let measured =
-        if with_overhead then Some (measure_overhead d) else None
+        if with_overhead then Some (measure_overhead baselines d) else None
       in
       {
         defense = d.Defenses.name;

@@ -30,13 +30,12 @@ type row = {
     overhead column (set [with_overhead:false] to skip the slow part). *)
 val run : ?trials:int -> ?with_overhead:bool -> unit -> row list
 
+(** [results rows] — the table; each attack cell is a glyph: ["#"] the
+    defense stopped every trial, ["o"] the attack succeeded in most
+    trials, ["+"] in between. *)
 val results : row list -> Results.t
 
 (** [gate rows] — the reproduction check as [(check, detail)] pairs
     (empty = pass): every attack fails against the R2C row, and at least
     one succeeds against the unprotected baseline. *)
 val gate : row list -> (string * string) list
-
-(** [glyph cell] — "●" stopped every trial, "○" succeeded in most trials,
-    "◐" in between. *)
-val glyph : cell -> string

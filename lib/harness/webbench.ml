@@ -6,6 +6,7 @@ let run ?(seeds = [ 7; 19; 41; 67; 83 ]) ?(requests = 400) () =
   let open Results in
   let cfg = R2c_core.Dconfig.full () in
   let machines = R2c_machine.Cost.[ i9_9900k; epyc_rome ] in
+  let baselines = Measure.baselines () in
   (* (server, machine, baseline, R2C) throughputs, requests per megacycle. *)
   let measured =
     List.concat_map
@@ -13,9 +14,7 @@ let run ?(seeds = [ 7; 19; 41; 67; 83 ]) ?(requests = 400) () =
         List.map
           (fun (fl, name) ->
             let program = Webserver.server fl ~requests in
-            let base =
-              (Measure.run ~profile (R2c_compiler.Driver.compile program)).steady_cycles
-            in
+            let base = (Measure.baseline ~profile baselines program).steady_cycles in
             (* Median of five runs at saturation, per the paper. *)
             let cycles =
               Stats.median

@@ -93,13 +93,11 @@ module Constprop : sig
       executable block (final element: before the terminator). Raises
       [Invalid_argument] on a non-executable block. *)
   val before : t -> Ir.func -> int -> cval array array
-
-  (** Number of executable instructions whose result folds to a known
-      constant without being a literal [Mov _, Const _]. *)
-  val folded : t -> Ir.func -> int
 end
 
-(** Aggregate dataflow statistics for the audit table. [max_iterations]
+(** Aggregate dataflow statistics for the audit table. [folded] counts
+    executable instructions whose result folds to a known constant
+    without being a literal [Mov _, Const _]. [max_iterations]
     is the worst sweep count over liveness, uninit and constant
     propagation, over all functions. Same precondition as the instances:
     raises on a var outside [[0, nvars)]. *)

@@ -31,9 +31,3 @@ let region_of a =
   else if a >= stack_limit && a <= stack_top then Stack
   else Unmapped_region
 
-let region_to_string = function
-  | Text -> "text"
-  | Data -> "data"
-  | Heap -> "heap"
-  | Stack -> "stack"
-  | Unmapped_region -> "unmapped"

@@ -36,4 +36,3 @@ val stack_top : t
 type region = Text | Data | Heap | Stack | Unmapped_region
 
 val region_of : t -> region
-val region_to_string : region -> string

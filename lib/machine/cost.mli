@@ -42,10 +42,9 @@ type profile = {
 
 val i9_9900k : profile
 val epyc_rome : profile
-val tr_3970x : profile
-val xeon_8358 : profile
 
-(** The paper's four evaluation machines. *)
+(** The paper's four evaluation machines: i9-9900K, EPYC Rome,
+    Threadripper 3970X, Xeon 8358. *)
 val all_machines : profile list
 
 (** [of_name name] — the machine whose profile name is [name], or whose

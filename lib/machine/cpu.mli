@@ -122,16 +122,13 @@ val step : t -> unit
 (** [set_observer t obs] attaches (or, with [None], detaches) the per-step
     hook and drops every resolved site. At most one observer slot exists;
     attaching replaces the previous one. Callers that need several hooks
-    compose them with {!tee} or {!attach_observer}. *)
+    compose them with {!attach_observer}. *)
 val set_observer : t -> observer option -> unit
-
-(** [tee first second] — one observer that resolves both at each address
-    and fires [first]'s site, then [second]'s, on every step. *)
-val tee : observer -> observer -> observer
 
 (** [attach_observer ?tee t obs] — install [obs]. By default it replaces
     any observer already attached; with [~tee:true] that observer keeps
-    firing first ([tee prev obs]). *)
+    going: at each address both resolve, the earlier one first, and on
+    every step the earlier one's site fires, then [obs]'s. *)
 val attach_observer : ?tee:bool -> t -> observer -> unit
 
 (** Builtin-boundary tap: fired once per intercepted library call

@@ -4,10 +4,7 @@
     diversified binary can be studied the way the paper's figures present
     theirs. *)
 
-(** [image img] — the whole text section: section summary, then every
+(** [image img] — the whole text section: a summary paragraph (sizes,
+    function/trap counts, text permissions, unwind-table rows), then every
     function in address order. *)
 val image : Image.t -> string
-
-(** [summary img] — one paragraph: sizes, function/trap counts,
-    permissions, unwind-table rows. *)
-val summary : Image.t -> string

@@ -79,11 +79,6 @@ let free t addr =
       t.live <- t.live - size;
       t.free_list <- { faddr = addr; fsize = size } :: t.free_list
 
-let block_size t addr =
-  match Hashtbl.find_opt t.sizes addr with
-  | None -> invalid_arg "Heap.block_size: not a live block"
-  | Some s -> s
-
 let live_bytes t = t.live
 
 let brk t = t.top

@@ -28,9 +28,6 @@ val malloc_pages : t -> int -> int
     function. Freeing an unknown address is an error. *)
 val free : t -> int -> unit
 
-(** [block_size t addr] — usable size of a live block. *)
-val block_size : t -> int -> int
-
 (** [live_bytes t] — total bytes in live blocks (diagnostics). *)
 val live_bytes : t -> int
 

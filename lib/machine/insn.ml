@@ -21,10 +21,6 @@ let reg_to_string = function
   | R8 -> "r8" | R9 -> "r9" | R10 -> "r10" | R11 -> "r11"
   | R12 -> "r12" | R13 -> "r13" | R14 -> "r14" | R15 -> "r15"
 
-let all_regs =
-  [ RAX; RBX; RCX; RDX; RSI; RDI; RBP; RSP;
-    R8; R9; R10; R11; R12; R13; R14; R15 ]
-
 type imm = Abs of int | Sym of string * int
 
 type scale = S1 | S2 | S4 | S8
@@ -43,9 +39,6 @@ let mem_sym ?base ?index sym off = { base; index; disp = Sym (sym, off) }
 type operand = Imm of imm | Reg of reg | Mem of mem_operand
 
 type cond = Eq | Ne | Lt | Le | Gt | Ge
-
-let negate_cond = function
-  | Eq -> Ne | Ne -> Eq | Lt -> Ge | Le -> Gt | Gt -> Le | Ge -> Lt
 
 type binop = Add | Sub | Imul | And | Or | Xor | Shl | Shr | Sar
 

@@ -16,7 +16,6 @@ type reg =
 val reg_index : reg -> int
 val reg_of_index : int -> reg
 val reg_to_string : reg -> string
-val all_regs : reg list
 
 (** Immediate values: concrete, or a symbol plus byte offset resolved at
     link time (function entries, globals, booby-trap targets, GOT slots). *)
@@ -39,8 +38,6 @@ val mem_sym : ?base:reg -> ?index:reg * scale -> string -> int -> mem_operand
 type operand = Imm of imm | Reg of reg | Mem of mem_operand
 
 type cond = Eq | Ne | Lt | Le | Gt | Ge
-
-val negate_cond : cond -> cond
 
 type binop = Add | Sub | Imul | And | Or | Xor | Shl | Shr | Sar
 

@@ -60,7 +60,8 @@
    alone. Every rotation of a program places the same bodies, so its
    first run adopts each hot function's plan on first entry instead of
    compiling it after the thresholds. A private cache ([create_cache])
-   keeps its own plans. [poison] marks a plan stale: it is never
+   serves the one image and profile it was made for, and keeps its own
+   plans. [poison] marks a plan stale: it is never
    instantiated again, and the next hot entry recompiles — stale code
    never runs. *)
 
@@ -1049,10 +1050,9 @@ type Image.body_code += Plan of Cost.profile * plan
    readers go through [code.states]. *)
 type cache = {
   lock : Mutex.t;
-  mutable profile : Cost.profile;
-  cfg : config;  (* thresholds for attachments that name none *)
+  profile : Cost.profile;
   own : plan Bodies.t option;  (* a private cache's plans *)
-  mutable code : code;
+  code : code;
 }
 
 type Image.jit_cache += Cache of cache
@@ -1081,8 +1081,8 @@ let set_plan cache (b : Image.body) plan =
       in
       set ()
 
-let create_cache ?(config = default_config) ~profile (img : Image.t) =
-  { lock = Mutex.create (); profile; cfg = config; own = Some (Bodies.create 64); code = build_code img }
+let create_cache ~profile (img : Image.t) =
+  { lock = Mutex.create (); profile; own = Some (Bodies.create 64); code = build_code img }
 
 (* The image's own cache for [profile], published once: racing domains
    may both build one, and the compare-and-set keeps exactly one. *)
@@ -1097,9 +1097,7 @@ let image_cache (img : Image.t) profile =
     match find cur with
     | Some c -> c
     | None ->
-        let c =
-          { lock = Mutex.create (); profile; cfg = default_config; own = None; code = build_code img }
-        in
+        let c = { lock = Mutex.create (); profile; own = None; code = build_code img } in
         if Atomic.compare_and_set img.Image.jit cur (Cache c :: cur) then c else get ()
   in
   get ()
@@ -1118,25 +1116,13 @@ type t = {
   from : int ref;  (* the cold loop's last transferring instruction *)
 }
 
-let stats j = j.stats
-
 let cache_of j =
   match j.explicit with
   | Some c -> c
   | None -> image_cache j.cpu.Cpu.image j.cpu.Cpu.profile
 
-(* The dense state this attachment's runs use. An explicit cache serving
-   another image is retargeted at this one: a fresh slot table, with its
-   plans kept to be instantiated at the new placements. *)
-let code_of j =
-  let img = j.cpu.Cpu.image in
-  if never_compiles j.cfg then no_code img
-  else begin
-    let cache = cache_of j in
-    Mutex.protect cache.lock (fun () ->
-        if cache.code.img != img then cache.code <- build_code img;
-        cache.code)
-  end
+(* The dense state this attachment's runs use. *)
+let code_of j = if never_compiles j.cfg then no_code j.cpu.Cpu.image else (cache_of j).code
 
 let install code fidx f =
   Atomic.set code.states.(fidx) (Compiled f);
@@ -1427,22 +1413,11 @@ let run j ~fuel =
 (* Attachment.                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let attach ?config ?cache ?stats (cpu : Cpu.t) =
+let attach ?(config = default_config) ?cache ?stats (cpu : Cpu.t) =
   (match cache with
-  | Some c when c.profile != cpu.Cpu.profile ->
-      (* compiled code bakes cost constants in; a different profile
-         invalidates the whole cache *)
-      Mutex.protect c.lock (fun () ->
-          Option.iter Bodies.reset c.own;
-          c.profile <- cpu.Cpu.profile;
-          c.code <- build_code cpu.Cpu.image)
+  | Some c when c.code.img != cpu.Cpu.image || c.profile != cpu.Cpu.profile ->
+      invalid_arg "Jit.attach: a private cache serves only the image and profile it was made for"
   | _ -> ());
-  let cfg =
-    match (config, cache) with
-    | Some cfg, _ -> cfg
-    | None, Some c -> c.cfg
-    | None, None -> default_config
-  in
   let ctx =
     {
       t = cpu;
@@ -1456,7 +1431,9 @@ let attach ?config ?cache ?stats (cpu : Cpu.t) =
     }
   in
   let stats = match stats with Some s -> s | None -> fresh_stats () in
-  let j = { cpu; ctx; cfg; stats; explicit = cache; fcalls = [||]; fbacks = [||]; from = ref (-1) } in
+  let j =
+    { cpu; ctx; cfg = config; stats; explicit = cache; fcalls = [||]; fbacks = [||]; from = ref (-1) }
+  in
   Cpu.set_tier3 cpu (Some (fun _ ~fuel -> run j ~fuel));
   j
 
@@ -1483,7 +1460,7 @@ let poison j ~entry =
               f.f_blocks <- Array.map trip f.f_blocks;
               Atomic.set f.f_obs None
           | Cold | Declined -> ());
-          if code.img == j.cpu.Cpu.image && fidx < Array.length j.fcalls then begin
+          if fidx < Array.length j.fcalls then begin
             j.fcalls.(fidx) <- 0;
             j.fbacks.(fidx) <- 0
           end;

@@ -92,21 +92,20 @@ val fresh_stats : unit -> stats
     [0]/[false]/[off]/[no], on otherwise). *)
 val enabled : unit -> bool
 
-(** [create_cache ?config ~profile img] — a private empty cache serving
-    [img] under cost profile [profile], keeping its own plans rather than
-    the bodies' shared ones; [?config] is the default for attachments that
-    name no thresholds. Use it from one domain at a time. *)
-val create_cache : ?config:config -> profile:Cost.profile -> Image.t -> cache
+(** [create_cache ~profile img] — a private empty cache serving [img]
+    under cost profile [profile] and nothing else, keeping its own plans
+    rather than the bodies' shared ones, so its first run starts cold
+    whatever ran [img] before. Use it from one domain at a time. *)
+val create_cache : profile:Cost.profile -> Image.t -> cache
 
 (** [attach ?config ?cache ?stats cpu] installs the tier-3 runner on [cpu]
-    ({!Cpu.set_tier3}). Without [?cache] it runs on the code of [cpu]'s
-    image, built by its first run from the bodies' shared plans; with one,
-    that cache is adopted — retargeted at [cpu]'s image, its plans kept,
-    or fully reset if the cost profile differs. Counts go to [?stats]
+    ({!Cpu.set_tier3}) with thresholds [?config] (default 8 calls / 24
+    backedges). Without [?cache] it runs on the code of [cpu]'s image,
+    built by its first run from the bodies' shared plans; with one, on
+    that private cache, which must have been made for [cpu]'s image and
+    cost profile ([Invalid_argument] otherwise). Counts go to [?stats]
     (default a fresh record). *)
 val attach : ?config:config -> ?cache:cache -> ?stats:stats -> Cpu.t -> t
-
-val stats : t -> stats
 
 (** [poison j ~entry] corrupts the cached entry for the function at
     [entry] the way an interrupted rerandomization would strand it: its

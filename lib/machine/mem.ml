@@ -117,13 +117,6 @@ let map t addr len perm =
   tlb_invalidate t;
   t.max_resident <- max t.max_resident (Hashtbl.length t.pages)
 
-let unmap t addr len =
-  let first, last = page_range addr len in
-  for i = first to last do
-    Hashtbl.remove t.pages i
-  done;
-  tlb_invalidate t
-
 let protect t addr len perm =
   let first, last = page_range addr len in
   for i = first to last do
@@ -144,11 +137,6 @@ let tag_guard t addr len =
           (Printf.sprintf "Mem.tag_guard: page 0x%x unmapped" (i lsl Addr.page_shift))
   done;
   tlb_invalidate t
-
-let is_mapped t addr = Hashtbl.mem t.pages (Addr.page_of addr)
-
-let perm_at t addr =
-  match find_page t (Addr.page_of addr) with Some p -> Some p.perm | None -> None
 
 let fault_access addr access guard =
   if guard then Fault.raise_fault (Guard_page { addr; access })
@@ -177,7 +165,7 @@ let checked_entry t addr (access : Fault.access) =
       if allowed then e else denied t addr access e
 
 (* The interpreter's per-fetch exec probe. Matches the historical
-   [perm_at]-based check bit for bit: an exec violation is always a plain
+   per-page permission check bit for bit: an exec violation is always a plain
    SIGSEGV, never a guard-page detection, even on a tagged page. *)
 let check_exec t addr =
   match tlb_lookup t (Addr.page_of addr) with
@@ -229,13 +217,6 @@ let write_u64 t addr v =
       for i = 0 to 7 do
         write_u8 t (addr + i) ((v lsr (8 * i)) land 0xff)
       done
-
-let read_bytes t addr len =
-  let b = Bytes.create len in
-  for i = 0 to len - 1 do
-    Bytes.unsafe_set b i (Char.unsafe_chr (read_u8 t (addr + i)))
-  done;
-  b
 
 (* One permission probe and one blit per page touched. A page that is not
    writable faults at its first byte, after every earlier page has been
@@ -324,7 +305,5 @@ let guard_page_addrs t =
     (fun idx p acc -> if p.guard then (idx lsl Addr.page_shift) :: acc else acc)
     t.pages []
   |> List.sort compare
-
-let mapped_pages t = Hashtbl.length t.pages
 
 let max_mapped_pages t = t.max_resident

@@ -39,9 +39,6 @@ val map : t -> int -> int -> Perm.t -> unit
     until either side writes it. O(pages), copies no page bytes. *)
 val clone : t -> t
 
-(** [unmap t addr len] removes the covered pages. *)
-val unmap : t -> int -> int -> unit
-
 (** [protect t addr len perm] changes permissions of covered (mapped)
     pages. *)
 val protect : t -> int -> int -> Perm.t -> unit
@@ -50,15 +47,11 @@ val protect : t -> int -> int -> Perm.t -> unit
     permission faults on them raise {!Fault.constructor-Guard_page}. *)
 val tag_guard : t -> int -> int -> unit
 
-val is_mapped : t -> int -> bool
-
-(** [perm_at t addr] — permissions of the page holding [addr], if mapped. *)
-val perm_at : t -> int -> Perm.t option
 
 (** [check_exec t addr] — the interpreter's per-fetch probe: returns [()]
     when the page holding [addr] is mapped executable, raises
     [Fault.Segv { access = Exec }] otherwise (never [Guard_page], matching
-    the historical [perm_at]-based check). Served from the software TLB. *)
+    the historical per-page permission check). Served from the software TLB. *)
 val check_exec : t -> int -> unit
 
 (** Checked accessors (raise {!Fault.Fault} on violation). Multi-byte
@@ -68,7 +61,6 @@ val read_u8 : t -> int -> int
 val write_u8 : t -> int -> int -> unit
 val read_u64 : t -> int -> int
 val write_u64 : t -> int -> int -> unit
-val read_bytes : t -> int -> int -> bytes
 val write_bytes : t -> int -> bytes -> unit
 
 (** [blit_string t addr s] — checked write of [s] at [addr], one
@@ -101,8 +93,6 @@ val page_perms : t -> (int * Perm.t * bool) list
     defender-side ground truth for tests and reports. *)
 val guard_page_addrs : t -> int list
 
-(** [mapped_pages t] — currently resident pages; [max_mapped_pages t] — the
-    high-water mark (maxrss analogue). *)
-
-val mapped_pages : t -> int
+(** [max_mapped_pages t] — the most pages ever mapped at once (maxrss
+    analogue). *)
 val max_mapped_pages : t -> int

@@ -1,10 +1,8 @@
 type t = { read : bool; write : bool; exec : bool }
 
 let none = { read = false; write = false; exec = false }
-let ro = { read = true; write = false; exec = false }
 let rw = { read = true; write = true; exec = false }
 let rx = { read = true; write = false; exec = true }
-let rwx = { read = true; write = true; exec = true }
 let xo = { read = false; write = false; exec = true }
 
 let to_string p =
@@ -12,5 +10,3 @@ let to_string p =
     (if p.read then 'r' else '-')
     (if p.write then 'w' else '-')
     (if p.exec then 'x' else '-')
-
-let equal a b = a = b

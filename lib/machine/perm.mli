@@ -7,14 +7,11 @@
 type t = { read : bool; write : bool; exec : bool }
 
 val none : t
-val ro : t
 val rw : t
 val rx : t
-val rwx : t
 
 (** Execute-only: fetchable but neither readable nor writable — the
     leakage-resilience prerequisite of Section 4. *)
 val xo : t
 
 val to_string : t -> string
-val equal : t -> t -> bool

@@ -160,9 +160,7 @@ let calls t = t.cpu.Cpu.calls
 let max_depth t = t.cpu.Cpu.max_depth
 let icache_misses t = Icache.misses t.cpu.Cpu.icache
 let icache_accesses t = Icache.accesses t.cpu.Cpu.icache
-let fuel_left t = t.fuel_left
 let maxrss_bytes t = Mem.max_mapped_pages t.cpu.Cpu.mem * Addr.page_size
 let jit_stats t = t.jit_stats
 let output t = Cpu.output t.cpu
 let sensitive_log t = t.cpu.Cpu.sensitive_log
-let detected t = t.detections <> []

@@ -124,9 +124,6 @@ val icache_misses : t -> int
 
 val icache_accesses : t -> int
 
-(** [fuel_left t] — remaining lifetime fuel. *)
-val fuel_left : t -> int
-
 (** [maxrss_bytes t] — peak resident set, the Section 6.2.5 metric. *)
 val maxrss_bytes : t -> int
 
@@ -137,6 +134,3 @@ val jit_stats : t -> Jit.stats option
 
 val output : t -> string
 val sensitive_log : t -> (int * int) list
-
-(** [detected t] — true if any booby trap or guard page fired so far. *)
-val detected : t -> bool

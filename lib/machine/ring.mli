@@ -2,13 +2,6 @@
     debugging diversified binaries and for post-mortem views of attack
     runs (what did the victim execute right before the booby trap?). *)
 
-type record = {
-  rip : int;
-  insn : Insn.t;
-  rsp : int;  (** after the instruction ran *)
-  symbol : string option;  (** function covering [rip], if compiled code *)
-}
-
 type t
 
 (** [create ~capacity] — keeps the last [capacity] records. *)
@@ -27,9 +20,7 @@ val copy : t -> t
     can coexist with a profiler ({!Cpu.attach_observer}). *)
 val attach : ?tee:bool -> t -> Cpu.t -> unit
 
-(** [records t] — oldest first. *)
-val records : t -> record list
-
-(** [pp_tail t ~n] — the last [n] records, one per line, annotated with
-    function names. *)
+(** [pp_tail t ~n] — the last [n] records, oldest first, one per line:
+    address, instruction, [rsp] after the instruction ran, and [; name]
+    of the function covering the address when it is compiled code. *)
 val pp_tail : t -> n:int -> string

@@ -1,9 +1,9 @@
-type phase = Complete of int | Instant
+type phase = Complete of int  (* duration in cycles *) | Instant
 
 type event = {
   name : string;
   cat : string;
-  ts : int;
+  ts : int;  (* simulated-cycle timestamp *)
   tid : int;
   ph : phase;
   args : (string * string) list;
@@ -37,8 +37,6 @@ let count ?cat t =
   match cat with
   | None -> t.n
   | Some c -> List.length (List.filter (fun e -> e.cat = c) t.evs)
-
-let dropped t = t.dropped
 
 let event_json e =
   let base =

@@ -11,17 +11,6 @@
     dispatcher/supervisor, worker [w] is thread [w + 1]. The timeline is
     bounded: past [limit] events, new ones are counted but dropped. *)
 
-type phase = Complete of int  (** duration in cycles *) | Instant
-
-type event = {
-  name : string;
-  cat : string;
-  ts : int;  (** simulated-cycle timestamp *)
-  tid : int;
-  ph : phase;
-  args : (string * string) list;
-}
-
 type t
 
 (** [create ?limit ()] — default limit 200_000 events. *)
@@ -37,18 +26,13 @@ val instant :
   ?cat:string -> ?tid:int -> ?args:(string * string) list ->
   t -> name:string -> ts:int -> unit
 
-(** [events t] — oldest first. *)
-val events : t -> event list
-
 (** [count ?cat t] — number of recorded events, optionally only those in
     a category. *)
 val count : ?cat:string -> t -> int
 
-(** [dropped t] — events discarded past the limit. *)
-val dropped : t -> int
-
 (** [to_chrome t] — a Chrome [trace_event] document:
-    [{"traceEvents": [...], ...}]. *)
+    [{"traceEvents": [...], "otherData": {"dropped": n, ...}, ...}], [n]
+    the events discarded past the limit. *)
 val to_chrome : t -> string
 
 (** [to_jsonl t] — one JSON object per line, oldest first. *)

@@ -53,15 +53,6 @@ let observe h v =
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum +. float_of_int v
 
-let counter_value t name =
-  match find t name with Some { reading = Counter read; _ } -> read () | _ -> raise Not_found
-
-let gauge_value t name =
-  match find t name with Some { reading = Gauge read; _ } -> read () | _ -> raise Not_found
-
-let hist_count h = h.h_count
-let hist_sum h = h.h_sum
-
 let percentile h p =
   if h.h_count = 0 then 0
   else begin
@@ -109,26 +100,3 @@ let expose t =
           Buffer.add_string buf (Printf.sprintf "%s_count %d\n" name h.h_count))
     (items_in_order t);
   Buffer.contents buf
-
-let to_json t =
-  let item_json { name; reading; _ } =
-    let typ = ("type", Json.Str (kind reading)) in
-    match reading with
-    | Counter read -> (name, Json.Obj [ typ; ("value", Json.Int (read ())) ])
-    | Gauge read -> (name, Json.Obj [ typ; ("value", Json.Float (read ())) ])
-    | Histogram h ->
-        let top = top_bucket h in
-        let buckets =
-          List.init (top + 1) (fun i ->
-              Json.Obj [ ("le", Json.Int (bucket_bound i)); ("n", Json.Int h.buckets.(i)) ])
-        in
-        ( name,
-          Json.Obj
-            [
-              typ;
-              ("count", Json.Int h.h_count);
-              ("sum", Json.Float h.h_sum);
-              ("buckets", Json.Arr buckets);
-            ] )
-  in
-  Json.Obj (List.map item_json (items_in_order t))

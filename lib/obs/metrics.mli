@@ -1,10 +1,10 @@
 (** Metrics registry: counters, gauges, and log-bucketed histograms with a
-    Prometheus-style text exposition and a JSON dump.
+    Prometheus-style text exposition.
 
     The registry reads counts and owns only samples. A counter or gauge is
     registered with a function that reads the total from the code that
     keeps it (a pool's stats, a fleet's clock, a profiler's totals), and
-    {!expose} and {!to_json} call it when they render, so no count is
+    {!expose} calls it when it renders, so no count is
     stored twice. A histogram keeps its own samples, since nothing else
     does. The machine, pool and harness layers register into a registry
     when one is attached; nothing in the hot path touches a registry
@@ -38,24 +38,6 @@ val histogram : ?help:string -> t -> string -> histogram
 (** [observe h v] — record a (non-negative) sample. *)
 val observe : histogram -> int -> unit
 
-(** Reads. [counter_value] and [gauge_value] raise [Not_found] when no
-    instrument of that kind has the name. *)
-
-val counter_value : t -> string -> int
-
-val gauge_value : t -> string -> float
-
-val hist_count : histogram -> int
-
-val hist_sum : histogram -> float
-
-(** [bucket_of v] — the bucket index a value lands in (exposed for
-    tests). *)
-val bucket_of : int -> int
-
-(** [bucket_bound i] — inclusive upper bound of bucket [i] ([2^i]). *)
-val bucket_bound : int -> int
-
 (** [percentile h p] — nearest-rank percentile ([0 < p <= 100]) as the
     upper bound of the bucket containing that rank; 0 on an empty
     histogram. *)
@@ -63,6 +45,3 @@ val percentile : histogram -> float -> int
 
 (** [expose t] — Prometheus text exposition format. *)
 val expose : t -> string
-
-(** [to_json t] — the whole registry as one JSON object. *)
-val to_json : t -> Json.t

@@ -230,7 +230,6 @@ let observer t (cpu : Cpu.t) : Cpu.observer =
 
 let attach ?tee t cpu = Cpu.attach_observer ?tee cpu (observer t cpu)
 
-let detach cpu = Cpu.set_observer cpu None
 
 let row_of t i =
   {

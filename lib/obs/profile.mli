@@ -55,9 +55,6 @@ val create : profile:Cost.profile -> Image.t -> t
     profiler can ride alongside a trace ring (see {!Cpu.attach_observer}). *)
 val attach : ?tee:bool -> t -> Cpu.t -> unit
 
-(** [detach cpu] — remove whatever observer is installed. *)
-val detach : Cpu.t -> unit
-
 (** [rows t] — per-function rows, descending by cycles; only functions
     that executed at least one instruction appear. *)
 val rows : t -> row list
@@ -66,17 +63,14 @@ val rows : t -> row list
     construction equals the observed CPUs' own cycle/insn/miss totals. *)
 val total : t -> row
 
-(** [edges t] — (caller, callee, count) call edges in a total order:
-    count descending, then caller name, then callee name. *)
-val edges : t -> (string * string * int) list
-
-(** [fingerprint t] — the total, every row and every edge in one string,
+(** [fingerprint t] — the total, every row and every call edge in one string,
     floats as IEEE-754 bits: two profiles are bit-identical exactly when
     their fingerprints are equal. *)
 val fingerprint : t -> string
 
 (** [report ?top ?title t] — ASCII "top functions" table plus the hottest
-    call edges. *)
+    call edges ([caller -> callee count], count descending, then caller
+    name, then callee name). *)
 val report : ?top:int -> ?title:string -> t -> string
 
 (** [publish t ~prefix metrics] — counters ([<prefix>_cycles_total],

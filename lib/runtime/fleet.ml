@@ -8,8 +8,6 @@ type config = {
   queue_bound : int;
   arrival_cycles : int;
   epoch_cycles : int;
-  rotate_detections : int;
-  canary : string;
   quarantine_detections : int;
   quarantine_cycles : int;
   jobs : int;
@@ -23,8 +21,6 @@ let default_config =
     queue_bound = 32;
     arrival_cycles = 800;
     epoch_cycles = 18_000_000;
-    rotate_detections = 0;
-    canary = "GET /healthz";
     quarantine_detections = 3;
     quarantine_cycles = 200_000;
     jobs = 0;
@@ -38,10 +34,12 @@ let default_config =
       };
   }
 
-(* Cross-shard retries of a rejected request; rebuilds of a shard whose
-   new-epoch canary failed; quarantine at this many failures among a
-   shard's last [quarantine_window] outcomes; and the healthy-shard count
-   below which the balancer panics. *)
+(* The warmup payload each new-epoch worker serves; cross-shard retries of
+   a rejected request; rebuilds of a shard whose new-epoch canary failed;
+   quarantine at this many failures among a shard's last
+   [quarantine_window] outcomes; and the healthy-shard count below which
+   the balancer panics. *)
+let canary = "GET /healthz"
 let hedge_retries = 3
 let canary_retries = 3
 let quarantine_failures = 8
@@ -100,7 +98,6 @@ type shard = {
 
 type rotation = {
   started : int;
-  reason : string;
   mutable pending : (int * Pool.t) list;  (* shard idx, warmed pool *)
 }
 
@@ -117,7 +114,6 @@ type t = {
   mutable clock : int;
   mutable epoch : int;
   mutable last_rotation : int;
-  mutable det_at_rotation : int;
   mutable rotating : rotation option;
 }
 
@@ -205,7 +201,7 @@ let create ?(cfg = default_config) ?obs ~build ~break_sym () =
      before the fleet clock begins. *)
   List.iter
     (fun p ->
-      ignore (warm_pool ~workers:cfg.shard.Pool.workers ~canary:cfg.canary p))
+      ignore (warm_pool ~workers:cfg.shard.Pool.workers ~canary p))
     pools;
   let clock0 = List.fold_left (fun acc p -> max acc (Pool.clock p)) 0 pools in
   (* The shard gauges read the fleet clock, which [t] below will hold. *)
@@ -259,10 +255,6 @@ let create ?(cfg = default_config) ?obs ~build ~break_sym () =
       clock = clock0;
       epoch = 0;
       last_rotation = clock0;
-      (* Canary crashes during warmup can already be detections; the
-         reactive trigger counts only detections since serving began. *)
-      det_at_rotation =
-        List.fold_left (fun acc p -> acc + (Pool.stats p).Pool.detections) 0 pools;
       rotating = None;
     }
   in
@@ -355,11 +347,11 @@ let finish_rotation t r =
   t.stats.rotations <- t.stats.rotations + 1;
   ev t (fun sink ->
       Obs.Events.complete ~cat:"rotation"
-        ~args:[ ("epoch", string_of_int t.epoch); ("reason", r.reason) ]
+        ~args:[ ("epoch", string_of_int t.epoch) ]
         sink.Obs.Sink.events ~name:"epoch-rotation" ~ts:r.started
         ~dur:(t.clock - r.started))
 
-let start_rotation t ~reason =
+let start_rotation t =
   (* Background compile: every shard gets a freshly seeded image, fanned
      out over the Domain pool; the serving path does not wait, so no
      fleet-clock cycles are charged. Then warm each new pool with the
@@ -370,7 +362,7 @@ let start_rotation t ~reason =
     List.mapi
       (fun i p ->
         let rec warm p tries =
-          if warm_pool ~workers:t.cfg.shard.Pool.workers ~canary:t.cfg.canary p then
+          if warm_pool ~workers:t.cfg.shard.Pool.workers ~canary p then
             Some p
           else begin
             t.stats.canary_failures <- t.stats.canary_failures + 1;
@@ -392,22 +384,18 @@ let start_rotation t ~reason =
       Obs.Events.instant ~cat:"rotation"
         ~args:
           [
-            ("reason", reason);
             ("epoch", string_of_int (t.epoch + 1));
             ("warmed", string_of_int (List.length pending));
           ]
         sink.Obs.Sink.events ~name:"rotation-start" ~ts:t.clock);
-  t.det_at_rotation <-
-    (let tot = pool_totals t in
-     tot.Pool.detections);
-  let r = { started = t.clock; reason; pending } in
+  let r = { started = t.clock; pending } in
   (* Even if every canary failed, the epoch still turns over (nothing to
      drain): diversity freshness is lost this round, availability is not. *)
   if pending = [] then finish_rotation t r else t.rotating <- Some r
 
-(* One rotation step per arrival: either trigger a new rotation or swap
-   the next pending shard. Swaps are atomic between arrivals — the old
-   pool serves up to the instant its replacement takes over — which is
+(* One rotation step per arrival: either start the epoch timer's rotation
+   or swap the next pending shard. Swaps are atomic between arrivals — the
+   old pool serves up to the instant its replacement takes over — which is
    what makes rotation-caused drops structurally zero. *)
 let rotation_tick t =
   match t.rotating with
@@ -419,17 +407,8 @@ let rotation_tick t =
           r.pending <- rest;
           if rest = [] then finish_rotation t r)
   | None ->
-      let timer =
-        t.cfg.epoch_cycles > 0 && t.clock - t.last_rotation >= t.cfg.epoch_cycles
-      in
-      let reactive =
-        t.cfg.rotate_detections > 0
-        &&
-        let tot = pool_totals t in
-        tot.Pool.detections - t.det_at_rotation >= t.cfg.rotate_detections
-      in
-      if timer || reactive then
-        start_rotation t ~reason:(if reactive then "reactive" else "timer")
+      if t.cfg.epoch_cycles > 0 && t.clock - t.last_rotation >= t.cfg.epoch_cycles then
+        start_rotation t
 
 (* --- dispatch --- *)
 
@@ -569,4 +548,3 @@ let availability s =
 
 let percentile t p = Obs.Metrics.percentile t.request_cycles p
 let shard_percentile t i p = Obs.Metrics.percentile t.shards.(i).latency p
-let sink t = t.sink

@@ -23,12 +23,12 @@
     fleet clock at dispatch ({!Pool.advance_clock}), so respawn downtimes
     elapse in fleet time.
 
-    {b Epoch rotation.} On a cycle timer ([epoch_cycles]) or a reactive
-    detection trigger ([rotate_detections]), the fleet compiles one
-    freshly-seeded image per shard in the background — fanned out over
-    {!R2c_util.Parallel}, charged zero fleet-clock cycles because serving
-    does not wait on it — warms each new pool with a canary request
-    (rebuilding under a new seed on canary failure, at most 3 times),
+    {b Epoch rotation.} On a cycle timer ([epoch_cycles]) the fleet
+    compiles one freshly-seeded image per shard in the background — fanned
+    out over {!R2c_util.Parallel}, charged zero fleet-clock cycles because
+    serving does not wait on it — warms each new pool with a canary
+    request ([GET /healthz], one per worker; rebuilding under a new seed
+    on canary failure, at most 3 times),
     then drains traffic epoch-by-epoch: one shard per
     subsequent arrival atomically swaps to its warmed pool and the old
     pool retires through {!Pool.shutdown}. A swap happens between
@@ -37,7 +37,10 @@
     candidate set: rotation-caused drops are structurally zero, and
     [stats.rotation_drops] measures that the implementation keeps the
     promise (it counts any request that sheds or terminally fails after
-    touching a shut-down pool — the signature of a rotation bug). *)
+    touching a shut-down pool — the signature of a rotation bug). A
+    detection is answered by the shard pool's restart policy (under
+    {!Policy.Reactive}, a rerandomizing respawn) and by quarantine; it
+    does not turn the fleet's epoch over. *)
 
 type config = {
   shards : int;  (** shard count *)
@@ -46,10 +49,6 @@ type config = {
                           past this sheds *)
   arrival_cycles : int;  (** fleet-clock advance per arrival *)
   epoch_cycles : int;  (** rotate every N cycles; 0 = timer off *)
-  rotate_detections : int;  (** reactive rotation after N fleet-wide
-                                detections since the last rotation;
-                                0 = trigger off *)
-  canary : string;  (** warmup payload served by each new-epoch pool *)
   quarantine_detections : int;  (** quarantine at N shard detections *)
   quarantine_cycles : int;  (** quarantine duration *)
   jobs : int;  (** Domain-pool width for background compiles; 0 = auto.
@@ -128,5 +127,3 @@ val percentile : t -> float -> int
     p50/p99, and the basis of per-shard SLO checks. *)
 val shard_percentile : t -> int -> float -> int
 
-(** [sink t] — the observability sink the fleet publishes into. *)
-val sink : t -> R2c_obs.Sink.t

@@ -91,6 +91,5 @@ module Backoff_state = struct
     end
     else false
 
-  let quarantined s ~now = now < s.quarantined_until
   let quarantined_until s = s.quarantined_until
 end

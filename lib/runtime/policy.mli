@@ -58,6 +58,7 @@ module Backoff_state : sig
       [now + quarantine]). *)
   val record_crash : s -> now:int -> bool
 
-  val quarantined : s -> now:int -> bool
+  (** [quarantined_until s] — the worker is quarantined while the clock is
+      below it. *)
   val quarantined_until : s -> int
 end

@@ -663,10 +663,6 @@ let shutdown t =
 let sensitive_log t =
   Array.fold_left (fun acc w -> Process.sensitive_log w.proc @ acc) t.sensitive t.workers
 
-let availability s =
-  let total = s.served + s.dropped in
-  if total = 0 then 1.0 else float_of_int s.served /. float_of_int total
-
 let mttr s =
   if s.recoveries = 0 then None
   else Some (float_of_int s.recovery_cycles /. float_of_int s.recoveries)

@@ -160,9 +160,6 @@ val escalated : t -> bool
     alive: (builtin address, first-arg) pairs. Compromise evidence. *)
 val sensitive_log : t -> (int * int) list
 
-(** [availability s] — served / (served + dropped); 1.0 with no traffic. *)
-val availability : stats -> float
-
 (** [mttr s] — mean downtime per recovery, in cycles. *)
 val mttr : stats -> float option
 

@@ -26,27 +26,6 @@ let median_int xs =
   let n = Array.length s in
   if n mod 2 = 1 then s.(n / 2) else s.((n / 2) - 1)
 
-let stddev xs =
-  let m = mean xs in
-  let var =
-    List.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 xs
-    /. float_of_int (List.length xs)
-  in
-  sqrt var
-
-let percentile p xs =
-  require_nonempty xs;
-  if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
-  let s = Array.of_list (sorted xs) in
-  let n = Array.length s in
-  let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
-  let rank = max 1 (min n rank) in
-  s.(rank - 1)
-
-let minimum xs =
-  require_nonempty xs;
-  List.fold_left min (List.hd xs) xs
-
 let maximum xs =
   require_nonempty xs;
   List.fold_left max (List.hd xs) xs
@@ -83,8 +62,3 @@ let cluster ~gap values =
             else walk acc (v :: current) v tl
       in
       walk [] [ first ] first rest
-
-let cluster_size c = List.length c.members
-
-let clusters_by_size cs =
-  List.sort (fun a b -> compare (cluster_size b) (cluster_size a)) cs

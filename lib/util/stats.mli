@@ -17,15 +17,7 @@ val median : float list -> float
 (** [median_int xs] — integer median (lower middle for even lengths). *)
 val median_int : int list -> int
 
-(** [stddev xs] — population standard deviation. *)
-val stddev : float list -> float
-
-(** [percentile p xs] — the [p]-th percentile (0..100), nearest-rank. *)
-val percentile : float -> float list -> float
-
-(** [minimum xs] / [maximum xs] on non-empty lists. *)
-val minimum : float list -> float
-
+(** [maximum xs] on a non-empty list. *)
 val maximum : float list -> float
 
 (** [pearson xs ys] — Pearson correlation coefficient of two equal-length
@@ -46,10 +38,3 @@ type cluster = {
     data, heap, stack) separated by huge gaps. Result is ordered by
     ascending [lo]. *)
 val cluster : gap:int -> int list -> cluster list
-
-(** [clusters_by_size cs] orders clusters by descending member count — the
-    AOCR attacker identifies "the third largest cluster" as heap pointers. *)
-val clusters_by_size : cluster list -> cluster list
-
-(** [cluster_size c] — number of members. *)
-val cluster_size : cluster -> int

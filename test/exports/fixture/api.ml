@@ -1,5 +1,7 @@
 let used x = x + 1
 let unused = 0
+let tested = 0
+let hooked = 0
 
 module Inner = struct
   let deep = 1

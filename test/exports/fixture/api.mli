@@ -2,6 +2,12 @@ val used : int -> int
 val unused : int
 (** Rule (a): no other unit uses it. *)
 
+val tested : int
+(** Rule (d): only a test unit uses it. *)
+
+val hooked : int
+(** Only a test unit uses it, and [hooks] declares it. *)
+
 module Inner : sig
   val deep : int
 end

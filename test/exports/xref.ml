@@ -8,7 +8,11 @@
    stay apart. A module alias ([module B = Builder], [let module ...]) is
    followed to its target; any other use of a whole module (an [include], a
    functor argument, a packed first-class module) counts as a use of every
-   value it exports. *)
+   value it exports.
+
+   A [.cmt] under one of the test directories is a test unit. Its uses go
+   into tables of their own: a value whose only outside users are tests is
+   not used, it is kept alive by its tests (rule [d]). *)
 
 open Typedtree
 
@@ -21,8 +25,10 @@ type t = {
   values : (string, unit) Hashtbl.t;  (** exported value keys *)
   records : (string, record) Hashtbl.t;  (** exported record type keys *)
   value_uses : (string, string) Hashtbl.t;  (** key -> using unit, one binding per use *)
-  field_uses : (string * access, unit) Hashtbl.t;  (** record key, access kind *)
+  test_uses : (string, string) Hashtbl.t;  (** the same, from test units *)
+  field_uses : (string * access, unit) Hashtbl.t;  (** record key, access kind, tests included *)
   whole : (string, unit) Hashtbl.t;  (** module keys used as a whole *)
+  test_whole : (string, unit) Hashtbl.t;  (** the same, from test units *)
   mutable cmt_dirs : string list;  (** the directory of each [.cmt] read *)
 }
 
@@ -78,11 +84,12 @@ let rec alias_target me =
   | Tmod_constraint (me, _, _, _) -> alias_target me
   | _ -> None
 
-let scan_uses t unit str =
+let scan_uses t ~test unit str =
   let aliases = ref [] in
   let outside k = if unit_of k <> unit then Some k else None in
+  let value_uses, whole = if test then (t.test_uses, t.test_whole) else (t.value_uses, t.whole) in
   let use_value p =
-    Option.iter (fun k -> Hashtbl.add t.value_uses k unit) (Option.bind (key t aliases p) outside)
+    Option.iter (fun k -> Hashtbl.add value_uses k unit) (Option.bind (key t aliases p) outside)
   in
   let use_label access (l : Types.label_description) =
     match Types.get_desc l.lbl_res with
@@ -122,7 +129,7 @@ let scan_uses t unit str =
   let module_expr it me =
     (match me.mod_desc with
     | Tmod_ident (p, _) ->
-        Option.iter (fun k -> Hashtbl.replace t.whole k ()) (Option.bind (key t aliases p) outside)
+        Option.iter (fun k -> Hashtbl.replace whole k ()) (Option.bind (key t aliases p) outside)
     | _ -> ());
     default.module_expr it me
   in
@@ -156,18 +163,20 @@ let rec scan_exports t prefix (sg : signature) =
       | _ -> ())
     sg.sig_items
 
-(* [scan ~root ~interfaces ~uses] reads [root/d] for each directory [d]:
-   exports from the [.cmti] files under [interfaces], uses from the [.cmt]
-   files under [uses]. *)
-let scan ~root ~interfaces ~uses =
+(* [scan ~root ~interfaces ~uses ~tests] reads [root/d] for each directory
+   [d]: exports from the [.cmti] files under [interfaces], uses from the
+   [.cmt] files under [uses]; a [.cmt] under one of [tests] is a test unit. *)
+let scan ~root ~interfaces ~uses ~tests =
   let t =
     {
       units = Hashtbl.create 256;
       values = Hashtbl.create 1024;
       records = Hashtbl.create 256;
       value_uses = Hashtbl.create 8192;
+      test_uses = Hashtbl.create 4096;
       field_uses = Hashtbl.create 1024;
       whole = Hashtbl.create 64;
+      test_whole = Hashtbl.create 64;
       cmt_dirs = [];
     }
   in
@@ -179,51 +188,76 @@ let scan ~root ~interfaces ~uses =
         |> List.map (fun f ->
                let info = Cmt_format.read_cmt f in
                Hashtbl.replace t.units info.cmt_modname ();
-               (d, info)))
+               (d, f, info)))
       dirs
   in
   let cmtis = read ".cmti" interfaces in
   let cmts = read ".cmt" uses in
+  let under f d =
+    let d = Filename.concat root d ^ "/" in
+    String.length f > String.length d && String.sub f 0 (String.length d) = d
+  in
   List.iter
-    (fun (_, (info : Cmt_format.cmt_infos)) ->
+    (fun (_, _, (info : Cmt_format.cmt_infos)) ->
       match info.cmt_annots with
       | Interface sg -> scan_exports t info.cmt_modname sg
       | _ -> ())
     cmtis;
   List.iter
-    (fun (d, (info : Cmt_format.cmt_infos)) ->
+    (fun (d, f, (info : Cmt_format.cmt_infos)) ->
       match info.cmt_annots with
       | Implementation str ->
           t.cmt_dirs <- d :: t.cmt_dirs;
-          scan_uses t info.cmt_modname str
+          scan_uses t ~test:(List.exists (under f) tests) info.cmt_modname str
       | _ -> ())
     cmts;
   t
 
-let wholly_used t k =
+let wholly_used whole k =
   let rec up k =
     match String.rindex_opt k '.' with
     | None -> false
     | Some i ->
         let m = String.sub k 0 i in
-        Hashtbl.mem t.whole m || up m
+        Hashtbl.mem whole m || up m
   in
   up k
 
+let used t k = Hashtbl.mem t.value_uses k || wholly_used t.whole k
+let test_used t k = Hashtbl.mem t.test_uses k || wholly_used t.test_whole k
+
 let sorted tbl = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
 
-(* The three rules, each finding as [(rule, display key)]:
-   - [a]: an exported value that no other unit uses;
+(* The four rules, each finding as [(rule, display key)]:
+   - [a]: an exported value that no other unit uses, tests included;
    - [b]: an exported record type whose fields no other unit reads, writes
      or constructs;
    - [c]: an exported record type with a [mutable] field, not [private],
-     that other units read but never write or construct. *)
-let findings t =
-  let used k access = Hashtbl.mem t.field_uses (k, access) in
-  let a =
-    List.filter (fun k -> not (Hashtbl.mem t.value_uses k || wholly_used t k)) (sorted t.values)
-    |> List.map (fun k -> ("a", display k))
+     that other units read but never write or construct;
+   - [d]: an exported value that only test units use outside its own, unless
+     [hooks] names it with a test unit that uses it.
+   [hooks] pairs a display key with a test file ([test_jit.ml]); a hook that
+   exempts no would-be [d] finding is one more finding, rule [hook]. *)
+let findings ?(hooks = []) t =
+  let values = List.filter (fun k -> not (used t k)) (sorted t.values) in
+  let a = List.filter (fun k -> not (test_used t k)) values |> List.map (fun k -> ("a", display k)) in
+  let by_tests = List.filter (test_used t) values in
+  let hooked k (name, file) =
+    let unit = String.capitalize_ascii (Filename.remove_extension file) in
+    name = display k
+    && List.exists
+         (fun u -> u = unit || String.ends_with ~suffix:("." ^ unit) (display u))
+         (Hashtbl.find_all t.test_uses k)
   in
+  let d =
+    List.filter (fun k -> not (List.exists (hooked k) hooks)) by_tests
+    |> List.map (fun k -> ("d", display k))
+  in
+  let stale =
+    List.filter (fun h -> not (List.exists (fun k -> hooked k h) by_tests)) hooks
+    |> List.map (fun (name, _) -> ("hook", name))
+  in
+  let used k access = Hashtbl.mem t.field_uses (k, access) in
   let records = sorted t.records in
   let b =
     List.filter (fun k -> not (used k Read || used k Write || used k Construct)) records
@@ -237,17 +271,21 @@ let findings t =
       records
     |> List.map (fun k -> ("c", display k))
   in
-  a @ b @ c
+  a @ b @ c @ d @ stale
 
-(* Every export with the units that use it, for reading by hand. *)
+(* Every export with the units that use it, test units after a [|], for
+   reading by hand. *)
 let report t =
   let b = Buffer.create 4096 in
+  let users uses whole k =
+    match List.sort_uniq compare (Hashtbl.find_all uses k) with
+    | [] when wholly_used whole k -> "(module used whole)"
+    | us -> String.concat " " (List.map display us)
+  in
   List.iter
     (fun k ->
-      let users = List.sort_uniq compare (Hashtbl.find_all t.value_uses k) in
-      Printf.bprintf b "val  %s  %s\n" (display k)
-        (if users = [] && wholly_used t k then "(module used whole)"
-         else String.concat " " (List.map display users)))
+      Printf.bprintf b "val  %s  %s | %s\n" (display k) (users t.value_uses t.whole k)
+        (users t.test_uses t.test_whole k))
     (sorted t.values);
   List.iter
     (fun k ->

@@ -11,6 +11,8 @@ module Victim = R2c_attacks.Victim
 module Payload = R2c_attacks.Payload
 module Suite = R2c_attacks.Suite
 module Defenses = R2c_defenses.Defenses
+
+let aslr = Option.get (Defenses.find "aslr")
 module Vulnapp = R2c_workloads.Vulnapp
 module Rng = R2c_util.Rng
 module Process = R2c_machine.Process
@@ -78,7 +80,7 @@ let test_rop_vs_r2c () =
 let test_rop_vs_aslr_fails () =
   let runs =
     trials 3 (fun seed ->
-        let reference, target = Suite.scenario Defenses.aslr ~seed in
+        let reference, target = Suite.scenario aslr ~seed in
         Rop.run ~reference ~target)
   in
   Alcotest.(check int) "rop blind vs ASLR fails" 0 (rate runs)
@@ -91,7 +93,7 @@ let test_jitrop_vs_unprotected () =
 
 let test_jitrop_vs_aslr () =
   (* Runtime disclosure defeats sliding. *)
-  let reference, target = Suite.scenario Defenses.aslr ~seed:4 in
+  let reference, target = Suite.scenario aslr ~seed:4 in
   check_result "jitrop vs aslr" ~expect_success:true (Jitrop.run ~reference ~target)
 
 let test_jitrop_vs_xom () =
@@ -110,7 +112,7 @@ let test_jitrop_vs_xom () =
 (* --- indirect JIT-ROP --- *)
 
 let test_indirect_vs_aslr () =
-  let reference, target = Suite.scenario Defenses.aslr ~seed:8 in
+  let reference, target = Suite.scenario aslr ~seed:8 in
   check_result "indirect vs aslr" ~expect_success:true
     (Indirect_jitrop.run ~reference ~target)
 
@@ -138,7 +140,7 @@ let test_aocr_vs_unprotected () =
     (Aocr.run ~rng:(Rng.create 1) ~reference ~target)
 
 let test_aocr_vs_aslr () =
-  let reference, target = Suite.scenario Defenses.aslr ~seed:12 in
+  let reference, target = Suite.scenario aslr ~seed:12 in
   check_result "aocr vs aslr" ~expect_success:true
     (Aocr.run ~rng:(Rng.create 2) ~reference ~target)
 
@@ -171,7 +173,7 @@ let test_aocr_vs_r2c () =
 (* --- PIROP --- *)
 
 let test_pirop_vs_aslr () =
-  let reference, target = Suite.scenario Defenses.aslr ~seed:18 in
+  let reference, target = Suite.scenario aslr ~seed:18 in
   check_result "pirop vs aslr" ~expect_success:true
     (Pirop.run ~reference ~target)
 

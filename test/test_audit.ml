@@ -68,8 +68,9 @@ let test_lint_clean_checked () =
   check_clean "r2c-checked" checked_expect (Lazy.force checked_img)
 
 let test_lint_flags_rwx_text () =
-  let img = { (Lazy.force baseline_img) with Image.text_perm = Perm.rwx } in
-  let fs = Lint.run ~expect:Lint.relaxed img in
+  let rwx = { Perm.read = true; write = true; exec = true } in
+  let img = { (Lazy.force baseline_img) with Image.text_perm = rwx } in
+  let fs = Lint.run ~expect:(Lint.expect_of_dconfig Dconfig.baseline) img in
   Alcotest.(check bool) "rwx flagged" true
     (List.exists (fun (f : Lint.finding) -> f.rule = "wx") fs)
 
@@ -78,9 +79,13 @@ let rules_of fs = List.sort_uniq compare (List.map (fun (f : Lint.finding) -> f.
 let test_mutation_flagged m () =
   let img = Selfcheck.apply m (Lazy.force checked_img) in
   let fs = Lint.run ~expect:checked_expect img in
+  let expected =
+    (List.find (fun (o : Selfcheck.outcome) -> o.mutation = m)
+       (Selfcheck.run ~expect:checked_expect (Lazy.force checked_img)))
+      .expected
+  in
   Alcotest.(check bool) "findings present" true (fs <> []);
-  Alcotest.(check (list string)) "exactly the expected rule"
-    [ Selfcheck.expected_rule m ] (rules_of fs)
+  Alcotest.(check (list string)) "exactly the expected rule" [ expected ] (rules_of fs)
 
 let test_selfcheck_all_ok () =
   let outcomes = Selfcheck.run ~expect:checked_expect (Lazy.force checked_img) in

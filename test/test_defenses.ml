@@ -2,6 +2,11 @@ module Defenses = R2c_defenses.Defenses
 module Oracle = R2c_attacks.Oracle
 open R2c_machine
 
+let model name = Option.get (Defenses.find name)
+let aslr = model "aslr"
+let codearmor = model "CodeArmor"
+let krx = model "kR^X"
+
 let test_all_models_listed () =
   Alcotest.(check (list string)) "table order"
     [ "unprotected"; "aslr"; "CodeArmor"; "TASR"; "StackArmor"; "Readactor"; "kR^X"; "R2C" ]
@@ -40,7 +45,7 @@ let test_cph_hides_function_pointers () =
     slot_values
 
 let test_cph_trampolines_execute () =
-  let img = Defenses.build_vulnapp Defenses.codearmor ~seed:9 in
+  let img = Defenses.build_vulnapp codearmor ~seed:9 in
   let p = Process.start img in
   match Process.run p with
   | Process.Exited 0 -> ()
@@ -48,24 +53,24 @@ let test_cph_trampolines_execute () =
 
 let test_unprotected_has_readable_text () =
   let img = Defenses.build_vulnapp Defenses.unprotected ~seed:3 in
-  Alcotest.(check bool) "rx text" true (Perm.equal img.Image.text_perm Perm.rx)
+  Alcotest.(check bool) "rx text" true (img.Image.text_perm = Perm.rx)
 
 let test_xom_models () =
   List.iter
     (fun (d : Defenses.t) ->
       let img = Defenses.build_vulnapp d ~seed:3 in
       Alcotest.(check bool) (d.Defenses.name ^ " execute-only") true
-        (Perm.equal img.Image.text_perm Perm.xo))
-    [ Defenses.codearmor; Defenses.readactor; Defenses.krx; Defenses.r2c ]
+        (img.Image.text_perm = Perm.xo))
+    [ codearmor; Defenses.readactor; krx; Defenses.r2c ]
 
 let test_aslr_models_slide () =
-  let a = Defenses.build_vulnapp Defenses.aslr ~seed:1 in
-  let b = Defenses.build_vulnapp Defenses.aslr ~seed:2 in
+  let a = Defenses.build_vulnapp aslr ~seed:1 in
+  let b = Defenses.build_vulnapp aslr ~seed:2 in
   Alcotest.(check bool) "text slides differ" true (a.Image.text_base <> b.Image.text_base)
 
 let test_krx_single_decoy () =
   (* kR^X: exactly one decoy after the return address, none before. *)
-  match Defenses.krx.Defenses.cfg.R2c_core.Dconfig.btra with
+  match krx.Defenses.cfg.R2c_core.Dconfig.btra with
   | Some b ->
       Alcotest.(check int) "total" 1 b.R2c_core.Dconfig.total;
       Alcotest.(check int) "max post" 1 b.R2c_core.Dconfig.max_post

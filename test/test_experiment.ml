@@ -67,8 +67,14 @@ let test_front_ends_resolve () =
 let test_finding_json_roundtrip () =
   let detail = "rotation_drops 1 <> 0 \"quoted\"\n\t\xc3\xa9" in
   let f = { E.experiment = "fleet"; check = "rotation_drops"; detail } in
-  Alcotest.(check bool) "parse (to_string (finding_to_json f)) = finding_to_json f" true
-    (J.parse (J.to_string (E.finding_to_json f)) = Ok (E.finding_to_json f));
+  let j = E.to_json "fleet" { E.results = []; findings = [ f ]; jobs = 1; wall_ms = 0.0 } in
+  Alcotest.(check bool) "parse (to_string findings) = findings" true
+    (match J.member "findings" j with
+    | Some (J.Arr [ fj ] as fs) ->
+        J.parse (J.to_string fs) = Ok fs
+        && J.member "detail" fj = Some (J.Str detail)
+        && J.member "check" fj = Some (J.Str "rotation_drops")
+    | _ -> false);
   Alcotest.(check string) "text rendering"
     ("fleet: rotation_drops: " ^ detail ^ "\n")
     (E.findings_to_string [ f ])

@@ -45,12 +45,29 @@ let test_throughput_inverse_cycles () =
 
 let test_table3_glyphs () =
   let open R2c_harness.Table3 in
-  Alcotest.(check string) "protected" "#"
-    (glyph { attack = "x"; trials = 3; successes = 0; detections = 1 });
-  Alcotest.(check string) "broken" "o"
-    (glyph { attack = "x"; trials = 3; successes = 3; detections = 0 });
-  Alcotest.(check string) "partial" "+"
-    (glyph { attack = "x"; trials = 3; successes = 1; detections = 0 })
+  let cell successes = { attack = "x"; trials = 3; successes; detections = 0 } in
+  let row =
+    {
+      defense = "x";
+      measured_overhead = None;
+      icache_miss_pct = None;
+      peak_depth = None;
+      paper_overhead = "";
+      cpp = false;
+      cells = [ cell 0; cell 3; cell 1; cell 2 ];
+    }
+  in
+  let module J = R2c_obs.Json in
+  let glyph column =
+    let det = R2c_harness.Results.(members Det (results [ row ])) in
+    match List.assoc_opt "defenses" det with
+    | Some (J.Arr [ r ]) -> J.member column r
+    | _ -> None
+  in
+  Alcotest.(check bool) "protected" true (glyph "ROP" = Some (J.Str "#"));
+  Alcotest.(check bool) "broken" true (glyph "JIT-ROP" = Some (J.Str "o"));
+  Alcotest.(check bool) "partial" true (glyph "PIROP" = Some (J.Str "+"));
+  Alcotest.(check bool) "most trials is broken" true (glyph "AOCR" = Some (J.Str "o"))
 
 let test_paper_constants_sane () =
   List.iter

@@ -29,6 +29,11 @@ let fuel = 2_000_000
    short, so the default warm-up would leave tier 3 cold. *)
 let hot = { Jit.call_threshold = 1; backedge_threshold = 2 }
 
+(* A hot attachment and the counters it fills. *)
+let attach_hot cpu =
+  let stats = Jit.fresh_stats () in
+  (Jit.attach ~config:hot ~stats cpu, stats)
+
 (* Same oracle as Test_perf: everything the contract covers, cycles as
    IEEE-754 bits. *)
 let fingerprint cpu result =
@@ -65,9 +70,9 @@ let fp_jit_off ~inputs img =
    assert tier 3 actually ran. *)
 let fp_tier3 ~inputs img =
   let cpu = load_fed ~inputs img in
-  let j = Jit.attach ~config:hot cpu in
+  let _, st = attach_hot cpu in
   let fp = fingerprint cpu (Cpu.run cpu ~fuel) in
-  (fp, Jit.stats j)
+  (fp, st)
 
 (* A profiler, a post-mortem ring and a fire counter, tee'd onto [cpu] in
    that order; the thunk reads all three back. *)
@@ -79,7 +84,7 @@ let observe cpu img =
   let fires = ref 0 in
   let count ~cycles:_ ~misses:_ ~called:_ = incr fires in
   Cpu.attach_observer ~tee:true cpu (fun ~rip:_ -> count);
-  fun () -> (Profile.fingerprint pr, Ring.records ring, !fires)
+  fun () -> (Profile.fingerprint pr, Test_obs.ring_lines ring, !fires)
 
 (* One observed run, on tier 3 under [hot] thresholds or on the reference
    tier: its fingerprint, what its observers saw, and the tier-3 stats. *)
@@ -191,9 +196,8 @@ let test_osr_entry () =
   let seed = 7001 + 137 in
   let img = Pipeline.compile ~seed (D.full ()) (Gen.v2 ~seed ()) in
   let cpu = load img in
-  let j = Jit.attach ~config:hot cpu in
+  let _, st = attach_hot cpu in
   ignore (Cpu.run cpu ~fuel);
-  let st = Jit.stats j in
   Alcotest.(check bool) "compiled" true (st.Jit.compiled > 0);
   Alcotest.(check bool) "entered at function entry" true (st.Jit.entry_enters > 0);
   Alcotest.(check bool) "entered via OSR" true (st.Jit.osr_enters > 0);
@@ -256,12 +260,12 @@ let test_builtin_tap () =
   let fp_r = fingerprint cpu_r (Cpu.run_reference cpu_r ~fuel) in
   let cpu_j = load img in
   let n_j = tap cpu_j in
-  let j = Jit.attach ~config:hot cpu_j in
+  let _, st = attach_hot cpu_j in
   let fp_j = fingerprint cpu_j (Cpu.run cpu_j ~fuel) in
   Alcotest.(check string) "fingerprints agree" fp_r fp_j;
   Alcotest.(check int) "tap fire counts agree" !n_r !n_j;
   Alcotest.(check bool) "taps fired" true (!n_r > 0);
-  Alcotest.(check bool) "tier 3 ran under the tap" true ((Jit.stats j).Jit.tier3_insns > 0)
+  Alcotest.(check bool) "tier 3 ran under the tap" true (st.Jit.tier3_insns > 0)
 
 (* --- deopt storm: random fuel cuts + mid-run profiler attach -------- *)
 
@@ -280,7 +284,7 @@ let run_segmented ~run cpu cuts total prof =
         let f = min f !remaining in
         if k land 1 = 1 then Profile.attach prof cpu;
         let r = run cpu ~fuel:f in
-        Profile.detach cpu;
+        Cpu.set_observer cpu None;
         remaining := !remaining - f;
         match r with
         | Cpu.Fuel_exhausted -> ()
@@ -485,7 +489,7 @@ let test_poisoned_cache () =
   let reference = fp_reference img in
   let run () =
     let cpu = load img in
-    let j = Jit.attach ~config:hot cpu in
+    let j = attach_hot cpu in
     (fingerprint cpu (Cpu.run cpu ~fuel), j)
   in
   let fp1, j1 = run () in
@@ -495,19 +499,19 @@ let test_poisoned_cache () =
   let poisoned =
     List.fold_left
       (fun acc (f : Image.func_info) ->
-        if Jit.poison j1 ~entry:f.Image.entry then acc + 1 else acc)
+        if Jit.poison (fst j1) ~entry:f.Image.entry then acc + 1 else acc)
       0 (Array.to_list img.Image.funcs)
   in
-  Alcotest.(check int) "every compiled entry poisoned" (Jit.stats j1).Jit.compiled poisoned;
+  Alcotest.(check int) "every compiled entry poisoned" (snd j1).Jit.compiled poisoned;
   let fp2, j2 = run () in
   Alcotest.(check string) "post-poison run" reference fp2;
-  let st = Jit.stats j2 in
+  let st = snd j2 in
   Alcotest.(check bool) "stale entries invalidated" true (st.Jit.invalidated >= 1);
   Alcotest.(check bool) "and recompiled fresh" true (st.Jit.compiled >= st.Jit.invalidated);
   Alcotest.(check int) "none adopted" 0 st.Jit.revalidated;
   let fp3, j3 = run () in
   Alcotest.(check string) "third run" reference fp3;
-  Alcotest.(check int) "the fresh code is shared again" 0 (Jit.stats j3).Jit.compiled;
+  Alcotest.(check int) "the fresh code is shared again" 0 (snd j3).Jit.compiled;
   (* The same for observed templates: derive them from the fresh code,
      poison every entry again, and run observed. A stale observed
      template raises as a stale plain one does, so an observed run that
@@ -516,7 +520,7 @@ let test_poisoned_cache () =
   let fp_o, seen_o, _ = observed_run ~tier3:true img in
   Alcotest.(check string) "observed warm run" fp_r fp_o;
   Alcotest.(check bool) "observed warm run sees the reference" true (seen_r = seen_o);
-  Array.iter (fun (f : Image.func_info) -> ignore (Jit.poison j3 ~entry:f.Image.entry)) img.Image.funcs;
+  Array.iter (fun (f : Image.func_info) -> ignore (Jit.poison (fst j3) ~entry:f.Image.entry)) img.Image.funcs;
   let fp_p, seen_p, st = observed_run ~tier3:true img in
   Alcotest.(check string) "observed post-poison run" reference fp_p;
   Alcotest.(check bool) "observed post-poison run sees the reference" true (seen_r = seen_p);
@@ -525,6 +529,10 @@ let test_poisoned_cache () =
 
 (* --- cache survival across incremental rerandomization -------------- *)
 
+(* On the images' own caches: a rebuild at the same coordinates (a fresh
+   Image.t placing the same bodies) adopts the healthy plans by body and
+   recompiles a poisoned one; a rotated link seed runs the same bodies at
+   a new layout. *)
 let test_rerand_cache_reuse () =
   let p = Genprog.generate ~seed:5 ~funcs:24 in
   let cfg = D.full () in
@@ -533,31 +541,43 @@ let test_rerand_cache_reuse () =
   let img1, _ = Pipeline.compile_incremental r (coords 100) p in
   let img1b, _ = Pipeline.compile_incremental r (coords 100) p in
   let img2, _ = Pipeline.compile_incremental r (coords 101) p in
-  let cache = Jit.create_cache ~config:hot ~profile:Cost.epyc_rome img1 in
   let st = Jit.fresh_stats () in
   let run_jit img =
     let cpu = load img in
-    let j = Jit.attach ~config:hot ~cache ~stats:st cpu in
+    let j = Jit.attach ~config:hot ~stats:st cpu in
     (fingerprint cpu (Cpu.run cpu ~fuel), j)
   in
   let fp1, j1 = run_jit img1 in
   Alcotest.(check string) "variant ls=100" (fp_reference img1) fp1;
-  (* poison one entry, then retarget the warm cache at a byte-identical
-     image (same coords, fresh Image.t, the same placed bodies): the
-     poisoned entry must be invalidated and recompiled, the healthy ones
-     adopted by key *)
   let first_entry = img1.Image.funcs.(0).Image.entry in
   let could_poison = Jit.poison j1 ~entry:first_entry in
   let fp1b, _ = run_jit img1b in
-  Alcotest.(check string) "same coords, warm cache" (fp_reference img1b) fp1b;
-  Alcotest.(check bool) "healthy entries adopted by key" true (st.Jit.revalidated >= 1);
+  Alcotest.(check string) "same coords, same bodies" (fp_reference img1b) fp1b;
+  Alcotest.(check bool) "healthy plans adopted by body" true (st.Jit.revalidated >= 1);
   if could_poison then
-    Alcotest.(check bool) "poisoned entry invalidated" true (st.Jit.invalidated >= 1);
-  (* rotate the link seed: new layout, same bodies — the cache follows
-     and results stay identical to the reference tier on the new image *)
+    Alcotest.(check bool) "poisoned plan invalidated" true (st.Jit.invalidated >= 1);
   let fp2, _ = run_jit img2 in
   Alcotest.(check string) "rotated variant ls=101" (fp_reference img2) fp2
 
+(* A private cache serves the image and profile it was made for: attaching
+   it to another image, or under another cost profile, is refused. *)
+let test_private_cache_one_image () =
+  let p = Genprog.generate ~seed:5 ~funcs:8 in
+  let coords ls = { Pipeline.cfg = D.full (); body_seed = 3; link_seed = Some ls } in
+  let r = Pipeline.rerand_create () in
+  let img1, _ = Pipeline.compile_incremental r (coords 100) p in
+  let img2, _ = Pipeline.compile_incremental r (coords 101) p in
+  let cache = Jit.create_cache ~profile:Cost.epyc_rome img1 in
+  let refused what cpu =
+    match Jit.attach ~cache cpu with
+    | _ -> Alcotest.failf "%s: attached" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "another image" (load img2);
+  refused "another profile" (Loader.load ~jit:false ~profile:Cost.i9_9900k img1);
+  let cpu = load img1 in
+  ignore (Jit.attach ~config:hot ~cache cpu);
+  Alcotest.(check string) "its own image" (fp_reference img1) (fingerprint cpu (Cpu.run cpu ~fuel))
 
 (* --- rotated placements: execution state derived once per body ------- *)
 
@@ -659,7 +679,7 @@ let prop_rotated_fuel_cuts =
           (List.map fst at_bound @ List.filter (fun n -> n < total) (List.map (fun m -> m * 7) mids))
       in
       let cpu = load img in
-      let j = Jit.attach ~config:hot cpu in
+      let _, st = attach_hot cpu in
       let rips_ok = ref true and result = ref Cpu.Fuel_exhausted in
       let last =
         List.fold_left
@@ -677,7 +697,7 @@ let prop_rotated_fuel_cuts =
       if !result = Cpu.Fuel_exhausted then result := Cpu.run cpu ~fuel:(fuel - last);
       String.equal reference (fingerprint cpu !result)
       && !rips_ok
-      && (Jit.stats j).Jit.tier3_insns > 0)
+      && st.Jit.tier3_insns > 0)
 
 (* Code one placement adopted from another's plan, poisoned through the
    adopting attachment: it is invalidated and recompiled, never run, and
@@ -687,23 +707,23 @@ let test_poison_adopted () =
   | (_, first) :: (_, second) :: _ ->
       let run img =
         let cpu = load img in
-        let j = Jit.attach ~config:hot cpu in
+        let j = attach_hot cpu in
         (fingerprint cpu (Cpu.run cpu ~fuel), j)
       in
       let fp1, j1 = run first in
       Alcotest.(check string) "first placement" (fp_reference first) fp1;
       let fp2, j2 = run second in
       Alcotest.(check string) "second placement" (fp_reference second) fp2;
-      Alcotest.(check int) "second placement compiled nothing" 0 (Jit.stats j2).Jit.compiled;
+      Alcotest.(check int) "second placement compiled nothing" 0 (snd j2).Jit.compiled;
       let poisoned =
         Array.fold_left
-          (fun n (f : Image.func_info) -> if Jit.poison j2 ~entry:f.Image.entry then n + 1 else n)
+          (fun n (f : Image.func_info) -> if Jit.poison (fst j2) ~entry:f.Image.entry then n + 1 else n)
           0 second.Image.funcs
       in
-      Alcotest.(check int) "every adopted plan poisoned" (Jit.stats j1).Jit.compiled poisoned;
+      Alcotest.(check int) "every adopted plan poisoned" (snd j1).Jit.compiled poisoned;
       let fp3, j3 = run second in
       Alcotest.(check string) "post-poison run" (fp_reference second) fp3;
-      let st = Jit.stats j3 in
+      let st = snd j3 in
       Alcotest.(check bool) "stale plans invalidated" true (st.Jit.invalidated >= 1);
       Alcotest.(check bool) "and recompiled" true (st.Jit.compiled >= st.Jit.invalidated);
       Alcotest.(check int) "none adopted" 0 st.Jit.revalidated;
@@ -740,6 +760,8 @@ let suite =
           test_poisoned_cache;
         Alcotest.test_case "cache reuse across incremental rerandomization" `Quick
           test_rerand_cache_reuse;
+        Alcotest.test_case "private cache serves one image and profile" `Quick
+          test_private_cache_one_image;
         Alcotest.test_case "rotated placements, every lane" `Quick test_rotated_placements;
         QCheck_alcotest.to_alcotest prop_rotated_fuel_cuts;
         Alcotest.test_case "poisoned adopted code invalidated, not executed" `Quick

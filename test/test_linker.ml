@@ -115,7 +115,7 @@ let check_link_error what ~opts p msg =
   expect "cold" (fun () -> Driver.compile ~opts p);
   let t = Incremental.create () in
   for _ = 1 to 2 do
-    expect "incremental" (fun () -> Incremental.build ~key_token:"k" t ~opts ~salt:"s" p)
+    expect "incremental" (fun () -> Incremental.build_with_meta ~key_token:"k" t ~opts ~salt:"s" p)
   done
 
 let test_global_collides_with_label () =

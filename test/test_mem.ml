@@ -6,6 +6,11 @@ let check_fault name expected f =
       Alcotest.(check string) name expected (Fault.to_string fault)
   | _ -> Alcotest.failf "%s: expected a fault" name
 
+let ro = { Perm.read = true; write = false; exec = false }
+
+(* [len] bytes at [addr] through the checked byte reader. *)
+let read_string m addr len = String.init len (fun i -> Char.chr (Mem.read_u8 m (addr + i)))
+
 let test_map_rw () =
   let m = Mem.create () in
   Mem.map m 0x10000 8192 Perm.rw;
@@ -23,7 +28,7 @@ let test_unmapped_read_faults () =
 
 let test_write_to_readonly_faults () =
   let m = Mem.create () in
-  Mem.map m 0x10000 4096 Perm.ro;
+  Mem.map m 0x10000 4096 ro;
   check_fault "segv" "SIGSEGV: write at 0x10000" (fun () -> Mem.write_u64 m 0x10000 1)
 
 let test_execute_only_blocks_read () =
@@ -68,8 +73,7 @@ let test_bytes_roundtrip () =
   let m = Mem.create () in
   Mem.map m 0x10000 4096 Perm.rw;
   Mem.write_bytes m 0x10010 (Bytes.of_string "hello world");
-  Alcotest.(check string) "bytes" "hello world"
-    (Bytes.to_string (Mem.read_bytes m 0x10010 11))
+  Alcotest.(check string) "bytes" "hello world" (read_string m 0x10010 11)
 
 let test_peek_ignores_perms () =
   let m = Mem.create () in
@@ -78,13 +82,6 @@ let test_peek_ignores_perms () =
   Mem.protect m 0x10000 4096 Perm.none;
   Alcotest.(check (option int)) "peek" (Some 7) (Mem.peek_u64 m 0x10000);
   Alcotest.(check (option int)) "peek unmapped" None (Mem.peek_u64 m 0x999000)
-
-let test_unmap () =
-  let m = Mem.create () in
-  Mem.map m 0x10000 4096 Perm.rw;
-  Alcotest.(check bool) "mapped" true (Mem.is_mapped m 0x10000);
-  Mem.unmap m 0x10000 4096;
-  Alcotest.(check bool) "unmapped" false (Mem.is_mapped m 0x10000)
 
 let test_double_map_rejected () =
   let m = Mem.create () in
@@ -96,9 +93,10 @@ let test_double_map_rejected () =
 let test_maxrss_tracking () =
   let m = Mem.create () in
   Mem.map m 0x10000 (16 * 4096) Perm.rw;
-  Mem.unmap m 0x10000 (16 * 4096);
-  Alcotest.(check int) "resident now" 0 (Mem.mapped_pages m);
-  Alcotest.(check int) "high water" 16 (Mem.max_mapped_pages m)
+  Alcotest.(check int) "high water" 16 (Mem.max_mapped_pages m);
+  Mem.protect m 0x10000 (16 * 4096) Perm.none;
+  Mem.map m 0x40000 (4 * 4096) Perm.rw;
+  Alcotest.(check int) "protect keeps pages, a map adds" 20 (Mem.max_mapped_pages m)
 
 let test_tlb_invalidated_by_protect () =
   (* Regression: the direct-mapped page TLB caches decoded permission
@@ -124,7 +122,7 @@ let test_tlb_slot_aliasing () =
      correct throughout. *)
   let m = Mem.create () in
   Mem.map m 0x10000 4096 Perm.rw;
-  Mem.map m 0x50000 4096 Perm.ro;
+  Mem.map m 0x50000 4096 ro;
   Mem.write_u64 m 0x10000 0xaaaa;
   for _ = 1 to 3 do
     Alcotest.(check int) "rw page data" 0xaaaa (Mem.read_u64 m 0x10000);
@@ -136,14 +134,15 @@ let test_tlb_slot_aliasing () =
   Alcotest.(check int) "rw page still writable" 0xbbbb (Mem.read_u64 m 0x10008)
 
 let test_addr_regions () =
-  Alcotest.(check string) "text" "text" (Addr.region_to_string (Addr.region_of 0x40055d));
-  Alcotest.(check string) "data" "data"
-    (Addr.region_to_string (Addr.region_of 0x5555_5555_7260));
-  Alcotest.(check string) "heap" "heap"
-    (Addr.region_to_string (Addr.region_of 0x5555_6000_1000));
-  Alcotest.(check string) "stack" "stack"
-    (Addr.region_to_string (Addr.region_of 0x7fff_ffff_e3d0));
-  Alcotest.(check string) "unmapped" "unmapped" (Addr.region_to_string (Addr.region_of 0x10))
+  List.iter
+    (fun (what, addr, want) -> Alcotest.(check bool) what true (Addr.region_of addr = want))
+    [
+      ("text", 0x40055d, Addr.Text);
+      ("data", 0x5555_5555_7260, Addr.Data);
+      ("heap", 0x5555_6000_1000, Addr.Heap);
+      ("stack", 0x7fff_ffff_e3d0, Addr.Stack);
+      ("unmapped", 0x10, Addr.Unmapped_region);
+    ]
 
 (* A blit that runs into a non-writable page faults where a byte loop
    would, having written the same prefix. *)
@@ -173,7 +172,7 @@ let test_blit_string_across_pages () =
   Mem.map m 0x10000 (4 * 4096) Perm.rw;
   let s = String.init 9000 (fun i -> Char.chr (i land 0xff)) in
   Mem.blit_string m 0x10ff0 s;
-  Alcotest.(check string) "read back" s (Bytes.to_string (Mem.read_bytes m 0x10ff0 9000))
+  Alcotest.(check string) "read back" s (read_string m 0x10ff0 9000)
 
 (* Copy-on-write: every writer of one side — checked words and bytes, a
    page-spanning blit, a page-straddling poke, a bit flip — leaves the
@@ -182,7 +181,7 @@ let test_blit_string_across_pages () =
 let test_clone_copy_on_write () =
   let m = Mem.create () in
   Mem.map m 0x10000 (3 * 4096) Perm.rw;
-  Mem.map m 0x20000 4096 Perm.ro;
+  Mem.map m 0x20000 4096 ro;
   Mem.write_u64 m 0x10008 42;
   Mem.write_u64 m 0x11008 43;
   let c = Mem.clone m in
@@ -202,7 +201,7 @@ let test_clone_copy_on_write () =
   Mem.flip_bit c ~addr:0x11008 ~bit:0;
   Alcotest.(check bool) "original untouched" true (snapshot m = m1);
   Alcotest.(check int) "original wrote" 1 (Mem.read_u64 m 0x10008);
-  Mem.protect c 0x10000 4096 Perm.ro;
+  Mem.protect c 0x10000 4096 ro;
   Mem.write_u64 m 0x10000 9;
   check_fault "clone's protect is its own" "SIGSEGV: write at 0x10000" (fun () ->
       Mem.write_u64 c 0x10000 9);
@@ -220,7 +219,7 @@ let test_zero_page_shared () =
   Alcotest.(check int) "other memory still zero" 0 (Mem.read_u64 b 0x10100);
   Mem.map a 0x30000 4096 Perm.rw;
   Alcotest.(check int) "later map still zero" 0 (Mem.read_u64 a 0x30100);
-  Mem.map b 0x40000 4096 Perm.ro;
+  Mem.map b 0x40000 4096 ro;
   check_fault "ro zero page" "SIGSEGV: write at 0x40008" (fun () -> Mem.write_u64 b 0x40008 1);
   Mem.protect b 0x10000 4096 Perm.none;
   Mem.tag_guard b 0x10000 4096;
@@ -246,7 +245,6 @@ let suite =
           test_blit_string_faults_like_write_u8;
         Alcotest.test_case "blit_string across pages" `Quick test_blit_string_across_pages;
         Alcotest.test_case "peek ignores perms" `Quick test_peek_ignores_perms;
-        Alcotest.test_case "unmap" `Quick test_unmap;
         Alcotest.test_case "double map rejected" `Quick test_double_map_rejected;
         Alcotest.test_case "maxrss tracking" `Quick test_maxrss_tracking;
         Alcotest.test_case "tlb invalidated by protect" `Quick test_tlb_invalidated_by_protect;

@@ -230,15 +230,23 @@ let test_invalidation () =
      not destructive. *)
   let _, st = Pipeline.compile_incremental r (coords full 3 (Some 6)) p in
   Alcotest.(check int) "original coordinates still cached" 0 st.Incremental.misses;
-  (* Machine-description change: the mdesc fingerprint is in every key. *)
-  let c = coords full 3 (Some 6) in
-  let img, _, st, _ =
-    Pipeline.compile_incremental_with_meta ~mdesc:Mdesc.x86_64_r15 r c p
+  (* Machine-description change: the mdesc fingerprint is in every key. A
+     second profile over the same encoder: callee-saved allocation order
+     reversed, a wider PLT stride. *)
+  let r15 =
+    {
+      Mdesc.x86_64 with
+      mname = "x86_64-r15";
+      callee_saved = Insn.[ R15; R14; R13; R12; RBX ];
+      plt_entry_bytes = 32;
+    }
   in
+  let c = coords full 3 (Some 6) in
+  let img, st = Pipeline.compile_incremental ~mdesc:r15 r c p in
   Alcotest.(check int) "mdesc change misses all" (ninstr full 3 p)
     st.Incremental.misses;
   Alcotest.(check string) "mdesc rebuild == cold at same mdesc"
-    (fp (Pipeline.compile_cold ~mdesc:Mdesc.x86_64_r15 c p))
+    (fp (Pipeline.compile_cold ~mdesc:r15 c p))
     (fp img)
 
 (* --- stale-cache plant: equality gate and Tval both catch it --------- *)
@@ -280,8 +288,7 @@ let test_stale_plant_caught () =
     | [] -> Alcotest.fail "no twistable function in the generated program"
   in
   let payload = Emit.emit_func_meta ~opts twisted in
-  Incremental.poison (Pipeline.rerand_cache r)
-    ~opts ~salt:(Pipeline.salt_of_coords c0) victim ~payload;
+  Pipeline.poison r c0 ~opts victim ~payload;
   (* The next rotation links the stale body without recompiling... *)
   let c1 = coords cfg 3 (Some 31) in
   let img, meta, st, ip1 = Pipeline.compile_incremental_with_meta r c1 p in
@@ -370,8 +377,7 @@ let test_poison_reaches_relink () =
     | [] -> Alcotest.fail "no twistable function in the generated program"
   in
   let payload = Emit.emit_func_meta ~opts twisted in
-  Incremental.poison (Pipeline.rerand_cache r)
-    ~opts ~salt:(Pipeline.salt_of_coords (coords cfg 3 (Some 11))) victim ~payload;
+  Pipeline.poison r (coords cfg 3 (Some 11)) ~opts victim ~payload;
   let planted (img : Image.t) =
     let entry = Image.symbol img victim.Ir.name in
     match Array.find_opt (fun (c : Image.chunk) -> c.c_entry = entry) img.chunks with

@@ -62,7 +62,7 @@ let fingerprint (p : Process.t) =
     ( (c.Cpu.insns, c.Cpu.calls, c.Cpu.depth, c.Cpu.max_depth, c.Cpu.halted, c.Cpu.exit_code),
       (Array.to_list ic.Icache.tags, Icache.misses ic, Icache.accesses ic),
       (Cpu.output c, !(c.Cpu.shadow), c.Cpu.sensitive_log, List.of_seq (Queue.to_seq c.Cpu.input)),
-      (Process.fuel_left p, p.Process.crashes, p.Process.restarts),
+      (p.Process.fuel_left, p.Process.crashes, p.Process.restarts),
       inj ) )
 
 let same what a b =
@@ -260,12 +260,12 @@ let test_ring_restored () =
   let executed, executed_ring = ringed () in
   ignore (Process.run_until executed ~break:[ pt.break ]);
   Alcotest.(check bool) "ring at the break" true
-    (Ring.records restored_ring = Ring.records executed_ring);
-  Alcotest.(check bool) "ring is full" true (List.length (Ring.records executed_ring) = 32);
+    (Test_obs.ring_lines restored_ring = Test_obs.ring_lines executed_ring);
+  Alcotest.(check bool) "ring is full" true (List.length (Test_obs.ring_lines executed_ring) = 32);
   continue pt restored;
   continue pt executed;
   Alcotest.(check bool) "ring after serving" true
-    (Ring.records restored_ring = Ring.records executed_ring);
+    (Test_obs.ring_lines restored_ring = Test_obs.ring_lines executed_ring);
   same "state" restored executed
 
 (* Copy-on-write isolation between a snapshot and the processes restored
