@@ -63,6 +63,7 @@ let drop_postcheck (img : Image.t) =
             chunks = Array.map patch img.chunks;
             index = Atomic.make None;
             jit = Atomic.make [];
+            text_pages = Image.text_cells ~text_base:img.text_base ~text_len:img.text_len;
           }
       | _ -> invalid_arg "Selfcheck: no post-return check at the first checked site")
 
@@ -79,6 +80,7 @@ let plant_code_pointer (img : Image.t) =
     img with
     data_len = addr + 8 - img.data_base;
     data_words = lazy (Array.append (Image.force img.data_words) [| addr; victim.entry |]);
+    data_pages = Atomic.make None;
   }
 
 let apply m img =

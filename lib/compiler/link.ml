@@ -437,6 +437,8 @@ let place (pl : plan) ~(opts : Opts.t) =
     data_len;
     data_words = lazy (let w, _, _ = Image.force data_init in w);
     data_bytes = lazy (let _, _, b = Image.force data_init in b);
+    text_pages = Image.text_cells ~text_base ~text_len;
+    data_pages = Atomic.make None;
     sym_ids = pl.ids;
     sym_addrs = addrs;
     funcs;

@@ -386,10 +386,12 @@ let replay =
     (fun ~jobs (tolerance, max_checks, corpus_out) ->
       match Replaybench.run ~tolerance ~max_checks ?jobs () with
       | Error e -> ([], [ ("run", e) ])
-      | Ok r ->
-          let written = if corpus_out = "" then [] else Replaybench.save_corpus ~dir:corpus_out r in
-          ( Replaybench.results r @ List.map (fun path -> Results.Note ("  wrote " ^ path)) written,
-            Replaybench.gate r ))
+      | Ok r -> (
+          match if corpus_out = "" then Ok [] else Replaybench.save_corpus ~dir:corpus_out r with
+          | Ok written ->
+              ( Replaybench.results r @ List.map (fun path -> Results.Note ("  wrote " ^ path)) written,
+                Replaybench.gate r )
+          | Error e -> (Replaybench.results r, Replaybench.gate r @ [ ("corpus", e) ])))
 
 let rerand =
   let funcs = int_opt [ "funcs" ] 10_000 ~docv:"N" ~doc:"Generated program size in functions." in

@@ -119,14 +119,24 @@ let gate ?(min_reduction = 0.30) r =
       fidelity @ reduction)
     r.case_reports
 
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    Sys.mkdir dir 0o755
+  end
+
 let save_corpus ~dir r =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  List.map
-    (fun cr ->
-      let path = Filename.concat dir (cr.cr_name ^ ".r2cr") in
-      Trace.save ~path cr.cr_trace;
-      path)
-    r.case_reports
+  match
+    mkdir_p dir;
+    List.map
+      (fun cr ->
+        let path = Filename.concat dir (cr.cr_name ^ ".r2cr") in
+        Trace.save ~path cr.cr_trace;
+        path)
+      r.case_reports
+  with
+  | paths -> Ok paths
+  | exception Sys_error e -> Error e
 
 let results r =
   let open Results in

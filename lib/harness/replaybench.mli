@@ -38,8 +38,9 @@ val run :
 val gate : ?min_reduction:float -> report -> (string * string) list
 
 (** [save_corpus ~dir r] — write each reduced trace to
-    [dir/<name>.r2cr]; returns the paths written. *)
-val save_corpus : dir:string -> report -> string list
+    [dir/<name>.r2cr], creating [dir] and its missing parents; returns
+    the paths written, or the file system's error. *)
+val save_corpus : dir:string -> report -> (string list, string) result
 
 (** [results r] — one deterministic row per case, its reduction and
     final replay as nested records. *)

@@ -120,7 +120,7 @@ let layout (p : Ir.program) =
                 Mem.write_u64 mem (base + off) (sym_addr s + o);
                 off + 8
             | Ir.Str s ->
-                Mem.write_bytes mem (base + off) (Bytes.of_string s);
+                String.iteri (fun i c -> Mem.write_u8 mem (base + off + i) (Char.code c)) s;
                 off + String.length s)
           0 g.ginit
       in

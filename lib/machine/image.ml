@@ -65,6 +65,8 @@ type t = {
   data_len : int;
   data_words : int array Lazy.t;
   data_bytes : (int * string) array Lazy.t;
+  text_pages : Bytes.t option Atomic.t array;
+  data_pages : Bytes.t option array option Atomic.t;
   sym_ids : (string, int) Hashtbl.t;
   sym_addrs : int array;
   funcs : func_info array;
@@ -274,6 +276,77 @@ let resolve c r =
         o + target k)
       insn
   end
+
+(* The loaded text and data, built page by page on first observation
+   (Mem.map_from) and kept for every process of the image. Two domains
+   racing on a cell build equal bytes; either may win. *)
+let text_cells ~text_base ~text_len =
+  Array.init
+    (Addr.page_of (text_base + max 1 text_len - 1) - Addr.page_of text_base + 1)
+    (fun _ -> Atomic.make None)
+
+(* Chunks are ascending and disjoint, so the first to overlap a page is
+   the first to end past its base. *)
+let text_page img index =
+  let k = index - Addr.page_of img.text_base in
+  if k < 0 || k >= Array.length img.text_pages then None
+  else
+    match Atomic.get img.text_pages.(k) with
+    | Some _ as page -> page
+    | None ->
+        let base = index lsl Addr.page_shift and cs = img.chunks in
+        let top = base + Addr.page_size and page = Bytes.make Addr.page_size '\000' in
+        let ends i = cs.(i).c_entry + String.length cs.(i).c_body.b_text in
+        let lo = ref 0 and hi = ref (Array.length cs) in
+        while !lo < !hi do
+          let mid = (!lo + !hi) lsr 1 in
+          if ends mid <= base then lo := mid + 1 else hi := mid
+        done;
+        let i = ref !lo in
+        while !i < Array.length cs && cs.(!i).c_entry < top do
+          let c = cs.(!i) and a = max base cs.(!i).c_entry in
+          Bytes.blit_string c.c_body.b_text (a - c.c_entry) page (a - base) (min top (ends !i) - a);
+          incr i
+        done;
+        Atomic.set img.text_pages.(k) (Some page);
+        Some page
+
+(* Every initialised page in one pass: the words, then the byte runs, in
+   initialiser order, a page-straddling word byte by byte as [Mem]'s
+   checked writer stores it. *)
+let data_page img index =
+  let first = Addr.page_of img.data_base in
+  let pages =
+    match Atomic.get img.data_pages with
+    | Some pages -> pages
+    | None ->
+        let pages = Array.make (Addr.page_of (img.data_base + max 1 img.data_len - 1) - first + 1) None in
+        let page_at a =
+          let k = Addr.page_of a - first in
+          match pages.(k) with
+          | Some b -> b
+          | None ->
+              let b = Bytes.make Addr.page_size '\000' in
+              pages.(k) <- Some b;
+              b
+        in
+        let put a c = Bytes.unsafe_set (page_at a) (Addr.page_offset a) c in
+        let words = force img.data_words in
+        for k = 0 to (Array.length words / 2) - 1 do
+          let a = words.(2 * k) and v = words.((2 * k) + 1) in
+          if Addr.page_offset a <= Addr.page_size - 8 then
+            Bytes.set_int64_le (page_at a) (Addr.page_offset a) (Int64.of_int v)
+          else
+            for i = 0 to 7 do
+              put (a + i) (Char.unsafe_chr ((v lsr (8 * i)) land 0xff))
+            done
+        done;
+        Array.iter (fun (a, s) -> String.iteri (fun i c -> put (a + i) c) s) (force img.data_bytes);
+        Atomic.set img.data_pages (Some pages);
+        pages
+  in
+  let k = index - first in
+  if k < 0 || k >= Array.length pages then None else pages.(k)
 
 (* Canonical digest: every observable field in a fixed order, each as an
    injective binary encoding (ints as 8 bytes, strings length-prefixed,

@@ -2,7 +2,8 @@
 
     The linker produces one of these; the loader maps it; the CPU fetches
     decoded instructions through {!predecoded} (tier 3) or [code]
-    (reference tier). Text bytes are also materialised into memory with a
+    (reference tier). Text bytes are also materialised into memory, a
+    page on its first observation ({!text_page}), with a
     deterministic pseudo-encoding so that read attacks against
     non-execute-only text observe real bytes, while [code_at] is the
     (defender/CPU-side) decoder.
@@ -150,8 +151,18 @@ type t = {
           in one pass sized up front — initialiser volume is proportional
           to program size (BTRA decoy arrays), so the relink defers it;
           undefined symbolic initialisers are still an eager link
-          error. *)
+          error. Loading does not force it; the first {!data_page}
+          does. *)
   data_bytes : (int * string) array Lazy.t;  (** initialised byte runs *)
+  text_pages : Bytes.t option Atomic.t array;
+      (** memo cells of {!text_page}, one per page of the text. An image
+          copied with a changed [chunks] must get fresh cells
+          ({!text_cells}). *)
+  data_pages : Bytes.t option array option Atomic.t;
+      (** memo cell of {!data_page}: every page of the data, [None] where
+          no initialiser writes. An image copied with a changed
+          [data_len], [data_words] or [data_bytes] must get a fresh cell
+          ([Atomic.make None]). *)
   sym_ids : (string, int) Hashtbl.t;
       (** symbol name -> dense id, interned once by the link plan and
           shared by every image placed from it *)
@@ -192,6 +203,21 @@ val builtin_names : string list
     raises [Lazy.Undefined] in a domain that finds another one forcing
     it. Such a domain waits for the value instead. *)
 val force : 'a Lazy.t -> 'a
+
+(** [text_cells ~text_base ~text_len] — empty {!t.text_pages} cells. *)
+val text_cells : text_base:int -> text_len:int -> Bytes.t option Atomic.t array
+
+(** [text_page img index] — text page [index] ({!Addr.page_of}) as
+    loaded: the bytes of every chunk that overlaps it, zero elsewhere;
+    [None] (zero) outside the text. Built on first use, then shared by
+    every process of [img]; never written. *)
+val text_page : t -> int -> Bytes.t option
+
+(** [data_page img index] — data page [index] as loaded: [data_words],
+    then [data_bytes], written in order; [None] (zero) where no
+    initialiser writes. The first call builds every initialised page in
+    one pass, then shared by every process of [img]; never written. *)
+val data_page : t -> int -> Bytes.t option
 
 (** [code_at img addr] — decoded instruction and byte length at [addr]. *)
 val code_at : t -> int -> (Insn.t * int) option

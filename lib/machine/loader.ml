@@ -10,22 +10,13 @@ let arm ?inject ?jit ?jit_cache ?jit_stats cpu =
 
 let load ?(strict_align = false) ?inject ?jit ?jit_cache ?jit_stats ~profile (img : Image.t) =
   let mem = Mem.create () in
-  (* Text: the placed bodies' cached bytes are copied in while the pages
-     are writable, then sealed. *)
-  let text_len = Addr.align_up (max img.Image.text_len Addr.page_size) ~align:Addr.page_size in
-  Mem.map mem img.Image.text_base text_len Perm.rw;
-  Array.iter
-    (fun (c : Image.chunk) -> Mem.blit_string mem c.c_entry c.c_body.b_text)
-    img.Image.chunks;
-  Mem.protect mem img.Image.text_base text_len img.Image.text_perm;
-  (* Data. *)
-  let data_len = Addr.align_up (max img.Image.data_len Addr.page_size) ~align:Addr.page_size in
-  Mem.map mem img.Image.data_base data_len Perm.rw;
-  let words = Image.force img.Image.data_words in
-  for k = 0 to (Array.length words / 2) - 1 do
-    Mem.write_u64 mem words.(2 * k) words.((2 * k) + 1)
-  done;
-  Array.iter (fun (addr, s) -> Mem.blit_string mem addr s) (Image.force img.Image.data_bytes);
+  (* Text and data map the image's pages, built on first observation and
+     shared by every process of the image (Image.text_page/data_page). *)
+  let map base len perm supply =
+    Mem.map_from mem base (Addr.align_up (max len Addr.page_size) ~align:Addr.page_size) perm supply
+  in
+  map img.Image.text_base img.Image.text_len img.Image.text_perm (Image.text_page img);
+  map img.Image.data_base img.Image.data_len Perm.rw (Image.data_page img);
   (* Stack. *)
   let stack_len = Addr.align_up img.Image.stack_bytes ~align:Addr.page_size in
   Mem.map mem (Addr.stack_top - stack_len) stack_len Perm.rw;

@@ -1,13 +1,15 @@
 (** Program loading: maps an image into fresh memory and hands back a ready
     CPU.
 
-    Text is filled by copying each placed body's cached pseudo-encoded
-    bytes ({!Image.t.chunks}) and then sealed with the image's text
-    permission ([rx] for the legacy baseline, [xo] when the execute-only
-    assumption of Section 3 is in force); data is mapped read-write with
-    its initialisers applied; the stack is mapped at the canonical top of
-    user space. Loading never forces {!Image.t.code_list}: its cost is
-    page mapping, byte copies and the data initialisers. *)
+    Text is mapped with the image's text permission ([rx] for the legacy
+    baseline, [xo] when the execute-only assumption of Section 3 is in
+    force), data read-write, both by {!Mem.map_from} from the image's
+    pages ({!Image.text_page}, {!Image.data_page}): each is built on its
+    first observation, once per image, and a run never observes
+    execute-only text. The stack is mapped at the canonical top of user
+    space. Loading copies no byte and forces neither
+    {!Image.t.code_list} nor {!Image.t.data_words}: its cost is O(pages)
+    of page-table entries. *)
 
 (** [load ?strict_align ?inject ?jit ?jit_cache ?jit_stats ~profile img].
     The fresh CPU gets a tier-3 runner. With [?jit] (default

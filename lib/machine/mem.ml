@@ -1,18 +1,24 @@
 (* Copy-on-write: a page whose [shared] flag is set may hold the same
    bytes as another page — the global [zero_page] every [map] starts
-   from, or a page of a {!clone} — and must get its own copy before its
-   first write. The flag is never cleared on the other side when one side
-   copies: without reference counts, a page once shared stays copy-on-
-   write, which costs at most one spare copy. *)
+   from, a page of a {!clone}, or what its mapping's [supply] built —
+   and must get its own copy before its first write. The flag is never
+   cleared on the other side when one side copies: without reference
+   counts, a page once shared stays copy-on-write, which costs at most
+   one spare copy. A page of {!map_from} starts [unbuilt], and is
+   shared. *)
 type page = {
   mutable perm : Perm.t;
   mutable guard : bool;
   mutable data : Bytes.t;
   mutable shared : bool;
+  supply : int -> Bytes.t option;
 }
 
 (* Never written: every write path unshares first. Domains may share it. *)
 let zero_page = Bytes.make Addr.page_size '\000'
+
+(* Compared physically: the [data] of a page not built yet. *)
+let unbuilt = Bytes.create 0
 
 (* Direct-mapped software TLB. Each slot caches one page's data bytes plus
    its *decoded* permission bits, so the hot accessors never chase the
@@ -23,7 +29,8 @@ let zero_page = Bytes.make Addr.page_size '\000'
    permission that no longer exists. A shared page is cached with
    [e_write = false], so the hot writers keep their single permission
    test and a copy-on-write fault takes the same slow path as a real
-   one. *)
+   one; an unbuilt page is cached neither readable nor writable, so its
+   first read or write takes that path too and builds it there. *)
 type tlb_entry = {
   mutable e_index : int;  (* cached page index; -1 = invalid *)
   mutable e_data : Bytes.t;
@@ -42,13 +49,11 @@ type t = {
   mutable max_resident : int;
 }
 
-let no_bytes = Bytes.create 0
-
 let fresh_tlb () =
   Array.init tlb_slots (fun _ ->
       {
         e_index = -1;
-        e_data = no_bytes;
+        e_data = unbuilt;
         e_read = false;
         e_write = false;
         e_exec = false;
@@ -70,7 +75,7 @@ let tlb_fill t index =
       let e = t.tlb.(index land tlb_mask) in
       e.e_index <- index;
       e.e_data <- p.data;
-      e.e_read <- p.perm.Perm.read;
+      e.e_read <- p.perm.Perm.read && p.data != unbuilt;
       e.e_write <- p.perm.Perm.write && not p.shared;
       e.e_exec <- p.perm.Perm.exec;
       e.e_guard <- p.guard;
@@ -80,7 +85,16 @@ let tlb_lookup t index =
   let e = t.tlb.(index land tlb_mask) in
   if e.e_index = index then Some e else tlb_fill t index
 
-let find_page t index = Hashtbl.find_opt t.pages index
+let build index p =
+  if p.data == unbuilt then p.data <- Option.value (p.supply index) ~default:zero_page
+
+(* Permission-free: its bytes are about to be observed. *)
+let find_page t index =
+  match Hashtbl.find_opt t.pages index with
+  | Some p as found ->
+      build index p;
+      found
+  | None -> None
 
 (* The copy in copy-on-write: [p] (page [index]) gets bytes of its own,
    and a TLB slot still caching the shared ones is dropped. *)
@@ -107,15 +121,18 @@ let page_range addr len =
   assert (len > 0);
   (Addr.page_of addr, Addr.page_of (addr + len - 1))
 
-let map t addr len perm =
+let map_pages t addr len perm data supply =
   let first, last = page_range addr len in
   for i = first to last do
     if Hashtbl.mem t.pages i then
       invalid_arg (Printf.sprintf "Mem.map: page 0x%x already mapped" (i lsl Addr.page_shift));
-    Hashtbl.replace t.pages i { perm; guard = false; data = zero_page; shared = true }
+    Hashtbl.replace t.pages i { perm; guard = false; data; shared = true; supply }
   done;
   tlb_invalidate t;
   t.max_resident <- max t.max_resident (Hashtbl.length t.pages)
+
+let map t addr len perm = map_pages t addr len perm zero_page (fun _ -> None)
+let map_from t addr len perm supply = map_pages t addr len perm unbuilt supply
 
 let protect t addr len perm =
   let first, last = page_range addr len in
@@ -142,13 +159,19 @@ let fault_access addr access guard =
   if guard then Fault.raise_fault (Guard_page { addr; access })
   else Fault.raise_fault (Segv { addr; access })
 
-(* A denied access is either the first write to a writable page whose
-   bytes are shared — copy them and serve the write — or a real fault. *)
+(* A denied access is either the first read or write of a permitted page
+   not built yet, or the first write to a writable page whose bytes are
+   shared — build it, copy it for a write, and serve the access — or a
+   real fault, which builds nothing. *)
 let denied t addr (access : Fault.access) e =
   let index = Addr.page_of addr in
-  match (access, find_page t index) with
-  | Write, Some p when p.perm.Perm.write -> (
-      unshare t index p;
+  let permitted (p : page) =
+    match access with Read -> p.perm.Perm.read | Write -> p.perm.Perm.write | Exec -> false
+  in
+  match Hashtbl.find_opt t.pages index with
+  | Some p when permitted p -> (
+      build index p;
+      if access = Write then unshare t index p;
       match tlb_fill t index with Some e -> e | None -> assert false)
   | _ -> fault_access addr access e.e_guard
 
@@ -217,25 +240,6 @@ let write_u64 t addr v =
       for i = 0 to 7 do
         write_u8 t (addr + i) ((v lsr (8 * i)) land 0xff)
       done
-
-(* One permission probe and one blit per page touched. A page that is not
-   writable faults at its first byte, after every earlier page has been
-   written — the same fault, at the same address, with the same partial
-   effect as a [write_u8] loop over the string. *)
-let blit_string t addr s =
-  let len = String.length s in
-  let pos = ref 0 in
-  while !pos < len do
-    let a = addr + !pos in
-    let e = checked_entry t a Write in
-    let off = Addr.page_offset a in
-    let n = min (len - !pos) (Addr.page_size - off) in
-    Bytes.blit_string s !pos e.e_data off n;
-    pos := !pos + n
-  done
-
-(* The string view is only read, and only during the call. *)
-let write_bytes t addr b = blit_string t addr (Bytes.unsafe_to_string b)
 
 let peek_u8 t addr =
   match find_page t (Addr.page_of addr) with

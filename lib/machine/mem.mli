@@ -16,14 +16,23 @@
     loaders and ground-truth checks in tests), never the attacker's.
 
     Pages are copy-on-write. A page's bytes may be shared: every page
-    {!map} creates shares one global zero page, and {!clone} shares every
-    page between the original and the clone. A shared page gets bytes of
-    its own on its first write — a checked write (which takes the TLB's
-    slow path: shared pages are cached as not writable, so the hot
-    accessors keep their single permission test), {!poke_u64} or
+    {!map} creates shares one global zero page, every page {!map_from}
+    creates shares the bytes its mapping supplies, and {!clone} shares
+    every page between the original and the clone. A shared page gets
+    bytes of its own on its first write — a checked write (which takes
+    the TLB's slow path: shared pages are cached as not writable, so the
+    hot accessors keep their single permission test), {!poke_u64} or
     {!flip_bit} — and no write through one memory is ever visible through
-    another. Sharing changes only host memory: contents, permissions,
-    faults and {!max_mapped_pages} are those of private pages. *)
+    another.
+
+    A page of {!map_from} is built on demand, as an OS pages in a mapped
+    file: by the first access that can observe its bytes — a permitted
+    checked read or write (unbuilt pages are cached as neither readable
+    nor writable, so it takes the same slow path) or a permission-free
+    one. {!check_exec}, a faulting access and {!clone} build nothing.
+    Sharing and building change only host memory: contents, permissions,
+    faults and {!max_mapped_pages} are those of private pages filled at
+    map time. *)
 
 type t
 
@@ -33,6 +42,12 @@ val create : unit -> t
     zero-filled: each shares the zero page until its first write.
     Remapping an already-mapped page is an error. *)
 val map : t -> int -> int -> Perm.t -> unit
+
+(** [map_from t addr len perm supply] — {!map}, each page holding the
+    bytes [supply index] gives for its page number ({!Addr.page_of}), or
+    zeros for [None]. [supply] is asked on the page's first observation
+    in [t] or a clone; the bytes it returns are shared, never written. *)
+val map_from : t -> int -> int -> Perm.t -> (int -> Bytes.t option) -> unit
 
 (** [clone t] — an independent memory with [t]'s pages, permissions,
     guard tags and high-water mark, sharing every page's bytes with [t]
@@ -61,13 +76,6 @@ val read_u8 : t -> int -> int
 val write_u8 : t -> int -> int -> unit
 val read_u64 : t -> int -> int
 val write_u64 : t -> int -> int -> unit
-val write_bytes : t -> int -> bytes -> unit
-
-(** [blit_string t addr s] — checked write of [s] at [addr], one
-    permission probe and one copy per page touched. Faults exactly as a
-    {!write_u8} per byte would: at the first byte of the first page that
-    is unmapped or not writable, with every earlier byte written. *)
-val blit_string : t -> int -> string -> unit
 
 (** Permission-free accessors for the simulator/defender side. [peek_u64]
     returns [None] when unmapped. *)

@@ -54,7 +54,10 @@ let rec files dir acc =
       Array.fold_left
         (fun acc e ->
           let p = Filename.concat dir e in
-          if Sys.is_directory p then files p acc else p :: acc)
+          (* dune may relink an executable of the scanned tree while this
+             runs: a file gone between the listing and the probe is not a
+             directory. *)
+          if (try Sys.is_directory p with Sys_error _ -> false) then files p acc else p :: acc)
         acc entries
 
 (* Path components from a persistent module, through the unit's local

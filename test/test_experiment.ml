@@ -301,33 +301,49 @@ let test_tval_gate () =
   in
   one_breach "tval" ~clean:(H.Tvalbench.gate (report 1)) ~breached:(H.Tvalbench.gate (report 0))
 
-let test_replay_gate () =
+let replay_report failures =
   let dir = List.find Sys.file_exists [ "../bench/replays"; "bench/replays" ] in
   let trace =
     match RTrace.load (Filename.concat dir "genprog.r2cr") with
     | Ok t -> t
     | Error e -> Alcotest.fail e
   in
-  let report failures =
-    {
-      H.Replaybench.case_reports =
-        [
-          {
-            H.Replaybench.cr_name = "genprog"; cr_trace = trace;
-            cr_reduce =
-              { R2c_replay.Reduce.raw_bytes = 10; reduced_bytes = 1; raw_spans = 0;
-                reduced_spans = 0; checks = 1; kept = 1 };
-            cr_replay =
-              { R2c_replay.Replayer.r_cycles = 1.; r_insns = 1; r_accesses = 1; r_misses = 0;
-                r_exit = 0; r_output_len = 0; r_output_hash = 0L };
-            cr_failures = failures;
-          };
-        ];
-    }
-  in
+  {
+    H.Replaybench.case_reports =
+      [
+        {
+          H.Replaybench.cr_name = "genprog"; cr_trace = trace;
+          cr_reduce =
+            { R2c_replay.Reduce.raw_bytes = 10; reduced_bytes = 1; raw_spans = 0;
+              reduced_spans = 0; checks = 1; kept = 1 };
+          cr_replay =
+            { R2c_replay.Replayer.r_cycles = 1.; r_insns = 1; r_accesses = 1; r_misses = 0;
+              r_exit = 0; r_output_len = 0; r_output_hash = 0L };
+          cr_failures = failures;
+        };
+      ];
+  }
+
+let test_replay_gate () =
   one_breach "replay"
-    ~clean:(H.Replaybench.gate (report []))
-    ~breached:(H.Replaybench.gate (report [ "cycles 2 vs 1" ]))
+    ~clean:(H.Replaybench.gate (replay_report []))
+    ~breached:(H.Replaybench.gate (replay_report [ "cycles 2 vs 1" ]))
+
+(* The corpus directory and its missing parents are created; a path that
+   cannot be a directory is an error, never an exception. *)
+let test_replay_corpus_dirs () =
+  let root = Filename.temp_file "r2c_corpus" "" in
+  let r = replay_report [] in
+  let dir = Filename.concat (Filename.concat root "a") "b" in
+  (match H.Replaybench.save_corpus ~dir r with
+  | Ok _ -> Alcotest.fail "saved under a regular file"
+  | Error _ -> ());
+  Sys.remove root;
+  match H.Replaybench.save_corpus ~dir r with
+  | Ok paths ->
+      Alcotest.(check (list string)) "written" [ Filename.concat dir "genprog.r2cr" ] paths;
+      Alcotest.(check (list string)) "listed" paths (RTrace.files ~dir)
+  | Error e -> Alcotest.fail e
 
 let test_rerand_gate () =
   let report ~identical ~loaded_identical =
@@ -381,6 +397,7 @@ let suite =
         Alcotest.test_case "fleet p99 breach in det" `Quick test_fleet_p99_in_det;
         Alcotest.test_case "tval gate" `Quick test_tval_gate;
         Alcotest.test_case "replay gate" `Quick test_replay_gate;
+        Alcotest.test_case "replay corpus into missing directories" `Quick test_replay_corpus_dirs;
         Alcotest.test_case "rerand gate" `Quick test_rerand_gate;
         Alcotest.test_case "jit gate" `Quick test_jit_gate;
       ] );

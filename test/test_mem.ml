@@ -10,6 +10,7 @@ let ro = { Perm.read = true; write = false; exec = false }
 
 (* [len] bytes at [addr] through the checked byte reader. *)
 let read_string m addr len = String.init len (fun i -> Char.chr (Mem.read_u8 m (addr + i)))
+let write_string m addr s = String.iteri (fun i c -> Mem.write_u8 m (addr + i) (Char.code c)) s
 
 let test_map_rw () =
   let m = Mem.create () in
@@ -72,7 +73,7 @@ let test_byte_access () =
 let test_bytes_roundtrip () =
   let m = Mem.create () in
   Mem.map m 0x10000 4096 Perm.rw;
-  Mem.write_bytes m 0x10010 (Bytes.of_string "hello world");
+  write_string m 0x10010 "hello world";
   Alcotest.(check string) "bytes" "hello world" (read_string m 0x10010 11)
 
 let test_peek_ignores_perms () =
@@ -144,38 +145,8 @@ let test_addr_regions () =
       ("unmapped", 0x10, Addr.Unmapped_region);
     ]
 
-(* A blit that runs into a non-writable page faults where a byte loop
-   would, having written the same prefix. *)
-let test_blit_string_faults_like_write_u8 () =
-  let setup () =
-    let m = Mem.create () in
-    Mem.map m 0x10000 8192 Perm.rw;
-    Mem.protect m 0x11000 4096 Perm.xo;
-    m
-  in
-  let s = String.init 64 (fun i -> Char.chr (i + 1)) in
-  let addr = 0x11000 - 16 in
-  let blit = setup () and loop = setup () in
-  let fault_of f = match f () with exception Fault.Fault x -> Fault.to_string x | () -> "none" in
-  let want =
-    fault_of (fun () -> String.iteri (fun i c -> Mem.write_u8 loop (addr + i) (Char.code c)) s)
-  in
-  Alcotest.(check string) "fault" want (fault_of (fun () -> Mem.blit_string blit addr s));
-  Alcotest.(check string) "same fault as write_u8" "SIGSEGV: write at 0x11000" want;
-  for a = 0x10000 to 0x11fff do
-    if Mem.peek_u8 blit a <> Mem.peek_u8 loop a then Alcotest.failf "byte 0x%x differs" a
-  done;
-  check_fault "unmapped" "SIGSEGV: write at 0x666000" (fun () -> Mem.blit_string blit 0x666000 s)
-
-let test_blit_string_across_pages () =
-  let m = Mem.create () in
-  Mem.map m 0x10000 (4 * 4096) Perm.rw;
-  let s = String.init 9000 (fun i -> Char.chr (i land 0xff)) in
-  Mem.blit_string m 0x10ff0 s;
-  Alcotest.(check string) "read back" s (read_string m 0x10ff0 9000)
-
 (* Copy-on-write: every writer of one side — checked words and bytes, a
-   page-spanning blit, a page-straddling poke, a bit flip — leaves the
+   page-spanning string, a page-straddling poke, a bit flip — leaves the
    other side's bytes alone, in both directions, including a write whose
    page the TLB had cached as writable before the clone. *)
 let test_clone_copy_on_write () =
@@ -189,7 +160,7 @@ let test_clone_copy_on_write () =
   let c0 = snapshot c in
   Mem.write_u64 m 0x10008 1;
   Mem.write_u8 m 0x11009 0xff;
-  Mem.blit_string m 0x10ff0 (String.make 5000 'z');
+  write_string m 0x10ff0 (String.make 5000 'z');
   Mem.poke_u64 m 0x11ffc (-1);
   Mem.poke_u64 m 0x20000 7;
   Mem.flip_bit m ~addr:0x12010 ~bit:1;
@@ -215,7 +186,7 @@ let test_zero_page_shared () =
   Mem.map a 0x10000 4096 Perm.rw;
   Mem.map b 0x10000 4096 Perm.rw;
   Mem.write_u64 a 0x10100 0x77;
-  Mem.blit_string a 0x10200 "abc";
+  write_string a 0x10200 "abc";
   Alcotest.(check int) "other memory still zero" 0 (Mem.read_u64 b 0x10100);
   Mem.map a 0x30000 4096 Perm.rw;
   Alcotest.(check int) "later map still zero" 0 (Mem.read_u64 a 0x30100);
@@ -241,9 +212,6 @@ let suite =
         Alcotest.test_case "cross-page word" `Quick test_cross_page_word;
         Alcotest.test_case "byte access" `Quick test_byte_access;
         Alcotest.test_case "bytes roundtrip" `Quick test_bytes_roundtrip;
-        Alcotest.test_case "blit_string faults like write_u8" `Quick
-          test_blit_string_faults_like_write_u8;
-        Alcotest.test_case "blit_string across pages" `Quick test_blit_string_across_pages;
         Alcotest.test_case "peek ignores perms" `Quick test_peek_ignores_perms;
         Alcotest.test_case "double map rejected" `Quick test_double_map_rejected;
         Alcotest.test_case "maxrss tracking" `Quick test_maxrss_tracking;
