@@ -1,7 +1,8 @@
 (** Static control-flow-graph recovery from a linked image.
 
     A disassembler-driven walk over the decoded instruction stream
-    ({!R2c_machine.Image.code_at} is the ground-truth decoder): every
+    ({!R2c_machine.Image.code_at}, built from the placed bodies, is the
+    ground-truth decoder): every
     function body is split into basic blocks at branch targets and after
     terminators, with intra-function edges, direct cross-function
     transfers, and a call graph. This is the substrate for the invariant

@@ -67,7 +67,7 @@ let rule_wx ctx =
 let rule_btra ctx =
   let img = ctx.img in
   let ends = Hashtbl.create 4096 in
-  Array.iter (fun (a, i, l) -> Hashtbl.replace ends (a + l) i) (Lazy.force img.Image.code_list);
+  Image.iter_insns img (fun a i l -> Hashtbl.replace ends (a + l) i);
   let fs = ref [] in
   let add addr fmt =
     Printf.ksprintf

@@ -24,22 +24,10 @@ let drop_postcheck (img : Image.t) =
       match Image.code_at img ra with
       | Some (Insn.Mov (Reg R11, Mem _), len) ->
           (* Overwrite the first post-check instruction with a same-size
-             NOP in a deep copy of the code tables, the placed text and
-             the instruction index: the emitted bytes no longer match
-             what checked_sites promises. *)
-          let code =
-            let copy = Hashtbl.copy (Lazy.force img.code) in
-            Hashtbl.replace copy ra (Insn.Nop len, len);
-            Lazy.from_val copy
-          in
-          let code_list =
-            Lazy.from_val
-              (Array.map
-                 (fun (a, i, l) -> if a = ra then (a, Insn.Nop len, l) else (a, i, l))
-                 (Lazy.force img.code_list))
-          in
-          (* The covering function is re-encoded without [locals]: its own
-             labels then resolve through the symbol table like externals. *)
+             NOP in a copy of the covering function's body, re-encoded
+             without [locals] (its own labels then resolve through the
+             symbol table like externals): the emitted bytes no longer
+             match what checked_sites promises. *)
           let patch (c : Image.chunk) =
             let b = c.c_body in
             let off = ra - c.c_entry in
@@ -56,15 +44,7 @@ let drop_postcheck (img : Image.t) =
               { c with c_body = b; c_ext = Array.map (Image.symbol img) b.b_ext }
             end
           in
-          {
-            img with
-            code;
-            code_list;
-            chunks = Array.map patch img.chunks;
-            index = Atomic.make None;
-            jit = Atomic.make [];
-            text_pages = Image.text_cells ~text_base:img.text_base ~text_len:img.text_len;
-          }
+          Image.with_chunks img (Array.map patch img.chunks)
       | _ -> invalid_arg "Selfcheck: no post-return check at the first checked site")
 
 let skip_mprotect (img : Image.t) = { img with text_perm = Perm.rw }
@@ -76,12 +56,8 @@ let plant_code_pointer (img : Image.t) =
     | None -> invalid_arg "Selfcheck: image has no ordinary function to leak"
   in
   let addr = Addr.align_up (img.data_base + img.data_len) ~align:8 in
-  {
-    img with
-    data_len = addr + 8 - img.data_base;
-    data_words = lazy (Array.append (Image.force img.data_words) [| addr; victim.entry |]);
-    data_pages = Atomic.make None;
-  }
+  Image.with_data img ~data_len:(addr + 8 - img.data_base)
+    (lazy (Array.append (Image.force img.data_words) [| addr; victim.entry |]))
 
 let apply m img =
   match m with

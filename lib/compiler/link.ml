@@ -322,52 +322,6 @@ let place (pl : plan) ~(opts : Opts.t) =
           Array.iter (fun off -> Hashtbl.replace checked_sites (entry + off) ()) f.f_tmpl.t_checked)
     order;
   let unwind_funcs = Array.of_list (List.rev !rows) in
-  (* The per-instruction address table, in ascending address order:
-     _start first, then the functions at their assigned entries. Lengths
-     come from the emission-time encoder measurement ([Asm.esizes]):
-     layout and execution must agree even when resolution changes an
-     immediate's width. Built on demand, straight from the emitted
-     instructions and by symbol name, independently of the templates'
-     relocations — it is the reference the placement-built fetch
-     ([Image.predecode]) is checked against, and loading never needs it:
-     the loader copies the templates' bytes. *)
-  let code_list =
-    lazy
-      (let resolve s off = addrs.(Hashtbl.find pl.ids s) + off in
-       let start = pl.start_body in
-       let total_insns =
-         Array.fold_left
-           (fun acc f -> acc + Array.length f.f_emitted.insns)
-           (Array.length start.Image.b_insns) pl.funcs
-       in
-       let arr = Array.make total_insns (0, Insn.Halt, 0) in
-       let slot = ref 0 in
-       let place_insns entry insns sizes =
-         let off = ref 0 in
-         Array.iteri
-           (fun i insn ->
-             let insn =
-               if Insn.is_resolved insn then insn
-               else begin
-                 let resolved = Insn.map_syms resolve insn in
-                 assert (Insn.is_resolved resolved);
-                 resolved
-               end
-             in
-             arr.(!slot) <- (entry + !off, insn, sizes.(i));
-             incr slot;
-             off := !off + sizes.(i))
-           insns
-       in
-       place_insns start_base start.Image.b_insns start.Image.b_sizes;
-       Array.iteri
-         (fun k i ->
-           let e = pl.funcs.(i).f_emitted in
-           place_insns entries.(k) e.insns e.esizes)
-         order;
-       assert (!slot = total_insns);
-       arr)
-  in
   (* Global initialisers, materialized on first use in one flat pass sized
      by the plan: [words] holds (address, value) pairs, [syms] the indices
      of the words a symbolic initialiser produced. BTRA decoy arrays make
@@ -417,17 +371,9 @@ let place (pl : plan) ~(opts : Opts.t) =
          syms;
        h)
   in
-  let code =
-    lazy
-      (let arr = Image.force code_list in
-       let h = Hashtbl.create (max 4096 (2 * Array.length arr)) in
-       Array.iter (fun (addr, insn, len) -> Hashtbl.replace h addr (insn, len)) arr;
-       h)
-  in
   {
-    Image.code;
-    code_list;
-    chunks;
+    Image.chunks;
+    code = Atomic.make None;
     index = Atomic.make None;
     jit = Atomic.make [];
     text_base;

@@ -53,9 +53,8 @@ type decoder = {
 }
 
 type t = {
-  code : (int, Insn.t * int) Hashtbl.t Lazy.t;
-  code_list : (int * Insn.t * int) array Lazy.t;
   chunks : chunk array;
+  code : (int, Insn.t * int) Hashtbl.t option Atomic.t;
   index : decoder option Atomic.t;
   jit : jit_cache list Atomic.t;
   text_base : int;
@@ -90,8 +89,7 @@ let builtin_names =
 (* An image is shared by every process of it, in any domain, and a bare
    [Lazy.force] raises [Lazy.Undefined] in a domain that finds another one
    part-way through forcing the same lazy: that domain waits for the
-   value instead. A forced lazy costs one [Lazy.force], so the reference
-   tier can fetch through [code] on every step. *)
+   value instead. *)
 let rec force l =
   match Lazy.force l with
   | v -> v
@@ -99,7 +97,41 @@ let rec force l =
       Domain.cpu_relax ();
       force l
 
-let code_at img addr = Hashtbl.find_opt (force img.code) addr
+(* The text as the linker laid it out, read off the chunks: each
+   instruction at its entry-relative offset, its symbols resolved by name
+   through the symbol table rather than through the relocations and
+   externals the decoder uses, so the two fetches are built independently
+   of each other. A zero-length instruction is visited before the
+   successor that shares its address. *)
+let iter_insns img f =
+  let resolve s off = img.sym_addrs.(Hashtbl.find img.sym_ids s) + off in
+  Array.iter
+    (fun c ->
+      let b = c.c_body in
+      let addr = ref c.c_entry in
+      Array.iteri
+        (fun i insn ->
+          let len = b.b_sizes.(i) in
+          f !addr (if Insn.is_resolved insn then insn else Insn.map_syms resolve insn) len;
+          addr := !addr + len)
+        b.b_insns)
+    img.chunks
+
+(* The reference tier's fetch table, built on its first probe and shared
+   by every process of the image; two domains racing on a fresh image
+   both build equal tables, either may win. *)
+let code_at img addr =
+  let h =
+    match Atomic.get img.code with
+    | Some h -> h
+    | None ->
+        let n = Array.fold_left (fun n c -> n + Array.length c.c_body.b_insns) 0 img.chunks in
+        let h = Hashtbl.create (max 4096 (2 * n)) in
+        iter_insns img (fun a insn len -> Hashtbl.replace h a (insn, len));
+        Atomic.set img.code (Some h);
+        h
+  in
+  Hashtbl.find_opt h addr
 
 let find_symbol img name =
   match Hashtbl.find_opt img.sym_ids name with
@@ -231,7 +263,7 @@ let body ~locals insns sizes =
    templates of a rotating program are indexed once, not once per
    rotation. An instruction owns the offset it starts at only when it has
    a nonzero length: a zero-length one is overwritten by its successor,
-   as in [code_list]'s address table. An instruction with a relocation is
+   as in [code_at]'s table. An instruction with a relocation is
    named by its relocation, whose resolved form is the placement's
    ([fixed]). Deferred rather than computed with the bytes because
    images that are never run fast — cold references, audits — would only
@@ -284,6 +316,19 @@ let text_cells ~text_base ~text_len =
   Array.init
     (Addr.page_of (text_base + max 1 text_len - 1) - Addr.page_of text_base + 1)
     (fun _ -> Atomic.make None)
+
+let with_chunks img chunks =
+  {
+    img with
+    chunks;
+    code = Atomic.make None;
+    index = Atomic.make None;
+    jit = Atomic.make [];
+    text_pages = text_cells ~text_base:img.text_base ~text_len:img.text_len;
+  }
+
+let with_data img ~data_len data_words =
+  { img with data_len; data_words; data_pages = Atomic.make None }
 
 (* Chunks are ascending and disjoint, so the first to overlap a page is
    the first to end past its base. *)
@@ -387,12 +432,10 @@ let fingerprint img =
   int img.stack_bytes;
   int img.heap_base;
   int (if img.shadow_stack then 1 else 0);
-  Array.iter
-    (fun (addr, insn, len) ->
+  iter_insns img (fun addr insn len ->
       Insn.add_binary b insn;
       int addr;
-      int len)
-    (force img.code_list);
+      int len);
   let words = force img.data_words in
   int (Array.length words);
   Array.iter int words;

@@ -1,12 +1,14 @@
 (** A linked executable image.
 
     The linker produces one of these; the loader maps it; the CPU fetches
-    decoded instructions through {!predecoded} (tier 3) or [code]
-    (reference tier). Text bytes are also materialised into memory, a
-    page on its first observation ({!text_page}), with a
-    deterministic pseudo-encoding so that read attacks against
-    non-execute-only text observe real bytes, while [code_at] is the
-    (defender/CPU-side) decoder.
+    decoded instructions through {!predecoded} (tier 3) or {!code_at}
+    (reference tier, and the defender-side decoder). The placed bodies
+    ([chunks]) are the image's only copy of its text. Everything else
+    about the text is derived from them on first use and kept in a memo
+    cell: the loaded pages ({!text_page}, a deterministic pseudo-encoding,
+    so that read attacks against non-execute-only text observe real
+    bytes), the {!decoder}, {!code_at}'s table and the tier-3 code.
+    {!with_chunks} copies an image with other text and fresh cells.
 
     What is derived from a body's bytes is built once per {!body} and
     shared by every image that places it: its pseudo-encoded text, the
@@ -113,33 +115,26 @@ type decoder = {
 }
 
 type t = {
-  code : (int, Insn.t * int) Hashtbl.t Lazy.t;
-      (** address -> decoded instruction and its layout-assigned byte
-          length (the length is fixed at layout time, before symbol
-          resolution, and drives the CPU's rip advance). Derived from
-          [code_list] on first use: the reference dispatch and the
-          defender-side tools probe it; tier 3 fetches through
-          {!predecoded} instead. *)
-  code_list : (int * Insn.t * int) array Lazy.t;
-      (** ascending address order. Materialized on first use: the linker
-          records layout and relocation decisions eagerly (cheap, per
-          function) and fills the per-instruction table on demand. The
-          load path never forces it; fingerprints, audits and the
-          reference tier do. *)
   chunks : chunk array;
       (** the placed text, ascending by address: [_start], then every
           function. Bytes outside the chunks (the builtin PLT region,
-          function padding) are zero. *)
+          function padding) are zero. The image's only copy of its text;
+          an image copied with other chunks gets fresh cells from
+          {!with_chunks}. *)
+  code : (int, Insn.t * int) Hashtbl.t option Atomic.t;
+      (** memo cell of {!code_at}'s table: address -> instruction resolved
+          by name ({!iter_insns}) and its layout-assigned byte length (the
+          length is fixed at layout time, before symbol resolution, and
+          drives the CPU's rip advance). The reference dispatch and the
+          defender-side tools probe it; tier 3 fetches through
+          {!predecoded} instead, and loading never builds it. *)
   index : decoder option Atomic.t;
-      (** memo cell of {!predecoded}. An image copied with a changed
-          [chunks] must get a fresh cell ([Atomic.make None]). *)
+      (** memo cell of {!predecoded} *)
   jit : jit_cache list Atomic.t;
       (** the tier-3 code state of this image, at most one per cost
           profile, each published once by the first run that needs it and
           shared by every process of the image afterwards; the compiled
-          code itself is instantiated from plans kept on the bodies. An
-          image copied with a changed [chunks] must get a fresh cell
-          ([Atomic.make \[\]]). *)
+          code itself is instantiated from plans kept on the bodies *)
   text_base : int;
   text_len : int;
   text_perm : Perm.t;
@@ -155,14 +150,11 @@ type t = {
           does. *)
   data_bytes : (int * string) array Lazy.t;  (** initialised byte runs *)
   text_pages : Bytes.t option Atomic.t array;
-      (** memo cells of {!text_page}, one per page of the text. An image
-          copied with a changed [chunks] must get fresh cells
-          ({!text_cells}). *)
+      (** memo cells of {!text_page}, one per page of the text *)
   data_pages : Bytes.t option array option Atomic.t;
       (** memo cell of {!data_page}: every page of the data, [None] where
-          no initialiser writes. An image copied with a changed
-          [data_len], [data_words] or [data_bytes] must get a fresh cell
-          ([Atomic.make None]). *)
+          no initialiser writes. An image copied with other data gets a
+          fresh cell from {!with_data}. *)
   sym_ids : (string, int) Hashtbl.t;
       (** symbol name -> dense id, interned once by the link plan and
           shared by every image placed from it *)
@@ -219,8 +211,29 @@ val text_page : t -> int -> Bytes.t option
     one pass, then shared by every process of [img]; never written. *)
 val data_page : t -> int -> Bytes.t option
 
-(** [code_at img addr] — decoded instruction and byte length at [addr]. *)
+(** [iter_insns img f] — [f addr insn len] for every instruction of
+    every chunk, in address order: [insn] as emitted with each symbol
+    resolved by name through [sym_ids]/[sym_addrs] (not through the
+    relocations and externals the {!decoder} uses), [len] its
+    emission-time length. A zero-length instruction comes before the one
+    that shares its address. *)
+val iter_insns : t -> (int -> Insn.t -> int -> unit) -> unit
+
+(** [code_at img addr] — the instruction that starts at [addr] and its
+    byte length, as {!iter_insns} yields it (the last one at [addr]). The
+    table is built on the first call and shared by every process of
+    [img]. *)
 val code_at : t -> int -> (Insn.t * int) option
+
+(** [with_chunks img chunks] — [img] with text [chunks] and every memo
+    cell derived from the text fresh: [code], [index], [jit] and
+    [text_pages]. *)
+val with_chunks : t -> chunk array -> t
+
+(** [with_data img ~data_len words] — [img] with [data_len] bytes of data
+    initialised by [words] (laid out as [data_words]) and a fresh
+    [data_pages] cell. *)
+val with_data : t -> data_len:int -> int array Lazy.t -> t
 
 (** [symbol img name] — address of a symbol; raises [Not_found]. *)
 val symbol : t -> string -> int

@@ -7,9 +7,9 @@
     pages ({!Image.text_page}, {!Image.data_page}): each is built on its
     first observation, once per image, and a run never observes
     execute-only text. The stack is mapped at the canonical top of user
-    space. Loading copies no byte and forces neither
-    {!Image.t.code_list} nor {!Image.t.data_words}: its cost is O(pages)
-    of page-table entries. *)
+    space. Loading copies no byte and builds neither the reference fetch
+    table ({!Image.code_at}) nor {!Image.t.data_words}: its cost is
+    O(pages) of page-table entries. *)
 
 (** [load ?strict_align ?inject ?jit ?jit_cache ?jit_stats ~profile img].
     The fresh CPU gets a tier-3 runner. With [?jit] (default

@@ -83,10 +83,8 @@ let test_text_in_region () =
   Alcotest.(check bool) "text base" true (img.Image.text_base >= Addr.text_base);
   Alcotest.(check bool) "text end" true
     (img.Image.text_base + img.Image.text_len < Addr.text_limit);
-  Array.iter
-    (fun (addr, _, _) ->
+  Image.iter_insns img (fun addr _ _ ->
       Alcotest.(check bool) "insn in text" true (Addr.region_of addr = Addr.Text))
-    (Lazy.force img.Image.code_list)
 
 let test_data_in_region () =
   let img = Driver.compile Samples.global_prog in

@@ -418,8 +418,9 @@ let test_run_until_many_breakpoints () =
   in
   let in_main a = a >= main_fn.Image.entry && a < main_fn.Image.entry + main_fn.Image.code_len in
   let main_addrs =
-    Array.to_list (Lazy.force img.Image.code_list)
-    |> List.filter_map (fun (a, _, _) -> if in_main a then Some a else None)
+    let l = ref [] in
+    Image.iter_insns img (fun a _ _ -> if in_main a then l := a :: !l);
+    List.rev !l
   in
   (* Every other instruction of main, capped at 64 breakpoints. *)
   let break =

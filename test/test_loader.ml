@@ -3,9 +3,9 @@
    observes it, once per image, and shared copy-on-write by every process
    of the image. The loaded memory is checked here against references
    built eagerly and independently of it: the text against the
-   pseudo-encoding of every [code_list] instruction, and every page
-   against the old eager load (zero pages, each chunk's bytes at its
-   entry, the data words, then the byte runs). Tier 3 fetches from a
+   pseudo-encoding of every instruction [Image.iter_insns] yields, and
+   every page against the old eager load (zero pages, each chunk's bytes
+   at its entry, the data words, then the byte runs). Tier 3 fetches from a
    predecode built from the same placement. *)
 
 open R2c_machine
@@ -34,12 +34,10 @@ let loaded_text (img : Image.t) =
 
 let reference_text (img : Image.t) =
   let b = Bytes.make (mapped_len img) '\000' in
-  Array.iter
-    (fun (addr, insn, len) ->
+  Image.iter_insns img (fun addr insn len ->
       for k = 0 to len - 1 do
         Bytes.set b (addr - img.text_base + k) (Char.chr (Image.encode_byte insn k))
-      done)
-    (Lazy.force img.code_list);
+      done);
   Bytes.to_string b
 
 let check_text what img =
@@ -47,7 +45,7 @@ let check_text what img =
   match Seq.find (fun i -> got.[i] <> want.[i]) (Seq.init (String.length want) Fun.id) with
   | None -> ()
   | Some i ->
-      Alcotest.failf "%s: text byte 0x%x is %02x, code_list encodes %02x" what
+      Alcotest.failf "%s: text byte 0x%x is %02x, the instruction there encodes %02x" what
         (img.text_base + i) (Char.code got.[i]) (Char.code want.[i])
 
 let rotated cfg =
@@ -83,12 +81,11 @@ let test_straddling_function () =
       Alcotest.(check string) (f.fname ^ " bytes across the page boundary")
         (String.sub want off f.code_len) (String.sub got off f.code_len)
 
-let test_start_leaves_code_list () =
+let test_start_builds_no_fetch_table () =
   let img = rotated (Dconfig.full ()) in
   ignore (Process.start img);
-  Alcotest.(check bool) "code_list not forced by Process.start" false
-    (Lazy.is_val img.code_list);
-  Alcotest.(check bool) "code table not forced by Process.start" false (Lazy.is_val img.code)
+  Alcotest.(check bool) "fetch table not built by Process.start" true
+    (Atomic.get img.code = None)
 
 let load img = (Loader.load ~jit:false ~profile:Cost.epyc_rome img).Cpu.mem
 
@@ -254,7 +251,8 @@ let suite =
         Alcotest.test_case "page-straddling function" `Quick test_straddling_function;
         Alcotest.test_case "self-check clone text = code_list encoding" `Quick
           test_selfcheck_text;
-        Alcotest.test_case "start leaves code_list unforced" `Quick test_start_leaves_code_list;
+        Alcotest.test_case "Process.start builds no fetch table" `Quick
+          test_start_builds_no_fetch_table;
         Alcotest.test_case "demand-built pages = eager load, all configs" `Quick
           test_demand_equals_eager;
         Alcotest.test_case "start builds no page" `Quick test_start_builds_nothing;

@@ -81,13 +81,11 @@ type slot = P_none | P_insn of Insn.t * int | P_builtin of string
 
 (* The placement-built fetch (shared body slots, located by the image's
    decoder, relocations resolved against the linker's external addresses)
-   against a table built from [code_list] alone, slot for slot at every
-   text address. *)
-let predecode_of_code_list (img : Image.t) =
+   against a table of the instructions resolved by name
+   ([Image.iter_insns]), slot for slot at every text address. *)
+let by_name_table (img : Image.t) =
   let table = Array.make (max 1 img.text_len) P_none in
-  Array.iter
-    (fun (addr, insn, len) -> table.(addr - img.text_base) <- P_insn (insn, len))
-    (Lazy.force img.code_list);
+  Image.iter_insns img (fun addr insn len -> table.(addr - img.text_base) <- P_insn (insn, len));
   Hashtbl.iter
     (fun addr name -> table.(addr - img.text_base) <- P_builtin name)
     img.builtin_addrs;
@@ -110,13 +108,13 @@ let fetch (img : Image.t) d addr =
 (* A fresh decoder and the image's shared one: a copy with new text that
    kept its parent's memo cell would serve the parent's chunks. *)
 let check_predecode name (img : Image.t) =
-  let want = predecode_of_code_list img in
+  let want = by_name_table img in
   List.iter
     (fun (which, got) ->
       Array.iteri
         (fun off slot ->
           if slot <> got (img.text_base + off) then
-            Alcotest.failf "%s: %s slot 0x%x differs from the code_list-built table" name which
+            Alcotest.failf "%s: %s slot 0x%x differs from the by-name table" name which
               (img.text_base + off))
         want)
     [
@@ -124,7 +122,7 @@ let check_predecode name (img : Image.t) =
       ("predecoded", fetch img (Image.predecoded img));
     ]
 
-let test_predecode_matches_code_list () =
+let test_predecode_matches_by_name () =
   let p = R2c_workloads.Genprog.generate ~seed:13 ~funcs:30 in
   let coords link = { Pipeline.cfg = D.full (); body_seed = 9; link_seed = Some link } in
   check_predecode "cold" (Pipeline.compile_cold (coords 100) p);
@@ -132,10 +130,30 @@ let test_predecode_matches_code_list () =
   check_predecode "warm" (fst (Pipeline.compile_incremental r (coords 100) p));
   (* The rotation reuses the warm build's cached body slots. *)
   check_predecode "rotated" (fst (Pipeline.compile_incremental r (coords 101) p));
+  (* The mutant NOPs the instruction at the first checked return address.
+     Its parent's fetch table, decoder and text page there are built
+     first: a copy that kept any of those cells would show the parent's
+     instruction. *)
   let checked = R2c_defenses.Defenses.build_vulnapp R2c_defenses.Defenses.r2c_checked ~seed:4 in
-  ignore (Image.predecoded checked);
-  check_predecode "self-check mutated"
-    (R2c_analysis.Selfcheck.apply R2c_analysis.Selfcheck.Drop_btra_postcheck checked)
+  let ra = Hashtbl.fold (fun a () m -> min a m) checked.checked_sites max_int in
+  let len =
+    match Image.code_at checked ra with
+    | Some (_, len) -> len
+    | None -> Alcotest.fail "no instruction at the first checked site"
+  in
+  ignore (fetch checked (Image.predecoded checked) ra);
+  ignore (Image.text_page checked (Addr.page_of ra));
+  let mutant = R2c_analysis.Selfcheck.apply R2c_analysis.Selfcheck.Drop_btra_postcheck checked in
+  check_predecode "self-check mutated" mutant;
+  let nop = Insn.Nop len in
+  Alcotest.(check bool) "mutant code_at shows the NOP" true
+    (Image.code_at mutant ra = Some (nop, len));
+  Alcotest.(check bool) "mutant predecoded shows the NOP" true
+    (fetch mutant (Image.predecoded mutant) ra = P_insn (nop, len));
+  Alcotest.(check (option int)) "mutant text page shows the NOP" (Some (Image.encode_byte nop 0))
+    (Option.map
+       (fun page -> Char.code (Bytes.get page (Addr.page_offset ra)))
+       (Image.text_page mutant (Addr.page_of ra)))
 
 (* Fault equality: a faulting program must report the identical fault
    (class, address, counters at detonation) from both tiers. *)
@@ -173,7 +191,7 @@ let suite =
         Alcotest.test_case "corpus replay, both tiers" `Quick test_corpus_replay;
         Alcotest.test_case "fault equality" `Quick test_fault_equality;
         Alcotest.test_case "placement predecode = code_list predecode" `Quick
-          test_predecode_matches_code_list;
+          test_predecode_matches_by_name;
         Alcotest.test_case "fuel-exhaustion equality" `Quick test_fuel_equality;
       ] );
   ]

@@ -132,20 +132,23 @@ let test_fingerprint_sees_one_field () =
   let changed what img' =
     Alcotest.(check bool) (what ^ " changes the fingerprint") false (String.equal base (fp img'))
   in
+  (* The first body instruction [edit] changes, in a copy of its body. *)
   let with_insn edit =
-    let code = Array.copy (Image.force img.Image.code_list) in
-    let k = ref (-1) in
-    Array.iteri
-      (fun i (a, insn, len) ->
-        if !k < 0 then
-          match edit insn with
-          | Some insn' ->
-              k := i;
-              code.(i) <- (a, insn', len)
-          | None -> ())
-      code;
-    Alcotest.(check bool) "an instruction to edit" true (!k >= 0);
-    { img with Image.code_list = Lazy.from_val code }
+    let edited = ref false in
+    let patch (c : Image.chunk) =
+      let b = c.c_body in
+      match if !edited then None else Array.find_index (fun i -> edit i <> None) b.b_insns with
+      | None -> c
+      | Some k ->
+          edited := true;
+          let insns = Array.copy b.b_insns in
+          insns.(k) <- Option.get (edit insns.(k));
+          let b = Image.body ~locals:[] insns b.b_sizes in
+          { c with c_body = b; c_ext = Array.map (Image.symbol img) b.b_ext }
+    in
+    let img' = Image.with_chunks img (Array.map patch img.Image.chunks) in
+    Alcotest.(check bool) "an instruction to edit" true !edited;
+    img'
   in
   changed "one immediate"
     (with_insn (function
@@ -162,7 +165,7 @@ let test_fingerprint_sees_one_field () =
   let words = Array.copy (Image.force img.Image.data_words) in
   Alcotest.(check bool) "a data word" true (Array.length words >= 2);
   words.(1) <- words.(1) + 1;
-  changed "one data word" { img with Image.data_words = Lazy.from_val words };
+  changed "one data word" (Image.with_data img ~data_len:img.Image.data_len (Lazy.from_val words));
   let funcs = Array.copy img.Image.funcs in
   funcs.(0) <- { (funcs.(0)) with Image.is_booby_trap = not funcs.(0).Image.is_booby_trap };
   changed "one booby-trap flag" { img with Image.funcs }
