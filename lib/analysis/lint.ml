@@ -66,6 +66,7 @@ let rule_wx ctx =
 
 let rule_btra ctx =
   let img = ctx.img in
+  let { Image.unwind_sites; checked_sites } = Image.sites img in
   let ends = Hashtbl.create 4096 in
   Image.iter_insns img (fun a i l -> Hashtbl.replace ends (a + l) i);
   let fs = ref [] in
@@ -80,9 +81,9 @@ let rule_btra ctx =
       | Some (Insn.Call _ | Insn.Call_ind _) -> ()
       | _ -> add ra "unwind site does not follow a call instruction");
       if words < 0 || words > 256 then add ra "implausible unwind-site words %d" words;
-      if ctx.expect.checked_btra && not (Hashtbl.mem img.Image.checked_sites ra) then
+      if ctx.expect.checked_btra && not (Hashtbl.mem checked_sites ra) then
         add ra "call site lacks the expected post-return BTRA check";
-      if Hashtbl.mem img.Image.checked_sites ra then begin
+      if Hashtbl.mem checked_sites ra then begin
         (* Section 7.3 pattern: mov r11, [rsp+d]; cmp r11, <booby trap>;
            jcc eq, ok; trap. *)
         match Image.code_at img ra with
@@ -104,7 +105,7 @@ let rule_btra ctx =
             | _ -> add ra "post-return check is missing the pre-BTRA comparison")
         | _ -> add ra "post-return check bytes missing at checked call site"
       end)
-    img.Image.unwind_sites;
+    unwind_sites;
   !fs
 
 (* --- Rule: booby traps unreachable through direct control flow --------- *)

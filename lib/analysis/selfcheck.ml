@@ -15,7 +15,7 @@ let expected_rule = function
   | Plant_code_pointer -> "ptr"
 
 let drop_postcheck (img : Image.t) =
-  let ras = Hashtbl.fold (fun a () acc -> a :: acc) img.checked_sites [] in
+  let ras = Hashtbl.fold (fun a () acc -> a :: acc) (Image.sites img).checked_sites [] in
   match List.sort compare ras with
   | [] ->
       invalid_arg
@@ -40,8 +40,7 @@ let drop_postcheck (img : Image.t) =
               done;
               let insns = Array.copy b.b_insns in
               insns.(!k) <- Insn.Nop len;
-              let b = Image.body ~locals:[] insns b.b_sizes in
-              { c with c_body = b; c_ext = Array.map (Image.symbol img) b.b_ext }
+              Image.with_body img c (Image.body ~locals:[] insns b.b_sizes)
             end
           in
           Image.with_chunks img (Array.map patch img.chunks)

@@ -54,7 +54,6 @@ type pfunc = {
    the [ginit] list: the per-rotation data pass then reads contiguous
    memory. *)
 type pglobal = {
-  g : Ir.global;
   g_words : int array;
   g_strs : (int * string) array;
 }
@@ -74,10 +73,10 @@ type plan = {
   start_ext : int array;
   f0 : int;
   funcs : pfunc array;  (* input order *)
-  fnames : string list;  (* [func_order]'s argument *)
+  fnames : string array;  (* their names: [func_order]'s argument *)
   g0 : int;
   globals : pglobal array;  (* input order *)
-  glist : Ir.global list;  (* [global_order]'s argument *)
+  gdefs : Ir.global array;  (* their definitions: [global_order]'s argument *)
   nwords : int;  (* initialiser totals, to size the data pass: 64-bit words, *)
   nsyms : int;  (* symbolic words among them, *)
   nstrs : int;  (* and byte runs *)
@@ -86,8 +85,7 @@ type plan = {
 let plan ~(opts : Opts.t) ~main (pairs : (Asm.emitted * template) list) (globals : Ir.global list) =
   let md = opts.mdesc in
   let funcs_in = Array.of_list pairs in
-  let glist = globals @ opts.extra_globals in
-  let globals_in = Array.of_list glist in
+  let globals_in = Array.of_list (globals @ opts.extra_globals) in
   let nb = List.length Image.builtin_names in
   let nf = Array.length funcs_in and ng = Array.length globals_in in
   let nlabels =
@@ -189,7 +187,7 @@ let plan ~(opts : Opts.t) ~main (pairs : (Asm.emitted * template) list) (globals
         in
         nwords := !nwords + !w;
         nstrs := !nstrs + gstrs;
-        { g; g_words; g_strs })
+        { g_words; g_strs })
       globals_in
   in
   {
@@ -200,10 +198,10 @@ let plan ~(opts : Opts.t) ~main (pairs : (Asm.emitted * template) list) (globals
     start_ext;
     f0;
     funcs;
-    fnames = Array.to_list (Array.map (fun ((e : Asm.emitted), _) -> e.ename) funcs_in);
+    fnames = Array.map (fun ((e : Asm.emitted), _) -> e.ename) funcs_in;
     g0;
     globals;
-    glist;
+    gdefs = globals_in;
     nwords = !nwords;
     nsyms = !nsyms;
     nstrs = !nstrs;
@@ -211,7 +209,9 @@ let plan ~(opts : Opts.t) ~main (pairs : (Asm.emitted * template) list) (globals
 
 (* The layout of one image: [opts]' order, padding and slide hooks decide
    an address per symbol id, and every placed table is read off the plan
-   by id. No name is looked up except the ones the order hooks return. *)
+   by id. The order hooks permute plan indices, so no name is looked up;
+   the tables only the unwinder and the static tools read are derived on
+   first read. *)
 let place (pl : plan) ~(opts : Opts.t) =
   let addrs = Array.make (Hashtbl.length pl.ids) 0 in
   let text_base = Addr.text_base + opts.text_slide in
@@ -227,20 +227,14 @@ let place (pl : plan) ~(opts : Opts.t) =
   (* Function placement: [order.(k)] is the plan index of the [k]-th
      function in the text. *)
   let nf = Array.length pl.funcs in
-  let order = Array.make nf 0 and seen = Array.make nf false in
-  let names = opts.func_order pl.fnames in
-  if List.length names <> nf then invalid_arg "link: func_order changed the number of functions";
-  List.iteri
-    (fun k name ->
-      let i =
-        match Hashtbl.find_opt pl.ids name with
-        | Some id when id >= pl.f0 && id < pl.f0 + nf -> id - pl.f0
-        | _ -> invalid_arg ("link: func_order invented " ^ name)
-      in
-      if seen.(i) then invalid_arg ("link: duplicate symbol " ^ name);
-      seen.(i) <- true;
-      order.(k) <- i)
-    names;
+  let order = opts.func_order pl.fnames and seen = Array.make nf false in
+  if Array.length order <> nf then invalid_arg "link: func_order changed the number of functions";
+  Array.iter
+    (fun i ->
+      if i < 0 || i >= nf then invalid_arg (Printf.sprintf "link: func_order invented index %d" i);
+      if seen.(i) then invalid_arg ("link: duplicate symbol " ^ pl.fnames.(i));
+      seen.(i) <- true)
+    order;
   let entries = Array.make nf 0 in
   let cursor = ref (start_base + String.length pl.start_body.Image.b_text) in
   Array.iteri
@@ -257,36 +251,33 @@ let place (pl : plan) ~(opts : Opts.t) =
   (* Data layout: [gorder.(k)] is the plan index of the [k]-th global. *)
   let ng = Array.length pl.globals in
   let data_base = Addr.data_base + opts.data_slide in
-  let ordered = opts.global_order pl.glist in
-  if List.length ordered <> ng then invalid_arg "link: global_order changed the number of globals";
-  let gorder = Array.make ng 0 and gseen = Array.make ng false in
+  let gorder, pads = opts.global_order pl.gdefs in
+  if Array.length gorder <> ng || Array.length pads <> ng then
+    invalid_arg "link: global_order changed the number of globals";
+  let gseen = Array.make ng false in
   let dcursor = ref data_base in
-  List.iteri
-    (fun k ((g : Ir.global), pad) ->
-      let j =
-        match Hashtbl.find_opt pl.ids g.gname with
-        | Some id when id >= pl.g0 && id < pl.g0 + ng && pl.globals.(id - pl.g0).g == g -> id - pl.g0
-        | _ -> invalid_arg ("link: global_order invented " ^ g.gname)
-      in
+  Array.iteri
+    (fun k j ->
+      if j < 0 || j >= ng then invalid_arg (Printf.sprintf "link: global_order invented index %d" j);
+      let g = pl.gdefs.(j) in
       if gseen.(j) then invalid_arg ("link: duplicate symbol " ^ g.gname);
       gseen.(j) <- true;
-      gorder.(k) <- j;
       let addr = Addr.align_up !dcursor ~align:16 in
       addrs.(pl.g0 + j) <- addr;
-      dcursor := addr + g.gsize + max 0 pad)
-    ordered;
+      dcursor := addr + g.gsize + max 0 pads.(k))
+    gorder;
   let data_len = max Addr.page_size (!dcursor - data_base) in
   if data_base + data_len > Addr.data_limit then invalid_arg "link: data region overflow";
-  (* The placed text, _start first: each chunk's externals read off the
-     address array, for the loader-free fetch ([Image.predecode]). *)
-  let resolve_ids ids = Array.map (fun id -> addrs.(id)) ids in
+  (* The placed text, _start first: each chunk's externals are the plan's
+     ids, read off the address array by the loader-free fetch
+     ([Image.predecode]). *)
   let chunks =
     Array.init (nf + 1) (fun k ->
         if k = 0 then
-          { Image.c_entry = start_base; c_body = pl.start_body; c_ext = resolve_ids pl.start_ext }
+          { Image.c_entry = start_base; c_body = pl.start_body; c_ext = pl.start_ext; c_addrs = addrs }
         else
           let f = pl.funcs.(order.(k - 1)) in
-          { Image.c_entry = entries.(k - 1); c_body = f.f_tmpl.t_body; c_ext = resolve_ids f.f_ext })
+          { Image.c_entry = entries.(k - 1); c_body = f.f_tmpl.t_body; c_ext = f.f_ext; c_addrs = addrs })
   in
   let funcs =
     Array.mapi
@@ -300,28 +291,34 @@ let place (pl : plan) ~(opts : Opts.t) =
         })
       order
   in
-  (* Unwind and check rows, in placement order — ascending by entry, as
-     the unwinder's binary search needs (framed functions are never
-     empty, so entries are distinct). The site tables are sized and filled
-     in a fixed order, so their iteration order — which the auditor's
-     report follows — is a function of the layout alone. *)
-  let unwind_sites = Hashtbl.create (max 1024 (4 * nf)) in
-  let checked_sites = Hashtbl.create 64 in
+  (* Unwind rows, in placement order — ascending by entry, as the
+     unwinder's binary search needs (framed functions are never empty, so
+     entries are distinct). *)
   let rows = ref [] in
   Array.iteri
     (fun k i ->
       let f = pl.funcs.(i) in
       match f.f_emitted.eframe with
       | None -> ()
-      | Some meta ->
-          let entry = entries.(k) in
-          rows := (entry, f.f_len, meta.Asm.frame_size, meta.Asm.post_words) :: !rows;
-          Array.iter
-            (fun (off, words) -> Hashtbl.replace unwind_sites (entry + off) words)
-            f.f_tmpl.t_unwind;
-          Array.iter (fun off -> Hashtbl.replace checked_sites (entry + off) ()) f.f_tmpl.t_checked)
+      | Some meta -> rows := (entries.(k), f.f_len, meta.Asm.frame_size, meta.Asm.post_words) :: !rows)
     order;
   let unwind_funcs = Array.of_list (List.rev !rows) in
+  (* The site tables, built on first read: only the unwinder and the
+     static tools ask, never a rotation or a load. They are sized and
+     filled in placement order, so their iteration order — which the
+     auditor's report follows — is a function of the layout alone. *)
+  let sites =
+    lazy
+      (let unwind_sites = Hashtbl.create (max 1024 (4 * nf)) in
+       let checked_sites = Hashtbl.create 64 in
+       Array.iteri
+         (fun k i ->
+           let t = pl.funcs.(i).f_tmpl and entry = entries.(k) in
+           Array.iter (fun (off, words) -> Hashtbl.replace unwind_sites (entry + off) words) t.t_unwind;
+           Array.iter (fun off -> Hashtbl.replace checked_sites (entry + off) ()) t.t_checked)
+         order;
+       { Image.unwind_sites; checked_sites })
+  in
   (* Global initialisers, materialized on first use in one flat pass sized
      by the plan: [words] holds (address, value) pairs, [syms] the indices
      of the words a symbolic initialiser produced. BTRA decoy arrays make
@@ -393,8 +390,7 @@ let place (pl : plan) ~(opts : Opts.t) =
     stack_bytes = opts.stack_bytes;
     heap_base = Addr.heap_base + opts.heap_slide;
     unwind_funcs;
-    unwind_sites;
-    checked_sites;
+    sites;
     code_ptr_slots;
     shadow_stack = opts.shadow_stack;
   }

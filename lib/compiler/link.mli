@@ -37,8 +37,11 @@ val plan :
 (** [place plan ~opts] — the image under [opts]' layout hooks
     ([func_order], [func_pad], [global_order], the slides) and image
     settings ([text_perm], [stack_bytes], [shadow_stack]); images placed
-    from one plan share its symbol table. Raises [Invalid_argument] when
-    an order hook is not a permutation or a region overflows. *)
+    from one plan share its symbol table. The order hooks permute the
+    plan's indices, so placing looks up no name, and the site tables
+    ({!R2c_machine.Image.sites}) are left to their first reader. Raises
+    [Invalid_argument] when an order hook's result is not a permutation
+    of the right length or a region overflows. *)
 val place : plan -> opts:Opts.t -> R2c_machine.Image.t
 
 (** [link ~opts ~main emitted globals] — [place] of a fresh [plan]. *)

@@ -34,8 +34,8 @@ type t = {
   btdp_array_sym : string option;
   func_alias : string -> string;
   oia : bool;
-  func_order : string list -> string list;
-  global_order : Ir.global list -> (Ir.global * int) list;
+  func_order : string array -> int array;
+  global_order : Ir.global array -> int array * int array;
   func_pad : fname:string -> int;
   raw_funcs : raw_func list;
   text_perm : R2c_machine.Perm.t;
@@ -64,8 +64,11 @@ let default =
     btdp_array_sym = None;
     func_alias = (fun s -> s);
     oia = false;
-    func_order = (fun names -> names);
-    global_order = (fun globals -> List.map (fun g -> (g, 0)) globals);
+    func_order = (fun names -> identity_perm (Array.length names));
+    global_order =
+      (fun globals ->
+        let n = Array.length globals in
+        (identity_perm n, Array.make n 0));
     func_pad = (fun ~fname:_ -> 0);
     raw_funcs = [];
     text_perm = R2c_machine.Perm.rx;

@@ -84,10 +84,16 @@ type t = {
       (** offset-invariant addressing (Section 5.1.1): the caller prepares
           the frame pointer for callees with stack arguments. Mandatory
           whenever BTRAs are enabled; measurable alone. *)
-  func_order : string list -> string list;
-      (** text-section function order (function shuffling) *)
-  global_order : Ir.global list -> (Ir.global * int) list;
-      (** data-section order with post-padding (global shuffling) *)
+  func_order : string array -> int array;
+      (** text-section function order (function shuffling): given the
+          functions' names in input order, a permutation of their indices,
+          the [k]-th entry naming the [k]-th function in the text. Called
+          once per layout with the same array, built once per link plan. *)
+  global_order : Ir.global array -> int array * int array;
+      (** data-section order with post-padding (global shuffling): given
+          the globals in input order, a permutation of their indices as
+          [func_order]'s, and the padding bytes after the global in each
+          slot, one per slot *)
   func_pad : fname:string -> int;  (** padding bytes after a function *)
   raw_funcs : raw_func list;
   text_perm : R2c_machine.Perm.t;

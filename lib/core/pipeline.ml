@@ -43,30 +43,31 @@ let link_rngs ~seed ~link_seed =
       (rng_layout, rng_aslr, ls)
 
 (* The six link-level option fields, factored so a rerandomization can
-   rebuild exactly these on a memoized instrument output. *)
+   rebuild exactly these on a memoized instrument output. The order hooks
+   shuffle index permutations: [Rng.shuffle] swaps by position, so the
+   permutation is the one a shuffle of the names themselves would apply.
+   The function pad is drawn from the unadvanced layout stream, so it is
+   one value per layout, drawn once here. *)
 let link_fields ~(cfg : Dconfig.t) ~pad_seed ~rng_layout ~rng_aslr =
-  let func_order names =
-    if cfg.shuffle_functions then Rng.shuffle_list (Rng.copy rng_layout) names else names
+  let shuffled flag n =
+    let perm = Opts.identity_perm n in
+    if flag then Rng.shuffle (Rng.copy rng_layout) perm;
+    perm
   in
+  let func_order names = shuffled cfg.shuffle_functions (Array.length names) in
   let global_order globals =
-    let globals =
-      if cfg.shuffle_globals then Rng.shuffle_list (Rng.copy rng_layout) globals
-      else globals
+    let n = Array.length globals in
+    let pads =
+      if cfg.global_padding_max > 0 then begin
+        let r = Rng.create (pad_seed lxor 0x5bd1e995) in
+        Array.init n (fun _ -> Rng.int r (cfg.global_padding_max + 1) land lnot 7)
+      end
+      else Array.make n 0
     in
-    let r = Rng.create (pad_seed lxor 0x5bd1e995) in
-    List.map
-      (fun g ->
-        let pad =
-          if cfg.global_padding_max > 0 then
-            Rng.int r (cfg.global_padding_max + 1) land lnot 7
-          else 0
-        in
-        (g, pad))
-      globals
+    (shuffled cfg.shuffle_globals n, pads)
   in
-  let func_pad ~fname:_ =
-    if cfg.shuffle_functions then Rng.int (Rng.copy rng_layout) 17 land lnot 0 else 0
-  in
+  let pad = if cfg.shuffle_functions then Rng.int (Rng.copy rng_layout) 17 else 0 in
+  let func_pad ~fname:_ = pad in
   let page = Addr.page_size in
   let text_slide, data_slide, heap_slide =
     if cfg.aslr then

@@ -64,7 +64,7 @@ let summary (img : Image.t) =
     traps img.Image.data_len img.Image.data_base
     (img.Image.stack_bytes / 1024)
     (Array.length img.Image.unwind_funcs)
-    (Hashtbl.length img.Image.unwind_sites)
+    (Hashtbl.length (Image.sites img).unwind_sites)
     (if img.Image.shadow_stack then "; shadow-stack CFI" else "")
 
 let image (img : Image.t) =

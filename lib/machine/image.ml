@@ -27,6 +27,7 @@ type chunk = {
   c_entry : int;
   c_body : body;
   c_ext : int array;
+  c_addrs : int array;
 }
 
 type jit_cache = ..
@@ -52,6 +53,11 @@ type decoder = {
   d_views : view array;
 }
 
+type sites = {
+  unwind_sites : (int, int) Hashtbl.t;
+  checked_sites : (int, unit) Hashtbl.t;
+}
+
 type t = {
   chunks : chunk array;
   code : (int, Insn.t * int) Hashtbl.t option Atomic.t;
@@ -74,8 +80,7 @@ type t = {
   stack_bytes : int;
   heap_base : int;
   unwind_funcs : (int * int * int * int) array;
-  unwind_sites : (int, int) Hashtbl.t;
-  checked_sites : (int, unit) Hashtbl.t;
+  sites : sites Lazy.t;
   code_ptr_slots : (int, unit) Hashtbl.t Lazy.t;
   shadow_stack : bool;
 }
@@ -96,6 +101,8 @@ let rec force l =
   | exception Lazy.Undefined ->
       Domain.cpu_relax ();
       force l
+
+let sites img = force img.sites
 
 (* The text as the linker laid it out, read off the chunks: each
    instruction at its entry-relative offset, its symbols resolved by name
@@ -288,12 +295,15 @@ let body_starts b =
       Atomic.set b.b_starts (Some starts);
       starts
 
+let with_body img c b =
+  { c with c_body = b; c_ext = Array.map (Hashtbl.find img.sym_ids) b.b_ext }
+
 (* A relocation resolved against one placement: each symbol reference in
-   [Insn.map_syms] order is the body's own entry plus an offset, or one of
-   the placement's already-resolved external addresses. *)
+   [Insn.map_syms] order is the body's own entry plus an offset, or the
+   address the placement gave one of its externals. *)
 let resolve c r =
   let insn = c.c_body.b_insns.(r.r_index) in
-  let target k = if k >= 0 then c.c_entry + k else c.c_ext.(-k - 1) in
+  let target k = if k >= 0 then c.c_entry + k else c.c_addrs.(c.c_ext.(-k - 1)) in
   if Array.length r.r_refs = 1 then begin
     (* the common case, without the visiting counter *)
     let v = target r.r_refs.(0) in
@@ -460,8 +470,9 @@ let fingerprint img =
   table img.builtin_addrs by_int (fun (a, n) -> int a; str n);
   int (Array.length img.unwind_funcs);
   Array.iter (fun (e, l, fs, pw) -> int e; int l; int fs; int pw) img.unwind_funcs;
-  table img.unwind_sites by_int (fun (a, w) -> int a; int w);
-  table img.checked_sites by_int (fun (a, ()) -> int a);
+  let sites = sites img in
+  table sites.unwind_sites by_int (fun (a, w) -> int a; int w);
+  table sites.checked_sites by_int (fun (a, ()) -> int a);
   table (force img.code_ptr_slots) by_int (fun (a, ()) -> int a);
   flush ();
   Digest.to_hex !h

@@ -8,7 +8,9 @@
     cell: the loaded pages ({!text_page}, a deterministic pseudo-encoding,
     so that read attacks against non-execute-only text observe real
     bytes), the {!decoder}, {!code_at}'s table and the tier-3 code.
-    {!with_chunks} copies an image with other text and fresh cells.
+    {!with_chunks} copies an image with other text and fresh cells. The
+    unwind and checked-site tables ({!sites}) are derived from the
+    placement on first read, too; linking and loading never build them.
 
     What is derived from a body's bytes is built once per {!body} and
     shared by every image that places it: its pseudo-encoded text, the
@@ -64,12 +66,15 @@ type body = {
           with other instructions needs a fresh cell *)
 }
 
-(** One placed body: its entry address and the addresses of its external
-    symbols ([c_ext.(k)] for [b_ext.(k)]), resolved by the linker. *)
+(** One placed body: its entry address and the symbol ids of its
+    externals ([c_ext.(k)] for [b_ext.(k)]), interned by the linker and
+    shared by every placement of one link plan; [c_addrs] is the image's
+    [sym_addrs], which gives their addresses. *)
 type chunk = {
   c_entry : int;
   c_body : body;
   c_ext : int array;
+  c_addrs : int array;
 }
 
 (** Code caches the tier-3 JIT publishes on an image ({!t.jit}). Extended
@@ -112,6 +117,18 @@ type decoder = {
       (** per 256 bytes of text: the last chunk entered at or before the
           bucket's start, or 0 *)
   d_views : view array;  (** chunk [i]'s {!view}, once built, else {!no_view} *)
+}
+
+(** The Section 7.2.4 FDE-like unwind rows and the Section 7.3 checked
+    call sites of a placement ({!t.sites}). *)
+type sites = {
+  unwind_sites : (int, int) Hashtbl.t;
+      (** return address -> words between the RA slot and the caller frame
+          base (BTRA pre-offset + stack arguments) *)
+  checked_sites : (int, unit) Hashtbl.t;
+      (** return addresses whose call site the compiler instrumented with a
+          post-return booby-trap check; the static auditor verifies the
+          check bytes are actually present at each *)
 }
 
 type t = {
@@ -171,13 +188,12 @@ type t = {
       (** (entry, code length, frame size, post-offset words) per compiled
           function, ascending by entry — the CIE-like rows of the
           Section 7.2.4 unwind tables *)
-  unwind_sites : (int, int) Hashtbl.t;
-      (** return address -> words between the RA slot and the caller frame
-          base (BTRA pre-offset + stack arguments) — the FDE-like rows *)
-  checked_sites : (int, unit) Hashtbl.t;
-      (** return addresses whose call site the compiler instrumented with a
-          Section 7.3 post-return booby-trap check; the static auditor
-          verifies the check bytes are actually present at each *)
+  sites : sites Lazy.t;
+      (** memo cell of {!sites}: derived from the placement on first read,
+          in placement order with fixed initial sizes, so their iteration
+          order is a function of the layout alone. Only the unwinder and
+          the static tools read them; linking and loading never force
+          them. *)
   code_ptr_slots : (int, unit) Hashtbl.t Lazy.t;
       (** data addresses whose initialiser legitimately holds a text
           address (function-pointer tables, BTRA decoy arrays) — every
@@ -195,6 +211,10 @@ val builtin_names : string list
     raises [Lazy.Undefined] in a domain that finds another one forcing
     it. Such a domain waits for the value instead. *)
 val force : 'a Lazy.t -> 'a
+
+(** [sites img] — [img]'s unwind and checked call sites, built on the
+    first call and shared by every process of [img]. *)
+val sites : t -> sites
 
 (** [text_cells ~text_base ~text_len] — empty {!t.text_pages} cells. *)
 val text_cells : text_base:int -> text_len:int -> Bytes.t option Atomic.t array
@@ -264,6 +284,11 @@ val body : locals:(string * int) list -> Insn.t array -> int array -> body
     byte-identical executables; this is the equality oracle the
     incremental-rerandomization pipeline is gated on. *)
 val fingerprint : t -> string
+
+(** [with_body img c b] — chunk [c] of [img] with body [b] instead, its
+    externals looked up by name in [img]'s symbol table; raises
+    [Not_found] on a symbol [img] does not define. *)
+val with_body : t -> chunk -> body -> chunk
 
 (** [resolve c r] — relocation [r] of [c]'s body resolved against the
     entry and externals of placement [c]. *)

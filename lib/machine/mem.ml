@@ -60,17 +60,29 @@ let fresh_tlb () =
         e_guard = false;
       })
 
-let create () = { pages = Hashtbl.create 1024; tlb = fresh_tlb (); max_resident = 0 }
+(* The page table starts with 256 buckets, the most a minor-heap block
+   holds. A larger first table is allocated in the major heap, and then
+   every page record it points to — and through their [supply] closures
+   the image they map — survives the next minor collection, even when
+   the process is already dropped: a rotation that starts a process and
+   drops it would promote the whole image. *)
+let create () = { pages = Hashtbl.create 256; tlb = fresh_tlb (); max_resident = 0 }
 
 let tlb_invalidate t =
   for i = 0 to tlb_slots - 1 do
     t.tlb.(i).e_index <- -1
   done
 
+(* What a lookup of an unmapped page returns. It permits nothing, so the
+   accessors' permission test sends it down the slow path with every
+   other denied access. Never written. *)
+let no_entry =
+  { e_index = -1; e_data = unbuilt; e_read = false; e_write = false; e_exec = false; e_guard = false }
+
 (* Miss path: probe the page table and refill the direct-mapped slot. *)
 let tlb_fill t index =
   match Hashtbl.find_opt t.pages index with
-  | None -> None
+  | None -> no_entry
   | Some p ->
       let e = t.tlb.(index land tlb_mask) in
       e.e_index <- index;
@@ -79,11 +91,12 @@ let tlb_fill t index =
       e.e_write <- p.perm.Perm.write && not p.shared;
       e.e_exec <- p.perm.Perm.exec;
       e.e_guard <- p.guard;
-      Some e
+      e
 
+(* Returns the slot itself, so the hot accessors allocate nothing. *)
 let tlb_lookup t index =
   let e = t.tlb.(index land tlb_mask) in
-  if e.e_index = index then Some e else tlb_fill t index
+  if e.e_index = index then e else tlb_fill t index
 
 let build index p =
   if p.data == unbuilt then p.data <- Option.value (p.supply index) ~default:zero_page
@@ -172,28 +185,27 @@ let denied t addr (access : Fault.access) e =
   | Some p when permitted p -> (
       build index p;
       if access = Write then unshare t index p;
-      match tlb_fill t index with Some e -> e | None -> assert false)
+      tlb_fill t index)
   | _ -> fault_access addr access e.e_guard
 
+(* An unmapped page's [no_entry] permits nothing and is no guard, so
+   [denied] raises a plain SIGSEGV for it. *)
 let checked_entry t addr (access : Fault.access) =
-  match tlb_lookup t (Addr.page_of addr) with
-  | None -> Fault.raise_fault (Segv { addr; access })
-  | Some e ->
-      let allowed =
-        match access with
-        | Read -> e.e_read
-        | Write -> e.e_write
-        | Exec -> e.e_exec
-      in
-      if allowed then e else denied t addr access e
+  let e = tlb_lookup t (Addr.page_of addr) in
+  let allowed =
+    match access with
+    | Read -> e.e_read
+    | Write -> e.e_write
+    | Exec -> e.e_exec
+  in
+  if allowed then e else denied t addr access e
 
 (* The interpreter's per-fetch exec probe. Matches the historical
    per-page permission check bit for bit: an exec violation is always a plain
    SIGSEGV, never a guard-page detection, even on a tagged page. *)
 let check_exec t addr =
-  match tlb_lookup t (Addr.page_of addr) with
-  | Some e when e.e_exec -> ()
-  | Some _ | None -> Fault.raise_fault (Segv { addr; access = Exec })
+  if not (tlb_lookup t (Addr.page_of addr)).e_exec then
+    Fault.raise_fault (Segv { addr; access = Exec })
 
 let read_u8 t addr =
   let e = checked_entry t addr Read in

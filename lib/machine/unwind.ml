@@ -23,13 +23,14 @@ let func_row (img : Image.t) addr =
   search 0 (Array.length rows - 1)
 
 let backtrace mem (img : Image.t) ~ra_slot =
+  let sites = (Image.sites img).unwind_sites in
   let rec walk slot acc guard =
     if guard <= 0 then List.rev acc
     else
       match Mem.peek_u64 mem slot with
       | None -> List.rev acc
       | Some ra -> (
-          match Hashtbl.find_opt img.Image.unwind_sites ra with
+          match Hashtbl.find_opt sites ra with
           | None -> List.rev acc (* _start or a corrupted chain *)
           | Some site_words -> (
               match func_row img ra with

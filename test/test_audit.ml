@@ -100,15 +100,15 @@ let test_selfcheck_all_ok () =
 let test_checked_sites_metadata () =
   let checked = Lazy.force checked_img in
   Alcotest.(check bool) "checked image records checked sites" true
-    (Hashtbl.length checked.Image.checked_sites > 0);
+    (Hashtbl.length (Image.sites checked).checked_sites > 0);
   Hashtbl.iter
     (fun ra () ->
       Alcotest.(check bool) "checked site is an unwind site" true
-        (Hashtbl.mem checked.Image.unwind_sites ra))
-    checked.Image.checked_sites;
+        (Hashtbl.mem (Image.sites checked).unwind_sites ra))
+    (Image.sites checked).checked_sites;
   let full = Lazy.force full_img in
   Alcotest.(check int) "unchecked config records none" 0
-    (Hashtbl.length full.Image.checked_sites)
+    (Hashtbl.length (Image.sites full).checked_sites)
 
 let test_code_ptr_slots_metadata () =
   let img = Lazy.force baseline_img in

@@ -100,9 +100,10 @@ let test_func_order_respected () =
       Opts.default with
       func_order =
         (fun names ->
-          let sorted = List.sort compare names in
-          order_seen := sorted;
-          sorted);
+          let perm = Opts.identity_perm (Array.length names) in
+          Array.stable_sort (fun i j -> compare names.(i) names.(j)) perm;
+          order_seen := Array.to_list (Array.map (fun i -> names.(i)) perm);
+          perm);
     }
   in
   let img = Driver.compile ~opts Samples.indirect_prog in

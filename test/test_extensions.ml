@@ -274,9 +274,9 @@ let test_mvee_detects_tailored_exploit () =
 let test_unwind_tables_populated () =
   let img = Defenses.build_vulnapp Defenses.r2c ~seed:5 in
   Alcotest.(check bool) "function rows" true (Array.length img.Image.unwind_funcs > 5);
-  Alcotest.(check bool) "site rows" true (Hashtbl.length img.Image.unwind_sites > 10);
+  Alcotest.(check bool) "site rows" true (Hashtbl.length (Image.sites img).unwind_sites > 10);
   (* Site rows under full R2C must include nonzero pre-offsets. *)
-  let nonzero = Hashtbl.fold (fun _ w acc -> acc || w > 0) img.Image.unwind_sites false in
+  let nonzero = Hashtbl.fold (fun _ w acc -> acc || w > 0) (Image.sites img).unwind_sites false in
   Alcotest.(check bool) "BTRA offsets recorded" true nonzero
 
 let test_unwind_rows_shuffled () =

@@ -38,11 +38,42 @@ let test_undefined_symbol_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "undefined symbol must be rejected"
 
+(* An order hook must return a permutation of the plan's indices: a wrong
+   length, an index out of range and a repeated index are each rejected
+   with their own message. *)
+let reject what f msg =
+  match f () with
+  | exception Invalid_argument m -> Alcotest.(check string) what msg m
+  | _ -> Alcotest.failf "%s: link succeeded" what
+
 let test_func_order_must_be_permutation () =
-  let opts = { Opts.default with Opts.func_order = (fun _ -> [ "main"; "ghost" ]) } in
-  match Link.link ~opts ~main:"main" [ raw "main" [ Insn.Ret ]; raw "g" [ Insn.Ret ] ] [] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "func_order inventing names must be rejected"
+  let link order =
+    let opts = { Opts.default with Opts.func_order = (fun _ -> order) } in
+    Link.link ~opts ~main:"main" [ raw "main" [ Insn.Ret ]; raw "g" [ Insn.Ret ] ] []
+  in
+  reject "short" (fun () -> link [| 0 |]) "link: func_order changed the number of functions";
+  reject "long" (fun () -> link [| 0; 1; 1 |]) "link: func_order changed the number of functions";
+  reject "past the end" (fun () -> link [| 0; 2 |]) "link: func_order invented index 2";
+  reject "negative" (fun () -> link [| -1; 0 |]) "link: func_order invented index -1";
+  reject "duplicate" (fun () -> link [| 1; 1 |]) "link: duplicate symbol g";
+  let img = link [| 1; 0 |] in
+  Alcotest.(check bool) "a permutation is placed" true (Image.symbol img "g" < Image.symbol img "main")
+
+let test_global_order_must_be_permutation () =
+  let g name = { Ir.gname = name; gsize = 8; ginit = [] } in
+  let link order pads =
+    let opts = { Opts.default with Opts.global_order = (fun _ -> (order, pads)) } in
+    Link.link ~opts ~main:"main" [ raw "main" [ Insn.Ret ] ] [ g "a"; g "b" ]
+  in
+  let changed = "link: global_order changed the number of globals" in
+  reject "short" (fun () -> link [| 0 |] [| 0; 0 |]) changed;
+  reject "pads short" (fun () -> link [| 0; 1 |] [| 0 |]) changed;
+  reject "long" (fun () -> link [| 0; 1; 0 |] [| 0; 0; 0 |]) changed;
+  reject "past the end" (fun () -> link [| 2; 0 |] [| 0; 0 |]) "link: global_order invented index 2";
+  reject "negative" (fun () -> link [| 0; -1 |] [| 0; 0 |]) "link: global_order invented index -1";
+  reject "duplicate" (fun () -> link [| 0; 0 |] [| 0; 0 |]) "link: duplicate symbol a";
+  let img = link [| 1; 0 |] [| 56; 0 |] in
+  Alcotest.(check int) "b first, then its pad" (Image.symbol img "b" + 8 + 56) (Image.symbol img "a")
 
 let test_data_overflow_rejected () =
   (* A single global bigger than the data window. *)
@@ -87,7 +118,13 @@ let test_global_padding_separates () =
   let g1 = { Ir.gname = "g1"; gsize = 8; ginit = [] } in
   let g2 = { Ir.gname = "g2"; gsize = 8; ginit = [] } in
   let opts =
-    { Opts.default with Opts.global_order = (fun gs -> List.map (fun g -> (g, 128)) gs) }
+    {
+      Opts.default with
+      Opts.global_order =
+        (fun gs ->
+          let n = Array.length gs in
+          (Opts.identity_perm n, Array.make n 128));
+    }
   in
   let img = Link.link ~opts ~main:"main" [ raw "main" [ Insn.Ret ] ] [ g1; g2 ] in
   let a1 = Image.symbol img "g1" and a2 = Image.symbol img "g2" in
@@ -155,6 +192,7 @@ let suite =
         Alcotest.test_case "global shadows function" `Quick test_duplicate_global_function_clash;
         Alcotest.test_case "undefined symbol" `Quick test_undefined_symbol_rejected;
         Alcotest.test_case "func_order permutation" `Quick test_func_order_must_be_permutation;
+        Alcotest.test_case "global_order permutation" `Quick test_global_order_must_be_permutation;
         Alcotest.test_case "data overflow" `Quick test_data_overflow_rejected;
         Alcotest.test_case "plt slots fixed" `Quick test_builtins_have_fixed_plt_slots;
         Alcotest.test_case "entry is _start" `Quick test_entry_is_start;

@@ -87,6 +87,17 @@ let test_start_builds_no_fetch_table () =
   Alcotest.(check bool) "fetch table not built by Process.start" true
     (Atomic.get img.code = None)
 
+(* The unwind and checked-site tables are read only by the unwinder and
+   the static tools: a rotation and a start leave their cell unforced,
+   and the first read builds them. *)
+let test_start_builds_no_site_table () =
+  let img = rotated Dconfig.full_checked in
+  ignore (Process.start img);
+  Alcotest.(check bool) "site tables not built by a rotation or Process.start" false
+    (Lazy.is_val img.sites);
+  Alcotest.(check bool) "the first read finds checked sites" true
+    (Hashtbl.length (Image.sites img).checked_sites > 0)
+
 let load img = (Loader.load ~jit:false ~profile:Cost.epyc_rome img).Cpu.mem
 
 (* Every mapped page of [m]: base, permission, guard tag and bytes, read
@@ -253,6 +264,8 @@ let suite =
           test_selfcheck_text;
         Alcotest.test_case "Process.start builds no fetch table" `Quick
           test_start_builds_no_fetch_table;
+        Alcotest.test_case "Process.start builds no site table" `Quick
+          test_start_builds_no_site_table;
         Alcotest.test_case "demand-built pages = eager load, all configs" `Quick
           test_demand_equals_eager;
         Alcotest.test_case "start builds no page" `Quick test_start_builds_nothing;

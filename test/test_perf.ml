@@ -135,7 +135,7 @@ let test_predecode_matches_by_name () =
      first: a copy that kept any of those cells would show the parent's
      instruction. *)
   let checked = R2c_defenses.Defenses.build_vulnapp R2c_defenses.Defenses.r2c_checked ~seed:4 in
-  let ra = Hashtbl.fold (fun a () m -> min a m) checked.checked_sites max_int in
+  let ra = Hashtbl.fold (fun a () m -> min a m) (Image.sites checked).checked_sites max_int in
   let len =
     match Image.code_at checked ra with
     | Some (_, len) -> len

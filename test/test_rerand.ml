@@ -143,8 +143,7 @@ let test_fingerprint_sees_one_field () =
           edited := true;
           let insns = Array.copy b.b_insns in
           insns.(k) <- Option.get (edit insns.(k));
-          let b = Image.body ~locals:[] insns b.b_sizes in
-          { c with c_body = b; c_ext = Array.map (Image.symbol img) b.b_ext }
+          Image.with_body img c (Image.body ~locals:[] insns b.b_sizes)
     in
     let img' = Image.with_chunks img (Array.map patch img.Image.chunks) in
     Alcotest.(check bool) "an instruction to edit" true !edited;
@@ -328,9 +327,9 @@ let check_same_link what (cold : Image.t) (img : Image.t) =
   Alcotest.(check (list string)) (what ^ ": symbols at cold addresses") [] !wrong;
   Alcotest.(check int) (what ^ ": symbol count") !ncold !nimg;
   Alcotest.(check (list (pair int int))) (what ^ ": unwind sites")
-    (sorted_bindings cold.unwind_sites) (sorted_bindings img.unwind_sites);
+    (sorted_bindings (Image.sites cold).unwind_sites) (sorted_bindings (Image.sites img).unwind_sites);
   Alcotest.(check (list int)) (what ^ ": checked sites")
-    (sorted_keys cold.checked_sites) (sorted_keys img.checked_sites);
+    (sorted_keys (Image.sites cold).checked_sites) (sorted_keys (Image.sites img).checked_sites);
   Alcotest.(check (list int)) (what ^ ": code-pointer slots")
     (sorted_keys (Lazy.force cold.code_ptr_slots))
     (sorted_keys (Lazy.force img.code_ptr_slots));
@@ -354,7 +353,7 @@ let test_relink_tables_equal_cold () =
     Alcotest.(check int) (what ^ " recompiles nothing") 0 st.Incremental.misses;
     let cold = Pipeline.compile_cold c p in
     Alcotest.(check bool) (what ^ ": checked sites exist") true
-      (Hashtbl.length cold.checked_sites > 0);
+      (Hashtbl.length (Image.sites cold).checked_sites > 0);
     check_same_link what cold img;
     (* Rotations place one cached plan: its symbol table is shared. *)
     Option.iter
@@ -395,6 +394,75 @@ let test_poison_reaches_relink () =
   let later, _ = Pipeline.compile_incremental r (coords cfg 3 (Some 13)) p in
   Alcotest.(check bool) "later rotation reuses the new plan" true (after.sym_ids == later.sym_ids);
   Alcotest.(check bool) "later rotation keeps the planted body" true (planted later)
+
+(* --- layouts pinned across linker changes ------------------------------ *)
+
+(* Fingerprints recorded while the order hooks still took and returned
+   names and the function pad was drawn once per function: a cold compile
+   and a steady-state rotation at each of these coordinates must still
+   place every function, global and pad where that linker did. *)
+let pinned_layouts =
+  [
+    ("genprog-200", "full", 1100, "10f09d8e21d5cd49907e1fa28f479f22");
+    ("genprog-200", "full", 1101, "ae05e8a9c75f13142584ea57773529b6");
+    ("genprog-200", "full", 5555, "b3456d6ebe7ed5a924bd04bbe21880e2");
+    ("genprog-200", "full_checked", 1100, "bd3112991279d1c25d4e8cc133bcf7b5");
+    ("genprog-200", "full_checked", 1101, "2dba486fe824d51e7debf4d3a8887dfe");
+    ("genprog-200", "full_checked", 5555, "332364321f96aa822b932c3405b11d09");
+    ("fleetapp", "full", 1100, "e170d669dba29ab1816022426b7e021f");
+    ("fleetapp", "full", 1101, "eec910d213d9a4c6dcded3e1c01c61a6");
+    ("fleetapp", "full", 5555, "f4c86e6a2636de60534adbaa5add46be");
+    ("fleetapp", "full_checked", 1100, "42f6b47b370bfabe72164dd1ce2c0c27");
+    ("fleetapp", "full_checked", 1101, "843d85f8339636ad463601c16920e511");
+    ("fleetapp", "full_checked", 5555, "64bf763a49880ad3143d8426df6bc826");
+  ]
+
+let test_pinned_layouts () =
+  let progs =
+    [
+      ("genprog-200", Genprog.generate ~seed:1 ~funcs:200);
+      ("fleetapp", R2c_workloads.Fleetapp.program ());
+    ]
+  in
+  List.iter
+    (fun (pname, p) ->
+      List.iter
+        (fun (cname, cfg) ->
+          let r = Pipeline.rerand_create () in
+          ignore (Pipeline.compile_incremental r (coords cfg 7 (Some 1)) p);
+          List.iter
+            (fun (pn, cn, link, want) ->
+              if pn = pname && cn = cname then begin
+                let c = coords cfg 7 (Some link) in
+                let what = Printf.sprintf "%s %s link %d" pn cn link in
+                Alcotest.(check string) (what ^ ": cold") want (fp (Pipeline.compile_cold c p));
+                let img, st = Pipeline.compile_incremental r c p in
+                Alcotest.(check int) (what ^ ": a rotation") 0 st.Incremental.misses;
+                Alcotest.(check string) (what ^ ": rotated") want (fp img)
+              end)
+            pinned_layouts)
+        [ ("full", Dconfig.full ()); ("full_checked", Dconfig.full_checked) ])
+    progs
+
+(* A steady-state rotation places the cached plan by index arithmetic:
+   no name lookups, no site tables. Its minor-heap allocation is
+   deterministic on one domain; 27,935 words is what it took when the
+   order hooks returned names and the site tables were built eagerly
+   (Genprog-200 under full, this test's coordinates). *)
+let test_rotation_allocation () =
+  let p = Genprog.generate ~seed:11 ~funcs:200 in
+  let r = Pipeline.rerand_create () in
+  let c link = coords (Dconfig.full ()) 5 (Some link) in
+  ignore (Pipeline.compile_incremental ~jobs:1 r (c 100) p);
+  ignore (Pipeline.compile_incremental ~jobs:1 r (c 101) p);
+  let w0 = Gc.minor_words () in
+  let img, st = Pipeline.compile_incremental ~jobs:1 r (c 102) p in
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity img);
+  Alcotest.(check int) "a steady-state rotation" 0 st.Incremental.misses;
+  let bound = 27_935. *. 2. /. 3. in
+  if words > bound then
+    Alcotest.failf "a rotation allocated %.0f minor words, over the bound %.0f" words bound
 
 (* --- QCheck: random edit/seed/config walks vs cold compiles ---------- *)
 
@@ -554,6 +622,8 @@ let suite =
         Alcotest.test_case "stale plant caught" `Quick test_stale_plant_caught;
         Alcotest.test_case "relink tables equal cold" `Quick test_relink_tables_equal_cold;
         Alcotest.test_case "poison reaches the relink" `Quick test_poison_reaches_relink;
+        Alcotest.test_case "pinned layouts" `Quick test_pinned_layouts;
+        Alcotest.test_case "rotation allocation" `Quick test_rotation_allocation;
         QCheck_alcotest.to_alcotest prop_incremental_equals_cold;
         Alcotest.test_case "replay on incremental rebuild" `Quick
           test_replay_incremental;

@@ -73,7 +73,7 @@ let test_unwind_booby_trap_frame () =
   List.iter
     (fun (f : Image.func_info) ->
       Alcotest.(check bool) "booby trap is not an unwind site" false
-        (Hashtbl.mem img.Image.unwind_sites f.entry))
+        (Hashtbl.mem (Image.sites img).unwind_sites f.entry))
     traps;
   let slot = Addr.stack_top - 256 in
   Mem.poke_u64 cpu.Cpu.mem slot (List.hd traps).Image.entry;
